@@ -320,38 +320,55 @@ def synthetic_netload_scenarios(
     return out
 
 
-def load_netload_csv(path, n_slots: int = N_SLOTS) -> np.ndarray:
-    """Read `scenario,day,slot,netload_kwh` rows into an (n, days, slots) array."""
-    rows = []
+def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int | None]):
+    """Read rows of integer ``keys`` and a float ``value`` into a dense array
+    indexed by the keys.  ``sizes`` fixes an axis length, or None to take it
+    from the largest index.  Every index tuple must occur exactly once."""
+    rows = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                (int(rec["scenario"]), int(rec["day"]), int(rec["slot"]), float(rec["netload_kwh"]))
-            )
+        reader = csv.DictReader(fh)
+        absent = [k for k in (*keys, value) if k not in (reader.fieldnames or ())]
+        if absent:
+            raise ValueError(f"{path}: missing columns {absent}")
+        for line, rec in enumerate(reader, start=2):
+            try:
+                key = tuple(int(rec[k]) for k in keys)
+                val = float(rec[value])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line}: unreadable row ({exc})") from exc
+            for k, i, size in zip(keys, key, sizes):
+                if i < 0 or (size is not None and i >= size):
+                    bound = f"[0, {size - 1}]" if size is not None else ">= 0"
+                    raise ValueError(f"{path}:{line}: {k} {i} outside {bound}")
+            if key in rows:
+                raise ValueError(f"{path}:{line}: duplicate row for {dict(zip(keys, key))}")
+            rows[key] = val
     if not rows:
         raise ValueError(f"no rows in {path}")
-    n = max(r[0] for r in rows) + 1
-    days = max(r[1] for r in rows) + 1
-    out = np.zeros((n, days, n_slots))
-    for s, d, m, v in rows:
-        out[s, d, m] = v
+    shape = tuple(
+        size if size is not None else max(key[j] for key in rows) + 1
+        for j, size in enumerate(sizes)
+    )
+    if len(rows) != math.prod(shape):
+        missing = next(idx for idx in np.ndindex(*shape) if idx not in rows)
+        raise ValueError(
+            f"{path}: {math.prod(shape) - len(rows)} of {math.prod(shape)} rows missing,"
+            f" first {dict(zip(keys, missing))}"
+        )
+    out = np.empty(shape)
+    for key, v in rows.items():
+        out[key] = v
     return out
+
+
+def load_netload_csv(path, n_slots: int = N_SLOTS) -> np.ndarray:
+    """Read `scenario,day,slot,netload_kwh` rows into an (n, days, slots) array."""
+    return _load_dense_csv(path, ("scenario", "day", "slot"), "netload_kwh", (None, None, n_slots))
 
 
 def load_price_csv(path) -> np.ndarray:
     """Read `scenario,day,price_usd_per_kwh` rows into an (n, days) array."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["scenario"]), int(rec["day"]), float(rec["price_usd_per_kwh"])))
-    if not rows:
-        raise ValueError(f"no rows in {path}")
-    n = max(r[0] for r in rows) + 1
-    days = max(r[1] for r in rows) + 1
-    out = np.zeros((n, days))
-    for s, d, v in rows:
-        out[s, d] = v
-    return out
+    return _load_dense_csv(path, ("scenario", "day"), "price_usd_per_kwh", (None, None))
 
 
 def white_noise_resample(

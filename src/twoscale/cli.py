@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -64,7 +65,7 @@ def _run_stage(stage_fn, config_path, out, seed, threads, scenarios, force, **kw
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    click.echo(f"{info}")
+    click.echo(json.dumps(info, sort_keys=True))
 
 
 @click.group()

@@ -71,6 +71,14 @@ class RunConfig:
             raise ConfigError("support sizes must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        # the slow recursions look renewal states (cycle_multiple * r, r) up on the grid
+        h_grid, c_grid = self.h_grid(), self.c_grid()
+        for r in c_grid[1:]:
+            if self.cycle_multiple * r not in h_grid:
+                raise ConfigError(
+                    f"renewal state ({self.cycle_multiple * r}, {r}) is not on the (h, c) grid:"
+                    f" h_points - 1 must be a multiple of {len(c_grid) - 1}"
+                )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":

@@ -59,9 +59,10 @@ def low_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore"):
         out = a + b
-    conflict = np.isinf(a) & np.isinf(b) & (np.sign(a) != np.sign(b))
-    if conflict.any():
-        out = np.where(conflict, -INF, out)
+    nan = np.isnan(out)
+    if nan.any():
+        # a NaN sum of two infinities is a conflict (+inf) + (-inf)
+        out = np.where(nan & np.isinf(a) & np.isinf(b), -INF, out)
     return out
 
 
@@ -127,22 +128,26 @@ class Grid:
             out.append(np.where(pick_lo, lo, hi))
         return tuple(out)
 
-    def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower cell corner indices and fractional offsets for interpolation."""
+    def interp_plan(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Multilinear interpolation plan of query points (n, ndim), clamped to
+        the bounding box: the flat (row-major) index of each query's lower cell
+        corner, shape (n,), and its fractional offset per axis, shape (ndim, n).
+        """
         x = self.clamp(x)
         n = x.shape[0]
-        idx = np.empty((n, self.ndim), dtype=np.intp)
-        frac = np.zeros((n, self.ndim), dtype=float)
-        for j, ax in enumerate(self.axes):
-            if ax.size == 1:
-                idx[:, j] = 0
-                continue
-            i = np.searchsorted(ax, x[:, j], side="right") - 1
-            i = np.clip(i, 0, ax.size - 2)
-            idx[:, j] = i
-            step = ax[i + 1] - ax[i]
-            frac[:, j] = (x[:, j] - ax[i]) / step
-        return idx, frac
+        base = np.zeros(n, dtype=np.intp)
+        frac = np.zeros((self.ndim, n))
+        stride = 1
+        for j in reversed(range(self.ndim)):
+            ax = self.axes[j]
+            if ax.size > 1:
+                i = np.searchsorted(ax, x[:, j], side="right") - 1
+                i = np.clip(i, 0, ax.size - 2)
+                step = ax[i + 1] - ax[i]
+                frac[j] = (x[:, j] - ax[i]) / step
+                base += i * stride
+            stride *= ax.size
+        return base, frac
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,37 +201,50 @@ class GridValueFn:
         return self._multilinear(x)
 
     def _multilinear(self, x: np.ndarray) -> np.ndarray:
-        idx, frac = self.grid.locate(x)
-        n = x.shape[0]
-        total = np.zeros(n)
-        pos_inf = np.zeros(n, dtype=bool)
-        neg_inf = np.zeros(n, dtype=bool)
-        ndim = self.grid.ndim
+        return self.blend(*self.grid.interp_plan(x))
+
+    def blend(self, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
+        """Multilinear blend at an interpolation plan of this function's grid
+        (see :meth:`Grid.interp_plan`); ``base`` may have any shape and
+        ``frac`` is ``(ndim,) + base.shape``.
+
+        Corners are visited in binary order, axis 0 in the lowest bit, and a
+        corner's weight is the product of its per-axis factors in axis order.
+        A corner contributes only where its weight is strictly positive.
+        """
+        flat = self.values.ravel()
         shape = self.grid.shape
-        for corner in range(1 << ndim):
-            w = np.ones(n)
-            ind = []
-            for j in range(ndim):
-                bit = (corner >> j) & 1
-                if bit:
-                    w = w * frac[:, j]
-                    ind.append(np.minimum(idx[:, j] + 1, shape[j] - 1))
+        pos_tab, neg_tab = np.isposinf(flat), np.isneginf(flat)
+        has_pos, has_neg = bool(pos_tab.any()), bool(neg_tab.any())
+        if has_pos or has_neg:
+            flat = np.where(np.isfinite(flat), flat, 0.0)
+        strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+        lower = 1.0 - frac
+        total = np.zeros(base.shape)
+        pos_inf = np.zeros(base.shape, dtype=bool)
+        neg_inf = np.zeros(base.shape, dtype=bool)
+        for corner in range(1 << len(shape)):
+            w, offset = None, 0
+            for j in range(len(shape)):
+                if (corner >> j) & 1:
+                    f = frac[j]
+                    if shape[j] > 1:
+                        offset += strides[j]
                 else:
-                    w = w * (1.0 - frac[:, j])
-                    ind.append(idx[:, j])
-            active = w > 0.0
-            if not active.any():
-                continue
-            v = self.values[tuple(ind)]
-            vpos = active & np.isposinf(v)
-            vneg = active & np.isneginf(v)
-            pos_inf |= vpos
-            neg_inf |= vneg
-            fin = active & np.isfinite(v)
-            total = total + w * np.where(fin, v, 0.0)
-        out = np.where(pos_inf, INF, total)
-        out = np.where(neg_inf, -INF, out)
-        return out
+                    f = lower[j]
+                w = f if w is None else w * f
+            idx = base + offset
+            v = flat.take(idx)
+            v *= w
+            total += v
+            if has_pos or has_neg:
+                active = w > 0.0
+                if has_pos:
+                    pos_inf |= active & pos_tab.take(idx)
+                if has_neg:
+                    neg_inf |= active & neg_tab.take(idx)
+        out = np.where(pos_inf, INF, total) if has_pos else total
+        return np.where(neg_inf, -INF, out) if has_neg else out
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])

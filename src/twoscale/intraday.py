@@ -36,9 +36,16 @@ class FastStage:
     """One fast step: state grid, control points, noise law and handles.
 
     cost(states, u, w) -> per-state cost array (may contain +inf for
-    infeasible controls); dynamics(states, u, w) -> next-state array.
-    ``noise_free_dynamics`` flags dynamics that ignore w, letting the solver
-    hoist next-state interpolation out of the noise loop.
+    infeasible controls); dynamics(states, u, w) -> next-state array; u is
+    one control.  This per-control form is the reference.
+
+    ``noise_free_dynamics`` flags dynamics that ignore w.  The solver then
+    calls both handles once with the whole control array instead, and they
+    must broadcast to (controls, states): cost returns shape
+    (len(controls), n) and dynamics (len(controls), n, ndim), equal entry by
+    entry to the per-control calls.  Consecutive stages holding the same
+    grid, controls and dynamics objects share one interpolation plan of
+    their next states.
     """
 
     state_grid: Grid
@@ -83,6 +90,11 @@ class FastDpSolution:
         return best_u, best_q
 
 
+def _expect_start(n: int):
+    """Empty (finite total, +inf mask, -inf mask) over n states."""
+    return np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+
 def _expect_accumulate(total, pos, neg, term: np.ndarray, p: float):
     """Accumulate p * term into (finite total, +inf mask, -inf mask)."""
     pos |= np.isposinf(term)
@@ -90,6 +102,11 @@ def _expect_accumulate(total, pos, neg, term: np.ndarray, p: float):
     fin = np.isfinite(term)
     total += np.where(fin, p * term, 0.0)
     return total, pos, neg
+
+
+def _expect_value(total, pos, neg) -> np.ndarray:
+    """Expectation under lower addition: -inf dominates +inf."""
+    return np.where(neg, -INF, np.where(pos, INF, total))
 
 
 def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolution:
@@ -102,33 +119,53 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
         raise ValueError("terminal function grid does not match the model terminal grid")
     values: list[GridValueFn] = [terminal]
     vnext = terminal
+    plan_key, plan = None, None
     for stage in reversed(model.stages):
-        states = stage.state_grid.points()
-        n = states.shape[0]
-        total = np.zeros(n)
-        pos = np.zeros(n, dtype=bool)
-        neg = np.zeros(n, dtype=bool)
         if stage.noise_free_dynamics:
-            w0 = stage.noise.support[0]
-            cont = [
-                vnext.eval_many(stage.dynamics(states, float(u), w0)) for u in stage.controls
-            ]
+            key = (stage.state_grid, stage.controls, stage.dynamics, vnext.grid)
+            if plan_key is None or any(a is not b for a, b in zip(key, plan_key)):
+                plan_key, plan = key, _next_state_plan(stage, vnext.grid)
+            vals = _broadcast_stage(stage, vnext, *plan)
         else:
-            cont = None
-        for w, p in stage.noise.atoms():
-            q_best = None
-            for j, u in enumerate(stage.controls):
-                cw = cont[j] if cont is not None else vnext.eval_many(
-                    stage.dynamics(states, float(u), w)
-                )
-                q = low_add_arrays(stage.cost(states, float(u), w), cw)
-                q_best = q if q_best is None else np.minimum(q_best, q)
-            total, pos, neg = _expect_accumulate(total, pos, neg, q_best, p)
-        vals = np.where(neg, -INF, np.where(pos, INF, total))
+            vals = _per_control_stage(stage, vnext)
         vnext = GridValueFn(stage.state_grid, vals, interp=MULTILINEAR)
         values.append(vnext)
     values.reverse()
     return FastDpSolution(model, values)
+
+
+def _next_state_plan(stage: FastStage, next_grid: Grid):
+    """States, and the interpolation plan on next_grid of the next state of
+    every (control, state) pair, shaped (controls, states)."""
+    states = stage.state_grid.points()
+    nxt = stage.dynamics(states, stage.controls, stage.noise.support[0])
+    base, frac = next_grid.interp_plan(nxt.reshape(-1, states.shape[1]))
+    shape = (len(stage.controls), len(states))
+    return states, base.reshape(shape), frac.reshape((-1,) + shape)
+
+
+def _broadcast_stage(stage, vnext, states, base, frac) -> np.ndarray:
+    """One stage with noise-free dynamics, all controls at once."""
+    cont = vnext.blend(base, frac)  # (controls, states)
+    total, pos, neg = _expect_start(len(states))
+    for w, p in stage.noise.atoms():
+        q = low_add_arrays(stage.cost(states, stage.controls, w), cont).min(axis=0)
+        total, pos, neg = _expect_accumulate(total, pos, neg, q, p)
+    return _expect_value(total, pos, neg)
+
+
+def _per_control_stage(stage, vnext) -> np.ndarray:
+    """One stage, control by control: the reference recursion."""
+    states = stage.state_grid.points()
+    total, pos, neg = _expect_start(len(states))
+    for w, p in stage.noise.atoms():
+        q_best = None
+        for u in stage.controls:
+            cw = vnext.eval_many(stage.dynamics(states, float(u), w))
+            q = low_add_arrays(stage.cost(states, float(u), w), cw)
+            q_best = q if q_best is None else np.minimum(q_best, q)
+        total, pos, neg = _expect_accumulate(total, pos, neg, q_best, p)
+    return _expect_value(total, pos, neg)
 
 
 @dataclass(frozen=True)
@@ -229,68 +266,68 @@ def no_battery_bill(slot_laws: Sequence[DiscreteDist], tariff: Tariff) -> float:
     return total
 
 
-class _ResourceCost:
-    """Stage cost for the (soc, budget) DP: bill plus feasibility mask."""
+def _charge_split(u):
+    """(charged, discharged) energy of one control or a control array; an
+    array gets a trailing axis so it broadcasts against states as (controls, states)."""
+    u = np.asarray(u, dtype=float)[..., None]
+    return np.maximum(u, 0.0), np.maximum(-u, 0.0)
 
-    def __init__(self, rate, cfg, soc_max):
-        self.rate = rate
+
+class _BatteryDyn:
+    """One slot of a battery cell over (soc, second axis): the soc moves by
+    charge_eff * u+ - discharge_eff * u-; a budget axis loses |u| = u+ + u-,
+    a surcharge axis stays.  Takes one control or a control array."""
+
+    def __init__(self, cfg, soc_max, budget_axis: bool):
         self.cfg = cfg
         self.soc_max = soc_max
+        self.budget_axis = budget_axis
+        self._kept = (None, None, None)
 
     def __call__(self, states, u, w):
         cfg = self.cfg
-        up, um = max(u, 0.0), max(-u, 0.0)
-        soc_next = states[:, 0] + cfg.charge_eff * up - cfg.discharge_eff * um
-        budget_next = states[:, 1] - up - um
-        bad = (
-            (soc_next < -FEAS_TOL)
-            | (soc_next > self.soc_max + FEAS_TOL)
-            | (budget_next < -FEAS_TOL)
-        )
-        bill = self.rate * max(0.0, w + u)
-        return np.where(bad, INF, bill)
+        up, um = _charge_split(u)
+        soc = states[:, 0] + cfg.charge_eff * up - cfg.discharge_eff * um
+        second = states[:, 1] - up - um if self.budget_axis else states[:, 1]
+        return np.stack(np.broadcast_arrays(soc, second), axis=-1)
 
+    def fixed_cost(self, states, u):
+        """Noise-free part of the stage cost: +inf where u drives the soc (or
+        the budget) out of its box, else the surcharge pi * |u| on a surcharge
+        axis and 0 on a budget axis.
 
-class _ResourceDyn:
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def __call__(self, states, u, w):
-        cfg = self.cfg
-        up, um = max(u, 0.0), max(-u, 0.0)
-        out = np.empty_like(states)
-        out[:, 0] = states[:, 0] + cfg.charge_eff * up - cfg.discharge_eff * um
-        out[:, 1] = states[:, 1] - up - um
+        The result for a control array is kept: the solver passes the same
+        (states, controls) arrays, compared here by identity, at every slot
+        and noise atom of a cell.
+        """
+        kept_states, kept_u, kept = self._kept
+        if states is kept_states and u is kept_u:
+            return kept
+        nxt = self(states, u, None)
+        bad = (nxt[..., 0] < -FEAS_TOL) | (nxt[..., 0] > self.soc_max + FEAS_TOL)
+        if self.budget_axis:
+            bad |= nxt[..., 1] < -FEAS_TOL
+            extra = 0.0
+        else:
+            up, um = _charge_split(u)
+            extra = states[:, 1] * (up + um)
+        out = np.where(bad, INF, extra)
+        if np.ndim(u):
+            self._kept = (states, u, out)
         return out
 
 
-class _PriceCost:
-    """Stage cost for the (soc, surcharge) DP: bill + pi * |u| + feasibility."""
+class _BatteryCost:
+    """Stage cost of one slot: the bill rate * max(0, w + u) plus the cell's
+    noise-free part (feasibility mask and surcharge)."""
 
-    def __init__(self, rate, cfg, soc_max):
+    def __init__(self, rate, dyn: _BatteryDyn):
         self.rate = rate
-        self.cfg = cfg
-        self.soc_max = soc_max
+        self.dyn = dyn
 
     def __call__(self, states, u, w):
-        cfg = self.cfg
-        up, um = max(u, 0.0), max(-u, 0.0)
-        soc_next = states[:, 0] + cfg.charge_eff * up - cfg.discharge_eff * um
-        bad = (soc_next < -FEAS_TOL) | (soc_next > self.soc_max + FEAS_TOL)
-        out = self.rate * max(0.0, w + u) + states[:, 1] * (up + um)
-        return np.where(bad, INF, out)
-
-
-class _PriceDyn:
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def __call__(self, states, u, w):
-        cfg = self.cfg
-        up, um = max(u, 0.0), max(-u, 0.0)
-        out = states.copy()
-        out[:, 0] = states[:, 0] + cfg.charge_eff * up - cfg.discharge_eff * um
-        return out
+        bill = self.rate * np.maximum(0.0, w + np.asarray(u, dtype=float)[..., None])
+        return bill + self.dyn.fixed_cost(states, u)
 
 
 def soc_grid_for(c: float, cfg: BatteryConfig, n_soc: int) -> np.ndarray:
@@ -301,55 +338,30 @@ def control_grid(cfg: BatteryConfig, n_controls: int) -> np.ndarray:
     return np.linspace(cfg.u_min, cfg.u_max, n_controls)
 
 
-def _resource_cell(cfg, slot_laws, c, dh_grid, n_soc, n_controls):
-    """Daily (soc, budget) DP for one capacity; returns (row over dh, value tables)."""
+def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
+    """Daily DP for one capacity over (soc, axis), starting from an empty
+    battery; axis is the aging budget (resource cell) or the surcharge, a
+    static state axis (price cell), so one sweep covers the whole axis.
+    Returns (day-start row over axis, per-step value tables)."""
     tariff = cfg.tariff
-    n_steps = len(slot_laws)
-    soc_max = cfg.soc_fraction * c
-    grid = Grid([soc_grid_for(c, cfg, n_soc), dh_grid])
+    grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
     controls = control_grid(cfg, n_controls)
+    dyn = _BatteryDyn(cfg, cfg.soc_fraction * c, budget_axis)
     stages = tuple(
         FastStage(
             state_grid=grid,
             controls=controls,
-            noise=slot_laws[m],
-            cost=_ResourceCost(tariff.rate(m), cfg, soc_max),
-            dynamics=_ResourceDyn(cfg),
+            noise=law,
+            cost=_BatteryCost(tariff.rate(m), dyn),
+            dynamics=dyn,
             noise_free_dynamics=True,
         )
-        for m in range(n_steps)
+        for m, law in enumerate(slot_laws)
     )
     model = FastStageModel(stages=stages, terminal_grid=grid)
     terminal = GridValueFn(grid, np.zeros(grid.shape), interp=MULTILINEAR)
     sol = solve_fast_dp(model, terminal)
     row = sol.values[0].values[0, :].copy()  # soc = 0 start
-    tables = [v.values.copy() for v in sol.values]
-    return row, tables
-
-
-def _price_cell(cfg, slot_laws, c, pi_grid, n_soc, n_controls):
-    """Daily (soc, surcharge) DP for one capacity; the surcharge is a static
-    state axis, so one sweep covers the whole pi grid."""
-    tariff = cfg.tariff
-    n_steps = len(slot_laws)
-    soc_max = cfg.soc_fraction * c
-    grid = Grid([soc_grid_for(c, cfg, n_soc), pi_grid])
-    controls = control_grid(cfg, n_controls)
-    stages = tuple(
-        FastStage(
-            state_grid=grid,
-            controls=controls,
-            noise=slot_laws[m],
-            cost=_PriceCost(tariff.rate(m), cfg, soc_max),
-            dynamics=_PriceDyn(cfg),
-            noise_free_dynamics=True,
-        )
-        for m in range(n_steps)
-    )
-    model = FastStageModel(stages=stages, terminal_grid=grid)
-    terminal = GridValueFn(grid, np.zeros(grid.shape), interp=MULTILINEAR)
-    sol = solve_fast_dp(model, terminal)
-    row = sol.values[0].values[0, :].copy()  # soc = 0 start, one value per pi
     tables = [v.values.copy() for v in sol.values]
     return row, tables
 
@@ -385,7 +397,7 @@ def compute_resource_intraday(
         if cell_results is not None and ci in cell_results:
             row, tables = cell_results[ci]
         else:
-            row, tables = _resource_cell(cfg, slot_laws, c, dh_grid, n_soc, n_controls)
+            row, tables = _fast_cell(cfg, slot_laws, c, dh_grid, n_soc, n_controls, True)
         values[:, ci] = row
         fast_values[ci] = tables
         soc_grids[ci] = soc_grid_for(c, cfg, n_soc)
@@ -428,7 +440,7 @@ def compute_price_intraday(
         if cell_results is not None and ci in cell_results:
             row, tables = cell_results[ci]
         else:
-            row, tables = _price_cell(cfg, slot_laws, c, pi_grid, n_soc, n_controls)
+            row, tables = _fast_cell(cfg, slot_laws, c, pi_grid, n_soc, n_controls, False)
         values[ci, :] = row
         fast_values[ci] = tables
         soc_grids[ci] = soc_grid_for(c, cfg, n_soc)

@@ -31,8 +31,7 @@ from .intraday import (
     IntradayPriceTable,
     IntradayResourceTable,
     PeriodicityClassMap,
-    _price_cell,
-    _resource_cell,
+    _fast_cell,
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
@@ -110,18 +109,19 @@ def _dist_from_jsonable(obj: dict) -> DiscreteDist:
 def stage_fit(cfg: RunConfig, out: Path) -> dict:
     """Fit per (class, slot) netload laws and daily battery price laws."""
     t0 = time.perf_counter()
+    try:
+        netload = load_netload_csv(cfg.netload_csv, cfg.n_slots) if cfg.netload_csv else None
+        prices = load_price_csv(cfg.price_csv) if cfg.price_csv else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad input data: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     classmap = build_periodicity_classes(cfg.D, cfg.n_classes, cfg.class_scheme)
     n_days = cfg.D + 1
-    if cfg.netload_csv:
-        netload = load_netload_csv(cfg.netload_csv, cfg.n_slots)
-    else:
+    if netload is None:
         netload = synthetic_netload_scenarios(
             cfg.fit_scenarios, n_days, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
         )
-    if cfg.price_csv:
-        prices = load_price_csv(cfg.price_csv)
-    else:
+    if prices is None:
         prices = np.maximum(
             np.tile(
                 np.interp(
@@ -172,9 +172,7 @@ def _load_fit(cfg: RunConfig, out: Path):
 
 def _cell_job(args):
     kind, cls, ci, bat, slot_laws, c, axis, n_soc, n_controls = args
-    if kind == "R":
-        return kind, cls, ci, _resource_cell(bat, slot_laws, c, axis, n_soc, n_controls)
-    return kind, cls, ci, _price_cell(bat, slot_laws, c, axis, n_soc, n_controls)
+    return kind, cls, ci, _fast_cell(bat, slot_laws, c, axis, n_soc, n_controls, kind == "R")
 
 
 def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
@@ -303,7 +301,7 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = 
         values = load_value_seq(cfg, out, kind)
         tabs = ptabs if m == "price" else rtabs
         records, stats = simulate_policy(
-            scen, m, tabs, values, price_laws, classmap, bat
+            scen, m, tabs, values, price_laws, classmap, bat, n_controls=cfg.n_controls
         )
         with open(out / f"sim_{m}.csv", "w", newline="") as fh:
             wr = csv.writer(fh)

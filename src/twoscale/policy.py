@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DiscreteDist, INF
 from .battery import BatteryConfig, BatteryState, ScenarioSet
-from .intraday import IntradayPriceTable, IntradayResourceTable, PeriodicityClassMap
+from .intraday import IntradayPriceTable, IntradayResourceTable, PeriodicityClassMap, control_grid
 from .slowscale import SlowValueSeq, _best_buy_per_atom, _renewal_values
 
 ADMISS_TOL = 1e-6
@@ -144,7 +144,7 @@ def simulate_policy(
         raise ValueError(
             f"scenarios cover {scenarios.n_days} days, horizon needs {D + 1}"
         )
-    controls = np.linspace(cfg.u_min, cfg.u_max, n_controls)
+    controls = control_grid(cfg, n_controls)
     up = np.maximum(controls, 0.0)
     um = np.maximum(-controls, 0.0)
     d_soc = cfg.charge_eff * up - cfg.discharge_eff * um

@@ -295,16 +295,30 @@ def test_white_noise_resample_reproducible():
 # ---------------------------------------------------------------- csv ingestion
 
 
+NETLOAD_HEADER = "scenario,day,slot,netload_kwh\n"
+
+
+def netload_rows(n, days, slots, skip=()):
+    """Complete netload CSV rows, value 100 s + 10 d + m, minus ``skip``."""
+    return "".join(
+        f"{s},{d},{m},{100 * s + 10 * d + m}\n"
+        for s in range(n) for d in range(days) for m in range(slots)
+        if (s, d, m) not in skip
+    )
+
+
 def test_csv_roundtrip(tmp_path):
     npath = tmp_path / "netload.csv"
+    given = "0,0,0,1.5\n0,0,1,-2.0\n1,1,0,3.0\n"
     npath.write_text(
-        "scenario,day,slot,netload_kwh\n0,0,0,1.5\n0,0,1,-2.0\n1,1,0,3.0\n"
+        NETLOAD_HEADER + given + netload_rows(2, 2, 2, skip={(0, 0, 0), (0, 0, 1), (1, 1, 0)})
     )
     arr = load_netload_csv(npath, n_slots=2)
     assert arr.shape == (2, 2, 2)
     assert arr[0, 0, 0] == 1.5 and arr[0, 0, 1] == -2.0 and arr[1, 1, 0] == 3.0
+    assert arr[1, 0, 1] == 101.0
     ppath = tmp_path / "prices.csv"
-    ppath.write_text("scenario,day,price_usd_per_kwh\n0,0,0.3\n1,1,0.25\n")
+    ppath.write_text("scenario,day,price_usd_per_kwh\n0,0,0.3\n0,1,0.3\n1,0,0.3\n1,1,0.25\n")
     prices = load_price_csv(ppath)
     assert prices.shape == (2, 2)
     assert prices[1, 1] == 0.25
@@ -312,3 +326,24 @@ def test_csv_roundtrip(tmp_path):
     empty.write_text("scenario,day,slot,netload_kwh\n")
     with pytest.raises(ValueError):
         load_netload_csv(empty)
+
+
+def test_csv_missing_row_rejected(tmp_path):
+    path = tmp_path / "netload.csv"
+    path.write_text(NETLOAD_HEADER + netload_rows(2, 3, 2, skip={(1, 2, 0)}))
+    with pytest.raises(ValueError, match=r"1 of 12 rows missing, first \{'scenario': 1, 'day': 2"):
+        load_netload_csv(path, n_slots=2)
+
+
+def test_csv_duplicate_row_rejected(tmp_path):
+    path = tmp_path / "netload.csv"
+    path.write_text(NETLOAD_HEADER + netload_rows(1, 2, 2) + "0,1,0,7.0\n")
+    with pytest.raises(ValueError, match="duplicate row"):
+        load_netload_csv(path, n_slots=2)
+
+
+def test_csv_slot_out_of_range_rejected(tmp_path):
+    path = tmp_path / "netload.csv"
+    path.write_text(NETLOAD_HEADER + netload_rows(1, 1, 2) + "0,0,2,1.0\n")
+    with pytest.raises(ValueError, match=r"slot 2 outside \[0, 1\]"):
+        load_netload_csv(path, n_slots=2)

@@ -65,6 +65,34 @@ def test_invalid_config_value_exit_code(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_off_grid_renewal_states_rejected_at_load(runner, tmp_path):
+    # renewal states (4 r, r) must lie on the (h, c) grid; 8 health points miss h = 400
+    cfg = write_config(tmp_path, {**TINY, "h_points": 8})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "not on the (h, c) grid" in res.output
+    assert not out.exists()
+
+
+def test_bad_netload_csv_exit_code(runner, tmp_path):
+    csv_path = tmp_path / "netload.csv"
+    csv_path.write_text("scenario,day,slot,netload_kwh\n0,0,0,1.0\n")
+    cfg = write_config(tmp_path, {**TINY, "netload_csv": str(csv_path)})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "rows missing" in res.output
+    assert not out.exists()
+
+
+def test_stage_prints_json(runner, tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout) == {"classes": [1], "k": TINY["fit_k"]}
+
+
 def test_malformed_config_file_exit_code(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

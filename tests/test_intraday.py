@@ -13,10 +13,14 @@ from twoscale.intraday import (
     FastStage,
     FastStageModel,
     PeriodicityClassMap,
+    _BatteryCost,
+    _BatteryDyn,
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
+    control_grid,
     no_battery_bill,
+    soc_grid_for,
     solve_fast_dp,
 )
 
@@ -205,6 +209,54 @@ def test_fast_dp_matches_exhaustive_enumeration():
         for i, x in enumerate(axis):
             brute = _tree_value(stages, axis, terminal_vals, 0, float(x))
             assert sol.values[0].values[i] == pytest.approx(brute, abs=1e-9)
+
+
+def _battery_tables(cfg, laws, c, axis, n_soc, n_controls, budget_axis, noise_free):
+    grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
+    controls = control_grid(cfg, n_controls)
+    dyn = _BatteryDyn(cfg, cfg.soc_fraction * c, budget_axis)
+    stages = tuple(
+        FastStage(grid, controls, law, _BatteryCost(cfg.tariff.rate(m), dyn), dyn, noise_free)
+        for m, law in enumerate(laws)
+    )
+    model = FastStageModel(stages=stages, terminal_grid=grid)
+    sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(grid.shape)))
+    return [v.values for v in sol.values]
+
+
+@pytest.mark.parametrize(
+    "budget_axis, c, axis, n_soc, n_controls, some_inf",
+    [
+        # budget axis: |u| in {12.5, 25} falls between the 16.7-kWh budget points
+        (True, 50.0, np.linspace(0.0, 100.0, 7), 5, 5, False),
+        # no u = 0 control: the zero-budget row is infeasible
+        (True, 50.0, np.linspace(0.0, 60.0, 4), 6, 4, True),
+        # the last surcharge point sits at fraction 1 of the last cell
+        (False, 50.0, np.array([0.0, 0.05, 0.1]), 5, 7, False),
+        # soc 2, 4, 6 of a 10-kWh battery cannot move by 7.9 kWh: +inf rows
+        (False, 10.0, np.array([0.0, 0.2]), 5, 4, True),
+    ],
+)
+def test_broadcast_stages_match_per_control_reference(
+    budget_axis, c, axis, n_soc, n_controls, some_inf
+):
+    cfg = small_battery_config()
+    laws = [
+        DiscreteDist(np.array([-9.0, 3.5, 11.0]), np.array([0.25, 0.5, 0.25])),
+        point(-8.0),
+        DiscreteDist(np.array([2.0, 14.0]), np.array([0.4, 0.6])),
+        point(12.0),
+    ]
+    args = (cfg, laws, c, axis, n_soc, n_controls, budget_axis)
+    fast = _battery_tables(*args, noise_free=True)
+    ref = _battery_tables(*args, noise_free=False)
+    assert len(fast) == len(ref) == len(laws) + 1
+    for a, b in zip(fast, ref):
+        assert np.array_equal(np.isposinf(a), np.isposinf(b))
+        assert np.array_equal(a, b)
+    mixed = [np.isposinf(t).any() and np.isfinite(t).any() for t in ref]
+    assert any(mixed) == some_inf
+    assert all(np.isfinite(t).all() for t in ref) == (not some_inf)
 
 
 # ---------------------------------------------------------------- periodicity

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from twoscale.battery import ScenarioSet
+from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import (
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
 )
+from twoscale.pipeline import stage_bellman, stage_fit, stage_intraday, stage_report, stage_simulate
 from twoscale.policy import select_price, select_resource, simulate_policy
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
@@ -225,3 +227,19 @@ def test_simulation_errors(cheap):
             cheap["scen"], "oracle", {1: cheap["ptab"]}, cheap["lower"],
             cheap["price_laws"], cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS,
         )
+
+
+def test_simulate_stage_replays_on_the_configured_control_grid(tmp_path):
+    # the tables are built on n_controls controls; a replay on another grid
+    # broke the certificate (resource mean 131.10 +- 0.67 below lower 138.81)
+    cfg = RunConfig(
+        D=10, n_slots=12, n_classes=1, c_max=200.0, n_controls=5,
+        price_forecast=(0.02, 0.02),
+    )
+    stage_fit(cfg, tmp_path)
+    stage_intraday(cfg, tmp_path)
+    stage_bellman(cfg, tmp_path)
+    sims = stage_simulate(cfg, tmp_path)
+    lower = stage_report(cfg, tmp_path)["lower_at_x0_day0"]
+    for mode in ("price", "resource"):
+        assert sims[mode]["mean"] >= lower - 3.0 * sims[mode]["stderr"], mode
