@@ -10,20 +10,20 @@ from .core import (
     DiscreteDist,
     Grid,
     GridValueFn,
-    Ordering,
-    TwoScaleIndex,
     fenchel_conjugate,
-    lex_compare,
     low_add,
 )
 from .battery import BatteryConfig, BatteryState, ScenarioSet, Tariff
 from .intraday import (
+    PRICE,
+    RESOURCE,
+    Decomposition,
     FastStage,
     FastStageModel,
-    IntradayPriceTable,
-    IntradayResourceTable,
+    IntradayTable,
     PeriodicityClassMap,
     build_periodicity_classes,
+    compute_intraday,
     compute_price_intraday,
     compute_resource_intraday,
     solve_fast_dp,
@@ -33,6 +33,7 @@ from .slowscale import (
     SlowValueSeq,
     block_bellman_solve,
     check_sandwich,
+    day_objective,
     generic_price_recursion,
     generic_resource_recursion,
     price_bellman_recursion,

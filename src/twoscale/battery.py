@@ -78,11 +78,6 @@ class Tariff:
         return float(self.rates[m])
 
 
-def tariff_rate(m: int) -> float:
-    """Default tariff's rate for a half-hour slot."""
-    return default_tariff().rate(m)
-
-
 @dataclass(frozen=True)
 class BatteryState:
     soc: float
@@ -220,7 +215,7 @@ def kmeans_1d(data: np.ndarray, k: int, max_iter: int = 200) -> DiscreteDist:
 
 
 def fit_netload_distributions(
-    scenarios: ScenarioSet, classmap, k: int, seed: int = 0
+    scenarios: ScenarioSet, classmap, k: int
 ) -> dict[int, list[DiscreteDist]]:
     """Per (periodicity class, slot) k-means laws from pooled observations."""
     day_class = classmap.day_to_class[: scenarios.n_days]
@@ -254,25 +249,6 @@ def interp_price_forecast(forecast: Sequence[float], n_days: int) -> np.ndarray:
         )
     t = np.arange(n_days) / 365.0
     return np.interp(t, np.arange(len(forecast), dtype=float), forecast)
-
-
-def gen_battery_price_scenarios(
-    forecast: Sequence[float],
-    sigma: float,
-    n: int,
-    n_days: int,
-    seed: int,
-    floor: float = 0.01,
-) -> np.ndarray:
-    """(n, n_days) synthetic battery price paths: forecast + Gaussian noise, floored."""
-    if sigma < 0 or n < 1 or floor <= 0:
-        raise ValueError("need sigma >= 0, n >= 1, floor > 0")
-    base = interp_price_forecast(forecast, n_days)
-    out = np.empty((n, n_days))
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        out[i] = np.maximum(base + sigma * rng.standard_normal(n_days), floor)
-    return out
 
 
 def battery_price_laws(

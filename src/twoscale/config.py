@@ -71,6 +71,9 @@ class RunConfig:
             raise ConfigError("support sizes must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        pi = self.pi_grid()
+        if pi.size == 0 or (pi < 0).any() or (np.diff(pi) <= 0).any():
+            raise ConfigError("pi_values must be nonnegative and strictly increasing")
         # the slow recursions look renewal states (cycle_multiple * r, r) up on the grid
         h_grid, c_grid = self.h_grid(), self.c_grid()
         for r in c_grid[1:]:
@@ -110,7 +113,9 @@ class RunConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of every key but threads, which changes no artifact."""
+        keys = {k: v for k, v in self.to_dict().items() if k != "threads"}
+        blob = json.dumps(keys, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     # derived grids

@@ -1,5 +1,5 @@
-"""Numerical substrate: two-scale time indices, extended-real arithmetic,
-grid-tabulated functions, discrete distributions and discrete conjugation.
+"""Numerical substrate: extended-real arithmetic, grid-tabulated functions,
+discrete distributions and discrete conjugation.
 
 Extended reals are plain IEEE doubles with +-inf, but every addition goes
 through :func:`low_add` so that conflicting infinities collapse to -inf
@@ -11,39 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 INF = math.inf
-
-
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-@dataclass(frozen=True, order=False)
-class TwoScaleIndex:
-    """Time coordinate (d, m): slow step d, fast step m within the day."""
-
-    d: int
-    m: int
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.d, self.m)
-
-
-def lex_compare(a: TwoScaleIndex, b: TwoScaleIndex) -> Ordering:
-    """Lexicographic comparison, slow index first."""
-    ta, tb = a.as_tuple(), b.as_tuple()
-    if ta < tb:
-        return Ordering.LESS
-    if ta > tb:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def low_add(a: float, b: float) -> float:
@@ -322,9 +294,6 @@ class DiscreteDist:
             term = INF if (math.isinf(v) and v > 0) else (-INF if math.isinf(v) else p * v)
             total = low_add(total, term)
         return total
-
-    def mean(self) -> float:
-        return float(np.dot(self.probs, self.support.reshape(len(self.probs), -1)[:, 0]))
 
 
 def fenchel_conjugate(f: GridValueFn, price_grid: Grid) -> GridValueFn:

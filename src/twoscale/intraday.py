@@ -1,12 +1,14 @@
 """Fast-time-scale backward dynamic programming: the generic solver plus the
 battery-specific daily cost tables.
 
-Two families of daily tables are produced per periodicity class:
+A decomposition (:data:`PRICE` or :data:`RESOURCE`) couples consecutive days
+through one day axis, and each periodicity class gets one
+:class:`IntradayTable` per decomposition, over (capacity c, axis):
 
-- resource tables: optimal daily bill as a function of (aging budget, capacity),
-  the budget being carried as an explicit remaining-exchangeable-energy state;
-- price tables: optimal daily bill plus a per-kWh aging surcharge, as a function
-  of (capacity, surcharge).
+- resource tables: optimal daily bill as a function of the aging budget dh,
+  carried through the day as an explicit remaining-exchangeable-energy state;
+- price tables: optimal daily bill plus a per-kWh aging surcharge pi, a static
+  state axis.
 
 Both start the day with an empty battery (state of charge pinned to 0).
 """
@@ -14,6 +16,7 @@ Both start the day with an empty battery (state of charge pinned to 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +32,36 @@ from .core import (
 from .battery import BatteryConfig, Tariff
 
 FEAS_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """How one decomposition couples consecutive days through its day axis.
+
+    mode: its name in the pipeline and the simulator; letter: its artifact
+    letter; kind: the :class:`~twoscale.slowscale.SlowValueSeq` kind of its
+    bound; budget_axis: the day axis is an aging budget that the fast dynamics
+    consume and the day minimizes over (resource, upper bound), otherwise a
+    static surcharge the day maximizes over (price, lower bound).
+    """
+
+    mode: str
+    letter: str
+    kind: str
+    budget_axis: bool
+
+
+PRICE = Decomposition("price", "P", "price-lower", budget_axis=False)
+RESOURCE = Decomposition("resource", "R", "resource-upper", budget_axis=True)
+DECOMPOSITIONS = (PRICE, RESOURCE)
+
+
+def decomposition(name: str) -> Decomposition:
+    """The decomposition with this mode or bound kind."""
+    for dec in DECOMPOSITIONS:
+        if name in (dec.mode, dec.kind):
+            return dec
+    raise ValueError(f"unknown mode {name!r}")
 
 
 @dataclass(frozen=True)
@@ -64,30 +97,11 @@ class FastStageModel:
 
 class FastDpSolution:
     """Backward-induction output: one value function per fast step plus the
-    terminal, and a greedy argmin usable at arbitrary states and noises."""
+    terminal."""
 
     def __init__(self, model: FastStageModel, values: list[GridValueFn]):
         self.model = model
         self.values = values  # length M+2, index m in 0..M+1
-
-    def argmin_control(self, m: int, x: np.ndarray, w: float) -> tuple[float, float]:
-        """Greedy minimizing control at fast step m, state x, realized noise w.
-
-        Returns (control, attained value); ties go to the smallest control index.
-        """
-        stage = self.model.stages[m]
-        vnext = self.values[m + 1]
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        best_u, best_q = None, INF
-        for u in stage.controls:
-            q = float(
-                low_add_arrays(
-                    stage.cost(x, float(u), w), vnext.eval_many(stage.dynamics(x, float(u), w))
-                )[0]
-            )
-            if best_u is None or q < best_q:
-                best_u, best_q = float(u), q
-        return best_u, best_q
 
 
 def _expect_start(n: int):
@@ -230,32 +244,25 @@ def build_periodicity_classes(
 
 
 @dataclass(frozen=True)
-class IntradayResourceTable:
-    """Daily cost by (aging budget dh, capacity c), plus replay tables.
+class IntradayTable:
+    """Daily cost of one periodicity class by (capacity c, day axis), plus
+    replay tables.
 
-    fast_values[c_index] is None for c = 0 (no control) and otherwise a list of
-    per-step value arrays over the (soc, remaining budget) grid.
+    The day axis is the aging budget dh (resource) or the surcharge pi
+    (price).  fast_values[c_index] is None for c = 0 (and when the replay
+    tables are not loaded) and otherwise a list of per-step value arrays over
+    the (soc, axis) grid, built on ``n_controls`` controls.
     """
 
     class_id: int
-    table: GridValueFn  # over (dh, c)
-    soc_grids: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    dh_grid: np.ndarray | None = field(default=None, repr=False)
-    fast_values: dict[int, list[np.ndarray]] = field(default_factory=dict, repr=False)
+    decomposition: Decomposition
+    table: GridValueFn  # over (c, axis)
+    n_controls: int
+    fast_values: dict[int, list[np.ndarray] | None] = field(default_factory=dict, repr=False)
 
-
-@dataclass(frozen=True)
-class IntradayPriceTable:
-    """Daily cost by (capacity c, aging surcharge pi), plus replay tables.
-
-    fast_values[c_index] holds per-step value arrays over the (soc, pi) grid.
-    """
-
-    class_id: int
-    table: GridValueFn  # over (c, pi)
-    soc_grids: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    pi_grid: np.ndarray | None = field(default=None, repr=False)
-    fast_values: dict[int, list[np.ndarray]] = field(default_factory=dict, repr=False)
+    @property
+    def axis(self) -> np.ndarray:
+        return self.table.grid.axes[1]
 
 
 def no_battery_bill(slot_laws: Sequence[DiscreteDist], tariff: Tariff) -> float:
@@ -366,89 +373,44 @@ def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     return row, tables
 
 
-def compute_resource_intraday(
+def compute_intraday(
+    dec: Decomposition,
     class_id: int,
     cfg: BatteryConfig,
     slot_laws: Sequence[DiscreteDist],
     c_grid: np.ndarray,
-    dh_grid: np.ndarray,
+    axis: np.ndarray,
     n_soc: int = 51,
     n_controls: int = 21,
     cell_results: dict | None = None,
-) -> IntradayResourceTable:
-    """Resource intraday table for one periodicity class.
+) -> IntradayTable:
+    """Intraday table of one decomposition for one periodicity class.
 
-    The c = 0 column is the no-battery bill; by construction the dh = 0 row of
-    any column equals it too (zero budget forces u = 0).
-    ``cell_results`` may hold precomputed per-capacity cells (parallel runs).
+    The c = 0 row is the no-battery bill; so is the dh = 0 entry of any
+    resource row (zero budget forces u = 0).  ``cell_results`` may hold
+    precomputed per-capacity cells (parallel runs).
     """
     c_grid = np.asarray(c_grid, dtype=float)
-    dh_grid = np.asarray(dh_grid, dtype=float)
-    values = np.empty((len(dh_grid), len(c_grid)))
-    soc_grids = {}
-    fast_values = {}
-    base = no_battery_bill(slot_laws, cfg.tariff)
-    for ci, c in enumerate(c_grid):
-        if c == 0.0:
-            values[:, ci] = base
-            fast_values[ci] = None
-            soc_grids[ci] = np.zeros(1)
-            continue
-        if cell_results is not None and ci in cell_results:
-            row, tables = cell_results[ci]
-        else:
-            row, tables = _fast_cell(cfg, slot_laws, c, dh_grid, n_soc, n_controls, True)
-        values[:, ci] = row
-        fast_values[ci] = tables
-        soc_grids[ci] = soc_grid_for(c, cfg, n_soc)
-    table = GridValueFn(Grid([dh_grid, c_grid]), values, interp=MULTILINEAR)
-    return IntradayResourceTable(
-        class_id=class_id,
-        table=table,
-        soc_grids=soc_grids,
-        dh_grid=dh_grid.copy(),
-        fast_values=fast_values,
-    )
-
-
-def compute_price_intraday(
-    class_id: int,
-    cfg: BatteryConfig,
-    slot_laws: Sequence[DiscreteDist],
-    c_grid: np.ndarray,
-    pi_grid: np.ndarray,
-    n_soc: int = 51,
-    n_controls: int = 21,
-    cell_results: dict | None = None,
-) -> IntradayPriceTable:
-    """Price intraday table for one periodicity class: daily bill plus a
-    per-kWh aging surcharge pi, starting from an empty battery."""
-    c_grid = np.asarray(c_grid, dtype=float)
-    pi_grid = np.asarray(pi_grid, dtype=float)
-    if (pi_grid < 0).any():
-        raise ValueError("aging surcharges must be nonnegative")
-    values = np.empty((len(c_grid), len(pi_grid)))
-    soc_grids = {}
+    axis = np.asarray(axis, dtype=float)
+    if (axis < 0).any():
+        raise ValueError("aging budgets and surcharges must be nonnegative")
+    values = np.empty((len(c_grid), len(axis)))
     fast_values = {}
     base = no_battery_bill(slot_laws, cfg.tariff)
     for ci, c in enumerate(c_grid):
         if c == 0.0:
             values[ci, :] = base
             fast_values[ci] = None
-            soc_grids[ci] = np.zeros(1)
             continue
         if cell_results is not None and ci in cell_results:
             row, tables = cell_results[ci]
         else:
-            row, tables = _fast_cell(cfg, slot_laws, c, pi_grid, n_soc, n_controls, False)
+            row, tables = _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, dec.budget_axis)
         values[ci, :] = row
         fast_values[ci] = tables
-        soc_grids[ci] = soc_grid_for(c, cfg, n_soc)
-    table = GridValueFn(Grid([c_grid, pi_grid]), values, interp=MULTILINEAR)
-    return IntradayPriceTable(
-        class_id=class_id,
-        table=table,
-        soc_grids=soc_grids,
-        pi_grid=pi_grid.copy(),
-        fast_values=fast_values,
-    )
+    table = GridValueFn(Grid([c_grid, axis]), values, interp=MULTILINEAR)
+    return IntradayTable(class_id, dec, table, n_controls, fast_values)
+
+
+compute_resource_intraday = partial(compute_intraday, RESOURCE)
+compute_price_intraday = partial(compute_intraday, PRICE)

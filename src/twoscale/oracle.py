@@ -147,7 +147,6 @@ class _TableHandles:
     """Tabulated costs/dynamics for a random tiny instance (picklable)."""
 
     cost_tables: dict
-    shift_tables: dict
     states: np.ndarray
 
     def cost(self, d, m, x, u, w):
@@ -193,7 +192,7 @@ def random_tiny_problem(seed: int, monotone: bool = False) -> TinyProblem:
         final = (drop[-1] - drop) + rng.uniform(0.0, 1.0)
     else:
         final = rng.uniform(0.0, 2.0, size=n_states)
-    handles = _TableHandles(cost_tables=cost_tables, shift_tables={}, states=states)
+    handles = _TableHandles(cost_tables=cost_tables, states=states)
     return TinyProblem(
         D=D,
         M=M,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteDist, Grid, GridValueFn, MULTILINEAR
+from .core import DiscreteDist, GridValueFn
 from .battery import (
     ScenarioSet,
     battery_price_laws,
@@ -28,17 +28,19 @@ from .battery import (
 )
 from .config import ConfigError, RunConfig
 from .intraday import (
-    IntradayPriceTable,
-    IntradayResourceTable,
+    DECOMPOSITIONS,
+    PRICE,
+    RESOURCE,
+    IntradayTable,
     PeriodicityClassMap,
     _fast_cell,
     build_periodicity_classes,
-    compute_price_intraday,
-    compute_resource_intraday,
-    soc_grid_for,
+    compute_intraday,
+    decomposition,
 )
 from .policy import simulate_policy
 from .slowscale import (
+    SlowValueSeq,
     check_sandwich,
     price_bellman_recursion,
     resource_bellman_recursion,
@@ -134,7 +136,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
             cfg.price_floor,
         )
     raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
-    laws = fit_netload_distributions(raw, classmap, cfg.fit_k, seed=cfg.seed)
+    laws = fit_netload_distributions(raw, classmap, cfg.fit_k)
     price_laws = battery_price_laws(
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
@@ -171,8 +173,12 @@ def _load_fit(cfg: RunConfig, out: Path):
 
 
 def _cell_job(args):
-    kind, cls, ci, bat, slot_laws, c, axis, n_soc, n_controls = args
-    return kind, cls, ci, _fast_cell(bat, slot_laws, c, axis, n_soc, n_controls, kind == "R")
+    return _fast_cell(*args)
+
+
+def _chosen(mode: str) -> list:
+    """The decompositions a stage's ``mode`` (price, resource or both) runs."""
+    return [dec for dec in DECOMPOSITIONS if mode in (dec.mode, "both")]
 
 
 def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
@@ -181,74 +187,57 @@ def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     check_stage_inputs(out, cfg, ["fit"], force)
     classmap, laws, _ = _load_fit(cfg, out)
     bat = cfg.battery_config()
-    c_grid, dh_grid, pi_grid = cfg.c_grid(), cfg.dh_grid(), cfg.pi_grid()
-    jobs = []
-    for cls in sorted(classmap.representatives):
-        for ci, c in enumerate(c_grid):
-            if c == 0.0:
-                continue
-            jobs.append(("R", cls, ci, bat, laws[cls], c, dh_grid, cfg.n_soc, cfg.n_controls))
-            jobs.append(("P", cls, ci, bat, laws[cls], c, pi_grid, cfg.n_soc, cfg.n_controls))
+    c_grid = cfg.c_grid()
+    axes = {PRICE: cfg.pi_grid(), RESOURCE: cfg.dh_grid()}
+    classes = sorted(classmap.representatives)
+    jobs = {
+        (dec, cls, ci): (bat, laws[cls], c, axes[dec], cfg.n_soc, cfg.n_controls, dec.budget_axis)
+        for cls in classes
+        for ci, c in enumerate(c_grid)
+        if c != 0.0
+        for dec in DECOMPOSITIONS
+    }
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            done = list(pool.map(_cell_job, jobs, chunksize=1))
+            done = list(pool.map(_cell_job, jobs.values(), chunksize=1))
     else:
-        done = [_cell_job(j) for j in jobs]
-    cells = {"R": {}, "P": {}}
-    for kind, cls, ci, result in done:
-        cells[kind].setdefault(cls, {})[ci] = result
-    for cls in sorted(classmap.representatives):
-        rtab = compute_resource_intraday(
-            cls, bat, laws[cls], c_grid, dh_grid, cfg.n_soc, cfg.n_controls,
-            cell_results=cells["R"].get(cls, {}),
-        )
-        ptab = compute_price_intraday(
-            cls, bat, laws[cls], c_grid, pi_grid, cfg.n_soc, cfg.n_controls,
-            cell_results=cells["P"].get(cls, {}),
-        )
-        rtab.table.save_json(out / f"intraday_R_class{cls}.json")
-        ptab.table.save_json(out / f"intraday_P_class{cls}.json")
-        rfast = np.stack(
-            [np.stack(rtab.fast_values[ci]) for ci in range(1, len(c_grid))]
-        )
-        pfast = np.stack(
-            [np.stack(ptab.fast_values[ci]) for ci in range(1, len(c_grid))]
-        )
-        np.save(out / f"fast_R_class{cls}.npy", rfast)
-        np.save(out / f"fast_P_class{cls}.npy", pfast)
+        done = [_cell_job(j) for j in jobs.values()]
+    cells = dict(zip(jobs, done))
+    for cls in classes:
+        for dec in DECOMPOSITIONS:
+            tab = compute_intraday(
+                dec, cls, bat, laws[cls], c_grid, axes[dec], cfg.n_soc, cfg.n_controls,
+                cell_results={ci: r for (d, k, ci), r in cells.items() if (d, k) == (dec, cls)},
+            )
+            tab.table.save_json(out / f"intraday_{dec.letter}_class{cls}.json")
+            np.save(
+                out / f"fast_{dec.letter}_class{cls}.npy",
+                np.stack([np.stack(tab.fast_values[ci]) for ci in range(1, len(c_grid))]),
+            )
     info = {"cells": len(jobs), "threads": cfg.threads}
     _update_manifest(out, cfg, "intraday", info, time.perf_counter() - t0)
     return info
 
 
-def _load_intraday(cfg: RunConfig, out: Path, with_fast: bool = False):
-    classmap, _, price_laws = _load_fit(cfg, out)
-    c_grid = cfg.c_grid()
-    bat = cfg.battery_config()
-    rtabs, ptabs = {}, {}
+def _load_tables(cfg: RunConfig, out: Path, dec, classmap, with_fast: bool = False) -> dict:
+    """One decomposition's intraday tables by class; the replay tables only
+    ``with_fast``."""
+    n_c = len(cfg.c_grid())
+    tables = {}
     for cls in sorted(classmap.representatives):
-        rfn = GridValueFn.load_json(out / f"intraday_R_class{cls}.json")
-        pfn = GridValueFn.load_json(out / f"intraday_P_class{cls}.json")
-        soc_grids = {ci: soc_grid_for(c, bat, cfg.n_soc) for ci, c in enumerate(c_grid)}
-        rfast = {0: None}
-        pfast = {0: None}
+        fast = dict.fromkeys(range(n_c))
         if with_fast:
-            rarr = np.load(out / f"fast_R_class{cls}.npy")
-            parr = np.load(out / f"fast_P_class{cls}.npy")
-            for ci in range(1, len(c_grid)):
-                rfast[ci] = list(rarr[ci - 1])
-                pfast[ci] = list(parr[ci - 1])
-        else:
-            rfast.update({ci: None for ci in range(1, len(c_grid))})
-            pfast.update({ci: None for ci in range(1, len(c_grid))})
-        rtabs[cls] = IntradayResourceTable(
-            class_id=cls, table=rfn, soc_grids=soc_grids,
-            dh_grid=cfg.dh_grid(), fast_values=rfast,
-        )
-        ptabs[cls] = IntradayPriceTable(
-            class_id=cls, table=pfn, soc_grids=soc_grids,
-            pi_grid=cfg.pi_grid(), fast_values=pfast,
-        )
+            arr = np.load(out / f"fast_{dec.letter}_class{cls}.npy")
+            fast.update({ci: list(arr[ci - 1]) for ci in range(1, n_c)})
+        table = GridValueFn.load_json(out / f"intraday_{dec.letter}_class{cls}.json")
+        tables[cls] = IntradayTable(cls, dec, table, cfg.n_controls, fast)
+    return tables
+
+
+def _load_intraday(cfg: RunConfig, out: Path, with_fast: bool = False):
+    """Classmap, battery price laws, then the resource and the price tables."""
+    classmap, _, price_laws = _load_fit(cfg, out)
+    rtabs, ptabs = (_load_tables(cfg, out, dec, classmap, with_fast) for dec in (RESOURCE, PRICE))
     return classmap, price_laws, rtabs, ptabs
 
 
@@ -256,28 +245,24 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
     """Backward slow-scale recursions; writes one value function file per day."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit", "intraday"], force)
-    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out)
+    classmap, _, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
+    recursions = {PRICE: price_bellman_recursion, RESOURCE: resource_bellman_recursion}
     info = {"mode": mode}
-    if mode in ("resource", "both"):
-        seq = resource_bellman_recursion(rtabs, classmap, price_laws, bat, h_grid, c_grid, cfg.D)
+    for dec in _chosen(mode):
+        tables = _load_tables(cfg, out, dec, classmap)
+        seq = recursions[dec](tables, classmap, price_laws, bat, h_grid, c_grid, cfg.D)
         for d, fn in enumerate(seq.days):
-            fn.save_json(out / f"bellman_R_d{d}.json")
-        info["upper_at_origin"] = float(seq.days[0].values[0, 0])
-    if mode in ("price", "both"):
-        seq = price_bellman_recursion(ptabs, classmap, price_laws, bat, h_grid, c_grid, cfg.D)
-        for d, fn in enumerate(seq.days):
-            fn.save_json(out / f"bellman_P_d{d}.json")
-        info["lower_at_origin"] = float(seq.days[0].values[0, 0])
+            fn.save_json(out / f"bellman_{dec.letter}_d{d}.json")
+        bound = "upper" if dec.budget_axis else "lower"
+        info[f"{bound}_at_origin"] = float(seq.days[0].values[0, 0])
     _update_manifest(out, cfg, "bellman", info, time.perf_counter() - t0)
     return info
 
 
-def load_value_seq(cfg: RunConfig, out: Path, kind: str):
-    from .slowscale import SlowValueSeq
-
-    letter = "P" if kind == "price-lower" else "R"
+def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
+    letter = decomposition(kind).letter
     days = tuple(
         GridValueFn.load_json(out / f"bellman_{letter}_d{d}.json") for d in range(cfg.D + 2)
     )
@@ -288,21 +273,17 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = 
     """White-noise Monte Carlo replay of the synthesized policies."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit", "intraday", "bellman"], force)
-    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out, with_fast=True)
-    _, laws, _ = _load_fit(cfg, out)
+    classmap, laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     scen = white_noise_resample(
         laws, price_laws, classmap, cfg.scenarios, cfg.seed, cfg.D + 1
     )
-    modes = ["price", "resource"] if mode == "both" else [mode]
     info = {}
-    for m in modes:
-        kind = "price-lower" if m == "price" else "resource-upper"
-        values = load_value_seq(cfg, out, kind)
-        tabs = ptabs if m == "price" else rtabs
-        records, stats = simulate_policy(
-            scen, m, tabs, values, price_laws, classmap, bat, n_controls=cfg.n_controls
-        )
+    for dec in _chosen(mode):
+        m = dec.mode
+        tables = _load_tables(cfg, out, dec, classmap, with_fast=True)
+        values = load_value_seq(cfg, out, dec.kind)
+        records, stats = simulate_policy(scen, m, tables, values, price_laws, classmap, bat)
         with open(out / f"sim_{m}.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["scenario_id", "total_cost", "renewal_days", "renewal_sizes"])

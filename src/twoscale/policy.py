@@ -1,22 +1,23 @@
 """Online policy synthesis and Monte Carlo simulation.
 
-Each day the slow decision (an aging surcharge, or a health target) is read
-off the corresponding bound recursion; the half-hourly controls then replay
-the stored intraday value tables greedily against the realized netloads, and
-the renewal decision re-optimizes against the realized battery price at the
-end of the day.
+Each day the slow decision (an aging surcharge, or a health target) is the
+first argmax (price) or argmin (resource) of the bound recursion's own
+:func:`~twoscale.slowscale.day_objective`; the half-hourly controls then
+replay the stored intraday value tables, over (soc, axis), greedily against
+the realized netloads, and the renewal decision re-optimizes against the
+realized battery price at the end of the day.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DiscreteDist, INF
 from .battery import BatteryConfig, BatteryState, ScenarioSet
-from .intraday import IntradayPriceTable, IntradayResourceTable, PeriodicityClassMap, control_grid
-from .slowscale import SlowValueSeq, _best_buy_per_atom, _renewal_values
+from .intraday import IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for
+from .slowscale import SlowValueSeq, day_continuation, day_objective
 
 ADMISS_TOL = 1e-6
 
@@ -38,84 +39,64 @@ class SimulationStats:
     totals: np.ndarray
 
 
-def select_price(
-    h: float,
-    c: float,
-    day: int,
-    table: IntradayPriceTable,
-    values: SlowValueSeq,
-    price_law: DiscreteDist,
-    cfg: BatteryConfig,
-) -> float:
-    """Best aging surcharge at (h, c) per the lower-bound recursion's objective;
-    ties go to the smallest surcharge."""
+def _best_on_axis(
+    h, c: float, day: int, table: IntradayTable, values: SlowValueSeq,
+    price_law: DiscreteDist, cfg: BatteryConfig,
+):
+    """The point of the table's day axis at the first argmax (price) or argmin
+    (resource) of the day objective at capacity c, per health value in h."""
     h_grid, c_grid = values.days[day].grid.axes
-    disc = cfg.gamma * values.days[day + 1].values
     ci = int(np.searchsorted(c_grid, c))
-    renewals = _renewal_values(disc, h_grid, c_grid, cfg)
-    probs, best_buy = _best_buy_per_atom(renewals, price_law)
-    expect = np.zeros(len(h_grid))
-    for p, b in zip(probs, best_buy):
-        expect += p * np.minimum(disc[:, ci], b)
-    pi_grid = table.pi_grid
-    inner = (pi_grid[:, None] * h_grid[None, :] + expect[None, :]).min(axis=1)
-    obj = table.table.values[ci, :] + inner - pi_grid * h
-    return float(pi_grid[int(np.argmax(obj))])  # first max: smallest surcharge
+    cont = day_continuation(values.days[day + 1].values, price_law, cfg, h_grid, c_grid)
+    h = np.asarray(h, dtype=float)
+    obj = day_objective(table, np.atleast_1d(h), ci, cont, h_grid, ADMISS_TOL)
+    pick = np.argmin if table.decomposition.budget_axis else np.argmax
+    best = table.axis[pick(obj, axis=1)]
+    return float(best[0]) if h.ndim == 0 else best
+
+
+def select_price(
+    h, c: float, day: int, table: IntradayTable, values: SlowValueSeq,
+    price_law: DiscreteDist, cfg: BatteryConfig,
+):
+    """Best aging surcharge at (h, c) per the lower-bound recursion's objective;
+    ties go to the smallest surcharge.  h may be an array of health values at
+    the one capacity c."""
+    return _best_on_axis(h, c, day, table, values, price_law, cfg)
 
 
 def select_resource(
-    h: float,
-    c: float,
-    day: int,
-    table: IntradayResourceTable,
-    values: SlowValueSeq,
-    price_law: DiscreteDist,
-    cfg: BatteryConfig,
-) -> float:
+    h, c: float, day: int, table: IntradayTable, values: SlowValueSeq,
+    price_law: DiscreteDist, cfg: BatteryConfig,
+):
     """Tomorrow's health target at (h, c) per the upper-bound recursion's
-    objective; ties go to the largest target (least aging)."""
-    h_grid, c_grid = values.days[day].grid.axes
-    disc = cfg.gamma * values.days[day + 1].values
-    ci = int(np.searchsorted(c_grid, c))
-    renewals = _renewal_values(disc, h_grid, c_grid, cfg)
-    probs, best_buy = _best_buy_per_atom(renewals, price_law)
-    dh_grid = table.dh_grid
-    h_next = h - dh_grid
-    feasible = h_next >= -ADMISS_TOL
-    keep = np.interp(np.clip(h_next, 0.0, None), h_grid, disc[:, ci])
-    expect = np.zeros(len(dh_grid))
-    for p, b in zip(probs, best_buy):
-        expect += p * np.minimum(keep, b)
-    obj = np.where(feasible, table.table.values[:, ci] + expect, INF)
-    best_dh = float(dh_grid[int(np.argmin(obj))])  # first min: least aging
-    return max(h - best_dh, 0.0)
-
-
-def _nearest_idx(x: float, lo: float, step: float, n: int) -> int:
-    if step == 0.0:
-        return 0
-    return min(max(int(round((x - lo) / step)), 0), n - 1)
+    objective; ties go to the largest target (least aging).  h may be an array
+    of health values at the one capacity c."""
+    target = np.maximum(h - _best_on_axis(h, c, day, table, values, price_law, cfg), 0.0)
+    return float(target) if np.ndim(h) == 0 else target
 
 
 def _choose_renewal(
-    h_end: float, c: float, day: int, values: SlowValueSeq, price_real: float,
-    price_law: DiscreteDist, cfg: BatteryConfig,
-) -> float:
-    """Renewal size minimizing the continuation, using the price atom nearest
-    the realized battery price; ties keep the smaller size."""
-    diffs = np.abs(price_law.support - price_real)
-    p_hat = float(price_law.support[int(np.argmin(diffs))])
+    h_end: np.ndarray, c: np.ndarray, day: int, values: SlowValueSeq,
+    price_real: np.ndarray, price_law: DiscreteDist, cfg: BatteryConfig,
+) -> np.ndarray:
+    """Per scenario, the renewal size minimizing the continuation, using the
+    price atom nearest the realized battery price; ties keep the smaller size."""
+    diffs = np.abs(price_law.support[None, :] - price_real[:, None])
+    p_hat = price_law.support[np.argmin(diffs, axis=1)]
     vnext = values.days[day + 1]
     gamma = cfg.gamma
-    best_r = 0.0
-    best_v = gamma * float(vnext.eval_many(np.array([[max(h_end, 0.0), c]]))[0])
-    for r in cfg.renewal_grid:
-        if r <= 0.0:
-            continue
-        h_new = cfg.cycle_count(r) * r
-        v = p_hat * r + gamma * float(vnext.eval_many(np.array([[h_new, r]]))[0])
-        if v < best_v - 1e-12:
-            best_r, best_v = float(r), v
+    best_r = np.zeros(len(c))
+    best_v = gamma * vnext.eval_many(np.column_stack([np.maximum(h_end, 0.0), c]))
+    sizes = [float(r) for r in cfg.renewal_grid if r > 0.0]
+    if not sizes:
+        return best_r
+    fresh = vnext.eval_many(np.array([[cfg.cycle_count(r) * r, r] for r in sizes]))
+    for r, v_fresh in zip(sizes, fresh):
+        v = p_hat * r + gamma * v_fresh
+        better = v < best_v - 1e-12
+        best_r = np.where(better, r, best_r)
+        best_v = np.where(better, v, best_v)
     return best_r
 
 
@@ -128,142 +109,145 @@ def simulate_policy(
     classmap: PeriodicityClassMap,
     cfg: BatteryConfig,
     x0: BatteryState = BatteryState(0.0, 0.0, 0.0),
-    n_controls: int = 21,
+    n_controls: int | None = None,
 ) -> tuple[list[SimulationRecord], SimulationStats]:
     """Replay the chosen decomposition's policy on every scenario.
 
     mode is "price" or "resource"; ``tables`` maps class id to the matching
-    intraday table.  Cost accounting matches the offline recursions: day d's
-    bill and renewal purchase are weighted by gamma^d, the final cost by
-    gamma^(D+1).
+    intraday table.  The replay uses the control grid the tables were built
+    on; ``n_controls``, if given, must equal it.  Cost accounting matches the
+    offline recursions: day d's bill and renewal purchase are weighted by
+    gamma^d, the final cost by gamma^(D+1).
+
+    Scenarios advance together, day by day; within a day those at the same
+    capacity share one slot loop over (scenario, control) arrays.  Every
+    scenario sees the same floating-point operations as when replayed alone.
     """
-    if mode not in ("price", "resource"):
-        raise ValueError(f"unknown mode {mode!r}")
+    dec = decomposition(mode)
+    if any(tab.decomposition != dec for tab in tables.values()):
+        raise ValueError(f"mode {mode!r} needs {dec.mode} intraday tables")
+    built = sorted({tab.n_controls for tab in tables.values()})
+    n_controls = built[0] if n_controls is None else n_controls
+    if built != [n_controls]:
+        raise ValueError(f"intraday tables were built on {built} controls, not {n_controls}")
     D = values.horizon
     if scenarios.n_days < D + 1:
         raise ValueError(
             f"scenarios cover {scenarios.n_days} days, horizon needs {D + 1}"
         )
+    select = select_resource if dec.budget_axis else select_price
     controls = control_grid(cfg, n_controls)
-    up = np.maximum(controls, 0.0)
-    um = np.maximum(-controls, 0.0)
-    d_soc = cfg.charge_eff * up - cfg.discharge_eff * um
-    usage = up + um
     c_grid = values.days[0].grid.axes[1]
+    n = scenarios.n_scenarios
+    soc = np.full(n, float(x0.soc))
+    h = np.full(n, float(x0.health))
+    c = np.full(n, float(x0.capacity))
+    total = np.zeros(n)
+    clamped = np.zeros(n, dtype=int)
+    bills = np.empty((D + 1, n))
+    states = [[x0] for _ in range(n)]
+    renewals = [[] for _ in range(n)]
+    disc = 1.0
+    for d in range(D + 1):
+        table = tables[int(classmap.day_to_class[d])]
+        netload = scenarios.netload[:, d]
+        for cv in np.unique(c):
+            g = np.flatnonzero(c == cv)
+            ci = int(np.searchsorted(c_grid, cv))
+            tabs = table.fast_values[ci]
+            if cv == 0.0 or tabs is None:
+                bill = np.zeros(len(g))
+                for m in range(netload.shape[1]):
+                    bill += cfg.tariff.rate(m) * np.maximum(0.0, netload[g, m])
+            else:
+                decision = select(h[g], cv, d, table, values, price_laws[d], cfg)
+                bill, soc[g], h[g], clamps = _replay_day(
+                    netload[g], soc[g], h[g], cv, decision, table, tabs, controls, cfg
+                )
+                clamped[g] += clamps
+            bills[d, g] = bill
+        # admissibility at end of day
+        soc_max = cfg.soc_fraction * c
+        bad = ~((-ADMISS_TOL <= soc) & (soc <= soc_max + ADMISS_TOL) & (h >= -ADMISS_TOL))
+        if bad.any():
+            s = int(np.argmax(bad))
+            raise RuntimeError(f"inadmissible state (soc={soc[s]}, h={h[s]}, c={c[s]})")
+        price_real = scenarios.battery_price[:, d]
+        r = _choose_renewal(h, c, d, values, price_real, price_laws[d], cfg)
+        total += disc * (bills[d] + price_real * r)
+        disc *= cfg.gamma
+        for s in np.flatnonzero(r > 0.0):
+            rs = float(r[s])
+            soc[s], h[s], c[s] = 0.0, cfg.cycle_count(rs) * rs, rs
+            renewals[s].append((d, rs))
+        for s in range(n):
+            states[s].append(BatteryState(float(soc[s]), float(h[s]), float(c[s])))
     records = []
-    for sid in range(scenarios.n_scenarios):
-        rec = _simulate_one(
-            sid, scenarios, mode, tables, values, price_laws, classmap, cfg, x0,
-            controls, d_soc, usage, c_grid, D,
-        )
-        records.append(rec)
+    for s in range(n):
+        final = float(total[s]) + disc * cfg.final_cost(float(h[s]), float(c[s]))
+        records.append(SimulationRecord(
+            scenario_id=s,
+            states=tuple(states[s]),
+            renewals=tuple(renewals[s]),
+            total_cost=final,
+            daily_bills=tuple(float(b) for b in bills[:, s]),
+            clamp_count=int(clamped[s]),
+        ))
     totals = np.array([r.total_cost for r in records])
     stderr = float(totals.std(ddof=1) / np.sqrt(len(totals))) if len(totals) > 1 else 0.0
     return records, SimulationStats(mean=float(totals.mean()), stderr=stderr, totals=totals)
 
 
-def _simulate_one(
-    sid, scenarios, mode, tables, values, price_laws, classmap, cfg, x0,
-    controls, d_soc, usage, c_grid, D,
-):
-    soc, h, c = x0.soc, x0.health, x0.capacity
-    total = 0.0
-    states = [BatteryState(soc, h, c)]
-    renewals = []
-    bills = []
-    clamped = 0
-    gamma = cfg.gamma
-    disc = 1.0
-    for d in range(D + 1):
-        cls = int(classmap.day_to_class[d])
-        table = tables[cls]
-        ci = int(np.searchsorted(c_grid, c))
-        netload = scenarios.netload[sid, d]
-        n_slots = len(netload)
-        soc_max = cfg.soc_fraction * c
-        bill = 0.0
-        if c == 0.0 or table.fast_values[ci] is None:
-            for m in range(n_slots):
-                bill += cfg.tariff.rate(m) * max(0.0, netload[m])
-        elif mode == "price":
-            pi = select_price(h, c, d, table, values, price_laws[d], cfg)
-            pi_idx = int(np.searchsorted(table.pi_grid, pi))
-            soc_grid = table.soc_grids[ci]
-            s_step = soc_grid[1] - soc_grid[0]
-            tabs = table.fast_values[ci]
-            for m in range(n_slots):
-                w = netload[m]
-                rate = cfg.tariff.rate(m)
-                soc_next = soc + d_soc
-                feasible = (
-                    (soc_next >= -ADMISS_TOL)
-                    & (soc_next <= soc_max + ADMISS_TOL)
-                    & (usage <= h + ADMISS_TOL)
-                )
-                if not feasible.any():
-                    raise RuntimeError("no admissible control")
-                idx = np.clip(np.round(soc_next / s_step).astype(int), 0, len(soc_grid) - 1)
-                q = rate * np.maximum(0.0, w + controls) + pi * usage + tabs[m + 1][idx, pi_idx]
-                q = np.where(feasible, q, INF)
-                k = int(np.argmin(q))
-                u = float(controls[k])
-                bill += rate * max(0.0, w + u)
-                soc_raw, h_raw = soc + d_soc[k], h - usage[k]
-                soc = min(max(soc_raw, 0.0), soc_max)
-                h = max(h_raw, 0.0)
-                if soc != soc_raw or h != h_raw:
-                    clamped += 1
-        else:
-            h_target = select_resource(h, c, d, table, values, price_laws[d], cfg)
-            budget = max(h - h_target, 0.0)
-            soc_grid = table.soc_grids[ci]
-            s_step = soc_grid[1] - soc_grid[0]
-            dh_grid = table.dh_grid
-            b_step = dh_grid[1] - dh_grid[0]
-            tabs = table.fast_values[ci]
-            for m in range(n_slots):
-                w = netload[m]
-                rate = cfg.tariff.rate(m)
-                soc_next = soc + d_soc
-                b_next = budget - usage
-                feasible = (
-                    (soc_next >= -ADMISS_TOL)
-                    & (soc_next <= soc_max + ADMISS_TOL)
-                    & (b_next >= -ADMISS_TOL)
-                )
-                if not feasible.any():
-                    raise RuntimeError("no admissible control")
-                si = np.clip(np.round(soc_next / s_step).astype(int), 0, len(soc_grid) - 1)
-                bi = np.clip(np.round(b_next / b_step).astype(int), 0, len(dh_grid) - 1)
-                q = rate * np.maximum(0.0, w + controls) + tabs[m + 1][si, bi]
-                q = np.where(feasible, q, INF)
-                k = int(np.argmin(q))
-                u = float(controls[k])
-                bill += rate * max(0.0, w + u)
-                soc_raw, h_raw = soc + d_soc[k], h - usage[k]
-                soc = min(max(soc_raw, 0.0), soc_max)
-                budget = max(budget - usage[k], 0.0)
-                h = max(h_raw, 0.0)
-                if soc != soc_raw or h != h_raw:
-                    clamped += 1
-        # admissibility at end of day
-        if not (-ADMISS_TOL <= soc <= soc_max + ADMISS_TOL and h >= -ADMISS_TOL):
-            raise RuntimeError(f"inadmissible state (soc={soc}, h={h}, c={c})")
-        price_real = scenarios.battery_price[sid, d]
-        r = _choose_renewal(h, c, d, values, price_real, price_laws[d], cfg)
-        total += disc * (bill + price_real * r)
-        disc *= gamma
-        bills.append(bill)
-        if r > 0.0:
-            soc, h, c = 0.0, cfg.cycle_count(r) * r, r
-            renewals.append((d, r))
-        states.append(BatteryState(soc, h, c))
-    total += disc * cfg.final_cost(h, c)
-    return SimulationRecord(
-        scenario_id=sid,
-        states=tuple(states),
-        renewals=tuple(renewals),
-        total_cost=total,
-        daily_bills=tuple(bills),
-        clamp_count=clamped,
-    )
+def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
+    """One day of greedy table replay for scenarios at capacity c > 0.
+
+    netload is (scenarios, slots); soc, h and the day's decision (surcharge
+    or health target) are per scenario.  Returns the bills, the end-of-day
+    soc and health, and per scenario the number of clamped moves.
+    """
+    up = np.maximum(controls, 0.0)
+    um = np.maximum(-controls, 0.0)
+    d_soc = cfg.charge_eff * up - cfg.discharge_eff * um
+    usage = up + um
+    budget_axis = table.decomposition.budget_axis
+    axis = table.axis
+    if budget_axis:
+        # the budget is today's gap to the health target; the table column
+        # follows what is left of it
+        surcharge, budget = 0.0, np.maximum(h - decision, 0.0)
+        a_step = axis[1] - axis[0]
+    else:
+        surcharge, ai = decision[:, None], np.searchsorted(axis, decision)[:, None]
+    aging_cost = surcharge * usage
+    soc_max = cfg.soc_fraction * c
+    soc_grid = soc_grid_for(c, cfg, len(tabs[0]))
+    s_step = soc_grid[1] - soc_grid[0]
+    bill = np.zeros(len(soc))
+    clamped = np.zeros(len(soc), dtype=int)
+    for m in range(netload.shape[1]):
+        w = netload[:, m]
+        rate = cfg.tariff.rate(m)
+        soc_next = soc[:, None] + d_soc
+        feasible = (
+            (soc_next >= -ADMISS_TOL)
+            & (soc_next <= soc_max + ADMISS_TOL)
+            & (usage <= h[:, None] + ADMISS_TOL)
+        )
+        if budget_axis:
+            b_next = budget[:, None] - usage
+            feasible &= b_next >= -ADMISS_TOL
+            ai = np.clip(np.round(b_next / a_step).astype(int), 0, len(axis) - 1)
+        if not feasible.any(axis=1).all():
+            raise RuntimeError("no admissible control")
+        si = np.clip(np.round(soc_next / s_step).astype(int), 0, len(soc_grid) - 1)
+        q = rate * np.maximum(0.0, w[:, None] + controls) + aging_cost + tabs[m + 1][si, ai]
+        q = np.where(feasible, q, INF)
+        k = np.argmin(q, axis=1)
+        bill += rate * np.maximum(0.0, w + controls[k])
+        soc_raw, h_raw = soc + d_soc[k], h - usage[k]
+        soc = np.minimum(np.maximum(soc_raw, 0.0), soc_max)
+        h = np.maximum(h_raw, 0.0)
+        if budget_axis:
+            budget = np.maximum(budget - usage[k], 0.0)
+        clamped += (soc != soc_raw) | (h != h_raw)
+    return bill, soc, h, clamped

@@ -7,13 +7,17 @@ Two bounding sequences are computed backward over days:
 - the price recursion dualizes the health decrement with a deterministic
   nonnegative surcharge, giving a lower bound via conjugation.
 
-Battery-specific recursions work on an (health, capacity) grid; generic ones
-accept any day-decomposed model and are exercised by the desk-scale oracles.
+The battery recursions work on an (health, capacity) grid and share one day
+loop: each day takes the min (resource) or max (price), over the day axis of
+the intraday tables (orientation (c, axis)), of :func:`day_objective`, which
+the online policies reuse.  The generic recursions accept any day-decomposed
+model and are exercised by the desk-scale oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +32,11 @@ from .core import (
 )
 from .battery import BatteryConfig
 from .intraday import (
-    FastStageModel,
-    IntradayPriceTable,
-    IntradayResourceTable,
+    FEAS_TOL,
+    PRICE,
+    RESOURCE,
+    Decomposition,
+    IntradayTable,
     PeriodicityClassMap,
     solve_fast_dp,
 )
@@ -50,9 +56,6 @@ class SlowValueSeq:
     @property
     def horizon(self) -> int:
         return len(self.days) - 2
-
-    def __getitem__(self, d: int) -> GridValueFn:
-        return self.days[d]
 
 
 @dataclass(frozen=True)
@@ -91,70 +94,60 @@ def _renewal_values(
     return out
 
 
-def _best_buy_per_atom(renewals, price_law: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
-    """For each battery-price atom: cheapest strictly positive renewal value
-    p * r + (discounted) continuation at the fresh state.  The continuation
-    values passed in are already discounted.  Returns (probs, best values)."""
-    probs, best = [], []
+def day_continuation(
+    vnext: np.ndarray, price_law: DiscreteDist, cfg: BatteryConfig,
+    h_grid: np.ndarray, c_grid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A day's discounted continuation from tomorrow's values over (h, c):
+    disc = gamma * vnext, and per battery-price atom p its probability and the
+    cheapest fresh battery, min over sizes r > 0 of p * r + disc at the fresh
+    state (+inf with no size to buy)."""
+    disc = cfg.gamma * vnext
+    renewals = _renewal_values(disc, h_grid, c_grid, cfg)
+    probs, best_buy = [], []
     for p, prob in price_law.atoms():
-        p = float(p)
-        cands = [p * r + v for r, v in renewals]
-        best.append(min(cands) if cands else INF)
+        cands = [float(p) * r + v for r, v in renewals]
+        best_buy.append(min(cands) if cands else INF)
         probs.append(prob)
-    return np.asarray(probs), np.asarray(best)
+    return disc, np.asarray(probs), np.asarray(best_buy)
 
 
-def resource_bellman_recursion(
-    tables: dict[int, IntradayResourceTable],
-    classmap: PeriodicityClassMap,
-    price_laws: list[DiscreteDist],
-    cfg: BatteryConfig,
-    h_grid: np.ndarray,
-    c_grid: np.ndarray,
-    D: int,
-) -> SlowValueSeq:
-    """Upper-bound recursion over (health, capacity).
+def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.ndarray:
+    """Expected continuation when keeping the battery is worth ``keep``: per
+    price atom, the cheaper of keeping it and buying a fresh one."""
+    out = np.zeros_like(keep)
+    for p, b in zip(probs, best_buy):
+        out += p * np.minimum(keep, b)
+    return out
 
-    Each day picks an aging budget dh (tomorrow's health target h - dh >= 0)
-    and, per battery-price atom, either keeps the battery or buys a fresh one.
-    Day costs are undiscounted; the continuation is scaled by the daily
-    discount factor (total cost is sum of gamma^d day costs).
+
+def day_objective(
+    table: IntradayTable, h: np.ndarray, ci: int, continuation, h_grid: np.ndarray, tol: float
+) -> np.ndarray:
+    """A day's objective at health values h and capacity index ci, shaped
+    (len(h), len(table.axis)); the day's value is its min (resource) or max
+    (price) over the axis.
+
+    Resource: the intraday cost of budget dh plus the expected continuation at
+    tomorrow's health h - dh, +inf where h - dh < -tol.  Price: the intraday
+    cost at surcharge pi, plus the cheapest end-of-day health priced at pi,
+    minus pi * h.
     """
-    h_grid = np.asarray(h_grid, dtype=float)
-    c_grid = np.asarray(c_grid, dtype=float)
-    grid = Grid([h_grid, c_grid])
-    days: list[GridValueFn] = [None] * (D + 2)
-    days[D + 1] = final_cost_fn(cfg, h_grid, c_grid)
-    vnext = days[D + 1].values
-    gamma = cfg.gamma
-    for d in range(D, -1, -1):
-        table = tables[int(classmap.day_to_class[d])]
-        dh_grid = table.dh_grid
-        disc = gamma * vnext
-        renewals = _renewal_values(disc, h_grid, c_grid, cfg)
-        probs, best_buy = _best_buy_per_atom(renewals, price_laws[d])
-        vals = np.empty((len(h_grid), len(c_grid)))
-        # candidate next-day healths per (current h, chosen dh)
-        h_next = h_grid[:, None] - dh_grid[None, :]
-        feasible = h_next >= -1e-9
-        h_next_c = np.clip(h_next, 0.0, None)
-        for ci in range(len(c_grid)):
-            keep = np.interp(h_next_c, h_grid, disc[:, ci])  # (n_h, n_dh)
-            # per price atom, the cheaper of keeping vs buying fresh
-            expect = np.zeros_like(keep)
-            for p, b in zip(probs, best_buy):
-                expect += p * np.minimum(keep, b)
-            day_cost = table.table.values[:, ci][None, :]
-            q = np.where(feasible, day_cost + expect, INF)
-            vals[:, ci] = q.min(axis=1)
-        vfn = GridValueFn(grid, vals, interp=MULTILINEAR)
-        days[d] = vfn
-        vnext = vals
-    return SlowValueSeq(kind="resource-upper", days=tuple(days))
+    disc, probs, best_buy = continuation
+    ell, axis = table.table.values[ci], table.axis
+    if table.decomposition.budget_axis:
+        h_next = h[:, None] - axis[None, :]
+        keep = np.interp(np.maximum(h_next, 0.0), h_grid, disc[:, ci])
+        return np.where(h_next >= -tol, ell[None, :] + _expect(keep, probs, best_buy), INF)
+    expect = _expect(disc[:, ci], probs, best_buy)
+    inner = (axis[:, None] * h_grid[None, :] + expect[None, :]).min(axis=1)
+    # built over (axis, h) so that reducing over the short axis runs along rows
+    return (ell[:, None] + inner[:, None] - axis[:, None] * h[None, :]).T
 
 
-def price_bellman_recursion(
-    tables: dict[int, IntradayPriceTable],
+def _bellman_recursion(
+    dec: Decomposition,
+    tables: dict[int, IntradayTable],
     classmap: PeriodicityClassMap,
     price_laws: list[DiscreteDist],
     cfg: BatteryConfig,
@@ -162,41 +155,41 @@ def price_bellman_recursion(
     c_grid: np.ndarray,
     D: int,
 ) -> SlowValueSeq:
-    """Lower-bound recursion over (health, capacity).
+    """Bound recursion of one decomposition over (health, capacity).
 
-    The daily health decrement is dualized with a surcharge pi >= 0; each day
-    takes the best surcharge of: intraday cost at pi, plus the cheapest
-    end-of-day health consistent with pi, minus pi times current health."""
+    Each day, per capacity, reduces :func:`day_objective` over the day axis:
+    resource picks an aging budget dh (tomorrow's health target h - dh >= 0,
+    an upper bound), price the best surcharge pi >= 0 on the health decrement
+    (a lower bound).  Per battery-price atom the day ends by keeping the
+    battery or buying a fresh one.  Day costs are undiscounted; the
+    continuation is scaled by the daily discount factor (total cost is sum of
+    gamma^d day costs).
+    """
+    if any(tab.decomposition != dec for tab in tables.values()):
+        raise ValueError(f"the {dec.mode} recursion needs {dec.mode} intraday tables")
     h_grid = np.asarray(h_grid, dtype=float)
     c_grid = np.asarray(c_grid, dtype=float)
     grid = Grid([h_grid, c_grid])
+    reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
     days: list[GridValueFn] = [None] * (D + 2)
     days[D + 1] = final_cost_fn(cfg, h_grid, c_grid)
     vnext = days[D + 1].values
-    gamma = cfg.gamma
     for d in range(D, -1, -1):
         table = tables[int(classmap.day_to_class[d])]
-        pi_grid = table.pi_grid
-        disc = gamma * vnext
-        renewals = _renewal_values(disc, h_grid, c_grid, cfg)
-        probs, best_buy = _best_buy_per_atom(renewals, price_laws[d])
+        cont = day_continuation(vnext, price_laws[d], cfg, h_grid, c_grid)
         vals = np.empty((len(h_grid), len(c_grid)))
         for ci in range(len(c_grid)):
-            # expected continuation if the day ends at health h_end (buy or keep)
-            expect = np.zeros(len(h_grid))
-            for p, b in zip(probs, best_buy):
-                expect += p * np.minimum(disc[:, ci], b)
-            # inner minimization over end-of-day health, per surcharge
-            inner = (pi_grid[:, None] * h_grid[None, :] + expect[None, :]).min(axis=1)
-            obj = table.table.values[ci, :][:, None] + inner[:, None] - pi_grid[:, None] * h_grid[None, :]
-            vals[:, ci] = obj.max(axis=0)
-        vfn = GridValueFn(grid, vals, interp=MULTILINEAR)
-        days[d] = vfn
+            vals[:, ci] = reduce(day_objective(table, h_grid, ci, cont, h_grid, FEAS_TOL), axis=1)
+        days[d] = GridValueFn(grid, vals, interp=MULTILINEAR)
         vnext = vals
-    return SlowValueSeq(kind="price-lower", days=tuple(days))
+    return SlowValueSeq(kind=dec.kind, days=tuple(days))
 
 
-def generic_resource_recursion(problem, kind_check: bool = True) -> SlowValueSeq:
+resource_bellman_recursion = partial(_bellman_recursion, RESOURCE)
+price_bellman_recursion = partial(_bellman_recursion, PRICE)
+
+
+def generic_resource_recursion(problem) -> SlowValueSeq:
     """Upper bound for a generic day-decomposed model: each day solves a fast DP
     with terminal constraint (end state >= target), then minimizes target cost
     plus the next-day value at the target."""

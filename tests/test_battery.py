@@ -16,7 +16,6 @@ from twoscale.battery import (
     default_tariff,
     fast_dynamics,
     fit_netload_distributions,
-    gen_battery_price_scenarios,
     interp_price_forecast,
     kmeans_1d,
     load_netload_csv,
@@ -25,7 +24,6 @@ from twoscale.battery import (
     stage_cost,
     synthetic_netload_scenarios,
     tariff_for_slots,
-    tariff_rate,
     white_noise_resample,
 )
 from twoscale.core import DiscreteDist
@@ -109,18 +107,19 @@ def test_state_bounds_check():
 
 
 def test_tariff_rate_examples():
-    assert tariff_rate(46) == OFF_PEAK_RATE  # 23:00
-    assert tariff_rate(24) == SHOULDER_RATE  # 12:00
-    assert tariff_rate(36) == PEAK_RATE  # 18:00
+    tariff = default_tariff()
+    assert tariff.rate(46) == OFF_PEAK_RATE  # 23:00
+    assert tariff.rate(24) == SHOULDER_RATE  # 12:00
+    assert tariff.rate(36) == PEAK_RATE  # 18:00
     with pytest.raises(ValueError):
-        tariff_rate(48)
+        tariff.rate(48)
     with pytest.raises(ValueError):
-        tariff_rate(-1)
+        tariff.rate(-1)
 
 
 def test_tariff_day_integral_identity():
     # constant 1 kW over the whole day: 0.5 kWh per half-hour slot
-    total = sum(tariff_rate(m) * 0.5 for m in range(48))
+    total = sum(default_tariff().rate(m) * 0.5 for m in range(48))
     expected = 9 * OFF_PEAK_RATE + 10 * SHOULDER_RATE + 5 * PEAK_RATE
     assert total == pytest.approx(expected, abs=1e-12)
 
@@ -212,16 +211,6 @@ def test_interp_price_forecast():
         interp_price_forecast([1.0, 2.0], 1000)
 
 
-def test_price_scenarios_deterministic_and_floored():
-    a = gen_battery_price_scenarios([1.0, 0.0], sigma=0.5, n=2, n_days=300, seed=9, floor=0.3)
-    b = gen_battery_price_scenarios([1.0, 0.0], sigma=0.5, n=2, n_days=300, seed=9, floor=0.3)
-    assert np.array_equal(a, b)
-    assert a.min() >= 0.3
-    flat = gen_battery_price_scenarios([1.0, 0.5], sigma=0.0, n=3, n_days=100, seed=1)
-    base = interp_price_forecast([1.0, 0.5], 100)
-    assert np.allclose(flat, base[None, :])
-
-
 def test_battery_price_laws_are_valid_distributions():
     laws = battery_price_laws([0.4, 0.2], sigma=0.05, n_days=200, floor=0.01, n_atoms=5)
     assert len(laws) == 200
@@ -270,7 +259,7 @@ def test_white_noise_resample_matches_law_statistics():
     laws = {1: [law, law]}
     price_laws = [DiscreteDist(np.array([1.0]), np.array([1.0]))] * 5000
     scen = white_noise_resample(laws, price_laws, classmap, n=2, seed=42, n_days=5000)
-    mean = law.mean()
+    mean = float(np.dot(law.probs, law.support))
     std = float(np.sqrt(np.dot(law.probs, (law.support - mean) ** 2)))
     for m in range(2):
         samples = scen.netload[:, :, m].ravel()

@@ -111,6 +111,26 @@ def test_config_hash_mismatch_exit_code(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_threads_override_keeps_the_config_hash(runner, tmp_path):
+    # threads never changes an artifact, so the README flow must not need --force
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out), "--threads", "2"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("pi_values", [[-0.1, 0.1], [0.1, 0.0]])
+def test_bad_pi_grid_rejected_at_load(runner, tmp_path, pi_values):
+    cfg = write_config(tmp_path, {**TINY, "pi_values": pi_values})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "pi_values" in res.output
+    assert not out.exists()
+
+
 def test_verify_command(runner):
     res = runner.invoke(main, ["verify", "--instances", "6", "--seed", "3"])
     assert res.exit_code == 0

@@ -1,4 +1,4 @@
-"""Core substrate: indices, lower addition, grid functions, distributions and
+"""Core substrate: lower addition, grid functions, distributions and
 discrete conjugation."""
 
 from __future__ import annotations
@@ -17,33 +17,10 @@ from twoscale.core import (
     GridValueFn,
     MULTILINEAR,
     NEAREST,
-    Ordering,
-    TwoScaleIndex,
     fenchel_conjugate,
-    lex_compare,
     low_add,
     low_add_arrays,
 )
-
-
-# ---------------------------------------------------------------- indices
-
-
-def test_lex_compare_examples():
-    assert lex_compare(TwoScaleIndex(3, 5), TwoScaleIndex(4, 0)) is Ordering.LESS
-    assert lex_compare(TwoScaleIndex(2, 7), TwoScaleIndex(2, 7)) is Ordering.EQUAL
-    assert lex_compare(TwoScaleIndex(5, 48), TwoScaleIndex(5, 3)) is Ordering.GREATER
-
-
-def test_lex_compare_is_total_on_small_range():
-    idx = [TwoScaleIndex(d, m) for d in range(3) for m in range(3)]
-    for a, b in itertools.product(idx, idx):
-        r = lex_compare(a, b)
-        rr = lex_compare(b, a)
-        if r is Ordering.EQUAL:
-            assert rr is Ordering.EQUAL and a.as_tuple() == b.as_tuple()
-        else:
-            assert rr is not r
 
 
 # ---------------------------------------------------------------- lower addition

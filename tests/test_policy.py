@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.battery import ScenarioSet
+from twoscale.battery import ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import (
@@ -13,7 +13,16 @@ from twoscale.intraday import (
     compute_price_intraday,
     compute_resource_intraday,
 )
-from twoscale.pipeline import stage_bellman, stage_fit, stage_intraday, stage_report, stage_simulate
+from twoscale.pipeline import (
+    _load_fit,
+    _load_intraday,
+    load_value_seq,
+    stage_bellman,
+    stage_fit,
+    stage_intraday,
+    stage_report,
+    stage_simulate,
+)
 from twoscale.policy import select_price, select_resource, simulate_policy
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
@@ -110,10 +119,10 @@ def test_select_resource_last_day_uses_max_aging(cheap):
     target = select_resource(
         200.0, 50.0, D, cheap["rtab"], cheap["upper"], cheap["price_laws"][D], cheap["cfg"]
     )
-    row = cheap["rtab"].table.values[:, 1]
+    row = cheap["rtab"].table.values[1, :]
     assert np.all(np.diff(row) <= 1e-9)
     # enough budget headroom that the best entry is the largest one on the row
-    best_dh = cheap["rtab"].dh_grid[int(np.argmin(row))]
+    best_dh = cheap["rtab"].axis[int(np.argmin(row))]
     assert target == pytest.approx(200.0 - best_dh)
 
 
@@ -229,17 +238,69 @@ def test_simulation_errors(cheap):
         )
 
 
-def test_simulate_stage_replays_on_the_configured_control_grid(tmp_path):
-    # the tables are built on n_controls controls; a replay on another grid
-    # broke the certificate (resource mean 131.10 +- 0.67 below lower 138.81)
+def test_simulation_rejects_another_control_grid(cheap):
+    with pytest.raises(ValueError, match="controls"):
+        simulate_policy(
+            cheap["scen"], "resource", {1: cheap["rtab"]}, cheap["upper"],
+            cheap["price_laws"], cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS + 2,
+        )
+
+
+@pytest.fixture(scope="module")
+def few_controls(tmp_path_factory):
+    """Tables and bounds built on 5 controls; a replay on another grid broke
+    the certificate (resource mean 131.10 +- 0.67 below lower 138.81)."""
     cfg = RunConfig(
         D=10, n_slots=12, n_classes=1, c_max=200.0, n_controls=5,
         price_forecast=(0.02, 0.02),
     )
-    stage_fit(cfg, tmp_path)
-    stage_intraday(cfg, tmp_path)
-    stage_bellman(cfg, tmp_path)
-    sims = stage_simulate(cfg, tmp_path)
-    lower = stage_report(cfg, tmp_path)["lower_at_x0_day0"]
+    out = tmp_path_factory.mktemp("few_controls")
+    stage_fit(cfg, out)
+    stage_intraday(cfg, out)
+    stage_bellman(cfg, out)
+    return cfg, out
+
+
+def test_simulate_stage_replays_on_the_configured_control_grid(few_controls):
+    cfg, out = few_controls
+    sims = stage_simulate(cfg, out)
+    lower = stage_report(cfg, out)["lower_at_x0_day0"]
     for mode in ("price", "resource"):
         assert sims[mode]["mean"] >= lower - 3.0 * sims[mode]["stderr"], mode
+
+
+def test_replay_defaults_to_the_tables_control_grid(few_controls):
+    cfg, out = few_controls
+    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out, with_fast=True)
+    _, laws, _ = _load_fit(cfg, out)
+    scen = white_noise_resample(laws, price_laws, classmap, cfg.scenarios, cfg.seed, cfg.D + 1)
+    lower = load_value_seq(cfg, out, "price-lower").days[0].values[0, 0]
+    for mode, tabs, kind in (("price", ptabs, "price-lower"), ("resource", rtabs, "resource-upper")):
+        values = load_value_seq(cfg, out, kind)
+        _, stats = simulate_policy(
+            scen, mode, tabs, values, price_laws, classmap, cfg.battery_config()
+        )
+        assert stats.mean >= lower - 3.0 * stats.stderr, mode
+
+
+def test_scenarios_replayed_together_match_each_replayed_alone(few_controls):
+    cfg, out = few_controls
+    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out, with_fast=True)
+    _, laws, _ = _load_fit(cfg, out)
+    scen = white_noise_resample(laws, price_laws, classmap, 12, cfg.seed, cfg.D + 1)
+    for mode, tabs, kind in (("price", ptabs, "price-lower"), ("resource", rtabs, "resource-upper")):
+        values = load_value_seq(cfg, out, kind)
+        args = (mode, tabs, values, price_laws, classmap, cfg.battery_config())
+        together, _ = simulate_policy(scen, *args)
+        capacities = {tuple(rec.states[d].capacity for rec in together) for d in range(cfg.D + 2)}
+        assert any(len(set(caps)) > 1 for caps in capacities), "no day mixes capacities"
+        for s, rec in enumerate(together):
+            alone, _ = simulate_policy(
+                ScenarioSet(scen.netload[s : s + 1], scen.battery_price[s : s + 1]), *args
+            )
+            a = alone[0]
+            assert rec.total_cost == a.total_cost, (mode, s)
+            assert rec.states == a.states, (mode, s)
+            assert rec.renewals == a.renewals, (mode, s)
+            assert rec.daily_bills == a.daily_bills, (mode, s)
+            assert rec.clamp_count == a.clamp_count, (mode, s)

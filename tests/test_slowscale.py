@@ -191,9 +191,9 @@ def test_battery_discount_consistency_single_day(small_world):
     h_grid = small_world["h_grid"]
     for hi, h in enumerate(h_grid):
         feas = dh_grid <= h + 1e-9
-        for ci in range(rvals.shape[1]):
+        for ci in range(rvals.shape[0]):
             assert upper.days[0].values[hi, ci] == pytest.approx(
-                rvals[feas, ci].min(), abs=1e-9
+                rvals[ci, feas].min(), abs=1e-9
             )
 
 
