@@ -74,8 +74,13 @@ class RunConfig:
         pi = self.pi_grid()
         if pi.size == 0 or (pi < 0).any() or (np.diff(pi) <= 0).any():
             raise ConfigError("pi_values must be nonnegative and strictly increasing")
-        # the slow recursions look renewal states (cycle_multiple * r, r) up on the grid
         h_grid, c_grid = self.h_grid(), self.c_grid()
+        if c_grid.size < 2:
+            raise ConfigError(
+                f"the capacity grid 0..c_max in steps of c_step has no positive size"
+                f" (c_max {self.c_max}, c_step {self.c_step})"
+            )
+        # the slow recursions look renewal states (cycle_multiple * r, r) up on the grid
         for r in c_grid[1:]:
             if self.cycle_multiple * r not in h_grid:
                 raise ConfigError(

@@ -122,7 +122,7 @@ class Grid:
         return base, frac
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Grid)
             and len(self.axes) == len(other.axes)
             and all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteDist, GridValueFn
+from .core import DiscreteDist, Grid, GridValueFn
 from .battery import (
     ScenarioSet,
     battery_price_laws,
@@ -52,7 +53,7 @@ class MissingArtifact(FileNotFoundError):
 
 
 class HashMismatch(RuntimeError):
-    pass
+    """Artifacts or the manifest were made under another config."""
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -241,8 +242,27 @@ def _load_intraday(cfg: RunConfig, out: Path, with_fast: bool = False):
     return classmap, price_laws, rtabs, ptabs
 
 
+def _bellman_path(out: Path, dec) -> Path:
+    return out / f"bellman_{dec.letter}.npz"
+
+
+def _save_npz(path: Path, **arrays) -> None:
+    """Write an uncompressed npz under a temporary name in the same directory,
+    then move it into place, so ``path`` is never a partial file.  A file
+    handle keeps np.savez from appending ``.npz`` to the temporary name."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:
-    """Backward slow-scale recursions; writes one value function file per day."""
+    """Backward slow-scale recursions; writes one value-function file per
+    decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
+    and ``c`` and the values of every day, shape (D+2, len(h), len(c))."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit", "intraday"], force)
     classmap, _, price_laws = _load_fit(cfg, out)
@@ -253,8 +273,7 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
     for dec in _chosen(mode):
         tables = _load_tables(cfg, out, dec, classmap)
         seq = recursions[dec](tables, classmap, price_laws, bat, h_grid, c_grid, cfg.D)
-        for d, fn in enumerate(seq.days):
-            fn.save_json(out / f"bellman_{dec.letter}_d{d}.json")
+        _save_npz(_bellman_path(out, dec), h=h_grid, c=c_grid, values=seq.values)
         bound = "upper" if dec.budget_axis else "lower"
         info[f"{bound}_at_origin"] = float(seq.days[0].values[0, 0])
     _update_manifest(out, cfg, "bellman", info, time.perf_counter() - t0)
@@ -262,11 +281,20 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
 
 
 def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
-    letter = decomposition(kind).letter
-    days = tuple(
-        GridValueFn.load_json(out / f"bellman_{letter}_d{d}.json") for d in range(cfg.D + 2)
-    )
-    return SlowValueSeq(kind=kind, days=days)
+    """One decomposition's value functions, as views on one shared grid."""
+    path = _bellman_path(out, decomposition(kind))
+    if not path.exists():
+        raise MissingArtifact(f"missing artifact: {path}: run the bellman stage for {kind}")
+    with np.load(path) as npz:
+        h, c, values = npz["h"], npz["c"], npz["values"]
+    h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
+    want = (cfg.D + 2, len(h_grid), len(c_grid))
+    if values.shape != want or not (np.array_equal(h, h_grid) and np.array_equal(c, c_grid)):
+        raise HashMismatch(
+            f"{path} holds values of shape {values.shape} on {len(h)} health and {len(c)}"
+            f" capacity points, not the config's (D+2, h, c) = {want} grid: rerun bellman"
+        )
+    return SlowValueSeq.on_grid(kind, Grid([h, c]), values)
 
 
 def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:

@@ -16,7 +16,7 @@ model and are exercised by the desk-scale oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -48,10 +48,21 @@ class SlowValueSeq:
 
     kind: str  # price-lower | resource-upper | exact-oracle
     days: tuple
+    # the (D+2,) + grid.shape array the days are views of, when they share one
+    values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("price-lower", "resource-upper", "exact-oracle"):
             raise ValueError(f"unknown kind {self.kind!r}")
+
+    @classmethod
+    def on_grid(cls, kind: str, grid: Grid, values: np.ndarray) -> "SlowValueSeq":
+        """Days as read-only multilinear views into one array of shape
+        (D+2,) + grid.shape, all on the one ``grid``."""
+        values = np.asarray(values, dtype=float)
+        values.setflags(write=False)
+        days = tuple(GridValueFn(grid, v, interp=MULTILINEAR) for v in values)
+        return cls(kind=kind, days=days, values=values)
 
     @property
     def horizon(self) -> int:
@@ -171,18 +182,16 @@ def _bellman_recursion(
     c_grid = np.asarray(c_grid, dtype=float)
     grid = Grid([h_grid, c_grid])
     reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
-    days: list[GridValueFn] = [None] * (D + 2)
-    days[D + 1] = final_cost_fn(cfg, h_grid, c_grid)
-    vnext = days[D + 1].values
+    values = np.empty((D + 2,) + grid.shape)
+    values[D + 1] = final_cost_fn(cfg, h_grid, c_grid).values
     for d in range(D, -1, -1):
         table = tables[int(classmap.day_to_class[d])]
-        cont = day_continuation(vnext, price_laws[d], cfg, h_grid, c_grid)
-        vals = np.empty((len(h_grid), len(c_grid)))
+        cont = day_continuation(values[d + 1], price_laws[d], cfg, h_grid, c_grid)
         for ci in range(len(c_grid)):
-            vals[:, ci] = reduce(day_objective(table, h_grid, ci, cont, h_grid, FEAS_TOL), axis=1)
-        days[d] = GridValueFn(grid, vals, interp=MULTILINEAR)
-        vnext = vals
-    return SlowValueSeq(kind=dec.kind, days=tuple(days))
+            values[d, :, ci] = reduce(
+                day_objective(table, h_grid, ci, cont, h_grid, FEAS_TOL), axis=1
+            )
+    return SlowValueSeq.on_grid(dec.kind, grid, values)
 
 
 resource_bellman_recursion = partial(_bellman_recursion, RESOURCE)
@@ -265,27 +274,33 @@ def block_bellman_solve(problem, inequality: bool = False) -> SlowValueSeq:
 def check_sandwich(
     lower: SlowValueSeq, upper: SlowValueSeq, x0, tol: float = 1e-6
 ) -> BoundReport:
-    """Per-day gap report; flags grid points where lower exceeds upper."""
+    """Per-day gap report; flags grid points where lower exceeds upper.
+
+    Every day of both sequences must be a multilinear function on one grid,
+    so x0 is located on it once."""
     if len(lower.days) != len(upper.days):
         raise ValueError("sequences cover different horizons")
     n = len(lower.days)
+    grid = lower.days[0].grid
     max_rel = np.empty(n)
     gap0 = np.empty(n)
     lo0 = np.empty(n)
     up0 = np.empty(n)
     violations = 0
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    base, frac = grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1))
     for d in range(n):
         lo, up = lower.days[d], upper.days[d]
-        if lo.grid != up.grid:
+        if lo.grid != grid or up.grid != grid:
             raise ValueError(f"grid mismatch at day {d}")
+        if lo.interp != MULTILINEAR or up.interp != MULTILINEAR:
+            raise ValueError(f"day {d} is not multilinear")
         lv, uv = lo.values, up.values
         denom = np.maximum(np.abs(lv), 1e-9)
         rel = (uv - lv) / denom
         max_rel[d] = float(rel.max())
         violations += int(np.sum(lv > uv + tol * denom))
-        l0 = float(lo.eval_many(x0)[0])
-        u0 = float(up.eval_many(x0)[0])
+        l0 = float(lo.blend(base, frac)[0])
+        u0 = float(up.blend(base, frac)[0])
         lo0[d], up0[d] = l0, u0
         gap0[d] = (u0 - l0) / max(abs(l0), 1e-9)
     return BoundReport(

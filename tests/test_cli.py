@@ -75,6 +75,39 @@ def test_off_grid_renewal_states_rejected_at_load(runner, tmp_path):
     assert not out.exists()
 
 
+def test_capacity_grid_without_a_battery_size_rejected_at_load(runner, tmp_path):
+    # c_step 500 over c_max 200 leaves the grid [0]
+    cfg = write_config(tmp_path, {**TINY, "c_step": 500.0})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "no positive size" in res.output
+    assert not out.exists()
+
+
+def test_report_without_the_resource_bound_exit_code(runner, tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    for args in (["fit"], ["intraday"], ["bellman", "--mode", "price"]):
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{args}: {res.output}"
+    res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3
+    assert "bellman_R.npz" in res.output
+
+
+def test_forced_report_on_another_horizon_exit_code(runner, tmp_path):
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, TINY)
+    for stage in ("fit", "intraday", "bellman"):
+        res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+    cfg = write_config(tmp_path, {**TINY, "D": TINY["D"] + 1})
+    res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out), "--force"])
+    assert res.exit_code == 2
+    assert "rerun bellman" in res.output
+
+
 def test_bad_netload_csv_exit_code(runner, tmp_path):
     csv_path = tmp_path / "netload.csv"
     csv_path.write_text("scenario,day,slot,netload_kwh\n0,0,0,1.0\n")

@@ -257,3 +257,72 @@ def _fields(p: TinyProblem) -> dict:
     from twoscale.oracle import _fields as f
 
     return f(p)
+
+
+def _sandwich_by_eval_many(lower, upper, x0, tol=1e-6):
+    """Per-day reference report: each day located on its own grid by eval_many."""
+    n = len(lower.days)
+    max_rel, gap0, lo0, up0 = (np.empty(n) for _ in range(4))
+    violations = 0
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    for d, (lo, up) in enumerate(zip(lower.days, upper.days)):
+        lv, uv = lo.values, up.values
+        denom = np.maximum(np.abs(lv), 1e-9)
+        max_rel[d] = float(((uv - lv) / denom).max())
+        violations += int(np.sum(lv > uv + tol * denom))
+        lo0[d], up0[d] = float(lo.eval_many(x0)[0]), float(up.eval_many(x0)[0])
+        gap0[d] = (up0[d] - lo0[d]) / max(abs(lo0[d]), 1e-9)
+    return max_rel, gap0, lo0, up0, violations
+
+
+def _with_day(seq, d, values):
+    days = list(seq.days)
+    days[d] = GridValueFn(days[d].grid, values)
+    return SlowValueSeq(kind=seq.kind, days=tuple(days))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (75.0, 20.0), (200.0, 50.0)])
+def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
+    lower, upper = battery_seqs(small_world)
+    # +inf entries on a cell corner around each x0: one day of the upper
+    # bound, and one day where both bounds are infinite somewhere
+    inf_up = upper.days[1].values.copy()
+    inf_up[1:3, :] = INF
+    upper = _with_day(upper, 1, inf_up)
+    both = lower.days[2].values.copy()
+    both[-1, 0] = INF
+    lower = _with_day(lower, 2, both)
+    upper = _with_day(upper, 2, np.maximum(upper.days[2].values, both))
+    rep = check_sandwich(lower, upper, np.array(x0))
+    ref = _sandwich_by_eval_many(lower, upper, np.array(x0))
+    for got, want in zip(
+        (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0), ref[:4]
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert rep.violations == ref[4]
+    assert np.isposinf(rep.max_rel_gap[1])
+
+
+def test_check_sandwich_grid_mismatch_on_a_later_day(small_world):
+    lower, upper = battery_seqs(small_world)
+    other = Grid([small_world["h_grid"] * 2.0, small_world["c_grid"]])
+    for seq in (lower, upper):
+        days = list(seq.days)
+        days[2] = GridValueFn(other, days[2].values)
+        moved = SlowValueSeq(kind=seq.kind, days=tuple(days))
+        pair = (moved, upper) if seq is lower else (lower, moved)
+        with pytest.raises(ValueError, match="grid mismatch at day 2"):
+            check_sandwich(*pair, np.array([0.0, 0.0]))
+
+
+def test_battery_recursion_days_are_read_only_views(small_world):
+    lower, upper = battery_seqs(small_world)
+    for seq in (lower, upper):
+        assert seq.values.shape == (len(seq.days),) + seq.days[0].grid.shape
+        for d, day in enumerate(seq.days):
+            assert day.grid is seq.days[0].grid
+            assert np.shares_memory(day.values, seq.values)
+            assert day.values.tobytes() == seq.values[d].tobytes()
+        with pytest.raises(ValueError):
+            seq.values[0, 0, 0] = 1.0
