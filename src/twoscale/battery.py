@@ -1,4 +1,4 @@
-"""Battery aging/renewal case study: dynamics, tariff, stage costs, netload
+"""Battery aging/renewal case study: the battery model, tariff, netload
 distribution fitting and scenario generation.
 
 State is (soc, health, capacity) in kWh.  Health is the remaining
@@ -6,6 +6,10 @@ exchangeable-energy budget: every kWh charged or discharged consumes one kWh
 of health; a battery dies when health hits zero.  Renewal at a day boundary
 replaces the battery by an empty one of chosen capacity r with health
 cycle_count(r) * r.
+
+The model is written once, in array form, and drives the intraday DP, the
+slow recursions and the policy replay: per-control soc move and health used,
+the slot transition and bill, the fresh-battery state and the soc box.
 """
 
 from __future__ import annotations
@@ -86,10 +90,11 @@ class BatteryState:
 
     def check_bounds(self, cfg: "BatteryConfig", tol: float = 1e-9) -> None:
         c = self.capacity
-        if not (-tol <= self.soc <= cfg.soc_fraction * c + tol):
-            raise ValueError(f"soc {self.soc} outside [0, {cfg.soc_fraction * c}]")
-        if not (-tol <= self.health <= cfg.cycle_count(c) * c + tol):
-            raise ValueError(f"health {self.health} outside [0, {cfg.cycle_count(c) * c}]")
+        if not in_soc_box(self.soc, c, cfg, tol):
+            raise ValueError(f"soc {self.soc} outside [0, {soc_max(c, cfg)}]")
+        h_max = float(fresh_state(c, cfg)[1])
+        if not (-tol <= self.health <= h_max + tol):
+            raise ValueError(f"health {self.health} outside [0, {h_max}]")
         if not (-tol <= c <= cfg.max_capacity + tol):
             raise ValueError(f"capacity {c} outside [0, {cfg.max_capacity}]")
 
@@ -121,28 +126,54 @@ class BatteryConfig:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-def fast_dynamics(x: BatteryState, u: float, cfg: BatteryConfig) -> BatteryState:
-    """One half-hour transition; no clamping, feasibility is checked upstream."""
-    up, um = max(u, 0.0), max(-u, 0.0)
-    return BatteryState(
-        soc=x.soc + cfg.charge_eff * up - cfg.discharge_eff * um,
-        health=x.health - up - um,
-        capacity=x.capacity,
-    )
+def control_effect(u, cfg: BatteryConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per control u (a scalar or an array): the soc move
+    charge_eff * u+ - discharge_eff * u- and the health used |u| = u+ + u-."""
+    u = np.asarray(u, dtype=float)
+    up, um = np.maximum(u, 0.0), np.maximum(-u, 0.0)
+    return cfg.charge_eff * up - cfg.discharge_eff * um, up + um
 
 
-def renewal_dynamics(x: BatteryState, r: float, cfg: BatteryConfig) -> BatteryState:
-    """Day-boundary renewal: r > 0 installs an empty battery of capacity r."""
-    if r not in cfg.renewal_grid:
-        raise ValueError(f"renewal size {r} not on the renewal grid")
-    if r > 0.0:
-        return BatteryState(soc=0.0, health=cfg.cycle_count(r) * r, capacity=r)
-    return x
+def fast_dynamics(soc, health, effect) -> tuple[np.ndarray, np.ndarray]:
+    """One slot's transition of (soc, health) under the controls whose
+    :func:`control_effect` is ``effect``; broadcasts, no clamping,
+    feasibility is checked by the caller."""
+    d_soc, used = effect
+    return soc + d_soc, health - used
 
 
-def stage_cost(u: float, w: float, m: int, tariff: Tariff) -> float:
-    """Energy bill for one slot: surplus is wasted, only net demand is billed."""
-    return tariff.rate(m) * max(0.0, w + u)
+def stage_cost(u, w, rate):
+    """Energy bill of one slot at tariff rate ``rate``: surplus is wasted, only
+    net demand w + u is billed; broadcasts."""
+    return rate * np.maximum(0.0, w + u)
+
+
+def fresh_state(r, cfg: BatteryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(soc, health, capacity) of an empty battery of each capacity r:
+    (0, cycle_count(r) * r, r)."""
+    r = np.asarray(r, dtype=float)
+    health = np.array([cfg.cycle_count(x) * x for x in r.ravel().tolist()]).reshape(r.shape)
+    return np.zeros(r.shape), health, r
+
+
+def renewal_dynamics(soc, health, capacity, r, cfg: BatteryConfig):
+    """Day-boundary renewal per battery: r > 0 installs an empty battery of
+    capacity r (:func:`fresh_state`), r = 0 keeps the battery."""
+    r = np.asarray(r, dtype=float)
+    if not (r[..., None] == np.asarray(cfg.renewal_grid)).any(axis=-1).all():
+        raise ValueError(f"renewal sizes {r} not all on the renewal grid")
+    new = r > 0.0
+    return tuple(np.where(new, f, x) for f, x in zip(fresh_state(r, cfg), (soc, health, capacity)))
+
+
+def soc_max(c, cfg: BatteryConfig):
+    """Largest soc of a battery of capacity c."""
+    return cfg.soc_fraction * c
+
+
+def in_soc_box(soc, c, cfg: BatteryConfig, tol: float):
+    """Whether soc lies in the box [-tol, soc_max(c) + tol]; broadcasts."""
+    return (soc >= -tol) & (soc <= soc_max(c, cfg) + tol)
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,9 @@ EXIT_VERIFY = 4
 
 def _load_config(config_path, seed, threads, scenarios) -> RunConfig:
     cfg = RunConfig.from_json(config_path) if config_path else RunConfig()
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if threads is not None:
-        overrides["threads"] = threads
-    if scenarios is not None:
-        overrides["scenarios"] = scenarios
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    given = {"seed": seed, "threads": threads, "scenarios": scenarios}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _common(func):

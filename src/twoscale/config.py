@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +75,18 @@ class RunConfig:
         pi = self.pi_grid()
         if pi.size == 0 or (pi < 0).any() or (np.diff(pi) <= 0).any():
             raise ConfigError("pi_values must be nonnegative and strictly increasing")
-        h_grid, c_grid = self.h_grid(), self.c_grid()
-        if c_grid.size < 2:
+        sizes = self.c_max / self.c_step
+        if sizes < 1:
             raise ConfigError(
                 f"the capacity grid 0..c_max in steps of c_step has no positive size"
                 f" (c_max {self.c_max}, c_step {self.c_step})"
             )
+        if not math.isclose(sizes, round(sizes), rel_tol=1e-9):
+            raise ConfigError(
+                f"c_max {self.c_max} is not a multiple of c_step {self.c_step}: the capacity"
+                f" grid 0..c_max in steps of c_step must end at c_max"
+            )
+        h_grid, c_grid = self.h_grid(), self.c_grid()
         # the slow recursions look renewal states (cycle_multiple * r, r) up on the grid
         for r in c_grid[1:]:
             if self.cycle_multiple * r not in h_grid:

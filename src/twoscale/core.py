@@ -170,9 +170,6 @@ class GridValueFn:
             )
         if self.interp == NEAREST:
             return self.values[self.grid.nearest_indices(x)]
-        return self._multilinear(x)
-
-    def _multilinear(self, x: np.ndarray) -> np.ndarray:
         return self.blend(*self.grid.interp_plan(x))
 
     def blend(self, base: np.ndarray, frac: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .core import (
     MULTILINEAR,
     low_add_arrays,
 )
+from . import battery
 from .battery import BatteryConfig, Tariff
 
 FEAS_TOL = 1e-9
@@ -95,13 +96,13 @@ class FastStageModel:
     terminal_grid: Grid
 
 
+@dataclass
 class FastDpSolution:
     """Backward-induction output: one value function per fast step plus the
-    terminal."""
+    terminal, index m in 0..M+1."""
 
-    def __init__(self, model: FastStageModel, values: list[GridValueFn]):
-        self.model = model
-        self.values = values  # length M+2, index m in 0..M+1
+    model: FastStageModel
+    values: list[GridValueFn]
 
 
 def _expect_start(n: int):
@@ -197,10 +198,6 @@ class PeriodicityClassMap:
             if d2c[rep] != cls:
                 raise ValueError(f"representative {rep} is not in class {cls}")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.representatives)
-
 
 TRIMESTER_EDGES = (0, 90, 181, 273, 365)
 
@@ -273,35 +270,38 @@ def no_battery_bill(slot_laws: Sequence[DiscreteDist], tariff: Tariff) -> float:
     return total
 
 
-def _charge_split(u):
-    """(charged, discharged) energy of one control or a control array; an
-    array gets a trailing axis so it broadcasts against states as (controls, states)."""
-    u = np.asarray(u, dtype=float)[..., None]
-    return np.maximum(u, 0.0), np.maximum(-u, 0.0)
+def _per_control(u) -> np.ndarray:
+    """One control or a control array; an array gets a trailing axis so that
+    it broadcasts against states as (controls, states)."""
+    return np.asarray(u, dtype=float)[..., None]
 
 
 class _BatteryDyn:
-    """One slot of a battery cell over (soc, second axis): the soc moves by
-    charge_eff * u+ - discharge_eff * u-; a budget axis loses |u| = u+ + u-,
-    a surcharge axis stays.  Takes one control or a control array."""
+    """One slot of a battery cell of capacity c over (soc, second axis), by
+    :func:`~twoscale.battery.fast_dynamics`: a budget axis loses the health a
+    control uses, a surcharge axis stays.  Takes one control or a control
+    array."""
 
-    def __init__(self, cfg, soc_max, budget_axis: bool):
+    def __init__(self, cfg, c, budget_axis: bool):
         self.cfg = cfg
-        self.soc_max = soc_max
+        self.c = c
         self.budget_axis = budget_axis
         self._kept = (None, None, None)
 
+    def _next(self, states, u):
+        """(soc, second axis) after u, and the health u uses."""
+        effect = battery.control_effect(_per_control(u), self.cfg)
+        soc, budget = battery.fast_dynamics(states[:, 0], states[:, 1], effect)
+        return soc, budget if self.budget_axis else states[:, 1], effect[1]
+
     def __call__(self, states, u, w):
-        cfg = self.cfg
-        up, um = _charge_split(u)
-        soc = states[:, 0] + cfg.charge_eff * up - cfg.discharge_eff * um
-        second = states[:, 1] - up - um if self.budget_axis else states[:, 1]
+        soc, second, _ = self._next(states, u)
         return np.stack(np.broadcast_arrays(soc, second), axis=-1)
 
     def fixed_cost(self, states, u):
-        """Noise-free part of the stage cost: +inf where u drives the soc (or
-        the budget) out of its box, else the surcharge pi * |u| on a surcharge
-        axis and 0 on a budget axis.
+        """Noise-free part of the stage cost: +inf where u drives the soc out
+        of its box (or the budget below 0), else the surcharge pi * |u| on a
+        surcharge axis and 0 on a budget axis.
 
         The result for a control array is kept: the solver passes the same
         (states, controls) arrays, compared here by identity, at every slot
@@ -310,14 +310,13 @@ class _BatteryDyn:
         kept_states, kept_u, kept = self._kept
         if states is kept_states and u is kept_u:
             return kept
-        nxt = self(states, u, None)
-        bad = (nxt[..., 0] < -FEAS_TOL) | (nxt[..., 0] > self.soc_max + FEAS_TOL)
+        soc, second, used = self._next(states, u)
+        bad = ~battery.in_soc_box(soc, self.c, self.cfg, FEAS_TOL)
         if self.budget_axis:
-            bad |= nxt[..., 1] < -FEAS_TOL
+            bad |= second < -FEAS_TOL
             extra = 0.0
         else:
-            up, um = _charge_split(u)
-            extra = states[:, 1] * (up + um)
+            extra = states[:, 1] * used
         out = np.where(bad, INF, extra)
         if np.ndim(u):
             self._kept = (states, u, out)
@@ -325,20 +324,19 @@ class _BatteryDyn:
 
 
 class _BatteryCost:
-    """Stage cost of one slot: the bill rate * max(0, w + u) plus the cell's
-    noise-free part (feasibility mask and surcharge)."""
+    """Stage cost of one slot: the bill (:func:`~twoscale.battery.stage_cost`)
+    plus the cell's noise-free part (feasibility mask and surcharge)."""
 
     def __init__(self, rate, dyn: _BatteryDyn):
         self.rate = rate
         self.dyn = dyn
 
     def __call__(self, states, u, w):
-        bill = self.rate * np.maximum(0.0, w + np.asarray(u, dtype=float)[..., None])
-        return bill + self.dyn.fixed_cost(states, u)
+        return battery.stage_cost(_per_control(u), w, self.rate) + self.dyn.fixed_cost(states, u)
 
 
 def soc_grid_for(c: float, cfg: BatteryConfig, n_soc: int) -> np.ndarray:
-    return np.linspace(0.0, cfg.soc_fraction * c, n_soc)
+    return np.linspace(0.0, battery.soc_max(c, cfg), n_soc)
 
 
 def control_grid(cfg: BatteryConfig, n_controls: int) -> np.ndarray:
@@ -353,7 +351,7 @@ def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     tariff = cfg.tariff
     grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
     controls = control_grid(cfg, n_controls)
-    dyn = _BatteryDyn(cfg, cfg.soc_fraction * c, budget_axis)
+    dyn = _BatteryDyn(cfg, c, budget_axis)
     stages = tuple(
         FastStage(
             state_grid=grid,

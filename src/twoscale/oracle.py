@@ -4,7 +4,7 @@ operation-count calculator for the decomposed pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -38,23 +38,17 @@ class TinyProblem:
             raise ValueError(f"flat step count {steps} exceeds the tiny budget of 17")
 
     def state_index(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.states - x)))
-        return i
+        return int(np.argmin(np.abs(self.states - x)))
 
     def day_model(self, d: int) -> FastStageModel:
         grid = Grid([self.states])
-        stages = []
-        for m in range(self.M + 1):
-            stages.append(
-                FastStage(
-                    state_grid=grid,
-                    controls=self.controls,
-                    noise=self.noise[d][m],
-                    cost=_StepCost(self, d, m),
-                    dynamics=_StepDyn(self, d, m),
-                )
+        stages = tuple(
+            FastStage(
+                grid, self.controls, self.noise[d][m], _StepCost(self, d, m), _StepDyn(self, d, m)
             )
-        return FastStageModel(stages=tuple(stages), terminal_grid=grid)
+            for m in range(self.M + 1)
+        )
+        return FastStageModel(stages=stages, terminal_grid=grid)
 
 
 class _StepCost:
@@ -309,14 +303,4 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
 
 
 def _fields(p: TinyProblem) -> dict:
-    return {
-        "D": p.D,
-        "M": p.M,
-        "states": p.states,
-        "controls": p.controls,
-        "noise": p.noise,
-        "cost": p.cost,
-        "dynamics": p.dynamics,
-        "final_cost": p.final_cost,
-        "inequality": p.inequality,
-    }
+    return {f.name: getattr(p, f.name) for f in fields(p)}

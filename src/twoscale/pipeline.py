@@ -1,9 +1,11 @@
 """Pipeline stages and artifact persistence.
 
 Every stage reads/writes under one output directory and updates manifest.json
-with its inputs, outputs and timing.  Timestamps live only in the manifest's
-metadata block, so all other artifacts are byte-reproducible for a given
-config and seed.
+with its inputs, outputs and timing, after its artifacts are in place; a
+stage's record drops the records of the stages downstream of it, which must
+then run again.  Every file is written whole or not at all (:func:`_atomic`).
+Timestamps live only in the manifest's metadata block, so all other
+artifacts are byte-reproducible for a given config and seed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from .battery import (
     ScenarioSet,
     battery_price_laws,
     fit_netload_distributions,
+    interp_price_forecast,
     load_netload_csv,
     load_price_csv,
     synthetic_netload_scenarios,
@@ -56,9 +60,32 @@ class HashMismatch(RuntimeError):
     """Artifacts or the manifest were made under another config."""
 
 
-def _dump_json(obj, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+# the stages that consume each stage's artifacts, directly or not
+DOWNSTREAM = {
+    "fit": ("intraday", "bellman", "simulate", "report"),
+    "intraday": ("bellman", "simulate", "report"),
+    "bellman": ("simulate", "report"),
+}
+
+
+@contextmanager
+def _atomic(path: Path):
+    """Yield a temporary name in ``path``'s directory to write to; when the
+    block ends without error the file moves into place, so ``path`` is never a
+    partial file.  The temporary file is removed if the block fails."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _dump_json(obj, path: Path, indent: int | None = None) -> None:
+    """Key-sorted JSON, compact unless ``indent`` is given."""
+    separators = (",", ":") if indent is None else None
+    with _atomic(path) as tmp, open(tmp, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent, separators=separators)
 
 
 def _load_json(path: Path):
@@ -81,12 +108,14 @@ def _update_manifest(out: Path, cfg: RunConfig, stage: str, info: dict, elapsed:
     manifest["config"] = cfg.to_dict()
     info = dict(info)
     info["seconds"] = round(elapsed, 3)
-    manifest.setdefault("stages", {})[stage] = info
-    manifest.setdefault("metadata", {}).setdefault("timestamps", {})[stage] = time.strftime(
-        "%Y-%m-%dT%H:%M:%S"
-    )
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    stages = manifest.setdefault("stages", {})
+    stamps = manifest.setdefault("metadata", {}).setdefault("timestamps", {})
+    for later in DOWNSTREAM.get(stage, ()):
+        stages.pop(later, None)
+        stamps.pop(later, None)
+    stages[stage] = info
+    stamps[stage] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    _dump_json(manifest, out / "manifest.json", indent=1)
 
 
 def check_stage_inputs(out: Path, cfg: RunConfig, needed: list[str], force: bool = False):
@@ -125,33 +154,21 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
             cfg.fit_scenarios, n_days, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
         )
     if prices is None:
-        prices = np.maximum(
-            np.tile(
-                np.interp(
-                    np.arange(n_days) / 365.0,
-                    np.arange(len(cfg.price_forecast), dtype=float),
-                    cfg.price_forecast,
-                ),
-                (netload.shape[0], 1),
-            ),
-            cfg.price_floor,
-        )
+        base = np.maximum(interp_price_forecast(cfg.price_forecast, n_days), cfg.price_floor)
+        prices = np.tile(base, (netload.shape[0], 1))
     raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
     laws = fit_netload_distributions(raw, classmap, cfg.fit_k)
     price_laws = battery_price_laws(
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
-    for cls, slot_laws in laws.items():
-        for m, law in enumerate(slot_laws):
-            _dump_json(_dist_jsonable(law), out / f"noise_class{cls}_slot{m}.json")
-    _dump_json([_dist_jsonable(l) for l in price_laws], out / "price_laws.json")
     _dump_json(
-        {
-            "day_to_class": classmap.day_to_class.tolist(),
-            "representatives": {str(k): v for k, v in classmap.representatives.items()},
-        },
-        out / "classmap.json",
+        {str(cls): [_dist_jsonable(law) for law in slot_laws] for cls, slot_laws in laws.items()},
+        out / "noise_laws.json",
     )
+    _dump_json([_dist_jsonable(l) for l in price_laws], out / "price_laws.json")
+    reps = {str(k): v for k, v in classmap.representatives.items()}
+    _dump_json({"day_to_class": classmap.day_to_class.tolist(), "representatives": reps},
+               out / "classmap.json")
     info = {"classes": sorted(laws), "k": cfg.fit_k}
     _update_manifest(out, cfg, "fit", info, time.perf_counter() - t0)
     return info
@@ -163,12 +180,11 @@ def _load_fit(cfg: RunConfig, out: Path):
         np.array(cm["day_to_class"], dtype=np.intp),
         {int(k): int(v) for k, v in cm["representatives"].items()},
     )
-    laws = {}
-    for cls in classmap.representatives:
-        laws[cls] = [
-            _dist_from_jsonable(_load_json(out / f"noise_class{cls}_slot{m}.json"))
-            for m in range(cfg.n_slots)
-        ]
+    noise = _load_json(out / "noise_laws.json")
+    laws = {
+        cls: [_dist_from_jsonable(o) for o in noise[str(cls)]]
+        for cls in classmap.representatives
+    }
     price_laws = [_dist_from_jsonable(o) for o in _load_json(out / "price_laws.json")]
     return classmap, laws, price_laws
 
@@ -210,11 +226,10 @@ def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
                 dec, cls, bat, laws[cls], c_grid, axes[dec], cfg.n_soc, cfg.n_controls,
                 cell_results={ci: r for (d, k, ci), r in cells.items() if (d, k) == (dec, cls)},
             )
-            tab.table.save_json(out / f"intraday_{dec.letter}_class{cls}.json")
-            np.save(
-                out / f"fast_{dec.letter}_class{cls}.npy",
-                np.stack([np.stack(tab.fast_values[ci]) for ci in range(1, len(c_grid))]),
-            )
+            with _atomic(out / f"intraday_{dec.letter}_class{cls}.json") as tmp:
+                tab.table.save_json(tmp)
+            with _atomic(out / f"fast_{dec.letter}_class{cls}.npy") as tmp, open(tmp, "wb") as fh:
+                np.save(fh, np.stack([np.stack(v) for v in tab.fast_values.values() if v]))
     info = {"cells": len(jobs), "threads": cfg.threads}
     _update_manifest(out, cfg, "intraday", info, time.perf_counter() - t0)
     return info
@@ -246,19 +261,6 @@ def _bellman_path(out: Path, dec) -> Path:
     return out / f"bellman_{dec.letter}.npz"
 
 
-def _save_npz(path: Path, **arrays) -> None:
-    """Write an uncompressed npz under a temporary name in the same directory,
-    then move it into place, so ``path`` is never a partial file.  A file
-    handle keeps np.savez from appending ``.npz`` to the temporary name."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:
     """Backward slow-scale recursions; writes one value-function file per
     decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
@@ -273,7 +275,9 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
     for dec in _chosen(mode):
         tables = _load_tables(cfg, out, dec, classmap)
         seq = recursions[dec](tables, classmap, price_laws, bat, h_grid, c_grid, cfg.D)
-        _save_npz(_bellman_path(out, dec), h=h_grid, c=c_grid, values=seq.values)
+        # a file handle keeps np.savez from appending .npz to the temporary name
+        with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:
+            np.savez(fh, h=h_grid, c=c_grid, values=seq.values)
         bound = "upper" if dec.budget_axis else "lower"
         info[f"{bound}_at_origin"] = float(seq.days[0].values[0, 0])
     _update_manifest(out, cfg, "bellman", info, time.perf_counter() - t0)
@@ -312,18 +316,13 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = 
         tables = _load_tables(cfg, out, dec, classmap, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
         records, stats = simulate_policy(scen, m, tables, values, price_laws, classmap, bat)
-        with open(out / f"sim_{m}.csv", "w", newline="") as fh:
+        with _atomic(out / f"sim_{m}.csv") as tmp, open(tmp, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["scenario_id", "total_cost", "renewal_days", "renewal_sizes"])
             for rec in records:
-                wr.writerow(
-                    [
-                        rec.scenario_id,
-                        repr(rec.total_cost),
-                        ";".join(str(d) for d, _ in rec.renewals),
-                        ";".join(repr(r) for _, r in rec.renewals),
-                    ]
-                )
+                days = ";".join(str(d) for d, _ in rec.renewals)
+                sizes = ";".join(repr(r) for _, r in rec.renewals)
+                wr.writerow([rec.scenario_id, repr(rec.total_cost), days, sizes])
         _dump_json(
             {
                 "mode": m,
@@ -347,19 +346,11 @@ def stage_report(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     upper = load_value_seq(cfg, out, "resource-upper")
     x0 = np.array([0.0, 0.0])
     rep = check_sandwich(lower, upper, x0)
-    with open(out / "gaps.csv", "w", newline="") as fh:
+    cols = (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0)
+    with _atomic(out / "gaps.csv") as tmp, open(tmp, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["day", "max_rel_gap", "gap_at_x0", "lower_at_x0", "upper_at_x0"])
-        for d in range(len(rep.max_rel_gap)):
-            wr.writerow(
-                [
-                    d,
-                    repr(rep.max_rel_gap[d]),
-                    repr(rep.gap_at_x0[d]),
-                    repr(rep.lower_at_x0[d]),
-                    repr(rep.upper_at_x0[d]),
-                ]
-            )
+        wr.writerows([d, *(repr(col[d]) for col in cols)] for d in range(len(cols[0])))
     summary = {
         "lower_at_x0_day0": rep.lower_at_x0[0],
         "upper_at_x0_day0": rep.upper_at_x0[0],

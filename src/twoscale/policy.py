@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiscreteDist, INF
+from . import battery
 from .battery import BatteryConfig, BatteryState, ScenarioSet
 from .intraday import IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for
 from .slowscale import SlowValueSeq, day_continuation, day_objective
@@ -91,7 +92,7 @@ def _choose_renewal(
     sizes = [float(r) for r in cfg.renewal_grid if r > 0.0]
     if not sizes:
         return best_r
-    fresh = vnext.eval_many(np.array([[cfg.cycle_count(r) * r, r] for r in sizes]))
+    fresh = vnext.eval_many(np.column_stack(battery.fresh_state(sizes, cfg)[1:]))
     for r, v_fresh in zip(sizes, fresh):
         v = p_hat * r + gamma * v_fresh
         better = v < best_v - 1e-12
@@ -158,7 +159,7 @@ def simulate_policy(
             if cv == 0.0 or tabs is None:
                 bill = np.zeros(len(g))
                 for m in range(netload.shape[1]):
-                    bill += cfg.tariff.rate(m) * np.maximum(0.0, netload[g, m])
+                    bill += battery.stage_cost(0.0, netload[g, m], cfg.tariff.rate(m))
             else:
                 decision = select(h[g], cv, d, table, values, price_laws[d], cfg)
                 bill, soc[g], h[g], clamps = _replay_day(
@@ -167,8 +168,7 @@ def simulate_policy(
                 clamped[g] += clamps
             bills[d, g] = bill
         # admissibility at end of day
-        soc_max = cfg.soc_fraction * c
-        bad = ~((-ADMISS_TOL <= soc) & (soc <= soc_max + ADMISS_TOL) & (h >= -ADMISS_TOL))
+        bad = ~(battery.in_soc_box(soc, c, cfg, ADMISS_TOL) & (h >= -ADMISS_TOL))
         if bad.any():
             s = int(np.argmax(bad))
             raise RuntimeError(f"inadmissible state (soc={soc[s]}, h={h[s]}, c={c[s]})")
@@ -176,10 +176,10 @@ def simulate_policy(
         r = _choose_renewal(h, c, d, values, price_real, price_laws[d], cfg)
         total += disc * (bills[d] + price_real * r)
         disc *= cfg.gamma
-        for s in np.flatnonzero(r > 0.0):
-            rs = float(r[s])
-            soc[s], h[s], c[s] = 0.0, cfg.cycle_count(rs) * rs, rs
-            renewals[s].append((d, rs))
+        new = np.flatnonzero(r > 0.0)
+        soc[new], h[new], c[new] = battery.renewal_dynamics(soc[new], h[new], c[new], r[new], cfg)
+        for s in new:
+            renewals[s].append((d, float(r[s])))
         for s in range(n):
             states[s].append(BatteryState(float(soc[s]), float(h[s]), float(c[s])))
     records = []
@@ -205,10 +205,8 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
     or health target) are per scenario.  Returns the bills, the end-of-day
     soc and health, and per scenario the number of clamped moves.
     """
-    up = np.maximum(controls, 0.0)
-    um = np.maximum(-controls, 0.0)
-    d_soc = cfg.charge_eff * up - cfg.discharge_eff * um
-    usage = up + um
+    effect = battery.control_effect(controls, cfg)
+    d_soc, usage = effect
     budget_axis = table.decomposition.budget_axis
     axis = table.axis
     if budget_axis:
@@ -219,7 +217,7 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
     else:
         surcharge, ai = decision[:, None], np.searchsorted(axis, decision)[:, None]
     aging_cost = surcharge * usage
-    soc_max = cfg.soc_fraction * c
+    soc_max = battery.soc_max(c, cfg)
     soc_grid = soc_grid_for(c, cfg, len(tabs[0]))
     s_step = soc_grid[1] - soc_grid[0]
     bill = np.zeros(len(soc))
@@ -227,12 +225,8 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
     for m in range(netload.shape[1]):
         w = netload[:, m]
         rate = cfg.tariff.rate(m)
-        soc_next = soc[:, None] + d_soc
-        feasible = (
-            (soc_next >= -ADMISS_TOL)
-            & (soc_next <= soc_max + ADMISS_TOL)
-            & (usage <= h[:, None] + ADMISS_TOL)
-        )
+        soc_next, h_next = battery.fast_dynamics(soc[:, None], h[:, None], effect)
+        feasible = battery.in_soc_box(soc_next, c, cfg, ADMISS_TOL) & (h_next >= -ADMISS_TOL)
         if budget_axis:
             b_next = budget[:, None] - usage
             feasible &= b_next >= -ADMISS_TOL
@@ -240,14 +234,15 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
         if not feasible.any(axis=1).all():
             raise RuntimeError("no admissible control")
         si = np.clip(np.round(soc_next / s_step).astype(int), 0, len(soc_grid) - 1)
-        q = rate * np.maximum(0.0, w[:, None] + controls) + aging_cost + tabs[m + 1][si, ai]
+        q = battery.stage_cost(controls, w[:, None], rate) + aging_cost + tabs[m + 1][si, ai]
         q = np.where(feasible, q, INF)
         k = np.argmin(q, axis=1)
-        bill += rate * np.maximum(0.0, w + controls[k])
-        soc_raw, h_raw = soc + d_soc[k], h - usage[k]
+        bill += battery.stage_cost(controls[k], w, rate)
+        used = usage[k]
+        soc_raw, h_raw = battery.fast_dynamics(soc, h, (d_soc[k], used))
         soc = np.minimum(np.maximum(soc_raw, 0.0), soc_max)
         h = np.maximum(h_raw, 0.0)
         if budget_axis:
-            budget = np.maximum(budget - usage[k], 0.0)
+            budget = np.maximum(budget - used, 0.0)
         clamped += (soc != soc_raw) | (h != h_raw)
     return bill, soc, h, clamped

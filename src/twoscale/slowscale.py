@@ -30,7 +30,7 @@ from .core import (
     fenchel_conjugate,
     low_add_arrays,
 )
-from .battery import BatteryConfig
+from .battery import BatteryConfig, fresh_state
 from .intraday import (
     FEAS_TOL,
     PRICE,
@@ -91,12 +91,11 @@ def _renewal_values(
     vnext: np.ndarray, h_grid: np.ndarray, c_grid: np.ndarray, cfg: BatteryConfig
 ) -> np.ndarray:
     """Value of installing a fresh battery of each size r > 0 on the renewal
-    grid: vnext at (cycle_count(r) * r, r).  Renewal states must be on-grid."""
+    grid: vnext at its :func:`~twoscale.battery.fresh_state`.  Renewal states
+    must be on-grid."""
     out = []
-    for r in cfg.renewal_grid:
-        if r <= 0.0:
-            continue
-        h_new = cfg.cycle_count(r) * r
+    sizes = [r for r in cfg.renewal_grid if r > 0.0]
+    for r, h_new in zip(sizes, fresh_state(sizes, cfg)[1]):
         hi = np.searchsorted(h_grid, h_new)
         ci = np.searchsorted(c_grid, r)
         if hi >= len(h_grid) or h_grid[hi] != h_new or ci >= len(c_grid) or c_grid[ci] != r:

@@ -13,6 +13,7 @@ from twoscale.battery import (
     BatteryState,
     ScenarioSet,
     battery_price_laws,
+    control_effect,
     default_tariff,
     fast_dynamics,
     fit_netload_distributions,
@@ -39,23 +40,34 @@ def unit_cfg(**kw):
 # ---------------------------------------------------------------- dynamics
 
 
+def step(x: BatteryState, u: float, cfg) -> BatteryState:
+    """The array transition applied to one state and one control."""
+    soc, health = fast_dynamics(x.soc, x.health, control_effect(u, cfg))
+    return BatteryState(float(soc), float(health), x.capacity)
+
+
+def renew(x: BatteryState, r: float, cfg) -> BatteryState:
+    """The array renewal applied to one state and one size."""
+    return BatteryState(*(float(v) for v in renewal_dynamics(x.soc, x.health, x.capacity, r, cfg)))
+
+
 def test_fast_dynamics_examples():
     cfg = unit_cfg()
     x = BatteryState(0.0, 10.0, 100.0)
-    y = fast_dynamics(x, 2.0, cfg)
+    y = step(x, 2.0, cfg)
     assert (y.soc, y.health, y.capacity) == (2.0, 8.0, 100.0)
     x = BatteryState(5.0, 10.0, 100.0)
-    y = fast_dynamics(x, -2.0, cfg)
+    y = step(x, -2.0, cfg)
     assert (y.soc, y.health, y.capacity) == (3.0, 8.0, 100.0)
-    assert fast_dynamics(x, 0.0, cfg) == x
+    assert step(x, 0.0, cfg) == x
 
 
 def test_fast_dynamics_efficiencies():
     cfg = small_battery_config()  # 0.95 / 0.95
-    y = fast_dynamics(BatteryState(10.0, 50.0, 50.0), 10.0, cfg)
+    y = step(BatteryState(10.0, 50.0, 50.0), 10.0, cfg)
     assert y.soc == pytest.approx(10.0 + 0.95 * 10.0)
     assert y.health == pytest.approx(40.0)
-    y = fast_dynamics(BatteryState(10.0, 50.0, 50.0), -10.0, cfg)
+    y = step(BatteryState(10.0, 50.0, 50.0), -10.0, cfg)
     assert y.soc == pytest.approx(10.0 - 0.95 * 10.0)
     assert y.health == pytest.approx(40.0)
 
@@ -63,33 +75,59 @@ def test_fast_dynamics_efficiencies():
 def test_health_strictly_decreases_iff_control_nonzero():
     cfg = unit_cfg()
     x = BatteryState(5.0, 10.0, 100.0)
-    assert fast_dynamics(x, 0.0, cfg).health == x.health
+    assert step(x, 0.0, cfg).health == x.health
     for u in (-3.0, -0.5, 0.5, 3.0):
-        y = fast_dynamics(x, u, cfg)
+        y = step(x, u, cfg)
         assert y.health < x.health
         assert y.capacity == x.capacity
 
 
+@pytest.mark.parametrize("effs", [(1.0, 1.0), (0.95, 0.95), (0.9, 0.8), (0.7, 0.93)])
+def test_array_transition_equals_the_elementwise_definition(effs):
+    # a control never both charges and discharges, so the two operation
+    # orders (s + a u+) - b u-, (h - u+) - u- and s + (a u+ - b u-), h - (u+ + u-)
+    # give the same doubles; the array transition must equal both, bit for bit
+    a, b = effs
+    cfg = small_battery_config(charge_eff=a, discharge_eff=b)
+    rng = np.random.default_rng(17)
+    controls = np.concatenate([np.linspace(-25.0, 25.0, 11), rng.uniform(-25.0, 25.0, 40)])
+    soc = np.concatenate([np.linspace(0.0, 40.0, 9), rng.uniform(0.0, 40.0, 60)])
+    health = np.concatenate([np.linspace(0.0, 200.0, 9), rng.uniform(0.0, 200.0, 60)])
+    effect = control_effect(controls[:, None], cfg)
+    soc_next, h_next = fast_dynamics(soc[None, :], health[None, :], effect)
+    assert soc_next.shape == h_next.shape == (len(controls), len(soc))
+    for i, u in enumerate(controls):
+        up, um = max(float(u), 0.0), max(-float(u), 0.0)
+        for j, (s, h) in enumerate(zip(soc, health)):
+            s, h = float(s), float(h)
+            for want_soc, want_h in (
+                ((s + a * up) - b * um, (h - up) - um),
+                (s + (a * up - b * um), h - (up + um)),
+            ):
+                assert soc_next[i, j].tobytes() == np.float64(want_soc).tobytes()
+                assert h_next[i, j].tobytes() == np.float64(want_h).tobytes()
+
+
 def test_renewal_dynamics_examples():
     cfg = BatteryConfig()
-    y = renewal_dynamics(BatteryState(3.0, 8.0, 100.0), 100.0, cfg)
+    y = renew(BatteryState(3.0, 8.0, 100.0), 100.0, cfg)
     assert (y.soc, y.health, y.capacity) == (0.0, 400.0, 100.0)
     x = BatteryState(3.0, 8.0, 100.0)
-    assert renewal_dynamics(x, 0.0, cfg) == x
-    y = renewal_dynamics(x, 1500.0, cfg)
+    assert renew(x, 0.0, cfg) == x
+    y = renew(x, 1500.0, cfg)
     assert (y.soc, y.health, y.capacity) == (0.0, 6000.0, 1500.0)
 
 
 def test_renewal_requires_grid_size():
     cfg = BatteryConfig()
     with pytest.raises(ValueError):
-        renewal_dynamics(BatteryState(0.0, 0.0, 0.0), 150.0, cfg)
+        renewal_dynamics(0.0, 0.0, 0.0, 150.0, cfg)
 
 
 def test_renewal_idempotent_for_zero():
     cfg = BatteryConfig()
     x = BatteryState(1.0, 2.0, 100.0)
-    assert renewal_dynamics(renewal_dynamics(x, 0.0, cfg), 0.0, cfg) == x
+    assert renew(renew(x, 0.0, cfg), 0.0, cfg) == x
 
 
 def test_state_bounds_check():
@@ -135,16 +173,16 @@ def test_tariff_for_other_slot_counts():
 
 def test_stage_cost_examples():
     t = default_tariff()
-    assert stage_cost(0.0, 1.0, 36, t) == PEAK_RATE
-    assert stage_cost(0.0, -5.0, 10, t) == 0.0
-    assert stage_cost(-1.0, 1.0, 0, t) == 0.0
+    assert stage_cost(0.0, 1.0, t.rate(36)) == PEAK_RATE
+    assert stage_cost(0.0, -5.0, t.rate(10)) == 0.0
+    assert stage_cost(-1.0, 1.0, t.rate(0)) == 0.0
 
 
 def test_stage_cost_nonneg_nondecreasing_in_netload():
     t = default_tariff()
     ws = np.linspace(-5.0, 5.0, 21)
     for u in (-2.0, 0.0, 2.0):
-        costs = [stage_cost(u, w, 20, t) for w in ws]
+        costs = list(stage_cost(u, ws, t.rate(20)))
         assert min(costs) >= 0.0
         assert all(b >= a for a, b in zip(costs, costs[1:]))
 

@@ -85,6 +85,41 @@ def test_capacity_grid_without_a_battery_size_rejected_at_load(runner, tmp_path)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c_step", [300.0, 150.0])
+def test_capacity_grid_past_c_max_rejected_at_load(runner, tmp_path, c_step):
+    # 200 is no multiple of 300 (grid [0, 300]) or of 150 (grid [0, 150], h_grid to 800)
+    cfg = write_config(tmp_path, {**TINY, "c_step": c_step})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"c_max {TINY['c_max']}" in res.output
+    assert f"c_step {c_step}" in res.output
+    assert not out.exists()
+
+
+def test_rerun_stage_drops_the_records_downstream(runner, tmp_path):
+    # a fit under config B must not leave config A's bounds passing as B's
+    out = tmp_path / "r"
+    cfg_a = write_config(tmp_path, TINY)
+    for stage in ("fit", "intraday", "bellman", "report"):
+        res = runner.invoke(main, [stage, "--config", cfg_a, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+    cfg_b = str(tmp_path / "b.json")
+    Path(cfg_b).write_text(json.dumps({**TINY, "seed": 8, "netload_base_kw": 80.0}))
+    res = runner.invoke(main, ["fit", "--config", cfg_b, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    for stage in ("report", "simulate", "bellman"):
+        res = runner.invoke(main, [stage, "--config", cfg_b, "--out", str(out)])
+        assert res.exit_code == 3, f"{stage}: {res.output}"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["stages"]) == ["fit"]
+    assert sorted(manifest["metadata"]["timestamps"]) == ["fit"]
+    res = runner.invoke(main, ["intraday", "--config", cfg_b, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["report", "--config", cfg_b, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+
+
 def test_report_without_the_resource_bound_exit_code(runner, tmp_path):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "r"

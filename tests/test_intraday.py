@@ -186,7 +186,7 @@ def test_fast_dp_matches_exhaustive_enumeration():
 def _battery_tables(cfg, laws, c, axis, n_soc, n_controls, budget_axis, noise_free):
     grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
     controls = control_grid(cfg, n_controls)
-    dyn = _BatteryDyn(cfg, cfg.soc_fraction * c, budget_axis)
+    dyn = _BatteryDyn(cfg, c, budget_axis)
     stages = tuple(
         FastStage(grid, controls, law, _BatteryCost(cfg.tariff.rate(m), dyn), dyn, noise_free)
         for m, law in enumerate(laws)

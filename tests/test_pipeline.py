@@ -1,6 +1,9 @@
-"""Stage artifacts: the value-function files of the bellman stage."""
+"""Stage artifacts: the fit laws, the value-function files of the bellman
+stage, and atomic writes."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from twoscale.pipeline import (
     stage_bellman,
     stage_fit,
     stage_intraday,
+    stage_report,
 )
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
@@ -34,6 +38,20 @@ def bellman_run(tmp_path_factory):
     stage_intraday(CFG, out)
     stage_bellman(CFG, out)
     return out
+
+
+def test_fit_laws_in_one_file(bellman_run):
+    names = {p.name for p in bellman_run.iterdir() if p.name.endswith("laws.json")}
+    assert names == {"noise_laws.json", "price_laws.json"}
+    assert not list(bellman_run.glob("noise_class*"))
+    stored = json.loads((bellman_run / "noise_laws.json").read_text())
+    classmap, laws, _ = _load_fit(CFG, bellman_run)
+    assert sorted(stored) == [str(cls) for cls in sorted(laws)] == ["1"]
+    for cls, slot_laws in laws.items():
+        assert len(slot_laws) == CFG.n_slots
+        for law, rec in zip(slot_laws, stored[str(cls)]):
+            assert law.support.tolist() == rec["support"]
+            assert law.probs.tolist() == rec["probs"]
 
 
 def test_value_files_round_trip_bit_equal(bellman_run):
@@ -85,3 +103,22 @@ def test_interrupted_write_keeps_the_previous_file(bellman_run, monkeypatch):
         stage_bellman(CFG, bellman_run, mode="price")
     assert path.read_bytes() == before
     assert not list(bellman_run.glob("*.tmp"))
+
+    # a JSON artifact, then the manifest, which is written last
+    monkeypatch.undo()
+    stage_report(CFG, bellman_run)
+    real_dump = json.dump
+    for name in ("report.json", "manifest.json"):
+        before = {p.name: p.read_bytes() for p in bellman_run.iterdir()}
+
+        def broken_dump(obj, fh, **kw):
+            if name in fh.name:
+                fh.write("partial")
+                raise OSError("disk full")
+            real_dump(obj, fh, **kw)
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            stage_report(CFG, bellman_run)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in bellman_run.iterdir()} == before, name
