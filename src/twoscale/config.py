@@ -86,14 +86,16 @@ class RunConfig:
                 f"c_max {self.c_max} is not a multiple of c_step {self.c_step}: the capacity"
                 f" grid 0..c_max in steps of c_step must end at c_max"
             )
-        h_grid, c_grid = self.h_grid(), self.c_grid()
-        # the slow recursions look renewal states (cycle_multiple * r, r) up on the grid
-        for r in c_grid[1:]:
-            if self.cycle_multiple * r not in h_grid:
-                raise ConfigError(
-                    f"renewal state ({self.cycle_multiple * r}, {r}) is not on the (h, c) grid:"
-                    f" h_points - 1 must be a multiple of {len(c_grid) - 1}"
-                )
+        # the slow recursions look renewal states (cycle_multiple * r, r) up on
+        # the grid: r = c_max * k / n lands on h point (h_points - 1) * k / n
+        c_grid = self.c_grid()
+        n = len(c_grid) - 1
+        if (self.h_points - 1) % n:
+            r = c_grid[1]
+            raise ConfigError(
+                f"renewal state ({self.cycle_multiple * r}, {r}) is not on the (h, c) grid:"
+                f" h_points - 1 must be a multiple of {n}"
+            )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
@@ -133,7 +135,7 @@ class RunConfig:
     # derived grids
     def c_grid(self) -> np.ndarray:
         n = int(round(self.c_max / self.c_step)) + 1
-        return np.arange(n) * self.c_step
+        return np.linspace(0.0, self.c_max, n)
 
     def dh_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.dh_cap, self.dh_points)

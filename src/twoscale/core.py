@@ -87,19 +87,6 @@ class Grid:
         hi = np.array([ax[-1] for ax in self.axes])
         return np.clip(x, lo, hi)
 
-    def nearest_indices(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Nearest grid multi-index per query row; ties go to the smaller index."""
-        x = self.clamp(x)
-        out = []
-        for j, ax in enumerate(self.axes):
-            q = x[:, j]
-            hi = np.searchsorted(ax, q, side="left")
-            hi = np.clip(hi, 0, ax.size - 1)
-            lo = np.clip(hi - 1, 0, ax.size - 1)
-            pick_lo = (q - ax[lo]) <= (ax[hi] - q)
-            out.append(np.where(pick_lo, lo, hi))
-        return tuple(out)
-
     def interp_plan(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Multilinear interpolation plan of query points (n, ndim), clamped to
         the bounding box: the flat (row-major) index of each query's lower cell
@@ -132,32 +119,25 @@ class Grid:
         return hash(tuple(tuple(ax) for ax in self.axes))
 
 
-NEAREST = "nearest"
-MULTILINEAR = "multilinear"
-
-
 class GridValueFn:
     """Extended-real function tabulated on a Grid.
 
-    Interpolation is either nearest-neighbor (ties to the smaller index) or
-    multilinear with infinity propagation: any cell corner carrying +inf with
-    a strictly positive convex weight makes the blend +inf, so infeasibility
-    is never averaged away; -inf dominates +inf per lower addition.
+    Interpolation is multilinear with infinity propagation: any cell corner
+    carrying +inf with a strictly positive convex weight makes the blend +inf,
+    so infeasibility is never averaged away; -inf dominates +inf per lower
+    addition.
     """
 
-    __slots__ = ("grid", "values", "interp")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values: np.ndarray, interp: str = MULTILINEAR):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.size != grid.size:
             raise ValueError("values size does not match grid size")
         values = values.reshape(grid.shape)
         values.setflags(write=False)
-        if interp not in (NEAREST, MULTILINEAR):
-            raise ValueError(f"unknown interpolation mode {interp!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "interp", interp)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridValueFn is immutable")
@@ -168,8 +148,6 @@ class GridValueFn:
             raise ValueError(
                 f"query dimension {x.shape[1]} != grid dimension {self.grid.ndim}"
             )
-        if self.interp == NEAREST:
-            return self.values[self.grid.nearest_indices(x)]
         return self.blend(*self.grid.interp_plan(x))
 
     def blend(self, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -227,7 +205,6 @@ class GridValueFn:
         return {
             "grid": [ax.tolist() for ax in self.grid.axes],
             "values": [enc(v) for v in self.values.ravel()],
-            "interp": self.interp,
         }
 
     @classmethod
@@ -241,7 +218,7 @@ class GridValueFn:
 
         grid = Grid(obj["grid"])
         values = np.array([dec(v) for v in obj["values"]])
-        return cls(grid, values, obj.get("interp", MULTILINEAR))
+        return cls(grid, values)
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -307,4 +284,4 @@ def fenchel_conjugate(f: GridValueFn, price_grid: Grid) -> GridValueFn:
     out = np.empty(price_grid.size)
     for i, p in enumerate(price_grid.points()):
         out[i] = np.max(low_add_arrays(states @ p, neg))
-    return GridValueFn(price_grid, out, interp=MULTILINEAR)
+    return GridValueFn(price_grid, out)

@@ -10,7 +10,10 @@ through one day axis, and each periodicity class gets one
 - price tables: optimal daily bill plus a per-kWh aging surcharge pi, a static
   state axis.
 
-Both start the day with an empty battery (state of charge pinned to 0).
+Both start the day with an empty battery (state of charge pinned to 0).  A
+table keeps the per-step values of every capacity's DP for the replay as one
+array, over (capacity after c = 0, step, soc, axis), in the same form as the
+pipeline stores it: one ``intraday_{R,P}.npz`` per decomposition.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    INF,
-    DiscreteDist,
-    Grid,
-    GridValueFn,
-    MULTILINEAR,
-    low_add_arrays,
-)
+from .core import INF, DiscreteDist, Grid, GridValueFn, low_add_arrays
 from . import battery
 from .battery import BatteryConfig, Tariff
 
@@ -143,7 +139,7 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
             vals = _broadcast_stage(stage, vnext, *plan)
         else:
             vals = _per_control_stage(stage, vnext)
-        vnext = GridValueFn(stage.state_grid, vals, interp=MULTILINEAR)
+        vnext = GridValueFn(stage.state_grid, vals)
         values.append(vnext)
     values.reverse()
     return FastDpSolution(model, values)
@@ -246,16 +242,17 @@ class IntradayTable:
     replay tables.
 
     The day axis is the aging budget dh (resource) or the surcharge pi
-    (price).  fast_values[c_index] is None for c = 0 (and when the replay
-    tables are not loaded) and otherwise a list of per-step value arrays over
-    the (soc, axis) grid, built on ``n_controls`` controls.
+    (price).  ``fast`` holds the replay tables, built on ``n_controls``
+    controls: the per-step values over the (soc, axis) grid of every capacity
+    after c = 0, shape (n_c - 1, n_slots + 1, n_soc, n_axis); it is None when
+    the replay tables are not loaded.
     """
 
     class_id: int
     decomposition: Decomposition
     table: GridValueFn  # over (c, axis)
     n_controls: int
-    fast_values: dict[int, list[np.ndarray] | None] = field(default_factory=dict, repr=False)
+    fast: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def axis(self) -> np.ndarray:
@@ -343,11 +340,12 @@ def control_grid(cfg: BatteryConfig, n_controls: int) -> np.ndarray:
     return np.linspace(cfg.u_min, cfg.u_max, n_controls)
 
 
-def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
+def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool) -> np.ndarray:
     """Daily DP for one capacity over (soc, axis), starting from an empty
     battery; axis is the aging budget (resource cell) or the surcharge, a
     static state axis (price cell), so one sweep covers the whole axis.
-    Returns (day-start row over axis, per-step value tables)."""
+    Returns the per-step values, shape (n_slots + 1, n_soc, n_axis); entry
+    [0, 0] is the day-start row (soc = 0) over axis."""
     tariff = cfg.tariff
     grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
     controls = control_grid(cfg, n_controls)
@@ -364,11 +362,9 @@ def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
         for m, law in enumerate(slot_laws)
     )
     model = FastStageModel(stages=stages, terminal_grid=grid)
-    terminal = GridValueFn(grid, np.zeros(grid.shape), interp=MULTILINEAR)
+    terminal = GridValueFn(grid, np.zeros(grid.shape))
     sol = solve_fast_dp(model, terminal)
-    row = sol.values[0].values[0, :].copy()  # soc = 0 start
-    tables = [v.values.copy() for v in sol.values]
-    return row, tables
+    return np.stack([v.values for v in sol.values])
 
 
 def compute_intraday(
@@ -380,34 +376,31 @@ def compute_intraday(
     axis: np.ndarray,
     n_soc: int = 51,
     n_controls: int = 21,
-    cell_results: dict | None = None,
+    fast: np.ndarray | None = None,
 ) -> IntradayTable:
     """Intraday table of one decomposition for one periodicity class.
 
-    The c = 0 row is the no-battery bill; so is the dh = 0 entry of any
-    resource row (zero budget forces u = 0).  ``cell_results`` may hold
-    precomputed per-capacity cells (parallel runs).
+    c_grid starts at 0.  The c = 0 row is the no-battery bill; so is the
+    dh = 0 entry of any resource row (zero budget forces u = 0).  ``fast`` may
+    hold the precomputed cells of the capacities after c = 0, stacked as
+    :attr:`IntradayTable.fast` (parallel runs).
     """
     c_grid = np.asarray(c_grid, dtype=float)
     axis = np.asarray(axis, dtype=float)
+    if c_grid[0] != 0.0:
+        raise ValueError("the capacity grid must start at c = 0")
     if (axis < 0).any():
         raise ValueError("aging budgets and surcharges must be nonnegative")
+    if fast is None:
+        fast = np.stack([
+            _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, dec.budget_axis)
+            for c in c_grid[1:]
+        ])
     values = np.empty((len(c_grid), len(axis)))
-    fast_values = {}
-    base = no_battery_bill(slot_laws, cfg.tariff)
-    for ci, c in enumerate(c_grid):
-        if c == 0.0:
-            values[ci, :] = base
-            fast_values[ci] = None
-            continue
-        if cell_results is not None and ci in cell_results:
-            row, tables = cell_results[ci]
-        else:
-            row, tables = _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, dec.budget_axis)
-        values[ci, :] = row
-        fast_values[ci] = tables
-    table = GridValueFn(Grid([c_grid, axis]), values, interp=MULTILINEAR)
-    return IntradayTable(class_id, dec, table, n_controls, fast_values)
+    values[0, :] = no_battery_bill(slot_laws, cfg.tariff)
+    values[1:, :] = fast[:, 0, 0, :]
+    table = GridValueFn(Grid([c_grid, axis]), values)
+    return IntradayTable(class_id, dec, table, n_controls, fast)
 
 
 compute_resource_intraday = partial(compute_intraday, RESOURCE)

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import INF, DiscreteDist, Grid, GridValueFn, MULTILINEAR
+from .core import INF, DiscreteDist, Grid
 from .intraday import FastStage, FastStageModel
 
 

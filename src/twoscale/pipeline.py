@@ -198,8 +198,14 @@ def _chosen(mode: str) -> list:
     return [dec for dec in DECOMPOSITIONS if mode in (dec.mode, "both")]
 
 
+def _intraday_path(out: Path, dec) -> Path:
+    return out / f"intraday_{dec.letter}.npz"
+
+
 def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
-    """Compute per-class resource and price intraday tables (parallel cells)."""
+    """Compute per-class resource and price intraday tables (parallel cells);
+    writes ``intraday_{R,P}.npz``, one per decomposition: the axes ``c`` and
+    ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit"], force)
     classmap, laws, _ = _load_fit(cfg, out)
@@ -208,10 +214,9 @@ def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     axes = {PRICE: cfg.pi_grid(), RESOURCE: cfg.dh_grid()}
     classes = sorted(classmap.representatives)
     jobs = {
-        (dec, cls, ci): (bat, laws[cls], c, axes[dec], cfg.n_soc, cfg.n_controls, dec.budget_axis)
+        (dec, cls, c): (bat, laws[cls], c, axes[dec], cfg.n_soc, cfg.n_controls, dec.budget_axis)
         for cls in classes
-        for ci, c in enumerate(c_grid)
-        if c != 0.0
+        for c in c_grid[1:]
         for dec in DECOMPOSITIONS
     }
     if cfg.threads > 1:
@@ -220,41 +225,58 @@ def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     else:
         done = [_cell_job(j) for j in jobs.values()]
     cells = dict(zip(jobs, done))
-    for cls in classes:
-        for dec in DECOMPOSITIONS:
+    for dec in DECOMPOSITIONS:
+        arrays = {"c": c_grid, "axis": axes[dec], "n_controls": cfg.n_controls}
+        for cls in classes:
             tab = compute_intraday(
                 dec, cls, bat, laws[cls], c_grid, axes[dec], cfg.n_soc, cfg.n_controls,
-                cell_results={ci: r for (d, k, ci), r in cells.items() if (d, k) == (dec, cls)},
+                fast=np.stack([cells.pop((dec, cls, c)) for c in c_grid[1:]]),
             )
-            with _atomic(out / f"intraday_{dec.letter}_class{cls}.json") as tmp:
-                tab.table.save_json(tmp)
-            with _atomic(out / f"fast_{dec.letter}_class{cls}.npy") as tmp, open(tmp, "wb") as fh:
-                np.save(fh, np.stack([np.stack(v) for v in tab.fast_values.values() if v]))
+            arrays[f"table_{cls}"], arrays[f"fast_{cls}"] = tab.table.values, tab.fast
+        # a file handle keeps np.savez from appending .npz to the temporary name
+        with _atomic(_intraday_path(out, dec)) as tmp, open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
     info = {"cells": len(jobs), "threads": cfg.threads}
     _update_manifest(out, cfg, "intraday", info, time.perf_counter() - t0)
     return info
 
 
+def _npy_shape(npz, name: str) -> tuple:
+    """Shape of an npz member, read from its header alone (np.save writes
+    a version 1.0 header for a float array)."""
+    with npz.zip.open(name + ".npy") as fh:
+        np.lib.format.read_magic(fh)
+        return np.lib.format.read_array_header_1_0(fh)[0]
+
+
 def _load_tables(cfg: RunConfig, out: Path, dec, classmap, with_fast: bool = False) -> dict:
-    """One decomposition's intraday tables by class; the replay tables only
-    ``with_fast``."""
-    n_c = len(cfg.c_grid())
-    tables = {}
-    for cls in sorted(classmap.representatives):
-        fast = dict.fromkeys(range(n_c))
-        if with_fast:
-            arr = np.load(out / f"fast_{dec.letter}_class{cls}.npy")
-            fast.update({ci: list(arr[ci - 1]) for ci in range(1, n_c)})
-        table = GridValueFn.load_json(out / f"intraday_{dec.letter}_class{cls}.json")
-        tables[cls] = IntradayTable(cls, dec, table, cfg.n_controls, fast)
-    return tables
-
-
-def _load_intraday(cfg: RunConfig, out: Path, with_fast: bool = False):
-    """Classmap, battery price laws, then the resource and the price tables."""
-    classmap, _, price_laws = _load_fit(cfg, out)
-    rtabs, ptabs = (_load_tables(cfg, out, dec, classmap, with_fast) for dec in (RESOURCE, PRICE))
-    return classmap, price_laws, rtabs, ptabs
+    """One decomposition's intraday tables by class, with the control count
+    they were built on; the replay tables only ``with_fast``."""
+    path = _intraday_path(out, dec)
+    if not path.exists():
+        raise MissingArtifact(f"missing artifact: {path}: run the intraday stage")
+    c_grid, axis = cfg.c_grid(), cfg.dh_grid() if dec.budget_axis else cfg.pi_grid()
+    classes = sorted(classmap.representatives)
+    members = {"c", "axis", "n_controls"} | {f"{k}_{i}" for k in ("table", "fast") for i in classes}
+    with np.load(path) as npz:
+        c, ax, n_controls = npz["c"], npz["axis"], int(npz["n_controls"])
+        fast_shape = (len(c_grid) - 1, cfg.n_slots + 1, cfg.n_soc, len(axis))
+        if not (
+            set(npz.files) == members and n_controls == cfg.n_controls
+            and np.array_equal(c, c_grid) and np.array_equal(ax, axis)
+            and all(_npy_shape(npz, f"fast_{cls}") == fast_shape for cls in classes)
+        ):
+            raise HashMismatch(
+                f"{path} does not hold the config's classes, grids and {cfg.n_controls}"
+                f" controls (it has {n_controls} controls): rerun intraday"
+            )
+        return {
+            cls: IntradayTable(
+                cls, dec, GridValueFn(Grid([c, ax]), npz[f"table_{cls}"]), n_controls,
+                npz[f"fast_{cls}"] if with_fast else None,
+            )
+            for cls in classes
+        }
 
 
 def _bellman_path(out: Path, dec) -> Path:
@@ -350,7 +372,7 @@ def stage_report(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     with _atomic(out / "gaps.csv") as tmp, open(tmp, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["day", "max_rel_gap", "gap_at_x0", "lower_at_x0", "upper_at_x0"])
-        wr.writerows([d, *(repr(col[d]) for col in cols)] for d in range(len(cols[0])))
+        wr.writerows([d, *(repr(float(col[d])) for col in cols)] for d in range(len(cols[0])))
     summary = {
         "lower_at_x0_day0": rep.lower_at_x0[0],
         "upper_at_x0_day0": rep.upper_at_x0[0],

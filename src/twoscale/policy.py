@@ -127,6 +127,8 @@ def simulate_policy(
     dec = decomposition(mode)
     if any(tab.decomposition != dec for tab in tables.values()):
         raise ValueError(f"mode {mode!r} needs {dec.mode} intraday tables")
+    if any(tab.fast is None for tab in tables.values()):
+        raise ValueError("the replay needs the intraday tables' fast values")
     built = sorted({tab.n_controls for tab in tables.values()})
     n_controls = built[0] if n_controls is None else n_controls
     if built != [n_controls]:
@@ -154,13 +156,12 @@ def simulate_policy(
         netload = scenarios.netload[:, d]
         for cv in np.unique(c):
             g = np.flatnonzero(c == cv)
-            ci = int(np.searchsorted(c_grid, cv))
-            tabs = table.fast_values[ci]
-            if cv == 0.0 or tabs is None:
+            if cv == 0.0:
                 bill = np.zeros(len(g))
                 for m in range(netload.shape[1]):
                     bill += battery.stage_cost(0.0, netload[g, m], cfg.tariff.rate(m))
             else:
+                tabs = table.fast[int(np.searchsorted(c_grid, cv)) - 1]
                 decision = select(h[g], cv, d, table, values, price_laws[d], cfg)
                 bill, soc[g], h[g], clamps = _replay_day(
                     netload[g], soc[g], h[g], cv, decision, table, tabs, controls, cfg
@@ -202,7 +203,8 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
     """One day of greedy table replay for scenarios at capacity c > 0.
 
     netload is (scenarios, slots); soc, h and the day's decision (surcharge
-    or health target) are per scenario.  Returns the bills, the end-of-day
+    or health target) are per scenario; tabs is the capacity's replay tables,
+    shape (slots + 1, soc, axis).  Returns the bills, the end-of-day
     soc and health, and per scenario the number of clamped moves.
     """
     effect = battery.control_effect(controls, cfg)
@@ -218,7 +220,7 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
         surcharge, ai = decision[:, None], np.searchsorted(axis, decision)[:, None]
     aging_cost = surcharge * usage
     soc_max = battery.soc_max(c, cfg)
-    soc_grid = soc_grid_for(c, cfg, len(tabs[0]))
+    soc_grid = soc_grid_for(c, cfg, tabs.shape[1])
     s_step = soc_grid[1] - soc_grid[0]
     bill = np.zeros(len(soc))
     clamped = np.zeros(len(soc), dtype=int)
@@ -234,7 +236,7 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
         if not feasible.any(axis=1).all():
             raise RuntimeError("no admissible control")
         si = np.clip(np.round(soc_next / s_step).astype(int), 0, len(soc_grid) - 1)
-        q = battery.stage_cost(controls, w[:, None], rate) + aging_cost + tabs[m + 1][si, ai]
+        q = battery.stage_cost(controls, w[:, None], rate) + aging_cost + tabs[m + 1, si, ai]
         q = np.where(feasible, q, INF)
         k = np.argmin(q, axis=1)
         bill += battery.stage_cost(controls[k], w, rate)

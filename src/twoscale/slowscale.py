@@ -26,7 +26,6 @@ from .core import (
     DiscreteDist,
     Grid,
     GridValueFn,
-    MULTILINEAR,
     fenchel_conjugate,
     low_add_arrays,
 )
@@ -57,11 +56,11 @@ class SlowValueSeq:
 
     @classmethod
     def on_grid(cls, kind: str, grid: Grid, values: np.ndarray) -> "SlowValueSeq":
-        """Days as read-only multilinear views into one array of shape
+        """Days as read-only views into one array of shape
         (D+2,) + grid.shape, all on the one ``grid``."""
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
-        days = tuple(GridValueFn(grid, v, interp=MULTILINEAR) for v in values)
+        days = tuple(GridValueFn(grid, v) for v in values)
         return cls(kind=kind, days=days, values=values)
 
     @property
@@ -84,7 +83,7 @@ def final_cost_fn(cfg: BatteryConfig, h_grid: np.ndarray, c_grid: np.ndarray) ->
     grid = Grid([h_grid, c_grid])
     pts = grid.points()
     vals = np.array([cfg.final_cost(h, c) for h, c in pts])
-    return GridValueFn(grid, vals, interp=MULTILINEAR)
+    return GridValueFn(grid, vals)
 
 
 def _renewal_values(
@@ -92,13 +91,14 @@ def _renewal_values(
 ) -> np.ndarray:
     """Value of installing a fresh battery of each size r > 0 on the renewal
     grid: vnext at its :func:`~twoscale.battery.fresh_state`.  Renewal states
-    must be on-grid."""
+    must be on-grid, the health within 1e-9 relative of a grid point."""
     out = []
     sizes = [r for r in cfg.renewal_grid if r > 0.0]
     for r, h_new in zip(sizes, fresh_state(sizes, cfg)[1]):
-        hi = np.searchsorted(h_grid, h_new)
+        hi = int(np.argmin(np.abs(h_grid - h_new)))
         ci = np.searchsorted(c_grid, r)
-        if hi >= len(h_grid) or h_grid[hi] != h_new or ci >= len(c_grid) or c_grid[ci] != r:
+        off_h = abs(h_grid[hi] - h_new) > 1e-9 * abs(h_new)
+        if off_h or ci >= len(c_grid) or c_grid[ci] != r:
             raise ValueError(f"renewal state ({h_new}, {r}) is not on the (h, c) grid")
         out.append((r, vnext[hi, ci]))
     return out
@@ -206,17 +206,17 @@ def generic_resource_recursion(problem) -> SlowValueSeq:
     D = problem.D
     days: list[GridValueFn] = [None] * (D + 2)
     vnext = np.asarray(problem.final_cost, dtype=float)
-    days[D + 1] = GridValueFn(grid, vnext, interp=MULTILINEAR)
+    days[D + 1] = GridValueFn(grid, vnext)
     for d in range(D, -1, -1):
         model = problem.day_model(d)
         # intraday cost as a function of (start state, target): one DP per target
         ell = np.empty((len(states), len(states)))
         for ri, r in enumerate(states):
             term_vals = np.where(states >= r - 1e-12, 0.0, INF)
-            terminal = GridValueFn(grid, term_vals, interp=MULTILINEAR)
+            terminal = GridValueFn(grid, term_vals)
             ell[:, ri] = solve_fast_dp(model, terminal).values[0].values
         vals = low_add_arrays(ell, vnext[None, :]).min(axis=1)
-        days[d] = GridValueFn(grid, vals, interp=MULTILINEAR)
+        days[d] = GridValueFn(grid, vals)
         vnext = vals
     return SlowValueSeq(kind="resource-upper", days=tuple(days))
 
@@ -233,20 +233,20 @@ def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
     price_grid = Grid([np.sort(price_points)])
     D = problem.D
     days: list[GridValueFn] = [None] * (D + 2)
-    vnext_fn = GridValueFn(grid, np.asarray(problem.final_cost, dtype=float), interp=MULTILINEAR)
+    vnext_fn = GridValueFn(grid, np.asarray(problem.final_cost, dtype=float))
     days[D + 1] = vnext_fn
     for d in range(D, -1, -1):
         model = problem.day_model(d)
         conj = fenchel_conjugate(vnext_fn, price_grid)
         cand = np.empty((len(price_grid.axes[0]), len(states)))
         for pi, p in enumerate(price_grid.axes[0]):
-            terminal = GridValueFn(grid, p * states, interp=MULTILINEAR)
+            terminal = GridValueFn(grid, p * states)
             ell_p = solve_fast_dp(model, terminal).values[0].values
             cv = conj.values[pi]
             neg_conj = -INF if (np.isposinf(cv)) else (INF if np.isneginf(cv) else -cv)
             cand[pi] = low_add_arrays(ell_p, np.full(len(states), neg_conj))
         vals = cand.max(axis=0)
-        vnext_fn = GridValueFn(grid, vals, interp=MULTILINEAR)
+        vnext_fn = GridValueFn(grid, vals)
         days[d] = vnext_fn
     return SlowValueSeq(kind="price-lower", days=tuple(days))
 
@@ -260,12 +260,12 @@ def block_bellman_solve(problem, inequality: bool = False) -> SlowValueSeq:
     D = problem.D
     days: list[GridValueFn] = [None] * (D + 2)
     vnext = np.asarray(problem.final_cost, dtype=float)
-    days[D + 1] = GridValueFn(grid, vnext, interp=MULTILINEAR)
+    days[D + 1] = GridValueFn(grid, vnext)
     for d in range(D, -1, -1):
         boundary = np.minimum.accumulate(vnext) if inequality else vnext
-        terminal = GridValueFn(grid, boundary, interp=MULTILINEAR)
+        terminal = GridValueFn(grid, boundary)
         vals = solve_fast_dp(problem.day_model(d), terminal).values[0].values
-        days[d] = GridValueFn(grid, vals, interp=MULTILINEAR)
+        days[d] = GridValueFn(grid, vals)
         vnext = vals
     return SlowValueSeq(kind="exact-oracle", days=tuple(days))
 
@@ -275,8 +275,8 @@ def check_sandwich(
 ) -> BoundReport:
     """Per-day gap report; flags grid points where lower exceeds upper.
 
-    Every day of both sequences must be a multilinear function on one grid,
-    so x0 is located on it once."""
+    Every day of both sequences must be on one grid, so x0 is located on it
+    once."""
     if len(lower.days) != len(upper.days):
         raise ValueError("sequences cover different horizons")
     n = len(lower.days)
@@ -291,8 +291,6 @@ def check_sandwich(
         lo, up = lower.days[d], upper.days[d]
         if lo.grid != grid or up.grid != grid:
             raise ValueError(f"grid mismatch at day {d}")
-        if lo.interp != MULTILINEAR or up.interp != MULTILINEAR:
-            raise ValueError(f"day {d} is not multilinear")
         lv, uv = lo.values, up.values
         denom = np.maximum(np.abs(lv), 1e-9)
         rel = (uv - lv) / denom

@@ -18,7 +18,7 @@ import pytest
 
 from twoscale.battery import white_noise_resample
 from twoscale.config import RunConfig
-from twoscale.intraday import compute_price_intraday, compute_resource_intraday
+from twoscale.intraday import PRICE, RESOURCE, compute_price_intraday, compute_resource_intraday
 from twoscale.oracle import (
     TinyProblem,
     _fields,
@@ -29,7 +29,7 @@ from twoscale.oracle import (
 )
 from twoscale.pipeline import (
     _load_fit,
-    _load_intraday,
+    _load_tables,
     load_value_seq,
     stage_bellman,
     stage_fit,
@@ -130,11 +130,7 @@ def test_criterion_05_same_class_days_share_bitexact_tables():
     p_day365 = compute_price_intraday(1, cfg, laws, c_grid, pi_grid, 5, 5)
     assert blob(r_day0) == blob(r_day365)
     assert blob(p_day0) == blob(p_day365)
-    for ci in r_day0.fast_values:
-        if r_day0.fast_values[ci] is None:
-            continue
-        for a, b in zip(r_day0.fast_values[ci], r_day365.fast_values[ci]):
-            assert a.tobytes() == b.tobytes()
+    assert r_day0.fast.tobytes() == r_day365.fast.tobytes()
 
 
 def test_criterion_06_desk_values_nonincreasing_in_health(desk_run):
@@ -169,14 +165,12 @@ def test_criterion_08_simulation_consistency(desk_run):
     # replay a scenario subset in process to inspect the trajectories; the
     # simulator itself raises on any admissibility violation, so the stage
     # completing above already covers all scenarios
-    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out, with_fast=True)
-    _, laws, _ = _load_fit(cfg, out)
+    classmap, laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     scen = white_noise_resample(laws, price_laws, classmap, 10, cfg.seed, cfg.D + 1)
-    for mode, tabs in (("price", ptabs), ("resource", rtabs)):
-        values = load_value_seq(
-            cfg, out, "price-lower" if mode == "price" else "resource-upper"
-        )
+    for dec in (PRICE, RESOURCE):
+        mode, tabs = dec.mode, _load_tables(cfg, out, dec, classmap, with_fast=True)
+        values = load_value_seq(cfg, out, dec.kind)
         records, _ = simulate_policy(
             scen, mode, tabs, values, price_laws, classmap, bat,
             n_controls=cfg.n_controls,

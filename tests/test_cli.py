@@ -143,6 +143,23 @@ def test_forced_report_on_another_horizon_exit_code(runner, tmp_path):
     assert "rerun bellman" in res.output
 
 
+@pytest.mark.parametrize(
+    "stage, change",
+    [("simulate", {"n_controls": 7}), ("bellman", {"c_max": 300.0, "h_points": 13})],
+)
+def test_forced_stage_on_other_intraday_grids_exit_code(runner, tmp_path, stage, change):
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, TINY)
+    for done in ("fit", "intraday", "bellman"):
+        res = runner.invoke(main, [done, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{done}: {res.output}"
+    cfg = write_config(tmp_path, {**TINY, **change})
+    res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out), "--force"])
+    assert res.exit_code == 2, res.output
+    assert "rerun intraday" in res.output
+    assert not list(out.glob("sim_*"))
+
+
 def test_bad_netload_csv_exit_code(runner, tmp_path):
     csv_path = tmp_path / "netload.csv"
     csv_path.write_text("scenario,day,slot,netload_kwh\n0,0,0,1.0\n")
@@ -239,7 +256,9 @@ def test_intraday_parallel_matches_serial(runner, tmp_path):
         for stage in ("fit", "intraday"):
             res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
             assert res.exit_code == 0, f"{stage}: {res.output}"
-    for path in sorted(out1.glob("intraday_*.json")) + sorted(out1.glob("fast_*.npy")):
+    paths = sorted(out1.glob("intraday_*.npz"))
+    assert [path.name for path in paths] == ["intraday_P.npz", "intraday_R.npz"]
+    for path in paths:
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
 
 

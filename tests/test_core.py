@@ -15,8 +15,6 @@ from twoscale.core import (
     DiscreteDist,
     Grid,
     GridValueFn,
-    MULTILINEAR,
-    NEAREST,
     fenchel_conjugate,
     low_add,
     low_add_arrays,
@@ -89,17 +87,15 @@ def test_grid_is_immutable():
 
 def test_eval_gridfn_examples():
     g = Grid([[0.0, 1.0, 2.0]])
-    f_near = GridValueFn(g, np.array([0.0, 1.0, 2.0]), interp=NEAREST)
-    f_lin = GridValueFn(g, np.array([0.0, 1.0, 2.0]), interp=MULTILINEAR)
-    assert f_near([1.0]) == 1.0
+    f_lin = GridValueFn(g, np.array([0.0, 1.0, 2.0]))
     assert f_lin([0.5]) == 0.5
-    f_inf = GridValueFn(g, np.array([INF, 0.0, 2.0]), interp=MULTILINEAR)
+    f_inf = GridValueFn(g, np.array([INF, 0.0, 2.0]))
     assert f_inf([0.5]) == INF
 
 
 def test_multilinear_zero_weight_corner_ignores_infinity():
     g = Grid([[0.0, 1.0]])
-    f = GridValueFn(g, np.array([INF, 3.0]), interp=MULTILINEAR)
+    f = GridValueFn(g, np.array([INF, 3.0]))
     # querying exactly at the finite vertex puts weight 0 on the +inf corner
     assert f([1.0]) == 3.0
     assert f([0.0]) == INF
@@ -107,19 +103,13 @@ def test_multilinear_zero_weight_corner_ignores_infinity():
 
 def test_multilinear_neg_inf_dominates():
     g = Grid([[0.0, 1.0]])
-    f = GridValueFn(g, np.array([-INF, INF]), interp=MULTILINEAR)
+    f = GridValueFn(g, np.array([-INF, INF]))
     assert f([0.5]) == -INF
-
-
-def test_nearest_ties_break_to_smaller_index():
-    g = Grid([[0.0, 1.0]])
-    f = GridValueFn(g, np.array([10.0, 20.0]), interp=NEAREST)
-    assert f([0.5]) == 10.0
 
 
 def test_out_of_range_queries_clamp():
     g = Grid([[0.0, 1.0, 2.0]])
-    f = GridValueFn(g, np.array([5.0, 1.0, 7.0]), interp=MULTILINEAR)
+    f = GridValueFn(g, np.array([5.0, 1.0, 7.0]))
     assert f([-100.0]) == 5.0
     assert f([100.0]) == 7.0
 
@@ -135,7 +125,7 @@ def test_gridfn_2d_bilinear():
     g = Grid([[0.0, 1.0], [0.0, 1.0]])
     # f(x, y) = 2x + 3y is reproduced exactly by bilinear interpolation
     vals = np.array([[0.0, 3.0], [2.0, 5.0]])
-    f = GridValueFn(g, vals, interp=MULTILINEAR)
+    f = GridValueFn(g, vals)
     assert f([0.25, 0.5]) == pytest.approx(0.5 + 1.5, abs=1e-12)
 
 
@@ -148,13 +138,12 @@ def test_gridfn_values_size_check():
 def test_gridfn_json_roundtrip_with_infinities(tmp_path):
     g = Grid([[0.0, 1.0, 2.0], [0.0, 1.0]])
     vals = np.array([[INF, 0.5], [-INF, 2.0], [1.0, 3.0]])
-    f = GridValueFn(g, vals, interp=MULTILINEAR)
+    f = GridValueFn(g, vals)
     path = tmp_path / "fn.json"
     f.save_json(path)
     g2 = GridValueFn.load_json(path)
     assert g2.grid == f.grid
     assert np.array_equal(g2.values, f.values)
-    assert g2.interp == f.interp
     # sentinel encoding of infinities in the JSON text
     text = path.read_text()
     assert '"inf"' in text and '"-inf"' in text

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twoscale.battery import Tariff
-from twoscale.core import INF, DiscreteDist, Grid, GridValueFn, MULTILINEAR
+from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
 from twoscale.intraday import (
     FastStage,
     FastStageModel,
@@ -370,13 +370,19 @@ def test_periodicity_bit_exact_tables(world):
     pa = compute_price_intraday(1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
     pb = compute_price_intraday(1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
     assert json.dumps(pa.table.to_jsonable()) == json.dumps(pb.table.to_jsonable())
-    for ci in range(1, len(world["c_grid"])):
-        for ta, tb in zip(a.fast_values[ci], b.fast_values[ci]):
-            assert np.array_equal(ta, tb)
+    assert a.fast.shape == (len(world["c_grid"]) - 1, len(laws) + 1, N_SOC, len(world["dh_grid"]))
+    assert np.array_equal(a.fast, b.fast)
 
 
 def test_negative_surcharge_rejected(world):
     with pytest.raises(ValueError):
         compute_price_intraday(
             1, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0])
+        )
+
+
+def test_capacity_grid_not_from_zero_rejected(world):
+    with pytest.raises(ValueError, match="start at c = 0"):
+        compute_price_intraday(
+            1, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"]
         )

@@ -1,15 +1,16 @@
-"""Stage artifacts: the fit laws, the value-function files of the bellman
-stage, and atomic writes."""
+"""Stage artifacts: the fit laws, the intraday and value-function files, the
+gap report, and atomic writes."""
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from twoscale.config import RunConfig
-from twoscale.intraday import PRICE, RESOURCE
+from twoscale.intraday import PRICE, RESOURCE, compute_intraday
 from twoscale.pipeline import (
     HashMismatch,
     _load_fit,
@@ -54,6 +55,57 @@ def test_fit_laws_in_one_file(bellman_run):
             assert law.probs.tolist() == rec["probs"]
 
 
+def test_intraday_file_holds_one_npz_per_decomposition(bellman_run):
+    names = sorted(
+        p.name for p in bellman_run.iterdir() if p.name.startswith(("intraday_", "fast_"))
+    )
+    assert names == ["intraday_P.npz", "intraday_R.npz"]
+    n_c = len(CFG.c_grid())
+    for dec, axis in ((PRICE, CFG.pi_grid()), (RESOURCE, CFG.dh_grid())):
+        with np.load(bellman_run / f"intraday_{dec.letter}.npz") as npz:
+            assert sorted(npz.files) == ["axis", "c", "fast_1", "n_controls", "table_1"]
+            assert np.array_equal(npz["c"], CFG.c_grid())
+            assert np.array_equal(npz["axis"], axis)
+            assert int(npz["n_controls"]) == CFG.n_controls
+            table, fast = npz["table_1"], npz["fast_1"]
+        assert table.shape == (n_c, len(axis))
+        assert fast.shape == (n_c - 1, CFG.n_slots + 1, CFG.n_soc, len(axis))
+        # a capacity's day-table row is the day-start (soc = 0) row of its replay tables
+        assert np.array_equal(table[1:], fast[:, 0, 0, :])
+
+
+def test_intraday_tables_round_trip_bit_equal(bellman_run):
+    classmap, laws, _ = _load_fit(CFG, bellman_run)
+    bat = CFG.battery_config()
+    for dec, axis in ((PRICE, CFG.pi_grid()), (RESOURCE, CFG.dh_grid())):
+        ref = compute_intraday(
+            dec, 1, bat, laws[1], CFG.c_grid(), axis, CFG.n_soc, CFG.n_controls
+        )
+        short = _load_tables(CFG, bellman_run, dec, classmap)
+        full = _load_tables(CFG, bellman_run, dec, classmap, with_fast=True)
+        for tabs in (short, full):
+            assert sorted(tabs) == [1]
+            tab = tabs[1]
+            assert tab.decomposition == dec and tab.n_controls == CFG.n_controls
+            assert tab.table.grid == ref.table.grid
+            assert tab.table.values.tobytes() == ref.table.values.tobytes()
+        assert short[1].fast is None
+        assert full[1].fast.tobytes() == ref.fast.tobytes()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"n_controls": 7}, {"c_max": 300.0, "h_points": 13}, {"pi_values": (0.0, 0.2)}, {"n_soc": 11}],
+)
+def test_intraday_file_of_another_config_is_rejected(bellman_run, change):
+    other = RunConfig(**{**CFG.to_dict(), **change})
+    classmap, _, _ = _load_fit(CFG, bellman_run)
+    for dec in (PRICE,) if "pi_values" in change else (PRICE, RESOURCE):
+        for with_fast in (False, True):
+            with pytest.raises(HashMismatch, match="rerun intraday"):
+                _load_tables(other, bellman_run, dec, classmap, with_fast)
+
+
 def test_value_files_round_trip_bit_equal(bellman_run):
     out = bellman_run
     classmap, _, price_laws = _load_fit(CFG, out)
@@ -91,18 +143,19 @@ def test_value_file_of_another_config_is_rejected(bellman_run):
 
 
 def test_interrupted_write_keeps_the_previous_file(bellman_run, monkeypatch):
-    path = bellman_run / "bellman_P.npz"
-    before = path.read_bytes()
-
     def broken_savez(fh, **arrays):
         fh.write(b"partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez", broken_savez)
-    with pytest.raises(OSError, match="disk full"):
-        stage_bellman(CFG, bellman_run, mode="price")
-    assert path.read_bytes() == before
-    assert not list(bellman_run.glob("*.tmp"))
+    for stage, name in ((stage_bellman, "bellman_P.npz"), (stage_intraday, "intraday_P.npz")):
+        path = bellman_run / name
+        before = path.read_bytes()
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            stage(CFG, bellman_run)
+        monkeypatch.undo()
+        assert path.read_bytes() == before, name
+        assert not list(bellman_run.glob("*.tmp")), name
 
     # a JSON artifact, then the manifest, which is written last
     monkeypatch.undo()
@@ -122,3 +175,32 @@ def test_interrupted_write_keeps_the_previous_file(bellman_run, monkeypatch):
             stage_report(CFG, bellman_run)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in bellman_run.iterdir()} == before, name
+
+
+def test_gaps_csv_holds_plain_floats(bellman_run):
+    summary = stage_report(CFG, bellman_run)
+    with open(bellman_run / "gaps.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["day", "max_rel_gap", "gap_at_x0", "lower_at_x0", "upper_at_x0"]
+    assert [int(row[0]) for row in rows] == list(range(CFG.D + 2))
+    for row in rows:
+        for cell in row[1:]:
+            assert repr(float(cell)) == cell
+    assert float(rows[0][3]) == summary["lower_at_x0_day0"]
+
+
+@pytest.mark.parametrize("h_points", [13, 10])
+def test_fractional_capacity_steps(tmp_path, h_points):
+    # 0.3 / 0.1 is 2.9999999999999996; with 10 health points the renewal
+    # health 4 * 0.1 = 0.39999999999999997 is one ulp off the grid's 0.4
+    cfg = RunConfig(**{
+        **CFG.to_dict(), "c_step": 0.1, "c_max": 0.3, "h_points": h_points, "dh_cap": 0.6,
+        "u_max": 0.1,
+    })
+    assert cfg.c_grid()[-1] == 0.3
+    stage_fit(cfg, tmp_path)
+    stage_intraday(cfg, tmp_path)
+    stage_bellman(cfg, tmp_path)
+    report = stage_report(cfg, tmp_path)
+    assert report["violations"] == 0
+    assert 0.0 < report["lower_at_x0_day0"] <= report["upper_at_x0_day0"]

@@ -9,13 +9,15 @@ from twoscale.battery import ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import (
+    PRICE,
+    RESOURCE,
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
 )
 from twoscale.pipeline import (
     _load_fit,
-    _load_intraday,
+    _load_tables,
     load_value_seq,
     stage_bellman,
     stage_fit,
@@ -271,25 +273,25 @@ def test_simulate_stage_replays_on_the_configured_control_grid(few_controls):
 
 def test_replay_defaults_to_the_tables_control_grid(few_controls):
     cfg, out = few_controls
-    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out, with_fast=True)
-    _, laws, _ = _load_fit(cfg, out)
+    classmap, laws, price_laws = _load_fit(cfg, out)
     scen = white_noise_resample(laws, price_laws, classmap, cfg.scenarios, cfg.seed, cfg.D + 1)
     lower = load_value_seq(cfg, out, "price-lower").days[0].values[0, 0]
-    for mode, tabs, kind in (("price", ptabs, "price-lower"), ("resource", rtabs, "resource-upper")):
-        values = load_value_seq(cfg, out, kind)
+    for dec in (PRICE, RESOURCE):
+        tabs = _load_tables(cfg, out, dec, classmap, with_fast=True)
+        values = load_value_seq(cfg, out, dec.kind)
         _, stats = simulate_policy(
-            scen, mode, tabs, values, price_laws, classmap, cfg.battery_config()
+            scen, dec.mode, tabs, values, price_laws, classmap, cfg.battery_config()
         )
-        assert stats.mean >= lower - 3.0 * stats.stderr, mode
+        assert stats.mean >= lower - 3.0 * stats.stderr, dec.mode
 
 
 def test_scenarios_replayed_together_match_each_replayed_alone(few_controls):
     cfg, out = few_controls
-    classmap, price_laws, rtabs, ptabs = _load_intraday(cfg, out, with_fast=True)
-    _, laws, _ = _load_fit(cfg, out)
+    classmap, laws, price_laws = _load_fit(cfg, out)
     scen = white_noise_resample(laws, price_laws, classmap, 12, cfg.seed, cfg.D + 1)
-    for mode, tabs, kind in (("price", ptabs, "price-lower"), ("resource", rtabs, "resource-upper")):
-        values = load_value_seq(cfg, out, kind)
+    for dec in (PRICE, RESOURCE):
+        mode, tabs = dec.mode, _load_tables(cfg, out, dec, classmap, with_fast=True)
+        values = load_value_seq(cfg, out, dec.kind)
         args = (mode, tabs, values, price_laws, classmap, cfg.battery_config())
         together, _ = simulate_policy(scen, *args)
         capacities = {tuple(rec.states[d].capacity for rec in together) for d in range(cfg.D + 2)}
