@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import BatteryConfig, DEFAULT_PRICE_FORECAST, tariff_for_slots
+from .battery import BatteryConfig, DEFAULT_PRICE_FORECAST, interp_price_forecast, tariff_for_slots
+from .intraday import build_periodicity_classes
 
 
 class ConfigError(ValueError):
@@ -32,10 +33,12 @@ class _ConstantCycles:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every key of a run, checked at construction; ``classmap`` (not a key)
+    maps days 0..D to the ``n_classes`` trimester periodicity classes."""
+
     D: int = 365
     n_slots: int = 48
     n_classes: int = 4
-    class_scheme: str = "trimester"
     c_step: float = 100.0
     c_max: float = 1500.0
     dh_points: int = 61
@@ -64,8 +67,8 @@ class RunConfig:
     netload_base_kw: float = 40.0
 
     def __post_init__(self):
-        if self.D < 0 or self.n_slots < 1 or self.scenarios < 1:
-            raise ConfigError("D, n_slots and scenarios must be positive")
+        if self.D < 0 or self.n_slots < 1 or self.scenarios < 1 or self.fit_scenarios < 1:
+            raise ConfigError("D, n_slots, scenarios and fit_scenarios must be positive")
         if self.c_step <= 0 or self.c_max <= 0 or self.dh_cap <= 0:
             raise ConfigError("grid extents must be positive")
         if self.fit_k < 1 or self.price_atoms < 1:
@@ -90,12 +93,19 @@ class RunConfig:
         # the grid: r = c_max * k / n lands on h point (h_points - 1) * k / n
         c_grid = self.c_grid()
         n = len(c_grid) - 1
-        if (self.h_points - 1) % n:
+        if self.h_points - 1 < n or (self.h_points - 1) % n:
             r = c_grid[1]
             raise ConfigError(
                 f"renewal state ({self.cycle_multiple * r}, {r}) is not on the (h, c) grid:"
-                f" h_points - 1 must be a multiple of {n}"
+                f" h_points - 1 must be a positive multiple of {n}"
             )
+        try:
+            self.battery_config()
+            interp_price_forecast(self.price_forecast, self.D + 1)
+            classmap = build_periodicity_classes(self.D, self.n_classes, "trimester")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "classmap", classmap)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":

@@ -260,7 +260,7 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
     for i in range(n_instances):
         p = random_tiny_problem(seed + i)
         flat = flat_dp_solve(p)
-        block = block_bellman_solve(p, inequality=p.inequality).days[0].values
+        block = block_bellman_solve(p, inequality=p.inequality).values[0]
         if np.max(np.abs(flat - block)) > 1e-9:
             ok, detail = False, f"seed {seed + i}: max err {np.max(np.abs(flat - block))}"
             break
@@ -292,8 +292,8 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
         p = random_tiny_problem(seed + i, monotone=True)
         p_rel = TinyProblem(**{**_fields(p), "inequality": True})
         exact = flat_dp_solve(p_rel)
-        upper = generic_resource_recursion(p_rel).days[0].values
-        lower = generic_price_recursion(p_rel, prices).days[0].values
+        upper = generic_resource_recursion(p_rel).values[0]
+        lower = generic_price_recursion(p_rel, prices).values[0]
         if np.max(lower - exact) > 1e-9 or np.max(exact - upper) > 1e-9:
             ok, detail = False, f"seed {seed + i}: sandwich violated"
             break

@@ -39,7 +39,6 @@ from .intraday import (
     IntradayTable,
     PeriodicityClassMap,
     _fast_cell,
-    build_periodicity_classes,
     compute_intraday,
     decomposition,
 )
@@ -147,7 +146,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad input data: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
-    classmap = build_periodicity_classes(cfg.D, cfg.n_classes, cfg.class_scheme)
+    classmap = cfg.classmap
     n_days = cfg.D + 1
     if netload is None:
         netload = synthetic_netload_scenarios(
@@ -301,13 +300,13 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
         with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:
             np.savez(fh, h=h_grid, c=c_grid, values=seq.values)
         bound = "upper" if dec.budget_axis else "lower"
-        info[f"{bound}_at_origin"] = float(seq.days[0].values[0, 0])
+        info[f"{bound}_at_origin"] = float(seq.values[0, 0, 0])
     _update_manifest(out, cfg, "bellman", info, time.perf_counter() - t0)
     return info
 
 
 def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
-    """One decomposition's value functions, as views on one shared grid."""
+    """One decomposition's value functions, every day on the config's grid."""
     path = _bellman_path(out, decomposition(kind))
     if not path.exists():
         raise MissingArtifact(f"missing artifact: {path}: run the bellman stage for {kind}")
@@ -320,7 +319,7 @@ def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
             f"{path} holds values of shape {values.shape} on {len(h)} health and {len(c)}"
             f" capacity points, not the config's (D+2, h, c) = {want} grid: rerun bellman"
         )
-    return SlowValueSeq.on_grid(kind, Grid([h, c]), values)
+    return SlowValueSeq(kind, Grid([h, c]), values)
 
 
 def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:

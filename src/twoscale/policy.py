@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDist, INF
+from .core import DiscreteDist, GridValueFn, INF
 from . import battery
 from .battery import BatteryConfig, BatteryState, ScenarioSet
 from .intraday import IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for
-from .slowscale import SlowValueSeq, day_continuation, day_objective
+from .slowscale import SlowValueSeq, day_continuation, day_objective, renewal_states
 
 ADMISS_TOL = 1e-6
 
@@ -46,11 +46,12 @@ def _best_on_axis(
 ):
     """The point of the table's day axis at the first argmax (price) or argmin
     (resource) of the day objective at capacity c, per health value in h."""
-    h_grid, c_grid = values.days[day].grid.axes
+    h_grid, c_grid = values.grid.axes
     ci = int(np.searchsorted(c_grid, c))
-    cont = day_continuation(values.days[day + 1].values, price_law, cfg, h_grid, c_grid)
+    renewal = renewal_states(h_grid, c_grid, cfg)
+    cont = day_continuation(values.values[day + 1], price_law, cfg, renewal)
     h = np.asarray(h, dtype=float)
-    obj = day_objective(table, np.atleast_1d(h), ci, cont, h_grid, ADMISS_TOL)
+    obj = day_objective(table, np.atleast_1d(h), [ci], cont, h_grid, ADMISS_TOL)[0]
     pick = np.argmin if table.decomposition.budget_axis else np.argmax
     best = table.axis[pick(obj, axis=1)]
     return float(best[0]) if h.ndim == 0 else best
@@ -85,7 +86,7 @@ def _choose_renewal(
     price atom nearest the realized battery price; ties keep the smaller size."""
     diffs = np.abs(price_law.support[None, :] - price_real[:, None])
     p_hat = price_law.support[np.argmin(diffs, axis=1)]
-    vnext = values.days[day + 1]
+    vnext = GridValueFn(values.grid, values.values[day + 1])
     gamma = cfg.gamma
     best_r = np.zeros(len(c))
     best_v = gamma * vnext.eval_many(np.column_stack([np.maximum(h_end, 0.0), c]))
@@ -109,16 +110,15 @@ def simulate_policy(
     price_laws: list[DiscreteDist],
     classmap: PeriodicityClassMap,
     cfg: BatteryConfig,
-    x0: BatteryState = BatteryState(0.0, 0.0, 0.0),
-    n_controls: int | None = None,
 ) -> tuple[list[SimulationRecord], SimulationStats]:
     """Replay the chosen decomposition's policy on every scenario.
 
     mode is "price" or "resource"; ``tables`` maps class id to the matching
-    intraday table.  The replay uses the control grid the tables were built
-    on; ``n_controls``, if given, must equal it.  Cost accounting matches the
-    offline recursions: day d's bill and renewal purchase are weighted by
-    gamma^d, the final cost by gamma^(D+1).
+    intraday table; every scenario starts with no battery, at (soc, health,
+    capacity) = (0, 0, 0).  The replay uses the control grid the tables were
+    built on, which must be the same for every class.  Cost accounting
+    matches the offline recursions: day d's bill and renewal purchase are
+    weighted by gamma^d, the final cost by gamma^(D+1).
 
     Scenarios advance together, day by day; within a day those at the same
     capacity share one slot loop over (scenario, control) arrays.  Every
@@ -130,25 +130,22 @@ def simulate_policy(
     if any(tab.fast is None for tab in tables.values()):
         raise ValueError("the replay needs the intraday tables' fast values")
     built = sorted({tab.n_controls for tab in tables.values()})
-    n_controls = built[0] if n_controls is None else n_controls
-    if built != [n_controls]:
-        raise ValueError(f"intraday tables were built on {built} controls, not {n_controls}")
+    if len(built) != 1:
+        raise ValueError(f"intraday tables were built on {built} controls, not one grid")
     D = values.horizon
     if scenarios.n_days < D + 1:
         raise ValueError(
             f"scenarios cover {scenarios.n_days} days, horizon needs {D + 1}"
         )
     select = select_resource if dec.budget_axis else select_price
-    controls = control_grid(cfg, n_controls)
-    c_grid = values.days[0].grid.axes[1]
+    controls = control_grid(cfg, built[0])
+    c_grid = values.grid.axes[1]
     n = scenarios.n_scenarios
-    soc = np.full(n, float(x0.soc))
-    h = np.full(n, float(x0.health))
-    c = np.full(n, float(x0.capacity))
+    soc, h, c = np.zeros(n), np.zeros(n), np.zeros(n)
     total = np.zeros(n)
     clamped = np.zeros(n, dtype=int)
     bills = np.empty((D + 1, n))
-    states = [[x0] for _ in range(n)]
+    states = [[BatteryState(0.0, 0.0, 0.0)] for _ in range(n)]
     renewals = [[] for _ in range(n)]
     disc = 1.0
     for d in range(D + 1):

@@ -7,11 +7,13 @@ Two bounding sequences are computed backward over days:
 - the price recursion dualizes the health decrement with a deterministic
   nonnegative surcharge, giving a lower bound via conjugation.
 
-The battery recursions work on an (health, capacity) grid and share one day
-loop: each day takes the min (resource) or max (price), over the day axis of
-the intraday tables (orientation (c, axis)), of :func:`day_objective`, which
-the online policies reuse.  The generic recursions accept any day-decomposed
-model and are exercised by the desk-scale oracles.
+Every recursion fills one array of shape (D+2,) + grid.shape, a
+:class:`SlowValueSeq`, in one backward day loop.  The battery recursions work
+on an (health, capacity) grid: each day takes the min (resource) or max
+(price), over the day axis of the intraday tables (orientation (c, axis)), of
+:func:`day_objective` at every capacity at once, which the online policies
+reuse.  The generic recursions accept any day-decomposed model and are
+exercised by the desk-scale oracles.
 """
 
 from __future__ import annotations
@@ -21,51 +23,51 @@ from functools import partial
 
 import numpy as np
 
-from .core import (
-    INF,
-    DiscreteDist,
-    Grid,
-    GridValueFn,
-    fenchel_conjugate,
-    low_add_arrays,
-)
+from .core import INF, DiscreteDist, Grid, GridValueFn, fenchel_conjugate, low_add_arrays
 from .battery import BatteryConfig, fresh_state
-from .intraday import (
-    FEAS_TOL,
-    PRICE,
-    RESOURCE,
-    Decomposition,
-    IntradayTable,
-    PeriodicityClassMap,
-    solve_fast_dp,
-)
+from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable, PeriodicityClassMap
+from .intraday import solve_fast_dp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlowValueSeq:
-    """Per-day value functions, index d in 0..D+1; entry D+1 is the final cost."""
+    """Per-day values on one grid: ``values[d]`` over ``grid`` for d in
+    0..D+1, entry D+1 being the final cost; read-only, shape
+    (D+2,) + grid.shape."""
 
     kind: str  # price-lower | resource-upper | exact-oracle
-    days: tuple
-    # the (D+2,) + grid.shape array the days are views of, when they share one
-    values: np.ndarray | None = field(default=None, compare=False, repr=False)
+    grid: Grid
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.kind not in ("price-lower", "resource-upper", "exact-oracle"):
             raise ValueError(f"unknown kind {self.kind!r}")
-
-    @classmethod
-    def on_grid(cls, kind: str, grid: Grid, values: np.ndarray) -> "SlowValueSeq":
-        """Days as read-only views into one array of shape
-        (D+2,) + grid.shape, all on the one ``grid``."""
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if values.shape[1:] != self.grid.shape or len(values) < 2:
+            raise ValueError(
+                f"values of shape {values.shape} are not (D+2,) + {self.grid.shape}"
+            )
         values.setflags(write=False)
-        days = tuple(GridValueFn(grid, v) for v in values)
-        return cls(kind=kind, days=days, values=values)
+        object.__setattr__(self, "values", values)
 
     @property
     def horizon(self) -> int:
-        return len(self.days) - 2
+        return len(self.values) - 2
+
+    @property
+    def days(self) -> tuple:
+        """Every day's value function, a read-only view of ``values[d]``."""
+        return tuple(GridValueFn(self.grid, v) for v in self.values)
+
+
+def _backward(kind: str, grid: Grid, final, D: int, day) -> SlowValueSeq:
+    """The slow-scale backward loop: values[D+1] = final, then
+    values[d] = day(d, values[d+1]) for d = D..0."""
+    values = np.empty((D + 2,) + grid.shape)
+    values[D + 1] = final
+    for d in range(D, -1, -1):
+        values[d] = day(d, values[d + 1])
+    return SlowValueSeq(kind, grid, values)
 
 
 @dataclass(frozen=True)
@@ -79,47 +81,36 @@ class BoundReport:
     violations: int  # grid points with lower > upper beyond tolerance
 
 
-def final_cost_fn(cfg: BatteryConfig, h_grid: np.ndarray, c_grid: np.ndarray) -> GridValueFn:
-    grid = Grid([h_grid, c_grid])
-    pts = grid.points()
-    vals = np.array([cfg.final_cost(h, c) for h, c in pts])
-    return GridValueFn(grid, vals)
-
-
-def _renewal_values(
-    vnext: np.ndarray, h_grid: np.ndarray, c_grid: np.ndarray, cfg: BatteryConfig
-) -> np.ndarray:
-    """Value of installing a fresh battery of each size r > 0 on the renewal
-    grid: vnext at its :func:`~twoscale.battery.fresh_state`.  Renewal states
-    must be on-grid, the health within 1e-9 relative of a grid point."""
-    out = []
-    sizes = [r for r in cfg.renewal_grid if r > 0.0]
-    for r, h_new in zip(sizes, fresh_state(sizes, cfg)[1]):
-        hi = int(np.argmin(np.abs(h_grid - h_new)))
-        ci = np.searchsorted(c_grid, r)
-        off_h = abs(h_grid[hi] - h_new) > 1e-9 * abs(h_new)
-        if off_h or ci >= len(c_grid) or c_grid[ci] != r:
-            raise ValueError(f"renewal state ({h_new}, {r}) is not on the (h, c) grid")
-        out.append((r, vnext[hi, ci]))
-    return out
+def renewal_states(
+    h_grid: np.ndarray, c_grid: np.ndarray, cfg: BatteryConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every size r > 0 on the renewal grid, with the (h, c) grid indices of
+    its :func:`~twoscale.battery.fresh_state`.  Renewal states must be
+    on-grid, the health within 1e-9 relative of a grid point."""
+    sizes = np.array([r for r in cfg.renewal_grid if r > 0.0], dtype=float)
+    h_new = fresh_state(sizes, cfg)[1]
+    hi = np.abs(h_grid[None, :] - h_new[:, None]).argmin(axis=1)
+    ci = np.minimum(np.searchsorted(c_grid, sizes), len(c_grid) - 1)
+    off = (np.abs(h_grid[hi] - h_new) > 1e-9 * np.abs(h_new)) | (c_grid[ci] != sizes)
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"renewal state ({h_new[k]}, {sizes[k]}) is not on the (h, c) grid")
+    return sizes, hi, ci
 
 
 def day_continuation(
-    vnext: np.ndarray, price_law: DiscreteDist, cfg: BatteryConfig,
-    h_grid: np.ndarray, c_grid: np.ndarray,
+    vnext: np.ndarray, price_law: DiscreteDist, cfg: BatteryConfig, renewal: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A day's discounted continuation from tomorrow's values over (h, c):
     disc = gamma * vnext, and per battery-price atom p its probability and the
-    cheapest fresh battery, min over sizes r > 0 of p * r + disc at the fresh
-    state (+inf with no size to buy)."""
+    cheapest fresh battery, min over the :func:`renewal_states` r of
+    p * r + disc at the fresh state (+inf with no size to buy)."""
     disc = cfg.gamma * vnext
-    renewals = _renewal_values(disc, h_grid, c_grid, cfg)
-    probs, best_buy = [], []
-    for p, prob in price_law.atoms():
-        cands = [float(p) * r + v for r, v in renewals]
-        best_buy.append(min(cands) if cands else INF)
-        probs.append(prob)
-    return disc, np.asarray(probs), np.asarray(best_buy)
+    sizes, hi, ci = renewal
+    atoms = price_law.probs > 0.0
+    prices, probs = price_law.support[atoms], price_law.probs[atoms]
+    buy = prices[:, None] * sizes[None, :] + disc[hi, ci][None, :]
+    return disc, probs, buy.min(axis=1, initial=INF)
 
 
 def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.ndarray:
@@ -131,12 +122,35 @@ def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.nda
     return out
 
 
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, f)`` for every row f of ``fp`` at once, shape
+    fp.shape[:1] + x.shape, with np.interp's float operations: f[j] at a grid
+    point xp[j] and beyond the ends, else the slope (f[j+1] - f[j]) /
+    (xp[j+1] - xp[j]) times x - xp[j] plus f[j], retried from xp[j+1] where
+    that is NaN."""
+    x = np.clip(x, xp[0], xp[-1])
+    j = np.searchsorted(xp, x, side="right") - 1
+    xj = xp[j]
+    with np.errstate(invalid="ignore"):
+        # slope[n-1] pads the last point, where x == xp[j] picks f0 anyway
+        slope = np.concatenate([np.diff(fp) / np.diff(xp), np.zeros((len(fp), 1))], axis=1)
+        s, f0 = np.take(slope, j, axis=1), np.take(fp, j, axis=1)
+        out = np.where(x == xj, f0, s * (x - xj) + f0)
+        nan = np.isnan(out)
+        if nan.any():
+            k = np.minimum(j + 1, len(xp) - 1)
+            f1 = np.take(fp, k, axis=1)
+            back = s * (x - xp[k]) + f1
+            out = np.where(nan, np.where(np.isnan(back) & (f0 == f1), f0, back), out)
+    return out
+
+
 def day_objective(
-    table: IntradayTable, h: np.ndarray, ci: int, continuation, h_grid: np.ndarray, tol: float
+    table: IntradayTable, h: np.ndarray, ci, continuation, h_grid: np.ndarray, tol: float
 ) -> np.ndarray:
-    """A day's objective at health values h and capacity index ci, shaped
-    (len(h), len(table.axis)); the day's value is its min (resource) or max
-    (price) over the axis.
+    """A day's objective at health values h and capacity indices ci (an index
+    array or a slice), shaped (len(ci), len(h), len(table.axis)); the day's
+    value is its min (resource) or max (price) over the axis.
 
     Resource: the intraday cost of budget dh plus the expected continuation at
     tomorrow's health h - dh, +inf where h - dh < -tol.  Price: the intraday
@@ -147,12 +161,13 @@ def day_objective(
     ell, axis = table.table.values[ci], table.axis
     if table.decomposition.budget_axis:
         h_next = h[:, None] - axis[None, :]
-        keep = np.interp(np.maximum(h_next, 0.0), h_grid, disc[:, ci])
-        return np.where(h_next >= -tol, ell[None, :] + _expect(keep, probs, best_buy), INF)
-    expect = _expect(disc[:, ci], probs, best_buy)
-    inner = (axis[:, None] * h_grid[None, :] + expect[None, :]).min(axis=1)
-    # built over (axis, h) so that reducing over the short axis runs along rows
-    return (ell[:, None] + inner[:, None] - axis[:, None] * h[None, :]).T
+        keep = _interp(np.maximum(h_next, 0.0), h_grid, disc[:, ci].T)
+        return np.where(h_next >= -tol, ell[:, None, :] + _expect(keep, probs, best_buy), INF)
+    expect = _expect(disc[:, ci].T, probs, best_buy)
+    inner = (axis[None, :, None] * h_grid + expect[:, None, :]).min(axis=2)
+    # built over (c, axis, h) so that reducing over the short axis runs along rows
+    out = ell[:, :, None] + inner[:, :, None] - axis[:, None] * h[None, :]
+    return out.transpose(0, 2, 1)
 
 
 def _bellman_recursion(
@@ -167,30 +182,29 @@ def _bellman_recursion(
 ) -> SlowValueSeq:
     """Bound recursion of one decomposition over (health, capacity).
 
-    Each day, per capacity, reduces :func:`day_objective` over the day axis:
-    resource picks an aging budget dh (tomorrow's health target h - dh >= 0,
-    an upper bound), price the best surcharge pi >= 0 on the health decrement
-    (a lower bound).  Per battery-price atom the day ends by keeping the
-    battery or buying a fresh one.  Day costs are undiscounted; the
-    continuation is scaled by the daily discount factor (total cost is sum of
-    gamma^d day costs).
+    Each day reduces :func:`day_objective` over the day axis, at every
+    capacity at once: resource picks an aging budget dh (tomorrow's health
+    target h - dh >= 0, an upper bound), price the best surcharge pi >= 0 on
+    the health decrement (a lower bound).  Per battery-price atom the day
+    ends by keeping the battery or buying a fresh one.  Day costs are
+    undiscounted; the continuation is scaled by the daily discount factor
+    (total cost is sum of gamma^d day costs).
     """
     if any(tab.decomposition != dec for tab in tables.values()):
         raise ValueError(f"the {dec.mode} recursion needs {dec.mode} intraday tables")
     h_grid = np.asarray(h_grid, dtype=float)
     c_grid = np.asarray(c_grid, dtype=float)
-    grid = Grid([h_grid, c_grid])
+    renewal = renewal_states(h_grid, c_grid, cfg)
     reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
-    values = np.empty((D + 2,) + grid.shape)
-    values[D + 1] = final_cost_fn(cfg, h_grid, c_grid).values
-    for d in range(D, -1, -1):
+
+    def day(d, vnext):
         table = tables[int(classmap.day_to_class[d])]
-        cont = day_continuation(values[d + 1], price_laws[d], cfg, h_grid, c_grid)
-        for ci in range(len(c_grid)):
-            values[d, :, ci] = reduce(
-                day_objective(table, h_grid, ci, cont, h_grid, FEAS_TOL), axis=1
-            )
-    return SlowValueSeq.on_grid(dec.kind, grid, values)
+        cont = day_continuation(vnext, price_laws[d], cfg, renewal)
+        return reduce(day_objective(table, h_grid, slice(None), cont, h_grid, FEAS_TOL), axis=2).T
+
+    grid = Grid([h_grid, c_grid])
+    final = [cfg.final_cost(h, c) for h, c in grid.points()]
+    return _backward(dec.kind, grid, np.reshape(final, grid.shape), D, day)
 
 
 resource_bellman_recursion = partial(_bellman_recursion, RESOURCE)
@@ -203,22 +217,17 @@ def generic_resource_recursion(problem) -> SlowValueSeq:
     plus the next-day value at the target."""
     states = problem.states
     grid = Grid([states])
-    D = problem.D
-    days: list[GridValueFn] = [None] * (D + 2)
-    vnext = np.asarray(problem.final_cost, dtype=float)
-    days[D + 1] = GridValueFn(grid, vnext)
-    for d in range(D, -1, -1):
+
+    def day(d, vnext):
         model = problem.day_model(d)
         # intraday cost as a function of (start state, target): one DP per target
         ell = np.empty((len(states), len(states)))
         for ri, r in enumerate(states):
-            term_vals = np.where(states >= r - 1e-12, 0.0, INF)
-            terminal = GridValueFn(grid, term_vals)
+            terminal = GridValueFn(grid, np.where(states >= r - 1e-12, 0.0, INF))
             ell[:, ri] = solve_fast_dp(model, terminal).values[0].values
-        vals = low_add_arrays(ell, vnext[None, :]).min(axis=1)
-        days[d] = GridValueFn(grid, vals)
-        vnext = vals
-    return SlowValueSeq(kind="resource-upper", days=tuple(days))
+        return low_add_arrays(ell, vnext[None, :]).min(axis=1)
+
+    return _backward("resource-upper", grid, problem.final_cost, problem.D, day)
 
 
 def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
@@ -231,43 +240,32 @@ def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
     states = problem.states
     grid = Grid([states])
     price_grid = Grid([np.sort(price_points)])
-    D = problem.D
-    days: list[GridValueFn] = [None] * (D + 2)
-    vnext_fn = GridValueFn(grid, np.asarray(problem.final_cost, dtype=float))
-    days[D + 1] = vnext_fn
-    for d in range(D, -1, -1):
+
+    def day(d, vnext):
         model = problem.day_model(d)
-        conj = fenchel_conjugate(vnext_fn, price_grid)
+        conj = fenchel_conjugate(GridValueFn(grid, vnext), price_grid)
         cand = np.empty((len(price_grid.axes[0]), len(states)))
         for pi, p in enumerate(price_grid.axes[0]):
-            terminal = GridValueFn(grid, p * states)
-            ell_p = solve_fast_dp(model, terminal).values[0].values
+            ell_p = solve_fast_dp(model, GridValueFn(grid, p * states)).values[0].values
             cv = conj.values[pi]
             neg_conj = -INF if (np.isposinf(cv)) else (INF if np.isneginf(cv) else -cv)
             cand[pi] = low_add_arrays(ell_p, np.full(len(states), neg_conj))
-        vals = cand.max(axis=0)
-        vnext_fn = GridValueFn(grid, vals)
-        days[d] = vnext_fn
-    return SlowValueSeq(kind="price-lower", days=tuple(days))
+        return cand.max(axis=0)
+
+    return _backward("price-lower", grid, problem.final_cost, problem.D, day)
 
 
 def block_bellman_solve(problem, inequality: bool = False) -> SlowValueSeq:
     """Exact slow-scale value by time blocks: one fast DP per day, chained
     through the day boundary (identity, or a relaxation picking the cheapest
     dominated state when the dynamics are inequalities)."""
-    states = problem.states
-    grid = Grid([states])
-    D = problem.D
-    days: list[GridValueFn] = [None] * (D + 2)
-    vnext = np.asarray(problem.final_cost, dtype=float)
-    days[D + 1] = GridValueFn(grid, vnext)
-    for d in range(D, -1, -1):
+    grid = Grid([problem.states])
+
+    def day(d, vnext):
         boundary = np.minimum.accumulate(vnext) if inequality else vnext
-        terminal = GridValueFn(grid, boundary)
-        vals = solve_fast_dp(problem.day_model(d), terminal).values[0].values
-        days[d] = GridValueFn(grid, vals)
-        vnext = vals
-    return SlowValueSeq(kind="exact-oracle", days=tuple(days))
+        return solve_fast_dp(problem.day_model(d), GridValueFn(grid, boundary)).values[0].values
+
+    return _backward("exact-oracle", grid, problem.final_cost, problem.D, day)
 
 
 def check_sandwich(
@@ -275,35 +273,24 @@ def check_sandwich(
 ) -> BoundReport:
     """Per-day gap report; flags grid points where lower exceeds upper.
 
-    Every day of both sequences must be on one grid, so x0 is located on it
-    once."""
-    if len(lower.days) != len(upper.days):
+    Both sequences must lie on one grid, so x0 is located on it once."""
+    if lower.horizon != upper.horizon:
         raise ValueError("sequences cover different horizons")
-    n = len(lower.days)
-    grid = lower.days[0].grid
-    max_rel = np.empty(n)
-    gap0 = np.empty(n)
-    lo0 = np.empty(n)
-    up0 = np.empty(n)
+    if lower.grid != upper.grid:
+        raise ValueError("the sequences lie on different grids")
+    n = len(lower.values)
+    grid = lower.grid
+    max_rel, gap0, lo0, up0 = (np.empty(n) for _ in range(4))
     violations = 0
     base, frac = grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1))
     for d in range(n):
-        lo, up = lower.days[d], upper.days[d]
-        if lo.grid != grid or up.grid != grid:
-            raise ValueError(f"grid mismatch at day {d}")
-        lv, uv = lo.values, up.values
+        lv, uv = lower.values[d], upper.values[d]
         denom = np.maximum(np.abs(lv), 1e-9)
         rel = (uv - lv) / denom
         max_rel[d] = float(rel.max())
         violations += int(np.sum(lv > uv + tol * denom))
-        l0 = float(lo.blend(base, frac)[0])
-        u0 = float(up.blend(base, frac)[0])
+        l0 = float(GridValueFn(grid, lv).blend(base, frac)[0])
+        u0 = float(GridValueFn(grid, uv).blend(base, frac)[0])
         lo0[d], up0[d] = l0, u0
         gap0[d] = (u0 - l0) / max(abs(l0), 1e-9)
-    return BoundReport(
-        max_rel_gap=max_rel,
-        gap_at_x0=gap0,
-        lower_at_x0=lo0,
-        upper_at_x0=up0,
-        violations=violations,
-    )
+    return BoundReport(max_rel, gap0, lo0, up0, violations)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from twoscale.battery import BatteryConfig, tariff_for_slots
+from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import (
     build_periodicity_classes,
@@ -18,6 +19,14 @@ N_SLOTS = 4
 N_SOC = 5
 N_CONTROLS = 5
 D_SMALL = 3
+
+# the pipeline config of acceptance criterion 10
+CRITERION_10 = RunConfig(
+    D=30, n_slots=12, n_classes=1, c_step=100.0, c_max=200.0,
+    dh_points=5, dh_cap=400.0, pi_values=(0.0, 0.1), n_soc=9,
+    n_controls=5, h_points=9, price_atoms=3, fit_scenarios=3,
+    fit_k=3, scenarios=5, seed=11,
+)
 
 
 def small_battery_config(**overrides) -> BatteryConfig:

@@ -81,7 +81,7 @@ def test_criterion_02_time_block_decomposition_equals_flat_dp():
     for seed in range(N_INSTANCES):
         p = random_tiny_problem(seed)
         flat = flat_dp_solve(p)
-        block = block_bellman_solve(p).days[0].values
+        block = block_bellman_solve(p).values[0]
         assert np.max(np.abs(flat - block)) <= 1e-9, f"seed {seed}"
 
 
@@ -104,8 +104,8 @@ def test_criterion_04_price_resource_sandwich_on_tiny_instances():
         p = random_tiny_problem(seed, monotone=True)
         p_rel = TinyProblem(**{**_fields(p), "inequality": True})
         exact = flat_dp_solve(p_rel)
-        upper = generic_resource_recursion(p_rel).days[0].values
-        lower = generic_price_recursion(p_rel, prices).days[0].values
+        upper = generic_resource_recursion(p_rel).values[0]
+        lower = generic_price_recursion(p_rel, prices).values[0]
         assert np.max(lower - exact) <= 1e-9, f"seed {seed}: lower bound above exact"
         assert np.max(exact - upper) <= 1e-9, f"seed {seed}: upper bound below exact"
 
@@ -137,9 +137,7 @@ def test_criterion_06_desk_values_nonincreasing_in_health(desk_run):
     cfg, out = desk_run
     for kind in ("price-lower", "resource-upper"):
         seq = load_value_seq(cfg, out, kind)
-        worst = 0.0
-        for day in seq.days:
-            worst = max(worst, float(np.max(np.diff(day.values, axis=0))))
+        worst = float(np.max(np.diff(seq.values, axis=1)))
         assert worst <= 1e-9, f"{kind}: health monotonicity violated by {worst}"
 
 
@@ -171,10 +169,7 @@ def test_criterion_08_simulation_consistency(desk_run):
     for dec in (PRICE, RESOURCE):
         mode, tabs = dec.mode, _load_tables(cfg, out, dec, classmap, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
-        records, _ = simulate_policy(
-            scen, mode, tabs, values, price_laws, classmap, bat,
-            n_controls=cfg.n_controls,
-        )
+        records, _ = simulate_policy(scen, mode, tabs, values, price_laws, classmap, bat)
         for rec in records:
             renewal_days = dict(rec.renewals)
             for state in rec.states:

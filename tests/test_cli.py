@@ -75,6 +75,30 @@ def test_off_grid_renewal_states_rejected_at_load(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"class_scheme": "custom"},
+        {"class_scheme": "weekly"},
+        {"n_classes": 3},
+        {"gamma": 1.5},
+        {"charge_eff": 1.5},
+        {"u_max": -3.0},
+        {"soc_fraction": 0.0},
+        {"price_forecast": [0.3], "D": 365},
+        {"fit_scenarios": 0},
+        {"h_points": 1},
+    ],
+)
+def test_bad_config_rejected_at_load(runner, tmp_path, bad):
+    # rejected by the config, before fit creates the output directory
+    cfg = write_config(tmp_path, {**TINY, **bad})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
+
+
 def test_capacity_grid_without_a_battery_size_rejected_at_load(runner, tmp_path):
     # c_step 500 over c_max 200 leaves the grid [0]
     cfg = write_config(tmp_path, {**TINY, "c_step": 500.0})

@@ -23,13 +23,7 @@ from twoscale.pipeline import (
 )
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
-# the pipeline config of acceptance criterion 10
-CFG = RunConfig(
-    D=30, n_slots=12, n_classes=1, c_step=100.0, c_max=200.0,
-    dh_points=5, dh_cap=400.0, pi_values=(0.0, 0.1), n_soc=9,
-    n_controls=5, h_points=9, price_atoms=3, fit_scenarios=3,
-    fit_k=3, scenarios=5, seed=11,
-)
+from conftest import CRITERION_10 as CFG
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +109,12 @@ def test_value_files_round_trip_bit_equal(bellman_run):
         ref = recursion(tables, classmap, price_laws, bat, CFG.h_grid(), CFG.c_grid(), CFG.D)
         seq = load_value_seq(CFG, out, dec.kind)
         assert seq.kind == dec.kind
-        assert len(seq.days) == CFG.D + 2
-        for got, want in zip(seq.days, ref.days):
-            assert got.grid == want.grid
-            assert got.grid is seq.days[0].grid
-            assert got.values.tobytes() == want.values.tobytes()
-            assert not got.values.flags.writeable
-            with pytest.raises(ValueError):
-                got.values[0, 0] = 0.0
+        assert seq.grid == ref.grid
+        assert seq.values.shape == (CFG.D + 2,) + seq.grid.shape
+        assert seq.values.tobytes() == ref.values.tobytes()
+        assert not seq.values.flags.writeable
+        with pytest.raises(ValueError):
+            seq.values[0, 0, 0] = 0.0
 
 
 def test_value_file_holds_one_array_per_decomposition(bellman_run):

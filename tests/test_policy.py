@@ -138,7 +138,7 @@ def test_zero_netload_costs_nothing(idle):
     ):
         records, stats = simulate_policy(
             idle["scen"], mode, {1: tab}, values, idle["price_laws"],
-            idle["classmap"], idle["cfg"], n_controls=N_CONTROLS,
+            idle["classmap"], idle["cfg"],
         )
         assert stats.mean == 0.0
         for rec in records:
@@ -148,14 +148,13 @@ def test_zero_netload_costs_nothing(idle):
 
 
 def test_simulation_reproducible(cheap):
-    kw = dict(n_controls=N_CONTROLS)
     a, _ = simulate_policy(
         cheap["scen"], "price", {1: cheap["ptab"]}, cheap["lower"],
-        cheap["price_laws"], cheap["classmap"], cheap["cfg"], **kw,
+        cheap["price_laws"], cheap["classmap"], cheap["cfg"],
     )
     b, _ = simulate_policy(
         cheap["scen"], "price", {1: cheap["ptab"]}, cheap["lower"],
-        cheap["price_laws"], cheap["classmap"], cheap["cfg"], **kw,
+        cheap["price_laws"], cheap["classmap"], cheap["cfg"],
     )
     for ra, rb in zip(a, b):
         assert ra.total_cost == rb.total_cost
@@ -170,7 +169,7 @@ def test_trajectories_admissible_and_renewals_wellformed(cheap, mode):
     values = cheap["lower"] if mode == "price" else cheap["upper"]
     records, stats = simulate_policy(
         cheap["scen"], mode, {1: tab}, values, cheap["price_laws"],
-        cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS,
+        cheap["classmap"], cheap["cfg"],
     )
     cfg = cheap["cfg"]
     saw_renewal = False
@@ -206,20 +205,20 @@ def test_simulation_beats_no_battery_bill(cheap):
     ):
         _, stats = simulate_policy(
             cheap["scen"], mode, {1: tab}, values, cheap["price_laws"],
-            cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS,
+            cheap["classmap"], cheap["cfg"],
         )
         assert stats.mean < no_battery
 
 
 def test_simulation_cost_at_least_lower_bound(cheap):
-    lower0 = cheap["lower"].days[0].values[0, 0]
+    lower0 = cheap["lower"].values[0, 0, 0]
     for mode, tab, values in (
         ("price", cheap["ptab"], cheap["lower"]),
         ("resource", cheap["rtab"], cheap["upper"]),
     ):
         _, stats = simulate_policy(
             cheap["scen"], mode, {1: tab}, values, cheap["price_laws"],
-            cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS,
+            cheap["classmap"], cheap["cfg"],
         )
         assert stats.mean >= lower0 - 3 * stats.stderr - 1e-9
 
@@ -231,20 +230,12 @@ def test_simulation_errors(cheap):
     with pytest.raises(ValueError, match="horizon"):
         simulate_policy(
             short, "price", {1: cheap["ptab"]}, cheap["lower"],
-            cheap["price_laws"], cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS,
+            cheap["price_laws"], cheap["classmap"], cheap["cfg"],
         )
     with pytest.raises(ValueError, match="mode"):
         simulate_policy(
             cheap["scen"], "oracle", {1: cheap["ptab"]}, cheap["lower"],
-            cheap["price_laws"], cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS,
-        )
-
-
-def test_simulation_rejects_another_control_grid(cheap):
-    with pytest.raises(ValueError, match="controls"):
-        simulate_policy(
-            cheap["scen"], "resource", {1: cheap["rtab"]}, cheap["upper"],
-            cheap["price_laws"], cheap["classmap"], cheap["cfg"], n_controls=N_CONTROLS + 2,
+            cheap["price_laws"], cheap["classmap"], cheap["cfg"],
         )
 
 
@@ -275,7 +266,7 @@ def test_replay_defaults_to_the_tables_control_grid(few_controls):
     cfg, out = few_controls
     classmap, laws, price_laws = _load_fit(cfg, out)
     scen = white_noise_resample(laws, price_laws, classmap, cfg.scenarios, cfg.seed, cfg.D + 1)
-    lower = load_value_seq(cfg, out, "price-lower").days[0].values[0, 0]
+    lower = load_value_seq(cfg, out, "price-lower").values[0, 0, 0]
     for dec in (PRICE, RESOURCE):
         tabs = _load_tables(cfg, out, dec, classmap, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)

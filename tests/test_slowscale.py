@@ -6,21 +6,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
-from twoscale.intraday import build_periodicity_classes
+from twoscale.core import INF, DiscreteDist, Grid
+from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, build_periodicity_classes
 from twoscale.oracle import TinyProblem, flat_dp_solve
+from twoscale.pipeline import _load_fit, _load_tables, stage_fit, stage_intraday
 from twoscale.slowscale import (
     SlowValueSeq,
-    _renewal_values,
+    _bellman_recursion,
+    _interp,
     block_bellman_solve,
     check_sandwich,
+    day_continuation,
+    day_objective,
     generic_price_recursion,
     generic_resource_recursion,
     price_bellman_recursion,
+    renewal_states,
     resource_bellman_recursion,
 )
 
-from conftest import small_battery_config
+from conftest import CRITERION_10, small_battery_config
 
 
 def point(v):
@@ -117,10 +122,13 @@ def test_generic_terminal_agreement():
 
 
 def test_slow_value_seq_kind_validation():
-    g = GridValueFn(Grid([[0.0]]), np.zeros(1))
+    g = Grid([[0.0]])
     with pytest.raises(ValueError):
-        SlowValueSeq(kind="bogus", days=(g, g))
-    assert SlowValueSeq(kind="exact-oracle", days=(g, g, g)).horizon == 1
+        SlowValueSeq("bogus", g, np.zeros((2, 1)))
+    assert SlowValueSeq("exact-oracle", g, np.zeros((3, 1))).horizon == 1
+    for shape in ((3, 2), (1, 1), (3,)):
+        with pytest.raises(ValueError, match="not \\(D\\+2,\\)"):
+            SlowValueSeq("exact-oracle", g, np.zeros(shape))
 
 
 # ---------------------------------------------------------------- battery
@@ -198,18 +206,88 @@ def test_battery_discount_consistency_single_day(small_world):
 
 
 def test_renewal_values_mapping():
-    cfg = small_battery_config()  # renewal grid (0, 50), cycle count 4
+    cfg = small_battery_config()  # renewal grid (0, 50), cycle count 4, gamma 0.99
     h_grid = np.array([0.0, 100.0, 200.0])
     c_grid = np.array([0.0, 50.0])
+    renewal = renewal_states(h_grid, c_grid, cfg)
+    assert [a.tolist() for a in renewal] == [[50.0], [2], [1]]  # fresh state (200, 50)
     vnext = np.arange(6, dtype=float).reshape(3, 2)
-    out = _renewal_values(vnext, h_grid, c_grid, cfg)
-    assert out == [(50.0, vnext[2, 1])]  # fresh state (200, 50)
+    law = DiscreteDist(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.0, 0.5]))
+    disc, probs, best_buy = day_continuation(vnext, law, cfg, renewal)
+    assert disc.tobytes() == (0.99 * vnext).tobytes()
+    assert probs.tolist() == [0.5, 0.5]  # zero-probability atoms skipped
+    assert best_buy.tolist() == [p * 50.0 + 0.99 * vnext[2, 1] for p in (0.1, 0.3)]
+    none = small_battery_config(renewal_grid=(0.0,))
+    _, _, no_buy = day_continuation(vnext, law, none, renewal_states(h_grid, c_grid, none))
+    assert no_buy.tolist() == [INF, INF]
 
 
 def test_renewal_values_require_on_grid_states():
     cfg = small_battery_config()
-    with pytest.raises(ValueError):
-        _renewal_values(np.zeros((2, 2)), np.array([0.0, 100.0]), np.array([0.0, 50.0]), cfg)
+    with pytest.raises(ValueError, match="not on the"):
+        renewal_states(np.array([0.0, 100.0]), np.array([0.0, 50.0]), cfg)
+    with pytest.raises(ValueError, match="not on the"):
+        renewal_states(np.array([0.0, 200.0]), np.array([0.0, 25.0]), cfg)
+
+
+def test_interp_matches_np_interp_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        xp = np.sort(rng.choice(np.linspace(0.0, 800.0, 41), rng.integers(1, 9), replace=False))
+        fp = rng.normal(size=(3, len(xp))) * 10.0 ** rng.integers(-3, 6)
+        for v in (INF, -INF, 0.0, -0.0):
+            fp[rng.random(fp.shape) < 0.1] = v
+        axis = np.concatenate([rng.choice(xp, 3), rng.uniform(-50.0, 900.0, 4)])
+        x = np.maximum(xp[:, None] - axis[None, :], 0.0) + rng.choice([0.0, -10.0, 1000.0])
+        got = _interp(x, xp, fp)
+        for f, g in zip(fp, got):
+            with np.errstate(invalid="ignore"):
+                assert g.tobytes() == np.interp(x, xp, f).tobytes()
+
+
+def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_grid, D):
+    """Reference battery recursion: one day_objective call per capacity index."""
+    renewal = renewal_states(h_grid, c_grid, cfg)
+    reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
+    values = np.empty((D + 2, len(h_grid), len(c_grid)))
+    values[D + 1] = [[cfg.final_cost(h, c) for c in c_grid] for h in h_grid]
+    for d in range(D, -1, -1):
+        table = tables[int(classmap.day_to_class[d])]
+        cont = day_continuation(values[d + 1], price_laws[d], cfg, renewal)
+        for ci in range(len(c_grid)):
+            obj = day_objective(table, h_grid, [ci], cont, h_grid, FEAS_TOL)
+            values[d, :, ci] = reduce(obj[0], axis=1)
+    return values
+
+
+@pytest.fixture(scope="module")
+def criterion_10_world(tmp_path_factory):
+    cfg = CRITERION_10
+    out = tmp_path_factory.mktemp("criterion_10")
+    stage_fit(cfg, out)
+    stage_intraday(cfg, out)
+    classmap, _, price_laws = _load_fit(cfg, out)
+    tables = {dec: _load_tables(cfg, out, dec, classmap) for dec in (RESOURCE, PRICE)}
+    args = (classmap, price_laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
+    return tables, args
+
+
+@pytest.mark.parametrize("dec", [RESOURCE, PRICE], ids=lambda dec: dec.mode)
+@pytest.mark.parametrize("world", ["small_world", "criterion_10_world"])
+def test_recursion_equals_per_capacity_loop_bit_for_bit(request, world, dec):
+    if world == "small_world":
+        w = request.getfixturevalue(world)
+        tab = w["rtab"] if dec.budget_axis else w["ptab"]
+        tables = {1: tab}
+        args = (w["classmap"], [point(0.05)] * (w["D"] + 1), w["cfg"],
+                w["h_grid"], w["c_grid"], w["D"])
+    else:
+        all_tables, args = request.getfixturevalue(world)
+        tables = all_tables[dec]
+    seq = _bellman_recursion(dec, tables, *args)
+    want = _per_capacity_recursion(dec, tables, *args)
+    assert seq.kind == dec.kind
+    assert seq.values.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- gap report
@@ -217,9 +295,9 @@ def test_renewal_values_require_on_grid_states():
 
 def test_check_sandwich_trivial_equal():
     g = Grid([[0.0, 1.0]])
-    days = tuple(GridValueFn(g, np.array([2.0, 3.0])) for _ in range(3))
-    lower = SlowValueSeq(kind="price-lower", days=days)
-    upper = SlowValueSeq(kind="resource-upper", days=days)
+    values = np.tile([2.0, 3.0], (3, 1))
+    lower = SlowValueSeq("price-lower", g, values)
+    upper = SlowValueSeq("resource-upper", g, values)
     rep = check_sandwich(lower, upper, np.array([0.0]))
     assert np.all(rep.max_rel_gap == 0.0)
     assert np.all(rep.gap_at_x0 == 0.0)
@@ -228,29 +306,21 @@ def test_check_sandwich_trivial_equal():
 
 def test_check_sandwich_flags_violations():
     g = Grid([[0.0, 1.0]])
-    lo = SlowValueSeq(
-        kind="price-lower", days=(GridValueFn(g, np.array([5.0, 1.0])),) * 2
-    )
-    up = SlowValueSeq(
-        kind="resource-upper", days=(GridValueFn(g, np.array([4.0, 2.0])),) * 2
-    )
+    lo = SlowValueSeq("price-lower", g, np.tile([5.0, 1.0], (2, 1)))
+    up = SlowValueSeq("resource-upper", g, np.tile([4.0, 2.0], (2, 1)))
     rep = check_sandwich(lo, up, np.array([1.0]))
     assert rep.violations == 2  # one bad point per day
     assert rep.gap_at_x0[0] == pytest.approx(1.0)
 
 
 def test_check_sandwich_grid_mismatch():
-    lo = SlowValueSeq(
-        kind="price-lower", days=(GridValueFn(Grid([[0.0, 1.0]]), np.zeros(2)),) * 2
-    )
-    up = SlowValueSeq(
-        kind="resource-upper", days=(GridValueFn(Grid([[0.0, 2.0]]), np.zeros(2)),) * 2
-    )
-    with pytest.raises(ValueError):
+    lo = SlowValueSeq("price-lower", Grid([[0.0, 1.0]]), np.zeros((2, 2)))
+    up = SlowValueSeq("resource-upper", Grid([[0.0, 2.0]]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="different grids"):
         check_sandwich(lo, up, np.array([0.0]))
-    short = SlowValueSeq(kind="resource-upper", days=lo.days[:1] + lo.days[:1] + lo.days[:1])
-    with pytest.raises(ValueError):
-        check_sandwich(lo, short, np.array([0.0]))
+    longer = SlowValueSeq("resource-upper", lo.grid, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="different horizons"):
+        check_sandwich(lo, longer, np.array([0.0]))
 
 
 def _fields(p: TinyProblem) -> dict:
@@ -276,9 +346,9 @@ def _sandwich_by_eval_many(lower, upper, x0, tol=1e-6):
 
 
 def _with_day(seq, d, values):
-    days = list(seq.days)
-    days[d] = GridValueFn(days[d].grid, values)
-    return SlowValueSeq(kind=seq.kind, days=tuple(days))
+    every = seq.values.copy()
+    every[d] = values
+    return SlowValueSeq(seq.kind, seq.grid, every)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -287,13 +357,13 @@ def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
     lower, upper = battery_seqs(small_world)
     # +inf entries on a cell corner around each x0: one day of the upper
     # bound, and one day where both bounds are infinite somewhere
-    inf_up = upper.days[1].values.copy()
+    inf_up = upper.values[1].copy()
     inf_up[1:3, :] = INF
     upper = _with_day(upper, 1, inf_up)
-    both = lower.days[2].values.copy()
+    both = lower.values[2].copy()
     both[-1, 0] = INF
     lower = _with_day(lower, 2, both)
-    upper = _with_day(upper, 2, np.maximum(upper.days[2].values, both))
+    upper = _with_day(upper, 2, np.maximum(upper.values[2], both))
     rep = check_sandwich(lower, upper, np.array(x0))
     ref = _sandwich_by_eval_many(lower, upper, np.array(x0))
     for got, want in zip(
@@ -304,24 +374,12 @@ def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
     assert np.isposinf(rep.max_rel_gap[1])
 
 
-def test_check_sandwich_grid_mismatch_on_a_later_day(small_world):
-    lower, upper = battery_seqs(small_world)
-    other = Grid([small_world["h_grid"] * 2.0, small_world["c_grid"]])
-    for seq in (lower, upper):
-        days = list(seq.days)
-        days[2] = GridValueFn(other, days[2].values)
-        moved = SlowValueSeq(kind=seq.kind, days=tuple(days))
-        pair = (moved, upper) if seq is lower else (lower, moved)
-        with pytest.raises(ValueError, match="grid mismatch at day 2"):
-            check_sandwich(*pair, np.array([0.0, 0.0]))
-
-
 def test_battery_recursion_days_are_read_only_views(small_world):
     lower, upper = battery_seqs(small_world)
     for seq in (lower, upper):
-        assert seq.values.shape == (len(seq.days),) + seq.days[0].grid.shape
+        assert seq.values.shape == (small_world["D"] + 2,) + seq.grid.shape
         for d, day in enumerate(seq.days):
-            assert day.grid is seq.days[0].grid
+            assert day.grid is seq.grid
             assert np.shares_memory(day.values, seq.values)
             assert day.values.tobytes() == seq.values[d].tobytes()
         with pytest.raises(ValueError):
