@@ -102,7 +102,7 @@ class RunConfig:
         try:
             self.battery_config()
             interp_price_forecast(self.price_forecast, self.D + 1)
-            classmap = build_periodicity_classes(self.D, self.n_classes, "trimester")
+            classmap = build_periodicity_classes(self.D, self.n_classes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "classmap", classmap)
@@ -137,8 +137,10 @@ class RunConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def config_hash(self) -> str:
-        """Hash of every key but threads, which changes no artifact."""
-        keys = {k: v for k, v in self.to_dict().items() if k != "threads"}
+        """Hash of every key but threads, which changes no artifact, and
+        scenarios, which only the simulate stage reads and no stage reads
+        simulate's output."""
+        keys = {k: v for k, v in self.to_dict().items() if k not in ("threads", "scenarios")}
         blob = json.dumps(keys, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -65,25 +65,22 @@ def decomposition(name: str) -> Decomposition:
 class FastStage:
     """One fast step: state grid, control points, noise law and handles.
 
-    cost(states, u, w) -> per-state cost array (may contain +inf for
-    infeasible controls); dynamics(states, u, w) -> next-state array; u is
-    one control.  This per-control form is the reference.
-
-    ``noise_free_dynamics`` flags dynamics that ignore w.  The solver then
-    calls both handles once with the whole control array instead, and they
-    must broadcast to (controls, states): cost returns shape
-    (len(controls), n) and dynamics (len(controls), n, ndim), equal entry by
-    entry to the per-control calls.  Consecutive stages holding the same
-    grid, controls and dynamics objects share one interpolation plan of
-    their next states.
+    Both handles take the (n, ndim) state array, the whole control array and
+    one noise atom w, and broadcast over (controls, states):
+    cost(states, controls, w) returns shape (len(controls), n), +inf marking
+    an infeasible control; dynamics(states, controls, w) returns the next
+    states, shape (len(controls), n, ndim of the next grid).  The solver
+    plans the interpolation of a next-state array, checking both shapes, and
+    reuses the plan while dynamics returns that same array object onto the
+    same next grid; so a transition that ignores w returns one read-only
+    array at every atom and stage.
     """
 
     state_grid: Grid
     controls: np.ndarray
     noise: DiscreteDist
-    cost: Callable[[np.ndarray, float, float], np.ndarray]
-    dynamics: Callable[[np.ndarray, float, float], np.ndarray]
-    noise_free_dynamics: bool = False
+    cost: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    dynamics: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class FastDpSolution:
     """Backward-induction output: one value function per fast step plus the
     terminal, index m in 0..M+1."""
 
-    model: FastStageModel
     values: list[GridValueFn]
 
 
@@ -120,6 +116,11 @@ def _expect_value(total, pos, neg) -> np.ndarray:
     return np.where(neg, -INF, np.where(pos, INF, total))
 
 
+def _contract_shape(arr: np.ndarray, shape: tuple, handle: str) -> None:
+    if np.shape(arr) != shape:
+        raise ValueError(f"{handle} returned shape {np.shape(arr)}, expected {shape}")
+
+
 def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolution:
     """V_m(x) = E_w[ min_u cost(x,u,w) + V_{m+1}(dynamics(x,u,w)) ].
 
@@ -130,53 +131,38 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
         raise ValueError("terminal function grid does not match the model terminal grid")
     values: list[GridValueFn] = [terminal]
     vnext = terminal
-    plan_key, plan = None, None
+    grid = states = None
+    planned = planned_grid = plan = None
     for stage in reversed(model.stages):
-        if stage.noise_free_dynamics:
-            key = (stage.state_grid, stage.controls, stage.dynamics, vnext.grid)
-            if plan_key is None or any(a is not b for a, b in zip(key, plan_key)):
-                plan_key, plan = key, _next_state_plan(stage, vnext.grid)
-            vals = _broadcast_stage(stage, vnext, *plan)
-        else:
-            vals = _per_control_stage(stage, vnext)
-        vnext = GridValueFn(stage.state_grid, vals)
+        if stage.state_grid is not grid:
+            grid, states = stage.state_grid, stage.state_grid.points()
+        cont = None
+        total, pos, neg = _expect_start(len(states))
+        for w, p in stage.noise.atoms():
+            nxt = stage.dynamics(states, stage.controls, w)
+            cost = stage.cost(states, stage.controls, w)
+            if nxt is not planned or vnext.grid is not planned_grid:
+                shape = (len(stage.controls), len(states))
+                _contract_shape(nxt, shape + (vnext.grid.ndim,), "dynamics")
+                _contract_shape(cost, shape, "cost")
+                planned, planned_grid, plan = nxt, vnext.grid, _interp_plan(nxt, vnext.grid)
+                cont = None
+            if cont is None:
+                cont = vnext.blend(*plan)  # (controls, states)
+            q = low_add_arrays(cost, cont).min(axis=0)
+            total, pos, neg = _expect_accumulate(total, pos, neg, q, p)
+        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos, neg))
         values.append(vnext)
     values.reverse()
-    return FastDpSolution(model, values)
+    return FastDpSolution(values)
 
 
-def _next_state_plan(stage: FastStage, next_grid: Grid):
-    """States, and the interpolation plan on next_grid of the next state of
-    every (control, state) pair, shaped (controls, states)."""
-    states = stage.state_grid.points()
-    nxt = stage.dynamics(states, stage.controls, stage.noise.support[0])
-    base, frac = next_grid.interp_plan(nxt.reshape(-1, states.shape[1]))
-    shape = (len(stage.controls), len(states))
-    return states, base.reshape(shape), frac.reshape((-1,) + shape)
-
-
-def _broadcast_stage(stage, vnext, states, base, frac) -> np.ndarray:
-    """One stage with noise-free dynamics, all controls at once."""
-    cont = vnext.blend(base, frac)  # (controls, states)
-    total, pos, neg = _expect_start(len(states))
-    for w, p in stage.noise.atoms():
-        q = low_add_arrays(stage.cost(states, stage.controls, w), cont).min(axis=0)
-        total, pos, neg = _expect_accumulate(total, pos, neg, q, p)
-    return _expect_value(total, pos, neg)
-
-
-def _per_control_stage(stage, vnext) -> np.ndarray:
-    """One stage, control by control: the reference recursion."""
-    states = stage.state_grid.points()
-    total, pos, neg = _expect_start(len(states))
-    for w, p in stage.noise.atoms():
-        q_best = None
-        for u in stage.controls:
-            cw = vnext.eval_many(stage.dynamics(states, float(u), w))
-            q = low_add_arrays(stage.cost(states, float(u), w), cw)
-            q_best = q if q_best is None else np.minimum(q_best, q)
-        total, pos, neg = _expect_accumulate(total, pos, neg, q_best, p)
-    return _expect_value(total, pos, neg)
+def _interp_plan(nxt: np.ndarray, next_grid: Grid):
+    """Interpolation plan on next_grid of next states shaped
+    (controls, states, ndim): base (controls, states), frac (ndim, controls,
+    states)."""
+    base, frac = next_grid.interp_plan(nxt.reshape(-1, next_grid.ndim))
+    return base.reshape(nxt.shape[:2]), frac.reshape((-1,) + nxt.shape[:2])
 
 
 @dataclass(frozen=True)
@@ -198,38 +184,18 @@ class PeriodicityClassMap:
 TRIMESTER_EDGES = (0, 90, 181, 273, 365)
 
 
-def build_periodicity_classes(
-    D: int, I: int, scheme="trimester", custom: Sequence[Sequence[int]] | None = None
-) -> PeriodicityClassMap:
-    """Map days 0..D to periodicity classes.
-
-    trimester: four day-of-year ranges repeated cyclically over years.
-    custom: explicit lists of days forming a partition of 0..D.
-    """
+def build_periodicity_classes(D: int, I: int) -> PeriodicityClassMap:
+    """Map days 0..D to periodicity classes: one class, or four day-of-year
+    ranges (trimesters) repeated cyclically over years."""
     if I < 1:
         raise ValueError("need at least one class")
-    days = np.arange(D + 1)
-    if scheme == "trimester":
-        if I == 1:
-            day_to_class = np.ones(D + 1, dtype=np.intp)
-        else:
-            if I != 4:
-                raise ValueError("trimester scheme defines exactly 4 classes")
-            doy = days % 365
-            day_to_class = np.searchsorted(np.array(TRIMESTER_EDGES[1:-1]), doy, side="right") + 1
-    elif scheme == "custom":
-        if custom is None or len(custom) != I:
-            raise ValueError("custom scheme needs I day lists")
-        day_to_class = np.full(D + 1, -1, dtype=np.intp)
-        for i, block in enumerate(custom, start=1):
-            for d in block:
-                if not 0 <= d <= D or day_to_class[d] != -1:
-                    raise ValueError("custom lists must partition 0..D")
-            day_to_class[list(block)] = i
-        if (day_to_class == -1).any():
-            raise ValueError("custom lists must partition 0..D")
+    if I == 1:
+        day_to_class = np.ones(D + 1, dtype=np.intp)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        if I != 4:
+            raise ValueError("trimester scheme defines exactly 4 classes")
+        doy = np.arange(D + 1) % 365
+        day_to_class = np.searchsorted(np.array(TRIMESTER_EDGES[1:-1]), doy, side="right") + 1
     reps = {}
     for cls in np.unique(day_to_class):
         reps[int(cls)] = int(np.flatnonzero(day_to_class == cls)[0])
@@ -267,69 +233,17 @@ def no_battery_bill(slot_laws: Sequence[DiscreteDist], tariff: Tariff) -> float:
     return total
 
 
-def _per_control(u) -> np.ndarray:
-    """One control or a control array; an array gets a trailing axis so that
-    it broadcasts against states as (controls, states)."""
-    return np.asarray(u, dtype=float)[..., None]
-
-
-class _BatteryDyn:
-    """One slot of a battery cell of capacity c over (soc, second axis), by
-    :func:`~twoscale.battery.fast_dynamics`: a budget axis loses the health a
-    control uses, a surcharge axis stays.  Takes one control or a control
-    array."""
-
-    def __init__(self, cfg, c, budget_axis: bool):
-        self.cfg = cfg
-        self.c = c
-        self.budget_axis = budget_axis
-        self._kept = (None, None, None)
-
-    def _next(self, states, u):
-        """(soc, second axis) after u, and the health u uses."""
-        effect = battery.control_effect(_per_control(u), self.cfg)
-        soc, budget = battery.fast_dynamics(states[:, 0], states[:, 1], effect)
-        return soc, budget if self.budget_axis else states[:, 1], effect[1]
-
-    def __call__(self, states, u, w):
-        soc, second, _ = self._next(states, u)
-        return np.stack(np.broadcast_arrays(soc, second), axis=-1)
-
-    def fixed_cost(self, states, u):
-        """Noise-free part of the stage cost: +inf where u drives the soc out
-        of its box (or the budget below 0), else the surcharge pi * |u| on a
-        surcharge axis and 0 on a budget axis.
-
-        The result for a control array is kept: the solver passes the same
-        (states, controls) arrays, compared here by identity, at every slot
-        and noise atom of a cell.
-        """
-        kept_states, kept_u, kept = self._kept
-        if states is kept_states and u is kept_u:
-            return kept
-        soc, second, used = self._next(states, u)
-        bad = ~battery.in_soc_box(soc, self.c, self.cfg, FEAS_TOL)
-        if self.budget_axis:
-            bad |= second < -FEAS_TOL
-            extra = 0.0
-        else:
-            extra = states[:, 1] * used
-        out = np.where(bad, INF, extra)
-        if np.ndim(u):
-            self._kept = (states, u, out)
-        return out
-
-
 class _BatteryCost:
-    """Stage cost of one slot: the bill (:func:`~twoscale.battery.stage_cost`)
-    plus the cell's noise-free part (feasibility mask and surcharge)."""
+    """Stage cost of one slot of a battery cell: the bill
+    (:func:`~twoscale.battery.stage_cost`) plus the cell's noise-free part
+    (feasibility mask and surcharge), shape (controls, states)."""
 
-    def __init__(self, rate, dyn: _BatteryDyn):
+    def __init__(self, rate, fixed: np.ndarray):
         self.rate = rate
-        self.dyn = dyn
+        self.fixed = fixed
 
-    def __call__(self, states, u, w):
-        return battery.stage_cost(_per_control(u), w, self.rate) + self.dyn.fixed_cost(states, u)
+    def __call__(self, states, controls, w):
+        return battery.stage_cost(controls[:, None], w, self.rate) + self.fixed
 
 
 def soc_grid_for(c: float, cfg: BatteryConfig, n_soc: int) -> np.ndarray:
@@ -340,29 +254,53 @@ def control_grid(cfg: BatteryConfig, n_controls: int) -> np.ndarray:
     return np.linspace(cfg.u_min, cfg.u_max, n_controls)
 
 
+def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
+    """The fast DP of one battery cell of capacity c over (soc, axis), and its
+    zero terminal: (model, terminal).
+
+    Each slot moves the soc by :func:`~twoscale.battery.fast_dynamics`; a
+    budget axis loses the health a control uses, a surcharge axis stays.  The
+    next states and the noise-free cost part (+inf where a control drives
+    the soc out of its box or the budget below 0, else the surcharge
+    pi * |u| on a surcharge axis and 0 on a budget axis) depend on neither
+    the slot nor the noise, so they are computed once per cell.
+    """
+    grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
+    controls = control_grid(cfg, n_controls)
+    states = grid.points()
+    effect = battery.control_effect(controls[:, None], cfg)
+    soc, budget = battery.fast_dynamics(states[:, 0], states[:, 1], effect)
+    second = budget if budget_axis else states[:, 1]
+    nxt = np.stack(np.broadcast_arrays(soc, second), axis=-1)
+    nxt.setflags(write=False)
+    bad = ~battery.in_soc_box(soc, c, cfg, FEAS_TOL)
+    if budget_axis:
+        bad |= budget < -FEAS_TOL
+        extra = 0.0
+    else:
+        extra = states[:, 1] * effect[1]
+    fixed = np.where(bad, INF, extra)
+    stages = tuple(
+        FastStage(
+            state_grid=grid,
+            controls=controls,
+            noise=law,
+            cost=_BatteryCost(cfg.tariff.rate(m), fixed),
+            dynamics=lambda *_: nxt,
+        )
+        for m, law in enumerate(slot_laws)
+    )
+    terminal = GridValueFn(grid, np.zeros(grid.shape))
+    return FastStageModel(stages=stages, terminal_grid=grid), terminal
+
+
 def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool) -> np.ndarray:
     """Daily DP for one capacity over (soc, axis), starting from an empty
     battery; axis is the aging budget (resource cell) or the surcharge, a
     static state axis (price cell), so one sweep covers the whole axis.
     Returns the per-step values, shape (n_slots + 1, n_soc, n_axis); entry
     [0, 0] is the day-start row (soc = 0) over axis."""
-    tariff = cfg.tariff
-    grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
-    controls = control_grid(cfg, n_controls)
-    dyn = _BatteryDyn(cfg, c, budget_axis)
-    stages = tuple(
-        FastStage(
-            state_grid=grid,
-            controls=controls,
-            noise=law,
-            cost=_BatteryCost(tariff.rate(m), dyn),
-            dynamics=dyn,
-            noise_free_dynamics=True,
-        )
-        for m, law in enumerate(slot_laws)
-    )
-    model = FastStageModel(stages=stages, terminal_grid=grid)
-    terminal = GridValueFn(grid, np.zeros(grid.shape))
+    model, terminal = _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis)
     sol = solve_fast_dp(model, terminal)
     return np.stack([v.values for v in sol.values])
 

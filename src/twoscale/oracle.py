@@ -44,7 +44,11 @@ class TinyProblem:
         grid = Grid([self.states])
         stages = tuple(
             FastStage(
-                grid, self.controls, self.noise[d][m], _StepCost(self, d, m), _StepDyn(self, d, m)
+                grid,
+                self.controls,
+                self.noise[d][m],
+                _StepCost(self.cost, d, m),
+                _StepDyn(self.dynamics, d, m),
             )
             for m in range(self.M + 1)
         )
@@ -52,24 +56,24 @@ class TinyProblem:
 
 
 class _StepCost:
-    def __init__(self, p, d, m):
-        self.p, self.d, self.m = p, d, m
+    """One step's cost (or, as :class:`_StepDyn`, next state) over
+    (controls, states)."""
 
-    def __call__(self, states, u, w):
+    def __init__(self, f, d, m):
+        self.f, self.d, self.m = f, d, m
+
+    def __call__(self, states, controls, w):
+        f, d, m = self.f, self.d, self.m
         return np.array(
-            [self.p.cost(self.d, self.m, float(x), float(u), float(w)) for x in states[:, 0]]
+            [[f(d, m, float(x), float(u), float(w)) for x in states[:, 0]] for u in controls]
         )
 
 
-class _StepDyn:
-    def __init__(self, p, d, m):
-        self.p, self.d, self.m = p, d, m
+class _StepDyn(_StepCost):
+    """One step's next states over (controls, states, 1)."""
 
-    def __call__(self, states, u, w):
-        out = np.array(
-            [self.p.dynamics(self.d, self.m, float(x), float(u), float(w)) for x in states[:, 0]]
-        )
-        return out.reshape(-1, 1)
+    def __call__(self, states, controls, w):
+        return super().__call__(states, controls, w)[..., None]
 
 
 def flat_dp_solve(p: TinyProblem) -> np.ndarray:

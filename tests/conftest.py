@@ -59,7 +59,7 @@ def small_world():
     dh_grid = np.linspace(0.0, 100.0, 5)
     pi_grid = np.array([0.0, 0.05, 0.10])
     h_grid = np.linspace(0.0, 200.0, 5)
-    classmap = build_periodicity_classes(D_SMALL, 1, "trimester")
+    classmap = build_periodicity_classes(D_SMALL, 1)
     rtab = compute_resource_intraday(
         1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )

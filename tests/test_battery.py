@@ -216,7 +216,7 @@ def test_kmeans_deterministic_and_validated():
 
 
 def test_fit_netload_distributions_shape_and_bounds():
-    classmap = build_periodicity_classes(9, 1, "trimester")
+    classmap = build_periodicity_classes(9, 1)
     netload = synthetic_netload_scenarios(4, 10, 8, seed=3)
     prices = np.ones((4, 10))
     scen = ScenarioSet(netload, prices)
@@ -231,7 +231,7 @@ def test_fit_netload_distributions_shape_and_bounds():
 
 
 def test_fit_netload_insufficient_data():
-    classmap = build_periodicity_classes(0, 1, "trimester")
+    classmap = build_periodicity_classes(0, 1)
     scen = ScenarioSet(np.zeros((1, 1, 2)), np.ones((1, 1)))
     with pytest.raises(ValueError, match=r"\(class, slot\)"):
         fit_netload_distributions(scen, classmap, k=5)
@@ -283,7 +283,7 @@ def test_synthetic_netload_deterministic():
 
 
 def test_white_noise_resample_single_atom_is_constant():
-    classmap = build_periodicity_classes(4, 1, "trimester")
+    classmap = build_periodicity_classes(4, 1)
     laws = {1: [DiscreteDist(np.array([2.0]), np.array([1.0])) for _ in range(3)]}
     price_laws = [DiscreteDist(np.array([5.0]), np.array([1.0])) for _ in range(5)]
     scen = white_noise_resample(laws, price_laws, classmap, n=3, seed=0, n_days=5)
@@ -292,7 +292,7 @@ def test_white_noise_resample_single_atom_is_constant():
 
 
 def test_white_noise_resample_matches_law_statistics():
-    classmap = build_periodicity_classes(4999, 1, "trimester")
+    classmap = build_periodicity_classes(4999, 1)
     law = DiscreteDist(np.array([-1.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.25]))
     laws = {1: [law, law]}
     price_laws = [DiscreteDist(np.array([1.0]), np.array([1.0]))] * 5000
@@ -306,7 +306,7 @@ def test_white_noise_resample_matches_law_statistics():
 
 
 def test_white_noise_resample_reproducible():
-    classmap = build_periodicity_classes(9, 1, "trimester")
+    classmap = build_periodicity_classes(9, 1)
     law = DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     laws = {1: [law] * 4}
     price_laws = [DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, 0.5]))] * 10

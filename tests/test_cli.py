@@ -230,6 +230,25 @@ def test_threads_override_keeps_the_config_hash(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_scenarios_override_keeps_the_config_hash(runner, tmp_path):
+    # only simulate reads scenarios and no stage reads simulate's output;
+    # the seed drives the fit, so changing it still needs --force
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    for stage in ("fit", "intraday", "bellman"):
+        res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+    args = ["simulate", "--config", cfg, "--out", str(out), "--mode", "price"]
+    res = runner.invoke(main, args + ["--scenarios", "7"])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "sim_price_stats.json").read_text())["scenarios"] == 7
+    res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, args + ["--seed", "99"])
+    assert res.exit_code == 2
+    assert "config hash differs" in res.output
+
+
 @pytest.mark.parametrize("pi_values", [[-0.1, 0.1], [0.1, 0.0]])
 def test_bad_pi_grid_rejected_at_load(runner, tmp_path, pi_values):
     cfg = write_config(tmp_path, {**TINY, "pi_values": pi_values})

@@ -8,21 +8,23 @@ import numpy as np
 import pytest
 
 from twoscale.battery import Tariff
-from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
+from twoscale.core import INF, DiscreteDist, Grid, GridValueFn, low_add_arrays
 from twoscale.intraday import (
     FastStage,
     FastStageModel,
     PeriodicityClassMap,
-    _BatteryCost,
-    _BatteryDyn,
+    _cell_model,
+    _expect_accumulate,
+    _expect_start,
+    _expect_value,
+    _fast_cell,
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
-    control_grid,
     no_battery_bill,
-    soc_grid_for,
     solve_fast_dp,
 )
+from twoscale.oracle import random_tiny_problem
 
 from conftest import N_CONTROLS, N_SOC, point_laws, small_battery_config
 
@@ -31,15 +33,19 @@ def point(v):
     return DiscreteDist(np.array([float(v)]), np.array([1.0]))
 
 
-def make_stage(grid, controls, noise, cost, dyn, **kw):
+def make_stage(grid, controls, noise, cost, dyn):
     return FastStage(
         state_grid=grid,
         controls=np.asarray(controls, dtype=float),
         noise=noise,
         cost=cost,
         dynamics=dyn,
-        **kw,
     )
+
+
+def stay(s, u, w):
+    """Next states equal to the states, for every control."""
+    return np.broadcast_to(s, (len(u),) + s.shape)
 
 
 # ---------------------------------------------------------------- generic DP
@@ -48,11 +54,7 @@ def make_stage(grid, controls, noise, cost, dyn, **kw):
 def test_fast_dp_free_control_example():
     grid = Grid([[0.0]])
     stage = make_stage(
-        grid,
-        [0.0, 1.0],
-        point(0.0),
-        lambda s, u, w: np.full(len(s), u),
-        lambda s, u, w: s,
+        grid, [0.0, 1.0], point(0.0), lambda s, u, w: np.tile(u[:, None], len(s)), stay
     )
     model = FastStageModel(stages=(stage,), terminal_grid=grid)
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(1)))
@@ -65,10 +67,10 @@ def test_fast_dp_two_step_quadratic_example():
     controls = [-1.0, 0.0, 1.0]
 
     def cost(s, u, w):
-        return np.full(len(s), u * u)
+        return np.tile(u[:, None] * u[:, None], len(s))
 
     def dyn(s, u, w):
-        return s + u
+        return s[None] + u[:, None, None]
 
     stages = tuple(
         make_stage(grid, controls, point(0.0), cost, dyn) for _ in range(2)
@@ -84,11 +86,7 @@ def test_fast_dp_expectation_passthrough():
     grid = Grid([[0.0]])
     noise = DiscreteDist(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     stage = make_stage(
-        grid,
-        [0.0],
-        noise,
-        lambda s, u, w: np.full(len(s), float(w)),
-        lambda s, u, w: s,
+        grid, [0.0], noise, lambda s, u, w: np.full((len(u), len(s)), float(w)), stay
     )
     model = FastStageModel(stages=(stage,), terminal_grid=grid)
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(1)))
@@ -101,8 +99,8 @@ def test_fast_dp_all_infeasible_gives_infinity():
         grid,
         [0.0, 1.0],
         point(0.0),
-        lambda s, u, w: np.where(s[:, 0] > 0.5, INF, 1.0),
-        lambda s, u, w: s,
+        lambda s, u, w: np.tile(np.where(s[:, 0] > 0.5, INF, 1.0), (len(u), 1)),
+        stay,
     )
     model = FastStageModel(stages=(stage,), terminal_grid=grid)
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
@@ -113,10 +111,28 @@ def test_fast_dp_all_infeasible_gives_infinity():
 def test_fast_dp_terminal_grid_mismatch():
     grid = Grid([[0.0, 1.0]])
     other = Grid([[0.0, 2.0]])
-    stage = make_stage(grid, [0.0], point(0.0), lambda s, u, w: np.zeros(len(s)), lambda s, u, w: s)
+    stage = make_stage(
+        grid, [0.0], point(0.0), lambda s, u, w: np.zeros((len(u), len(s))), stay
+    )
     model = FastStageModel(stages=(stage,), terminal_grid=grid)
     with pytest.raises(ValueError):
         solve_fast_dp(model, GridValueFn(other, np.zeros(2)))
+
+
+@pytest.mark.parametrize(
+    "cost, dyn, handle",
+    [
+        # the per-control forms: one row of states, no control axis
+        (lambda s, u, w: np.zeros((len(u), len(s))), lambda s, u, w: s, "dynamics"),
+        (lambda s, u, w: np.zeros(len(s)), stay, "cost"),
+    ],
+)
+def test_fast_dp_rejects_a_handle_off_the_contract_shape(cost, dyn, handle):
+    grid = Grid([[0.0, 1.0]])
+    stage = make_stage(grid, [0.0, 1.0], point(0.0), cost, dyn)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    with pytest.raises(ValueError, match=f"{handle} returned shape"):
+        solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
 
 def _tree_value(stages, terminal_axis, terminal_vals, m, x):
@@ -130,8 +146,8 @@ def _tree_value(stages, terminal_axis, terminal_vals, m, x):
     for w, p in stage.noise.atoms():
         best = INF
         for u in stage.controls:
-            c = float(stage.cost(np.array([[x]]), float(u), float(w))[0])
-            nxt = float(stage.dynamics(np.array([[x]]), float(u), float(w))[0, 0])
+            c = float(stage.cost(np.array([[x]]), np.array([u]), float(w))[0, 0])
+            nxt = float(stage.dynamics(np.array([[x]]), np.array([u]), float(w))[0, 0, 0])
             nxt = float(np.clip(nxt, axis[0], axis[-1]))
             q = c + _tree_value(stages, terminal_axis, terminal_vals, m + 1, nxt)
             best = min(best, q)
@@ -145,12 +161,16 @@ class _TabCost:
 
     def __call__(self, s, u, w):
         xi = np.clip(np.round(s[:, 0]).astype(int), 0, self.tab.shape[0] - 1)
-        return self.tab[xi, int(round(u)) + 1, int(round(w)) + 1]
+        ui = np.round(u).astype(int) + 1
+        return self.tab[xi[None, :], ui[:, None], int(round(w)) + 1]
 
 
-def test_fast_dp_matches_exhaustive_enumeration():
-    rng = np.random.default_rng(123)
-    for _ in range(10):
+def _shift_instances(seed=123, n=10):
+    """Random integer-state instances x' = clip(x + u + w) with tabulated
+    costs and noise-dependent dynamics: (model, terminal) pairs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
         n_states = int(rng.integers(2, 4))
         axis = np.arange(n_states, dtype=float)
         grid = Grid([axis])
@@ -164,7 +184,7 @@ def test_fast_dp_matches_exhaustive_enumeration():
             probs /= probs.sum()
 
             def dyn(s, u, w, lo=axis[0], hi=axis[-1]):
-                return np.clip(s + u + w, lo, hi)
+                return np.clip(s[None] + u[:, None, None] + w, lo, hi)
 
             stages.append(
                 make_stage(
@@ -177,23 +197,50 @@ def test_fast_dp_matches_exhaustive_enumeration():
             )
         terminal_vals = rng.uniform(0.0, 2.0, size=n_states)
         model = FastStageModel(stages=tuple(stages), terminal_grid=grid)
-        sol = solve_fast_dp(model, GridValueFn(grid, terminal_vals))
+        out.append((model, GridValueFn(grid, terminal_vals)))
+    return out
+
+
+def test_fast_dp_matches_exhaustive_enumeration():
+    for model, terminal in _shift_instances():
+        axis = terminal.grid.axes[0]
+        sol = solve_fast_dp(model, terminal)
         for i, x in enumerate(axis):
-            brute = _tree_value(stages, axis, terminal_vals, 0, float(x))
+            brute = _tree_value(model.stages, axis, terminal.values, 0, float(x))
             assert sol.values[0].values[i] == pytest.approx(brute, abs=1e-9)
 
 
-def _battery_tables(cfg, laws, c, axis, n_soc, n_controls, budget_axis, noise_free):
-    grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
-    controls = control_grid(cfg, n_controls)
-    dyn = _BatteryDyn(cfg, c, budget_axis)
-    stages = tuple(
-        FastStage(grid, controls, law, _BatteryCost(cfg.tariff.rate(m), dyn), dyn, noise_free)
-        for m, law in enumerate(laws)
-    )
-    model = FastStageModel(stages=stages, terminal_grid=grid)
-    sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(grid.shape)))
-    return [v.values for v in sol.values]
+def _per_control_reference(model, terminal):
+    """The fast DP control by control, the reference for the broadcast
+    solver: each handle's (controls, ...) result is taken one control row at a
+    time, its next states are looked up with eval_many and the best control
+    is kept by a sequential np.minimum."""
+    values = [terminal]
+    vnext = terminal
+    for stage in reversed(model.stages):
+        states = stage.state_grid.points()
+        total, pos, neg = _expect_start(len(states))
+        for w, p in stage.noise.atoms():
+            cost = stage.cost(states, stage.controls, w)
+            nxt = stage.dynamics(states, stage.controls, w)
+            q_best = None
+            for k in range(len(stage.controls)):
+                q = low_add_arrays(cost[k], vnext.eval_many(nxt[k]))
+                q_best = q if q_best is None else np.minimum(q_best, q)
+            total, pos, neg = _expect_accumulate(total, pos, neg, q_best, p)
+        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos, neg))
+        values.append(vnext)
+    return [v.values for v in reversed(values)]
+
+
+def _assert_matches_reference(model, terminal):
+    fast = [v.values for v in solve_fast_dp(model, terminal).values]
+    ref = _per_control_reference(model, terminal)
+    assert len(fast) == len(ref) == len(model.stages) + 1
+    for a, b in zip(fast, ref):
+        assert np.array_equal(np.isposinf(a), np.isposinf(b))
+        assert np.array_equal(a, b)
+    return ref
 
 
 @pytest.mark.parametrize(
@@ -219,23 +266,48 @@ def test_broadcast_stages_match_per_control_reference(
         DiscreteDist(np.array([2.0, 14.0]), np.array([0.4, 0.6])),
         point(12.0),
     ]
-    args = (cfg, laws, c, axis, n_soc, n_controls, budget_axis)
-    fast = _battery_tables(*args, noise_free=True)
-    ref = _battery_tables(*args, noise_free=False)
-    assert len(fast) == len(ref) == len(laws) + 1
-    for a, b in zip(fast, ref):
-        assert np.array_equal(np.isposinf(a), np.isposinf(b))
-        assert np.array_equal(a, b)
+    ref = _assert_matches_reference(
+        *_cell_model(cfg, laws, c, axis, n_soc, n_controls, budget_axis)
+    )
     mixed = [np.isposinf(t).any() and np.isfinite(t).any() for t in ref]
     assert any(mixed) == some_inf
     assert all(np.isfinite(t).all() for t in ref) == (not some_inf)
+
+
+def test_noise_dependent_stages_match_per_control_reference():
+    for model, terminal in _shift_instances():
+        _assert_matches_reference(model, terminal)
+    p = random_tiny_problem(7)
+    model = p.day_model(0)
+    _assert_matches_reference(model, GridValueFn(model.terminal_grid, p.final_cost))
+
+
+def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch):
+    plans = []
+    interp_plan = Grid.interp_plan
+
+    def counted(grid, x):
+        plans.append(len(x))
+        return interp_plan(grid, x)
+
+    monkeypatch.setattr(Grid, "interp_plan", counted)
+    cfg = small_battery_config()
+    laws = [DiscreteDist(np.array([-9.0, 11.0]), np.array([0.5, 0.5]))] * 4
+    _fast_cell(cfg, laws, 50.0, np.linspace(0.0, 100.0, 7), 5, 5, True)
+    assert plans == [5 * 5 * 7]
+    # a transition that depends on w returns a new array at every atom
+    plans.clear()
+    p = random_tiny_problem(7)
+    model = p.day_model(0)
+    solve_fast_dp(model, GridValueFn(model.terminal_grid, p.final_cost))
+    assert len(plans) == sum(len(list(st.noise.atoms())) for st in model.stages)
 
 
 # ---------------------------------------------------------------- periodicity
 
 
 def test_periodicity_trimester_two_years():
-    cm = build_periodicity_classes(729, 4, "trimester")
+    cm = build_periodicity_classes(729, 4)
     assert cm.day_to_class[0] == 1 and cm.day_to_class[365] == 1
     assert cm.day_to_class[89] == 1 and cm.day_to_class[90] == 2
     assert cm.day_to_class[180] == 2 and cm.day_to_class[181] == 3
@@ -245,29 +317,16 @@ def test_periodicity_trimester_two_years():
 
 
 def test_periodicity_single_class():
-    cm = build_periodicity_classes(9, 1, "trimester")
+    cm = build_periodicity_classes(9, 1)
     assert set(cm.day_to_class.tolist()) == {1}
     assert cm.representatives == {1: 0}
 
 
-def test_periodicity_custom_singletons():
-    D = 4
-    cm = build_periodicity_classes(D, D + 1, "custom", custom=[[d] for d in range(D + 1)])
-    assert cm.day_to_class.tolist() == [1, 2, 3, 4, 5]
-    assert cm.representatives == {i + 1: i for i in range(D + 1)}
-
-
 def test_periodicity_errors():
     with pytest.raises(ValueError):
-        build_periodicity_classes(9, 3, "trimester")
+        build_periodicity_classes(9, 3)
     with pytest.raises(ValueError):
-        build_periodicity_classes(9, 0, "trimester")
-    with pytest.raises(ValueError):
-        build_periodicity_classes(2, 2, "custom", custom=[[0], [1]])  # day 2 missing
-    with pytest.raises(ValueError):
-        build_periodicity_classes(1, 2, "custom", custom=[[0, 1], [1]])  # overlap
-    with pytest.raises(ValueError):
-        build_periodicity_classes(1, 1, "weekly")
+        build_periodicity_classes(9, 0)
     with pytest.raises(ValueError):
         PeriodicityClassMap(np.array([1, 2]), {1: 1})
 

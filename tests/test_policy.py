@@ -44,7 +44,7 @@ def make_world(price, netload_atoms=ATOMS, D=D_SMALL):
     dh_grid = np.linspace(0.0, 100.0, 5)
     pi_grid = np.array([0.0, 0.05, 0.10])
     h_grid = np.linspace(0.0, 200.0, 5)
-    classmap = build_periodicity_classes(D, 1, "trimester")
+    classmap = build_periodicity_classes(D, 1)
     price_laws = [point(price)] * (D + 1)
     rtab = compute_resource_intraday(
         1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
@@ -98,7 +98,7 @@ def test_select_price_single_point_grid(dear):
         1, cfg, point_laws(ATOMS), np.array([0.0, 50.0]), np.array([0.07]),
         n_soc=N_SOC, n_controls=N_CONTROLS,
     )
-    classmap = build_periodicity_classes(D_SMALL, 1, "trimester")
+    classmap = build_periodicity_classes(D_SMALL, 1)
     lower = price_bellman_recursion(
         {1: ptab1}, classmap, dear["price_laws"], cfg,
         np.linspace(0.0, 200.0, 5), np.array([0.0, 50.0]), D_SMALL,

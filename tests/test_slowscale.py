@@ -144,7 +144,7 @@ def battery_seqs(world, gamma=None, renewal_grid=None, D=None, price=0.05):
             kw["renewal_grid"] = renewal_grid
         cfg = small_battery_config(**kw)
     D = world["D"] if D is None else D
-    classmap = build_periodicity_classes(D, 1, "trimester")
+    classmap = build_periodicity_classes(D, 1)
     price_laws = [point(price)] * (D + 1)
     upper = resource_bellman_recursion(
         {1: world["rtab"]}, classmap, price_laws, cfg, world["h_grid"], world["c_grid"], D
