@@ -13,7 +13,7 @@ from .core import (
     fenchel_conjugate,
     low_add,
 )
-from .battery import BatteryConfig, BatteryState, ScenarioSet, Tariff
+from .battery import BatteryConfig, BatteryState, ScenarioSet
 from .intraday import (
     PRICE,
     RESOURCE,

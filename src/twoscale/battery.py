@@ -5,7 +5,7 @@ State is (soc, health, capacity) in kWh.  Health is the remaining
 exchangeable-energy budget: every kWh charged or discharged consumes one kWh
 of health; a battery dies when health hits zero.  Renewal at a day boundary
 replaces the battery by an empty one of chosen capacity r with health
-cycle_count(r) * r.
+cycle_multiple * r.
 
 The model is written once, in array form, and drives the intraday DP, the
 slow recursions and the policy replay: per-control soc move and health used,
@@ -16,70 +16,32 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import DiscreteDist
-
-N_SLOTS = 48
 
 OFF_PEAK_RATE = 0.0255
 SHOULDER_RATE = 0.0644
 PEAK_RATE = 0.2485
 
 
-def default_cycle_count(capacity: float) -> int:
-    """Exchangeable-energy multiple per kWh of capacity (constant by default)."""
-    return 4
-
-
-def zero_final_cost(h: float, c: float) -> float:
-    return 0.0
-
-
-def tariff_for_slots(n_slots: int) -> "Tariff":
-    """Time-of-use tariff sampled over n_slots equal slots starting at 00:00:
+def tariff_for_slots(n_slots: int) -> tuple:
+    """Time-of-use rates ($/kWh) of n_slots equal slots starting at 00:00:
     off-peak 22:00-7:00, shoulder 7:00-17:00, peak 17:00-22:00."""
-    rates = np.empty(n_slots)
+    rates = []
     for m in range(n_slots):
         hour = m * 24.0 / n_slots
         if hour >= 22.0 or hour < 7.0:
-            rates[m] = OFF_PEAK_RATE
+            rates.append(OFF_PEAK_RATE)
         elif hour < 17.0:
-            rates[m] = SHOULDER_RATE
+            rates.append(SHOULDER_RATE)
         else:
-            rates[m] = PEAK_RATE
-    return Tariff(rates)
-
-
-def default_tariff() -> "Tariff":
-    return tariff_for_slots(N_SLOTS)
-
-
-@dataclass(frozen=True)
-class Tariff:
-    """Per-slot electricity purchase price ($/kWh); slot 0 starts at 00:00."""
-
-    rates: np.ndarray
-
-    def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
-        if rates.ndim != 1 or (rates < 0).any():
-            raise ValueError("tariff must be a 1-D array of nonnegative rates")
-        rates.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.rates)
-
-    def rate(self, m: int) -> float:
-        if not 0 <= m < len(self.rates):
-            raise ValueError(f"slot {m} out of range [0, {len(self.rates) - 1}]")
-        return float(self.rates[m])
+            rates.append(PEAK_RATE)
+    return tuple(rates)
 
 
 @dataclass(frozen=True)
@@ -89,41 +51,45 @@ class BatteryState:
     capacity: float
 
     def check_bounds(self, cfg: "BatteryConfig", tol: float = 1e-9) -> None:
-        c = self.capacity
+        c, c_max = self.capacity, max(cfg.renewal_grid)
         if not in_soc_box(self.soc, c, cfg, tol):
             raise ValueError(f"soc {self.soc} outside [0, {soc_max(c, cfg)}]")
         h_max = float(fresh_state(c, cfg)[1])
         if not (-tol <= self.health <= h_max + tol):
             raise ValueError(f"health {self.health} outside [0, {h_max}]")
-        if not (-tol <= c <= cfg.max_capacity + tol):
-            raise ValueError(f"capacity {c} outside [0, {cfg.max_capacity}]")
+        if not (-tol <= c <= c_max + tol):
+            raise ValueError(f"capacity {c} outside [0, {c_max}]")
 
 
 @dataclass(frozen=True)
 class BatteryConfig:
-    charge_eff: float = 0.95
-    discharge_eff: float = 0.95
-    u_min: float = -150.0
-    u_max: float = 150.0
-    max_capacity: float = 1500.0
-    renewal_grid: tuple = tuple(float(c) for c in range(0, 1600, 100))
-    soc_fraction: float = 0.8
-    cycle_count: Callable[[float], int] = default_cycle_count
-    gamma: float = 0.99986
-    final_cost: Callable[[float, float], float] = zero_final_cost
-    tariff: Tariff = field(default_factory=default_tariff)
+    """The battery model's numbers, all required; a run builds them with
+    ``RunConfig.battery_config()``.  Controls lie in [-u_max, u_max], a fresh
+    battery of size r has health cycle_multiple * r, and ``rates`` holds the
+    tariff of each slot of the day, slot 0 starting at 00:00 ($/kWh)."""
+
+    charge_eff: float
+    discharge_eff: float
+    u_max: float
+    soc_fraction: float
+    cycle_multiple: int
+    gamma: float
+    renewal_grid: tuple
+    rates: tuple
 
     def __post_init__(self):
         if not (0.0 < self.charge_eff <= 1.0 and 0.0 < self.discharge_eff <= 1.0):
             raise ValueError("efficiencies must lie in (0, 1]")
-        if not self.u_min < 0.0 < self.u_max:
-            raise ValueError("control bounds must straddle 0")
-        if min(self.renewal_grid) < 0 or max(self.renewal_grid) > self.max_capacity:
-            raise ValueError("renewal grid must lie in [0, max_capacity]")
+        if not (self.u_max > 0.0 and self.cycle_multiple > 0):
+            raise ValueError("u_max and cycle_multiple must be positive")
+        if min(self.renewal_grid) < 0:
+            raise ValueError("renewal sizes must be nonnegative")
         if not (0.0 < self.soc_fraction <= 1.0):
             raise ValueError("soc_fraction must lie in (0, 1]")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
+        if min(self.rates) < 0:
+            raise ValueError("tariff rates must be nonnegative")
 
 
 def control_effect(u, cfg: BatteryConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +116,9 @@ def stage_cost(u, w, rate):
 
 def fresh_state(r, cfg: BatteryConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(soc, health, capacity) of an empty battery of each capacity r:
-    (0, cycle_count(r) * r, r)."""
+    (0, cycle_multiple * r, r)."""
     r = np.asarray(r, dtype=float)
-    health = np.array([cfg.cycle_count(x) * x for x in r.ravel().tolist()]).reshape(r.shape)
-    return np.zeros(r.shape), health, r
+    return np.zeros(r.shape), cfg.cycle_multiple * r, r
 
 
 def renewal_dynamics(soc, health, capacity, r, cfg: BatteryConfig):
@@ -267,9 +232,6 @@ def fit_netload_distributions(
     return laws
 
 
-DEFAULT_PRICE_FORECAST = (0.35, 0.29, 0.24, 0.20, 0.17, 0.14, 0.12, 0.10, 0.08, 0.07)
-
-
 def interp_price_forecast(forecast: Sequence[float], n_days: int) -> np.ndarray:
     """Daily battery price curve by linear interpolation of a per-year forecast."""
     forecast = np.asarray(forecast, dtype=float)
@@ -286,8 +248,8 @@ def battery_price_laws(
     forecast: Sequence[float],
     sigma: float,
     n_days: int,
-    floor: float = 0.01,
-    n_atoms: int = 5,
+    floor: float,
+    n_atoms: int,
 ) -> list[DiscreteDist]:
     """Per-day discrete battery price law: midpoint-quantile discretization of
     the Gaussian noise around the interpolated forecast, floored."""
@@ -305,7 +267,7 @@ def battery_price_laws(
 
 
 def synthetic_netload_scenarios(
-    n: int, n_days: int, n_slots: int, seed: int, base_kw: float = 40.0
+    n: int, n_days: int, n_slots: int, seed: int, base_kw: float
 ) -> np.ndarray:
     """Synthetic netload: morning/evening demand humps, a midday solar dip whose
     depth varies by season, plus Gaussian noise.  Units: kWh per slot."""
@@ -368,7 +330,7 @@ def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int |
     return out
 
 
-def load_netload_csv(path, n_slots: int = N_SLOTS) -> np.ndarray:
+def load_netload_csv(path, n_slots: int) -> np.ndarray:
     """Read `scenario,day,slot,netload_kwh` rows into an (n, days, slots) array."""
     return _load_dense_csv(path, ("scenario", "day", "slot"), "netload_kwh", (None, None, n_slots))
 

@@ -6,29 +6,16 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import BatteryConfig, DEFAULT_PRICE_FORECAST, interp_price_forecast, tariff_for_slots
+from .battery import BatteryConfig, interp_price_forecast, tariff_for_slots
 from .intraday import build_periodicity_classes
 
 
 class ConfigError(ValueError):
     pass
-
-
-class _ConstantCycles:
-    """Picklable constant cycle-count function."""
-
-    def __init__(self, n: int):
-        self.n = int(n)
-
-    def __call__(self, capacity: float) -> int:
-        return self.n
-
-    def __eq__(self, other):
-        return isinstance(other, _ConstantCycles) and other.n == self.n
 
 
 @dataclass(frozen=True)
@@ -53,7 +40,7 @@ class RunConfig:
     soc_fraction: float = 0.8
     cycle_multiple: int = 4
     gamma: float = 0.99986
-    price_forecast: tuple = DEFAULT_PRICE_FORECAST
+    price_forecast: tuple = (0.35, 0.29, 0.24, 0.20, 0.17, 0.14, 0.12, 0.10, 0.08, 0.07)
     price_sigma: float = 0.04
     price_floor: float = 0.01
     price_atoms: int = 5
@@ -163,12 +150,10 @@ class RunConfig:
         return BatteryConfig(
             charge_eff=self.charge_eff,
             discharge_eff=self.discharge_eff,
-            u_min=-self.u_max,
             u_max=self.u_max,
-            max_capacity=self.c_max,
-            renewal_grid=tuple(float(c) for c in self.c_grid()),
             soc_fraction=self.soc_fraction,
-            cycle_count=_ConstantCycles(self.cycle_multiple),
+            cycle_multiple=self.cycle_multiple,
             gamma=self.gamma,
-            tariff=tariff_for_slots(self.n_slots),
+            renewal_grid=tuple(float(c) for c in self.c_grid()),
+            rates=tariff_for_slots(self.n_slots),
         )

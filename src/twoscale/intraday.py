@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import INF, DiscreteDist, Grid, GridValueFn, low_add_arrays
 from . import battery
-from .battery import BatteryConfig, Tariff
+from .battery import BatteryConfig
 
 FEAS_TOL = 1e-9
 
@@ -225,11 +225,11 @@ class IntradayTable:
         return self.table.grid.axes[1]
 
 
-def no_battery_bill(slot_laws: Sequence[DiscreteDist], tariff: Tariff) -> float:
-    """Expected daily bill with no battery: sum_m rate(m) * E[max(0, netload)]."""
+def no_battery_bill(slot_laws: Sequence[DiscreteDist], rates: Sequence[float]) -> float:
+    """Expected daily bill with no battery: sum_m rates[m] * E[max(0, netload)]."""
     total = 0.0
-    for m, law in enumerate(slot_laws):
-        total += tariff.rate(m) * law.expectation(lambda w: max(0.0, float(w)))
+    for rate, law in zip(rates, slot_laws, strict=True):
+        total += rate * law.expectation(lambda w: max(0.0, float(w)))
     return total
 
 
@@ -251,7 +251,7 @@ def soc_grid_for(c: float, cfg: BatteryConfig, n_soc: int) -> np.ndarray:
 
 
 def control_grid(cfg: BatteryConfig, n_controls: int) -> np.ndarray:
-    return np.linspace(cfg.u_min, cfg.u_max, n_controls)
+    return np.linspace(-cfg.u_max, cfg.u_max, n_controls)
 
 
 def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
@@ -285,10 +285,10 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
             state_grid=grid,
             controls=controls,
             noise=law,
-            cost=_BatteryCost(cfg.tariff.rate(m), fixed),
+            cost=_BatteryCost(rate, fixed),
             dynamics=lambda *_: nxt,
         )
-        for m, law in enumerate(slot_laws)
+        for rate, law in zip(cfg.rates, slot_laws, strict=True)
     )
     terminal = GridValueFn(grid, np.zeros(grid.shape))
     return FastStageModel(stages=stages, terminal_grid=grid), terminal
@@ -312,8 +312,8 @@ def compute_intraday(
     slot_laws: Sequence[DiscreteDist],
     c_grid: np.ndarray,
     axis: np.ndarray,
-    n_soc: int = 51,
-    n_controls: int = 21,
+    n_soc: int,
+    n_controls: int,
     fast: np.ndarray | None = None,
 ) -> IntradayTable:
     """Intraday table of one decomposition for one periodicity class.
@@ -335,7 +335,7 @@ def compute_intraday(
             for c in c_grid[1:]
         ])
     values = np.empty((len(c_grid), len(axis)))
-    values[0, :] = no_battery_bill(slot_laws, cfg.tariff)
+    values[0, :] = no_battery_bill(slot_laws, cfg.rates)
     values[1:, :] = fast[:, 0, 0, :]
     table = GridValueFn(Grid([c_grid, axis]), values)
     return IntradayTable(class_id, dec, table, n_controls, fast)

@@ -37,7 +37,6 @@ from .intraday import (
     PRICE,
     RESOURCE,
     IntradayTable,
-    PeriodicityClassMap,
     _fast_cell,
     compute_intraday,
     decomposition,
@@ -146,7 +145,6 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad input data: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
-    classmap = cfg.classmap
     n_days = cfg.D + 1
     if netload is None:
         netload = synthetic_netload_scenarios(
@@ -156,7 +154,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
         base = np.maximum(interp_price_forecast(cfg.price_forecast, n_days), cfg.price_floor)
         prices = np.tile(base, (netload.shape[0], 1))
     raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
-    laws = fit_netload_distributions(raw, classmap, cfg.fit_k)
+    laws = fit_netload_distributions(raw, cfg.classmap, cfg.fit_k)
     price_laws = battery_price_laws(
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
@@ -165,27 +163,26 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
         out / "noise_laws.json",
     )
     _dump_json([_dist_jsonable(l) for l in price_laws], out / "price_laws.json")
-    reps = {str(k): v for k, v in classmap.representatives.items()}
-    _dump_json({"day_to_class": classmap.day_to_class.tolist(), "representatives": reps},
-               out / "classmap.json")
     info = {"classes": sorted(laws), "k": cfg.fit_k}
     _update_manifest(out, cfg, "fit", info, time.perf_counter() - t0)
     return info
 
 
 def _load_fit(cfg: RunConfig, out: Path):
-    cm = _load_json(out / "classmap.json")
-    classmap = PeriodicityClassMap(
-        np.array(cm["day_to_class"], dtype=np.intp),
-        {int(k): int(v) for k, v in cm["representatives"].items()},
-    )
+    """The fitted netload laws by class and the daily battery price laws;
+    they must hold the config's classes, ``n_slots`` laws each, and D+1 days."""
     noise = _load_json(out / "noise_laws.json")
-    laws = {
-        cls: [_dist_from_jsonable(o) for o in noise[str(cls)]]
-        for cls in classmap.representatives
-    }
-    price_laws = [_dist_from_jsonable(o) for o in _load_json(out / "price_laws.json")]
-    return classmap, laws, price_laws
+    prices = _load_json(out / "price_laws.json")
+    classes, fitted = sorted(cfg.classmap.representatives), sorted(int(k) for k in noise)
+    slots = sorted({len(slot_laws) for slot_laws in noise.values()})
+    if fitted != classes or slots != [cfg.n_slots] or len(prices) != cfg.D + 1:
+        raise HashMismatch(
+            f"the fit laws in {out} hold classes {fitted} of {slots} slots and {len(prices)}"
+            f" days, not the config's classes {classes} of {cfg.n_slots} slots and"
+            f" {cfg.D + 1} days: rerun fit"
+        )
+    laws = {cls: [_dist_from_jsonable(o) for o in noise[str(cls)]] for cls in classes}
+    return laws, [_dist_from_jsonable(o) for o in prices]
 
 
 def _cell_job(args):
@@ -207,11 +204,11 @@ def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
     ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit"], force)
-    classmap, laws, _ = _load_fit(cfg, out)
+    laws, _ = _load_fit(cfg, out)
     bat = cfg.battery_config()
     c_grid = cfg.c_grid()
     axes = {PRICE: cfg.pi_grid(), RESOURCE: cfg.dh_grid()}
-    classes = sorted(classmap.representatives)
+    classes = sorted(laws)
     jobs = {
         (dec, cls, c): (bat, laws[cls], c, axes[dec], cfg.n_soc, cfg.n_controls, dec.budget_axis)
         for cls in classes
@@ -248,14 +245,14 @@ def _npy_shape(npz, name: str) -> tuple:
         return np.lib.format.read_array_header_1_0(fh)[0]
 
 
-def _load_tables(cfg: RunConfig, out: Path, dec, classmap, with_fast: bool = False) -> dict:
+def _load_tables(cfg: RunConfig, out: Path, dec, with_fast: bool = False) -> dict:
     """One decomposition's intraday tables by class, with the control count
     they were built on; the replay tables only ``with_fast``."""
     path = _intraday_path(out, dec)
     if not path.exists():
         raise MissingArtifact(f"missing artifact: {path}: run the intraday stage")
     c_grid, axis = cfg.c_grid(), cfg.dh_grid() if dec.budget_axis else cfg.pi_grid()
-    classes = sorted(classmap.representatives)
+    classes = sorted(cfg.classmap.representatives)
     members = {"c", "axis", "n_controls"} | {f"{k}_{i}" for k in ("table", "fast") for i in classes}
     with np.load(path) as npz:
         c, ax, n_controls = npz["c"], npz["axis"], int(npz["n_controls"])
@@ -288,14 +285,14 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
     and ``c`` and the values of every day, shape (D+2, len(h), len(c))."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit", "intraday"], force)
-    classmap, _, price_laws = _load_fit(cfg, out)
+    _, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
     recursions = {PRICE: price_bellman_recursion, RESOURCE: resource_bellman_recursion}
     info = {"mode": mode}
     for dec in _chosen(mode):
-        tables = _load_tables(cfg, out, dec, classmap)
-        seq = recursions[dec](tables, classmap, price_laws, bat, h_grid, c_grid, cfg.D)
+        tables = _load_tables(cfg, out, dec)
+        seq = recursions[dec](tables, cfg.classmap, price_laws, bat, h_grid, c_grid, cfg.D)
         # a file handle keeps np.savez from appending .npz to the temporary name
         with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:
             np.savez(fh, h=h_grid, c=c_grid, values=seq.values)
@@ -326,17 +323,17 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = 
     """White-noise Monte Carlo replay of the synthesized policies."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit", "intraday", "bellman"], force)
-    classmap, laws, price_laws = _load_fit(cfg, out)
+    laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     scen = white_noise_resample(
-        laws, price_laws, classmap, cfg.scenarios, cfg.seed, cfg.D + 1
+        laws, price_laws, cfg.classmap, cfg.scenarios, cfg.seed, cfg.D + 1
     )
     info = {}
     for dec in _chosen(mode):
         m = dec.mode
-        tables = _load_tables(cfg, out, dec, classmap, with_fast=True)
+        tables = _load_tables(cfg, out, dec, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
-        records, stats = simulate_policy(scen, m, tables, values, price_laws, classmap, bat)
+        records, stats = simulate_policy(scen, m, tables, values, price_laws, cfg.classmap, bat)
         with _atomic(out / f"sim_{m}.csv") as tmp, open(tmp, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["scenario_id", "total_cost", "renewal_days", "renewal_sizes"])

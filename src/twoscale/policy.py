@@ -118,7 +118,7 @@ def simulate_policy(
     capacity) = (0, 0, 0).  The replay uses the control grid the tables were
     built on, which must be the same for every class.  Cost accounting
     matches the offline recursions: day d's bill and renewal purchase are
-    weighted by gamma^d, the final cost by gamma^(D+1).
+    weighted by gamma^d, and the battery left after day D is worth 0.
 
     Scenarios advance together, day by day; within a day those at the same
     capacity share one slot loop over (scenario, control) arrays.  Every
@@ -156,7 +156,7 @@ def simulate_policy(
             if cv == 0.0:
                 bill = np.zeros(len(g))
                 for m in range(netload.shape[1]):
-                    bill += battery.stage_cost(0.0, netload[g, m], cfg.tariff.rate(m))
+                    bill += battery.stage_cost(0.0, netload[g, m], cfg.rates[m])
             else:
                 tabs = table.fast[int(np.searchsorted(c_grid, cv)) - 1]
                 decision = select(h[g], cv, d, table, values, price_laws[d], cfg)
@@ -182,12 +182,11 @@ def simulate_policy(
             states[s].append(BatteryState(float(soc[s]), float(h[s]), float(c[s])))
     records = []
     for s in range(n):
-        final = float(total[s]) + disc * cfg.final_cost(float(h[s]), float(c[s]))
         records.append(SimulationRecord(
             scenario_id=s,
             states=tuple(states[s]),
             renewals=tuple(renewals[s]),
-            total_cost=final,
+            total_cost=float(total[s]),
             daily_bills=tuple(float(b) for b in bills[:, s]),
             clamp_count=int(clamped[s]),
         ))
@@ -223,7 +222,7 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
     clamped = np.zeros(len(soc), dtype=int)
     for m in range(netload.shape[1]):
         w = netload[:, m]
-        rate = cfg.tariff.rate(m)
+        rate = cfg.rates[m]
         soc_next, h_next = battery.fast_dynamics(soc[:, None], h[:, None], effect)
         feasible = battery.in_soc_box(soc_next, c, cfg, ADMISS_TOL) & (h_next >= -ADMISS_TOL)
         if budget_axis:

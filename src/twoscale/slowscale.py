@@ -188,7 +188,7 @@ def _bellman_recursion(
     the health decrement (a lower bound).  Per battery-price atom the day
     ends by keeping the battery or buying a fresh one.  Day costs are
     undiscounted; the continuation is scaled by the daily discount factor
-    (total cost is sum of gamma^d day costs).
+    (total cost is sum of gamma^d day costs), and the final cost is 0.
     """
     if any(tab.decomposition != dec for tab in tables.values()):
         raise ValueError(f"the {dec.mode} recursion needs {dec.mode} intraday tables")
@@ -202,9 +202,7 @@ def _bellman_recursion(
         cont = day_continuation(vnext, price_laws[d], cfg, renewal)
         return reduce(day_objective(table, h_grid, slice(None), cont, h_grid, FEAS_TOL), axis=2).T
 
-    grid = Grid([h_grid, c_grid])
-    final = [cfg.final_cost(h, c) for h, c in grid.points()]
-    return _backward(dec.kind, grid, np.reshape(final, grid.shape), D, day)
+    return _backward(dec.kind, Grid([h_grid, c_grid]), 0.0, D, day)
 
 
 resource_bellman_recursion = partial(_bellman_recursion, RESOURCE)

@@ -33,13 +33,12 @@ def small_battery_config(**overrides) -> BatteryConfig:
     kw = dict(
         charge_eff=0.95,
         discharge_eff=0.95,
-        u_min=-25.0,
         u_max=25.0,
-        max_capacity=50.0,
-        renewal_grid=(0.0, 50.0),
         soc_fraction=0.8,
+        cycle_multiple=4,
         gamma=0.99,
-        tariff=tariff_for_slots(N_SLOTS),
+        renewal_grid=(0.0, 50.0),
+        rates=tariff_for_slots(N_SLOTS),
     )
     kw.update(overrides)
     return BatteryConfig(**kw)

@@ -163,13 +163,13 @@ def test_criterion_08_simulation_consistency(desk_run):
     # replay a scenario subset in process to inspect the trajectories; the
     # simulator itself raises on any admissibility violation, so the stage
     # completing above already covers all scenarios
-    classmap, laws, price_laws = _load_fit(cfg, out)
+    laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
-    scen = white_noise_resample(laws, price_laws, classmap, 10, cfg.seed, cfg.D + 1)
+    scen = white_noise_resample(laws, price_laws, cfg.classmap, 10, cfg.seed, cfg.D + 1)
     for dec in (PRICE, RESOURCE):
-        mode, tabs = dec.mode, _load_tables(cfg, out, dec, classmap, with_fast=True)
+        mode, tabs = dec.mode, _load_tables(cfg, out, dec, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
-        records, _ = simulate_policy(scen, mode, tabs, values, price_laws, classmap, bat)
+        records, _ = simulate_policy(scen, mode, tabs, values, price_laws, cfg.classmap, bat)
         for rec in records:
             renewal_days = dict(rec.renewals)
             for state in rec.states:
@@ -179,7 +179,7 @@ def test_criterion_08_simulation_consistency(desk_run):
                 if d in renewal_days:
                     r = renewal_days[d]
                     assert nxt.soc == 0.0
-                    assert nxt.health == bat.cycle_count(r) * r
+                    assert nxt.health == bat.cycle_multiple * r
                     assert nxt.capacity == r
                 else:
                     assert nxt.health <= rec.states[d].health + 1e-9

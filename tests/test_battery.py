@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from twoscale.battery import (
     ScenarioSet,
     battery_price_laws,
     control_effect,
-    default_tariff,
     fast_dynamics,
     fit_netload_distributions,
     interp_price_forecast,
@@ -27,14 +28,43 @@ from twoscale.battery import (
     tariff_for_slots,
     white_noise_resample,
 )
+from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import build_periodicity_classes
 
 from conftest import small_battery_config
 
+# the battery of a default run: sizes 0..1500 kWh in steps of 100, 48 slots
+DEFAULT = RunConfig().battery_config()
+
 
 def unit_cfg(**kw):
     return small_battery_config(charge_eff=1.0, discharge_eff=1.0, **kw)
+
+
+# ---------------------------------------------------------------- parameters
+
+
+def test_run_config_fills_every_battery_field():
+    cfg = RunConfig(
+        n_slots=24, c_step=50.0, c_max=200.0, charge_eff=0.9, discharge_eff=0.85,
+        u_max=70.0, soc_fraction=0.7, cycle_multiple=3, gamma=0.995,
+    )
+    bat = cfg.battery_config()
+    fields = dataclasses.fields(BatteryConfig)
+    names = [f.name for f in fields]
+    assert names == [
+        "charge_eff", "discharge_eff", "u_max", "soc_fraction", "cycle_multiple", "gamma",
+        "renewal_grid", "rates",
+    ]
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields)
+    for name in names[:-2]:
+        assert getattr(bat, name) == getattr(cfg, name), name
+    assert bat.renewal_grid == tuple(cfg.c_grid()) == (0.0, 50.0, 100.0, 150.0, 200.0)
+    assert bat.rates == tariff_for_slots(cfg.n_slots)
+    assert len(bat.rates) == 24
+    with pytest.raises(TypeError):
+        BatteryConfig()
 
 
 # ---------------------------------------------------------------- dynamics
@@ -109,7 +139,7 @@ def test_array_transition_equals_the_elementwise_definition(effs):
 
 
 def test_renewal_dynamics_examples():
-    cfg = BatteryConfig()
+    cfg = DEFAULT
     y = renew(BatteryState(3.0, 8.0, 100.0), 100.0, cfg)
     assert (y.soc, y.health, y.capacity) == (0.0, 400.0, 100.0)
     x = BatteryState(3.0, 8.0, 100.0)
@@ -119,19 +149,19 @@ def test_renewal_dynamics_examples():
 
 
 def test_renewal_requires_grid_size():
-    cfg = BatteryConfig()
+    cfg = DEFAULT
     with pytest.raises(ValueError):
         renewal_dynamics(0.0, 0.0, 0.0, 150.0, cfg)
 
 
 def test_renewal_idempotent_for_zero():
-    cfg = BatteryConfig()
+    cfg = DEFAULT
     x = BatteryState(1.0, 2.0, 100.0)
     assert renew(renew(x, 0.0, cfg), 0.0, cfg) == x
 
 
 def test_state_bounds_check():
-    cfg = BatteryConfig()
+    cfg = DEFAULT
     BatteryState(0.0, 400.0, 100.0).check_bounds(cfg)
     with pytest.raises(ValueError):
         BatteryState(90.0, 400.0, 100.0).check_bounds(cfg)  # soc > 0.8 * c
@@ -145,44 +175,40 @@ def test_state_bounds_check():
 
 
 def test_tariff_rate_examples():
-    tariff = default_tariff()
-    assert tariff.rate(46) == OFF_PEAK_RATE  # 23:00
-    assert tariff.rate(24) == SHOULDER_RATE  # 12:00
-    assert tariff.rate(36) == PEAK_RATE  # 18:00
-    with pytest.raises(ValueError):
-        tariff.rate(48)
-    with pytest.raises(ValueError):
-        tariff.rate(-1)
+    rates = tariff_for_slots(48)
+    assert rates[46] == OFF_PEAK_RATE  # 23:00
+    assert rates[24] == SHOULDER_RATE  # 12:00
+    assert rates[36] == PEAK_RATE  # 18:00
 
 
 def test_tariff_day_integral_identity():
     # constant 1 kW over the whole day: 0.5 kWh per half-hour slot
-    total = sum(default_tariff().rate(m) * 0.5 for m in range(48))
+    total = sum(rate * 0.5 for rate in tariff_for_slots(48))
     expected = 9 * OFF_PEAK_RATE + 10 * SHOULDER_RATE + 5 * PEAK_RATE
     assert total == pytest.approx(expected, abs=1e-12)
 
 
 def test_tariff_for_other_slot_counts():
     t = tariff_for_slots(24)  # hourly
-    assert t.rate(0) == OFF_PEAK_RATE
-    assert t.rate(7) == SHOULDER_RATE
-    assert t.rate(17) == PEAK_RATE
-    assert t.rate(22) == OFF_PEAK_RATE
-    assert t.n_slots == 24
+    assert t[0] == OFF_PEAK_RATE
+    assert t[7] == SHOULDER_RATE
+    assert t[17] == PEAK_RATE
+    assert t[22] == OFF_PEAK_RATE
+    assert len(t) == 24
 
 
 def test_stage_cost_examples():
-    t = default_tariff()
-    assert stage_cost(0.0, 1.0, t.rate(36)) == PEAK_RATE
-    assert stage_cost(0.0, -5.0, t.rate(10)) == 0.0
-    assert stage_cost(-1.0, 1.0, t.rate(0)) == 0.0
+    t = tariff_for_slots(48)
+    assert stage_cost(0.0, 1.0, t[36]) == PEAK_RATE
+    assert stage_cost(0.0, -5.0, t[10]) == 0.0
+    assert stage_cost(-1.0, 1.0, t[0]) == 0.0
 
 
 def test_stage_cost_nonneg_nondecreasing_in_netload():
-    t = default_tariff()
+    t = tariff_for_slots(48)
     ws = np.linspace(-5.0, 5.0, 21)
     for u in (-2.0, 0.0, 2.0):
-        costs = list(stage_cost(u, ws, t.rate(20)))
+        costs = list(stage_cost(u, ws, t[20]))
         assert min(costs) >= 0.0
         assert all(b >= a for a, b in zip(costs, costs[1:]))
 
@@ -217,7 +243,7 @@ def test_kmeans_deterministic_and_validated():
 
 def test_fit_netload_distributions_shape_and_bounds():
     classmap = build_periodicity_classes(9, 1)
-    netload = synthetic_netload_scenarios(4, 10, 8, seed=3)
+    netload = synthetic_netload_scenarios(4, 10, 8, seed=3, base_kw=40.0)
     prices = np.ones((4, 10))
     scen = ScenarioSet(netload, prices)
     laws = fit_netload_distributions(scen, classmap, k=3)
@@ -257,7 +283,7 @@ def test_battery_price_laws_are_valid_distributions():
         assert law.support.min() >= 0.01
         assert np.all(np.diff(law.support) > 0)
     # sigma 0 collapses to the forecast point
-    laws0 = battery_price_laws([0.4, 0.2], sigma=0.0, n_days=10, n_atoms=5)
+    laws0 = battery_price_laws([0.4, 0.2], sigma=0.0, n_days=10, floor=0.01, n_atoms=5)
     assert all(len(l) == 1 for l in laws0)
 
 
@@ -274,11 +300,11 @@ def test_scenario_set_validation():
 
 
 def test_synthetic_netload_deterministic():
-    a = synthetic_netload_scenarios(2, 5, 48, seed=4)
-    b = synthetic_netload_scenarios(2, 5, 48, seed=4)
+    a = synthetic_netload_scenarios(2, 5, 48, seed=4, base_kw=40.0)
+    b = synthetic_netload_scenarios(2, 5, 48, seed=4, base_kw=40.0)
     assert a.shape == (2, 5, 48)
     assert np.array_equal(a, b)
-    c = synthetic_netload_scenarios(2, 5, 48, seed=5)
+    c = synthetic_netload_scenarios(2, 5, 48, seed=5, base_kw=40.0)
     assert not np.array_equal(a, c)
 
 
@@ -352,7 +378,7 @@ def test_csv_roundtrip(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("scenario,day,slot,netload_kwh\n")
     with pytest.raises(ValueError):
-        load_netload_csv(empty)
+        load_netload_csv(empty, n_slots=2)
 
 
 def test_csv_missing_row_rejected(tmp_path):

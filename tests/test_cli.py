@@ -88,6 +88,7 @@ def test_off_grid_renewal_states_rejected_at_load(runner, tmp_path):
         {"price_forecast": [0.3], "D": 365},
         {"fit_scenarios": 0},
         {"h_points": 1},
+        {"cycle_multiple": 0},
     ],
 )
 def test_bad_config_rejected_at_load(runner, tmp_path, bad):
@@ -182,6 +183,38 @@ def test_forced_stage_on_other_intraday_grids_exit_code(runner, tmp_path, stage,
     assert res.exit_code == 2, res.output
     assert "rerun intraday" in res.output
     assert not list(out.glob("sim_*"))
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_forced_intraday_on_more_classes_than_fit_exit_code(runner, tmp_path):
+    # at D 120 the four-class map has classes 1 and 2, the fit laws only class 1
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, {**TINY, "D": 120})
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    before = _files(out)
+    cfg = write_config(tmp_path, {**TINY, "D": 120, "n_classes": 4})
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out), "--force"])
+    assert res.exit_code == 2, res.output
+    assert "rerun fit" in res.output
+    assert _files(out) == before
+
+
+def test_forced_bellman_on_a_longer_horizon_than_fit_exit_code(runner, tmp_path):
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, TINY)
+    for stage in ("fit", "intraday"):
+        res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+    before = _files(out)
+    cfg = write_config(tmp_path, {**TINY, "D": 2 * TINY["D"]})
+    res = runner.invoke(main, ["bellman", "--config", cfg, "--out", str(out), "--force"])
+    assert res.exit_code == 2, res.output
+    assert "rerun fit" in res.output
+    assert _files(out) == before
 
 
 def test_bad_netload_csv_exit_code(runner, tmp_path):

@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-from twoscale.battery import Tariff
 from twoscale.core import INF, DiscreteDist, Grid, GridValueFn, low_add_arrays
 from twoscale.intraday import (
     FastStage,
@@ -341,7 +340,7 @@ def world(small_world):
 
 def test_resource_table_base_cases(world):
     rtab, cfg, laws = world["rtab"], world["cfg"], world["slot_laws"]
-    base = no_battery_bill(laws, cfg.tariff)
+    base = no_battery_bill(laws, cfg.rates)
     # c = 0 row is the pure bill regardless of the aging budget
     assert np.allclose(rtab.table.values[0, :], base)
     # dh = 0 column: a zero budget forces u = 0, same bill
@@ -359,7 +358,7 @@ def test_resource_table_nonnegative(world):
 
 def test_price_table_base_cases(world):
     ptab, cfg, laws = world["ptab"], world["cfg"], world["slot_laws"]
-    base = no_battery_bill(laws, cfg.tariff)
+    base = no_battery_bill(laws, cfg.rates)
     assert np.allclose(ptab.table.values[0, :], base)
 
 
@@ -375,15 +374,14 @@ def test_price_table_huge_surcharge_prices_battery_out():
     tab = compute_price_intraday(
         1, cfg, laws, c_grid, np.array([0.0, 1e6]), n_soc=N_SOC, n_controls=N_CONTROLS
     )
-    base = no_battery_bill(laws, cfg.tariff)
+    base = no_battery_bill(laws, cfg.rates)
     assert tab.table.values[1, 1] == pytest.approx(base, abs=1e-9)
 
 
 def test_resource_single_step_cannot_discharge_empty():
     # one slot, demand 1, tariff 1, big budget: the empty battery cannot help
     cfg = small_battery_config(
-        charge_eff=1.0, discharge_eff=1.0, u_min=-10.0, u_max=10.0,
-        max_capacity=10.0, renewal_grid=(0.0, 10.0), tariff=Tariff(np.array([1.0])),
+        charge_eff=1.0, discharge_eff=1.0, u_max=10.0, renewal_grid=(0.0, 10.0), rates=(1.0,),
     )
     laws = point_laws([1.0])
     tab = compute_resource_intraday(
@@ -396,8 +394,7 @@ def test_price_two_step_arbitrage_is_free_at_zero_surcharge():
     # surplus 1 then demand 1 at unit tariff: charging then discharging wipes
     # the bill when the surcharge is zero and efficiencies are 1
     cfg = small_battery_config(
-        charge_eff=1.0, discharge_eff=1.0, u_min=-1.0, u_max=1.0,
-        max_capacity=10.0, renewal_grid=(0.0, 10.0), tariff=Tariff(np.array([1.0, 1.0])),
+        charge_eff=1.0, discharge_eff=1.0, u_max=1.0, renewal_grid=(0.0, 10.0), rates=(1.0, 1.0),
     )
     laws = point_laws([-1.0, 1.0])
     tab = compute_price_intraday(
@@ -436,12 +433,14 @@ def test_periodicity_bit_exact_tables(world):
 def test_negative_surcharge_rejected(world):
     with pytest.raises(ValueError):
         compute_price_intraday(
-            1, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0])
+            1, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0]),
+            N_SOC, N_CONTROLS,
         )
 
 
 def test_capacity_grid_not_from_zero_rejected(world):
     with pytest.raises(ValueError, match="start at c = 0"):
         compute_price_intraday(
-            1, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"]
+            1, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"],
+            N_SOC, N_CONTROLS,
         )

@@ -40,7 +40,7 @@ def test_fit_laws_in_one_file(bellman_run):
     assert names == {"noise_laws.json", "price_laws.json"}
     assert not list(bellman_run.glob("noise_class*"))
     stored = json.loads((bellman_run / "noise_laws.json").read_text())
-    classmap, laws, _ = _load_fit(CFG, bellman_run)
+    laws, _ = _load_fit(CFG, bellman_run)
     assert sorted(stored) == [str(cls) for cls in sorted(laws)] == ["1"]
     for cls, slot_laws in laws.items():
         assert len(slot_laws) == CFG.n_slots
@@ -69,14 +69,14 @@ def test_intraday_file_holds_one_npz_per_decomposition(bellman_run):
 
 
 def test_intraday_tables_round_trip_bit_equal(bellman_run):
-    classmap, laws, _ = _load_fit(CFG, bellman_run)
+    laws, _ = _load_fit(CFG, bellman_run)
     bat = CFG.battery_config()
     for dec, axis in ((PRICE, CFG.pi_grid()), (RESOURCE, CFG.dh_grid())):
         ref = compute_intraday(
             dec, 1, bat, laws[1], CFG.c_grid(), axis, CFG.n_soc, CFG.n_controls
         )
-        short = _load_tables(CFG, bellman_run, dec, classmap)
-        full = _load_tables(CFG, bellman_run, dec, classmap, with_fast=True)
+        short = _load_tables(CFG, bellman_run, dec)
+        full = _load_tables(CFG, bellman_run, dec, with_fast=True)
         for tabs in (short, full):
             assert sorted(tabs) == [1]
             tab = tabs[1]
@@ -93,20 +93,19 @@ def test_intraday_tables_round_trip_bit_equal(bellman_run):
 )
 def test_intraday_file_of_another_config_is_rejected(bellman_run, change):
     other = RunConfig(**{**CFG.to_dict(), **change})
-    classmap, _, _ = _load_fit(CFG, bellman_run)
     for dec in (PRICE,) if "pi_values" in change else (PRICE, RESOURCE):
         for with_fast in (False, True):
             with pytest.raises(HashMismatch, match="rerun intraday"):
-                _load_tables(other, bellman_run, dec, classmap, with_fast)
+                _load_tables(other, bellman_run, dec, with_fast)
 
 
 def test_value_files_round_trip_bit_equal(bellman_run):
     out = bellman_run
-    classmap, _, price_laws = _load_fit(CFG, out)
+    _, price_laws = _load_fit(CFG, out)
     bat = CFG.battery_config()
     for dec, recursion in ((RESOURCE, resource_bellman_recursion), (PRICE, price_bellman_recursion)):
-        tables = _load_tables(CFG, out, dec, classmap)
-        ref = recursion(tables, classmap, price_laws, bat, CFG.h_grid(), CFG.c_grid(), CFG.D)
+        tables = _load_tables(CFG, out, dec)
+        ref = recursion(tables, CFG.classmap, price_laws, bat, CFG.h_grid(), CFG.c_grid(), CFG.D)
         seq = load_value_seq(CFG, out, dec.kind)
         assert seq.kind == dec.kind
         assert seq.grid == ref.grid

@@ -184,7 +184,7 @@ def test_trajectories_admissible_and_renewals_wellformed(cheap, mode):
                 saw_renewal = True
                 assert r in cfg.renewal_grid and r > 0
                 assert x1.soc == 0.0
-                assert x1.health == cfg.cycle_count(r) * r
+                assert x1.health == cfg.cycle_multiple * r
                 assert x1.capacity == r
             else:
                 assert x1.health <= x0.health + 1e-9
@@ -264,26 +264,28 @@ def test_simulate_stage_replays_on_the_configured_control_grid(few_controls):
 
 def test_replay_defaults_to_the_tables_control_grid(few_controls):
     cfg, out = few_controls
-    classmap, laws, price_laws = _load_fit(cfg, out)
-    scen = white_noise_resample(laws, price_laws, classmap, cfg.scenarios, cfg.seed, cfg.D + 1)
+    laws, price_laws = _load_fit(cfg, out)
+    scen = white_noise_resample(
+        laws, price_laws, cfg.classmap, cfg.scenarios, cfg.seed, cfg.D + 1
+    )
     lower = load_value_seq(cfg, out, "price-lower").values[0, 0, 0]
     for dec in (PRICE, RESOURCE):
-        tabs = _load_tables(cfg, out, dec, classmap, with_fast=True)
+        tabs = _load_tables(cfg, out, dec, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
         _, stats = simulate_policy(
-            scen, dec.mode, tabs, values, price_laws, classmap, cfg.battery_config()
+            scen, dec.mode, tabs, values, price_laws, cfg.classmap, cfg.battery_config()
         )
         assert stats.mean >= lower - 3.0 * stats.stderr, dec.mode
 
 
 def test_scenarios_replayed_together_match_each_replayed_alone(few_controls):
     cfg, out = few_controls
-    classmap, laws, price_laws = _load_fit(cfg, out)
-    scen = white_noise_resample(laws, price_laws, classmap, 12, cfg.seed, cfg.D + 1)
+    laws, price_laws = _load_fit(cfg, out)
+    scen = white_noise_resample(laws, price_laws, cfg.classmap, 12, cfg.seed, cfg.D + 1)
     for dec in (PRICE, RESOURCE):
-        mode, tabs = dec.mode, _load_tables(cfg, out, dec, classmap, with_fast=True)
+        mode, tabs = dec.mode, _load_tables(cfg, out, dec, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
-        args = (mode, tabs, values, price_laws, classmap, cfg.battery_config())
+        args = (mode, tabs, values, price_laws, cfg.classmap, cfg.battery_config())
         together, _ = simulate_policy(scen, *args)
         capacities = {tuple(rec.states[d].capacity for rec in together) for d in range(cfg.D + 2)}
         assert any(len(set(caps)) > 1 for caps in capacities), "no day mixes capacities"

@@ -250,7 +250,7 @@ def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_gr
     renewal = renewal_states(h_grid, c_grid, cfg)
     reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
     values = np.empty((D + 2, len(h_grid), len(c_grid)))
-    values[D + 1] = [[cfg.final_cost(h, c) for c in c_grid] for h in h_grid]
+    values[D + 1] = 0.0
     for d in range(D, -1, -1):
         table = tables[int(classmap.day_to_class[d])]
         cont = day_continuation(values[d + 1], price_laws[d], cfg, renewal)
@@ -266,9 +266,9 @@ def criterion_10_world(tmp_path_factory):
     out = tmp_path_factory.mktemp("criterion_10")
     stage_fit(cfg, out)
     stage_intraday(cfg, out)
-    classmap, _, price_laws = _load_fit(cfg, out)
-    tables = {dec: _load_tables(cfg, out, dec, classmap) for dec in (RESOURCE, PRICE)}
-    args = (classmap, price_laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
+    _, price_laws = _load_fit(cfg, out)
+    tables = {dec: _load_tables(cfg, out, dec) for dec in (RESOURCE, PRICE)}
+    args = (cfg.classmap, price_laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
     return tables, args
 
 
