@@ -34,6 +34,7 @@ from .slowscale import (
     block_bellman_solve,
     check_sandwich,
     day_objective,
+    day_plan,
     generic_price_recursion,
     generic_resource_recursion,
     price_bellman_recursion,

@@ -60,6 +60,9 @@ class RunConfig:
             raise ConfigError("grid extents must be positive")
         if self.fit_k < 1 or self.price_atoms < 1:
             raise ConfigError("support sizes must be >= 1")
+        if min(self.n_soc, self.n_controls, self.dh_points) < 2:
+            # a grid step is read off the soc, control and budget grids
+            raise ConfigError("n_soc, n_controls and dh_points must be >= 2")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         pi = self.pi_grid()

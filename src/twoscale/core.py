@@ -108,6 +108,26 @@ class Grid:
             stride *= ax.size
         return base, frac
 
+    def corners(self, base: np.ndarray, frac: np.ndarray):
+        """The cell corners of an interpolation plan (see :meth:`interp_plan`)
+        in binary order, axis 0 in the lowest bit: per corner its flat index,
+        shaped like ``base``, and its weight, the product of its per-axis
+        factors in axis order."""
+        shape = self.shape
+        strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+        lower = 1.0 - frac
+        for corner in range(1 << len(shape)):
+            w, offset = None, 0
+            for j in range(len(shape)):
+                if (corner >> j) & 1:
+                    f = frac[j]
+                    if shape[j] > 1:
+                        offset += strides[j]
+                else:
+                    f = lower[j]
+                w = f if w is None else w * f
+            yield base + offset, w
+
     def __eq__(self, other) -> bool:
         return other is self or (
             isinstance(other, Grid)
@@ -155,32 +175,18 @@ class GridValueFn:
         (see :meth:`Grid.interp_plan`); ``base`` may have any shape and
         ``frac`` is ``(ndim,) + base.shape``.
 
-        Corners are visited in binary order, axis 0 in the lowest bit, and a
-        corner's weight is the product of its per-axis factors in axis order.
-        A corner contributes only where its weight is strictly positive.
+        Corners are visited in the order of :meth:`Grid.corners`.  A corner
+        contributes only where its weight is strictly positive.
         """
         flat = self.values.ravel()
-        shape = self.grid.shape
         pos_tab, neg_tab = np.isposinf(flat), np.isneginf(flat)
         has_pos, has_neg = bool(pos_tab.any()), bool(neg_tab.any())
         if has_pos or has_neg:
             flat = np.where(np.isfinite(flat), flat, 0.0)
-        strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
-        lower = 1.0 - frac
         total = np.zeros(base.shape)
         pos_inf = np.zeros(base.shape, dtype=bool)
         neg_inf = np.zeros(base.shape, dtype=bool)
-        for corner in range(1 << len(shape)):
-            w, offset = None, 0
-            for j in range(len(shape)):
-                if (corner >> j) & 1:
-                    f = frac[j]
-                    if shape[j] > 1:
-                        offset += strides[j]
-                else:
-                    f = lower[j]
-                w = f if w is None else w * f
-            idx = base + offset
+        for idx, w in self.grid.corners(base, frac):
             v = flat.take(idx)
             v *= w
             total += v

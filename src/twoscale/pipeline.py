@@ -282,17 +282,20 @@ def _bellman_path(out: Path, dec) -> Path:
 def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:
     """Backward slow-scale recursions; writes one value-function file per
     decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
-    and ``c`` and the values of every day, shape (D+2, len(h), len(c))."""
+    and ``c`` and the values of every day, shape (D+2, len(h), len(c)).  The
+    record holds the days recursed and each recursion's wall time."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["fit", "intraday"], force)
     _, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
     recursions = {PRICE: price_bellman_recursion, RESOURCE: resource_bellman_recursion}
-    info = {"mode": mode}
+    info = {"mode": mode, "days": cfg.D + 1}
     for dec in _chosen(mode):
         tables = _load_tables(cfg, out, dec)
+        t_rec = time.perf_counter()
         seq = recursions[dec](tables, cfg.classmap, price_laws, bat, h_grid, c_grid, cfg.D)
+        info[f"{dec.mode}_recursion_s"] = round(time.perf_counter() - t_rec, 3)
         # a file handle keeps np.savez from appending .npz to the temporary name
         with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:
             np.savez(fh, h=h_grid, c=c_grid, values=seq.values)
@@ -357,13 +360,16 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = 
 
 
 def stage_report(cfg: RunConfig, out: Path, force: bool = False) -> dict:
-    """Bound-gap report between the price (lower) and resource (upper) values."""
+    """Bound-gap report between the price (lower) and resource (upper) values;
+    ``report.json`` holds the summary, the record also the check's wall time."""
     t0 = time.perf_counter()
     check_stage_inputs(out, cfg, ["bellman"], force)
     lower = load_value_seq(cfg, out, "price-lower")
     upper = load_value_seq(cfg, out, "resource-upper")
     x0 = np.array([0.0, 0.0])
+    t_check = time.perf_counter()
     rep = check_sandwich(lower, upper, x0)
+    check_s = round(time.perf_counter() - t_check, 3)
     cols = (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0)
     with _atomic(out / "gaps.csv") as tmp, open(tmp, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -377,5 +383,6 @@ def stage_report(cfg: RunConfig, out: Path, force: bool = False) -> dict:
         "violations": rep.violations,
     }
     _dump_json(summary, out / "report.json")
-    _update_manifest(out, cfg, "report", summary, time.perf_counter() - t0)
-    return summary
+    info = {**summary, "check_sandwich_s": check_s}
+    _update_manifest(out, cfg, "report", info, time.perf_counter() - t0)
+    return info

@@ -18,7 +18,7 @@ from .core import DiscreteDist, GridValueFn, INF
 from . import battery
 from .battery import BatteryConfig, BatteryState, ScenarioSet
 from .intraday import IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for
-from .slowscale import SlowValueSeq, day_continuation, day_objective, renewal_states
+from .slowscale import SlowValueSeq, day_continuation, day_objective, day_plan, renewal_states
 
 ADMISS_TOL = 1e-6
 
@@ -51,7 +51,8 @@ def _best_on_axis(
     renewal = renewal_states(h_grid, c_grid, cfg)
     cont = day_continuation(values.values[day + 1], price_law, cfg, renewal)
     h = np.asarray(h, dtype=float)
-    obj = day_objective(table, np.atleast_1d(h), [ci], cont, h_grid, ADMISS_TOL)[0]
+    plan = day_plan(table, np.atleast_1d(h), h_grid, ADMISS_TOL)
+    obj = day_objective(table, plan, [ci], cont)[0]
     pick = np.argmin if table.decomposition.budget_axis else np.argmax
     best = table.axis[pick(obj, axis=1)]
     return float(best[0]) if h.ndim == 0 else best

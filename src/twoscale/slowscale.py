@@ -28,6 +28,10 @@ from .battery import BatteryConfig, fresh_state
 from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable, PeriodicityClassMap
 from .intraday import solve_fast_dp
 
+# values per bound in one block of days of check_sandwich: 256 KB per
+# temporary, whose few live ones then total about 1 MB
+SANDWICH_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class SlowValueSeq:
@@ -115,42 +119,97 @@ def day_continuation(
 
 def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.ndarray:
     """Expected continuation when keeping the battery is worth ``keep``: per
-    price atom, the cheaper of keeping it and buying a fresh one."""
-    out = np.zeros_like(keep)
+    price atom, the cheaper of keeping it and buying a fresh one, summed in
+    two buffers allocated once."""
+    out, term = np.zeros_like(keep), np.empty_like(keep)
     for p, b in zip(probs, best_buy):
-        out += p * np.minimum(keep, b)
+        np.minimum(keep, b, out=term)
+        term *= p
+        out += term
     return out
 
 
-def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, f)`` for every row f of ``fp`` at once, shape
-    fp.shape[:1] + x.shape, with np.interp's float operations: f[j] at a grid
-    point xp[j] and beyond the ends, else the slope (f[j+1] - f[j]) /
-    (xp[j+1] - xp[j]) times x - xp[j] plus f[j], retried from xp[j+1] where
-    that is NaN."""
+@dataclass(frozen=True, eq=False)
+class _InterpPlan:
+    """Where points x fall on a grid xp: x clipped to the grid, the index j
+    of the last grid point at or below it, x - xp[j] and x == xp[j]."""
+
+    xp: np.ndarray
+    x: np.ndarray
+    j: np.ndarray
+    dx: np.ndarray
+    at: np.ndarray
+
+
+def _interp_plan(x: np.ndarray, xp: np.ndarray) -> _InterpPlan:
     x = np.clip(x, xp[0], xp[-1])
     j = np.searchsorted(xp, x, side="right") - 1
     xj = xp[j]
+    return _InterpPlan(xp, x, j, x - xj, x == xj)
+
+
+def _interp_apply(plan: _InterpPlan, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, f)`` at the planned points x for every row f of
+    ``fp`` at once, shape fp.shape[:1] + x.shape, with np.interp's float
+    operations: f[j] at a grid point xp[j] and beyond the ends, else the slope
+    (f[j+1] - f[j]) / (xp[j+1] - xp[j]) times x - xp[j] plus f[j], retried
+    from xp[j+1] where that is NaN, which needs a non-finite f or slope."""
+    xp = plan.xp
     with np.errstate(invalid="ignore"):
         # slope[n-1] pads the last point, where x == xp[j] picks f0 anyway
         slope = np.concatenate([np.diff(fp) / np.diff(xp), np.zeros((len(fp), 1))], axis=1)
-        s, f0 = np.take(slope, j, axis=1), np.take(fp, j, axis=1)
-        out = np.where(x == xj, f0, s * (x - xj) + f0)
-        nan = np.isnan(out)
-        if nan.any():
-            k = np.minimum(j + 1, len(xp) - 1)
-            f1 = np.take(fp, k, axis=1)
-            back = s * (x - xp[k]) + f1
-            out = np.where(nan, np.where(np.isnan(back) & (f0 == f1), f0, back), out)
+        f0 = np.take(fp, plan.j, axis=1)
+        out = np.take(slope, plan.j, axis=1)
+        out *= plan.dx
+        out += f0
+        np.copyto(out, f0, where=plan.at)
+        if not (np.isfinite(fp).all() and np.isfinite(slope).all()):
+            out = _interp_retry(plan, fp, slope, f0, out)
     return out
 
 
-def day_objective(
-    table: IntradayTable, h: np.ndarray, ci, continuation, h_grid: np.ndarray, tol: float
-) -> np.ndarray:
-    """A day's objective at health values h and capacity indices ci (an index
-    array or a slice), shaped (len(ci), len(h), len(table.axis)); the day's
-    value is its min (resource) or max (price) over the axis.
+def _interp_retry(plan, fp, slope, f0, out):
+    """np.interp's second try where its first gave NaN: the slope times
+    x - xp[j+1] plus f[j+1], or f[j] where that is NaN too and f[j] == f[j+1]."""
+    nan = np.isnan(out)
+    if not nan.any():
+        return out
+    k = np.minimum(plan.j + 1, len(plan.xp) - 1)
+    f1 = np.take(fp, k, axis=1)
+    back = np.take(slope, plan.j, axis=1) * (plan.x - plan.xp[k]) + f1
+    return np.where(nan, np.where(np.isnan(back) & (f0 == f1), f0, back), out)
+
+
+@dataclass(frozen=True, eq=False)
+class DayPlan:
+    """The part of :func:`day_objective` at health values h that depends on
+    neither the day nor the capacity, built by :func:`day_plan` once per
+    caller.  Resource: where tomorrow's health max(h - dh, 0) falls on the
+    health grid, and a penalty over (h, axis), 0 where h - dh >= -tol and +inf
+    elsewhere.  Price: the products pi * h' over (axis, health grid) and
+    pi * h over (axis, h)."""
+
+    lookup: _InterpPlan | None = None
+    penalty: np.ndarray | None = None
+    pi_next: np.ndarray | None = None
+    pi_h: np.ndarray | None = None
+
+
+def day_plan(table: IntradayTable, h: np.ndarray, h_grid: np.ndarray, tol: float) -> DayPlan:
+    """The :class:`DayPlan` of the table's day axis at health values h, with
+    h - dh >= -tol the feasible budgets."""
+    h, axis = np.asarray(h, dtype=float), table.axis
+    if table.decomposition.budget_axis:
+        h_next = h[:, None] - axis[None, :]
+        penalty = np.where(h_next >= -tol, 0.0, INF)
+        return DayPlan(lookup=_interp_plan(np.maximum(h_next, 0.0), h_grid), penalty=penalty)
+    return DayPlan(pi_next=axis[:, None] * h_grid, pi_h=axis[:, None] * h[None, :])
+
+
+def day_objective(table: IntradayTable, plan: DayPlan, ci, continuation) -> np.ndarray:
+    """A day's objective at the plan's health values h and capacity indices
+    ci (an index array or a slice), shaped (len(ci), len(h), len(table.axis));
+    the day's value is its min (resource) or max (price) over the axis.
 
     Resource: the intraday cost of budget dh plus the expected continuation at
     tomorrow's health h - dh, +inf where h - dh < -tol.  Price: the intraday
@@ -158,15 +217,17 @@ def day_objective(
     minus pi * h.
     """
     disc, probs, best_buy = continuation
-    ell, axis = table.table.values[ci], table.axis
+    ell, fp = table.table.values[ci], disc[:, ci].T
     if table.decomposition.budget_axis:
-        h_next = h[:, None] - axis[None, :]
-        keep = _interp(np.maximum(h_next, 0.0), h_grid, disc[:, ci].T)
-        return np.where(h_next >= -tol, ell[:, None, :] + _expect(keep, probs, best_buy), INF)
-    expect = _expect(disc[:, ci].T, probs, best_buy)
-    inner = (axis[None, :, None] * h_grid + expect[:, None, :]).min(axis=2)
+        out = _expect(_interp_apply(plan.lookup, fp), probs, best_buy)
+        out += ell[:, None, :]
+        # neither term is ever -inf, so adding the {0, +inf} penalty is exact
+        out += plan.penalty
+        return out
+    expect = _expect(fp, probs, best_buy)
+    inner = (plan.pi_next[None, :, :] + expect[:, None, :]).min(axis=2)
     # built over (c, axis, h) so that reducing over the short axis runs along rows
-    out = ell[:, :, None] + inner[:, :, None] - axis[:, None] * h[None, :]
+    out = ell[:, :, None] + inner[:, :, None] - plan.pi_h
     return out.transpose(0, 2, 1)
 
 
@@ -196,11 +257,12 @@ def _bellman_recursion(
     c_grid = np.asarray(c_grid, dtype=float)
     renewal = renewal_states(h_grid, c_grid, cfg)
     reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
+    plans = {cls: day_plan(tab, h_grid, h_grid, FEAS_TOL) for cls, tab in tables.items()}
 
     def day(d, vnext):
-        table = tables[int(classmap.day_to_class[d])]
+        cls = int(classmap.day_to_class[d])
         cont = day_continuation(vnext, price_laws[d], cfg, renewal)
-        return reduce(day_objective(table, h_grid, slice(None), cont, h_grid, FEAS_TOL), axis=2).T
+        return reduce(day_objective(tables[cls], plans[cls], slice(None), cont), axis=2).T
 
     return _backward(dec.kind, Grid([h_grid, c_grid]), 0.0, D, day)
 
@@ -271,24 +333,52 @@ def check_sandwich(
 ) -> BoundReport:
     """Per-day gap report; flags grid points where lower exceeds upper.
 
-    Both sequences must lie on one grid, so x0 is located on it once."""
+    Both sequences must lie on one grid, so x0 is located on it once.  The
+    days are checked in blocks of about SANDWICH_BLOCK values per bound, so
+    the temporaries stay small however long the horizon."""
     if lower.horizon != upper.horizon:
         raise ValueError("sequences cover different horizons")
     if lower.grid != upper.grid:
         raise ValueError("the sequences lie on different grids")
     n = len(lower.values)
     grid = lower.grid
-    max_rel, gap0, lo0, up0 = (np.empty(n) for _ in range(4))
+    max_rel, lo0, up0 = np.empty(n), np.empty(n), np.empty(n)
     violations = 0
     base, frac = grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1))
-    for d in range(n):
-        lv, uv = lower.values[d], upper.values[d]
-        denom = np.maximum(np.abs(lv), 1e-9)
-        rel = (uv - lv) / denom
-        max_rel[d] = float(rel.max())
-        violations += int(np.sum(lv > uv + tol * denom))
-        l0 = float(GridValueFn(grid, lv).blend(base, frac)[0])
-        u0 = float(GridValueFn(grid, uv).blend(base, frac)[0])
-        lo0[d], up0[d] = l0, u0
-        gap0[d] = (u0 - l0) / max(abs(l0), 1e-9)
+    corners = [(int(idx[0]), w[0]) for idx, w in grid.corners(base, frac)]
+    step = max(1, SANDWICH_BLOCK // grid.size)
+    for a in range(0, n, step):
+        days = slice(a, min(a + step, n))
+        lv, uv = lower.values[days], upper.values[days]
+        denom = np.abs(lv)
+        np.maximum(denom, 1e-9, out=denom)
+        rel = uv - lv
+        rel /= denom
+        max_rel[days] = rel.reshape(len(rel), -1).max(axis=1)
+        # denom becomes uv + tol * denom
+        denom *= tol
+        denom += uv
+        violations += int(np.count_nonzero(lv > denom))
+        lo0[days], up0[days] = _blend_days(lv, corners), _blend_days(uv, corners)
+    gap0 = (up0 - lo0) / np.maximum(np.abs(lo0), 1e-9)
     return BoundReport(max_rel, gap0, lo0, up0, violations)
+
+
+def _blend_days(values: np.ndarray, corners: list) -> np.ndarray:
+    """Per day of ``values``, shaped (days,) + grid shape, GridValueFn.blend
+    at one point given by its :meth:`~twoscale.core.Grid.corners`: the same
+    corners, weights and order, and the same infinities, +inf where a corner
+    of positive weight is +inf and -inf where one is -inf."""
+    flat = values.reshape(len(values), -1)
+    raw = flat[:, [idx for idx, _ in corners]]
+    at = raw
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        # blend zeroes the non-finite entries of a day that holds an infinity
+        at = np.where(bad & np.isinf(flat).any(axis=1)[:, None], 0.0, raw)
+    total = np.zeros(len(values))
+    for k, (_, w) in enumerate(corners):
+        total += at[:, k] * w
+    active = raw[:, [w > 0.0 for _, w in corners]]
+    out = np.where(np.isposinf(active).any(axis=1), INF, total)
+    return np.where(np.isneginf(active).any(axis=1), -INF, out)

@@ -89,6 +89,12 @@ def test_off_grid_renewal_states_rejected_at_load(runner, tmp_path):
         {"fit_scenarios": 0},
         {"h_points": 1},
         {"cycle_multiple": 0},
+        {"n_soc": 0},
+        {"n_soc": 1},
+        {"n_controls": 0},
+        {"n_controls": 1},
+        {"dh_points": 0},
+        {"dh_points": 1},
     ],
 )
 def test_bad_config_rejected_at_load(runner, tmp_path, bad):

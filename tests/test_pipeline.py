@@ -180,6 +180,22 @@ def test_gaps_csv_holds_plain_floats(bellman_run):
     assert float(rows[0][3]) == summary["lower_at_x0_day0"]
 
 
+def test_manifest_records_recursion_and_check_times(bellman_run):
+    stage_bellman(CFG, bellman_run)
+    info = stage_report(CFG, bellman_run)
+    stages = json.loads((bellman_run / "manifest.json").read_text())["stages"]
+    bellman, report = stages["bellman"], stages["report"]
+    assert bellman["days"] == CFG.D + 1
+    for mode in ("price", "resource"):
+        assert 0.0 <= bellman[f"{mode}_recursion_s"] <= bellman["seconds"]
+    assert 0.0 <= report["check_sandwich_s"] <= report["seconds"]
+    # the timing stays in the record: report.json holds the summary alone
+    summary = json.loads((bellman_run / "report.json").read_text())
+    assert "check_sandwich_s" not in summary
+    assert summary == {k: v for k, v in report.items() if k not in ("check_sandwich_s", "seconds")}
+    assert info == {k: v for k, v in report.items() if k != "seconds"}
+
+
 @pytest.mark.parametrize("h_points", [13, 10])
 def test_fractional_capacity_steps(tmp_path, h_points):
     # 0.3 / 0.1 is 2.9999999999999996; with 10 health points the renewal

@@ -3,21 +3,32 @@ recursions and the gap report."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from twoscale import slowscale
 from twoscale.core import INF, DiscreteDist, Grid
-from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, build_periodicity_classes
+from twoscale.intraday import (
+    FEAS_TOL,
+    PRICE,
+    RESOURCE,
+    build_periodicity_classes,
+    compute_resource_intraday,
+)
 from twoscale.oracle import TinyProblem, flat_dp_solve
 from twoscale.pipeline import _load_fit, _load_tables, stage_fit, stage_intraday
 from twoscale.slowscale import (
     SlowValueSeq,
     _bellman_recursion,
-    _interp,
+    _interp_apply,
+    _interp_plan,
     block_bellman_solve,
     check_sandwich,
     day_continuation,
     day_objective,
+    day_plan,
     generic_price_recursion,
     generic_resource_recursion,
     price_bellman_recursion,
@@ -25,7 +36,7 @@ from twoscale.slowscale import (
     resource_bellman_recursion,
 )
 
-from conftest import CRITERION_10, small_battery_config
+from conftest import CRITERION_10, N_SOC, small_battery_config
 
 
 def point(v):
@@ -239,7 +250,7 @@ def test_interp_matches_np_interp_bit_for_bit():
             fp[rng.random(fp.shape) < 0.1] = v
         axis = np.concatenate([rng.choice(xp, 3), rng.uniform(-50.0, 900.0, 4)])
         x = np.maximum(xp[:, None] - axis[None, :], 0.0) + rng.choice([0.0, -10.0, 1000.0])
-        got = _interp(x, xp, fp)
+        got = _interp_apply(_interp_plan(x, xp), fp)
         for f, g in zip(fp, got):
             with np.errstate(invalid="ignore"):
                 assert g.tobytes() == np.interp(x, xp, f).tobytes()
@@ -255,7 +266,8 @@ def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_gr
         table = tables[int(classmap.day_to_class[d])]
         cont = day_continuation(values[d + 1], price_laws[d], cfg, renewal)
         for ci in range(len(c_grid)):
-            obj = day_objective(table, h_grid, [ci], cont, h_grid, FEAS_TOL)
+            plan = day_plan(table, h_grid, h_grid, FEAS_TOL)
+            obj = day_objective(table, plan, [ci], cont)
             values[d, :, ci] = reduce(obj[0], axis=1)
     return values
 
@@ -287,6 +299,32 @@ def test_recursion_equals_per_capacity_loop_bit_for_bit(request, world, dec):
     seq = _bellman_recursion(dec, tables, *args)
     want = _per_capacity_recursion(dec, tables, *args)
     assert seq.kind == dec.kind
+    assert seq.values.tobytes() == want.tobytes()
+
+
+def test_resource_recursion_retries_interpolation_on_infinite_values(small_world, monkeypatch):
+    # 4 controls leave out u = 0, so no control fits a zero aging budget: the
+    # dh = 0 entries of every battery are +inf, and so is the value at h = 0,
+    # which tomorrow's health between h = 0 and the next grid point reads
+    w = small_world
+    rtab = compute_resource_intraday(
+        1, w["cfg"], w["slot_laws"], w["c_grid"], w["dh_grid"], n_soc=N_SOC, n_controls=4
+    )
+    assert np.isposinf(rtab.table.values[1:, 0]).all()
+    retried = []
+    retry = slowscale._interp_retry
+
+    def counting_retry(plan, fp, slope, f0, out):
+        retried.append(int(np.isnan(out).sum()))
+        return retry(plan, fp, slope, f0, out)
+
+    monkeypatch.setattr(slowscale, "_interp_retry", counting_retry)
+    args = (w["classmap"], [point(0.05)] * (w["D"] + 1), w["cfg"],
+            w["h_grid"], w["c_grid"], w["D"])
+    seq = _bellman_recursion(RESOURCE, {1: rtab}, *args)
+    assert sum(retried) > 0
+    assert np.isposinf(seq.values[:-1, 0, 1:]).all() and not np.isnan(seq.values).any()
+    want = _per_capacity_recursion(RESOURCE, {1: rtab}, *args)
     assert seq.values.tobytes() == want.tobytes()
 
 
@@ -372,6 +410,52 @@ def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
         assert got.tobytes() == want.tobytes()
     assert rep.violations == ref[4]
     assert np.isposinf(rep.max_rel_gap[1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeypatch):
+    # blocks of 4 days over 12 days: block edges between days 3 | 4 and 7 | 8
+    lower, upper = battery_seqs(small_world, D=10)
+    assert lower.grid.size == 10
+    monkeypatch.setattr(slowscale, "SANDWICH_BLOCK", 40)
+    lo, up = lower.values.copy(), upper.values.copy()
+    # the corners of x0 = (75, 20) are h indices 1, 2 and c indices 0, 1
+    up[3, 2, 1] = INF  # last day of a block
+    lo[4, 1, 0] = INF  # first day of the next one, a violation there too
+    up[4, 2, 0] = -INF
+    lo[7, 1, 1] = up[7, 1, 1] = INF  # both bounds +inf on one day
+    lo[8, 2, 0] = INF
+    lo[9, 1, 0], lo[9, 4, 1] = np.nan, INF  # blend zeroes a NaN beside an infinity
+    lo[10, 2, 1] = np.nan  # and keeps it on a day without one
+    lower = SlowValueSeq(lower.kind, lower.grid, lo)
+    upper = SlowValueSeq(upper.kind, upper.grid, up)
+    x0 = np.array([75.0, 20.0])
+    rep = check_sandwich(lower, upper, x0)
+    ref = _sandwich_by_eval_many(lower, upper, x0)
+    for got, want in zip(
+        (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0), ref[:4]
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert rep.violations == ref[4] > 0
+    assert np.isposinf(rep.upper_at_x0[3]) and np.isposinf(rep.lower_at_x0[4])
+    assert np.isneginf(rep.upper_at_x0[4]) and np.isnan(rep.gap_at_x0[7])
+    assert np.isfinite(rep.lower_at_x0[9]) and np.isnan(rep.lower_at_x0[10])
+
+
+def test_check_sandwich_memory_stays_within_a_block():
+    # a decade-sized pair: one bound's values take 4.8 MB
+    grid = Grid([np.linspace(0.0, 800.0, 61), np.array([0.0, 100.0, 200.0])])
+    values = np.random.default_rng(5).uniform(1.0, 2.0, (3286,) + grid.shape)
+    lower = SlowValueSeq("price-lower", grid, values)
+    upper = SlowValueSeq("resource-upper", grid, values + 0.5)
+    tracemalloc.start()
+    try:
+        rep = check_sandwich(lower, upper, np.array([0.0, 0.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.violations == 0
+    assert peak < values.nbytes / 3
 
 
 def test_battery_recursion_days_are_read_only_views(small_world):
