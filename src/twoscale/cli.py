@@ -2,8 +2,11 @@
 
 Stages: fit -> intraday -> bellman -> simulate -> report, plus the standalone
 verify (oracle cross-checks) and complexity (operation-count calculator).
-Exit codes: 0 success, 2 config error, 3 missing dependency, 4 verification
-failure.
+Each stage records in manifest.json the config values it was built from and
+refuses to run on an upstream record built from other values.
+Exit codes: 0 success, 2 config error (including a stale upstream record,
+named with the stage to rerun and the first key that differs), 3 missing
+dependency, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -24,40 +27,27 @@ EXIT_MISSING = 3
 EXIT_VERIFY = 4
 
 
-def _load_config(config_path, seed, threads, scenarios) -> RunConfig:
-    cfg = RunConfig.from_json(config_path) if config_path else RunConfig()
-    given = {"seed": seed, "threads": threads, "scenarios": scenarios}
-    overrides = {k: v for k, v in given.items() if v is not None}
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
 def _common(func):
     func = click.option("--config", "config_path", type=click.Path(exists=False), default=None)(func)
     func = click.option("--out", type=click.Path(), default="runs/default")(func)
     func = click.option("--seed", type=int, default=None)(func)
     func = click.option("--threads", type=int, default=None)(func)
     func = click.option("--scenarios", type=int, default=None)(func)
-    func = click.option("--force", is_flag=True, default=False)(func)
     return func
 
 
-def _run_stage(stage_fn, config_path, out, seed, threads, scenarios, force, **kw):
+def _run_stage(stage_fn, config_path, out, seed, threads, scenarios, **kw):
+    given = {"seed": seed, "threads": threads, "scenarios": scenarios}
     try:
-        cfg = _load_config(config_path, seed, threads, scenarios)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
+        cfg = RunConfig.from_json(config_path) if config_path else RunConfig()
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
         info = stage_fn(cfg, Path(out), **kw)
-    except pipeline.MissingArtifact as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_MISSING)
-    except pipeline.HashMismatch as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except (pipeline.MissingArtifact, pipeline.HashMismatch) as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_MISSING if isinstance(exc, pipeline.MissingArtifact) else EXIT_CONFIG)
     click.echo(json.dumps(info, sort_keys=True))
 
 
@@ -68,51 +58,39 @@ def main():
 
 @main.command()
 @_common
-def fit(config_path, out, seed, threads, scenarios, force):
+def fit(**opts):
     """Fit netload and battery-price distributions."""
-    _run_stage(lambda cfg, o: pipeline.stage_fit(cfg, o), config_path, out, seed, threads, scenarios, force)
+    _run_stage(pipeline.stage_fit, **opts)
 
 
 @main.command()
 @_common
-def intraday(config_path, out, seed, threads, scenarios, force):
+def intraday(**opts):
     """Compute per-class daily cost tables."""
-    _run_stage(
-        lambda cfg, o: pipeline.stage_intraday(cfg, o, force=force),
-        config_path, out, seed, threads, scenarios, force,
-    )
+    _run_stage(pipeline.stage_intraday, **opts)
 
 
 @main.command()
 @_common
 @click.option("--mode", type=click.Choice(["price", "resource", "both"]), default="both")
-def bellman(config_path, out, seed, threads, scenarios, force, mode):
+def bellman(**opts):
     """Run the slow-scale bound recursions."""
-    _run_stage(
-        lambda cfg, o: pipeline.stage_bellman(cfg, o, mode=mode, force=force),
-        config_path, out, seed, threads, scenarios, force,
-    )
+    _run_stage(pipeline.stage_bellman, **opts)
 
 
 @main.command()
 @_common
 @click.option("--mode", type=click.Choice(["price", "resource", "both"]), default="both")
-def simulate(config_path, out, seed, threads, scenarios, force, mode):
+def simulate(**opts):
     """Monte Carlo policy simulation on white-noise scenarios."""
-    _run_stage(
-        lambda cfg, o: pipeline.stage_simulate(cfg, o, mode=mode, force=force),
-        config_path, out, seed, threads, scenarios, force,
-    )
+    _run_stage(pipeline.stage_simulate, **opts)
 
 
 @main.command()
 @_common
-def report(config_path, out, seed, threads, scenarios, force):
+def report(**opts):
     """Emit the bound-gap report."""
-    _run_stage(
-        lambda cfg, o: pipeline.stage_report(cfg, o, force=force),
-        config_path, out, seed, threads, scenarios, force,
-    )
+    _run_stage(pipeline.stage_report, **opts)
 
 
 @main.command()
@@ -121,15 +99,9 @@ def report(config_path, out, seed, threads, scenarios, force):
 def verify(instances, seed):
     """Cross-check the solvers against brute-force oracles."""
     results = run_verification(instances, seed)
-    ok = True
     for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        line = f"[{status}] {name}"
-        if detail:
-            line += f" ({detail})"
-        click.echo(line)
-        ok = ok and passed
-    if not ok:
+        click.echo(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
+    if not all(passed for _, passed, _ in results):
         sys.exit(EXIT_VERIFY)
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +17,26 @@ from .intraday import build_periodicity_classes
 
 class ConfigError(ValueError):
     pass
+
+
+# The keys each stage is the first to read, in pipeline order; ``threads``
+# changes no artifact and belongs to none.  A stage's manifest record holds
+# the values of its own keys and of its upstream stages' (RunConfig.inputs).
+STAGE_KEYS = {
+    "fit": ("D", "n_slots", "n_classes", "seed", "fit_scenarios", "fit_k", "netload_csv",
+            "price_csv", "netload_base_kw", "price_forecast", "price_sigma", "price_floor",
+            "price_atoms"),
+    "intraday": ("c_step", "c_max", "n_soc", "n_controls", "dh_points", "dh_cap", "pi_values",
+                 "charge_eff", "discharge_eff", "u_max", "soc_fraction"),
+    "bellman": ("h_points", "gamma", "cycle_multiple"),
+    "simulate": ("scenarios",),
+    "report": (),
+}
+# the stages whose artifacts each stage reads, in pipeline order
+UPSTREAM = {
+    "fit": (), "intraday": ("fit",), "bellman": ("fit", "intraday"),
+    "simulate": ("fit", "intraday", "bellman"), "report": ("fit", "intraday", "bellman"),
+}
 
 
 @dataclass(frozen=True)
@@ -126,13 +147,17 @@ class RunConfig:
         out = dataclasses.asdict(self)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
-    def config_hash(self) -> str:
-        """Hash of every key but threads, which changes no artifact, and
-        scenarios, which only the simulate stage reads and no stage reads
-        simulate's output."""
-        keys = {k: v for k, v in self.to_dict().items() if k not in ("threads", "scenarios")}
-        blob = json.dumps(keys, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+    def inputs(self, stage: str) -> dict:
+        """What a record of ``stage`` is built from: the keys it and its upstream
+        stages read, in pipeline order, and the sha256 of each CSV named."""
+        keys = self.to_dict()
+        out = {k: keys[k] for s in UPSTREAM[stage] + (stage,) for k in STAGE_KEYS[s]}
+        for key in [k for k in ("netload_csv", "price_csv") if keys[k]]:
+            try:
+                out[f"{key}_sha256"] = hashlib.sha256(Path(keys[key]).read_bytes()).hexdigest()
+            except OSError as exc:
+                raise ConfigError(f"cannot read {key} {keys[key]}: {exc}") from exc
+        return out
 
     # derived grids
     def c_grid(self) -> np.ndarray:

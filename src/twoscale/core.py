@@ -145,7 +145,7 @@ class GridValueFn:
     Interpolation is multilinear with infinity propagation: any cell corner
     carrying +inf with a strictly positive convex weight makes the blend +inf,
     so infeasibility is never averaged away; -inf dominates +inf per lower
-    addition.
+    addition.  Values are never NaN: construction refuses one.
     """
 
     __slots__ = ("grid", "values")
@@ -154,6 +154,8 @@ class GridValueFn:
         values = np.asarray(values, dtype=float)
         if values.size != grid.size:
             raise ValueError("values size does not match grid size")
+        if np.isnan(values).any():
+            raise ValueError("values hold a NaN")
         values = values.reshape(grid.shape)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -176,7 +178,8 @@ class GridValueFn:
         ``frac`` is ``(ndim,) + base.shape``.
 
         Corners are visited in the order of :meth:`Grid.corners`.  A corner
-        contributes only where its weight is strictly positive.
+        contributes only where its weight is strictly positive; an infinite
+        corner enters the sum as 0 and sets the result's sign of infinity.
         """
         flat = self.values.ravel()
         pos_tab, neg_tab = np.isposinf(flat), np.isneginf(flat)
@@ -198,9 +201,6 @@ class GridValueFn:
                     neg_inf |= active & neg_tab.take(idx)
         out = np.where(pos_inf, INF, total) if has_pos else total
         return np.where(neg_inf, -INF, out) if has_neg else out
-
-    def __call__(self, x) -> float:
-        return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def to_jsonable(self) -> dict:
         def enc(v: float):

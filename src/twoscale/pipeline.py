@@ -1,9 +1,9 @@
 """Pipeline stages and artifact persistence.
 
-Every stage reads/writes under one output directory and updates manifest.json
-with its inputs, outputs and timing, after its artifacts are in place; a
-stage's record drops the records of the stages downstream of it, which must
-then run again.  Every file is written whole or not at all (:func:`_atomic`).
+Every stage reads/writes under one output directory.  Before it writes, it
+checks the manifest records of the stages it reads; once its artifacts are in
+place, its record holds the config values it was built from (``inputs``), its
+outputs and timing.  Every file is written whole or not at all (:func:`_atomic`).
 Timestamps live only in the manifest's metadata block, so all other
 artifacts are byte-reproducible for a given config and seed.
 """
@@ -31,7 +31,7 @@ from .battery import (
     synthetic_netload_scenarios,
     white_noise_resample,
 )
-from .config import ConfigError, RunConfig
+from .config import UPSTREAM, ConfigError, RunConfig
 from .intraday import (
     DECOMPOSITIONS,
     PRICE,
@@ -58,11 +58,10 @@ class HashMismatch(RuntimeError):
     """Artifacts or the manifest were made under another config."""
 
 
-# the stages that consume each stage's artifacts, directly or not
-DOWNSTREAM = {
-    "fit": ("intraday", "bellman", "simulate", "report"),
-    "intraday": ("bellman", "simulate", "report"),
-    "bellman": ("simulate", "report"),
+# the files each stage writes, as glob patterns in the output directory
+OUTPUTS = {
+    "fit": ("*_laws.json",), "intraday": ("intraday_*.npz",), "bellman": ("bellman_*.npz",),
+    "simulate": ("sim_*",), "report": ("report.json", "gaps.csv"),
 }
 
 
@@ -95,37 +94,45 @@ def _load_json(path: Path):
 
 def load_manifest(out: Path) -> dict:
     path = out / "manifest.json"
-    if not path.exists():
-        return {"config_hash": None, "stages": {}, "metadata": {"timestamps": {}}}
-    return _load_json(path)
+    return _load_json(path) if path.exists() else {"stages": {}, "metadata": {"timestamps": {}}}
 
 
-def _update_manifest(out: Path, cfg: RunConfig, stage: str, info: dict, elapsed: float):
+def _open_stage(out: Path, cfg: RunConfig, stage: str) -> dict:
+    """Check ``stage``'s upstream records in pipeline order: a missing one
+    raises MissingArtifact, the first built from other inputs HashMismatch.
+    A record from other inputs of the stage itself is dropped with its files,
+    so a failed or partial run leaves none that look valid.  Returns the
+    inputs the new record will hold."""
     manifest = load_manifest(out)
-    manifest["config_hash"] = cfg.config_hash()
-    manifest["config"] = cfg.to_dict()
-    info = dict(info)
-    info["seconds"] = round(elapsed, 3)
-    stages = manifest.setdefault("stages", {})
-    stamps = manifest.setdefault("metadata", {}).setdefault("timestamps", {})
-    for later in DOWNSTREAM.get(stage, ()):
-        stages.pop(later, None)
-        stamps.pop(later, None)
-    stages[stage] = info
-    stamps[stage] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    stages = manifest["stages"]
+    for up in UPSTREAM[stage]:
+        if up not in stages:
+            raise MissingArtifact(f"{up} artifacts missing: run the {up} stage first")
+        want, have = cfg.inputs(up), stages[up].get("inputs", {})
+        for key in want:
+            if key not in have or have[key] != want[key]:
+                raise HashMismatch(
+                    f"the {up} artifacts in {out} were built with {key} = {have.get(key)!r},"
+                    f" not {want[key]!r}: rerun {up}"
+                )
+    inputs = cfg.inputs(stage)
+    if stages.get(stage, {}).get("inputs") != inputs:
+        if stages.pop(stage, None) is not None:
+            manifest["metadata"]["timestamps"].pop(stage, None)
+            _dump_json(manifest, out / "manifest.json", indent=1)
+        for path in [p for pattern in OUTPUTS[stage] for p in out.glob(pattern)]:
+            path.unlink()
+    return inputs
+
+
+def _close_stage(out: Path, stage: str, inputs: dict, info: dict, t0: float) -> dict:
+    """Record a stage begun at perf_counter ``t0``, its artifacts in place."""
+    manifest = load_manifest(out)
+    seconds = round(time.perf_counter() - t0, 3)
+    manifest["stages"][stage] = {**info, "inputs": inputs, "seconds": seconds}
+    manifest["metadata"]["timestamps"][stage] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _dump_json(manifest, out / "manifest.json", indent=1)
-
-
-def check_stage_inputs(out: Path, cfg: RunConfig, needed: list[str], force: bool = False):
-    """Dependent stages must find their inputs and a matching config hash."""
-    manifest = load_manifest(out)
-    for stage in needed:
-        if stage not in manifest.get("stages", {}):
-            raise MissingArtifact(f"{stage} artifacts missing: run the {stage} stage first")
-    if manifest.get("config_hash") not in (None, cfg.config_hash()) and not force:
-        raise HashMismatch(
-            "config hash differs from the one in manifest.json (use --force to override)"
-        )
+    return info
 
 
 def _dist_jsonable(d: DiscreteDist) -> dict:
@@ -139,6 +146,7 @@ def _dist_from_jsonable(obj: dict) -> DiscreteDist:
 def stage_fit(cfg: RunConfig, out: Path) -> dict:
     """Fit per (class, slot) netload laws and daily battery price laws."""
     t0 = time.perf_counter()
+    inputs = _open_stage(out, cfg, "fit")
     try:
         netload = load_netload_csv(cfg.netload_csv, cfg.n_slots) if cfg.netload_csv else None
         prices = load_price_csv(cfg.price_csv) if cfg.price_csv else None
@@ -163,9 +171,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
         out / "noise_laws.json",
     )
     _dump_json([_dist_jsonable(l) for l in price_laws], out / "price_laws.json")
-    info = {"classes": sorted(laws), "k": cfg.fit_k}
-    _update_manifest(out, cfg, "fit", info, time.perf_counter() - t0)
-    return info
+    return _close_stage(out, "fit", inputs, {"classes": sorted(laws), "k": cfg.fit_k}, t0)
 
 
 def _load_fit(cfg: RunConfig, out: Path):
@@ -198,12 +204,12 @@ def _intraday_path(out: Path, dec) -> Path:
     return out / f"intraday_{dec.letter}.npz"
 
 
-def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
+def stage_intraday(cfg: RunConfig, out: Path) -> dict:
     """Compute per-class resource and price intraday tables (parallel cells);
     writes ``intraday_{R,P}.npz``, one per decomposition: the axes ``c`` and
     ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``."""
     t0 = time.perf_counter()
-    check_stage_inputs(out, cfg, ["fit"], force)
+    inputs = _open_stage(out, cfg, "intraday")
     laws, _ = _load_fit(cfg, out)
     bat = cfg.battery_config()
     c_grid = cfg.c_grid()
@@ -232,9 +238,7 @@ def stage_intraday(cfg: RunConfig, out: Path, force: bool = False) -> dict:
         # a file handle keeps np.savez from appending .npz to the temporary name
         with _atomic(_intraday_path(out, dec)) as tmp, open(tmp, "wb") as fh:
             np.savez(fh, **arrays)
-    info = {"cells": len(jobs), "threads": cfg.threads}
-    _update_manifest(out, cfg, "intraday", info, time.perf_counter() - t0)
-    return info
+    return _close_stage(out, "intraday", inputs, {"cells": len(jobs), "threads": cfg.threads}, t0)
 
 
 def _npy_shape(npz, name: str) -> tuple:
@@ -266,26 +270,29 @@ def _load_tables(cfg: RunConfig, out: Path, dec, with_fast: bool = False) -> dic
                 f"{path} does not hold the config's classes, grids and {cfg.n_controls}"
                 f" controls (it has {n_controls} controls): rerun intraday"
             )
-        return {
-            cls: IntradayTable(
-                cls, dec, GridValueFn(Grid([c, ax]), npz[f"table_{cls}"]), n_controls,
-                npz[f"fast_{cls}"] if with_fast else None,
-            )
-            for cls in classes
-        }
+        tables = {cls: npz[f"table_{cls}"] for cls in classes}
+        fast = {cls: npz[f"fast_{cls}"] for cls in classes} if with_fast else {}
+    if any(np.isnan(a).any() for a in [*tables.values(), *fast.values()]):
+        raise HashMismatch(f"{path} holds a NaN: rerun intraday")
+    return {
+        cls: IntradayTable(
+            cls, dec, GridValueFn(Grid([c, ax]), tables[cls]), n_controls, fast.get(cls)
+        )
+        for cls in classes
+    }
 
 
 def _bellman_path(out: Path, dec) -> Path:
     return out / f"bellman_{dec.letter}.npz"
 
 
-def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:
+def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     """Backward slow-scale recursions; writes one value-function file per
     decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
     and ``c`` and the values of every day, shape (D+2, len(h), len(c)).  The
     record holds the days recursed and each recursion's wall time."""
     t0 = time.perf_counter()
-    check_stage_inputs(out, cfg, ["fit", "intraday"], force)
+    inputs = _open_stage(out, cfg, "bellman")
     _, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
@@ -301,8 +308,7 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both", force: bool = F
             np.savez(fh, h=h_grid, c=c_grid, values=seq.values)
         bound = "upper" if dec.budget_axis else "lower"
         info[f"{bound}_at_origin"] = float(seq.values[0, 0, 0])
-    _update_manifest(out, cfg, "bellman", info, time.perf_counter() - t0)
-    return info
+    return _close_stage(out, "bellman", inputs, info, t0)
 
 
 def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
@@ -322,10 +328,10 @@ def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
     return SlowValueSeq(kind, Grid([h, c]), values)
 
 
-def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = False) -> dict:
+def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     """White-noise Monte Carlo replay of the synthesized policies."""
     t0 = time.perf_counter()
-    check_stage_inputs(out, cfg, ["fit", "intraday", "bellman"], force)
+    inputs = _open_stage(out, cfg, "simulate")
     laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     scen = white_noise_resample(
@@ -355,15 +361,14 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both", force: bool = 
             out / f"sim_{m}_stats.json",
         )
         info[m] = {"mean": stats.mean, "stderr": stats.stderr}
-    _update_manifest(out, cfg, "simulate", info, time.perf_counter() - t0)
-    return info
+    return _close_stage(out, "simulate", inputs, info, t0)
 
 
-def stage_report(cfg: RunConfig, out: Path, force: bool = False) -> dict:
+def stage_report(cfg: RunConfig, out: Path) -> dict:
     """Bound-gap report between the price (lower) and resource (upper) values;
     ``report.json`` holds the summary, the record also the check's wall time."""
     t0 = time.perf_counter()
-    check_stage_inputs(out, cfg, ["bellman"], force)
+    inputs = _open_stage(out, cfg, "report")
     lower = load_value_seq(cfg, out, "price-lower")
     upper = load_value_seq(cfg, out, "resource-upper")
     x0 = np.array([0.0, 0.0])
@@ -383,6 +388,4 @@ def stage_report(cfg: RunConfig, out: Path, force: bool = False) -> dict:
         "violations": rep.violations,
     }
     _dump_json(summary, out / "report.json")
-    info = {**summary, "check_sandwich_s": check_s}
-    _update_manifest(out, cfg, "report", info, time.perf_counter() - t0)
-    return info
+    return _close_stage(out, "report", inputs, {**summary, "check_sandwich_s": check_s}, t0)

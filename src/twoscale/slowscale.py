@@ -37,7 +37,7 @@ SANDWICH_BLOCK = 1 << 15
 class SlowValueSeq:
     """Per-day values on one grid: ``values[d]`` over ``grid`` for d in
     0..D+1, entry D+1 being the final cost; read-only, shape
-    (D+2,) + grid.shape."""
+    (D+2,) + grid.shape, never NaN."""
 
     kind: str  # price-lower | resource-upper | exact-oracle
     grid: Grid
@@ -51,6 +51,8 @@ class SlowValueSeq:
             raise ValueError(
                 f"values of shape {values.shape} are not (D+2,) + {self.grid.shape}"
             )
+        if np.isnan(values).any():
+            raise ValueError(f"{self.kind} values hold a NaN")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -371,11 +373,8 @@ def _blend_days(values: np.ndarray, corners: list) -> np.ndarray:
     of positive weight is +inf and -inf where one is -inf."""
     flat = values.reshape(len(values), -1)
     raw = flat[:, [idx for idx, _ in corners]]
-    at = raw
-    bad = ~np.isfinite(raw)
-    if bad.any():
-        # blend zeroes the non-finite entries of a day that holds an infinity
-        at = np.where(bad & np.isinf(flat).any(axis=1)[:, None], 0.0, raw)
+    # blend zeroes the infinite entries (a SlowValueSeq holds no NaN)
+    at = np.where(np.isinf(raw), 0.0, raw)
     total = np.zeros(len(values))
     for k, (_, w) in enumerate(corners):
         total += at[:, k] * w

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,10 @@ def write_config(tmp_path: Path, obj: dict) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 def run_pipeline(runner, cfg_path: str, out: Path) -> None:
@@ -139,16 +144,22 @@ def test_rerun_stage_drops_the_records_downstream(runner, tmp_path):
     Path(cfg_b).write_text(json.dumps({**TINY, "seed": 8, "netload_base_kw": 80.0}))
     res = runner.invoke(main, ["fit", "--config", cfg_b, "--out", str(out)])
     assert res.exit_code == 0, res.output
+    before = _files(out)
     for stage in ("report", "simulate", "bellman"):
         res = runner.invoke(main, [stage, "--config", cfg_b, "--out", str(out)])
-        assert res.exit_code == 3, f"{stage}: {res.output}"
+        assert res.exit_code == 2, f"{stage}: {res.output}"
+        assert "rerun intraday" in res.output
+        assert _files(out) == before, stage
+    # the records stay, each with the inputs it was built from
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(manifest["stages"]) == ["fit"]
-    assert sorted(manifest["metadata"]["timestamps"]) == ["fit"]
+    assert sorted(manifest["stages"]) == ["bellman", "fit", "intraday", "report"]
+    assert manifest["stages"]["fit"]["inputs"]["seed"] == 8
+    assert manifest["stages"]["intraday"]["inputs"]["seed"] == TINY["seed"]
     res = runner.invoke(main, ["intraday", "--config", cfg_b, "--out", str(out)])
     assert res.exit_code == 0, res.output
     res = runner.invoke(main, ["report", "--config", cfg_b, "--out", str(out)])
-    assert res.exit_code == 3, res.output
+    assert res.exit_code == 2, res.output
+    assert "rerun bellman" in res.output
 
 
 def test_report_without_the_resource_bound_exit_code(runner, tmp_path):
@@ -168,10 +179,12 @@ def test_forced_report_on_another_horizon_exit_code(runner, tmp_path):
     for stage in ("fit", "intraday", "bellman"):
         res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, f"{stage}: {res.output}"
+    before = _files(out)
     cfg = write_config(tmp_path, {**TINY, "D": TINY["D"] + 1})
-    res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out), "--force"])
+    res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2
-    assert "rerun bellman" in res.output
+    assert "rerun fit" in res.output
+    assert _files(out) == before
 
 
 @pytest.mark.parametrize(
@@ -184,15 +197,13 @@ def test_forced_stage_on_other_intraday_grids_exit_code(runner, tmp_path, stage,
     for done in ("fit", "intraday", "bellman"):
         res = runner.invoke(main, [done, "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, f"{done}: {res.output}"
+    before = _files(out)
     cfg = write_config(tmp_path, {**TINY, **change})
-    res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out), "--force"])
+    res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "rerun intraday" in res.output
     assert not list(out.glob("sim_*"))
-
-
-def _files(out: Path) -> dict:
-    return {p.name: p.read_bytes() for p in out.iterdir()}
+    assert _files(out) == before
 
 
 def test_forced_intraday_on_more_classes_than_fit_exit_code(runner, tmp_path):
@@ -203,7 +214,7 @@ def test_forced_intraday_on_more_classes_than_fit_exit_code(runner, tmp_path):
     assert res.exit_code == 0, res.output
     before = _files(out)
     cfg = write_config(tmp_path, {**TINY, "D": 120, "n_classes": 4})
-    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out), "--force"])
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "rerun fit" in res.output
     assert _files(out) == before
@@ -217,7 +228,7 @@ def test_forced_bellman_on_a_longer_horizon_than_fit_exit_code(runner, tmp_path)
         assert res.exit_code == 0, f"{stage}: {res.output}"
     before = _files(out)
     cfg = write_config(tmp_path, {**TINY, "D": 2 * TINY["D"]})
-    res = runner.invoke(main, ["bellman", "--config", cfg, "--out", str(out), "--force"])
+    res = runner.invoke(main, ["bellman", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "rerun fit" in res.output
     assert _files(out) == before
@@ -257,10 +268,11 @@ def test_config_hash_mismatch_exit_code(runner, tmp_path):
         main, ["intraday", "--config", cfg, "--out", str(out), "--seed", "99"]
     )
     assert res.exit_code == 2
+    assert "rerun fit" in res.output
 
 
 def test_threads_override_keeps_the_config_hash(runner, tmp_path):
-    # threads never changes an artifact, so the README flow must not need --force
+    # threads belongs to no stage: it never changes an artifact
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "r"
     res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
@@ -271,7 +283,7 @@ def test_threads_override_keeps_the_config_hash(runner, tmp_path):
 
 def test_scenarios_override_keeps_the_config_hash(runner, tmp_path):
     # only simulate reads scenarios and no stage reads simulate's output;
-    # the seed drives the fit, so changing it still needs --force
+    # the seed drives the fit, so changing it makes the fit record stale
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "r"
     for stage in ("fit", "intraday", "bellman"):
@@ -285,7 +297,111 @@ def test_scenarios_override_keeps_the_config_hash(runner, tmp_path):
     assert res.exit_code == 0, res.output
     res = runner.invoke(main, args + ["--seed", "99"])
     assert res.exit_code == 2
-    assert "config hash differs" in res.output
+    assert "rerun fit" in res.output
+
+
+def test_force_is_a_usage_error(runner, tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    args = ["intraday", "--config", cfg, "--out", str(tmp_path / "r"), "--force"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
+def _run(runner, stages, cfg: str, out: Path) -> None:
+    for stage in stages:
+        res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+
+
+@pytest.mark.parametrize(
+    "done, change, stage",
+    [
+        (("fit",), {"pi_values": [0.0, 0.2]}, "intraday"),
+        (("fit", "intraday"), {"h_points": 17}, "bellman"),
+        (("fit", "intraday", "bellman"), {"scenarios": 4}, "simulate"),
+    ],
+)
+def test_key_of_a_later_stage_keeps_the_record_valid(runner, tmp_path, done, change, stage):
+    out = tmp_path / "r"
+    _run(runner, done, write_config(tmp_path, TINY), out)
+    _run(runner, [stage], write_config(tmp_path, {**TINY, **change}), out)
+
+
+@pytest.mark.parametrize(
+    "done, change, stage",
+    [
+        (("fit",), {"fit_k": 2}, "intraday"),
+        (("fit", "intraday"), {"charge_eff": 0.9}, "bellman"),
+        (("fit", "intraday", "bellman"), {"gamma": 0.999}, "simulate"),
+    ],
+)
+def test_key_a_stage_reads_makes_the_next_stage_exit_code(runner, tmp_path, done, change, stage):
+    out = tmp_path / "r"
+    _run(runner, done, write_config(tmp_path, TINY), out)
+    before = _files(out)
+    cfg = write_config(tmp_path, {**TINY, **change})
+    res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    (key,) = change
+    assert f"{key} = " in res.output and f"rerun {done[-1]}" in res.output
+    assert _files(out) == before
+
+
+def test_partial_bellman_on_other_inputs_leaves_no_stale_bound(runner, tmp_path):
+    # bellman --mode price under another gamma must not leave the old upper
+    # bound beside the new lower one for report to read
+    out = tmp_path / "r"
+    _run(runner, ("fit", "intraday", "bellman"), write_config(tmp_path, TINY), out)
+    cfg = write_config(tmp_path, {**TINY, "gamma": 0.999})
+    res = runner.invoke(main, ["bellman", "--mode", "price", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "bellman_R.npz" in res.output
+
+
+def _netload_csv(path: Path, value: float = 1.0) -> str:
+    rows = ["scenario,day,slot,netload_kwh"] + [
+        f"{i},{d},{m},{value + m}"
+        for i in range(2) for d in range(TINY["D"] + 1) for m in range(TINY["n_slots"])
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_edited_netload_csv_makes_intraday_exit_code(runner, tmp_path):
+    out, csv_path = tmp_path / "r", tmp_path / "netload.csv"
+    cfg = write_config(tmp_path, {**TINY, "netload_csv": _netload_csv(csv_path)})
+    _run(runner, ["fit"], cfg, out)
+    _netload_csv(csv_path, value=2.0)
+    before = _files(out)
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "netload_csv_sha256" in res.output and "rerun fit" in res.output
+    assert _files(out) == before
+
+
+def test_unreadable_csv_at_check_time_exit_code(runner, tmp_path):
+    out, csv_path = tmp_path / "r", tmp_path / "netload.csv"
+    cfg = write_config(tmp_path, {**TINY, "netload_csv": _netload_csv(csv_path)})
+    _run(runner, ["fit"], cfg, out)
+    csv_path.unlink()
+    before = _files(out)
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "cannot read netload_csv" in res.output
+    assert _files(out) == before
+
+
+def test_readme_options_are_cli_options():
+    # every --option the README's command-line section names must exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    options = {opt for cmd in main.commands.values() for p in cmd.params for opt in p.opts}
+    assert documented and documented <= options, sorted(documented - options)
 
 
 @pytest.mark.parametrize("pi_values", [[-0.1, 0.1], [0.1, 0.0]])

@@ -88,30 +88,30 @@ def test_grid_is_immutable():
 def test_eval_gridfn_examples():
     g = Grid([[0.0, 1.0, 2.0]])
     f_lin = GridValueFn(g, np.array([0.0, 1.0, 2.0]))
-    assert f_lin([0.5]) == 0.5
+    assert f_lin.eval_many([[0.5]])[0] == 0.5
     f_inf = GridValueFn(g, np.array([INF, 0.0, 2.0]))
-    assert f_inf([0.5]) == INF
+    assert f_inf.eval_many([[0.5]])[0] == INF
 
 
 def test_multilinear_zero_weight_corner_ignores_infinity():
     g = Grid([[0.0, 1.0]])
     f = GridValueFn(g, np.array([INF, 3.0]))
     # querying exactly at the finite vertex puts weight 0 on the +inf corner
-    assert f([1.0]) == 3.0
-    assert f([0.0]) == INF
+    assert f.eval_many([[1.0]])[0] == 3.0
+    assert f.eval_many([[0.0]])[0] == INF
 
 
 def test_multilinear_neg_inf_dominates():
     g = Grid([[0.0, 1.0]])
     f = GridValueFn(g, np.array([-INF, INF]))
-    assert f([0.5]) == -INF
+    assert f.eval_many([[0.5]])[0] == -INF
 
 
 def test_out_of_range_queries_clamp():
     g = Grid([[0.0, 1.0, 2.0]])
     f = GridValueFn(g, np.array([5.0, 1.0, 7.0]))
-    assert f([-100.0]) == 5.0
-    assert f([100.0]) == 7.0
+    assert f.eval_many([[-100.0]])[0] == 5.0
+    assert f.eval_many([[100.0]])[0] == 7.0
 
 
 def test_eval_gridfn_dimension_mismatch():
@@ -126,13 +126,20 @@ def test_gridfn_2d_bilinear():
     # f(x, y) = 2x + 3y is reproduced exactly by bilinear interpolation
     vals = np.array([[0.0, 3.0], [2.0, 5.0]])
     f = GridValueFn(g, vals)
-    assert f([0.25, 0.5]) == pytest.approx(0.5 + 1.5, abs=1e-12)
+    assert f.eval_many([[0.25, 0.5]])[0] == pytest.approx(0.5 + 1.5, abs=1e-12)
 
 
 def test_gridfn_values_size_check():
     g = Grid([[0.0, 1.0, 2.0]])
     with pytest.raises(ValueError):
         GridValueFn(g, np.zeros(2))
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1.0, 2.0], [INF, np.nan, 2.0]])
+def test_gridfn_refuses_nan(values):
+    # a NaN beside an infinity would blend to 0, one without to NaN
+    with pytest.raises(ValueError, match="NaN"):
+        GridValueFn(Grid([[0.0, 1.0, 2.0]]), np.array(values))
 
 
 def test_gridfn_json_roundtrip_with_infinities(tmp_path):

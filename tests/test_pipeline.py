@@ -4,15 +4,18 @@ gap report, and atomic writes."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from twoscale.config import RunConfig
+from twoscale.config import STAGE_KEYS, RunConfig
 from twoscale.intraday import PRICE, RESOURCE, compute_intraday
 from twoscale.pipeline import (
     HashMismatch,
+    MissingArtifact,
     _load_fit,
     _load_tables,
     load_value_seq,
@@ -20,6 +23,7 @@ from twoscale.pipeline import (
     stage_fit,
     stage_intraday,
     stage_report,
+    stage_simulate,
 )
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
@@ -99,6 +103,23 @@ def test_intraday_file_of_another_config_is_rejected(bellman_run, change):
                 _load_tables(other, bellman_run, dec, with_fast)
 
 
+@pytest.mark.parametrize("member", ["table_1", "fast_1"])
+def test_intraday_file_holding_a_nan_is_rejected(bellman_run, tmp_path, member):
+    out = tmp_path / "r"
+    shutil.copytree(bellman_run, out)
+    path = out / "intraday_R.npz"
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays[member] = arrays[member].copy()
+    arrays[member].flat[1] = np.nan
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    for with_fast in (True, False) if member == "table_1" else (True,):
+        with pytest.raises(HashMismatch, match="NaN: rerun intraday"):
+            _load_tables(CFG, out, RESOURCE, with_fast)
+    _load_tables(CFG, out, PRICE, with_fast=True)
+
+
 def test_value_files_round_trip_bit_equal(bellman_run):
     out = bellman_run
     _, price_laws = _load_fit(CFG, out)
@@ -168,6 +189,28 @@ def test_interrupted_write_keeps_the_previous_file(bellman_run, monkeypatch):
         assert {p.name: p.read_bytes() for p in bellman_run.iterdir()} == before, name
 
 
+def test_failed_rerun_on_other_inputs_leaves_no_record(bellman_run, tmp_path, monkeypatch):
+    # intraday_P.npz is rewritten under charge_eff 0.9, then intraday_R.npz fails:
+    # the intraday record must not vouch for the mixed pair under the old config
+    out = tmp_path / "r"
+    shutil.copytree(bellman_run, out)
+    real_savez, calls = np.savez, []
+
+    def second_fails(fh, **arrays):
+        calls.append(fh)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_savez(fh, **arrays)
+
+    monkeypatch.setattr(np, "savez", second_fails)
+    with pytest.raises(OSError, match="disk full"):
+        stage_intraday(dataclasses.replace(CFG, charge_eff=0.9), out)
+    monkeypatch.undo()
+    assert (out / "intraday_P.npz").read_bytes() != (bellman_run / "intraday_P.npz").read_bytes()
+    with pytest.raises(MissingArtifact, match="run the intraday stage"):
+        stage_bellman(CFG, out)
+
+
 def test_gaps_csv_holds_plain_floats(bellman_run):
     summary = stage_report(CFG, bellman_run)
     with open(bellman_run / "gaps.csv", newline="") as fh:
@@ -192,8 +235,11 @@ def test_manifest_records_recursion_and_check_times(bellman_run):
     # the timing stays in the record: report.json holds the summary alone
     summary = json.loads((bellman_run / "report.json").read_text())
     assert "check_sandwich_s" not in summary
-    assert summary == {k: v for k, v in report.items() if k not in ("check_sandwich_s", "seconds")}
-    assert info == {k: v for k, v in report.items() if k != "seconds"}
+    assert summary == {
+        k: v for k, v in report.items() if k not in ("check_sandwich_s", "seconds", "inputs")
+    }
+    assert info == {k: v for k, v in report.items() if k not in ("seconds", "inputs")}
+    assert report["inputs"] == CFG.inputs("report")
 
 
 @pytest.mark.parametrize("h_points", [13, 10])
@@ -211,3 +257,43 @@ def test_fractional_capacity_steps(tmp_path, h_points):
     report = stage_report(cfg, tmp_path)
     assert report["violations"] == 0
     assert 0.0 < report["lower_at_x0_day0"] <= report["upper_at_x0_day0"]
+
+
+def test_every_key_but_threads_belongs_to_one_stage():
+    listed = [key for keys in STAGE_KEYS.values() for key in keys]
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"threads"}
+    assert sorted(listed) == sorted(fields)
+
+
+# another valid value, on CFG, of every key a stage after fit reads
+OTHER_VALUES = {
+    "c_step": 50.0, "c_max": 400.0, "n_soc": 5, "n_controls": 7, "dh_points": 7,
+    "dh_cap": 500.0, "pi_values": (0.0, 0.05, 0.1), "charge_eff": 0.9, "discharge_eff": 0.9,
+    "u_max": 100.0, "soc_fraction": 0.7, "h_points": 17, "gamma": 0.999, "cycle_multiple": 3,
+    "scenarios": 6,
+}
+STAGE_FNS = {
+    "fit": stage_fit,
+    "intraday": stage_intraday,
+    "bellman": stage_bellman,
+    "simulate": stage_simulate,
+    "report": stage_report,
+}
+
+
+@pytest.mark.parametrize("stage", ["fit", "intraday", "bellman"])
+def test_a_stage_reads_no_key_of_a_later_stage(tmp_path, stage):
+    # a key assigned to too late a stage would change that stage's artifacts
+    order = list(STAGE_KEYS)
+    for done in order[: order.index(stage) + 1]:
+        STAGE_FNS[done](CFG, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    later = [key for s in order[order.index(stage) + 1:] for key in STAGE_KEYS[s]]
+    assert later
+    for key in later:
+        STAGE_FNS[stage](dataclasses.replace(CFG, **{key: OTHER_VALUES[key]}), tmp_path)
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "manifest.json"}
+        assert after == before, key
+        stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+        assert stages[stage]["inputs"] == manifest["stages"][stage]["inputs"], key

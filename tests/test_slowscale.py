@@ -425,8 +425,6 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
     up[4, 2, 0] = -INF
     lo[7, 1, 1] = up[7, 1, 1] = INF  # both bounds +inf on one day
     lo[8, 2, 0] = INF
-    lo[9, 1, 0], lo[9, 4, 1] = np.nan, INF  # blend zeroes a NaN beside an infinity
-    lo[10, 2, 1] = np.nan  # and keeps it on a day without one
     lower = SlowValueSeq(lower.kind, lower.grid, lo)
     upper = SlowValueSeq(upper.kind, upper.grid, up)
     x0 = np.array([75.0, 20.0])
@@ -439,7 +437,18 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
     assert rep.violations == ref[4] > 0
     assert np.isposinf(rep.upper_at_x0[3]) and np.isposinf(rep.lower_at_x0[4])
     assert np.isneginf(rep.upper_at_x0[4]) and np.isnan(rep.gap_at_x0[7])
-    assert np.isfinite(rep.lower_at_x0[9]) and np.isnan(rep.lower_at_x0[10])
+
+
+@pytest.mark.parametrize("day, corners", [(9, [(1, 0), (4, 1)]), (10, [(2, 1)])])
+def test_slow_value_seq_refuses_nan(small_world, day, corners):
+    # a NaN beside an infinity (day 9) would blend to 0, one without it to NaN
+    lower, _ = battery_seqs(small_world, D=10)
+    lo = lower.values.copy()
+    lo[(day,) + corners[0]] = np.nan
+    for corner in corners[1:]:
+        lo[(day,) + corner] = INF
+    with pytest.raises(ValueError, match="NaN"):
+        SlowValueSeq(lower.kind, lower.grid, lo)
 
 
 def test_check_sandwich_memory_stays_within_a_block():
