@@ -329,14 +329,15 @@ def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
 
 
 def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
-    """White-noise Monte Carlo replay of the synthesized policies."""
+    """White-noise Monte Carlo replay of the synthesized policies.  The record
+    holds per mode the mean, stderr, scenario-days, clamps, renewals per
+    scenario-year and the mean's stderrs above the lower bound (z_lower)."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "simulate")
+    lower = load_manifest(out)["stages"]["bellman"].get("lower_at_origin")
     laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
-    scen = white_noise_resample(
-        laws, price_laws, cfg.classmap, cfg.scenarios, cfg.seed, cfg.D + 1
-    )
+    scen = white_noise_resample(laws, price_laws, cfg.classmap, cfg.scenarios, cfg.seed, cfg.D + 1)
     info = {}
     for dec in _chosen(mode):
         m = dec.mode
@@ -350,17 +351,20 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
                 days = ";".join(str(d) for d, _ in rec.renewals)
                 sizes = ";".join(repr(r) for _, r in rec.renewals)
                 wr.writerow([rec.scenario_id, repr(rec.total_cost), days, sizes])
+        info[m] = {"mean": stats.mean, "stderr": stats.stderr}
+        clamps = [rec.clamp_count for rec in records]
         _dump_json(
-            {
-                "mode": m,
-                "mean": stats.mean,
-                "stderr": stats.stderr,
-                "scenarios": cfg.scenarios,
-                "clamp_counts": [rec.clamp_count for rec in records],
-            },
+            {**info[m], "mode": m, "scenarios": cfg.scenarios, "clamp_counts": clamps},
             out / f"sim_{m}_stats.json",
         )
-        info[m] = {"mean": stats.mean, "stderr": stats.stderr}
+        scen_days = len(records) * (cfg.D + 1)
+        renewals = sum(len(rec.renewals) for rec in records)
+        info[m].update(
+            scenario_days=scen_days, clamps=sum(clamps),
+            renewals_per_scenario_year=renewals / (scen_days / 365.0),
+        )
+        if lower is not None and stats.stderr > 0.0:
+            info[m]["z_lower"] = (stats.mean - lower) / stats.stderr
     return _close_stage(out, "simulate", inputs, info, t0)
 
 

@@ -16,20 +16,20 @@ import numpy as np
 
 from .core import DiscreteDist, GridValueFn, INF
 from . import battery
-from .battery import BatteryConfig, BatteryState, ScenarioSet
+from .battery import BatteryConfig, ScenarioSet
 from .intraday import IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for
 from .slowscale import SlowValueSeq, day_continuation, day_objective, day_plan, renewal_states
 
 ADMISS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationRecord:
     scenario_id: int
-    states: tuple  # BatteryState at (d, 0) for d = 0..D+1
+    states: np.ndarray  # (D+2, 3): (soc, health, capacity) at (d, 0) for d = 0..D+1
     renewals: tuple  # (day, size) pairs, size > 0
     total_cost: float  # discounted, money
-    daily_bills: tuple  # undiscounted energy bills per day
+    daily_bills: np.ndarray  # (D+1,): undiscounted energy bills per day
     clamp_count: int  # table lookups that clamped a drifted state
 
 
@@ -37,44 +37,46 @@ class SimulationRecord:
 class SimulationStats:
     mean: float
     stderr: float
-    totals: np.ndarray
 
 
 def _best_on_axis(
-    h, c: float, day: int, table: IntradayTable, values: SlowValueSeq,
+    h, c, day: int, table: IntradayTable, values: SlowValueSeq,
     price_law: DiscreteDist, cfg: BatteryConfig,
 ):
     """The point of the table's day axis at the first argmax (price) or argmin
-    (resource) of the day objective at capacity c, per health value in h."""
+    (resource) of the day objective, per health value in h at its capacity in
+    c (one per health value, or one for all)."""
     h_grid, c_grid = values.grid.axes
-    ci = int(np.searchsorted(c_grid, c))
+    h1 = np.atleast_1d(np.asarray(h, dtype=float))
     renewal = renewal_states(h_grid, c_grid, cfg)
     cont = day_continuation(values.values[day + 1], price_law, cfg, renewal)
-    h = np.asarray(h, dtype=float)
-    plan = day_plan(table, np.atleast_1d(h), h_grid, ADMISS_TOL)
-    obj = day_objective(table, plan, [ci], cont)[0]
+    # the objective is elementwise per (capacity, h, axis): evaluate it on the
+    # capacities in use, then take each health value's own row
+    ci, at = np.unique(np.searchsorted(c_grid, c), return_inverse=True)
+    obj = day_objective(table, day_plan(table, h1, h_grid, ADMISS_TOL), ci, cont)
+    obj = obj[np.broadcast_to(at, h1.shape), np.arange(len(h1))]
     pick = np.argmin if table.decomposition.budget_axis else np.argmax
     best = table.axis[pick(obj, axis=1)]
-    return float(best[0]) if h.ndim == 0 else best
+    return float(best[0]) if np.ndim(h) == 0 else best
 
 
 def select_price(
-    h, c: float, day: int, table: IntradayTable, values: SlowValueSeq,
+    h, c, day: int, table: IntradayTable, values: SlowValueSeq,
     price_law: DiscreteDist, cfg: BatteryConfig,
 ):
     """Best aging surcharge at (h, c) per the lower-bound recursion's objective;
-    ties go to the smallest surcharge.  h may be an array of health values at
-    the one capacity c."""
+    ties go to the smallest surcharge.  h may be an array of health values, c
+    one capacity for all of them or one per health value."""
     return _best_on_axis(h, c, day, table, values, price_law, cfg)
 
 
 def select_resource(
-    h, c: float, day: int, table: IntradayTable, values: SlowValueSeq,
+    h, c, day: int, table: IntradayTable, values: SlowValueSeq,
     price_law: DiscreteDist, cfg: BatteryConfig,
 ):
     """Tomorrow's health target at (h, c) per the upper-bound recursion's
     objective; ties go to the largest target (least aging).  h may be an array
-    of health values at the one capacity c."""
+    of health values, c one capacity for all of them or one per health value."""
     target = np.maximum(h - _best_on_axis(h, c, day, table, values, price_law, cfg), 0.0)
     return float(target) if np.ndim(h) == 0 else target
 
@@ -121,9 +123,11 @@ def simulate_policy(
     matches the offline recursions: day d's bill and renewal purchase are
     weighted by gamma^d, and the battery left after day D is worth 0.
 
-    Scenarios advance together, day by day; within a day those at the same
-    capacity share one slot loop over (scenario, control) arrays.  Every
+    Scenarios advance together, day by day; within a day all those with a
+    battery share one slot loop over (scenario, control) arrays.  Every
     scenario sees the same floating-point operations as when replayed alone.
+    A record's ``states`` and ``daily_bills`` are read-only views of one
+    (D+2, scenario, 3) trajectory array and one (D+1, scenario) bill array.
     """
     dec = decomposition(mode)
     if any(tab.decomposition != dec for tab in tables.values()):
@@ -135,37 +139,29 @@ def simulate_policy(
         raise ValueError(f"intraday tables were built on {built} controls, not one grid")
     D = values.horizon
     if scenarios.n_days < D + 1:
-        raise ValueError(
-            f"scenarios cover {scenarios.n_days} days, horizon needs {D + 1}"
-        )
+        raise ValueError(f"scenarios cover {scenarios.n_days} days, horizon needs {D + 1}")
     select = select_resource if dec.budget_axis else select_price
     controls = control_grid(cfg, built[0])
-    c_grid = values.grid.axes[1]
     n = scenarios.n_scenarios
     soc, h, c = np.zeros(n), np.zeros(n), np.zeros(n)
     total = np.zeros(n)
     clamped = np.zeros(n, dtype=int)
-    bills = np.empty((D + 1, n))
-    states = [[BatteryState(0.0, 0.0, 0.0)] for _ in range(n)]
+    traj, bills = np.zeros((D + 2, n, 3)), np.empty((D + 1, n))
     renewals = [[] for _ in range(n)]
     disc = 1.0
     for d in range(D + 1):
         table = tables[int(classmap.day_to_class[d])]
         netload = scenarios.netload[:, d]
-        for cv in np.unique(c):
-            g = np.flatnonzero(c == cv)
-            if cv == 0.0:
-                bill = np.zeros(len(g))
-                for m in range(netload.shape[1]):
-                    bill += battery.stage_cost(0.0, netload[g, m], cfg.rates[m])
-            else:
-                tabs = table.fast[int(np.searchsorted(c_grid, cv)) - 1]
-                decision = select(h[g], cv, d, table, values, price_laws[d], cfg)
-                bill, soc[g], h[g], clamps = _replay_day(
-                    netload[g], soc[g], h[g], cv, decision, table, tabs, controls, cfg
-                )
-                clamped[g] += clamps
-            bills[d, g] = bill
+        none, own = np.flatnonzero(c == 0.0), np.flatnonzero(c > 0.0)
+        if len(none):
+            slots = zip(netload[none].T, cfg.rates)
+            bills[d, none] = sum(battery.stage_cost(0.0, w, rate) for w, rate in slots)
+        if len(own):
+            decision = select(h[own], c[own], d, table, values, price_laws[d], cfg)
+            bills[d, own], soc[own], h[own], clamps = _replay_day(
+                netload[own], soc[own], h[own], c[own], decision, table, controls, cfg
+            )
+            clamped[own] += clamps
         # admissibility at end of day
         bad = ~(battery.in_soc_box(soc, c, cfg, ADMISS_TOL) & (h >= -ADMISS_TOL))
         if bad.any():
@@ -179,30 +175,25 @@ def simulate_policy(
         soc[new], h[new], c[new] = battery.renewal_dynamics(soc[new], h[new], c[new], r[new], cfg)
         for s in new:
             renewals[s].append((d, float(r[s])))
-        for s in range(n):
-            states[s].append(BatteryState(float(soc[s]), float(h[s]), float(c[s])))
-    records = []
-    for s in range(n):
-        records.append(SimulationRecord(
-            scenario_id=s,
-            states=tuple(states[s]),
-            renewals=tuple(renewals[s]),
-            total_cost=float(total[s]),
-            daily_bills=tuple(float(b) for b in bills[:, s]),
-            clamp_count=int(clamped[s]),
-        ))
-    totals = np.array([r.total_cost for r in records])
-    stderr = float(totals.std(ddof=1) / np.sqrt(len(totals))) if len(totals) > 1 else 0.0
-    return records, SimulationStats(mean=float(totals.mean()), stderr=stderr, totals=totals)
+        traj[d + 1] = np.column_stack([soc, h, c])
+    traj.setflags(write=False)
+    bills.setflags(write=False)
+    records = [
+        SimulationRecord(s, traj[:, s], tuple(rs), float(total[s]), bills[:, s], int(clamped[s]))
+        for s, rs in enumerate(renewals)
+    ]
+    stderr = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return records, SimulationStats(mean=float(total.mean()), stderr=stderr)
 
 
-def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
-    """One day of greedy table replay for scenarios at capacity c > 0.
+def _replay_day(netload, soc, h, c, decision, table, controls, cfg):
+    """One day of greedy table replay for scenarios with a battery.
 
-    netload is (scenarios, slots); soc, h and the day's decision (surcharge
-    or health target) are per scenario; tabs is the capacity's replay tables,
-    shape (slots + 1, soc, axis).  Returns the bills, the end-of-day
-    soc and health, and per scenario the number of clamped moves.
+    netload is (scenarios, slots); soc, h, the capacity c > 0 and the day's
+    decision (surcharge or health target) are per scenario; the replay
+    tables are ``table.fast``, shape (capacity after c = 0, slots + 1, soc,
+    axis).  Returns the bills, the end-of-day soc and health, and per
+    scenario the number of clamped moves.
     """
     effect = battery.control_effect(controls, cfg)
     d_soc, usage = effect
@@ -216,24 +207,28 @@ def _replay_day(netload, soc, h, c, decision, table, tabs, controls, cfg):
     else:
         surcharge, ai = decision[:, None], np.searchsorted(axis, decision)[:, None]
     aging_cost = surcharge * usage
+    # each capacity's soc grid step, gathered per scenario
+    fast, c_grid = table.fast, table.table.grid.axes[0]
+    n_soc, ci = fast.shape[2], np.searchsorted(c_grid, c)
+    steps = [g[1] - g[0] for g in (soc_grid_for(cv, cfg, n_soc) for cv in c_grid)]
+    s_step, rows = np.array(steps)[ci][:, None], (ci - 1)[:, None]
     soc_max = battery.soc_max(c, cfg)
-    soc_grid = soc_grid_for(c, cfg, tabs.shape[1])
-    s_step = soc_grid[1] - soc_grid[0]
     bill = np.zeros(len(soc))
     clamped = np.zeros(len(soc), dtype=int)
     for m in range(netload.shape[1]):
         w = netload[:, m]
         rate = cfg.rates[m]
         soc_next, h_next = battery.fast_dynamics(soc[:, None], h[:, None], effect)
-        feasible = battery.in_soc_box(soc_next, c, cfg, ADMISS_TOL) & (h_next >= -ADMISS_TOL)
+        feasible = battery.in_soc_box(soc_next, c[:, None], cfg, ADMISS_TOL)
+        feasible &= h_next >= -ADMISS_TOL
         if budget_axis:
             b_next = budget[:, None] - usage
             feasible &= b_next >= -ADMISS_TOL
             ai = np.clip(np.round(b_next / a_step).astype(int), 0, len(axis) - 1)
         if not feasible.any(axis=1).all():
             raise RuntimeError("no admissible control")
-        si = np.clip(np.round(soc_next / s_step).astype(int), 0, len(soc_grid) - 1)
-        q = battery.stage_cost(controls, w[:, None], rate) + aging_cost + tabs[m + 1, si, ai]
+        si = np.clip(np.round(soc_next / s_step).astype(int), 0, n_soc - 1)
+        q = battery.stage_cost(controls, w[:, None], rate) + aging_cost + fast[rows, m + 1, si, ai]
         q = np.where(feasible, q, INF)
         k = np.argmin(q, axis=1)
         bill += battery.stage_cost(controls[k], w, rate)

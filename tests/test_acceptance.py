@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoscale.battery import white_noise_resample
+from twoscale.battery import BatteryState, white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.intraday import PRICE, RESOURCE, compute_price_intraday, compute_resource_intraday
 from twoscale.oracle import (
@@ -173,17 +173,17 @@ def test_criterion_08_simulation_consistency(desk_run):
         for rec in records:
             renewal_days = dict(rec.renewals)
             for state in rec.states:
-                state.check_bounds(bat, tol=1e-6)
+                BatteryState(*state).check_bounds(bat, tol=1e-6)
             for d in range(len(rec.states) - 1):
-                nxt = rec.states[d + 1]
+                now, nxt = BatteryState(*rec.states[d]), BatteryState(*rec.states[d + 1])
                 if d in renewal_days:
                     r = renewal_days[d]
                     assert nxt.soc == 0.0
                     assert nxt.health == bat.cycle_multiple * r
                     assert nxt.capacity == r
                 else:
-                    assert nxt.health <= rec.states[d].health + 1e-9
-                    assert nxt.capacity == rec.states[d].capacity
+                    assert nxt.health <= now.health + 1e-9
+                    assert nxt.capacity == now.capacity
 
 
 def test_criterion_09_complexity_reference_ratios():

@@ -39,6 +39,86 @@ def bellman_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def simulate_run(bellman_run, tmp_path_factory):
+    out = tmp_path_factory.mktemp("simulate") / "run"
+    shutil.copytree(bellman_run, out)
+    stage_simulate(CFG, out)
+    return out
+
+
+def _sim_rows(out, mode):
+    """The rows of sim_{mode}.csv as (total_cost, renewals) pairs."""
+    with open(out / f"sim_{mode}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["scenario_id"]) for row in rows] == list(range(len(rows)))
+    return [
+        (
+            float(row["total_cost"]),
+            [
+                (int(d), float(r))
+                for d, r in zip(row["renewal_days"].split(";"), row["renewal_sizes"].split(";"))
+                if d
+            ],
+        )
+        for row in rows
+    ]
+
+
+# per mode and scenario, the criterion-10 replay's (total_cost, renewals)
+# before the battery sizes of a day shared one slot loop
+CRITERION_10_REPLAY = {
+    "price": [
+        (489.2094475619612, [(0, 200.0)]),
+        (494.13494051180703, [(0, 200.0)]),
+        (492.6785981234115, [(1, 200.0)]),
+        (499.53070676188224, [(1, 200.0)]),
+        (501.3646150028563, [(0, 200.0)]),
+    ],
+    "resource": [
+        (441.72553299712655, []),
+        (446.7069528120923, []),
+        (445.71928978784166, []),
+        (451.54767300937397, []),
+        (445.0586378398778, []),
+    ],
+}
+
+
+def test_criterion_10_replay_is_pinned(simulate_run):
+    for mode, want in CRITERION_10_REPLAY.items():
+        got = _sim_rows(simulate_run, mode)
+        assert len(got) == len(want) == CFG.scenarios
+        for s, ((total, renewals), (want_total, want_renewals)) in enumerate(zip(got, want)):
+            assert renewals == want_renewals, (mode, s)
+            assert total == pytest.approx(want_total, rel=1e-12, abs=0.0), (mode, s)
+
+
+def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, tmp_path):
+    stages = json.loads((simulate_run / "manifest.json").read_text())["stages"]
+    lower = stages["bellman"]["lower_at_origin"]
+    for mode in ("price", "resource"):
+        rec = stages["simulate"][mode]
+        stats = json.loads((simulate_run / f"sim_{mode}_stats.json").read_text())
+        rows = _sim_rows(simulate_run, mode)
+        n = len(rows)
+        assert rec["scenario_days"] == n * (CFG.D + 1) == stats["scenarios"] * (CFG.D + 1)
+        assert rec["clamps"] == sum(stats["clamp_counts"])
+        renewals = sum(len(r) for _, r in rows)
+        assert rec["renewals_per_scenario_year"] == renewals / (n * (CFG.D + 1) / 365.0)
+        assert stats["stderr"] > 0.0
+        assert rec["z_lower"] == (stats["mean"] - lower) / stats["stderr"]
+    # with no lower bound recursed there is no z_lower
+    out = tmp_path / "r"
+    shutil.copytree(simulate_run, out)
+    stage_bellman(CFG, out, mode="resource")
+    info = stage_simulate(CFG, out, mode="resource")
+    assert "lower_at_origin" not in json.loads((out / "manifest.json").read_text())["stages"]["bellman"]
+    assert sorted(info["resource"]) == [
+        "clamps", "mean", "renewals_per_scenario_year", "scenario_days", "stderr"
+    ]
+
+
 def test_fit_laws_in_one_file(bellman_run):
     names = {p.name for p in bellman_run.iterdir() if p.name.endswith("laws.json")}
     assert names == {"noise_laws.json", "price_laws.json"}

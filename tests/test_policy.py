@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.battery import ScenarioSet, white_noise_resample
+from twoscale.battery import BatteryState, ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import (
@@ -82,6 +82,37 @@ def idle():
     return make_world(price=1e9, netload_atoms=(0.0, 0.0, 0.0, 0.0))
 
 
+@pytest.fixture(scope="module")
+def two_sizes():
+    """50 and 100 kWh batteries on sale at two cheap price atoms, with noisy
+    netloads: from day 1 on, every day holds batteries of both sizes."""
+    D = D_SMALL
+    cfg = small_battery_config(renewal_grid=(0.0, 50.0, 100.0))
+    slot_laws = point_laws(ATOMS)
+    c_grid = np.array([0.0, 50.0, 100.0])
+    h_grid = np.linspace(0.0, 400.0, 9)
+    classmap = build_periodicity_classes(D, 1)
+    law = DiscreteDist(np.array([0.001, 0.01]), np.array([0.5, 0.5]))
+    price_laws = [law] * (D + 1)
+    rtab = compute_resource_intraday(
+        1, cfg, slot_laws, c_grid, np.linspace(0.0, 100.0, 5), n_soc=N_SOC, n_controls=N_CONTROLS
+    )
+    ptab = compute_price_intraday(
+        1, cfg, slot_laws, c_grid, np.array([0.0, 0.05, 0.10]), n_soc=N_SOC,
+        n_controls=N_CONTROLS,
+    )
+    upper = resource_bellman_recursion({1: rtab}, classmap, price_laws, cfg, h_grid, c_grid, D)
+    lower = price_bellman_recursion({1: ptab}, classmap, price_laws, cfg, h_grid, c_grid, D)
+    rng = np.random.default_rng(0)
+    n = 8
+    netload = np.array(ATOMS) + rng.normal(0.0, 3.0, size=(n, D + 1, len(ATOMS)))
+    scen = ScenarioSet(netload, rng.choice(law.support, size=(n, D + 1)))
+    return {
+        "cfg": cfg, "classmap": classmap, "price_laws": price_laws, "scen": scen, "D": D,
+        "modes": (("price", ptab, lower), ("resource", rtab, upper)),
+    }
+
+
 # ---------------------------------------------------------------- selectors
 
 
@@ -128,6 +159,21 @@ def test_select_resource_last_day_uses_max_aging(cheap):
     assert target == pytest.approx(200.0 - best_dh)
 
 
+@pytest.mark.parametrize("select", [select_price, select_resource])
+def test_select_at_one_capacity_per_health_equals_scalar_calls(two_sizes, select):
+    w = two_sizes
+    _, tab, values = w["modes"][0 if select is select_price else 1]
+    h = np.array([0.0, 0.0, 130.0, 200.0, 60.0, 400.0, 275.0])
+    c = np.array([0.0, 50.0, 50.0, 50.0, 100.0, 100.0, 100.0])
+    for d in range(w["D"] + 1):
+        args = (d, tab, values, w["price_laws"][d], w["cfg"])
+        many = select(h, c, *args)
+        alone = [select(float(hs), float(cs), *args) for hs, cs in zip(h, c)]
+        assert many.tolist() == alone, d
+        # a scalar capacity still applies to every health value
+        assert select(h[4:], 100.0, *args).tolist() == alone[4:], d
+
+
 # ---------------------------------------------------------------- simulation
 
 
@@ -158,9 +204,9 @@ def test_simulation_reproducible(cheap):
     )
     for ra, rb in zip(a, b):
         assert ra.total_cost == rb.total_cost
-        assert ra.states == rb.states
+        assert np.array_equal(ra.states, rb.states)
         assert ra.renewals == rb.renewals
-        assert ra.daily_bills == rb.daily_bills
+        assert np.array_equal(ra.daily_bills, rb.daily_bills)
 
 
 @pytest.mark.parametrize("mode", ["price", "resource"])
@@ -175,10 +221,10 @@ def test_trajectories_admissible_and_renewals_wellformed(cheap, mode):
     saw_renewal = False
     for rec in records:
         renewal_days = dict(rec.renewals)
-        for d, state in enumerate(rec.states):
-            state.check_bounds(cfg, tol=1e-6)
+        for state in rec.states:
+            BatteryState(*state).check_bounds(cfg, tol=1e-6)
         for d in range(len(rec.states) - 1):
-            x0, x1 = rec.states[d], rec.states[d + 1]
+            x0, x1 = BatteryState(*rec.states[d]), BatteryState(*rec.states[d + 1])
             if d in renewal_days:
                 r = renewal_days[d]
                 saw_renewal = True
@@ -278,6 +324,24 @@ def test_replay_defaults_to_the_tables_control_grid(few_controls):
         assert stats.mean >= lower - 3.0 * stats.stderr, dec.mode
 
 
+def _replayed_together_and_alone(scen, args):
+    """Replay every scenario together, then each alone: the records must be
+    equal bit for bit.  Returns the joint records."""
+    mode = args[0]
+    together, _ = simulate_policy(scen, *args)
+    for s, rec in enumerate(together):
+        alone, _ = simulate_policy(
+            ScenarioSet(scen.netload[s : s + 1], scen.battery_price[s : s + 1]), *args
+        )
+        a = alone[0]
+        assert rec.total_cost == a.total_cost, (mode, s)
+        assert np.array_equal(rec.states, a.states), (mode, s)
+        assert rec.renewals == a.renewals, (mode, s)
+        assert np.array_equal(rec.daily_bills, a.daily_bills), (mode, s)
+        assert rec.clamp_count == a.clamp_count, (mode, s)
+    return together
+
+
 def test_scenarios_replayed_together_match_each_replayed_alone(few_controls):
     cfg, out = few_controls
     laws, price_laws = _load_fit(cfg, out)
@@ -286,16 +350,20 @@ def test_scenarios_replayed_together_match_each_replayed_alone(few_controls):
         mode, tabs = dec.mode, _load_tables(cfg, out, dec, with_fast=True)
         values = load_value_seq(cfg, out, dec.kind)
         args = (mode, tabs, values, price_laws, cfg.classmap, cfg.battery_config())
-        together, _ = simulate_policy(scen, *args)
-        capacities = {tuple(rec.states[d].capacity for rec in together) for d in range(cfg.D + 2)}
+        together = _replayed_together_and_alone(scen, args)
+        capacities = {tuple(rec.states[d, 2] for rec in together) for d in range(cfg.D + 2)}
         assert any(len(set(caps)) > 1 for caps in capacities), "no day mixes capacities"
-        for s, rec in enumerate(together):
-            alone, _ = simulate_policy(
-                ScenarioSet(scen.netload[s : s + 1], scen.battery_price[s : s + 1]), *args
-            )
-            a = alone[0]
-            assert rec.total_cost == a.total_cost, (mode, s)
-            assert rec.states == a.states, (mode, s)
-            assert rec.renewals == a.renewals, (mode, s)
-            assert rec.daily_bills == a.daily_bills, (mode, s)
-            assert rec.clamp_count == a.clamp_count, (mode, s)
+
+
+def _capacity_on(rec, d):
+    """The battery size a record holds during day d: its last renewal before d."""
+    return max(((day, r) for day, r in rec.renewals if day < d), default=(-1, 0.0))[1]
+
+
+def test_days_holding_two_sizes_replay_as_each_scenario_alone(two_sizes):
+    w = two_sizes
+    for mode, tab, values in w["modes"]:
+        args = (mode, {1: tab}, values, w["price_laws"], w["classmap"], w["cfg"])
+        together = _replayed_together_and_alone(w["scen"], args)
+        sizes = [{_capacity_on(rec, d) for rec in together} for d in range(w["D"] + 1)]
+        assert any({50.0, 100.0} <= held for held in sizes), "no day holds both sizes"
