@@ -180,25 +180,68 @@ def kmeans_1d(data: np.ndarray, k: int, max_iter: int = 200) -> DiscreteDist:
 
     Centroids are seeded at evenly spaced quantiles.  An emptied cluster is
     re-seeded at the point farthest from its assigned centroid.
+
+    In 1-D every cluster of the nearest-centre rule is an interval of the
+    sorted data, so the data is sorted once and each Lloyd step costs O(n):
+
+    - assignment: while the centres increase by more than 8 ulps of the
+      largest |x|, the label of x is j + 1 exactly when |x - c[j+1]| <
+      |x - c[j]| (the same float expressions and first-minimum rule as an
+      argmin over all centres, since farther centres lie strictly farther
+      after rounding), and that predicate is monotone in x; each label
+      boundary is found by ``searchsorted`` at the midpoints and then moved
+      to the first sorted value that satisfies it.  Closer centres fall back
+      to the dense (n, k) argmin.
+    - update: a stable sort by label puts each cluster's points in their
+      input order, so ``np.add.reduce`` of its slice over its count is
+      ``data[mask].mean()`` bit for bit.  A step that empties a cluster runs
+      the sequential re-seed loop.
+
+    The laws are therefore those of the dense Lloyd loop, bit for bit.
     """
+    return _kmeans_1d(data, k, max_iter)[0]
+
+
+def _kmeans_1d(data, k: int, max_iter: int = 200) -> tuple[DiscreteDist, int]:
+    """:func:`kmeans_1d` and the number of Lloyd steps it took."""
     data = np.asarray(data, dtype=float).ravel()
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(data) < k:
         raise ValueError(f"need at least {k} observations, got {len(data)}")
-    centers = np.quantile(np.sort(data), (np.arange(k) + 0.5) / k)
-    assign = None
-    for _ in range(max_iter):
-        dist = np.abs(data[:, None] - centers[None, :])
-        new_assign = np.argmin(dist, axis=1)
-        for j in range(k):
-            mask = new_assign == j
-            if mask.any():
-                centers[j] = data[mask].mean()
-            else:
-                far = int(np.argmax(np.abs(data - centers[new_assign])))
-                centers[j] = data[far]
-                new_assign[far] = j
+    if not np.isfinite(data).all():
+        raise ValueError("k-means needs finite data")
+    order = np.argsort(data, kind="stable")
+    xs = data[order]
+    # centre gaps above this keep every farther centre strictly farther
+    min_gap = 8 * np.spacing(np.abs(xs[[0, -1]]).max())
+    label_type = np.min_scalar_type(k - 1)
+    centers = np.quantile(xs, (np.arange(k) + 0.5) / k)
+    assign, steps = None, 0
+    for steps in range(1, max_iter + 1):
+        if (centers[1:] - centers[:-1] > min_gap).all():
+            edges = _interval_edges(xs, centers)
+            counts = edges[1:] - edges[:-1]
+            new_assign = np.empty(len(data), dtype=label_type)
+            new_assign[order] = np.repeat(np.arange(k, dtype=label_type), counts)
+        else:
+            new_assign = _dense_assign(data, centers).astype(label_type)
+            counts = np.bincount(new_assign, minlength=k)
+            edges = np.concatenate(([0], np.cumsum(counts)))
+        if counts.all():
+            grouped = data[np.argsort(new_assign, kind="stable")]
+            e, sizes = edges.tolist(), counts.tolist()
+            for j in range(k):
+                centers[j] = np.add.reduce(grouped[e[j]:e[j + 1]]) / sizes[j]
+        else:
+            for j in range(k):
+                mask = new_assign == j
+                if mask.any():
+                    centers[j] = data[mask].mean()
+                else:
+                    far = int(np.argmax(np.abs(data - centers[new_assign])))
+                    centers[j] = data[far]
+                    new_assign[far] = j
         if assign is not None and np.array_equal(assign, new_assign):
             break
         assign = new_assign
@@ -207,16 +250,43 @@ def kmeans_1d(data: np.ndarray, k: int, max_iter: int = 200) -> DiscreteDist:
     counts = np.bincount(order.argsort()[assign], minlength=k)
     probs = counts / counts.sum()
     keep = probs > 0
-    return DiscreteDist(centers[keep], probs[keep] / probs[keep].sum())
+    return DiscreteDist(centers[keep], probs[keep] / probs[keep].sum()), steps
+
+
+def _dense_assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centre, the first on a tie."""
+    return np.argmin(np.abs(data[:, None] - centers[None, :]), axis=1)
+
+
+def _interval_edges(xs: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The k + 1 edges of the label intervals of sorted data ``xs`` for
+    well-separated increasing centres: 0, the first x with |x - c[j+1]| <
+    |x - c[j]| for each j, and n.  Each inner edge starts at its midpoint
+    and moves a run of equal values at a time while the points on either
+    side of it disagree with that predicate."""
+    n, lo, hi = len(xs), centers[:-1], centers[1:]
+    edges = np.empty(len(centers) + 1, dtype=np.intp)
+    edges[0], edges[-1] = 0, n
+    inner = edges[1:-1]
+    inner[:] = np.searchsorted(xs, lo + (hi - lo) / 2)
+    while True:
+        before, at = xs[np.maximum(inner - 1, 0)], xs[np.minimum(inner, n - 1)]
+        back = (inner > 0) & (np.abs(before - hi) < np.abs(before - lo))
+        ahead = (inner < n) & (np.abs(at - hi) >= np.abs(at - lo))
+        if not (back | ahead).any():
+            return edges
+        inner[back] = np.searchsorted(xs, before[back], side="left")
+        inner[ahead] = np.searchsorted(xs, at[ahead], side="right")
 
 
 def fit_netload_distributions(
     scenarios: ScenarioSet, classmap, k: int
-) -> dict[int, list[DiscreteDist]]:
-    """Per (periodicity class, slot) k-means laws from pooled observations."""
+) -> tuple[dict[int, list[DiscreteDist]], int]:
+    """Per (periodicity class, slot) k-means laws from pooled observations,
+    and the number of Lloyd steps they took in all."""
     day_class = classmap.day_to_class[: scenarios.n_days]
     laws: dict[int, list[DiscreteDist]] = {}
-    missing = []
+    missing, steps = [], 0
     for cls in sorted(classmap.representatives):
         days = np.flatnonzero(day_class == cls)
         slot_laws = []
@@ -225,11 +295,13 @@ def fit_netload_distributions(
             if len(obs) < k:
                 missing.append((cls, m))
                 continue
-            slot_laws.append(kmeans_1d(obs, k))
+            law, law_steps = _kmeans_1d(obs, k)
+            slot_laws.append(law)
+            steps += law_steps
         laws[cls] = slot_laws
     if missing:
         raise ValueError(f"insufficient data (< {k} observations) for (class, slot): {missing}")
-    return laws
+    return laws, steps
 
 
 def interp_price_forecast(forecast: Sequence[float], n_days: int) -> np.ndarray:
@@ -292,7 +364,8 @@ def synthetic_netload_scenarios(
 def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int | None]):
     """Read rows of integer ``keys`` and a float ``value`` into a dense array
     indexed by the keys.  ``sizes`` fixes an axis length, or None to take it
-    from the largest index.  Every index tuple must occur exactly once."""
+    from the largest index.  Every index tuple must occur exactly once, and
+    every value must be finite."""
     rows = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -305,6 +378,8 @@ def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int |
                 val = float(rec[value])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line}: unreadable row ({exc})") from exc
+            if not math.isfinite(val):
+                raise ValueError(f"{path}:{line}: {value} {val} is not finite")
             for k, i, size in zip(keys, key, sizes):
                 if i < 0 or (size is not None and i >= size):
                     bound = f"[0, {size - 1}]" if size is not None else ">= 0"

@@ -162,7 +162,9 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
         base = np.maximum(interp_price_forecast(cfg.price_forecast, n_days), cfg.price_floor)
         prices = np.tile(base, (netload.shape[0], 1))
     raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
-    laws = fit_netload_distributions(raw, cfg.classmap, cfg.fit_k)
+    t_laws = time.perf_counter()
+    laws, steps = fit_netload_distributions(raw, cfg.classmap, cfg.fit_k)
+    laws_s = round(time.perf_counter() - t_laws, 3)
     price_laws = battery_price_laws(
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
@@ -171,7 +173,8 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
         out / "noise_laws.json",
     )
     _dump_json([_dist_jsonable(l) for l in price_laws], out / "price_laws.json")
-    return _close_stage(out, "fit", inputs, {"classes": sorted(laws), "k": cfg.fit_k}, t0)
+    info = {"classes": sorted(laws), "k": cfg.fit_k, "laws_s": laws_s, "lloyd_iterations": steps}
+    return _close_stage(out, "fit", inputs, info, t0)
 
 
 def _load_fit(cfg: RunConfig, out: Path):

@@ -213,13 +213,15 @@ def _replay_day(netload, soc, h, c, decision, table, controls, cfg):
     steps = [g[1] - g[0] for g in (soc_grid_for(cv, cfg, n_soc) for cv in c_grid)]
     s_step, rows = np.array(steps)[ci][:, None], (ci - 1)[:, None]
     soc_max = battery.soc_max(c, cfg)
+    # the upper edge of each scenario's soc box, as battery.in_soc_box draws it
+    soc_top = soc_max[:, None] + ADMISS_TOL
     bill = np.zeros(len(soc))
     clamped = np.zeros(len(soc), dtype=int)
     for m in range(netload.shape[1]):
         w = netload[:, m]
         rate = cfg.rates[m]
         soc_next, h_next = battery.fast_dynamics(soc[:, None], h[:, None], effect)
-        feasible = battery.in_soc_box(soc_next, c[:, None], cfg, ADMISS_TOL)
+        feasible = (soc_next >= -ADMISS_TOL) & (soc_next <= soc_top)
         feasible &= h_next >= -ADMISS_TOL
         if budget_axis:
             b_next = budget[:, None] - usage

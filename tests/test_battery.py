@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twoscale import battery
 from twoscale.battery import (
     OFF_PEAK_RATE,
     PEAK_RATE,
@@ -239,6 +242,134 @@ def test_kmeans_deterministic_and_validated():
         kmeans_1d(np.array([1.0]), 3)
     with pytest.raises(ValueError):
         kmeans_1d(data, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kmeans_1d(np.array([1.0, bad, 2.0, 3.0]), 2)
+
+
+def _dense_kmeans_reference(data, k, max_iter=200):
+    """The dense Lloyd loop kmeans_1d replaced, and its number of steps: an
+    (n, k) distance argmin per step, then one mask per cluster."""
+    data = np.asarray(data, dtype=float).ravel()
+    centers = np.quantile(np.sort(data), (np.arange(k) + 0.5) / k)
+    assign, steps = None, 0
+    for steps in range(1, max_iter + 1):
+        dist = np.abs(data[:, None] - centers[None, :])
+        new_assign = np.argmin(dist, axis=1)
+        for j in range(k):
+            mask = new_assign == j
+            if mask.any():
+                centers[j] = data[mask].mean()
+            else:
+                far = int(np.argmax(np.abs(data - centers[new_assign])))
+                centers[j] = data[far]
+                new_assign[far] = j
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+    order = np.argsort(centers)
+    centers = centers[order]
+    counts = np.bincount(order.argsort()[assign], minlength=k)
+    probs = counts / counts.sum()
+    keep = probs > 0
+    return DiscreteDist(centers[keep], probs[keep] / probs[keep].sum()), steps
+
+
+@pytest.fixture()
+def dense_calls(monkeypatch):
+    """Counts the Lloyd steps that fall back to the dense assignment."""
+    calls = []
+    dense = battery._dense_assign
+
+    def counted(data, centers):
+        calls.append(len(data))
+        return dense(data, centers)
+
+    monkeypatch.setattr(battery, "_dense_assign", counted)
+    return calls
+
+
+def assert_matches_dense_reference(data, k):
+    law, steps = battery._kmeans_1d(data, k)
+    ref, ref_steps = _dense_kmeans_reference(data, k)
+    assert law.support.tobytes() == ref.support.tobytes()
+    assert law.probs.tobytes() == ref.probs.tobytes()
+    assert steps == ref_steps
+
+
+def test_interval_edges_equal_the_dense_argmin_at_the_midpoints():
+    # points within a few ulps of each midpoint, where rounding decides the
+    # label and the midpoint guess must move in both directions
+    rng = np.random.default_rng(1)
+    moved = set()
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        centers = np.sort(rng.uniform(-10, 10, k)) * 10.0 ** rng.integers(-3, 4)
+        mids = centers[:-1] + (centers[1:] - centers[:-1]) / 2
+        xs = np.sort(np.concatenate(
+            [m + rng.integers(-40, 40, 30) * np.spacing(m) for m in mids]
+        ))
+        edges = battery._interval_edges(xs, centers)
+        labels = np.repeat(np.arange(k), edges[1:] - edges[:-1])
+        assert np.array_equal(labels, battery._dense_assign(xs, centers))
+        guess = np.searchsorted(xs, mids)
+        moved.update(np.sign(edges[1:-1] - guess).tolist())
+    assert moved == {-1, 0, 1}
+
+
+def test_kmeans_on_desk_columns_equals_the_dense_loop(dense_calls):
+    # the netload columns the desk-tables benchmark fits: configs/desk.json, one class
+    desk = json.loads((Path(__file__).resolve().parents[1] / "configs/desk.json").read_text())
+    cfg = RunConfig.from_dict({**desk, "n_classes": 1})
+    netload = synthetic_netload_scenarios(
+        cfg.fit_scenarios, cfg.D + 1, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
+    )
+    days = np.flatnonzero(cfg.classmap.day_to_class[: cfg.D + 1] == 1)
+    assert len(days) == cfg.D + 1
+    for m in range(cfg.n_slots):
+        assert_matches_dense_reference(netload[:, days, m].ravel(), cfg.fit_k)
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+def test_kmeans_on_random_data_equals_the_dense_loop(scale):
+    rng = np.random.default_rng(int(scale * 1e3))
+    for n, k in ((50, 3), (400, 10), (2000, 10), (997, 17)):
+        data = scale * rng.standard_normal(n)
+        assert_matches_dense_reference(data, k)
+        assert_matches_dense_reference(scale * rng.exponential(size=n) + 100.0 * scale, k)
+
+
+def test_kmeans_on_tied_data_equals_the_dense_loop():
+    rng = np.random.default_rng(5)
+    for decimals in (0, 1, 2):
+        for k in (2, 5, 10):
+            assert_matches_dense_reference(np.round(rng.standard_normal(600), decimals), k)
+
+
+def test_kmeans_edge_cluster_counts_equal_the_dense_loop(dense_calls):
+    rng = np.random.default_rng(9)
+    data = rng.standard_normal(40)
+    assert_matches_dense_reference(data, 1)
+    assert_matches_dense_reference(data, len(data))
+    assert_matches_dense_reference(data[:7], 7)
+    # more clusters than distinct values: clusters empty out and are re-seeded
+    assert_matches_dense_reference(np.repeat([0.0, 1.0, 2.0], [5, 3, 2]), 5)
+    assert_matches_dense_reference(np.round(rng.standard_normal(200)), 12)
+
+
+def test_kmeans_nearly_coincident_centers_take_the_dense_path(dense_calls):
+    # a cluster of values a few ulps apart plus far points: the quantile
+    # centres sit ulps apart, so a far point's distances to them round to a
+    # tie that only the dense argmin breaks the dense way
+    rng = np.random.default_rng(2)
+    for base in (1.0, -3.5e3, 1e-3):
+        for n_far in (1, 3, 10):
+            near = base + rng.integers(0, 24, 300) * np.spacing(base)
+            data = np.concatenate([near, np.full(n_far, 1e3 * base)])
+            for k in (2, 3, 4):
+                assert_matches_dense_reference(data, k)
+    assert dense_calls
 
 
 def test_fit_netload_distributions_shape_and_bounds():
@@ -246,7 +377,7 @@ def test_fit_netload_distributions_shape_and_bounds():
     netload = synthetic_netload_scenarios(4, 10, 8, seed=3, base_kw=40.0)
     prices = np.ones((4, 10))
     scen = ScenarioSet(netload, prices)
-    laws = fit_netload_distributions(scen, classmap, k=3)
+    laws, _ = fit_netload_distributions(scen, classmap, k=3)
     assert sorted(laws) == [1]
     assert len(laws[1]) == 8
     for m, law in enumerate(laws[1]):
@@ -393,6 +524,18 @@ def test_csv_duplicate_row_rejected(tmp_path):
     path.write_text(NETLOAD_HEADER + netload_rows(1, 2, 2) + "0,1,0,7.0\n")
     with pytest.raises(ValueError, match="duplicate row"):
         load_netload_csv(path, n_slots=2)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_value_rejected(tmp_path, bad):
+    path = tmp_path / "netload.csv"
+    path.write_text(NETLOAD_HEADER + netload_rows(1, 2, 2, skip={(0, 1, 0)}) + f"0,1,0,{bad}\n")
+    with pytest.raises(ValueError, match=r"netload\.csv:5: netload_kwh .* is not finite"):
+        load_netload_csv(path, n_slots=2)
+    ppath = tmp_path / "prices.csv"
+    ppath.write_text(f"scenario,day,price_usd_per_kwh\n0,0,0.3\n0,1,{bad}\n")
+    with pytest.raises(ValueError, match=r"prices\.csv:3: .* is not finite"):
+        load_price_csv(ppath)
 
 
 def test_csv_slot_out_of_range_rejected(tmp_path):

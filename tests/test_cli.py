@@ -245,11 +245,28 @@ def test_bad_netload_csv_exit_code(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_netload_csv_exit_code(runner, tmp_path, bad):
+    csv_path = tmp_path / "netload.csv"
+    _netload_csv(csv_path)
+    lines = csv_path.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + f",{bad}"
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, {**TINY, "netload_csv": str(csv_path)})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"netload.csv:5: netload_kwh {float(bad)} is not finite" in res.output
+    assert not out.exists()
+
+
 def test_stage_prints_json(runner, tmp_path):
     cfg = write_config(tmp_path, TINY)
     res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(tmp_path / "r")])
     assert res.exit_code == 0
-    assert json.loads(res.stdout) == {"classes": [1], "k": TINY["fit_k"]}
+    printed = json.loads(res.stdout)
+    assert sorted(printed) == ["classes", "k", "laws_s", "lloyd_iterations"]
+    assert printed["classes"] == [1] and printed["k"] == TINY["fit_k"]
 
 
 def test_malformed_config_file_exit_code(runner, tmp_path):

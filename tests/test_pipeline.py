@@ -11,6 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
+from twoscale.battery import _kmeans_1d, synthetic_netload_scenarios
 from twoscale.config import STAGE_KEYS, RunConfig
 from twoscale.intraday import PRICE, RESOURCE, compute_intraday
 from twoscale.pipeline import (
@@ -131,6 +132,18 @@ def test_fit_laws_in_one_file(bellman_run):
         for law, rec in zip(slot_laws, stored[str(cls)]):
             assert law.support.tolist() == rec["support"]
             assert law.probs.tolist() == rec["probs"]
+
+
+def test_fit_record_holds_law_time_and_lloyd_steps(bellman_run):
+    fit = json.loads((bellman_run / "manifest.json").read_text())["stages"]["fit"]
+    assert 0.0 <= fit["laws_s"] <= fit["seconds"]
+    netload = synthetic_netload_scenarios(
+        CFG.fit_scenarios, CFG.D + 1, CFG.n_slots, CFG.seed, base_kw=CFG.netload_base_kw
+    )
+    # one class: each slot's law pools every scenario-day
+    assert fit["lloyd_iterations"] == sum(
+        _kmeans_1d(netload[:, :, m], CFG.fit_k)[1] for m in range(CFG.n_slots)
+    )
 
 
 def test_intraday_file_holds_one_npz_per_decomposition(bellman_run):
