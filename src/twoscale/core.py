@@ -108,26 +108,6 @@ class Grid:
             stride *= ax.size
         return base, frac
 
-    def corners(self, base: np.ndarray, frac: np.ndarray):
-        """The cell corners of an interpolation plan (see :meth:`interp_plan`)
-        in binary order, axis 0 in the lowest bit: per corner its flat index,
-        shaped like ``base``, and its weight, the product of its per-axis
-        factors in axis order."""
-        shape = self.shape
-        strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
-        lower = 1.0 - frac
-        for corner in range(1 << len(shape)):
-            w, offset = None, 0
-            for j in range(len(shape)):
-                if (corner >> j) & 1:
-                    f = frac[j]
-                    if shape[j] > 1:
-                        offset += strides[j]
-                else:
-                    f = lower[j]
-                w = f if w is None else w * f
-            yield base + offset, w
-
     def __eq__(self, other) -> bool:
         return other is self or (
             isinstance(other, Grid)
@@ -137,6 +117,73 @@ class Grid:
 
     def __hash__(self):
         return hash(tuple(tuple(ax) for ax in self.axes))
+
+
+class BlendPlan:
+    """The cell corners of an interpolation plan (see :meth:`Grid.interp_plan`),
+    cached to blend any number of value tables on one grid.
+
+    An axis whose fractions are all 0 or 1 is folded into the base index and
+    its weight-0 corners are dropped; each corner left keeps its flat offset
+    from the base and its weight, the product of its per-axis factors in axis
+    order.  Corners run in binary order, the lowest axis left in the lowest
+    bit.  ``base`` may have any shape and ``frac`` is ``(ndim,) + base.shape``.
+    """
+
+    __slots__ = ("base", "corners", "_out", "_tmp")
+
+    def __init__(self, grid: Grid, base: np.ndarray, frac: np.ndarray):
+        shape = grid.shape
+        strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+        base = np.array(base, dtype=np.intp)
+        kept = []
+        for j, f in enumerate(frac):
+            if ((f == 0.0) | (f == 1.0)).all():
+                base += strides[j] * (f == 1.0)
+            else:
+                kept.append(j)
+        self.corners = []
+        for corner in range(1 << len(kept)):
+            w, offset = None, 0
+            for bit, j in enumerate(kept):
+                if (corner >> bit) & 1:
+                    f = frac[j]
+                    offset += strides[j]
+                else:
+                    f = 1.0 - frac[j]
+                w = np.array(f) if w is None else w * f
+            self.corners.append((offset, np.ones(base.shape) if w is None else w))
+        self.base = base
+        self._out, self._tmp = np.empty(base.shape), np.empty(base.shape)
+
+    def blend(self, values: np.ndarray) -> np.ndarray:
+        """Multilinear blend of a table on the plan's grid, written into one
+        buffer that the next call overwrites.
+
+        A corner contributes only where its weight is strictly positive; an
+        infinite corner enters the sum as 0 and sets the result's sign of
+        infinity, -inf dominating +inf.
+        """
+        flat = np.asarray(values, dtype=float).ravel()
+        pos_tab, neg_tab = np.isposinf(flat), np.isneginf(flat)
+        has_pos, has_neg = bool(pos_tab.any()), bool(neg_tab.any())
+        if has_pos or has_neg:
+            flat = np.where(np.isfinite(flat), flat, 0.0)
+        out, tmp, base = self._out, self._tmp, self.base
+        # the sum starts from +0, as np.zeros did, so an all-zero blend is +0
+        out.fill(0.0)
+        for offset, w in self.corners:
+            # every index is in range; "clip" skips the buffered bounds check
+            np.take(flat[offset:], base, out=tmp, mode="clip")
+            tmp *= w
+            out += tmp
+        for has, tab, inf in ((has_pos, pos_tab, INF), (has_neg, neg_tab, -INF)):
+            if has:
+                hit = np.zeros(base.shape, dtype=bool)
+                for offset, w in self.corners:
+                    hit |= (w > 0.0) & tab[offset:].take(base)
+                out[hit] = inf
+        return out
 
 
 class GridValueFn:
@@ -170,37 +217,7 @@ class GridValueFn:
             raise ValueError(
                 f"query dimension {x.shape[1]} != grid dimension {self.grid.ndim}"
             )
-        return self.blend(*self.grid.interp_plan(x))
-
-    def blend(self, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
-        """Multilinear blend at an interpolation plan of this function's grid
-        (see :meth:`Grid.interp_plan`); ``base`` may have any shape and
-        ``frac`` is ``(ndim,) + base.shape``.
-
-        Corners are visited in the order of :meth:`Grid.corners`.  A corner
-        contributes only where its weight is strictly positive; an infinite
-        corner enters the sum as 0 and sets the result's sign of infinity.
-        """
-        flat = self.values.ravel()
-        pos_tab, neg_tab = np.isposinf(flat), np.isneginf(flat)
-        has_pos, has_neg = bool(pos_tab.any()), bool(neg_tab.any())
-        if has_pos or has_neg:
-            flat = np.where(np.isfinite(flat), flat, 0.0)
-        total = np.zeros(base.shape)
-        pos_inf = np.zeros(base.shape, dtype=bool)
-        neg_inf = np.zeros(base.shape, dtype=bool)
-        for idx, w in self.grid.corners(base, frac):
-            v = flat.take(idx)
-            v *= w
-            total += v
-            if has_pos or has_neg:
-                active = w > 0.0
-                if has_pos:
-                    pos_inf |= active & pos_tab.take(idx)
-                if has_neg:
-                    neg_inf |= active & neg_tab.take(idx)
-        out = np.where(pos_inf, INF, total) if has_pos else total
-        return np.where(neg_inf, -INF, out) if has_neg else out
+        return BlendPlan(self.grid, *self.grid.interp_plan(x)).blend(self.values)
 
     def to_jsonable(self) -> dict:
         def enc(v: float):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INF, DiscreteDist, Grid, GridValueFn, low_add_arrays
+from .core import INF, BlendPlan, DiscreteDist, Grid, GridValueFn, low_add_arrays
 from . import battery
 from .battery import BatteryConfig
 
@@ -63,17 +63,21 @@ def decomposition(name: str) -> Decomposition:
 
 @dataclass(frozen=True)
 class FastStage:
-    """One fast step: state grid, control points, noise law and handles.
+    """One fast step: state grid, control points, noise law, handles and the
+    noise-free cost part.
 
+    The stage cost is ``fixed + cost(states, controls, w)`` under lower
+    addition: ``fixed``, shape (len(controls), n) over the n grid states, is
+    the part that depends on no noise atom, +inf marking an infeasible
+    control; the ``cost`` handle returns the noise part, shape
+    (len(controls), n) or (len(controls), 1) for one value per control.
     Both handles take the (n, ndim) state array, the whole control array and
-    one noise atom w, and broadcast over (controls, states):
-    cost(states, controls, w) returns shape (len(controls), n), +inf marking
-    an infeasible control; dynamics(states, controls, w) returns the next
-    states, shape (len(controls), n, ndim of the next grid).  The solver
-    plans the interpolation of a next-state array, checking both shapes, and
-    reuses the plan while dynamics returns that same array object onto the
-    same next grid; so a transition that ignores w returns one read-only
-    array at every atom and stage.
+    one noise atom w; dynamics(states, controls, w) returns the next states,
+    shape (len(controls), n, ndim of the next grid).  The solver plans the
+    interpolation of a next-state array, checking its shape, and reuses the
+    plan while dynamics returns that same array object onto the same next
+    grid; so a transition that ignores w returns one read-only array at
+    every atom and stage.
     """
 
     state_grid: Grid
@@ -81,6 +85,7 @@ class FastStage:
     noise: DiscreteDist
     cost: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     dynamics: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    fixed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,12 @@ def _expect_start(n: int):
 
 def _expect_accumulate(total, pos, neg, term: np.ndarray, p: float):
     """Accumulate p * term into (finite total, +inf mask, -inf mask)."""
+    fin = np.isfinite(term)
+    if fin.all():
+        total += p * term
+        return total, pos, neg
     pos |= np.isposinf(term)
     neg |= np.isneginf(term)
-    fin = np.isfinite(term)
     total += np.where(fin, p * term, 0.0)
     return total, pos, neg
 
@@ -116,13 +124,72 @@ def _expect_value(total, pos, neg) -> np.ndarray:
     return np.where(neg, -INF, np.where(pos, INF, total))
 
 
-def _contract_shape(arr: np.ndarray, shape: tuple, handle: str) -> None:
-    if np.shape(arr) != shape:
-        raise ValueError(f"{handle} returned shape {np.shape(arr)}, expected {shape}")
+def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
+    if np.shape(arr) not in shapes:
+        want = " or ".join(str(shape) for shape in shapes)
+        raise ValueError(f"{what} shape {np.shape(arr)}, expected {want}")
 
 
+def _min_of_sum(a, b, c, out: np.ndarray) -> np.ndarray:
+    """min over axis 0 of (a + b) + c under lower addition, summed in ``out``.
+
+    The plain sum differs from the lower one only where it meets
+    (+inf) + (-inf) and reads NaN there, which the min carries on; only
+    then is the sum redone with :func:`~twoscale.core.low_add_arrays`."""
+    np.add(a, b, out=out)
+    out += c
+    best = out.min(axis=0)
+    if np.isnan(best).any():
+        best = low_add_arrays(low_add_arrays(a, b), c).min(axis=0)
+    return best
+
+
+def _rows(mask: np.ndarray):
+    """The rows where mask holds, as a slice when they are contiguous."""
+    rows = np.flatnonzero(mask)
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
+
+
+class _StageMin:
+    """min over the controls of (cost + fixed) + cont under lower addition,
+    for one stage's noise-free part ``fixed`` and continuation ``cont``, both
+    (controls, states), at the noise part ``cost`` of each atom.
+
+    A control row whose noise part is exactly 0 equals G = fixed + cont bit
+    for bit, because 0 + fixed == fixed; G's min over each distinct set of
+    such rows is taken once per stage.  Only the other rows are summed and
+    reduced, in the preallocated buffer ``buf``; G is summed in ``gbuf``.
+    """
+
+    def __init__(self, fixed, cont, buf, gbuf):
+        self.fixed, self.cont, self.buf = fixed, cont, buf
+        self.g = np.add(fixed, cont, out=gbuf)
+        self.free_min = {}
+
+    def __call__(self, cost: np.ndarray) -> np.ndarray:
+        paid = cost.any(axis=1)
+        q = None
+        if not paid.all():
+            key = paid.tobytes()
+            q = self.free_min.get(key)
+            if q is None:
+                rows = _rows(~paid)
+                q = self.g[rows].min(axis=0)
+                if np.isnan(q).any():
+                    q = low_add_arrays(self.fixed[rows], self.cont[rows]).min(axis=0)
+                self.free_min[key] = q
+        if paid.any():
+            rows = _rows(paid)
+            buf = self.buf[: np.count_nonzero(paid)]
+            paid_min = _min_of_sum(cost[rows], self.fixed[rows], self.cont[rows], buf)
+            q = paid_min if q is None else np.minimum(q, paid_min, out=paid_min)
+        return q
+
+
+# a plain sum meeting (+inf) + (-inf) is redone under lower addition
+@np.errstate(invalid="ignore")
 def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolution:
-    """V_m(x) = E_w[ min_u cost(x,u,w) + V_{m+1}(dynamics(x,u,w)) ].
+    """V_m(x) = E_w[ min_u (fixed(x,u) + cost(x,u,w)) + V_{m+1}(dynamics(x,u,w)) ].
 
     All controls infeasible at some (m, x, w) yields V_m(x) = +inf, not an
     error.  Next states are clamped to the following stage's grid box.
@@ -133,24 +200,28 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
     vnext = terminal
     grid = states = None
     planned = planned_grid = plan = None
+    buf = gbuf = None
     for stage in reversed(model.stages):
         if stage.state_grid is not grid:
             grid, states = stage.state_grid, stage.state_grid.points()
-        cont = None
+        shape = (len(stage.controls), len(states))
+        _contract_shape(stage.fixed, (shape,), "fixed has")
+        if buf is None or buf.shape != shape:
+            buf, gbuf = np.empty(shape), np.empty(shape)
+        kernel = None
         total, pos, neg = _expect_start(len(states))
         for w, p in stage.noise.atoms():
             nxt = stage.dynamics(states, stage.controls, w)
             cost = stage.cost(states, stage.controls, w)
+            _contract_shape(cost, (shape, (shape[0], 1)), "cost returned")
             if nxt is not planned or vnext.grid is not planned_grid:
-                shape = (len(stage.controls), len(states))
-                _contract_shape(nxt, shape + (vnext.grid.ndim,), "dynamics")
-                _contract_shape(cost, shape, "cost")
-                planned, planned_grid, plan = nxt, vnext.grid, _interp_plan(nxt, vnext.grid)
-                cont = None
-            if cont is None:
-                cont = vnext.blend(*plan)  # (controls, states)
-            q = low_add_arrays(cost, cont).min(axis=0)
-            total, pos, neg = _expect_accumulate(total, pos, neg, q, p)
+                _contract_shape(nxt, (shape + (vnext.grid.ndim,),), "dynamics returned")
+                planned, planned_grid = nxt, vnext.grid
+                plan = BlendPlan(vnext.grid, *_interp_plan(nxt, vnext.grid))
+                kernel = None
+            if kernel is None:
+                kernel = _StageMin(stage.fixed, plan.blend(vnext.values), buf, gbuf)
+            total, pos, neg = _expect_accumulate(total, pos, neg, kernel(cost), p)
         vnext = GridValueFn(stage.state_grid, _expect_value(total, pos, neg))
         values.append(vnext)
     values.reverse()
@@ -233,17 +304,11 @@ def no_battery_bill(slot_laws: Sequence[DiscreteDist], rates: Sequence[float]) -
     return total
 
 
-class _BatteryCost:
-    """Stage cost of one slot of a battery cell: the bill
-    (:func:`~twoscale.battery.stage_cost`) plus the cell's noise-free part
-    (feasibility mask and surcharge), shape (controls, states)."""
-
-    def __init__(self, rate, fixed: np.ndarray):
-        self.rate = rate
-        self.fixed = fixed
-
-    def __call__(self, states, controls, w):
-        return battery.stage_cost(controls[:, None], w, self.rate) + self.fixed
+def _slot_bill(rate, states, controls, w):
+    """The noise part of a battery cell's slot cost: the bill
+    (:func:`~twoscale.battery.stage_cost`), one per control, shape
+    (controls, 1)."""
+    return battery.stage_cost(controls[:, None], w, rate)
 
 
 def soc_grid_for(c: float, cfg: BatteryConfig, n_soc: int) -> np.ndarray:
@@ -280,13 +345,15 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     else:
         extra = states[:, 1] * effect[1]
     fixed = np.where(bad, INF, extra)
+    fixed.setflags(write=False)
     stages = tuple(
         FastStage(
             state_grid=grid,
             controls=controls,
             noise=law,
-            cost=_BatteryCost(rate, fixed),
+            cost=partial(_slot_bill, rate),
             dynamics=lambda *_: nxt,
+            fixed=fixed,
         )
         for rate, law in zip(cfg.rates, slot_laws, strict=True)
     )

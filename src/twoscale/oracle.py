@@ -42,6 +42,8 @@ class TinyProblem:
 
     def day_model(self, d: int) -> FastStageModel:
         grid = Grid([self.states])
+        # the tabulated cost is all noise part
+        fixed = np.zeros((len(self.controls), len(self.states)))
         stages = tuple(
             FastStage(
                 grid,
@@ -49,6 +51,7 @@ class TinyProblem:
                 self.noise[d][m],
                 _StepCost(self.cost, d, m),
                 _StepDyn(self.dynamics, d, m),
+                fixed,
             )
             for m in range(self.M + 1)
         )

@@ -195,7 +195,10 @@ def _load_fit(cfg: RunConfig, out: Path):
 
 
 def _cell_job(args):
-    return _fast_cell(*args)
+    """One intraday cell and its wall time."""
+    t0 = time.perf_counter()
+    cell = _fast_cell(*args)
+    return cell, time.perf_counter() - t0
 
 
 def _chosen(mode: str) -> list:
@@ -210,7 +213,10 @@ def _intraday_path(out: Path, dec) -> Path:
 def stage_intraday(cfg: RunConfig, out: Path) -> dict:
     """Compute per-class resource and price intraday tables (parallel cells);
     writes ``intraday_{R,P}.npz``, one per decomposition: the axes ``c`` and
-    ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``."""
+    ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``.
+    The record holds per decomposition letter the summed wall time of its
+    cells (``cell_s``) and the share of +inf entries in its day tables
+    (``inf_share``)."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "intraday")
     laws, _ = _load_fit(cfg, out)
@@ -229,8 +235,11 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
             done = list(pool.map(_cell_job, jobs.values(), chunksize=1))
     else:
         done = [_cell_job(j) for j in jobs.values()]
-    cells = dict(zip(jobs, done))
+    cells = dict(zip(jobs, (cell for cell, _ in done)))
+    info = {"cells": len(jobs), "threads": cfg.threads, "cell_s": {}, "inf_share": {}}
     for dec in DECOMPOSITIONS:
+        seconds = sum(dt for key, (_, dt) in zip(jobs, done) if key[0] == dec)
+        info["cell_s"][dec.letter] = round(seconds, 3)
         arrays = {"c": c_grid, "axis": axes[dec], "n_controls": cfg.n_controls}
         for cls in classes:
             tab = compute_intraday(
@@ -238,10 +247,13 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
                 fast=np.stack([cells.pop((dec, cls, c)) for c in c_grid[1:]]),
             )
             arrays[f"table_{cls}"], arrays[f"fast_{cls}"] = tab.table.values, tab.fast
+        days = [arrays[f"table_{cls}"] for cls in classes]
+        inf = sum(int(np.isposinf(t).sum()) for t in days)
+        info["inf_share"][dec.letter] = inf / sum(t.size for t in days)
         # a file handle keeps np.savez from appending .npz to the temporary name
         with _atomic(_intraday_path(out, dec)) as tmp, open(tmp, "wb") as fh:
             np.savez(fh, **arrays)
-    return _close_stage(out, "intraday", inputs, {"cells": len(jobs), "threads": cfg.threads}, t0)
+    return _close_stage(out, "intraday", inputs, info, t0)
 
 
 def _npy_shape(npz, name: str) -> tuple:
@@ -334,7 +346,8 @@ def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
 def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     """White-noise Monte Carlo replay of the synthesized policies.  The record
     holds per mode the mean, stderr, scenario-days, clamps, renewals per
-    scenario-year and the mean's stderrs above the lower bound (z_lower)."""
+    scenario-year, the slots that fell back from an all-+inf table row
+    (inf_fallbacks) and the mean's stderrs above the lower bound (z_lower)."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "simulate")
     lower = load_manifest(out)["stages"]["bellman"].get("lower_at_origin")
@@ -365,6 +378,7 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
         info[m].update(
             scenario_days=scen_days, clamps=sum(clamps),
             renewals_per_scenario_year=renewals / (scen_days / 365.0),
+            inf_fallbacks=sum(rec.inf_fallbacks for rec in records),
         )
         if lower is not None and stats.stderr > 0.0:
             info[m]["z_lower"] = (stats.mean - lower) / stats.stderr

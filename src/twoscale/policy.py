@@ -31,6 +31,7 @@ class SimulationRecord:
     total_cost: float  # discounted, money
     daily_bills: np.ndarray  # (D+1,): undiscounted energy bills per day
     clamp_count: int  # table lookups that clamped a drifted state
+    inf_fallbacks: int  # slots where every feasible control read +inf
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def simulate_policy(
     n = scenarios.n_scenarios
     soc, h, c = np.zeros(n), np.zeros(n), np.zeros(n)
     total = np.zeros(n)
-    clamped = np.zeros(n, dtype=int)
+    clamped, fallbacks = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     traj, bills = np.zeros((D + 2, n, 3)), np.empty((D + 1, n))
     renewals = [[] for _ in range(n)]
     disc = 1.0
@@ -158,10 +159,11 @@ def simulate_policy(
             bills[d, none] = sum(battery.stage_cost(0.0, w, rate) for w, rate in slots)
         if len(own):
             decision = select(h[own], c[own], d, table, values, price_laws[d], cfg)
-            bills[d, own], soc[own], h[own], clamps = _replay_day(
+            bills[d, own], soc[own], h[own], clamps, stuck = _replay_day(
                 netload[own], soc[own], h[own], c[own], decision, table, controls, cfg
             )
             clamped[own] += clamps
+            fallbacks[own] += stuck
         # admissibility at end of day
         bad = ~(battery.in_soc_box(soc, c, cfg, ADMISS_TOL) & (h >= -ADMISS_TOL))
         if bad.any():
@@ -179,7 +181,10 @@ def simulate_policy(
     traj.setflags(write=False)
     bills.setflags(write=False)
     records = [
-        SimulationRecord(s, traj[:, s], tuple(rs), float(total[s]), bills[:, s], int(clamped[s]))
+        SimulationRecord(
+            s, traj[:, s], tuple(rs), float(total[s]), bills[:, s], int(clamped[s]),
+            int(fallbacks[s]),
+        )
         for s, rs in enumerate(renewals)
     ]
     stderr = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -192,8 +197,10 @@ def _replay_day(netload, soc, h, c, decision, table, controls, cfg):
     netload is (scenarios, slots); soc, h, the capacity c > 0 and the day's
     decision (surcharge or health target) are per scenario; the replay
     tables are ``table.fast``, shape (capacity after c = 0, slots + 1, soc,
-    axis).  Returns the bills, the end-of-day soc and health, and per
-    scenario the number of clamped moves.
+    axis).  A slot where every feasible control reads +inf from the table
+    takes the first feasible control.  Returns the bills, the end-of-day soc
+    and health, and per scenario the number of clamped moves and of such
+    slots.
     """
     effect = battery.control_effect(controls, cfg)
     d_soc, usage = effect
@@ -216,7 +223,9 @@ def _replay_day(netload, soc, h, c, decision, table, controls, cfg):
     # the upper edge of each scenario's soc box, as battery.in_soc_box draws it
     soc_top = soc_max[:, None] + ADMISS_TOL
     bill = np.zeros(len(soc))
-    clamped = np.zeros(len(soc), dtype=int)
+    clamped, fallbacks = np.zeros(len(soc), dtype=int), np.zeros(len(soc), dtype=int)
+    # each scenario's first entry in a flat (scenario, control) array
+    row0 = np.arange(len(soc)) * len(controls)
     for m in range(netload.shape[1]):
         w = netload[:, m]
         rate = cfg.rates[m]
@@ -233,6 +242,11 @@ def _replay_day(netload, soc, h, c, decision, table, controls, cfg):
         q = battery.stage_cost(controls, w[:, None], rate) + aging_cost + fast[rows, m + 1, si, ai]
         q = np.where(feasible, q, INF)
         k = np.argmin(q, axis=1)
+        best = q.ravel().take(row0 + k)
+        if best.max() == INF:
+            stuck = best == INF
+            k[stuck] = np.argmax(feasible[stuck], axis=1)
+            fallbacks += stuck
         bill += battery.stage_cost(controls[k], w, rate)
         used = usage[k]
         soc_raw, h_raw = battery.fast_dynamics(soc, h, (d_soc[k], used))
@@ -241,4 +255,4 @@ def _replay_day(netload, soc, h, c, decision, table, controls, cfg):
         if budget_axis:
             budget = np.maximum(budget - used, 0.0)
         clamped += (soc != soc_raw) | (h != h_raw)
-    return bill, soc, h, clamped
+    return bill, soc, h, clamped, fallbacks

@@ -23,7 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import INF, DiscreteDist, Grid, GridValueFn, fenchel_conjugate, low_add_arrays
+from .core import (
+    INF, BlendPlan, DiscreteDist, Grid, GridValueFn, fenchel_conjugate, low_add_arrays,
+)
 from .battery import BatteryConfig, fresh_state
 from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable, PeriodicityClassMap
 from .intraday import solve_fast_dp
@@ -346,8 +348,8 @@ def check_sandwich(
     grid = lower.grid
     max_rel, lo0, up0 = np.empty(n), np.empty(n), np.empty(n)
     violations = 0
-    base, frac = grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1))
-    corners = [(int(idx[0]), w[0]) for idx, w in grid.corners(base, frac)]
+    plan = BlendPlan(grid, *grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1)))
+    corners = [(int(plan.base[0]) + offset, w[0]) for offset, w in plan.corners]
     step = max(1, SANDWICH_BLOCK // grid.size)
     for a in range(0, n, step):
         days = slice(a, min(a + step, n))
@@ -367,10 +369,11 @@ def check_sandwich(
 
 
 def _blend_days(values: np.ndarray, corners: list) -> np.ndarray:
-    """Per day of ``values``, shaped (days,) + grid shape, GridValueFn.blend
-    at one point given by its :meth:`~twoscale.core.Grid.corners`: the same
-    corners, weights and order, and the same infinities, +inf where a corner
-    of positive weight is +inf and -inf where one is -inf."""
+    """Per day of ``values``, shaped (days,) + grid shape,
+    :meth:`~twoscale.core.BlendPlan.blend` at one point given by the flat
+    index and weight of each corner of its plan: the same corners, weights
+    and order, and the same infinities, +inf where a corner of positive
+    weight is +inf and -inf where one is -inf."""
     flat = values.reshape(len(values), -1)
     raw = flat[:, [idx for idx, _ in corners]]
     # blend zeroes the infinite entries (a SlowValueSeq holds no NaN)

@@ -12,6 +12,7 @@ import pytest
 
 from twoscale.core import (
     INF,
+    BlendPlan,
     DiscreteDist,
     Grid,
     GridValueFn,
@@ -127,6 +128,84 @@ def test_gridfn_2d_bilinear():
     vals = np.array([[0.0, 3.0], [2.0, 5.0]])
     f = GridValueFn(g, vals)
     assert f.eval_many([[0.25, 0.5]])[0] == pytest.approx(0.5 + 1.5, abs=1e-12)
+
+
+def _unfolded_blend(fn, base, frac):
+    """Multilinear blend over all 2**ndim cell corners, none folded: the
+    reference for BlendPlan.  Corners run in binary order, axis 0 in the
+    lowest bit; a corner's weight is the product of its per-axis factors in
+    axis order, and an infinite corner counts as 0 and sets the result's
+    infinity where its weight is positive."""
+    shape = fn.grid.shape
+    strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
+    raw = fn.values.ravel()
+    flat = np.where(np.isfinite(raw), raw, 0.0)
+    total = np.zeros(base.shape)
+    pos, neg = np.zeros(base.shape, bool), np.zeros(base.shape, bool)
+    for corner in range(1 << len(shape)):
+        w, idx = None, base
+        for j in range(len(shape)):
+            if (corner >> j) & 1:
+                f = frac[j]
+                idx = idx + (strides[j] if shape[j] > 1 else 0)
+            else:
+                f = 1.0 - frac[j]
+            w = f if w is None else w * f
+        total += flat[idx] * w
+        pos |= (w > 0.0) & np.isposinf(raw[idx])
+        neg |= (w > 0.0) & np.isneginf(raw[idx])
+    return np.where(neg, -INF, np.where(pos, INF, total))
+
+
+def _folded_world():
+    """A 2-D table and queries whose axis-1 coordinates sit on grid points,
+    the last one included: axis 1's fractions are exactly 0 or 1."""
+    g = Grid([[0.0, 1.0, 2.5], [0.0, 0.5, 1.0]])
+    vals = np.arange(9.0).reshape(3, 3) * 0.7 - 1.3
+    x = np.array([[0.3, 0.0], [1.7, 0.5], [0.6, 1.0], [2.5, 1.0], [2.0, 0.5], [1.0, 0.0]])
+    base, frac = g.interp_plan(x)
+    assert set(frac[1]) == {0.0, 1.0}
+    return g, vals, base, frac
+
+
+def test_folded_blend_drops_an_axis_of_whole_fractions():
+    g, vals, base, frac = _folded_world()
+    plan = BlendPlan(g, base, frac)
+    assert len(plan.corners) == 2
+    fn = GridValueFn(g, vals)
+    assert np.array_equal(plan.blend(vals), _unfolded_blend(fn, base, frac))
+
+
+def test_folded_blend_ignores_inf_at_a_weight_zero_corner():
+    g, vals, base, frac = _folded_world()
+    # (0.3, 0.0) and (0.6, 1.0) give weight 0 to their axis-1 corners at
+    # index 1, (1.7, 0.5) and (2.0, 0.5) to theirs at index 2; (1.0, 0.0)
+    # sits on an axis-0 point, so the kept axis gives (2, 0) weight 0
+    vals = vals.copy()
+    vals[0, 1] = vals[2, 2] = vals[2, 0] = INF
+    fn = GridValueFn(g, vals)
+    got = BlendPlan(g, base, frac).blend(fn.values)
+    want = _unfolded_blend(fn, base, frac)
+    assert np.array_equal(got, want)
+    assert np.isfinite(got[[0, 1, 2, 4, 5]]).all()
+
+
+def test_folded_blend_keeps_inf_at_a_weight_one_corner():
+    g, vals, base, frac = _folded_world()
+    vals = vals.copy()
+    vals[0, 2] = INF  # the axis-1 corner of (0.6, 1.0), at fraction 1
+    fn = GridValueFn(g, vals)
+    got = BlendPlan(g, base, frac).blend(fn.values)
+    assert np.array_equal(got, _unfolded_blend(fn, base, frac))
+    assert got[2] == INF
+    assert np.isfinite(np.delete(got, 2)).all()
+
+
+def test_blend_plan_reuses_its_buffer():
+    g, vals, base, frac = _folded_world()
+    plan = BlendPlan(g, base, frac)
+    first = plan.blend(vals)
+    assert plan.blend(vals + 1.0) is first
 
 
 def test_gridfn_values_size_check():

@@ -32,13 +32,15 @@ def point(v):
     return DiscreteDist(np.array([float(v)]), np.array([1.0]))
 
 
-def make_stage(grid, controls, noise, cost, dyn):
+def make_stage(grid, controls, noise, cost, dyn, fixed=None):
+    controls = np.asarray(controls, dtype=float)
     return FastStage(
         state_grid=grid,
-        controls=np.asarray(controls, dtype=float),
+        controls=controls,
         noise=noise,
         cost=cost,
         dynamics=dyn,
+        fixed=np.zeros((len(controls), grid.size)) if fixed is None else fixed,
     )
 
 
@@ -146,6 +148,7 @@ def _tree_value(stages, terminal_axis, terminal_vals, m, x):
         best = INF
         for u in stage.controls:
             c = float(stage.cost(np.array([[x]]), np.array([u]), float(w))[0, 0])
+            c += float(stage.fixed[list(stage.controls).index(u), list(axis).index(x)])
             nxt = float(stage.dynamics(np.array([[x]]), np.array([u]), float(w))[0, 0, 0])
             nxt = float(np.clip(nxt, axis[0], axis[-1]))
             q = c + _tree_value(stages, terminal_axis, terminal_vals, m + 1, nxt)
@@ -212,8 +215,9 @@ def test_fast_dp_matches_exhaustive_enumeration():
 def _per_control_reference(model, terminal):
     """The fast DP control by control, the reference for the broadcast
     solver: each handle's (controls, ...) result is taken one control row at a
-    time, its next states are looked up with eval_many and the best control
-    is kept by a sequential np.minimum."""
+    time, the noise part is added to the row of the noise-free part, the next
+    states are looked up with eval_many and the best control is kept by a
+    sequential np.minimum."""
     values = [terminal]
     vnext = terminal
     for stage in reversed(model.stages):
@@ -224,7 +228,8 @@ def _per_control_reference(model, terminal):
             nxt = stage.dynamics(states, stage.controls, w)
             q_best = None
             for k in range(len(stage.controls)):
-                q = low_add_arrays(cost[k], vnext.eval_many(nxt[k]))
+                step = low_add_arrays(cost[k], stage.fixed[k])
+                q = low_add_arrays(step, vnext.eval_many(nxt[k]))
                 q_best = q if q_best is None else np.minimum(q_best, q)
             total, pos, neg = _expect_accumulate(total, pos, neg, q_best, p)
         vnext = GridValueFn(stage.state_grid, _expect_value(total, pos, neg))
@@ -279,6 +284,106 @@ def test_noise_dependent_stages_match_per_control_reference():
     p = random_tiny_problem(7)
     model = p.day_model(0)
     _assert_matches_reference(model, GridValueFn(model.terminal_grid, p.final_cost))
+
+
+def _battery_cell(laws, **overrides):
+    """A 50-kWh resource cell of the small battery on the slot laws."""
+    cfg = small_battery_config(**overrides)
+    return _cell_model(cfg, laws, 50.0, np.linspace(0.0, 100.0, 5), 5, 5, True)
+
+
+def test_split_matches_reference_where_a_control_zeroes_the_net_demand():
+    # controls -25, -12.5, 0, 12.5, 25: at w = 12.5 the control -12.5 gives
+    # w + u == 0 exactly, at w = 0 the control 0 does
+    laws = [
+        DiscreteDist(np.array([-3.0, 0.0, 12.5]), np.array([0.3, 0.3, 0.4])),
+        point(12.5),
+        point(-25.0),
+        DiscreteDist(np.array([0.0, 7.0]), np.array([0.5, 0.5])),
+    ]
+    model, terminal = _battery_cell(laws)
+    controls = model.stages[0].controls
+    assert (controls + 12.5 == 0.0).any() and (controls == 0.0).any()
+    _assert_matches_reference(model, terminal)
+
+
+def test_split_matches_reference_on_a_free_slot():
+    # rate 0: every control row of slots 0 and 2 is bill-free
+    laws = [point(10.0), point(-8.0), point(6.0), point(12.0)]
+    model, terminal = _battery_cell(laws, rates=(0.0, 0.2, 0.0, 0.3))
+    cost = model.stages[0].cost(None, model.stages[0].controls, 10.0)
+    assert not cost.any()
+    _assert_matches_reference(model, terminal)
+
+
+def test_split_matches_reference_where_every_control_pays():
+    # w > u_max = 25: no control brings the net demand to 0
+    laws = [
+        DiscreteDist(np.array([26.0, 40.0]), np.array([0.5, 0.5])),
+        point(30.0),
+        point(25.5),
+        point(31.0),
+    ]
+    model, terminal = _battery_cell(laws)
+    for stage in model.stages:
+        for w, _ in stage.noise.atoms():
+            assert stage.cost(None, stage.controls, w).all()
+    _assert_matches_reference(model, terminal)
+
+
+class _GappedCost:
+    """A noise part whose zero rows sit in the middle of the control grid:
+    control rows 1 and 3 of 5 pay nothing at atom 0, every row pays at other
+    atoms; the rest is a per-(control, state) table scaled by the atom."""
+
+    def __init__(self, tab):
+        self.tab = tab
+
+    def __call__(self, s, u, w):
+        out = self.tab * (1.0 + w)
+        if w == 0.0:
+            out[[1, 3]] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("terminal_neg_inf", [False, True])
+def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_neg_inf):
+    rng = np.random.default_rng(5)
+    grid = Grid([np.arange(4.0)])
+    controls = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    fixed = rng.uniform(-1.0, 1.0, size=(5, 4))
+    # +inf in paid rows 0 and 4 and in the bill-free row 1, whose state 3
+    # moves to state 2
+    fixed[0, 3] = fixed[4, 0] = fixed[1, 3] = INF
+
+    def dyn(s, u, w):
+        return np.clip(s[None] + u[:, None, None], 0.0, 3.0)
+
+    # the last step has atom 0 alone, so its bill-free rows decide alone
+    noises = [DiscreteDist(np.array([0.0, 0.5]), np.array([0.5, 0.5]))] * 2 + [point(0.0)]
+    stages = tuple(
+        make_stage(grid, controls, noise, _GappedCost(rng.uniform(0.1, 2.0, (5, 4))), dyn, fixed)
+        for noise in noises
+    )
+    model = FastStageModel(stages=stages, terminal_grid=grid)
+    end = rng.uniform(0.0, 2.0, size=4)
+    if terminal_neg_inf:
+        end[2] = -INF  # meets +inf in fixed: lower addition gives -inf
+    cost = stages[0].cost(None, controls, 0.0)
+    assert list(np.flatnonzero(~cost.any(axis=1))) == [1, 3]
+    ref = _assert_matches_reference(model, GridValueFn(grid, end))
+    assert np.isneginf(ref[0]).any() == terminal_neg_inf
+
+
+def test_fixed_off_the_contract_shape_is_rejected():
+    grid = Grid([[0.0, 1.0]])
+    stage = make_stage(
+        grid, [0.0, 1.0], point(0.0), lambda s, u, w: np.zeros((len(u), 1)), stay,
+        np.zeros((2, 1)),
+    )
+    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    with pytest.raises(ValueError, match="fixed has shape"):
+        solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
 
 def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch):

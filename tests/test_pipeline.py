@@ -116,8 +116,40 @@ def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, tmp_pat
     info = stage_simulate(CFG, out, mode="resource")
     assert "lower_at_origin" not in json.loads((out / "manifest.json").read_text())["stages"]["bellman"]
     assert sorted(info["resource"]) == [
-        "clamps", "mean", "renewals_per_scenario_year", "scenario_days", "stderr"
+        "clamps", "inf_fallbacks", "mean", "renewals_per_scenario_year", "scenario_days",
+        "stderr",
     ]
+
+
+def test_simulate_record_counts_inf_fallbacks(simulate_run):
+    # no table row of the criterion-10 run is +inf at every feasible control
+    stages = json.loads((simulate_run / "manifest.json").read_text())["stages"]
+    assert [stages["simulate"][m]["inf_fallbacks"] for m in ("price", "resource")] == [0, 0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_intraday_record_holds_cell_time_and_inf_share(tmp_path, threads):
+    # controls -30, -10, 10, 30: every one of the 12 slots uses at least 10
+    # kWh of aging budget, so the 12 budgets below 120 kWh on the 10-kWh
+    # budget grid are +inf in each battery row of the resource table
+    cfg = dataclasses.replace(
+        CFG, n_controls=4, u_max=30.0, dh_cap=240.0, dh_points=25, threads=threads
+    )
+    stage_fit(cfg, tmp_path)
+    info = stage_intraday(cfg, tmp_path)
+    rec = json.loads((tmp_path / "manifest.json").read_text())["stages"]["intraday"]
+    assert rec["cell_s"] == info["cell_s"] and rec["inf_share"] == info["inf_share"]
+    assert sorted(rec["cell_s"]) == sorted(rec["inf_share"]) == ["P", "R"]
+    assert all(0.0 < s for s in rec["cell_s"].values())
+    if threads == 1:
+        assert sum(rec["cell_s"].values()) <= rec["seconds"]
+    for dec in (PRICE, RESOURCE):
+        days = [tab.table.values for tab in _load_tables(cfg, tmp_path, dec).values()]
+        inf = sum(int(np.isposinf(t).sum()) for t in days)
+        assert rec["inf_share"][dec.letter] == inf / sum(t.size for t in days)
+    n_c = len(cfg.c_grid())
+    assert rec["inf_share"]["R"] == (n_c - 1) * 12 / (n_c * cfg.dh_points)
+    assert rec["inf_share"]["P"] == 0.0
 
 
 def test_fit_laws_in_one_file(bellman_run):

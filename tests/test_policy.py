@@ -5,15 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from twoscale import battery
 from twoscale.battery import BatteryState, ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
-from twoscale.core import DiscreteDist
+from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
 from twoscale.intraday import (
     PRICE,
     RESOURCE,
+    IntradayTable,
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
+    control_grid,
 )
 from twoscale.pipeline import (
     _load_fit,
@@ -25,7 +28,7 @@ from twoscale.pipeline import (
     stage_report,
     stage_simulate,
 )
-from twoscale.policy import select_price, select_resource, simulate_policy
+from twoscale.policy import _replay_day, select_price, select_resource, simulate_policy
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
 from conftest import D_SMALL, N_CONTROLS, N_SOC, point_laws, small_battery_config
@@ -367,3 +370,24 @@ def test_days_holding_two_sizes_replay_as_each_scenario_alone(two_sizes):
         together = _replayed_together_and_alone(w["scen"], args)
         sizes = [{_capacity_on(rec, d) for rec in together} for d in range(w["D"] + 1)]
         assert any({50.0, 100.0} <= held for held in sizes), "no day holds both sizes"
+
+
+def test_a_row_of_inf_falls_back_to_the_first_feasible_control():
+    # every replay entry is +inf, so every feasible control reads +inf; from
+    # an empty battery the discharging controls 0 and 1 are infeasible, and
+    # the first feasible control is u = 0
+    cfg = small_battery_config()
+    c_grid, axis = np.array([0.0, 50.0]), np.array([0.0])
+    fast = np.full((1, len(cfg.rates) + 1, N_SOC, 1), INF)
+    table = IntradayTable(1, PRICE, GridValueFn(Grid([c_grid, axis]), np.zeros((2, 1))), 5, fast)
+    controls = control_grid(cfg, 5)
+    netload = np.array([[10.0, -8.0, 6.0, 12.0]])
+    bill, soc, h, clamped, fallbacks = _replay_day(
+        netload, np.zeros(1), np.full(1, 200.0), np.array([50.0]), np.array([0.0]),
+        table, controls, cfg,
+    )
+    plain = sum(battery.stage_cost(0.0, w, rate) for w, rate in zip(netload[0], cfg.rates))
+    assert bill[0] == plain
+    assert soc[0] == 0.0 and h[0] == 200.0
+    assert clamped[0] == 0
+    assert fallbacks[0] == len(cfg.rates)
