@@ -34,6 +34,7 @@ from .battery import (
 from .config import UPSTREAM, ConfigError, RunConfig
 from .intraday import (
     DECOMPOSITIONS,
+    FEAS_TOL,
     PRICE,
     RESOURCE,
     IntradayTable,
@@ -45,6 +46,7 @@ from .policy import simulate_policy
 from .slowscale import (
     SlowValueSeq,
     check_sandwich,
+    day_plan,
     price_bellman_recursion,
     resource_bellman_recursion,
 )
@@ -305,7 +307,9 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     """Backward slow-scale recursions; writes one value-function file per
     decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
     and ``c`` and the values of every day, shape (D+2, len(h), len(c)).  The
-    record holds the days recursed and each recursion's wall time."""
+    record holds the days recursed, each recursion's wall time and, for the
+    resource recursion, the feasible (h, dh) pairs its objective evaluates
+    per day and their share of the h x dh grid."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "bellman")
     _, price_laws = _load_fit(cfg, out)
@@ -318,6 +322,12 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
         t_rec = time.perf_counter()
         seq = recursions[dec](tables, cfg.classmap, price_laws, bat, h_grid, c_grid, cfg.D)
         info[f"{dec.mode}_recursion_s"] = round(time.perf_counter() - t_rec, 3)
+        if dec.budget_axis:
+            # every class's table has the same day axis, so one plan counts any day's pairs
+            plan = day_plan(next(iter(tables.values())), h_grid, h_grid, FEAS_TOL)
+            n_h, n_axis = plan.shape
+            pairs = len(plan.ai)
+            info["resource_pairs"] = {"per_day": pairs, "share": round(pairs / (n_h * n_axis), 4)}
         # a file handle keeps np.savez from appending .npz to the temporary name
         with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:
             np.savez(fh, h=h_grid, c=c_grid, values=seq.values)

@@ -54,7 +54,8 @@ def _best_on_axis(
     # the objective is elementwise per (capacity, h, axis): evaluate it on the
     # capacities in use, then take each health value's own row
     ci, at = np.unique(np.searchsorted(c_grid, c), return_inverse=True)
-    obj = day_objective(table, day_plan(table, h1, h_grid, ADMISS_TOL), ci, cont)
+    plan = day_plan(table, h1, h_grid, ADMISS_TOL)
+    obj = plan.unpack(day_objective(table, plan, ci, cont))
     obj = obj[np.broadcast_to(at, h1.shape), np.arange(len(h1))]
     pick = np.argmin if table.decomposition.budget_axis else np.argmax
     best = table.axis[pick(obj, axis=1)]

@@ -9,10 +9,10 @@ Two bounding sequences are computed backward over days:
 
 Every recursion fills one array of shape (D+2,) + grid.shape, a
 :class:`SlowValueSeq`, in one backward day loop.  The battery recursions work
-on an (health, capacity) grid: each day takes the min (resource) or max
-(price), over the day axis of the intraday tables (orientation (c, axis)), of
-:func:`day_objective` at every capacity at once, which the online policies
-reuse.  The generic recursions accept any day-decomposed model and are
+on an (health, capacity) grid: each day takes the min (resource, over the
+feasible aging budgets alone) or max (price), over the day axis of the
+intraday tables (orientation (c, axis)), of :func:`day_objective` at every
+capacity at once, which the online policies reuse.  The generic recursions accept any day-decomposed model and are
 exercised by the desk-scale oracles.
 """
 
@@ -136,20 +136,22 @@ def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.nda
 @dataclass(frozen=True, eq=False)
 class _InterpPlan:
     """Where points x fall on a grid xp: x clipped to the grid, the index j
-    of the last grid point at or below it, x - xp[j] and x == xp[j]."""
+    of the last grid point at or below it, x - xp[j] and x == xp[j], and the
+    grid steps np.diff(xp)."""
 
     xp: np.ndarray
     x: np.ndarray
     j: np.ndarray
     dx: np.ndarray
     at: np.ndarray
+    step: np.ndarray
 
 
 def _interp_plan(x: np.ndarray, xp: np.ndarray) -> _InterpPlan:
     x = np.clip(x, xp[0], xp[-1])
     j = np.searchsorted(xp, x, side="right") - 1
     xj = xp[j]
-    return _InterpPlan(xp, x, j, x - xj, x == xj)
+    return _InterpPlan(xp, x, j, x - xj, x == xj, np.diff(xp))
 
 
 def _interp_apply(plan: _InterpPlan, fp: np.ndarray) -> np.ndarray:
@@ -158,10 +160,12 @@ def _interp_apply(plan: _InterpPlan, fp: np.ndarray) -> np.ndarray:
     operations: f[j] at a grid point xp[j] and beyond the ends, else the slope
     (f[j+1] - f[j]) / (xp[j+1] - xp[j]) times x - xp[j] plus f[j], retried
     from xp[j+1] where that is NaN, which needs a non-finite f or slope."""
-    xp = plan.xp
     with np.errstate(invalid="ignore"):
         # slope[n-1] pads the last point, where x == xp[j] picks f0 anyway
-        slope = np.concatenate([np.diff(fp) / np.diff(xp), np.zeros((len(fp), 1))], axis=1)
+        slope = np.empty_like(fp)
+        slope[:, -1] = 0.0
+        np.subtract(fp[:, 1:], fp[:, :-1], out=slope[:, :-1])
+        slope[:, :-1] /= plan.step
         f0 = np.take(fp, plan.j, axis=1)
         out = np.take(slope, plan.j, axis=1)
         out *= plan.dx
@@ -188,46 +192,89 @@ def _interp_retry(plan, fp, slope, f0, out):
 class DayPlan:
     """The part of :func:`day_objective` at health values h that depends on
     neither the day nor the capacity, built by :func:`day_plan` once per
-    caller.  Resource: where tomorrow's health max(h - dh, 0) falls on the
-    health grid, and a penalty over (h, axis), 0 where h - dh >= -tol and +inf
-    elsewhere.  Price: the products pi * h' over (axis, health grid) and
-    pi * h over (axis, h)."""
+    caller.
 
+    ``shape`` is (len(h), len(axis)).  Resource: only the feasible (h, dh)
+    pairs, h - dh >= -tol, packed in h-major order: the health row ``hi``
+    and day-axis index ``ai`` of each pair, the start of each h row's run of
+    pairs (``starts``) and whether the run holds any (``filled``: a row with
+    no feasible budget has an empty run), where tomorrow's health
+    max(h - dh, 0) falls on the health grid at each pair (``lookup``), and
+    the intraday cost of each pair at every capacity (``ell``, shape
+    (capacities, pairs)).  Price: the products pi * h' over (axis, health
+    grid) and pi * h over (axis, h).
+    """
+
+    shape: tuple
+    hi: np.ndarray | None = None
+    ai: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    filled: np.ndarray | None = None
     lookup: _InterpPlan | None = None
-    penalty: np.ndarray | None = None
+    ell: np.ndarray | None = None
     pi_next: np.ndarray | None = None
     pi_h: np.ndarray | None = None
+
+    def reduce(self, obj: np.ndarray) -> np.ndarray:
+        """The day's value per (capacity, h) from :func:`day_objective`'s
+        ``obj``: per h row the min over its feasible budgets, +inf on a row
+        with none (resource), or the max over the surcharges (price)."""
+        if self.ai is None:
+            return np.maximum.reduce(obj, axis=2)
+        if self.filled.all():
+            return np.minimum.reduceat(obj, self.starts, axis=1)
+        # reduceat gives an empty run the entry at its start, not +inf
+        out = np.full((len(obj), self.shape[0]), INF)
+        out[:, self.filled] = np.minimum.reduceat(obj, self.starts[self.filled], axis=1)
+        return out
+
+    def unpack(self, obj: np.ndarray) -> np.ndarray:
+        """:func:`day_objective`'s ``obj`` over (capacity, h, axis): a packed
+        resource objective spread out with +inf at the infeasible budgets, a
+        price objective as it is."""
+        if self.ai is None:
+            return obj
+        out = np.full((len(obj),) + self.shape, INF)
+        out[:, self.hi, self.ai] = obj
+        return out
 
 
 def day_plan(table: IntradayTable, h: np.ndarray, h_grid: np.ndarray, tol: float) -> DayPlan:
     """The :class:`DayPlan` of the table's day axis at health values h, with
     h - dh >= -tol the feasible budgets."""
     h, axis = np.asarray(h, dtype=float), table.axis
+    shape = (len(h), len(axis))
     if table.decomposition.budget_axis:
-        h_next = h[:, None] - axis[None, :]
-        penalty = np.where(h_next >= -tol, 0.0, INF)
-        return DayPlan(lookup=_interp_plan(np.maximum(h_next, 0.0), h_grid), penalty=penalty)
-    return DayPlan(pi_next=axis[:, None] * h_grid, pi_h=axis[:, None] * h[None, :])
+        hi, ai = np.nonzero(h[:, None] - axis[None, :] >= -tol)
+        return DayPlan(
+            shape, hi=hi, ai=ai, starts=np.searchsorted(hi, np.arange(len(h))),
+            filled=np.bincount(hi, minlength=len(h)) > 0,
+            lookup=_interp_plan(np.maximum(h[hi] - axis[ai], 0.0), h_grid),
+            ell=table.table.values[:, ai],
+        )
+    return DayPlan(shape, pi_next=axis[:, None] * h_grid, pi_h=axis[:, None] * h[None, :])
 
 
 def day_objective(table: IntradayTable, plan: DayPlan, ci, continuation) -> np.ndarray:
     """A day's objective at the plan's health values h and capacity indices
-    ci (an index array or a slice), shaped (len(ci), len(h), len(table.axis));
-    the day's value is its min (resource) or max (price) over the axis.
+    ci (an index array or a slice); :meth:`DayPlan.reduce` turns it into the
+    day's value, the min (resource) or max (price) over the day axis.
 
-    Resource: the intraday cost of budget dh plus the expected continuation at
-    tomorrow's health h - dh, +inf where h - dh < -tol.  Price: the intraday
-    cost at surcharge pi, plus the cheapest end-of-day health priced at pi,
-    minus pi * h.
+    Resource: shaped (len(ci), pairs), at the plan's feasible (h, dh) pairs
+    only, the intraday cost of budget dh plus the expected continuation at
+    tomorrow's health max(h - dh, 0); :meth:`DayPlan.unpack` spreads it over
+    (len(ci), len(h), len(table.axis)) with +inf at the infeasible budgets.
+    Price: shaped (len(ci), len(h), len(table.axis)), the intraday cost at
+    surcharge pi, plus the cheapest end-of-day health priced at pi, minus
+    pi * h.
     """
     disc, probs, best_buy = continuation
-    ell, fp = table.table.values[ci], disc[:, ci].T
+    fp = disc[:, ci].T
     if table.decomposition.budget_axis:
         out = _expect(_interp_apply(plan.lookup, fp), probs, best_buy)
-        out += ell[:, None, :]
-        # neither term is ever -inf, so adding the {0, +inf} penalty is exact
-        out += plan.penalty
+        out += plan.ell[ci]
         return out
+    ell = table.table.values[ci]
     expect = _expect(fp, probs, best_buy)
     inner = (plan.pi_next[None, :, :] + expect[:, None, :]).min(axis=2)
     # built over (c, axis, h) so that reducing over the short axis runs along rows
@@ -260,13 +307,13 @@ def _bellman_recursion(
     h_grid = np.asarray(h_grid, dtype=float)
     c_grid = np.asarray(c_grid, dtype=float)
     renewal = renewal_states(h_grid, c_grid, cfg)
-    reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
     plans = {cls: day_plan(tab, h_grid, h_grid, FEAS_TOL) for cls, tab in tables.items()}
 
     def day(d, vnext):
         cls = int(classmap.day_to_class[d])
         cont = day_continuation(vnext, price_laws[d], cfg, renewal)
-        return reduce(day_objective(tables[cls], plans[cls], slice(None), cont), axis=2).T
+        plan = plans[cls]
+        return plan.reduce(day_objective(tables[cls], plan, slice(None), cont)).T
 
     return _backward(dec.kind, Grid([h_grid, c_grid]), 0.0, D, day)
 

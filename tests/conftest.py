@@ -8,12 +8,13 @@ import pytest
 
 from twoscale.battery import BatteryConfig, tariff_for_slots
 from twoscale.config import RunConfig
-from twoscale.core import DiscreteDist
+from twoscale.core import INF, DiscreteDist
 from twoscale.intraday import (
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
 )
+from twoscale.slowscale import _expect, _interp_apply, _interp_plan
 
 N_SLOTS = 4
 N_SOC = 5
@@ -42,6 +43,25 @@ def small_battery_config(**overrides) -> BatteryConfig:
     )
     kw.update(overrides)
     return BatteryConfig(**kw)
+
+
+def _dense_resource_objective(table, h, h_grid, tol, ci, continuation):
+    """The resource day objective at every (capacity, h, dh) triple, shaped
+    (len(ci), len(h), len(table.axis)): the intraday cost of budget dh plus
+    the expected continuation at tomorrow's health max(h - dh, 0), plus a
+    penalty that is +inf where h - dh < -tol.  A reference that packs
+    nothing, against which the packed objective is checked."""
+    disc, probs, best_buy = continuation
+    h, axis = np.asarray(h, dtype=float), table.axis
+    h_next = h[:, None] - axis[None, :]
+    penalty = np.where(h_next >= -tol, 0.0, INF)
+    lookup = _interp_plan(np.maximum(h_next, 0.0), h_grid)
+    ell, fp = table.table.values[ci], disc[:, ci].T
+    out = _expect(_interp_apply(lookup, fp), probs, best_buy)
+    out += ell[:, None, :]
+    # neither term is ever -inf, so adding the {0, +inf} penalty is exact
+    out += penalty
+    return out
 
 
 def point_laws(values) -> list[DiscreteDist]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -13,7 +14,7 @@ import pytest
 
 from twoscale.battery import _kmeans_1d, synthetic_netload_scenarios
 from twoscale.config import STAGE_KEYS, RunConfig
-from twoscale.intraday import PRICE, RESOURCE, compute_intraday
+from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, compute_intraday
 from twoscale.pipeline import (
     HashMismatch,
     MissingArtifact,
@@ -93,6 +94,20 @@ def test_criterion_10_replay_is_pinned(simulate_run):
         for s, ((total, renewals), (want_total, want_renewals)) in enumerate(zip(got, want)):
             assert renewals == want_renewals, (mode, s)
             assert total == pytest.approx(want_total, rel=1e-12, abs=0.0), (mode, s)
+
+
+# sha256 of the criterion-10 value files' ``values.tobytes()``, recorded
+# before the resource objective was packed to its feasible (h, dh) pairs
+CRITERION_10_BELLMAN = {
+    "R": "39ced20ec8f29b9f9a264fac7cd76cca46d2a6cf68d2c7b6eb4b1d88e2131153",
+    "P": "f97b1236f305bb872bdb9e06c4952b55c89df5f5da5f7397b377c1ebd81a5ea4",
+}
+
+
+def test_criterion_10_bellman_is_pinned(bellman_run):
+    for letter, want in CRITERION_10_BELLMAN.items():
+        with np.load(bellman_run / f"bellman_{letter}.npz") as npz:
+            assert hashlib.sha256(npz["values"].tobytes()).hexdigest() == want, letter
 
 
 def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, tmp_path):
@@ -365,6 +380,16 @@ def test_manifest_records_recursion_and_check_times(bellman_run):
     }
     assert info == {k: v for k, v in report.items() if k not in ("seconds", "inputs")}
     assert report["inputs"] == CFG.inputs("report")
+
+
+def test_bellman_record_counts_resource_pairs(bellman_run):
+    bellman = json.loads((bellman_run / "manifest.json").read_text())["stages"]["bellman"]
+    h, dh = CFG.h_grid(), CFG.dh_grid()
+    feasible = np.count_nonzero(h[:, None] - dh[None, :] >= -FEAS_TOL)
+    assert bellman["resource_pairs"] == {
+        "per_day": feasible, "share": round(feasible / (len(h) * len(dh)), 4),
+    }
+    assert 0 < feasible < len(h) * len(dh)
 
 
 @pytest.mark.parametrize("h_points", [13, 10])

@@ -28,10 +28,29 @@ from twoscale.pipeline import (
     stage_report,
     stage_simulate,
 )
-from twoscale.policy import _replay_day, select_price, select_resource, simulate_policy
-from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
+from twoscale.policy import (
+    ADMISS_TOL,
+    _best_on_axis,
+    _replay_day,
+    select_price,
+    select_resource,
+    simulate_policy,
+)
+from twoscale.slowscale import (
+    day_continuation,
+    price_bellman_recursion,
+    renewal_states,
+    resource_bellman_recursion,
+)
 
-from conftest import D_SMALL, N_CONTROLS, N_SOC, point_laws, small_battery_config
+from conftest import (
+    D_SMALL,
+    N_CONTROLS,
+    N_SOC,
+    _dense_resource_objective,
+    point_laws,
+    small_battery_config,
+)
 
 ATOMS = (10.0, -8.0, 6.0, 12.0)
 
@@ -175,6 +194,42 @@ def test_select_at_one_capacity_per_health_equals_scalar_calls(two_sizes, select
         assert many.tolist() == alone, d
         # a scalar capacity still applies to every health value
         assert select(h[4:], 100.0, *args).tolist() == alone[4:], d
+
+
+def _dense_first_argmin(h, c, d, table, values, price_law, cfg):
+    """Per health value, the budget at the first argmin of the dense
+    resource objective over the whole day axis, and the health target it
+    leaves."""
+    h_grid, c_grid = values.grid.axes
+    cont = day_continuation(values.values[d + 1], price_law, cfg, renewal_states(h_grid, c_grid, cfg))
+    dh = []
+    for hv, cv in zip(h, c):
+        ci = [int(np.searchsorted(c_grid, cv))]
+        obj = _dense_resource_objective(table, [hv], h_grid, ADMISS_TOL, ci, cont)
+        dh.append(float(table.axis[np.argmin(obj[0, 0])]))
+    return dh, np.maximum(h - np.array(dh), 0.0).tolist()
+
+
+@pytest.mark.parametrize("world", ["cheap", "two_sizes"])
+def test_select_resource_equals_the_dense_first_argmin(request, world):
+    w = request.getfixturevalue(world)
+    if world == "cheap":
+        tab, values = w["rtab"], w["upper"]
+    else:
+        _, tab, values = w["modes"][1]
+    h_grid, c_grid = values.grid.axes
+    # grid points, points between them and past the end, a health within the
+    # tolerance below 0 and one below it, which has no feasible budget
+    h = np.concatenate([h_grid, h_grid[:-1] + 0.37 * np.diff(h_grid), [h_grid[-1] + 5.0, -1e-7, -1.0]])
+    # one capacity for every health value, or the capacities taken in turn
+    for c in [np.full(len(h), cv) for cv in c_grid] + [np.resize(c_grid, len(h))]:
+        for d in range(w["D"] + 1):
+            args = (d, tab, values, w["price_laws"][d], w["cfg"])
+            dh, target = _dense_first_argmin(h, c, *args)
+            assert _best_on_axis(h, c, *args).tolist() == dh, (c, d)
+            assert select_resource(h, c, *args).tolist() == target, (c, d)
+            # a health with no feasible budget takes the first point of the axis
+            assert dh[-1] == tab.axis[0]
 
 
 # ---------------------------------------------------------------- simulation

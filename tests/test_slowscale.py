@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from twoscale import slowscale
-from twoscale.core import INF, DiscreteDist, Grid
+from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
 from twoscale.intraday import (
     FEAS_TOL,
     PRICE,
     RESOURCE,
+    IntradayTable,
     build_periodicity_classes,
     compute_resource_intraday,
 )
@@ -36,7 +37,7 @@ from twoscale.slowscale import (
     resource_bellman_recursion,
 )
 
-from conftest import CRITERION_10, N_SOC, small_battery_config
+from conftest import CRITERION_10, N_SOC, _dense_resource_objective, small_battery_config
 
 
 def point(v):
@@ -257,18 +258,21 @@ def test_interp_matches_np_interp_bit_for_bit():
 
 
 def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_grid, D):
-    """Reference battery recursion: one day_objective call per capacity index."""
+    """Reference battery recursion: one objective per capacity index, the
+    dense unpacked one for resource, reduced over the whole day axis."""
     renewal = renewal_states(h_grid, c_grid, cfg)
-    reduce = np.minimum.reduce if dec.budget_axis else np.maximum.reduce
     values = np.empty((D + 2, len(h_grid), len(c_grid)))
     values[D + 1] = 0.0
     for d in range(D, -1, -1):
         table = tables[int(classmap.day_to_class[d])]
         cont = day_continuation(values[d + 1], price_laws[d], cfg, renewal)
         for ci in range(len(c_grid)):
-            plan = day_plan(table, h_grid, h_grid, FEAS_TOL)
-            obj = day_objective(table, plan, [ci], cont)
-            values[d, :, ci] = reduce(obj[0], axis=1)
+            if dec.budget_axis:
+                obj = _dense_resource_objective(table, h_grid, h_grid, FEAS_TOL, [ci], cont)
+                values[d, :, ci] = np.minimum.reduce(obj[0], axis=1)
+            else:
+                obj = day_objective(table, day_plan(table, h_grid, h_grid, FEAS_TOL), [ci], cont)
+                values[d, :, ci] = np.maximum.reduce(obj[0], axis=1)
     return values
 
 
@@ -326,6 +330,63 @@ def test_resource_recursion_retries_interpolation_on_infinite_values(small_world
     assert np.isposinf(seq.values[:-1, 0, 1:]).all() and not np.isnan(seq.values).any()
     want = _per_capacity_recursion(RESOURCE, {1: rtab}, *args)
     assert seq.values.tobytes() == want.tobytes()
+
+
+def _shifted_table(table, shift):
+    """``table`` with its day axis moved up by ``shift``: the same costs, so
+    that a budget h - dh >= -tol needs h >= shift."""
+    grid = Grid([table.table.grid.axes[0], table.axis + shift])
+    return IntradayTable(
+        table.class_id, table.decomposition, GridValueFn(grid, table.table.values),
+        table.n_controls,
+    )
+
+
+@pytest.mark.parametrize("h", [
+    [0.0, 50.0, 100.0, 150.0, 200.0],  # the first row empty
+    [50.0, 0.0, 200.0, -1.0],  # empty rows in the middle and at the end
+    [-1.0, 10.0],  # every row empty
+])
+def test_rows_without_a_feasible_budget_read_inf(small_world, h):
+    # a dh axis starting at 30 leaves no feasible budget below h = 30:
+    # np.minimum.reduceat would hand such a row the entry at its start, or
+    # fail on an empty run at the end
+    w = small_world
+    table = _shifted_table(w["rtab"], 30.0)
+    renewal = renewal_states(w["h_grid"], w["c_grid"], w["cfg"])
+    vnext = np.random.default_rng(3).uniform(0.0, 50.0, (len(w["h_grid"]), len(w["c_grid"])))
+    cont = day_continuation(vnext, point(0.05), w["cfg"], renewal)
+    plan = day_plan(table, h, w["h_grid"], FEAS_TOL)
+    obj = day_objective(table, plan, slice(None), cont)
+    dense = _dense_resource_objective(table, h, w["h_grid"], FEAS_TOL, slice(None), cont)
+    assert obj.shape == (len(w["c_grid"]), np.count_nonzero(np.isfinite(dense[0])))
+    assert plan.unpack(obj).tobytes() == dense.tobytes()
+    got, want = plan.reduce(obj), np.minimum.reduce(dense, axis=2)
+    assert np.isposinf(got[:, np.asarray(h) < 30.0]).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_resource_recursion_with_empty_budget_rows_equals_dense_reference(small_world):
+    w = small_world
+    table = _shifted_table(w["rtab"], 30.0)
+    args = (w["classmap"], [point(0.05)] * (w["D"] + 1), w["cfg"],
+            w["h_grid"], w["c_grid"], w["D"])
+    seq = _bellman_recursion(RESOURCE, {1: table}, *args)
+    assert np.isposinf(seq.values[:-1, 0]).all() and np.isfinite(seq.values[:, 1:]).all()
+    assert seq.values.tobytes() == _per_capacity_recursion(RESOURCE, {1: table}, *args).tobytes()
+
+
+def test_day_plan_packs_the_feasible_pairs_row_by_row(small_world):
+    w = small_world
+    h = np.array([200.0, 0.0, 60.0, -1.0, 100.0 - 1e-12])
+    plan = day_plan(w["rtab"], h, w["h_grid"], FEAS_TOL)
+    # dh in (0, 25, 50, 75, 100); h = 100 - 1e-12 affords dh = 100 within the tolerance
+    assert plan.shape == (5, 5)
+    assert plan.hi.tolist() == [0] * 5 + [1] + [2] * 3 + [4] * 5
+    assert plan.ai.tolist() == [0, 1, 2, 3, 4, 0, 0, 1, 2, 0, 1, 2, 3, 4]
+    assert plan.starts.tolist() == [0, 5, 6, 9, 9]
+    assert plan.filled.tolist() == [True, True, True, False, True]
+    assert plan.ell.tobytes() == w["rtab"].table.values[:, plan.ai].tobytes()
 
 
 # ---------------------------------------------------------------- gap report
