@@ -424,12 +424,14 @@ def white_noise_resample(
     n_days: int,
 ) -> ScenarioSet:
     """Scenarios drawn i.i.d. per (day, slot) from the day's class law, plus a
-    daily battery price from its law; per-scenario RNG seeded by (seed, index)."""
+    daily battery price from its law; per-scenario RNG seeded by (seed, index).
+    Each scenario draws its netload uniforms, then its price uniforms; the
+    prices of a day are then looked up for all scenarios at once."""
     n_slots = len(next(iter(laws.values())))
     day_class = classmap.day_to_class[:n_days]
     netload = np.empty((n, n_days, n_slots))
     price = np.empty((n, n_days))
-    price_cums = [np.cumsum(pl.probs) for pl in price_laws]
+    up = np.empty((n, n_days))
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         u = rng.random((n_days, n_slots))
@@ -442,8 +444,10 @@ def white_noise_resample(
                 pick = np.searchsorted(cum, u[days, m], side="right")
                 pick = np.minimum(pick, len(law.probs) - 1)
                 netload[i, days, m] = law.support[pick]
-        up = rng.random(n_days)
-        for d in range(n_days):
-            j = min(np.searchsorted(price_cums[d], up[d], side="right"), len(price_cums[d]) - 1)
-            price[i, d] = price_laws[d].support[j]
+        up[i] = rng.random(n_days)
+    for d in range(n_days):
+        law = price_laws[d]
+        cum = np.cumsum(law.probs)
+        j = np.minimum(np.searchsorted(cum, up[:, d], side="right"), len(cum) - 1)
+        price[:, d] = law.support[j]
     return ScenarioSet(netload, price)

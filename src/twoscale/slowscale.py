@@ -123,14 +123,16 @@ def day_continuation(
 
 def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.ndarray:
     """Expected continuation when keeping the battery is worth ``keep``: per
-    price atom, the cheaper of keeping it and buying a fresh one, summed in
-    two buffers allocated once."""
-    out, term = np.zeros_like(keep), np.empty_like(keep)
-    for p, b in zip(probs, best_buy):
-        np.minimum(keep, b, out=term)
-        term *= p
-        out += term
-    return out
+    price atom, the cheaper of keeping it and buying a fresh one, times the
+    atom's probability, summed over the atoms in their order from 0.0."""
+    atoms = (len(probs),) + (1,) * keep.ndim
+    terms = np.minimum(keep, best_buy.reshape(atoms))
+    terms *= probs.reshape(atoms)
+    if keep.size == 1:
+        # a lone entry's reduce would sum the atoms pairwise, not in order
+        return sum(terms, np.zeros_like(keep))
+    # reducing the outer axis adds whole (atom) slices in order
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.battery import BatteryConfig, tariff_for_slots
+from twoscale.battery import BatteryConfig, ScenarioSet, tariff_for_slots
 from twoscale.config import RunConfig
 from twoscale.core import INF, DiscreteDist
 from twoscale.intraday import (
@@ -62,6 +62,33 @@ def _dense_resource_objective(table, h, h_grid, tol, ci, continuation):
     # neither term is ever -inf, so adding the {0, +inf} penalty is exact
     out += penalty
     return out
+
+
+def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days):
+    """White-noise scenarios drawn one (scenario, day) price at a time: the
+    per-scenario loop that ``white_noise_resample`` must equal bit for bit."""
+    n_slots = len(next(iter(laws.values())))
+    day_class = classmap.day_to_class[:n_days]
+    netload = np.empty((n, n_days, n_slots))
+    price = np.empty((n, n_days))
+    price_cums = [np.cumsum(pl.probs) for pl in price_laws]
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        u = rng.random((n_days, n_slots))
+        for cls, slot_laws in laws.items():
+            days = np.flatnonzero(day_class == cls)
+            if len(days) == 0:
+                continue
+            for m, law in enumerate(slot_laws):
+                cum = np.cumsum(law.probs)
+                pick = np.searchsorted(cum, u[days, m], side="right")
+                pick = np.minimum(pick, len(law.probs) - 1)
+                netload[i, days, m] = law.support[pick]
+        up = rng.random(n_days)
+        for d in range(n_days):
+            j = min(np.searchsorted(price_cums[d], up[d], side="right"), len(price_cums[d]) - 1)
+            price[i, d] = price_laws[d].support[j]
+    return ScenarioSet(netload, price)
 
 
 def point_laws(values) -> list[DiscreteDist]:

@@ -35,7 +35,7 @@ from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import build_periodicity_classes
 
-from conftest import small_battery_config
+from conftest import _white_noise_resample_reference, small_battery_config
 
 # the battery of a default run: sizes 0..1500 kWh in steps of 100, 48 slots
 DEFAULT = RunConfig().battery_config()
@@ -460,6 +460,28 @@ def test_white_noise_resample_matches_law_statistics():
         samples = scen.netload[:, :, m].ravel()
         stderr = std / np.sqrt(len(samples))
         assert abs(samples.mean() - mean) < 3 * stderr
+
+
+@pytest.mark.parametrize("n_classes", [1, 4])
+def test_white_noise_resample_equals_the_per_scenario_day_loop(n_classes):
+    # price laws of 1 to 5 atoms, some with a cumulative sum that ends below
+    # 1.0, draw every day's prices for all scenarios in one lookup
+    n_days, rng = 400, np.random.default_rng(3)
+    classmap = build_periodicity_classes(n_days - 1, n_classes)
+    laws = {
+        cls: [DiscreteDist(np.sort(rng.normal(size=3)), np.array([0.2, 0.3, 0.5]))] * 6
+        for cls in sorted(classmap.representatives)
+    }
+    price_laws = []
+    for d in range(n_days):
+        k = 1 + d % 5
+        probs = rng.random(k) + 0.1
+        price_laws.append(DiscreteDist(np.sort(rng.random(k)) + d, probs / probs.sum()))
+    for n, seed in ((1, 0), (7, 11), (30, 1234)):
+        args = (laws, price_laws, classmap, n, seed, n_days)
+        got, want = white_noise_resample(*args), _white_noise_resample_reference(*args)
+        assert got.netload.tobytes() == want.netload.tobytes()
+        assert got.battery_price.tobytes() == want.battery_price.tobytes()
 
 
 def test_white_noise_resample_reproducible():

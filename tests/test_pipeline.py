@@ -110,7 +110,16 @@ def test_criterion_10_bellman_is_pinned(bellman_run):
             assert hashlib.sha256(npz["values"].tobytes()).hexdigest() == want, letter
 
 
-def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, tmp_path):
+def _before_bellman(bellman_run, out):
+    """A copy of the bellman run whose manifest holds no bellman record."""
+    shutil.copytree(bellman_run, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["stages"]["bellman"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return out
+
+
+def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, bellman_run, tmp_path):
     stages = json.loads((simulate_run / "manifest.json").read_text())["stages"]
     lower = stages["bellman"]["lower_at_origin"]
     for mode in ("price", "resource"):
@@ -124,16 +133,48 @@ def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, tmp_pat
         assert rec["renewals_per_scenario_year"] == renewals / (n * (CFG.D + 1) / 365.0)
         assert stats["stderr"] > 0.0
         assert rec["z_lower"] == (stats["mean"] - lower) / stats["stderr"]
-    # with no lower bound recursed there is no z_lower
-    out = tmp_path / "r"
-    shutil.copytree(simulate_run, out)
+    # with no lower bound recursed there is no z_lower: a bellman record
+    # made for the resource mode alone, from scratch
+    out = _before_bellman(bellman_run, tmp_path / "r")
     stage_bellman(CFG, out, mode="resource")
     info = stage_simulate(CFG, out, mode="resource")
     assert "lower_at_origin" not in json.loads((out / "manifest.json").read_text())["stages"]["bellman"]
+    assert sorted(info) == ["resource"]
     assert sorted(info["resource"]) == [
         "clamps", "inf_fallbacks", "mean", "renewals_per_scenario_year", "scenario_days",
-        "stderr",
+        "soc_carry_share", "stderr",
     ]
+
+
+def test_simulate_record_holds_the_draw_and_replay_times(simulate_run):
+    rec = json.loads((simulate_run / "manifest.json").read_text())["stages"]["simulate"]
+    assert 0.0 <= rec["resample_s"] and 0.0 < rec["replay_s"] <= rec["seconds"]
+
+
+def _timeless(record: dict) -> dict:
+    """A stage record without its wall times."""
+    return {
+        k: _timeless(v) if isinstance(v, dict) else v
+        for k, v in record.items() if k != "seconds" and not k.endswith("_s")
+    }
+
+
+def test_one_mode_after_the_other_records_what_both_modes_do(simulate_run, bellman_run, tmp_path):
+    # bellman, then simulate, each run for price and then for resource on
+    # the fit and intraday output, keep both modes' entries and files
+    out = _before_bellman(bellman_run, tmp_path / "split")
+    for stage in (stage_bellman, stage_simulate):
+        stage(CFG, out, mode="price")
+        stage(CFG, out, mode="resource")
+    split = json.loads((out / "manifest.json").read_text())["stages"]
+    both = json.loads((simulate_run / "manifest.json").read_text())["stages"]
+    for stage in ("bellman", "simulate"):
+        assert _timeless(split[stage]) == _timeless(both[stage]), stage
+    assert split["simulate"]["price"]["z_lower"] == both["simulate"]["price"]["z_lower"]
+    files = sorted(p.name for p in simulate_run.glob("*") if p.name != "manifest.json")
+    assert sorted(p.name for p in out.glob("*") if p.name != "manifest.json") == files
+    for name in files:
+        assert (out / name).read_bytes() == (simulate_run / name).read_bytes(), name
 
 
 def test_simulate_record_counts_inf_fallbacks(simulate_run):

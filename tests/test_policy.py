@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,10 @@ from twoscale.policy import (
     ADMISS_TOL,
     _best_on_axis,
     _replay_day,
+    _soc_steps,
     select_price,
     select_resource,
+    simulate_policies,
     simulate_policy,
 )
 from twoscale.slowscale import (
@@ -44,6 +48,7 @@ from twoscale.slowscale import (
 )
 
 from conftest import (
+    CRITERION_10,
     D_SMALL,
     N_CONTROLS,
     N_SOC,
@@ -382,6 +387,18 @@ def test_replay_defaults_to_the_tables_control_grid(few_controls):
         assert stats.mean >= lower - 3.0 * stats.stderr, dec.mode
 
 
+def test_simulate_record_holds_the_share_of_battery_days_carrying_soc(few_controls):
+    cfg, out = few_controls
+    stage_simulate(cfg, out)
+    rec = json.loads((out / "manifest.json").read_text())["stages"]["simulate"]
+    scen, runs, *rest = _pipeline_world(cfg, out)
+    for mode, (records, _) in simulate_policies(scen, runs, *rest).items():
+        # the soc of every scenario-day that starts with a battery
+        owned = [soc for r in records for soc, _, c in r.states[: cfg.D + 1] if c > 0.0]
+        share = sum(soc > 0.0 for soc in owned) / len(owned)
+        assert 0.0 < rec[mode]["soc_carry_share"] == share, mode
+
+
 def _replayed_together_and_alone(scen, args):
     """Replay every scenario together, then each alone: the records must be
     equal bit for bit.  Returns the joint records."""
@@ -435,14 +452,88 @@ def test_a_row_of_inf_falls_back_to_the_first_feasible_control():
     c_grid, axis = np.array([0.0, 50.0]), np.array([0.0])
     fast = np.full((1, len(cfg.rates) + 1, N_SOC, 1), INF)
     table = IntradayTable(1, PRICE, GridValueFn(Grid([c_grid, axis]), np.zeros((2, 1))), 5, fast)
+    steps = _soc_steps(table, cfg)
     controls = control_grid(cfg, 5)
     netload = np.array([[10.0, -8.0, 6.0, 12.0]])
     bill, soc, h, clamped, fallbacks = _replay_day(
-        netload, np.zeros(1), np.full(1, 200.0), np.array([50.0]), np.array([0.0]),
-        table, controls, cfg,
+        netload, np.zeros(1), np.full(1, 200.0), np.array([50.0]),
+        [(table, np.array([0.0]), steps)], controls, cfg,
     )
     plain = sum(battery.stage_cost(0.0, w, rate) for w, rate in zip(netload[0], cfg.rates))
     assert bill[0] == plain
     assert soc[0] == 0.0 and h[0] == 200.0
     assert clamped[0] == 0
     assert fallbacks[0] == len(cfg.rates)
+
+
+@pytest.fixture(scope="module")
+def criterion_10(tmp_path_factory):
+    """The criterion-10 run: its price policy buys a battery on day 0 or 1,
+    its resource policy never does."""
+    cfg = CRITERION_10
+    out = tmp_path_factory.mktemp("criterion_10")
+    stage_fit(cfg, out)
+    stage_intraday(cfg, out)
+    stage_bellman(cfg, out)
+    return cfg, out
+
+
+def _pipeline_world(cfg, out):
+    laws, price_laws = _load_fit(cfg, out)
+    scen = white_noise_resample(laws, price_laws, cfg.classmap, cfg.scenarios, cfg.seed, cfg.D + 1)
+    runs = {
+        dec.mode: (_load_tables(cfg, out, dec, with_fast=True), load_value_seq(cfg, out, dec.kind))
+        for dec in (PRICE, RESOURCE)
+    }
+    return scen, runs, price_laws, cfg.classmap, cfg.battery_config()
+
+
+def _assert_same_records(got, want, what):
+    (records, stats), (want_records, want_stats) = got, want
+    assert stats == want_stats, what
+    assert len(records) == len(want_records), what
+    for rec, other in zip(records, want_records):
+        assert rec.scenario_id == other.scenario_id, what
+        assert rec.states.tobytes() == other.states.tobytes(), (what, rec.scenario_id)
+        assert rec.renewals == other.renewals, (what, rec.scenario_id)
+        assert repr(rec.total_cost) == repr(other.total_cost), (what, rec.scenario_id)
+        assert rec.daily_bills.tobytes() == other.daily_bills.tobytes(), (what, rec.scenario_id)
+        assert rec.clamp_count == other.clamp_count, (what, rec.scenario_id)
+        assert rec.inf_fallbacks == other.inf_fallbacks, (what, rec.scenario_id)
+
+
+def _owners_per_day(records, D):
+    """Per day 0..D, how many scenarios start it with a battery."""
+    return [sum(rec.states[d, 2] > 0.0 for rec in records) for d in range(D + 1)]
+
+
+@pytest.mark.parametrize("world", ["few_controls", "two_sizes", "criterion_10"])
+def test_both_modes_in_one_loop_equal_each_mode_alone(request, world):
+    w = request.getfixturevalue(world)
+    if world == "two_sizes":
+        runs = {mode: ({1: tab}, values) for mode, tab, values in w["modes"]}
+        scen, rest, D = w["scen"], (w["price_laws"], w["classmap"], w["cfg"]), w["D"]
+    else:
+        scen, runs, *rest = _pipeline_world(*w)
+        D = w[0].D
+    both = simulate_policies(scen, runs, *rest)
+    assert list(both) == ["price", "resource"]
+    for mode, (tables, values) in runs.items():
+        alone = simulate_policy(scen, mode, tables, values, *rest)
+        _assert_same_records(both[mode], alone, (world, mode))
+    # the order of the modes changes nothing either
+    swapped = simulate_policies(scen, dict(reversed(runs.items())), *rest)
+    for mode in runs:
+        _assert_same_records(swapped[mode], both[mode], (world, mode, "swapped"))
+    if world == "criterion_10":
+        owners = {mode: _owners_per_day(both[mode][0], D) for mode in runs}
+        assert any(p > 0 and r == 0 for p, r in zip(owners["price"], owners["resource"])), owners
+
+
+def test_simulate_policies_refuses_modes_of_two_horizons(few_controls, criterion_10):
+    # D = 10 and D = 30: one day loop cannot cover both
+    _, runs, *rest = _pipeline_world(*few_controls)
+    scen, other, *_ = _pipeline_world(*criterion_10)
+    mixed = {"price": runs["price"], "resource": other["resource"]}
+    with pytest.raises(ValueError, match="horizons"):
+        simulate_policies(scen, mixed, *rest)

@@ -23,6 +23,7 @@ from twoscale.pipeline import _load_fit, _load_tables, stage_fit, stage_intraday
 from twoscale.slowscale import (
     SlowValueSeq,
     _bellman_recursion,
+    _expect,
     _interp_apply,
     _interp_plan,
     block_bellman_solve,
@@ -255,6 +256,33 @@ def test_interp_matches_np_interp_bit_for_bit():
         for f, g in zip(fp, got):
             with np.errstate(invalid="ignore"):
                 assert g.tobytes() == np.interp(x, xp, f).tobytes()
+
+
+def _expect_loop(keep, probs, best_buy):
+    """The expected continuation summed one price atom at a time."""
+    out, term = np.zeros_like(keep), np.empty_like(keep)
+    for p, b in zip(probs, best_buy):
+        np.minimum(keep, b, out=term)
+        term *= p
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,), (3, 61), (61, 3), (3, 2000), (1, 7)])
+def test_expect_equals_the_loop_over_atoms_bit_for_bit(shape):
+    # up to 12 atoms: a lone entry's reduce would sum 8 or more pairwise
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n_atoms = int(rng.integers(1, 13))
+        keep = np.array(rng.normal(size=shape) * 10.0 ** rng.integers(-3, 6))
+        keep[rng.random(shape) < 0.2] = INF
+        best_buy = rng.normal(size=n_atoms) * 10.0 ** rng.integers(-3, 6)
+        best_buy[rng.random(n_atoms) < 0.2] = INF
+        probs = rng.random(n_atoms) + 0.01
+        probs /= probs.sum()
+        got, want = _expect(keep, probs, best_buy), _expect_loop(keep, probs, best_buy)
+        assert got.shape == keep.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_grid, D):
