@@ -373,7 +373,7 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     renewals per scenario-year, the slots that fell back from an all-+inf
     table row (inf_fallbacks), the share of battery-days that start with
     soc > 0 (soc_carry_share) and the mean's stderrs above the lower bound
-    (z_lower).  Returns the per-mode entries of the record."""
+    (z_lower).  Returns the entries of the modes replayed."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "simulate")
     lower = load_manifest(out)["stages"]["bellman"].get("lower_at_origin")
@@ -415,11 +415,17 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
             inf_fallbacks=sum(rec.inf_fallbacks for rec in records),
             soc_carry_share=carried / max(int(np.count_nonzero(owned)), 1),
         )
-        if lower is not None and stats.stderr > 0.0:
-            info[m]["z_lower"] = (stats.mean - lower) / stats.stderr
-    record = _close_stage(out, "simulate", inputs, info, t0)
-    # the statistics alone, so that every value returned is one mode's
-    return {m: record[m] for m in ("price", "resource") if m in record}
+    # a mode replayed earlier on these inputs is kept, and scored against
+    # today's lower bound too: a price bellman run may have set it since
+    kept = load_manifest(out)["stages"].get("simulate", {})
+    for m in [m for m in ("price", "resource") if m in info or m in kept]:
+        entry = {k: v for k, v in info.get(m, kept.get(m)).items() if k != "z_lower"}
+        if lower is not None and entry["stderr"] > 0.0:
+            entry["z_lower"] = (entry["mean"] - lower) / entry["stderr"]
+        info[m] = entry
+    _close_stage(out, "simulate", inputs, info, t0)
+    # the statistics of the modes replayed now, one mode's per value
+    return {m: info[m] for m in results}
 
 
 def stage_report(cfg: RunConfig, out: Path) -> dict:

@@ -46,15 +46,14 @@ class SimulationStats:
 
 def _best_on_axis(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
-    price_law: DiscreteDist, cfg: BatteryConfig, renewal: tuple | None = None,
+    price_law: DiscreteDist, cfg: BatteryConfig,
 ):
     """The point of the table's day axis at the first argmax (price) or argmin
     (resource) of the day objective, per health value in h at its capacity in
     c (one per health value, or one for all)."""
     h_grid, c_grid = values.grid.axes
     h1 = np.atleast_1d(np.asarray(h, dtype=float))
-    if renewal is None:
-        renewal = renewal_states(h_grid, c_grid, cfg)
+    renewal = renewal_states(h_grid, c_grid, cfg)
     cont = day_continuation(values.values[day + 1], price_law, cfg, renewal)
     # the objective is elementwise per (capacity, h, axis): evaluate it on the
     # capacities in use, then take each health value's own row
@@ -69,26 +68,22 @@ def _best_on_axis(
 
 def select_price(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
-    price_law: DiscreteDist, cfg: BatteryConfig, renewal: tuple | None = None,
+    price_law: DiscreteDist, cfg: BatteryConfig,
 ):
     """Best aging surcharge at (h, c) per the lower-bound recursion's objective;
     ties go to the smallest surcharge.  h may be an array of health values, c
-    one capacity for all of them or one per health value; ``renewal`` is the
-    value grid's :func:`~twoscale.slowscale.renewal_states`, derived when not
-    given."""
-    return _best_on_axis(h, c, day, table, values, price_law, cfg, renewal)
+    one capacity for all of them or one per health value."""
+    return _best_on_axis(h, c, day, table, values, price_law, cfg)
 
 
 def select_resource(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
-    price_law: DiscreteDist, cfg: BatteryConfig, renewal: tuple | None = None,
+    price_law: DiscreteDist, cfg: BatteryConfig,
 ):
     """Tomorrow's health target at (h, c) per the upper-bound recursion's
     objective; ties go to the largest target (least aging).  h may be an array
-    of health values, c one capacity for all of them or one per health value;
-    ``renewal`` is as for :func:`select_price`."""
-    best = _best_on_axis(h, c, day, table, values, price_law, cfg, renewal)
-    target = np.maximum(h - best, 0.0)
+    of health values, c one capacity for all of them or one per health value."""
+    target = np.maximum(h - _best_on_axis(h, c, day, table, values, price_law, cfg), 0.0)
     return float(target) if np.ndim(h) == 0 else target
 
 
@@ -120,14 +115,12 @@ def _choose_renewal(
 
 @dataclass(frozen=True, eq=False)
 class _Mode:
-    """One policy's replay inputs, with what its days share: the renewal
-    states of its value grid and, per class, the :func:`_soc_steps` of its
-    table."""
+    """One policy's replay inputs, with the :func:`_soc_steps` of each
+    class's table, which its days share."""
 
     dec: Decomposition
     tables: dict
     values: SlowValueSeq
-    renewal: tuple
     soc_steps: dict
 
 
@@ -138,7 +131,7 @@ def _mode(name: str, tables: dict, values: SlowValueSeq, cfg: BatteryConfig) -> 
     if any(tab.fast is None for tab in tables.values()):
         raise ValueError("the replay needs the intraday tables' fast values")
     steps = {cls: _soc_steps(tab, cfg) for cls, tab in tables.items()}
-    return _Mode(dec, tables, values, renewal_states(*values.grid.axes, cfg), steps)
+    return _Mode(dec, tables, values, steps)
 
 
 def _soc_steps(table: IntradayTable, cfg: BatteryConfig) -> np.ndarray:
@@ -206,10 +199,8 @@ def simulate_policies(
             if own[i].any():
                 select = select_resource if mode.dec.budget_axis else select_price
                 table = mode.tables[cls]
-                decision = select(
-                    h[i, own[i]], c[i, own[i]], d, table, mode.values, price_laws[d], cfg,
-                    mode.renewal,
-                )
+                rows = own[i]
+                decision = select(h[i, rows], c[i, rows], d, table, mode.values, price_laws[d], cfg)
                 blocks.append((table, decision, mode.soc_steps[cls]))
         if blocks:
             # rows in (mode, scenario) order, each mode's a block of its own

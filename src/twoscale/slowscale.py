@@ -128,11 +128,7 @@ def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.nda
     atoms = (len(probs),) + (1,) * keep.ndim
     terms = np.minimum(keep, best_buy.reshape(atoms))
     terms *= probs.reshape(atoms)
-    if keep.size == 1:
-        # a lone entry's reduce would sum the atoms pairwise, not in order
-        return sum(terms, np.zeros_like(keep))
-    # reducing the outer axis adds whole (atom) slices in order
-    return np.add.reduce(terms, axis=0, initial=0.0)
+    return sum(terms, np.zeros_like(keep))
 
 
 @dataclass(frozen=True, eq=False)

@@ -177,6 +177,23 @@ def test_one_mode_after_the_other_records_what_both_modes_do(simulate_run, bellm
         assert (out / name).read_bytes() == (simulate_run / name).read_bytes(), name
 
 
+def test_a_mode_replayed_before_the_lower_bound_is_scored_against_it(
+    simulate_run, bellman_run, tmp_path
+):
+    # resource is replayed before the price recursion sets the lower bound;
+    # the price replay after it scores the kept resource entry as well
+    out = _before_bellman(bellman_run, tmp_path / "late")
+    stage_bellman(CFG, out, mode="resource")
+    stage_simulate(CFG, out, mode="resource")
+    stage_bellman(CFG, out, mode="price")
+    info = stage_simulate(CFG, out, mode="price")
+    assert sorted(info) == ["price"]
+    late = json.loads((out / "manifest.json").read_text())["stages"]["simulate"]
+    both = json.loads((simulate_run / "manifest.json").read_text())["stages"]["simulate"]
+    assert _timeless(late) == _timeless(both)
+    assert late["resource"]["z_lower"] == both["resource"]["z_lower"]
+
+
 def test_simulate_record_counts_inf_fallbacks(simulate_run):
     # no table row of the criterion-10 run is +inf at every feasible control
     stages = json.loads((simulate_run / "manifest.json").read_text())["stages"]

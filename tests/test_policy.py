@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -369,6 +370,26 @@ def test_simulate_stage_replays_on_the_configured_control_grid(few_controls):
     lower = stage_report(cfg, out)["lower_at_x0_day0"]
     for mode in ("price", "resource"):
         assert sims[mode]["mean"] >= lower - 3.0 * sims[mode]["stderr"], mode
+
+
+# sha256 of the few-controls replay's files, recorded before the price and
+# resource policies shared one slot loop; both policies own batteries here
+FEW_CONTROLS_REPLAY = {
+    "sim_price.csv": "ff0f6e9d1c44aeb62ccdee098daeb5ad321209ac9d4893378da3b3f1f6e02428",
+    "sim_price_stats.json": "2a275782da12635ce0e7bf50f9796348d18a9196bb4dde6b7bc7602d57c1d385",
+    "sim_resource.csv": "2920f7375515dcf0f8925e5b3d56d97c2980bf0cdbc8456ee9f592a3369e51db",
+    "sim_resource_stats.json": "e81f249c5003220235f18ed94a36aa9c698ae6eb72a077244c59faf7c3b3ad4f",
+}
+
+
+def test_few_controls_replay_is_pinned(few_controls):
+    cfg, out = few_controls
+    stage_simulate(cfg, out)
+    for name, want in FEW_CONTROLS_REPLAY.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+    for mode in ("price", "resource"):
+        renewals = [row.split(",")[2] for row in (out / f"sim_{mode}.csv").read_text().split()]
+        assert any(renewals[1:]), mode
 
 
 def test_replay_defaults_to_the_tables_control_grid(few_controls):

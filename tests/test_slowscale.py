@@ -270,7 +270,8 @@ def _expect_loop(keep, probs, best_buy):
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,), (3, 61), (61, 3), (3, 2000), (1, 7)])
 def test_expect_equals_the_loop_over_atoms_bit_for_bit(shape):
-    # up to 12 atoms: a lone entry's reduce would sum 8 or more pairwise
+    # up to 12 atoms; keep in C order and, for two axes, also as the
+    # transposed view the price recursion passes
     rng = np.random.default_rng(5)
     for _ in range(50):
         n_atoms = int(rng.integers(1, 13))
@@ -280,9 +281,10 @@ def test_expect_equals_the_loop_over_atoms_bit_for_bit(shape):
         best_buy[rng.random(n_atoms) < 0.2] = INF
         probs = rng.random(n_atoms) + 0.01
         probs /= probs.sum()
-        got, want = _expect(keep, probs, best_buy), _expect_loop(keep, probs, best_buy)
-        assert got.shape == keep.shape
-        assert got.tobytes() == want.tobytes()
+        for k in (keep, keep.T) if keep.ndim == 2 else (keep,):
+            got, want = _expect(k, probs, best_buy), _expect_loop(k, probs, best_buy)
+            assert got.shape == k.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_grid, D):
