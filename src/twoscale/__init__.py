@@ -10,6 +10,7 @@ from .core import (
     DiscreteDist,
     Grid,
     GridValueFn,
+    LawTable,
     fenchel_conjugate,
     low_add,
 )
@@ -30,11 +31,10 @@ from .intraday import (
 )
 from .slowscale import (
     BoundReport,
+    DayObjective,
     SlowValueSeq,
     block_bellman_solve,
     check_sandwich,
-    day_objective,
-    day_plan,
     generic_price_recursion,
     generic_resource_recursion,
     price_bellman_recursion,

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DiscreteDist
+from .core import DiscreteDist, LawTable
 
 OFF_PEAK_RATE = 0.0255
 SHOULDER_RATE = 0.0644
@@ -322,20 +322,22 @@ def battery_price_laws(
     n_days: int,
     floor: float,
     n_atoms: int,
-) -> list[DiscreteDist]:
+) -> LawTable:
     """Per-day discrete battery price law: midpoint-quantile discretization of
-    the Gaussian noise around the interpolated forecast, floored."""
+    the Gaussian noise around the interpolated forecast, floored; atoms the
+    floor merges are one atom."""
     base = interp_price_forecast(forecast, n_days)
     nd = NormalDist()
     z = np.array([nd.inv_cdf((i + 0.5) / n_atoms) for i in range(n_atoms)])
     probs = np.full(n_atoms, 1.0 / n_atoms)
-    laws = []
+    supports, weights = [], []
     for d in range(n_days):
         atoms = np.maximum(base[d] + sigma * z, floor)
         atoms, inv = np.unique(atoms, return_inverse=True)
         p = np.bincount(inv, weights=probs)
-        laws.append(DiscreteDist(atoms, p / p.sum()))
-    return laws
+        supports.append(atoms)
+        weights.append(p / p.sum())
+    return LawTable.from_rows(supports, weights)
 
 
 def synthetic_netload_scenarios(
@@ -417,16 +419,17 @@ def load_price_csv(path) -> np.ndarray:
 
 def white_noise_resample(
     laws: dict[int, list[DiscreteDist]],
-    price_laws: list[DiscreteDist],
+    price_laws: LawTable,
     classmap,
     n: int,
     seed: int,
     n_days: int,
 ) -> ScenarioSet:
     """Scenarios drawn i.i.d. per (day, slot) from the day's class law, plus a
-    daily battery price from its law; per-scenario RNG seeded by (seed, index).
-    Each scenario draws its netload uniforms, then its price uniforms; the
-    prices of a day are then looked up for all scenarios at once."""
+    daily battery price from day d's row of ``price_laws``; per-scenario RNG
+    seeded by (seed, index).  Each scenario draws its netload uniforms, then
+    its price uniforms; the prices of a day are then looked up for all
+    scenarios at once."""
     n_slots = len(next(iter(laws.values())))
     day_class = classmap.day_to_class[:n_days]
     netload = np.empty((n, n_days, n_slots))
@@ -445,9 +448,10 @@ def white_noise_resample(
                 pick = np.minimum(pick, len(law.probs) - 1)
                 netload[i, days, m] = law.support[pick]
         up[i] = rng.random(n_days)
-    for d in range(n_days):
-        law = price_laws[d]
-        cum = np.cumsum(law.probs)
+    if len(price_laws.probs) < n_days:
+        raise ValueError(f"{len(price_laws.probs)} daily price laws for {n_days} days")
+    cums = np.cumsum(price_laws.probs[:n_days], axis=1)
+    for d, cum in enumerate(cums):
         j = np.minimum(np.searchsorted(cum, up[:, d], side="right"), len(cum) - 1)
-        price[:, d] = law.support[j]
+        price[:, d] = price_laws.support[d, j]
     return ScenarioSet(netload, price)

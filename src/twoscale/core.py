@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -265,8 +266,7 @@ class DiscreteDist:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(probs) != len(support):
             raise ValueError("support and probs must have matching lengths")
-        if (probs < 0).any():
-            raise ValueError("probabilities must be nonnegative")
+        _check_law(support, probs)
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
         support.setflags(write=False)
@@ -291,6 +291,61 @@ class DiscreteDist:
             term = INF if (math.isinf(v) and v > 0) else (-INF if math.isinf(v) else p * v)
             total = low_add(total, term)
         return total
+
+
+def _check_law(support: np.ndarray, probs: np.ndarray) -> None:
+    """Refuse a law with a non-finite value or a negative probability."""
+    if not (np.isfinite(support).all() and np.isfinite(probs).all()):
+        raise ValueError("support and probabilities must be finite")
+    if (probs < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class LawTable:
+    """One finite-support scalar law per day as a (days, atoms) table: day
+    d's law puts ``probs[d, k]`` on ``support[d, k]``.  A day with fewer
+    atoms than the widest repeats its last atom at probability 0
+    (:meth:`from_rows`), so that a draw rounded past its cumulative sum and a
+    nearest-atom lookup read the same price as on its own atoms."""
+
+    support: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        support = np.asarray(self.support, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
+        if probs.ndim != 2 or probs.shape[1] < 1 or support.shape != probs.shape:
+            raise ValueError(
+                f"support {support.shape} and probs {probs.shape} are not one (days, atoms) shape"
+            )
+        _check_law(support, probs)
+        off = np.abs(probs.sum(axis=1) - 1.0) > 1e-12
+        if off.any():
+            d = int(np.argmax(off))
+            raise ValueError(f"the probabilities of day {d} sum to {probs[d].sum()}, not 1")
+        support.setflags(write=False)
+        probs.setflags(write=False)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def from_rows(cls, supports: Sequence, probs: Sequence) -> "LawTable":
+        """The table of one (support, probs) pair of sequences per day, the
+        shorter days padded with their last atom at probability 0."""
+        if len(supports) != len(probs):
+            raise ValueError(f"{len(supports)} supports for {len(probs)} days of probabilities")
+        sizes = np.array([len(p) for p in probs], dtype=np.intp)
+        if not len(sizes) or any(len(s) != n or not n for s, n in zip(supports, sizes.tolist())):
+            raise ValueError("every day needs one probability per atom, and an atom")
+        support, weights = (
+            np.fromiter(chain.from_iterable(rows), float, int(sizes.sum()))
+            for rows in (supports, probs)
+        )
+        # each day's atoms, then its last atom again up to the widest day
+        cols = np.arange(sizes.max())
+        at = (np.cumsum(sizes) - sizes)[:, None] + np.minimum(cols, sizes[:, None] - 1)
+        return cls(support[at], np.where(cols >= sizes[:, None], 0.0, weights[at]))
 
 
 def fenchel_conjugate(f: GridValueFn, price_grid: Grid) -> GridValueFn:

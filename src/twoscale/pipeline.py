@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteDist, Grid, GridValueFn
+from .core import DiscreteDist, Grid, GridValueFn, LawTable
 from .battery import (
     ScenarioSet,
     battery_price_laws,
@@ -45,9 +45,9 @@ from .intraday import (
 # perfbench's tracer wraps simulate_policy under this name
 from .policy import simulate_policies, simulate_policy  # noqa: F401
 from .slowscale import (
+    DayObjective,
     SlowValueSeq,
     check_sandwich,
-    day_plan,
     price_bellman_recursion,
     resource_bellman_recursion,
 )
@@ -82,10 +82,13 @@ def _atomic(path: Path):
 
 
 def _dump_json(obj, path: Path, indent: int | None = None) -> None:
-    """Key-sorted JSON, compact unless ``indent`` is given."""
+    """Key-sorted JSON, compact unless ``indent`` is given: the bytes of
+    ``json.dump``, encoded by ``json.dumps``, whose C encoder runs when
+    ``indent`` is None (``json.dump`` always runs the Python one)."""
     separators = (",", ":") if indent is None else None
-    with _atomic(path) as tmp, open(tmp, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent, separators=separators)
+    text = json.dumps(obj, sort_keys=True, indent=indent, separators=separators)
+    with _atomic(path) as tmp:
+        tmp.write_text(text)
 
 
 def _load_json(path: Path):
@@ -157,43 +160,58 @@ def _dist_from_jsonable(obj: dict) -> DiscreteDist:
     return DiscreteDist(np.array(obj["support"]), np.array(obj["probs"]))
 
 
+def _laws_jsonable(laws: LawTable) -> list:
+    """Each day's atoms of positive probability, the padding left out."""
+    out = []
+    for xs, ps in zip(laws.support.tolist(), laws.probs.tolist()):
+        if 0.0 in ps:
+            xs, ps = [x for x, p in zip(xs, ps) if p > 0.0], [p for p in ps if p > 0.0]
+        out.append({"support": xs, "probs": ps})
+    return out
+
+
 def stage_fit(cfg: RunConfig, out: Path) -> dict:
-    """Fit per (class, slot) netload laws and daily battery price laws."""
+    """Fit per (class, slot) netload laws and daily battery price laws.  The
+    price laws come from the config's price model alone: a ``price_csv`` is
+    checked (positive prices, one per netload scenario and day) and
+    otherwise unused.  Inputs that cannot be fitted are a ConfigError, raised
+    before anything is written."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "fit")
+    n_days = cfg.D + 1
     try:
         netload = load_netload_csv(cfg.netload_csv, cfg.n_slots) if cfg.netload_csv else None
         prices = load_price_csv(cfg.price_csv) if cfg.price_csv else None
+        if netload is None:
+            netload = synthetic_netload_scenarios(
+                cfg.fit_scenarios, n_days, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
+            )
+        if prices is None:
+            base = np.maximum(interp_price_forecast(cfg.price_forecast, n_days), cfg.price_floor)
+            prices = np.tile(base, (netload.shape[0], 1))
+        raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
+        t_laws = time.perf_counter()
+        laws, steps = fit_netload_distributions(raw, cfg.classmap, cfg.fit_k)
+        laws_s = round(time.perf_counter() - t_laws, 3)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad input data: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
-    n_days = cfg.D + 1
-    if netload is None:
-        netload = synthetic_netload_scenarios(
-            cfg.fit_scenarios, n_days, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
-        )
-    if prices is None:
-        base = np.maximum(interp_price_forecast(cfg.price_forecast, n_days), cfg.price_floor)
-        prices = np.tile(base, (netload.shape[0], 1))
-    raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
-    t_laws = time.perf_counter()
-    laws, steps = fit_netload_distributions(raw, cfg.classmap, cfg.fit_k)
-    laws_s = round(time.perf_counter() - t_laws, 3)
     price_laws = battery_price_laws(
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
+    out.mkdir(parents=True, exist_ok=True)
     _dump_json(
         {str(cls): [_dist_jsonable(law) for law in slot_laws] for cls, slot_laws in laws.items()},
         out / "noise_laws.json",
     )
-    _dump_json([_dist_jsonable(l) for l in price_laws], out / "price_laws.json")
+    _dump_json(_laws_jsonable(price_laws), out / "price_laws.json")
     info = {"classes": sorted(laws), "k": cfg.fit_k, "laws_s": laws_s, "lloyd_iterations": steps}
     return _close_stage(out, "fit", inputs, info, t0)
 
 
 def _load_fit(cfg: RunConfig, out: Path):
-    """The fitted netload laws by class and the daily battery price laws;
-    they must hold the config's classes, ``n_slots`` laws each, and D+1 days."""
+    """The fitted netload laws by class and the daily battery price laws, one
+    (days, atoms) :class:`~twoscale.core.LawTable`; they must hold the
+    config's classes, ``n_slots`` laws each, and D+1 days of valid laws."""
     noise = _load_json(out / "noise_laws.json")
     prices = _load_json(out / "price_laws.json")
     classes, fitted = sorted(cfg.classmap.representatives), sorted(int(k) for k in noise)
@@ -204,8 +222,12 @@ def _load_fit(cfg: RunConfig, out: Path):
             f" days, not the config's classes {classes} of {cfg.n_slots} slots and"
             f" {cfg.D + 1} days: rerun fit"
         )
-    laws = {cls: [_dist_from_jsonable(o) for o in noise[str(cls)]] for cls in classes}
-    return laws, [_dist_from_jsonable(o) for o in prices]
+    try:
+        laws = {cls: [_dist_from_jsonable(o) for o in noise[str(cls)]] for cls in classes}
+        table = LawTable.from_rows([o["support"] for o in prices], [o["probs"] for o in prices])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HashMismatch(f"the fit laws in {out} are not valid laws ({exc}): rerun fit") from exc
+    return laws, table
 
 
 def _cell_job(args):
@@ -335,10 +357,10 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
         seq = recursions[dec](tables, cfg.classmap, price_laws, bat, h_grid, c_grid, cfg.D)
         info[f"{dec.mode}_recursion_s"] = round(time.perf_counter() - t_rec, 3)
         if dec.budget_axis:
-            # every class's table has the same day axis, so one plan counts any day's pairs
-            plan = day_plan(next(iter(tables.values())), h_grid, h_grid, FEAS_TOL)
-            n_h, n_axis = plan.shape
-            pairs = len(plan.ai)
+            # every class's table has the same day axis, so one objective counts any day's pairs
+            objective = DayObjective(next(iter(tables.values())), h_grid, h_grid, FEAS_TOL)
+            n_h, n_axis = objective.shape
+            pairs = len(objective.ai)
             info["resource_pairs"] = {"per_day": pairs, "share": round(pairs / (n_h * n_axis), 4)}
         # a file handle keeps np.savez from appending .npz to the temporary name
         with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:

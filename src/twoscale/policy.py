@@ -2,7 +2,7 @@
 
 Each day the slow decision (an aging surcharge, or a health target) is the
 first argmax (price) or argmin (resource) of the bound recursion's own
-:func:`~twoscale.slowscale.day_objective`; the half-hourly controls then
+:class:`~twoscale.slowscale.DayObjective`; the half-hourly controls then
 replay the stored intraday value tables, over (soc, axis), greedily against
 the realized netloads, and the renewal decision re-optimizes against the
 realized battery price at the end of the day.  Both policies advance in one
@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDist, GridValueFn, INF
+from .core import INF, GridValueFn, LawTable
 from . import battery
 from .battery import BatteryConfig, ScenarioSet
 from .intraday import (
     Decomposition, IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for,
 )
-from .slowscale import SlowValueSeq, day_continuation, day_objective, day_plan, renewal_states
+from .slowscale import DayObjective, SlowValueSeq, day_continuation, renewal_states
 
 ADMISS_TOL = 1e-6
 
@@ -46,7 +46,7 @@ class SimulationStats:
 
 def _best_on_axis(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
-    price_law: DiscreteDist, cfg: BatteryConfig,
+    price_laws: LawTable, cfg: BatteryConfig,
 ):
     """The point of the table's day axis at the first argmax (price) or argmin
     (resource) of the day objective, per health value in h at its capacity in
@@ -54,12 +54,17 @@ def _best_on_axis(
     h_grid, c_grid = values.grid.axes
     h1 = np.atleast_1d(np.asarray(h, dtype=float))
     renewal = renewal_states(h_grid, c_grid, cfg)
-    cont = day_continuation(values.values[day + 1], price_law, cfg, renewal)
+    by_size = price_laws.support[day][:, None] * renewal[0]
+    disc = np.empty((len(c_grid), len(h_grid)))
+    atoms = day_continuation(
+        values.values[day + 1], by_size, price_laws.probs[day].tolist(), cfg.gamma, renewal, disc
+    )
     # the objective is elementwise per (capacity, h, axis): evaluate it on the
     # capacities in use, then take each health value's own row
     ci, at = np.unique(np.searchsorted(c_grid, c), return_inverse=True)
-    plan = day_plan(table, h1, h_grid, ADMISS_TOL)
-    obj = plan.unpack(day_objective(table, plan, ci, cont))
+    objective = DayObjective(table, h1, h_grid, ADMISS_TOL, ci)
+    with np.errstate(invalid="ignore"):
+        obj = objective.unpack(objective(disc, atoms))
     obj = obj[np.broadcast_to(at, h1.shape), np.arange(len(h1))]
     pick = np.argmin if table.decomposition.budget_axis else np.argmax
     best = table.axis[pick(obj, axis=1)]
@@ -68,33 +73,36 @@ def _best_on_axis(
 
 def select_price(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
-    price_law: DiscreteDist, cfg: BatteryConfig,
+    price_laws: LawTable, cfg: BatteryConfig,
 ):
-    """Best aging surcharge at (h, c) per the lower-bound recursion's objective;
-    ties go to the smallest surcharge.  h may be an array of health values, c
-    one capacity for all of them or one per health value."""
-    return _best_on_axis(h, c, day, table, values, price_law, cfg)
+    """Best aging surcharge at (h, c) on ``day`` per the lower-bound
+    recursion's objective; ties go to the smallest surcharge.  h may be an
+    array of health values, c one capacity for all of them or one per health
+    value."""
+    return _best_on_axis(h, c, day, table, values, price_laws, cfg)
 
 
 def select_resource(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
-    price_law: DiscreteDist, cfg: BatteryConfig,
+    price_laws: LawTable, cfg: BatteryConfig,
 ):
-    """Tomorrow's health target at (h, c) per the upper-bound recursion's
-    objective; ties go to the largest target (least aging).  h may be an array
-    of health values, c one capacity for all of them or one per health value."""
-    target = np.maximum(h - _best_on_axis(h, c, day, table, values, price_law, cfg), 0.0)
+    """Tomorrow's health target at (h, c) on ``day`` per the upper-bound
+    recursion's objective; ties go to the largest target (least aging).  h
+    may be an array of health values, c one capacity for all of them or one
+    per health value."""
+    target = np.maximum(h - _best_on_axis(h, c, day, table, values, price_laws, cfg), 0.0)
     return float(target) if np.ndim(h) == 0 else target
 
 
 def _choose_renewal(
     h_end: np.ndarray, c: np.ndarray, day: int, values: SlowValueSeq,
-    price_real: np.ndarray, price_law: DiscreteDist, cfg: BatteryConfig,
+    price_real: np.ndarray, price_laws: LawTable, cfg: BatteryConfig,
 ) -> np.ndarray:
     """Per scenario, the renewal size minimizing the continuation, using the
-    price atom nearest the realized battery price; ties keep the smaller size."""
-    diffs = np.abs(price_law.support[None, :] - price_real[:, None])
-    p_hat = price_law.support[np.argmin(diffs, axis=1)]
+    atom of the day's price law nearest the realized battery price; ties keep
+    the smaller size."""
+    support = price_laws.support[day]
+    p_hat = support[np.argmin(np.abs(support[None, :] - price_real[:, None]), axis=1)]
     gamma = cfg.gamma
     sizes = [float(r) for r in cfg.renewal_grid if r > 0.0]
     # tomorrow's values of keeping each battery, then of each fresh one, in
@@ -143,7 +151,7 @@ def _soc_steps(table: IntradayTable, cfg: BatteryConfig) -> np.ndarray:
 def simulate_policies(
     scenarios: ScenarioSet,
     runs: dict,
-    price_laws: list[DiscreteDist],
+    price_laws: LawTable,
     classmap: PeriodicityClassMap,
     cfg: BatteryConfig,
 ) -> dict:
@@ -200,7 +208,7 @@ def simulate_policies(
                 select = select_resource if mode.dec.budget_axis else select_price
                 table = mode.tables[cls]
                 rows = own[i]
-                decision = select(h[i, rows], c[i, rows], d, table, mode.values, price_laws[d], cfg)
+                decision = select(h[i, rows], c[i, rows], d, table, mode.values, price_laws, cfg)
                 blocks.append((table, decision, mode.soc_steps[cls]))
         if blocks:
             # rows in (mode, scenario) order, each mode's a block of its own
@@ -216,7 +224,7 @@ def simulate_policies(
             raise RuntimeError(f"inadmissible state (soc={soc[i, s]}, h={h[i, s]}, c={c[i, s]})")
         price_real = scenarios.battery_price[:, d]
         r = np.stack([
-            _choose_renewal(h[i], c[i], d, mode.values, price_real, price_laws[d], cfg)
+            _choose_renewal(h[i], c[i], d, mode.values, price_real, price_laws, cfg)
             for i, mode in enumerate(modes)
         ])
         total += disc * (bills[d] + price_real * r)
@@ -248,7 +256,7 @@ def simulate_policy(
     mode: str,
     tables: dict,
     values: SlowValueSeq,
-    price_laws: list[DiscreteDist],
+    price_laws: LawTable,
     classmap: PeriodicityClassMap,
     cfg: BatteryConfig,
 ) -> tuple[list[SimulationRecord], SimulationStats]:
@@ -279,18 +287,20 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
     offsets and steps.  A surcharge row has an infinite budget and a fixed
     table column, so that min(h, budget) - |u| >= -tol tests the health
     and the budget of every row at once: rounding is monotone, so it holds
-    exactly when both h - |u| and budget - |u| do.
+    exactly when both h - |u| and budget - |u| do.  Only the budget-axis
+    rows look up a budget index: a surcharge row's would clamp to 0.
     """
     d_soc, usage = effect = battery.control_effect(controls, cfg)
     n, n_slots = netload.shape
     # the bill of every (slot, row, control), and the same plus the aging cost
     bill = battery.stage_cost(controls, netload.T[:, :, None], np.asarray(cfg.rates)[:, None, None])
     aging = np.zeros((n, len(controls)))
-    # per row: the budget, its soc and budget grid steps, the last soc and
-    # budget indices, the table's column count and soc stride and the flat
-    # index of its (capacity, slot 0, soc 0, column)
-    budget, s_step, a_step, s_top, a_top, a_len, slot_len, base = np.empty((8, n, 1))
-    reads, start = [], 0
+    # per row: the budget, its soc grid step and last soc index, the table's
+    # column count and soc stride and the flat index of its (capacity, slot
+    # 0, soc 0, column)
+    budget, s_step, s_top, a_len, slot_len, base = np.empty((6, n, 1))
+    # per budget-axis block: its rows, budget grid step and last budget index
+    reads, budgets, start = [], [], 0
     for table, decision, steps in blocks:
         rows = slice(start, start + len(decision))
         start = rows.stop
@@ -304,11 +314,11 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
             # the budget is today's gap to the health target; the table
             # column follows what is left of it
             budget[rows, 0] = np.maximum(h[rows] - decision, 0.0)
-            a_step[rows], a_top[rows] = table.axis[1] - table.axis[0], n_axis - 1
+            budgets.append((rows, table.axis[1] - table.axis[0], n_axis - 1))
         else:
-            # no budget to spend: its index clamps to 0, and the surcharge's
-            # column is part of the row's base index
-            budget[rows], a_step[rows], a_top[rows] = INF, 1.0, 0
+            # no budget to spend, and the surcharge's column is part of the
+            # row's base index
+            budget[rows] = INF
             base[rows, 0] += np.searchsorted(table.axis, decision)
             aging[rows] = decision[:, None] * usage
         # a flat view, never a copy, of the table's entries
@@ -330,10 +340,11 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
         # points clamped to the grid (rint rounds half to even, as round)
         si = np.rint(soc_next / s_step)
         np.minimum(np.maximum(si, 0.0, out=si), s_top, out=si)
-        ai = np.rint((budget - usage) / a_step)
-        np.minimum(np.maximum(ai, 0.0, out=ai), a_top, out=ai)
         si *= a_len
-        si += ai
+        for rows, a_step, a_top in budgets:
+            ai = np.rint((budget[rows] - usage) / a_step)
+            np.minimum(np.maximum(ai, 0.0, out=ai), a_top, out=ai)
+            si[rows] += ai
         si += offsets[m]
         flat = si.astype(np.intp)
         for rows, entries in reads:

@@ -11,21 +11,22 @@ Every recursion fills one array of shape (D+2,) + grid.shape, a
 :class:`SlowValueSeq`, in one backward day loop.  The battery recursions work
 on an (health, capacity) grid: each day takes the min (resource, over the
 feasible aging budgets alone) or max (price), over the day axis of the
-intraday tables (orientation (c, axis)), of :func:`day_objective` at every
-capacity at once, which the online policies reuse.  The generic recursions accept any day-decomposed model and are
-exercised by the desk-scale oracles.
+intraday tables (orientation (c, axis)), of a :class:`DayObjective` at every
+capacity at once, which the online policies reuse.  The battery-price laws
+come as one (days, atoms) :class:`~twoscale.core.LawTable`.  The generic
+recursions accept any day-decomposed model and are exercised by the
+desk-scale oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .core import (
-    INF, BlendPlan, DiscreteDist, Grid, GridValueFn, fenchel_conjugate, low_add_arrays,
-)
+from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, fenchel_conjugate, low_add_arrays
 from .battery import BatteryConfig, fresh_state
 from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable, PeriodicityClassMap
 from .intraday import solve_fast_dp
@@ -69,12 +70,12 @@ class SlowValueSeq:
 
 
 def _backward(kind: str, grid: Grid, final, D: int, day) -> SlowValueSeq:
-    """The slow-scale backward loop: values[D+1] = final, then
-    values[d] = day(d, values[d+1]) for d = D..0."""
+    """The slow-scale backward loop: values[D+1] = final, then day(d,
+    values[d+1], values[d]) fills values[d] for d = D..0."""
     values = np.empty((D + 2,) + grid.shape)
     values[D + 1] = final
     for d in range(D, -1, -1):
-        values[d] = day(d, values[d + 1])
+        day(d, values[d + 1], values[d])
     return SlowValueSeq(kind, grid, values)
 
 
@@ -106,185 +107,173 @@ def renewal_states(
     return sizes, hi, ci
 
 
-def day_continuation(
-    vnext: np.ndarray, price_law: DiscreteDist, cfg: BatteryConfig, renewal: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A day's discounted continuation from tomorrow's values over (h, c):
-    disc = gamma * vnext, and per battery-price atom p its probability and the
-    cheapest fresh battery, min over the :func:`renewal_states` r of
-    p * r + disc at the fresh state (+inf with no size to buy)."""
-    disc = cfg.gamma * vnext
-    sizes, hi, ci = renewal
-    atoms = price_law.probs > 0.0
-    prices, probs = price_law.support[atoms], price_law.probs[atoms]
-    buy = prices[:, None] * sizes[None, :] + disc[hi, ci][None, :]
-    return disc, probs, buy.min(axis=1, initial=INF)
+def day_continuation(vnext, by_size, probs, gamma: float, renewal: tuple, disc) -> list:
+    """A day's discounted continuation from tomorrow's values ``vnext`` over
+    (h, c): disc = gamma * vnext, written into the C-contiguous (c, h) array
+    ``disc``, and, returned, per battery-price atom of positive probability
+    in ``probs`` (a list) the pair of that probability and the cheapest fresh
+    battery, min over the :func:`renewal_states` r of price * r + disc at the
+    fresh state (+inf with no size to buy).  ``by_size`` holds the atoms'
+    prices times every size r, shape (atoms, sizes)."""
+    np.multiply(vnext.T, gamma, out=disc)
+    _, hi, ci = renewal
+    best_buy = (by_size + disc[ci, hi]).min(axis=1, initial=INF)
+    return [(p, b) for p, b in zip(probs, best_buy.tolist()) if p > 0.0]
 
 
-def _expect(keep: np.ndarray, probs: np.ndarray, best_buy: np.ndarray) -> np.ndarray:
+def _expect(keep: np.ndarray, atoms: list, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """Expected continuation when keeping the battery is worth ``keep``: per
-    price atom, the cheaper of keeping it and buying a fresh one, times the
-    atom's probability, summed over the atoms in their order from 0.0."""
-    atoms = (len(probs),) + (1,) * keep.ndim
-    terms = np.minimum(keep, best_buy.reshape(atoms))
-    terms *= probs.reshape(atoms)
-    return sum(terms, np.zeros_like(keep))
-
-
-@dataclass(frozen=True, eq=False)
-class _InterpPlan:
-    """Where points x fall on a grid xp: x clipped to the grid, the index j
-    of the last grid point at or below it, x - xp[j] and x == xp[j], and the
-    grid steps np.diff(xp)."""
-
-    xp: np.ndarray
-    x: np.ndarray
-    j: np.ndarray
-    dx: np.ndarray
-    at: np.ndarray
-    step: np.ndarray
-
-
-def _interp_plan(x: np.ndarray, xp: np.ndarray) -> _InterpPlan:
-    x = np.clip(x, xp[0], xp[-1])
-    j = np.searchsorted(xp, x, side="right") - 1
-    xj = xp[j]
-    return _InterpPlan(xp, x, j, x - xj, x == xj, np.diff(xp))
-
-
-def _interp_apply(plan: _InterpPlan, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, f)`` at the planned points x for every row f of
-    ``fp`` at once, shape fp.shape[:1] + x.shape, with np.interp's float
-    operations: f[j] at a grid point xp[j] and beyond the ends, else the slope
-    (f[j+1] - f[j]) / (xp[j+1] - xp[j]) times x - xp[j] plus f[j], retried
-    from xp[j+1] where that is NaN, which needs a non-finite f or slope."""
-    with np.errstate(invalid="ignore"):
-        # slope[n-1] pads the last point, where x == xp[j] picks f0 anyway
-        slope = np.empty_like(fp)
-        slope[:, -1] = 0.0
-        np.subtract(fp[:, 1:], fp[:, :-1], out=slope[:, :-1])
-        slope[:, :-1] /= plan.step
-        f0 = np.take(fp, plan.j, axis=1)
-        out = np.take(slope, plan.j, axis=1)
-        out *= plan.dx
-        out += f0
-        np.copyto(out, f0, where=plan.at)
-        if not (np.isfinite(fp).all() and np.isfinite(slope).all()):
-            out = _interp_retry(plan, fp, slope, f0, out)
+    (probability, cheapest purchase) pair of :func:`day_continuation`, the
+    cheaper of keeping it and buying, times the probability, summed over the
+    atoms in their order from +0.0 into ``out``; ``term`` is a buffer of
+    its shape for each atom's term."""
+    out.fill(0.0)
+    for p, b in atoms:
+        np.minimum(keep, b, out=term)
+        term *= p
+        out += term
     return out
 
 
-def _interp_retry(plan, fp, slope, f0, out):
+class _Interp:
+    """``np.interp(x, xp, f)`` at fixed points x, for the rows ``rows`` of
+    any C-contiguous (n, len(xp)) array f, shape (len(rows),) + x.shape, with
+    np.interp's float operations: f[j] at a grid point xp[j] and beyond the
+    ends, else the slope (f[j+1] - f[j]) / (xp[j+1] - xp[j]) times x - xp[j]
+    plus f[j], retried from xp[j+1] where that is NaN, which needs a
+    non-finite f or slope.  A call gathers by flat index into buffers that
+    the next call overwrites; it may compute NaN slopes, so run it under
+    ``np.errstate(invalid="ignore")``."""
+
+    def __init__(self, x: np.ndarray, xp: np.ndarray, rows: np.ndarray, n: int):
+        self.xp, self.x = xp, np.clip(x, xp[0], xp[-1])
+        self.j = np.searchsorted(xp, self.x, side="right") - 1
+        xj = xp[self.j]
+        self.dx, self.at, self.step = self.x - xj, self.x == xj, np.diff(xp)
+        self.flat = np.reshape(rows, (-1,) + (1,) * self.x.ndim) * len(xp) + self.j
+        # slope[:, -1] pads the last point, where x == xp[j] and dx = 0
+        self.slope = np.zeros((n, len(xp)))
+        self.f0, self.out = np.empty(self.flat.shape), np.empty(self.flat.shape)
+
+    def __call__(self, fp: np.ndarray) -> np.ndarray:
+        slope, f0, out = self.slope, self.f0, self.out
+        np.subtract(fp[:, 1:], fp[:, :-1], out=slope[:, :-1])
+        slope[:, :-1] /= self.step
+        # every index is in range; "clip" skips the buffered bounds check
+        np.take(fp, self.flat, out=f0, mode="clip")
+        np.take(slope, self.flat, out=out, mode="clip")
+        out *= self.dx
+        out += f0
+        np.copyto(out, f0, where=self.at)
+        # a NaN needs a non-finite slope (an infinite f makes one), and then
+        # the slopes' sum is not finite either
+        if not math.isfinite(slope.sum()):
+            _interp_retry(self, fp, out)
+        return out
+
+
+def _interp_retry(interp: _Interp, fp: np.ndarray, out: np.ndarray) -> None:
     """np.interp's second try where its first gave NaN: the slope times
     x - xp[j+1] plus f[j+1], or f[j] where that is NaN too and f[j] == f[j+1]."""
     nan = np.isnan(out)
     if not nan.any():
-        return out
-    k = np.minimum(plan.j + 1, len(plan.xp) - 1)
-    f1 = np.take(fp, k, axis=1)
-    back = np.take(slope, plan.j, axis=1) * (plan.x - plan.xp[k]) + f1
-    return np.where(nan, np.where(np.isnan(back) & (f0 == f1), f0, back), out)
+        return
+    k = np.minimum(interp.j + 1, len(interp.xp) - 1)
+    f0, f1 = interp.f0, np.take(fp, interp.flat + (k - interp.j))
+    back = np.take(interp.slope, interp.flat) * (interp.x - interp.xp[k]) + f1
+    np.copyto(out, np.where(np.isnan(back) & (f0 == f1), f0, back), where=nan)
 
 
-@dataclass(frozen=True, eq=False)
-class DayPlan:
-    """The part of :func:`day_objective` at health values h that depends on
-    neither the day nor the capacity, built by :func:`day_plan` once per
-    caller.
+class DayObjective:
+    """A day's objective of one intraday table at health values h and the
+    capacity indices ``ci`` (every capacity when None), for any day's
+    :func:`day_continuation`: what depends on neither the day nor tomorrow's
+    values is built once, and each call writes into buffers that the next
+    call overwrites.  :meth:`reduce` turns the objective into the day's
+    value, the min (resource) or max (price) over the table's day axis.
 
-    ``shape`` is (len(h), len(axis)).  Resource: only the feasible (h, dh)
-    pairs, h - dh >= -tol, packed in h-major order: the health row ``hi``
-    and day-axis index ``ai`` of each pair, the start of each h row's run of
-    pairs (``starts``) and whether the run holds any (``filled``: a row with
-    no feasible budget has an empty run), where tomorrow's health
-    max(h - dh, 0) falls on the health grid at each pair (``lookup``), and
-    the intraday cost of each pair at every capacity (``ell``, shape
-    (capacities, pairs)).  Price: the products pi * h' over (axis, health
-    grid) and pi * h over (axis, h).
+    ``shape`` is (len(h), len(axis)).  Resource: the objective covers only
+    the feasible (h, dh) pairs, h - dh >= -tol, packed in h-major order: the
+    health row ``hi`` and day-axis index ``ai`` of each pair, the start of
+    each h row's run of pairs (``starts``) and whether the run holds any
+    (``filled``: a row with no feasible budget has an empty run).  Per
+    capacity and pair it is the intraday cost of budget dh (``ell``, shape
+    (len(ci), pairs)) plus the expected continuation at tomorrow's health
+    max(h - dh, 0), interpolated on the health grid; :meth:`unpack` spreads
+    it over (len(ci), len(h), len(axis)) with +inf at the infeasible budgets.
+    Price: shaped (len(ci), len(axis), len(h)), the intraday cost at
+    surcharge pi, plus the cheapest end-of-day health h' priced at pi, minus
+    pi * h.  A call may compute NaN slopes (see :class:`_Interp`).
     """
 
-    shape: tuple
-    hi: np.ndarray | None = None
-    ai: np.ndarray | None = None
-    starts: np.ndarray | None = None
-    filled: np.ndarray | None = None
-    lookup: _InterpPlan | None = None
-    ell: np.ndarray | None = None
-    pi_next: np.ndarray | None = None
-    pi_h: np.ndarray | None = None
+    def __init__(self, table: IntradayTable, h, h_grid: np.ndarray, tol: float, ci=None):
+        h, axis = np.asarray(h, dtype=float), table.axis
+        costs = table.table.values
+        self.ci = None if ci is None else np.asarray(ci)
+        rows = np.arange(len(costs)) if ci is None else self.ci
+        self.shape = (len(h), len(axis))
+        self.budget_axis = table.decomposition.budget_axis
+        if self.budget_axis:
+            self.hi, self.ai = hi, ai = np.nonzero(h[:, None] - axis[None, :] >= -tol)
+            self.starts = np.searchsorted(hi, np.arange(len(h)))
+            self.filled = np.bincount(hi, minlength=len(h)) > 0
+            self.ell = costs[rows][:, ai]
+            self.interp = _Interp(np.maximum(h[hi] - axis[ai], 0.0), h_grid, rows, len(costs))
+            # the filled rows' runs of every capacity, in one flat array
+            self.runs = (np.arange(len(rows))[:, None] * len(hi) + self.starts[self.filled]).ravel()
+            self.cols = slice(None) if self.filled.all() else self.filled
+            shape = self.ell.shape
+        else:
+            self.ell = costs[rows]
+            self.pi_next, self.pi_h = axis[:, None] * h_grid, axis[:, None] * h
+            self.inner = np.empty((len(rows), len(axis), len(h_grid)))
+            self.obj = np.empty((len(rows), len(axis), len(h)))
+            shape = (len(rows), len(h_grid))
+        self.expect, self.term = np.empty(shape), np.empty(shape)
 
-    def reduce(self, obj: np.ndarray) -> np.ndarray:
-        """The day's value per (capacity, h) from :func:`day_objective`'s
-        ``obj``: per h row the min over its feasible budgets, +inf on a row
-        with none (resource), or the max over the surcharges (price)."""
-        if self.ai is None:
-            return np.maximum.reduce(obj, axis=2)
-        if self.filled.all():
-            return np.minimum.reduceat(obj, self.starts, axis=1)
-        # reduceat gives an empty run the entry at its start, not +inf
-        out = np.full((len(obj), self.shape[0]), INF)
-        out[:, self.filled] = np.minimum.reduceat(obj, self.starts[self.filled], axis=1)
+    def __call__(self, disc: np.ndarray, atoms: list) -> np.ndarray:
+        """The objective from :func:`day_continuation`'s C-contiguous (c, h)
+        ``disc`` over every capacity and its ``atoms``."""
+        if self.budget_axis:
+            out = _expect(self.interp(disc), atoms, self.expect, self.term)
+            out += self.ell
+            return out
+        fp = disc if self.ci is None else disc[self.ci]
+        expect = _expect(fp, atoms, self.expect, self.term)
+        inner = np.minimum.reduce(np.add(self.pi_next, expect[:, None, :], out=self.inner), axis=2)
+        inner += self.ell
+        return np.subtract(inner[:, :, None], self.pi_h, out=self.obj)
+
+    def reduce(self, obj: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The day's value per (capacity, h), written into ``out``: per h row
+        the min over its feasible budgets, +inf on a row with none
+        (resource), or the max over the surcharges (price)."""
+        if not self.budget_axis:
+            return np.maximum.reduce(obj, axis=1, out=out)
+        if self.cols is self.filled:
+            out[:, ~self.filled] = INF
+        if len(self.runs):
+            # reduceat gives an empty run the entry at its start, so only
+            # the filled rows' runs are reduced
+            out[:, self.cols] = np.minimum.reduceat(obj.ravel(), self.runs).reshape(len(out), -1)
         return out
 
     def unpack(self, obj: np.ndarray) -> np.ndarray:
-        """:func:`day_objective`'s ``obj`` over (capacity, h, axis): a packed
-        resource objective spread out with +inf at the infeasible budgets, a
-        price objective as it is."""
-        if self.ai is None:
-            return obj
+        """The objective over (capacity, h, axis): a packed resource
+        objective spread out with +inf at the infeasible budgets, a price
+        objective transposed."""
+        if not self.budget_axis:
+            return obj.transpose(0, 2, 1)
         out = np.full((len(obj),) + self.shape, INF)
         out[:, self.hi, self.ai] = obj
         return out
-
-
-def day_plan(table: IntradayTable, h: np.ndarray, h_grid: np.ndarray, tol: float) -> DayPlan:
-    """The :class:`DayPlan` of the table's day axis at health values h, with
-    h - dh >= -tol the feasible budgets."""
-    h, axis = np.asarray(h, dtype=float), table.axis
-    shape = (len(h), len(axis))
-    if table.decomposition.budget_axis:
-        hi, ai = np.nonzero(h[:, None] - axis[None, :] >= -tol)
-        return DayPlan(
-            shape, hi=hi, ai=ai, starts=np.searchsorted(hi, np.arange(len(h))),
-            filled=np.bincount(hi, minlength=len(h)) > 0,
-            lookup=_interp_plan(np.maximum(h[hi] - axis[ai], 0.0), h_grid),
-            ell=table.table.values[:, ai],
-        )
-    return DayPlan(shape, pi_next=axis[:, None] * h_grid, pi_h=axis[:, None] * h[None, :])
-
-
-def day_objective(table: IntradayTable, plan: DayPlan, ci, continuation) -> np.ndarray:
-    """A day's objective at the plan's health values h and capacity indices
-    ci (an index array or a slice); :meth:`DayPlan.reduce` turns it into the
-    day's value, the min (resource) or max (price) over the day axis.
-
-    Resource: shaped (len(ci), pairs), at the plan's feasible (h, dh) pairs
-    only, the intraday cost of budget dh plus the expected continuation at
-    tomorrow's health max(h - dh, 0); :meth:`DayPlan.unpack` spreads it over
-    (len(ci), len(h), len(table.axis)) with +inf at the infeasible budgets.
-    Price: shaped (len(ci), len(h), len(table.axis)), the intraday cost at
-    surcharge pi, plus the cheapest end-of-day health priced at pi, minus
-    pi * h.
-    """
-    disc, probs, best_buy = continuation
-    fp = disc[:, ci].T
-    if table.decomposition.budget_axis:
-        out = _expect(_interp_apply(plan.lookup, fp), probs, best_buy)
-        out += plan.ell[ci]
-        return out
-    ell = table.table.values[ci]
-    expect = _expect(fp, probs, best_buy)
-    inner = (plan.pi_next[None, :, :] + expect[:, None, :]).min(axis=2)
-    # built over (c, axis, h) so that reducing over the short axis runs along rows
-    out = ell[:, :, None] + inner[:, :, None] - plan.pi_h
-    return out.transpose(0, 2, 1)
 
 
 def _bellman_recursion(
     dec: Decomposition,
     tables: dict[int, IntradayTable],
     classmap: PeriodicityClassMap,
-    price_laws: list[DiscreteDist],
+    price_laws: LawTable,
     cfg: BatteryConfig,
     h_grid: np.ndarray,
     c_grid: np.ndarray,
@@ -292,11 +281,12 @@ def _bellman_recursion(
 ) -> SlowValueSeq:
     """Bound recursion of one decomposition over (health, capacity).
 
-    Each day reduces :func:`day_objective` over the day axis, at every
-    capacity at once: resource picks an aging budget dh (tomorrow's health
-    target h - dh >= 0, an upper bound), price the best surcharge pi >= 0 on
-    the health decrement (a lower bound).  Per battery-price atom the day
-    ends by keeping the battery or buying a fresh one.  Day costs are
+    Each day reduces its class's :class:`DayObjective` over the day axis, at
+    every capacity at once, straight into the day's values: resource picks
+    an aging budget dh (tomorrow's health target h - dh >= 0, an upper
+    bound), price the best surcharge pi >= 0 on the health decrement (a
+    lower bound).  Per battery-price atom of day d's row of ``price_laws``
+    the day ends by keeping the battery or buying a fresh one.  Day costs are
     undiscounted; the continuation is scaled by the daily discount factor
     (total cost is sum of gamma^d day costs), and the final cost is 0.
     """
@@ -305,15 +295,21 @@ def _bellman_recursion(
     h_grid = np.asarray(h_grid, dtype=float)
     c_grid = np.asarray(c_grid, dtype=float)
     renewal = renewal_states(h_grid, c_grid, cfg)
-    plans = {cls: day_plan(tab, h_grid, h_grid, FEAS_TOL) for cls, tab in tables.items()}
+    objectives = {cls: DayObjective(tab, h_grid, h_grid, FEAS_TOL) for cls, tab in tables.items()}
+    day_class = classmap.day_to_class.tolist()
+    # every day's atom prices times every renewal size, in one broadcast
+    by_size = price_laws.support[:, :, None] * renewal[0]
+    probs = price_laws.probs.tolist()
+    disc = np.empty((len(c_grid), len(h_grid)))
 
-    def day(d, vnext):
-        cls = int(classmap.day_to_class[d])
-        cont = day_continuation(vnext, price_laws[d], cfg, renewal)
-        plan = plans[cls]
-        return plan.reduce(day_objective(tables[cls], plan, slice(None), cont)).T
+    def day(d, vnext, out):
+        atoms = day_continuation(vnext, by_size[d], probs[d], cfg.gamma, renewal, disc)
+        objective = objectives[day_class[d]]
+        objective.reduce(objective(disc, atoms), out.T)
 
-    return _backward(dec.kind, Grid([h_grid, c_grid]), 0.0, D, day)
+    # a slope between infinite values is NaN, which the interpolation retries
+    with np.errstate(invalid="ignore"):
+        return _backward(dec.kind, Grid([h_grid, c_grid]), 0.0, D, day)
 
 
 resource_bellman_recursion = partial(_bellman_recursion, RESOURCE)
@@ -327,14 +323,14 @@ def generic_resource_recursion(problem) -> SlowValueSeq:
     states = problem.states
     grid = Grid([states])
 
-    def day(d, vnext):
+    def day(d, vnext, out):
         model = problem.day_model(d)
         # intraday cost as a function of (start state, target): one DP per target
         ell = np.empty((len(states), len(states)))
         for ri, r in enumerate(states):
             terminal = GridValueFn(grid, np.where(states >= r - 1e-12, 0.0, INF))
             ell[:, ri] = solve_fast_dp(model, terminal).values[0].values
-        return low_add_arrays(ell, vnext[None, :]).min(axis=1)
+        out[...] = low_add_arrays(ell, vnext[None, :]).min(axis=1)
 
     return _backward("resource-upper", grid, problem.final_cost, problem.D, day)
 
@@ -350,7 +346,7 @@ def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
     grid = Grid([states])
     price_grid = Grid([np.sort(price_points)])
 
-    def day(d, vnext):
+    def day(d, vnext, out):
         model = problem.day_model(d)
         conj = fenchel_conjugate(GridValueFn(grid, vnext), price_grid)
         cand = np.empty((len(price_grid.axes[0]), len(states)))
@@ -359,7 +355,7 @@ def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
             cv = conj.values[pi]
             neg_conj = -INF if (np.isposinf(cv)) else (INF if np.isneginf(cv) else -cv)
             cand[pi] = low_add_arrays(ell_p, np.full(len(states), neg_conj))
-        return cand.max(axis=0)
+        out[...] = cand.max(axis=0)
 
     return _backward("price-lower", grid, problem.final_cost, problem.D, day)
 
@@ -370,9 +366,9 @@ def block_bellman_solve(problem, inequality: bool = False) -> SlowValueSeq:
     dominated state when the dynamics are inequalities)."""
     grid = Grid([problem.states])
 
-    def day(d, vnext):
+    def day(d, vnext, out):
         boundary = np.minimum.accumulate(vnext) if inequality else vnext
-        return solve_fast_dp(problem.day_model(d), GridValueFn(grid, boundary)).values[0].values
+        out[...] = solve_fast_dp(problem.day_model(d), GridValueFn(grid, boundary)).values[0].values
 
     return _backward("exact-oracle", grid, problem.final_cost, problem.D, day)
 

@@ -8,13 +8,12 @@ import pytest
 
 from twoscale.battery import BatteryConfig, ScenarioSet, tariff_for_slots
 from twoscale.config import RunConfig
-from twoscale.core import INF, DiscreteDist
+from twoscale.core import INF, DiscreteDist, LawTable
 from twoscale.intraday import (
     build_periodicity_classes,
     compute_price_intraday,
     compute_resource_intraday,
 )
-from twoscale.slowscale import _expect, _interp_apply, _interp_plan
 
 N_SLOTS = 4
 N_SOC = 5
@@ -45,23 +44,94 @@ def small_battery_config(**overrides) -> BatteryConfig:
     return BatteryConfig(**kw)
 
 
+def law_table(laws) -> LawTable:
+    """The (days, atoms) table of a list of per-day DiscreteDist laws."""
+    return LawTable.from_rows([l.support.tolist() for l in laws], [l.probs.tolist() for l in laws])
+
+
+def point_table(value, days: int) -> LawTable:
+    """``days`` days of a battery price law with the one atom ``value``."""
+    return law_table(point_laws([value] * days))
+
+
+# The slow recursions' day step as it was written before the lean one of
+# slowscale, kept as the reference that step must equal bit for bit: one
+# DiscreteDist per day, each atom's price times the renewal sizes per day,
+# the atoms summed by ``sum`` over one 3-D array, and np.interp by column
+# gathers from a transposed view, its blend copied at every grid point.
+
+
+def _ref_continuation(vnext, price_law, cfg, renewal):
+    """disc = gamma * vnext over (h, c), and per atom of positive
+    probability its probability and the cheapest fresh battery."""
+    disc = cfg.gamma * vnext
+    sizes, hi, ci = renewal
+    atoms = price_law.probs > 0.0
+    prices, probs = price_law.support[atoms], price_law.probs[atoms]
+    buy = prices[:, None] * sizes[None, :] + disc[hi, ci][None, :]
+    return disc, probs, buy.min(axis=1, initial=INF)
+
+
+def _ref_expect(keep, probs, best_buy):
+    atoms = (len(probs),) + (1,) * keep.ndim
+    terms = np.minimum(keep, best_buy.reshape(atoms))
+    terms *= probs.reshape(atoms)
+    return sum(terms, np.zeros_like(keep))
+
+
+def _ref_interp(x, xp, fp):
+    """np.interp(x, xp, f) for every row f of fp, shape fp.shape[:1] + x.shape."""
+    x = np.clip(x, xp[0], xp[-1])
+    j = np.searchsorted(xp, x, side="right") - 1
+    dx, at = x - xp[j], x == xp[j]
+    with np.errstate(invalid="ignore"):
+        slope = np.empty_like(fp)
+        slope[:, -1] = 0.0
+        np.subtract(fp[:, 1:], fp[:, :-1], out=slope[:, :-1])
+        slope[:, :-1] /= np.diff(xp)
+        f0 = np.take(fp, j, axis=1)
+        out = np.take(slope, j, axis=1)
+        out *= dx
+        out += f0
+        np.copyto(out, f0, where=at)
+        nan = np.isnan(out)
+        if nan.any():
+            k = np.minimum(j + 1, len(xp) - 1)
+            f1 = np.take(fp, k, axis=1)
+            back = np.take(slope, j, axis=1) * (x - xp[k]) + f1
+            out = np.where(nan, np.where(np.isnan(back) & (f0 == f1), f0, back), out)
+    return out
+
+
 def _dense_resource_objective(table, h, h_grid, tol, ci, continuation):
     """The resource day objective at every (capacity, h, dh) triple, shaped
-    (len(ci), len(h), len(table.axis)): the intraday cost of budget dh plus
-    the expected continuation at tomorrow's health max(h - dh, 0), plus a
-    penalty that is +inf where h - dh < -tol.  A reference that packs
-    nothing, against which the packed objective is checked."""
+    (len(ci), len(h), len(table.axis)), from a :func:`_ref_continuation`:
+    the intraday cost of budget dh plus the expected continuation at
+    tomorrow's health max(h - dh, 0), plus a penalty that is +inf where
+    h - dh < -tol.  A reference that packs nothing, against which the packed
+    objective is checked."""
     disc, probs, best_buy = continuation
     h, axis = np.asarray(h, dtype=float), table.axis
     h_next = h[:, None] - axis[None, :]
     penalty = np.where(h_next >= -tol, 0.0, INF)
-    lookup = _interp_plan(np.maximum(h_next, 0.0), h_grid)
     ell, fp = table.table.values[ci], disc[:, ci].T
-    out = _expect(_interp_apply(lookup, fp), probs, best_buy)
+    out = _ref_expect(_ref_interp(np.maximum(h_next, 0.0), h_grid, fp), probs, best_buy)
     out += ell[:, None, :]
     # neither term is ever -inf, so adding the {0, +inf} penalty is exact
     out += penalty
     return out
+
+
+def _ref_price_objective(table, h, h_grid, ci, continuation):
+    """The price day objective over (len(ci), len(h), len(table.axis)), from
+    a :func:`_ref_continuation`."""
+    disc, probs, best_buy = continuation
+    axis = table.axis
+    pi_next, pi_h = axis[:, None] * h_grid, axis[:, None] * np.asarray(h)[None, :]
+    expect = _ref_expect(disc[:, ci].T, probs, best_buy)
+    inner = (pi_next[None, :, :] + expect[:, None, :]).min(axis=2)
+    out = table.table.values[ci][:, :, None] + inner[:, :, None] - pi_h
+    return out.transpose(0, 2, 1)
 
 
 def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days):

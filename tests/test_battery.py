@@ -35,7 +35,7 @@ from twoscale.config import RunConfig
 from twoscale.core import DiscreteDist
 from twoscale.intraday import build_periodicity_classes
 
-from conftest import _white_noise_resample_reference, small_battery_config
+from conftest import _white_noise_resample_reference, law_table, small_battery_config
 
 # the battery of a default run: sizes 0..1500 kWh in steps of 100, 48 slots
 DEFAULT = RunConfig().battery_config()
@@ -408,14 +408,27 @@ def test_interp_price_forecast():
 
 def test_battery_price_laws_are_valid_distributions():
     laws = battery_price_laws([0.4, 0.2], sigma=0.05, n_days=200, floor=0.01, n_atoms=5)
-    assert len(laws) == 200
-    for law in laws:
-        assert abs(law.probs.sum() - 1.0) < 1e-12
-        assert law.support.min() >= 0.01
-        assert np.all(np.diff(law.support) > 0)
+    assert laws.probs.shape == laws.support.shape == (200, 5)
+    for support, probs in zip(laws.support, laws.probs):
+        assert abs(probs.sum() - 1.0) < 1e-12
+        assert support.min() >= 0.01
+        assert np.all(np.diff(support) > 0)
     # sigma 0 collapses to the forecast point
     laws0 = battery_price_laws([0.4, 0.2], sigma=0.0, n_days=10, floor=0.01, n_atoms=5)
-    assert all(len(l) == 1 for l in laws0)
+    assert laws0.probs.shape == (10, 1)
+
+
+def test_battery_price_laws_pad_merged_atoms_with_the_last_at_probability_0():
+    # the floor merges 2 of 5 atoms from day 174 on: a ragged table
+    laws = battery_price_laws([0.03, 0.01], sigma=0.02, n_days=200, floor=0.01, n_atoms=5)
+    assert laws.probs.shape == (200, 5)
+    sizes = np.count_nonzero(laws.probs > 0.0, axis=1)
+    assert sizes.tolist() == [5] * 174 + [4] * 26
+    for d in range(174, 200):
+        support, probs = laws.support[d], laws.probs[d]
+        assert probs[4] == 0.0 and support[4] == support[3]
+        assert np.all(np.diff(support[:4]) > 0) and support[0] == 0.01
+        assert probs[0] == pytest.approx(0.4, rel=1e-15)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -442,7 +455,7 @@ def test_synthetic_netload_deterministic():
 def test_white_noise_resample_single_atom_is_constant():
     classmap = build_periodicity_classes(4, 1)
     laws = {1: [DiscreteDist(np.array([2.0]), np.array([1.0])) for _ in range(3)]}
-    price_laws = [DiscreteDist(np.array([5.0]), np.array([1.0])) for _ in range(5)]
+    price_laws = law_table([DiscreteDist(np.array([5.0]), np.array([1.0])) for _ in range(5)])
     scen = white_noise_resample(laws, price_laws, classmap, n=3, seed=0, n_days=5)
     assert np.all(scen.netload == 2.0)
     assert np.all(scen.battery_price == 5.0)
@@ -452,7 +465,7 @@ def test_white_noise_resample_matches_law_statistics():
     classmap = build_periodicity_classes(4999, 1)
     law = DiscreteDist(np.array([-1.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.25]))
     laws = {1: [law, law]}
-    price_laws = [DiscreteDist(np.array([1.0]), np.array([1.0]))] * 5000
+    price_laws = law_table([DiscreteDist(np.array([1.0]), np.array([1.0]))] * 5000)
     scen = white_noise_resample(laws, price_laws, classmap, n=2, seed=42, n_days=5000)
     mean = float(np.dot(law.probs, law.support))
     std = float(np.sqrt(np.dot(law.probs, (law.support - mean) ** 2)))
@@ -479,7 +492,9 @@ def test_white_noise_resample_equals_the_per_scenario_day_loop(n_classes):
         price_laws.append(DiscreteDist(np.sort(rng.random(k)) + d, probs / probs.sum()))
     for n, seed in ((1, 0), (7, 11), (30, 1234)):
         args = (laws, price_laws, classmap, n, seed, n_days)
-        got, want = white_noise_resample(*args), _white_noise_resample_reference(*args)
+        # the laws of fewer atoms than 5 padded in one (days, 5) table
+        got = white_noise_resample(laws, law_table(price_laws), *args[2:])
+        want = _white_noise_resample_reference(*args)
         assert got.netload.tobytes() == want.netload.tobytes()
         assert got.battery_price.tobytes() == want.battery_price.tobytes()
 
@@ -488,7 +503,7 @@ def test_white_noise_resample_reproducible():
     classmap = build_periodicity_classes(9, 1)
     law = DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     laws = {1: [law] * 4}
-    price_laws = [DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, 0.5]))] * 10
+    price_laws = law_table([DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, 0.5]))] * 10)
     a = white_noise_resample(laws, price_laws, classmap, n=4, seed=7, n_days=10)
     b = white_noise_resample(laws, price_laws, classmap, n=4, seed=7, n_days=10)
     assert np.array_equal(a.netload, b.netload)

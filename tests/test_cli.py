@@ -260,6 +260,66 @@ def test_non_finite_netload_csv_exit_code(runner, tmp_path, bad):
     assert not out.exists()
 
 
+def _price_csv(path: Path, scenarios: int, days: int) -> None:
+    rows = [f"{i},{d},{0.3 - 0.01 * d}" for i in range(scenarios) for d in range(days)]
+    path.write_text("scenario,day,price_usd_per_kwh\n" + "\n".join(rows) + "\n")
+
+
+def test_price_csv_of_another_shape_exit_code(runner, tmp_path):
+    # 2 scenarios of prices against the 3 scenarios of netload the fit draws
+    csv_path = tmp_path / "price.csv"
+    _price_csv(csv_path, 2, 2)
+    cfg = write_config(tmp_path, {**TINY, "D": 1, "price_csv": str(csv_path)})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "scenario/day shapes of netload and price disagree" in res.output
+    assert not out.exists()
+
+
+def test_too_few_observations_per_class_and_slot_exit_code(runner, tmp_path):
+    # 2 scenarios of 2 days give each (class, slot) 4 observations for 5 atoms
+    cfg = write_config(tmp_path, {**TINY, "D": 1, "fit_scenarios": 2, "fit_k": 5})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "insufficient data (< 5 observations)" in res.output
+    assert not out.exists()
+
+
+def test_price_csv_is_checked_and_leaves_the_laws_alone(runner, tmp_path):
+    # the battery-price laws come from the price model alone: a valid price
+    # CSV of 5 scenarios and 2 days changes no byte of either laws file
+    csv_path = tmp_path / "price.csv"
+    _price_csv(csv_path, 5, 2)
+    laws = {}
+    for name, extra in (("plain", {}), ("csv", {"price_csv": str(csv_path)})):
+        cfg = write_config(tmp_path, {**TINY, "D": 1, "fit_scenarios": 5, **extra})
+        out = tmp_path / name
+        res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        laws[name] = {n: (out / n).read_bytes() for n in ("noise_laws.json", "price_laws.json")}
+    assert laws["csv"] == laws["plain"]
+
+
+@pytest.mark.parametrize("field", ["support", "probs"])
+@pytest.mark.parametrize("name", ["noise_laws.json", "price_laws.json"])
+def test_fit_laws_holding_a_nan_exit_code(runner, tmp_path, name, field):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    laws = json.loads((out / name).read_text())
+    law = laws[0] if name == "price_laws.json" else laws["1"][0]
+    law[field][0] = float("nan")
+    (out / name).write_text(json.dumps(laws))
+    before = _files(out)
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "finite" in res.output and "rerun fit" in res.output
+    assert _files(out) == before
+
+
 def test_stage_prints_json(runner, tmp_path):
     cfg = write_config(tmp_path, TINY)
     res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(tmp_path / "r")])

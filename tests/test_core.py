@@ -16,6 +16,7 @@ from twoscale.core import (
     DiscreteDist,
     Grid,
     GridValueFn,
+    LawTable,
     fenchel_conjugate,
     low_add,
     low_add_arrays,
@@ -283,6 +284,44 @@ def test_distribution_validation():
         DiscreteDist(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         DiscreteDist(np.array([1.0, 2.0]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteDist(np.array([1.0, bad]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        LawTable([[1.0, 2.0]], [[bad, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        LawTable([[1.0, bad]], [[0.5, 0.5]])
+
+
+def test_law_table_pads_short_days_with_their_last_atom():
+    table = LawTable.from_rows(
+        [[0.3], [0.1, 0.2, 0.4], [0.2, 0.5]], [[1.0], [0.25, 0.5, 0.25], [0.5, 0.5]]
+    )
+    assert table.support.tolist() == [[0.3, 0.3, 0.3], [0.1, 0.2, 0.4], [0.2, 0.5, 0.5]]
+    assert table.probs.tolist() == [[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [0.5, 0.5, 0.0]]
+    assert not table.support.flags.writeable and not table.probs.flags.writeable
+
+
+def test_law_table_validation():
+    with pytest.raises(ValueError, match="not one \\(days, atoms\\) shape"):
+        LawTable([[1.0, 2.0]], [[1.0]])
+    with pytest.raises(ValueError, match="not one \\(days, atoms\\) shape"):
+        LawTable([1.0], [1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        LawTable([[1.0, 2.0]], [[1.5, -0.5]])
+    with pytest.raises(ValueError, match="day 1 sum to"):
+        LawTable([[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.5, 0.4]])
+    with pytest.raises(ValueError, match="one probability per atom"):
+        LawTable.from_rows([[1.0, 2.0]], [[1.0]])
+    with pytest.raises(ValueError, match="one probability per atom"):
+        LawTable.from_rows([[]], [[]])
+    with pytest.raises(ValueError, match="2 supports for 1 days"):
+        LawTable.from_rows([[1.0], [2.0]], [[1.0]])
 
 
 # ---------------------------------------------------------------- conjugation

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, compute_intraday
 from twoscale.pipeline import (
     HashMismatch,
     MissingArtifact,
+    _dump_json,
+    _laws_jsonable,
     _load_fit,
     _load_tables,
     load_value_seq,
@@ -239,6 +242,47 @@ def test_fit_laws_in_one_file(bellman_run):
             assert law.probs.tolist() == rec["probs"]
 
 
+def test_price_laws_load_as_one_table_of_the_stored_rows(tmp_path):
+    # a price low enough that the floor merges atoms from day 13 on: the file
+    # holds each day's own atoms, the table pads them with the last one
+    cfg = dataclasses.replace(CFG, price_forecast=(0.032, 0.001), price_atoms=5)
+    stage_fit(cfg, tmp_path)
+    stored = json.loads((tmp_path / "price_laws.json").read_text())
+    assert [len(law["probs"]) for law in stored] == [5] * 13 + [4] * (CFG.D + 1 - 13)
+    _, table = _load_fit(cfg, tmp_path)
+    assert table.support.shape == table.probs.shape == (CFG.D + 1, 5)
+    for law, support, probs in zip(stored, table.support.tolist(), table.probs.tolist()):
+        n = len(law["probs"])
+        assert support[:n] == law["support"] and probs[:n] == law["probs"]
+        assert support[n:] == [law["support"][-1]] * (5 - n) and probs[n:] == [0.0] * (5 - n)
+    assert _laws_jsonable(table) == stored
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["support", "probs"])
+@pytest.mark.parametrize("name", ["noise_laws.json", "price_laws.json"])
+def test_fit_laws_holding_a_non_finite_value_are_rejected(bellman_run, tmp_path, name, field, bad):
+    out = tmp_path / "r"
+    shutil.copytree(bellman_run, out)
+    laws = json.loads((out / name).read_text())
+    law = laws[3] if name == "price_laws.json" else laws["1"][2]
+    law[field][-1] = bad
+    (out / name).write_text(json.dumps(laws))
+    with pytest.raises(HashMismatch, match="finite.*rerun fit"):
+        _load_fit(CFG, out)
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_dump_json_writes_the_bytes_of_json_dump(tmp_path, indent):
+    obj = {"b": [0.1, 1e-300, -2.5, 3], "a": {"z": None, "y": "s", "x": [True, 1e16]}, "c": []}
+    path = tmp_path / "obj.json"
+    _dump_json(obj, path, indent=indent)
+    with open(tmp_path / "want.json", "w") as fh:
+        separators = (",", ":") if indent is None else None
+        json.dump(obj, fh, sort_keys=True, indent=indent, separators=separators)
+    assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 def test_fit_record_holds_law_time_and_lloyd_steps(bellman_run):
     fit = json.loads((bellman_run / "manifest.json").read_text())["stages"]["fit"]
     assert 0.0 <= fit["laws_s"] <= fit["seconds"]
@@ -370,17 +414,17 @@ def test_interrupted_write_keeps_the_previous_file(bellman_run, monkeypatch):
     # a JSON artifact, then the manifest, which is written last
     monkeypatch.undo()
     stage_report(CFG, bellman_run)
-    real_dump = json.dump
+    real_write = Path.write_text
     for name in ("report.json", "manifest.json"):
         before = {p.name: p.read_bytes() for p in bellman_run.iterdir()}
 
-        def broken_dump(obj, fh, **kw):
-            if name in fh.name:
-                fh.write("partial")
+        def broken_write(path, text, *args, **kw):
+            if name in path.name:
+                real_write(path, "partial")
                 raise OSError("disk full")
-            real_dump(obj, fh, **kw)
+            return real_write(path, text, *args, **kw)
 
-        monkeypatch.setattr(json, "dump", broken_dump)
+        monkeypatch.setattr(Path, "write_text", broken_write)
         with pytest.raises(OSError, match="disk full"):
             stage_report(CFG, bellman_run)
         monkeypatch.undo()

@@ -42,7 +42,6 @@ from twoscale.policy import (
     simulate_policy,
 )
 from twoscale.slowscale import (
-    day_continuation,
     price_bellman_recursion,
     renewal_states,
     resource_bellman_recursion,
@@ -54,15 +53,14 @@ from conftest import (
     N_CONTROLS,
     N_SOC,
     _dense_resource_objective,
+    _ref_continuation,
+    law_table,
     point_laws,
+    point_table,
     small_battery_config,
 )
 
 ATOMS = (10.0, -8.0, 6.0, 12.0)
-
-
-def point(v):
-    return DiscreteDist(np.array([float(v)]), np.array([1.0]))
 
 
 def make_world(price, netload_atoms=ATOMS, D=D_SMALL):
@@ -73,7 +71,7 @@ def make_world(price, netload_atoms=ATOMS, D=D_SMALL):
     pi_grid = np.array([0.0, 0.05, 0.10])
     h_grid = np.linspace(0.0, 200.0, 5)
     classmap = build_periodicity_classes(D, 1)
-    price_laws = [point(price)] * (D + 1)
+    price_laws = point_table(price, D + 1)
     rtab = compute_resource_intraday(
         1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
@@ -121,7 +119,7 @@ def two_sizes():
     h_grid = np.linspace(0.0, 400.0, 9)
     classmap = build_periodicity_classes(D, 1)
     law = DiscreteDist(np.array([0.001, 0.01]), np.array([0.5, 0.5]))
-    price_laws = [law] * (D + 1)
+    price_laws = law_table([law] * (D + 1))
     rtab = compute_resource_intraday(
         1, cfg, slot_laws, c_grid, np.linspace(0.0, 100.0, 5), n_soc=N_SOC, n_controls=N_CONTROLS
     )
@@ -146,7 +144,7 @@ def two_sizes():
 
 def test_select_price_no_battery_ties_to_zero(dear):
     pi = select_price(
-        0.0, 0.0, 0, dear["ptab"], dear["lower"], dear["price_laws"][0], dear["cfg"]
+        0.0, 0.0, 0, dear["ptab"], dear["lower"], dear["price_laws"], dear["cfg"]
     )
     assert pi == 0.0
 
@@ -162,14 +160,14 @@ def test_select_price_single_point_grid(dear):
         {1: ptab1}, classmap, dear["price_laws"], cfg,
         np.linspace(0.0, 200.0, 5), np.array([0.0, 50.0]), D_SMALL,
     )
-    pi = select_price(100.0, 50.0, 0, ptab1, lower, dear["price_laws"][0], cfg)
+    pi = select_price(100.0, 50.0, 0, ptab1, lower, dear["price_laws"], cfg)
     assert pi == 0.07
 
 
 def test_select_resource_constant_row_keeps_health(dear):
     # at c = 0 the intraday row is flat in the budget: tie rule keeps all health
     target = select_resource(
-        100.0, 0.0, 0, dear["rtab"], dear["upper"], dear["price_laws"][0], dear["cfg"]
+        100.0, 0.0, 0, dear["rtab"], dear["upper"], dear["price_laws"], dear["cfg"]
     )
     assert target == 100.0
 
@@ -178,7 +176,7 @@ def test_select_resource_last_day_uses_max_aging(cheap):
     # K = 0 and last day: any aging is free, strictly decreasing row spends it
     D = cheap["D"]
     target = select_resource(
-        200.0, 50.0, D, cheap["rtab"], cheap["upper"], cheap["price_laws"][D], cheap["cfg"]
+        200.0, 50.0, D, cheap["rtab"], cheap["upper"], cheap["price_laws"], cheap["cfg"]
     )
     row = cheap["rtab"].table.values[1, :]
     assert np.all(np.diff(row) <= 1e-9)
@@ -194,7 +192,7 @@ def test_select_at_one_capacity_per_health_equals_scalar_calls(two_sizes, select
     h = np.array([0.0, 0.0, 130.0, 200.0, 60.0, 400.0, 275.0])
     c = np.array([0.0, 50.0, 50.0, 50.0, 100.0, 100.0, 100.0])
     for d in range(w["D"] + 1):
-        args = (d, tab, values, w["price_laws"][d], w["cfg"])
+        args = (d, tab, values, w["price_laws"], w["cfg"])
         many = select(h, c, *args)
         alone = [select(float(hs), float(cs), *args) for hs, cs in zip(h, c)]
         assert many.tolist() == alone, d
@@ -202,12 +200,13 @@ def test_select_at_one_capacity_per_health_equals_scalar_calls(two_sizes, select
         assert select(h[4:], 100.0, *args).tolist() == alone[4:], d
 
 
-def _dense_first_argmin(h, c, d, table, values, price_law, cfg):
+def _dense_first_argmin(h, c, d, table, values, price_laws, cfg):
     """Per health value, the budget at the first argmin of the dense
     resource objective over the whole day axis, and the health target it
     leaves."""
     h_grid, c_grid = values.grid.axes
-    cont = day_continuation(values.values[d + 1], price_law, cfg, renewal_states(h_grid, c_grid, cfg))
+    law = DiscreteDist(price_laws.support[d], price_laws.probs[d])
+    cont = _ref_continuation(values.values[d + 1], law, cfg, renewal_states(h_grid, c_grid, cfg))
     dh = []
     for hv, cv in zip(h, c):
         ci = [int(np.searchsorted(c_grid, cv))]
@@ -230,7 +229,7 @@ def test_select_resource_equals_the_dense_first_argmin(request, world):
     # one capacity for every health value, or the capacities taken in turn
     for c in [np.full(len(h), cv) for cv in c_grid] + [np.resize(c_grid, len(h))]:
         for d in range(w["D"] + 1):
-            args = (d, tab, values, w["price_laws"][d], w["cfg"])
+            args = (d, tab, values, w["price_laws"], w["cfg"])
             dh, target = _dense_first_argmin(h, c, *args)
             assert _best_on_axis(h, c, *args).tolist() == dh, (c, d)
             assert select_resource(h, c, *args).tolist() == target, (c, d)

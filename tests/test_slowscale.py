@@ -3,6 +3,7 @@ recursions and the gap report."""
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,18 +20,18 @@ from twoscale.intraday import (
     compute_resource_intraday,
 )
 from twoscale.oracle import TinyProblem, flat_dp_solve
-from twoscale.pipeline import _load_fit, _load_tables, stage_fit, stage_intraday
+from twoscale.pipeline import (
+    _dist_from_jsonable, _load_json, _load_tables, stage_fit, stage_intraday,
+)
 from twoscale.slowscale import (
+    DayObjective,
     SlowValueSeq,
     _bellman_recursion,
     _expect,
-    _interp_apply,
-    _interp_plan,
+    _Interp,
     block_bellman_solve,
     check_sandwich,
     day_continuation,
-    day_objective,
-    day_plan,
     generic_price_recursion,
     generic_resource_recursion,
     price_bellman_recursion,
@@ -38,7 +39,17 @@ from twoscale.slowscale import (
     resource_bellman_recursion,
 )
 
-from conftest import CRITERION_10, N_SOC, _dense_resource_objective, small_battery_config
+from conftest import (
+    CRITERION_10,
+    N_SOC,
+    _dense_resource_objective,
+    _ref_continuation,
+    _ref_expect,
+    _ref_price_objective,
+    law_table,
+    point_table,
+    small_battery_config,
+)
 
 
 def point(v):
@@ -158,7 +169,7 @@ def battery_seqs(world, gamma=None, renewal_grid=None, D=None, price=0.05):
         cfg = small_battery_config(**kw)
     D = world["D"] if D is None else D
     classmap = build_periodicity_classes(D, 1)
-    price_laws = [point(price)] * (D + 1)
+    price_laws = point_table(price, D + 1)
     upper = resource_bellman_recursion(
         {1: world["rtab"]}, classmap, price_laws, cfg, world["h_grid"], world["c_grid"], D
     )
@@ -225,14 +236,19 @@ def test_renewal_values_mapping():
     renewal = renewal_states(h_grid, c_grid, cfg)
     assert [a.tolist() for a in renewal] == [[50.0], [2], [1]]  # fresh state (200, 50)
     vnext = np.arange(6, dtype=float).reshape(3, 2)
-    law = DiscreteDist(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.0, 0.5]))
-    disc, probs, best_buy = day_continuation(vnext, law, cfg, renewal)
-    assert disc.tobytes() == (0.99 * vnext).tobytes()
-    assert probs.tolist() == [0.5, 0.5]  # zero-probability atoms skipped
-    assert best_buy.tolist() == [p * 50.0 + 0.99 * vnext[2, 1] for p in (0.1, 0.3)]
+    support, probs = np.array([0.1, 0.2, 0.3]), [0.5, 0.0, 0.5]
+    by_size = support[:, None] * renewal[0]
+    disc = np.empty((2, 3))
+    atoms = day_continuation(vnext, by_size, probs, cfg.gamma, renewal, disc)
+    # over (c, h), with the bytes of gamma * vnext
+    assert disc.T.tobytes(order="C") == (0.99 * vnext).tobytes()
+    assert [p for p, _ in atoms] == [0.5, 0.5]  # zero-probability atoms skipped
+    assert [b for _, b in atoms] == [p * 50.0 + 0.99 * vnext[2, 1] for p in (0.1, 0.3)]
     none = small_battery_config(renewal_grid=(0.0,))
-    _, _, no_buy = day_continuation(vnext, law, none, renewal_states(h_grid, c_grid, none))
-    assert no_buy.tolist() == [INF, INF]
+    nothing = renewal_states(h_grid, c_grid, none)
+    by_none = support[:, None] * nothing[0]
+    no_buy = day_continuation(vnext, by_none, probs, none.gamma, nothing, disc)
+    assert [b for _, b in no_buy] == [INF, INF]
 
 
 def test_renewal_values_require_on_grid_states():
@@ -252,26 +268,20 @@ def test_interp_matches_np_interp_bit_for_bit():
             fp[rng.random(fp.shape) < 0.1] = v
         axis = np.concatenate([rng.choice(xp, 3), rng.uniform(-50.0, 900.0, 4)])
         x = np.maximum(xp[:, None] - axis[None, :], 0.0) + rng.choice([0.0, -10.0, 1000.0])
-        got = _interp_apply(_interp_plan(x, xp), fp)
-        for f, g in zip(fp, got):
+        # every row, and the last two rows read in reverse order
+        for rows in (np.arange(3), np.array([2, 1])):
             with np.errstate(invalid="ignore"):
-                assert g.tobytes() == np.interp(x, xp, f).tobytes()
-
-
-def _expect_loop(keep, probs, best_buy):
-    """The expected continuation summed one price atom at a time."""
-    out, term = np.zeros_like(keep), np.empty_like(keep)
-    for p, b in zip(probs, best_buy):
-        np.minimum(keep, b, out=term)
-        term *= p
-        out += term
-    return out
+                got = _Interp(x, xp, rows, len(fp))(fp)
+            assert got.shape == (len(rows),) + x.shape
+            for f, g in zip(fp[rows], got):
+                with np.errstate(invalid="ignore"):
+                    assert g.tobytes() == np.interp(x, xp, f).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,), (3, 61), (61, 3), (3, 2000), (1, 7)])
 def test_expect_equals_the_loop_over_atoms_bit_for_bit(shape):
-    # up to 12 atoms; keep in C order and, for two axes, also as the
-    # transposed view the price recursion passes
+    # up to 12 atoms; keep in C order and, for two axes, also as a
+    # transposed view
     rng = np.random.default_rng(5)
     for _ in range(50):
         n_atoms = int(rng.integers(1, 13))
@@ -281,45 +291,64 @@ def test_expect_equals_the_loop_over_atoms_bit_for_bit(shape):
         best_buy[rng.random(n_atoms) < 0.2] = INF
         probs = rng.random(n_atoms) + 0.01
         probs /= probs.sum()
+        atoms = list(zip(probs.tolist(), best_buy.tolist()))
         for k in (keep, keep.T) if keep.ndim == 2 else (keep,):
-            got, want = _expect(k, probs, best_buy), _expect_loop(k, probs, best_buy)
-            assert got.shape == k.shape
+            out, term = np.empty(k.shape), np.empty(k.shape)
+            got, want = _expect(k, atoms, out, term), _ref_expect(k, probs, best_buy)
+            assert got is out and got.shape == k.shape
             assert got.tobytes() == want.tobytes()
 
 
 def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_grid, D):
-    """Reference battery recursion: one objective per capacity index, the
-    dense unpacked one for resource, reduced over the whole day axis."""
+    """Reference battery recursion, the day step as it was before it was
+    made lean: one DiscreteDist of ``price_laws`` per day, one objective per
+    capacity index, the dense unpacked one for resource, reduced over the
+    whole day axis."""
     renewal = renewal_states(h_grid, c_grid, cfg)
     values = np.empty((D + 2, len(h_grid), len(c_grid)))
     values[D + 1] = 0.0
     for d in range(D, -1, -1):
         table = tables[int(classmap.day_to_class[d])]
-        cont = day_continuation(values[d + 1], price_laws[d], cfg, renewal)
+        cont = _ref_continuation(values[d + 1], price_laws[d], cfg, renewal)
         for ci in range(len(c_grid)):
             if dec.budget_axis:
                 obj = _dense_resource_objective(table, h_grid, h_grid, FEAS_TOL, [ci], cont)
                 values[d, :, ci] = np.minimum.reduce(obj[0], axis=1)
             else:
-                obj = day_objective(table, day_plan(table, h_grid, h_grid, FEAS_TOL), [ci], cont)
+                obj = _ref_price_objective(table, h_grid, h_grid, [ci], cont)
                 values[d, :, ci] = np.maximum.reduce(obj[0], axis=1)
     return values
 
 
-@pytest.fixture(scope="module")
-def criterion_10_world(tmp_path_factory):
-    cfg = CRITERION_10
-    out = tmp_path_factory.mktemp("criterion_10")
+def _pipeline_world(cfg, out):
+    """The intraday tables of a pipeline run and its recursion arguments
+    with the price laws as the fit wrote them, a list of DiscreteDist."""
     stage_fit(cfg, out)
     stage_intraday(cfg, out)
-    _, price_laws = _load_fit(cfg, out)
+    laws = [_dist_from_jsonable(o) for o in _load_json(out / "price_laws.json")]
     tables = {dec: _load_tables(cfg, out, dec) for dec in (RESOURCE, PRICE)}
-    args = (cfg.classmap, price_laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
+    args = (cfg.classmap, laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
+    return tables, args
+
+
+@pytest.fixture(scope="module")
+def criterion_10_world(tmp_path_factory):
+    return _pipeline_world(CRITERION_10, tmp_path_factory.mktemp("criterion_10"))
+
+
+@pytest.fixture(scope="module")
+def merged_atoms_world(tmp_path_factory):
+    """Criterion 10 with a battery price low enough that the floor merges
+    two of its five atoms from day 13 on: a ragged (days, atoms) table."""
+    cfg = dataclasses.replace(CRITERION_10, price_forecast=(0.032, 0.001), price_atoms=5)
+    tables, args = _pipeline_world(cfg, tmp_path_factory.mktemp("merged"))
+    sizes = [len(law) for law in args[1]]
+    assert sizes[:13] == [5] * 13 and sizes[13:] == [4] * (len(sizes) - 13)
     return tables, args
 
 
 @pytest.mark.parametrize("dec", [RESOURCE, PRICE], ids=lambda dec: dec.mode)
-@pytest.mark.parametrize("world", ["small_world", "criterion_10_world"])
+@pytest.mark.parametrize("world", ["small_world", "criterion_10_world", "merged_atoms_world"])
 def test_recursion_equals_per_capacity_loop_bit_for_bit(request, world, dec):
     if world == "small_world":
         w = request.getfixturevalue(world)
@@ -330,7 +359,8 @@ def test_recursion_equals_per_capacity_loop_bit_for_bit(request, world, dec):
     else:
         all_tables, args = request.getfixturevalue(world)
         tables = all_tables[dec]
-    seq = _bellman_recursion(dec, tables, *args)
+    classmap, laws, *rest = args
+    seq = _bellman_recursion(dec, tables, classmap, law_table(laws), *rest)
     want = _per_capacity_recursion(dec, tables, *args)
     assert seq.kind == dec.kind
     assert seq.values.tobytes() == want.tobytes()
@@ -348,14 +378,14 @@ def test_resource_recursion_retries_interpolation_on_infinite_values(small_world
     retried = []
     retry = slowscale._interp_retry
 
-    def counting_retry(plan, fp, slope, f0, out):
+    def counting_retry(interp, fp, out):
         retried.append(int(np.isnan(out).sum()))
-        return retry(plan, fp, slope, f0, out)
+        return retry(interp, fp, out)
 
     monkeypatch.setattr(slowscale, "_interp_retry", counting_retry)
-    args = (w["classmap"], [point(0.05)] * (w["D"] + 1), w["cfg"],
-            w["h_grid"], w["c_grid"], w["D"])
-    seq = _bellman_recursion(RESOURCE, {1: rtab}, *args)
+    laws = [point(0.05)] * (w["D"] + 1)
+    args = (w["classmap"], laws, w["cfg"], w["h_grid"], w["c_grid"], w["D"])
+    seq = _bellman_recursion(RESOURCE, {1: rtab}, w["classmap"], law_table(laws), *args[2:])
     assert sum(retried) > 0
     assert np.isposinf(seq.values[:-1, 0, 1:]).all() and not np.isnan(seq.values).any()
     want = _per_capacity_recursion(RESOURCE, {1: rtab}, *args)
@@ -385,13 +415,17 @@ def test_rows_without_a_feasible_budget_read_inf(small_world, h):
     table = _shifted_table(w["rtab"], 30.0)
     renewal = renewal_states(w["h_grid"], w["c_grid"], w["cfg"])
     vnext = np.random.default_rng(3).uniform(0.0, 50.0, (len(w["h_grid"]), len(w["c_grid"])))
-    cont = day_continuation(vnext, point(0.05), w["cfg"], renewal)
-    plan = day_plan(table, h, w["h_grid"], FEAS_TOL)
-    obj = day_objective(table, plan, slice(None), cont)
+    disc = np.empty((len(w["c_grid"]), len(w["h_grid"])))
+    by_size = 0.05 * renewal[0][None, :]
+    atoms = day_continuation(vnext, by_size, [1.0], w["cfg"].gamma, renewal, disc)
+    objective = DayObjective(table, h, w["h_grid"], FEAS_TOL)
+    obj = objective(disc, atoms)
+    cont = _ref_continuation(vnext, point(0.05), w["cfg"], renewal)
     dense = _dense_resource_objective(table, h, w["h_grid"], FEAS_TOL, slice(None), cont)
     assert obj.shape == (len(w["c_grid"]), np.count_nonzero(np.isfinite(dense[0])))
-    assert plan.unpack(obj).tobytes() == dense.tobytes()
-    got, want = plan.reduce(obj), np.minimum.reduce(dense, axis=2)
+    assert objective.unpack(obj).tobytes() == dense.tobytes()
+    got = objective.reduce(obj, np.empty((len(w["c_grid"]), len(h))))
+    want = np.minimum.reduce(dense, axis=2)
     assert np.isposinf(got[:, np.asarray(h) < 30.0]).all()
     assert got.tobytes() == want.tobytes()
 
@@ -399,9 +433,9 @@ def test_rows_without_a_feasible_budget_read_inf(small_world, h):
 def test_resource_recursion_with_empty_budget_rows_equals_dense_reference(small_world):
     w = small_world
     table = _shifted_table(w["rtab"], 30.0)
-    args = (w["classmap"], [point(0.05)] * (w["D"] + 1), w["cfg"],
-            w["h_grid"], w["c_grid"], w["D"])
-    seq = _bellman_recursion(RESOURCE, {1: table}, *args)
+    laws = [point(0.05)] * (w["D"] + 1)
+    args = (w["classmap"], laws, w["cfg"], w["h_grid"], w["c_grid"], w["D"])
+    seq = _bellman_recursion(RESOURCE, {1: table}, w["classmap"], law_table(laws), *args[2:])
     assert np.isposinf(seq.values[:-1, 0]).all() and np.isfinite(seq.values[:, 1:]).all()
     assert seq.values.tobytes() == _per_capacity_recursion(RESOURCE, {1: table}, *args).tobytes()
 
@@ -409,7 +443,7 @@ def test_resource_recursion_with_empty_budget_rows_equals_dense_reference(small_
 def test_day_plan_packs_the_feasible_pairs_row_by_row(small_world):
     w = small_world
     h = np.array([200.0, 0.0, 60.0, -1.0, 100.0 - 1e-12])
-    plan = day_plan(w["rtab"], h, w["h_grid"], FEAS_TOL)
+    plan = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL)
     # dh in (0, 25, 50, 75, 100); h = 100 - 1e-12 affords dh = 100 within the tolerance
     assert plan.shape == (5, 5)
     assert plan.hi.tolist() == [0] * 5 + [1] + [2] * 3 + [4] * 5
@@ -417,6 +451,10 @@ def test_day_plan_packs_the_feasible_pairs_row_by_row(small_world):
     assert plan.starts.tolist() == [0, 5, 6, 9, 9]
     assert plan.filled.tolist() == [True, True, True, False, True]
     assert plan.ell.tobytes() == w["rtab"].table.values[:, plan.ai].tobytes()
+    # on a subset of the capacities, in the order given
+    assert DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1]).ell.tobytes() == (
+        w["rtab"].table.values[[1]][:, plan.ai].tobytes()
+    )
 
 
 # ---------------------------------------------------------------- gap report
