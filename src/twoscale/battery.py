@@ -27,6 +27,8 @@ from .core import DiscreteDist, LawTable
 OFF_PEAK_RATE = 0.0255
 SHOULDER_RATE = 0.0644
 PEAK_RATE = 0.2485
+# Lloyd steps of kmeans_1d before it stops unconverged
+KMEANS_MAX_ITER = 200
 
 
 def tariff_for_slots(n_slots: int) -> tuple:
@@ -175,7 +177,7 @@ class ScenarioSet:
         return self.netload.shape[2]
 
 
-def kmeans_1d(data: np.ndarray, k: int, max_iter: int = 200) -> DiscreteDist:
+def kmeans_1d(data: np.ndarray, k: int) -> DiscreteDist:
     """Deterministic 1-D Lloyd clustering; atoms are centroids, probs are shares.
 
     Centroids are seeded at evenly spaced quantiles.  An emptied cluster is
@@ -199,10 +201,10 @@ def kmeans_1d(data: np.ndarray, k: int, max_iter: int = 200) -> DiscreteDist:
 
     The laws are therefore those of the dense Lloyd loop, bit for bit.
     """
-    return _kmeans_1d(data, k, max_iter)[0]
+    return _kmeans_1d(data, k)[0]
 
 
-def _kmeans_1d(data, k: int, max_iter: int = 200) -> tuple[DiscreteDist, int]:
+def _kmeans_1d(data, k: int) -> tuple[DiscreteDist, int]:
     """:func:`kmeans_1d` and the number of Lloyd steps it took."""
     data = np.asarray(data, dtype=float).ravel()
     if k < 1:
@@ -218,7 +220,7 @@ def _kmeans_1d(data, k: int, max_iter: int = 200) -> tuple[DiscreteDist, int]:
     label_type = np.min_scalar_type(k - 1)
     centers = np.quantile(xs, (np.arange(k) + 0.5) / k)
     assign, steps = None, 0
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, KMEANS_MAX_ITER + 1):
         if (centers[1:] - centers[:-1] > min_gap).all():
             edges = _interval_edges(xs, centers)
             counts = edges[1:] - edges[:-1]

@@ -36,12 +36,12 @@ def _common(func):
     return func
 
 
-def _run_stage(stage_fn, config_path, out, seed, threads, scenarios, **kw):
+def _run_stage(stage_fn, config_path, out, seed, threads, scenarios):
     given = {"seed": seed, "threads": threads, "scenarios": scenarios}
     try:
         cfg = RunConfig.from_json(config_path) if config_path else RunConfig()
         cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
-        info = stage_fn(cfg, Path(out), **kw)
+        info = stage_fn(cfg, Path(out))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -72,7 +72,6 @@ def intraday(**opts):
 
 @main.command()
 @_common
-@click.option("--mode", type=click.Choice(["price", "resource", "both"]), default="both")
 def bellman(**opts):
     """Run the slow-scale bound recursions."""
     _run_stage(pipeline.stage_bellman, **opts)
@@ -80,7 +79,6 @@ def bellman(**opts):
 
 @main.command()
 @_common
-@click.option("--mode", type=click.Choice(["price", "resource", "both"]), default="both")
 def simulate(**opts):
     """Monte Carlo policy simulation on white-noise scenarios."""
     _run_stage(pipeline.stage_simulate, **opts)

@@ -39,6 +39,21 @@ UPSTREAM = {
 }
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# per declared field type, the values it admits and how a message names them;
+# the JSON types only, so that every record's inputs can be written
+FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_real, "a number"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
+              "a flat list of numbers"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every key of a run, checked at construction; ``classmap`` (not a key)
@@ -75,6 +90,13 @@ class RunConfig:
     netload_base_kw: float = 40.0
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            admits, kind = FIELD_TYPES[field.type]
+            value = getattr(self, field.name)
+            if not admits(value):
+                raise ConfigError(f"{field.name} must be {kind}, not {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, field.name, tuple(value))
         if self.D < 0 or self.n_slots < 1 or self.scenarios < 1 or self.fit_scenarios < 1:
             raise ConfigError("D, n_slots, scenarios and fit_scenarios must be positive")
         if self.c_step <= 0 or self.c_max <= 0 or self.dh_cap <= 0:
@@ -124,13 +146,7 @@ class RunConfig:
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        clean = {
-            k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()
-        }
-        try:
-            return cls(**clean)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**obj)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

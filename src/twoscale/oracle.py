@@ -267,7 +267,7 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
     for i in range(n_instances):
         p = random_tiny_problem(seed + i)
         flat = flat_dp_solve(p)
-        block = block_bellman_solve(p, inequality=p.inequality).values[0]
+        block = block_bellman_solve(p).values[0]
         if np.max(np.abs(flat - block)) > 1e-9:
             ok, detail = False, f"seed {seed + i}: max err {np.max(np.abs(flat - block))}"
             break

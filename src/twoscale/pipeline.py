@@ -132,20 +132,10 @@ def _open_stage(out: Path, cfg: RunConfig, stage: str) -> dict:
 
 
 def _close_stage(out: Path, stage: str, inputs: dict, info: dict, t0: float) -> dict:
-    """Record a stage begun at perf_counter ``t0``, its artifacts in place.
-    A record of the same inputs keeps what the new run does not replace,
-    such as the other mode's entries of a stage run for one mode; the
-    ``mode`` of a stage run for one mode after another is "both".  Returns
-    the recorded info."""
+    """Record a stage begun at perf_counter ``t0``, its artifacts in place,
+    in place of any earlier record of it.  Returns ``info``."""
     manifest = load_manifest(out)
     seconds = round(time.perf_counter() - t0, 3)
-    old = manifest["stages"].get(stage, {})
-    if old.get("inputs") == inputs:
-        merged = {k: v for k, v in old.items() if k not in ("inputs", "seconds")}
-        merged.update(info)
-        if old.get("mode", info.get("mode")) != info.get("mode"):
-            merged["mode"] = "both"
-        info = merged
     manifest["stages"][stage] = {**info, "inputs": inputs, "seconds": seconds}
     manifest["metadata"]["timestamps"][stage] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _dump_json(manifest, out / "manifest.json", indent=1)
@@ -235,11 +225,6 @@ def _cell_job(args):
     t0 = time.perf_counter()
     cell = _fast_cell(*args)
     return cell, time.perf_counter() - t0
-
-
-def _chosen(mode: str) -> list:
-    """The decompositions a stage's ``mode`` (price, resource or both) runs."""
-    return [dec for dec in DECOMPOSITIONS if mode in (dec.mode, "both")]
 
 
 def _intraday_path(out: Path, dec) -> Path:
@@ -337,7 +322,7 @@ def _bellman_path(out: Path, dec) -> Path:
     return out / f"bellman_{dec.letter}.npz"
 
 
-def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
+def stage_bellman(cfg: RunConfig, out: Path) -> dict:
     """Backward slow-scale recursions; writes one value-function file per
     decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
     and ``c`` and the values of every day, shape (D+2, len(h), len(c)).  The
@@ -350,8 +335,8 @@ def stage_bellman(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     bat = cfg.battery_config()
     h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
     recursions = {PRICE: price_bellman_recursion, RESOURCE: resource_bellman_recursion}
-    info = {"mode": mode, "days": cfg.D + 1}
-    for dec in _chosen(mode):
+    info = {"days": cfg.D + 1}
+    for dec in DECOMPOSITIONS:
         tables = _load_tables(cfg, out, dec)
         t_rec = time.perf_counter()
         seq = recursions[dec](tables, cfg.classmap, price_laws, bat, h_grid, c_grid, cfg.D)
@@ -387,18 +372,18 @@ def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
     return SlowValueSeq(kind, Grid([h, c]), values)
 
 
-def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
-    """White-noise Monte Carlo replay of the synthesized policies, every mode
+def stage_simulate(cfg: RunConfig, out: Path) -> dict:
+    """White-noise Monte Carlo replay of the synthesized policies, both modes
     in one :func:`~twoscale.policy.simulate_policies` call.  The record holds
     the wall times of the scenario draw (``resample_s``) and of the replay
     (``replay_s``), and per mode the mean, stderr, scenario-days, clamps,
     renewals per scenario-year, the slots that fell back from an all-+inf
     table row (inf_fallbacks), the share of battery-days that start with
     soc > 0 (soc_carry_share) and the mean's stderrs above the lower bound
-    (z_lower).  Returns the entries of the modes replayed."""
+    at the origin, read off ``bellman_P.npz`` (z_lower).  Returns the
+    entries by mode."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "simulate")
-    lower = load_manifest(out)["stages"]["bellman"].get("lower_at_origin")
     laws, price_laws = _load_fit(cfg, out)
     bat = cfg.battery_config()
     t_draw = time.perf_counter()
@@ -406,8 +391,9 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
     info = {"resample_s": round(time.perf_counter() - t_draw, 3)}
     runs = {
         dec.mode: (_load_tables(cfg, out, dec, with_fast=True), load_value_seq(cfg, out, dec.kind))
-        for dec in _chosen(mode)
+        for dec in DECOMPOSITIONS
     }
+    lower = float(runs[PRICE.mode][1].values[0, 0, 0])
     t_replay = time.perf_counter()
     results = simulate_policies(scen, runs, price_laws, cfg.classmap, bat)
     info["replay_s"] = round(time.perf_counter() - t_replay, 3)
@@ -437,16 +423,9 @@ def stage_simulate(cfg: RunConfig, out: Path, mode: str = "both") -> dict:
             inf_fallbacks=sum(rec.inf_fallbacks for rec in records),
             soc_carry_share=carried / max(int(np.count_nonzero(owned)), 1),
         )
-    # a mode replayed earlier on these inputs is kept, and scored against
-    # today's lower bound too: a price bellman run may have set it since
-    kept = load_manifest(out)["stages"].get("simulate", {})
-    for m in [m for m in ("price", "resource") if m in info or m in kept]:
-        entry = {k: v for k, v in info.get(m, kept.get(m)).items() if k != "z_lower"}
-        if lower is not None and entry["stderr"] > 0.0:
-            entry["z_lower"] = (entry["mean"] - lower) / entry["stderr"]
-        info[m] = entry
+        if stats.stderr > 0.0:
+            info[m]["z_lower"] = (stats.mean - lower) / stats.stderr
     _close_stage(out, "simulate", inputs, info, t0)
-    # the statistics of the modes replayed now, one mode's per value
     return {m: info[m] for m in results}
 
 

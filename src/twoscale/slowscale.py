@@ -34,6 +34,9 @@ from .intraday import solve_fast_dp
 # values per bound in one block of days of check_sandwich: 256 KB per
 # temporary, whose few live ones then total about 1 MB
 SANDWICH_BLOCK = 1 << 15
+# check_sandwich counts a violation where lower exceeds upper by more than
+# this share of max(|lower|, 1e-9)
+SANDWICH_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,22 +363,20 @@ def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
     return _backward("price-lower", grid, problem.final_cost, problem.D, day)
 
 
-def block_bellman_solve(problem, inequality: bool = False) -> SlowValueSeq:
+def block_bellman_solve(problem) -> SlowValueSeq:
     """Exact slow-scale value by time blocks: one fast DP per day, chained
     through the day boundary (identity, or a relaxation picking the cheapest
-    dominated state when the dynamics are inequalities)."""
+    dominated state when the problem's dynamics are inequalities)."""
     grid = Grid([problem.states])
 
     def day(d, vnext, out):
-        boundary = np.minimum.accumulate(vnext) if inequality else vnext
+        boundary = np.minimum.accumulate(vnext) if problem.inequality else vnext
         out[...] = solve_fast_dp(problem.day_model(d), GridValueFn(grid, boundary)).values[0].values
 
     return _backward("exact-oracle", grid, problem.final_cost, problem.D, day)
 
 
-def check_sandwich(
-    lower: SlowValueSeq, upper: SlowValueSeq, x0, tol: float = 1e-6
-) -> BoundReport:
+def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
     """Per-day gap report; flags grid points where lower exceeds upper.
 
     Both sequences must lie on one grid, so x0 is located on it once.  The
@@ -400,8 +401,8 @@ def check_sandwich(
         rel = uv - lv
         rel /= denom
         max_rel[days] = rel.reshape(len(rel), -1).max(axis=1)
-        # denom becomes uv + tol * denom
-        denom *= tol
+        # denom becomes uv + SANDWICH_TOL * denom
+        denom *= SANDWICH_TOL
         denom += uv
         violations += int(np.count_nonzero(lv > denom))
         lo0[days], up0[days] = _blend_days(lv, corners), _blend_days(uv, corners)

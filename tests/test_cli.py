@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from twoscale import pipeline
 from twoscale.cli import main
 
 TINY = {
@@ -165,9 +166,10 @@ def test_rerun_stage_drops_the_records_downstream(runner, tmp_path):
 def test_report_without_the_resource_bound_exit_code(runner, tmp_path):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "r"
-    for args in (["fit"], ["intraday"], ["bellman", "--mode", "price"]):
-        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
-        assert res.exit_code == 0, f"{args}: {res.output}"
+    for stage in ("fit", "intraday", "bellman"):
+        res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+    (out / "bellman_R.npz").unlink()
     res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 3
     assert "bellman_R.npz" in res.output
@@ -366,7 +368,7 @@ def test_scenarios_override_keeps_the_config_hash(runner, tmp_path):
     for stage in ("fit", "intraday", "bellman"):
         res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, f"{stage}: {res.output}"
-    args = ["simulate", "--config", cfg, "--out", str(out), "--mode", "price"]
+    args = ["simulate", "--config", cfg, "--out", str(out)]
     res = runner.invoke(main, args + ["--scenarios", "7"])
     assert res.exit_code == 0, res.output
     assert json.loads((out / "sim_price_stats.json").read_text())["scenarios"] == 7
@@ -378,11 +380,13 @@ def test_scenarios_override_keeps_the_config_hash(runner, tmp_path):
 
 
 def test_force_is_a_usage_error(runner, tmp_path):
+    # neither --force nor a per-stage --mode is an option any more
     cfg = write_config(tmp_path, TINY)
-    args = ["intraday", "--config", cfg, "--out", str(tmp_path / "r"), "--force"]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 2
-    assert "No such option" in res.output
+    for args in (["intraday", "--force"], ["bellman", "--mode", "price"],
+                 ["simulate", "--mode", "both"]):
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2, args
+        assert "No such option" in res.output, args
 
 
 def _run(runner, stages, cfg: str, out: Path) -> None:
@@ -425,17 +429,27 @@ def test_key_a_stage_reads_makes_the_next_stage_exit_code(runner, tmp_path, done
     assert _files(out) == before
 
 
-def test_partial_bellman_on_other_inputs_leaves_no_stale_bound(runner, tmp_path):
-    # bellman --mode price under another gamma must not leave the old upper
-    # bound beside the new lower one for report to read
+def test_partial_bellman_on_other_inputs_leaves_no_stale_bound(runner, tmp_path, monkeypatch):
+    # a bellman rerun under another gamma that fails after writing the new
+    # lower bound must not leave the old upper bound beside it for report
     out = tmp_path / "r"
     _run(runner, ("fit", "intraday", "bellman"), write_config(tmp_path, TINY), out)
     cfg = write_config(tmp_path, {**TINY, "gamma": 0.999})
-    res = runner.invoke(main, ["bellman", "--mode", "price", "--config", cfg, "--out", str(out)])
-    assert res.exit_code == 0, res.output
+
+    def fails_after_the_price_bound(*args):
+        assert (out / "bellman_P.npz").exists()
+        raise RuntimeError("resource recursion failed")
+
+    monkeypatch.setattr(pipeline, "resource_bellman_recursion", fails_after_the_price_bound)
+    res = runner.invoke(main, ["bellman", "--config", cfg, "--out", str(out)])
+    assert isinstance(res.exception, RuntimeError), res.output
+    monkeypatch.undo()
+    # the new lower bound is written, the old upper bound is gone and report
+    # stops on the missing bellman record before it reads either
+    assert (out / "bellman_P.npz").exists() and not (out / "bellman_R.npz").exists()
     res = runner.invoke(main, ["report", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 3, res.output
-    assert "bellman_R.npz" in res.output
+    assert "run the bellman stage" in res.output
 
 
 def _netload_csv(path: Path, value: float = 1.0) -> str:
@@ -479,6 +493,40 @@ def test_readme_options_are_cli_options():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     options = {opt for cmd in main.commands.values() for p in cmd.params for opt in p.opts}
     assert documented and documented <= options, sorted(documented - options)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"pi_values": 0.1},
+        {"D": 10.5},
+        {"fit_k": 2.0},
+        {"netload_csv": 5},
+        {"n_soc": 2.5},
+        {"pi_values": [[0.0], [0.1]]},
+        {"scenarios": True},
+        {"gamma": "0.999"},
+    ],
+)
+def test_badly_typed_key_rejected_at_load(runner, tmp_path, change):
+    cfg = write_config(tmp_path, {**TINY, **change})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    (key,) = change
+    assert f"config error: {key} must be" in res.output
+    assert not out.exists()
+
+
+def test_simulate_without_the_price_bound_exit_code(runner, tmp_path):
+    # simulate reads the lower bound of z_lower off bellman_P.npz
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    _run(runner, ("fit", "intraday", "bellman"), cfg, out)
+    (out / "bellman_P.npz").unlink()
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "bellman_P.npz" in res.output
 
 
 @pytest.mark.parametrize("pi_values", [[-0.1, 0.1], [0.1, 0.0]])

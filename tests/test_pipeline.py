@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import shutil
 from pathlib import Path
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twoscale import pipeline
 from twoscale.battery import _kmeans_1d, synthetic_netload_scenarios
-from twoscale.config import STAGE_KEYS, RunConfig
+from twoscale.config import STAGE_KEYS, ConfigError, RunConfig
 from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, compute_intraday
 from twoscale.pipeline import (
     HashMismatch,
@@ -113,16 +115,7 @@ def test_criterion_10_bellman_is_pinned(bellman_run):
             assert hashlib.sha256(npz["values"].tobytes()).hexdigest() == want, letter
 
 
-def _before_bellman(bellman_run, out):
-    """A copy of the bellman run whose manifest holds no bellman record."""
-    shutil.copytree(bellman_run, out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["stages"]["bellman"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    return out
-
-
-def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, bellman_run, tmp_path):
+def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run):
     stages = json.loads((simulate_run / "manifest.json").read_text())["stages"]
     lower = stages["bellman"]["lower_at_origin"]
     for mode in ("price", "resource"):
@@ -136,65 +129,11 @@ def test_simulate_record_counts_days_clamps_renewals_and_z(simulate_run, bellman
         assert rec["renewals_per_scenario_year"] == renewals / (n * (CFG.D + 1) / 365.0)
         assert stats["stderr"] > 0.0
         assert rec["z_lower"] == (stats["mean"] - lower) / stats["stderr"]
-    # with no lower bound recursed there is no z_lower: a bellman record
-    # made for the resource mode alone, from scratch
-    out = _before_bellman(bellman_run, tmp_path / "r")
-    stage_bellman(CFG, out, mode="resource")
-    info = stage_simulate(CFG, out, mode="resource")
-    assert "lower_at_origin" not in json.loads((out / "manifest.json").read_text())["stages"]["bellman"]
-    assert sorted(info) == ["resource"]
-    assert sorted(info["resource"]) == [
-        "clamps", "inf_fallbacks", "mean", "renewals_per_scenario_year", "scenario_days",
-        "soc_carry_share", "stderr",
-    ]
 
 
 def test_simulate_record_holds_the_draw_and_replay_times(simulate_run):
     rec = json.loads((simulate_run / "manifest.json").read_text())["stages"]["simulate"]
     assert 0.0 <= rec["resample_s"] and 0.0 < rec["replay_s"] <= rec["seconds"]
-
-
-def _timeless(record: dict) -> dict:
-    """A stage record without its wall times."""
-    return {
-        k: _timeless(v) if isinstance(v, dict) else v
-        for k, v in record.items() if k != "seconds" and not k.endswith("_s")
-    }
-
-
-def test_one_mode_after_the_other_records_what_both_modes_do(simulate_run, bellman_run, tmp_path):
-    # bellman, then simulate, each run for price and then for resource on
-    # the fit and intraday output, keep both modes' entries and files
-    out = _before_bellman(bellman_run, tmp_path / "split")
-    for stage in (stage_bellman, stage_simulate):
-        stage(CFG, out, mode="price")
-        stage(CFG, out, mode="resource")
-    split = json.loads((out / "manifest.json").read_text())["stages"]
-    both = json.loads((simulate_run / "manifest.json").read_text())["stages"]
-    for stage in ("bellman", "simulate"):
-        assert _timeless(split[stage]) == _timeless(both[stage]), stage
-    assert split["simulate"]["price"]["z_lower"] == both["simulate"]["price"]["z_lower"]
-    files = sorted(p.name for p in simulate_run.glob("*") if p.name != "manifest.json")
-    assert sorted(p.name for p in out.glob("*") if p.name != "manifest.json") == files
-    for name in files:
-        assert (out / name).read_bytes() == (simulate_run / name).read_bytes(), name
-
-
-def test_a_mode_replayed_before_the_lower_bound_is_scored_against_it(
-    simulate_run, bellman_run, tmp_path
-):
-    # resource is replayed before the price recursion sets the lower bound;
-    # the price replay after it scores the kept resource entry as well
-    out = _before_bellman(bellman_run, tmp_path / "late")
-    stage_bellman(CFG, out, mode="resource")
-    stage_simulate(CFG, out, mode="resource")
-    stage_bellman(CFG, out, mode="price")
-    info = stage_simulate(CFG, out, mode="price")
-    assert sorted(info) == ["price"]
-    late = json.loads((out / "manifest.json").read_text())["stages"]["simulate"]
-    both = json.loads((simulate_run / "manifest.json").read_text())["stages"]["simulate"]
-    assert _timeless(late) == _timeless(both)
-    assert late["resource"]["z_lower"] == both["resource"]["z_lower"]
 
 
 def test_simulate_record_counts_inf_fallbacks(simulate_run):
@@ -515,6 +454,26 @@ def test_every_key_but_threads_belongs_to_one_stage():
     listed = [key for keys in STAGE_KEYS.values() for key in keys]
     fields = {f.name for f in dataclasses.fields(RunConfig)} - {"threads"}
     assert sorted(listed) == sorted(fields)
+
+
+@pytest.mark.parametrize("change", [{"fit_k": np.int64(3)}, {"gamma": np.float32(0.99)}])
+def test_a_key_the_manifest_cannot_write_is_a_config_error(change):
+    # a numpy scalar would get through the fit's work and fail on the manifest write
+    (key,) = change
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        dataclasses.replace(CFG, **change)
+
+
+def test_every_stage_takes_only_the_config_and_the_output_directory():
+    # the CLI and perfbench both call a stage as stage_<name>(cfg, out)
+    stages = {name: fn for name, fn in vars(pipeline).items() if name.startswith("stage_")}
+    assert sorted(stages) == sorted(f"stage_{s}" for s in STAGE_KEYS)
+    for name, fn in stages.items():
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (arg, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+            for arg in ("cfg", "out")
+        ], name
 
 
 # another valid value, on CFG, of every key a stage after fit reads
