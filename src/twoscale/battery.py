@@ -282,18 +282,18 @@ def _interval_edges(xs: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def fit_netload_distributions(
-    scenarios: ScenarioSet, classmap, k: int
+    netload: np.ndarray, classmap, k: int
 ) -> tuple[dict[int, list[DiscreteDist]], int]:
-    """Per (periodicity class, slot) k-means laws from pooled observations,
-    and the number of Lloyd steps they took in all."""
-    day_class = classmap.day_to_class[: scenarios.n_days]
+    """Per (periodicity class, slot) k-means laws of a (scenarios, days, slots)
+    netload array, and the number of Lloyd steps they took in all."""
+    day_class = classmap.day_to_class[: netload.shape[1]]
     laws: dict[int, list[DiscreteDist]] = {}
     missing, steps = [], 0
     for cls in sorted(classmap.representatives):
         days = np.flatnonzero(day_class == cls)
         slot_laws = []
-        for m in range(scenarios.n_slots):
-            obs = scenarios.netload[:, days, m].ravel()
+        for m in range(netload.shape[2]):
+            obs = netload[:, days, m].ravel()
             if len(obs) < k:
                 missing.append((cls, m))
                 continue
@@ -412,11 +412,6 @@ def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int |
 def load_netload_csv(path, n_slots: int) -> np.ndarray:
     """Read `scenario,day,slot,netload_kwh` rows into an (n, days, slots) array."""
     return _load_dense_csv(path, ("scenario", "day", "slot"), "netload_kwh", (None, None, n_slots))
-
-
-def load_price_csv(path) -> np.ndarray:
-    """Read `scenario,day,price_usd_per_kwh` rows into an (n, days) array."""
-    return _load_dense_csv(path, ("scenario", "day"), "price_usd_per_kwh", (None, None))
 
 
 def white_noise_resample(

@@ -24,8 +24,7 @@ class ConfigError(ValueError):
 # the values of its own keys and of its upstream stages' (RunConfig.inputs).
 STAGE_KEYS = {
     "fit": ("D", "n_slots", "n_classes", "seed", "fit_scenarios", "fit_k", "netload_csv",
-            "price_csv", "netload_base_kw", "price_forecast", "price_sigma", "price_floor",
-            "price_atoms"),
+            "netload_base_kw", "price_forecast", "price_sigma", "price_floor", "price_atoms"),
     "intraday": ("c_step", "c_max", "n_soc", "n_controls", "dh_points", "dh_cap", "pi_values",
                  "charge_eff", "discharge_eff", "u_max", "soc_fraction"),
     "bellman": ("h_points", "gamma", "cycle_multiple"),
@@ -81,7 +80,6 @@ class RunConfig:
     price_floor: float = 0.01
     price_atoms: int = 5
     netload_csv: str | None = None
-    price_csv: str | None = None
     fit_scenarios: int = 5
     fit_k: int = 10
     seed: int = 1234
@@ -165,14 +163,15 @@ class RunConfig:
 
     def inputs(self, stage: str) -> dict:
         """What a record of ``stage`` is built from: the keys it and its upstream
-        stages read, in pipeline order, and the sha256 of each CSV named."""
+        stages read, in pipeline order, and the sha256 of a netload CSV named."""
         keys = self.to_dict()
         out = {k: keys[k] for s in UPSTREAM[stage] + (stage,) for k in STAGE_KEYS[s]}
-        for key in [k for k in ("netload_csv", "price_csv") if keys[k]]:
+        if self.netload_csv:
             try:
-                out[f"{key}_sha256"] = hashlib.sha256(Path(keys[key]).read_bytes()).hexdigest()
+                digest = hashlib.sha256(Path(self.netload_csv).read_bytes()).hexdigest()
             except OSError as exc:
-                raise ConfigError(f"cannot read {key} {keys[key]}: {exc}") from exc
+                raise ConfigError(f"cannot read netload_csv {self.netload_csv}: {exc}") from exc
+            out["netload_csv_sha256"] = digest
         return out
 
     # derived grids

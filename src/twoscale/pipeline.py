@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,12 +23,9 @@ import numpy as np
 
 from .core import DiscreteDist, Grid, GridValueFn, LawTable
 from .battery import (
-    ScenarioSet,
     battery_price_laws,
     fit_netload_distributions,
-    interp_price_forecast,
     load_netload_csv,
-    load_price_csv,
     synthetic_netload_scenarios,
     white_noise_resample,
 )
@@ -63,7 +61,7 @@ class HashMismatch(RuntimeError):
 
 # the files each stage writes, as glob patterns in the output directory
 OUTPUTS = {
-    "fit": ("*_laws.json",), "intraday": ("intraday_*.npz",), "bellman": ("bellman_*.npz",),
+    "fit": ("laws.npz",), "intraday": ("intraday_*.npz",), "bellman": ("bellman_*.npz",),
     "simulate": ("sim_*",), "report": ("report.json", "gaps.csv"),
 }
 
@@ -91,16 +89,60 @@ def _dump_json(obj, path: Path, indent: int | None = None) -> None:
         tmp.write_text(text)
 
 
-def _load_json(path: Path):
-    if not path.exists():
-        raise MissingArtifact(f"missing artifact: {path}")
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def load_manifest(out: Path) -> dict:
     path = out / "manifest.json"
-    return _load_json(path) if path.exists() else {"stages": {}, "metadata": {"timestamps": {}}}
+    if not path.exists():
+        return {"stages": {}, "metadata": {"timestamps": {}}}
+    return json.loads(path.read_text())
+
+
+def _save_npz(path: Path, **arrays) -> None:
+    """One uncompressed npz of ``arrays``, written whole or not at all."""
+    # a file handle keeps np.savez from appending .npz to the temporary name
+    with _atomic(path) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _npy_shape(npz, name: str) -> tuple:
+    """Shape of an npz member, read from its header alone (np.save writes
+    a version 1.0 header for a float array)."""
+    with npz.zip.open(name + ".npy") as fh:
+        np.lib.format.read_magic(fh)
+        return np.lib.format.read_array_header_1_0(fh)[0]
+
+
+def _load_npz(path: Path, stage: str, want: dict, load) -> dict:
+    """The members ``load`` of the npz that ``stage`` wrote at ``path``, read
+    whole.  ``want`` names every member the file must hold: a tuple is the
+    shape of the member's header, None matching any length, anything else the
+    config's value, which the member must equal.  A missing file raises
+    MissingArtifact; an unreadable file, another set of members, a member off
+    its shape or value, or a NaN in a member read raises HashMismatch."""
+    if not path.exists():
+        raise MissingArtifact(f"missing artifact: {path}: run the {stage} stage")
+
+    def stale(why: str) -> HashMismatch:
+        return HashMismatch(f"{path}: {why}: rerun {stage}")
+
+    try:
+        with np.load(path) as npz:
+            odd = sorted(set(want) ^ set(npz.files))
+            if odd:
+                raise stale(f"{'missing' if odd[0] in want else 'unexpected'} member {odd[0]}")
+            for name, spec in want.items():
+                if isinstance(spec, tuple):
+                    got = _npy_shape(npz, name)
+                    if len(got) != len(spec) or any(w not in (g, None) for g, w in zip(got, spec)):
+                        raise stale(f"{name} has shape {got}, not {spec}")
+                elif not np.array_equal(npz[name], spec):
+                    raise stale(f"{name} differs from the config's")
+            arrays = {name: npz[name] for name in load}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise stale(f"cannot be read ({exc})") from exc
+    for name, a in arrays.items():
+        if np.isnan(a).any():
+            raise stale(f"{name} holds a NaN")
+    return arrays
 
 
 def _open_stage(out: Path, cfg: RunConfig, stage: str) -> dict:
@@ -142,82 +184,61 @@ def _close_stage(out: Path, stage: str, inputs: dict, info: dict, t0: float) -> 
     return info
 
 
-def _dist_jsonable(d: DiscreteDist) -> dict:
-    return {"support": d.support.tolist(), "probs": d.probs.tolist()}
-
-
-def _dist_from_jsonable(obj: dict) -> DiscreteDist:
-    return DiscreteDist(np.array(obj["support"]), np.array(obj["probs"]))
-
-
-def _laws_jsonable(laws: LawTable) -> list:
-    """Each day's atoms of positive probability, the padding left out."""
-    out = []
-    for xs, ps in zip(laws.support.tolist(), laws.probs.tolist()):
-        if 0.0 in ps:
-            xs, ps = [x for x, p in zip(xs, ps) if p > 0.0], [p for p in ps if p > 0.0]
-        out.append({"support": xs, "probs": ps})
-    return out
-
-
 def stage_fit(cfg: RunConfig, out: Path) -> dict:
-    """Fit per (class, slot) netload laws and daily battery price laws.  The
-    price laws come from the config's price model alone: a ``price_csv`` is
-    checked (positive prices, one per netload scenario and day) and
-    otherwise unused.  Inputs that cannot be fitted are a ConfigError, raised
-    before anything is written."""
+    """Fit per (class, slot) netload laws and daily battery price laws into
+    ``laws.npz``: the (D+1, atoms) price :class:`~twoscale.core.LawTable` as
+    ``price_{support,probs}``, and per class its (n_slots, atoms) netload
+    table as ``netload_{support,probs}_<cls>``.  Inputs that cannot be fitted
+    are a ConfigError, raised before anything is written."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "fit")
     n_days = cfg.D + 1
     try:
-        netload = load_netload_csv(cfg.netload_csv, cfg.n_slots) if cfg.netload_csv else None
-        prices = load_price_csv(cfg.price_csv) if cfg.price_csv else None
-        if netload is None:
+        if cfg.netload_csv:
+            netload = load_netload_csv(cfg.netload_csv, cfg.n_slots)
+            if netload.shape[1] < n_days:
+                raise ValueError(f"{cfg.netload_csv}: {netload.shape[1]} days, not D+1 = {n_days}")
+        else:
             netload = synthetic_netload_scenarios(
                 cfg.fit_scenarios, n_days, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
             )
-        if prices is None:
-            base = np.maximum(interp_price_forecast(cfg.price_forecast, n_days), cfg.price_floor)
-            prices = np.tile(base, (netload.shape[0], 1))
-        raw = ScenarioSet(netload[:, :n_days], prices[:, :n_days])
         t_laws = time.perf_counter()
-        laws, steps = fit_netload_distributions(raw, cfg.classmap, cfg.fit_k)
+        laws, steps = fit_netload_distributions(netload[:, :n_days], cfg.classmap, cfg.fit_k)
         laws_s = round(time.perf_counter() - t_laws, 3)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad input data: {exc}") from exc
     price_laws = battery_price_laws(
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
+    arrays = {"price_support": price_laws.support, "price_probs": price_laws.probs}
+    for cls, slot_laws in laws.items():
+        table = LawTable.from_rows([d.support for d in slot_laws], [d.probs for d in slot_laws])
+        arrays |= {f"netload_support_{cls}": table.support, f"netload_probs_{cls}": table.probs}
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(
-        {str(cls): [_dist_jsonable(law) for law in slot_laws] for cls, slot_laws in laws.items()},
-        out / "noise_laws.json",
-    )
-    _dump_json(_laws_jsonable(price_laws), out / "price_laws.json")
+    _save_npz(out / "laws.npz", **arrays)
     info = {"classes": sorted(laws), "k": cfg.fit_k, "laws_s": laws_s, "lloyd_iterations": steps}
     return _close_stage(out, "fit", inputs, info, t0)
 
 
 def _load_fit(cfg: RunConfig, out: Path):
-    """The fitted netload laws by class and the daily battery price laws, one
-    (days, atoms) :class:`~twoscale.core.LawTable`; they must hold the
-    config's classes, ``n_slots`` laws each, and D+1 days of valid laws."""
-    noise = _load_json(out / "noise_laws.json")
-    prices = _load_json(out / "price_laws.json")
-    classes, fitted = sorted(cfg.classmap.representatives), sorted(int(k) for k in noise)
-    slots = sorted({len(slot_laws) for slot_laws in noise.values()})
-    if fitted != classes or slots != [cfg.n_slots] or len(prices) != cfg.D + 1:
-        raise HashMismatch(
-            f"the fit laws in {out} hold classes {fitted} of {slots} slots and {len(prices)}"
-            f" days, not the config's classes {classes} of {cfg.n_slots} slots and"
-            f" {cfg.D + 1} days: rerun fit"
-        )
+    """The fitted netload laws by class, each slot's law without the padding
+    of its table row, and the daily battery price laws as one (D+1, atoms)
+    :class:`~twoscale.core.LawTable`.  A table that does not hold valid laws
+    raises HashMismatch."""
+    classes = sorted(cfg.classmap.representatives)
+    want = {"price_support": (cfg.D + 1, None), "price_probs": (cfg.D + 1, None)}
+    for cls in classes:
+        want[f"netload_support_{cls}"] = want[f"netload_probs_{cls}"] = (cfg.n_slots, None)
+    arrays = _load_npz(out / "laws.npz", "fit", want, want)
     try:
-        laws = {cls: [_dist_from_jsonable(o) for o in noise[str(cls)]] for cls in classes}
-        table = LawTable.from_rows([o["support"] for o in prices], [o["probs"] for o in prices])
-    except (KeyError, TypeError, ValueError) as exc:
+        prices = LawTable(arrays["price_support"], arrays["price_probs"])
+        laws = {}
+        for cls in classes:
+            t = LawTable(arrays[f"netload_support_{cls}"], arrays[f"netload_probs_{cls}"])
+            laws[cls] = [DiscreteDist(x[p > 0], p[p > 0]) for x, p in zip(t.support, t.probs)]
+    except ValueError as exc:
         raise HashMismatch(f"the fit laws in {out} are not valid laws ({exc}): rerun fit") from exc
-    return laws, table
+    return laws, prices
 
 
 def _cell_job(args):
@@ -225,10 +246,6 @@ def _cell_job(args):
     t0 = time.perf_counter()
     cell = _fast_cell(*args)
     return cell, time.perf_counter() - t0
-
-
-def _intraday_path(out: Path, dec) -> Path:
-    return out / f"intraday_{dec.letter}.npz"
 
 
 def stage_intraday(cfg: RunConfig, out: Path) -> dict:
@@ -271,55 +288,29 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
         days = [arrays[f"table_{cls}"] for cls in classes]
         inf = sum(int(np.isposinf(t).sum()) for t in days)
         info["inf_share"][dec.letter] = inf / sum(t.size for t in days)
-        # a file handle keeps np.savez from appending .npz to the temporary name
-        with _atomic(_intraday_path(out, dec)) as tmp, open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        _save_npz(out / f"intraday_{dec.letter}.npz", **arrays)
     return _close_stage(out, "intraday", inputs, info, t0)
-
-
-def _npy_shape(npz, name: str) -> tuple:
-    """Shape of an npz member, read from its header alone (np.save writes
-    a version 1.0 header for a float array)."""
-    with npz.zip.open(name + ".npy") as fh:
-        np.lib.format.read_magic(fh)
-        return np.lib.format.read_array_header_1_0(fh)[0]
 
 
 def _load_tables(cfg: RunConfig, out: Path, dec, with_fast: bool = False) -> dict:
     """One decomposition's intraday tables by class, with the control count
     they were built on; the replay tables only ``with_fast``."""
-    path = _intraday_path(out, dec)
-    if not path.exists():
-        raise MissingArtifact(f"missing artifact: {path}: run the intraday stage")
     c_grid, axis = cfg.c_grid(), cfg.dh_grid() if dec.budget_axis else cfg.pi_grid()
     classes = sorted(cfg.classmap.representatives)
-    members = {"c", "axis", "n_controls"} | {f"{k}_{i}" for k in ("table", "fast") for i in classes}
-    with np.load(path) as npz:
-        c, ax, n_controls = npz["c"], npz["axis"], int(npz["n_controls"])
-        fast_shape = (len(c_grid) - 1, cfg.n_slots + 1, cfg.n_soc, len(axis))
-        if not (
-            set(npz.files) == members and n_controls == cfg.n_controls
-            and np.array_equal(c, c_grid) and np.array_equal(ax, axis)
-            and all(_npy_shape(npz, f"fast_{cls}") == fast_shape for cls in classes)
-        ):
-            raise HashMismatch(
-                f"{path} does not hold the config's classes, grids and {cfg.n_controls}"
-                f" controls (it has {n_controls} controls): rerun intraday"
-            )
-        tables = {cls: npz[f"table_{cls}"] for cls in classes}
-        fast = {cls: npz[f"fast_{cls}"] for cls in classes} if with_fast else {}
-    if any(np.isnan(a).any() for a in [*tables.values(), *fast.values()]):
-        raise HashMismatch(f"{path} holds a NaN: rerun intraday")
+    want = {"c": c_grid, "axis": axis, "n_controls": cfg.n_controls}
+    for cls in classes:
+        want[f"table_{cls}"] = (len(c_grid), len(axis))
+        want[f"fast_{cls}"] = (len(c_grid) - 1, cfg.n_slots + 1, cfg.n_soc, len(axis))
+    kinds = ("table", "fast") if with_fast else ("table",)
+    load = [f"{kind}_{cls}" for kind in kinds for cls in classes]
+    arrays = _load_npz(out / f"intraday_{dec.letter}.npz", "intraday", want, load)
     return {
         cls: IntradayTable(
-            cls, dec, GridValueFn(Grid([c, ax]), tables[cls]), n_controls, fast.get(cls)
+            cls, dec, GridValueFn(Grid([c_grid, axis]), arrays[f"table_{cls}"]), cfg.n_controls,
+            arrays.get(f"fast_{cls}"),
         )
         for cls in classes
     }
-
-
-def _bellman_path(out: Path, dec) -> Path:
-    return out / f"bellman_{dec.letter}.npz"
 
 
 def stage_bellman(cfg: RunConfig, out: Path) -> dict:
@@ -347,9 +338,7 @@ def stage_bellman(cfg: RunConfig, out: Path) -> dict:
             n_h, n_axis = objective.shape
             pairs = len(objective.ai)
             info["resource_pairs"] = {"per_day": pairs, "share": round(pairs / (n_h * n_axis), 4)}
-        # a file handle keeps np.savez from appending .npz to the temporary name
-        with _atomic(_bellman_path(out, dec)) as tmp, open(tmp, "wb") as fh:
-            np.savez(fh, h=h_grid, c=c_grid, values=seq.values)
+        _save_npz(out / f"bellman_{dec.letter}.npz", h=h_grid, c=c_grid, values=seq.values)
         bound = "upper" if dec.budget_axis else "lower"
         info[f"{bound}_at_origin"] = float(seq.values[0, 0, 0])
     return _close_stage(out, "bellman", inputs, info, t0)
@@ -357,19 +346,11 @@ def stage_bellman(cfg: RunConfig, out: Path) -> dict:
 
 def load_value_seq(cfg: RunConfig, out: Path, kind: str) -> SlowValueSeq:
     """One decomposition's value functions, every day on the config's grid."""
-    path = _bellman_path(out, decomposition(kind))
-    if not path.exists():
-        raise MissingArtifact(f"missing artifact: {path}: run the bellman stage for {kind}")
-    with np.load(path) as npz:
-        h, c, values = npz["h"], npz["c"], npz["values"]
     h_grid, c_grid = cfg.h_grid(), cfg.c_grid()
-    want = (cfg.D + 2, len(h_grid), len(c_grid))
-    if values.shape != want or not (np.array_equal(h, h_grid) and np.array_equal(c, c_grid)):
-        raise HashMismatch(
-            f"{path} holds values of shape {values.shape} on {len(h)} health and {len(c)}"
-            f" capacity points, not the config's (D+2, h, c) = {want} grid: rerun bellman"
-        )
-    return SlowValueSeq(kind, Grid([h, c]), values)
+    want = {"h": h_grid, "c": c_grid, "values": (cfg.D + 2, len(h_grid), len(c_grid))}
+    path = out / f"bellman_{decomposition(kind).letter}.npz"
+    values = _load_npz(path, "bellman", want, ["values"])["values"]
+    return SlowValueSeq(kind, Grid([h_grid, c_grid]), values)
 
 
 def stage_simulate(cfg: RunConfig, out: Path) -> dict:

@@ -161,6 +161,16 @@ def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days)
     return ScenarioSet(netload, price)
 
 
+def rewrite_npz(path, change) -> None:
+    """Rewrite the npz at ``path`` after ``change`` edits a dict of copies of
+    its members in place."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name].copy() for name in npz.files}
+    change(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def point_laws(values) -> list[DiscreteDist]:
     return [DiscreteDist(np.array([float(v)]), np.array([1.0])) for v in values]
 

@@ -24,7 +24,6 @@ from twoscale.battery import (
     interp_price_forecast,
     kmeans_1d,
     load_netload_csv,
-    load_price_csv,
     renewal_dynamics,
     stage_cost,
     synthetic_netload_scenarios,
@@ -375,9 +374,7 @@ def test_kmeans_nearly_coincident_centers_take_the_dense_path(dense_calls):
 def test_fit_netload_distributions_shape_and_bounds():
     classmap = build_periodicity_classes(9, 1)
     netload = synthetic_netload_scenarios(4, 10, 8, seed=3, base_kw=40.0)
-    prices = np.ones((4, 10))
-    scen = ScenarioSet(netload, prices)
-    laws, _ = fit_netload_distributions(scen, classmap, k=3)
+    laws, _ = fit_netload_distributions(netload, classmap, k=3)
     assert sorted(laws) == [1]
     assert len(laws[1]) == 8
     for m, law in enumerate(laws[1]):
@@ -389,9 +386,8 @@ def test_fit_netload_distributions_shape_and_bounds():
 
 def test_fit_netload_insufficient_data():
     classmap = build_periodicity_classes(0, 1)
-    scen = ScenarioSet(np.zeros((1, 1, 2)), np.ones((1, 1)))
     with pytest.raises(ValueError, match=r"\(class, slot\)"):
-        fit_netload_distributions(scen, classmap, k=5)
+        fit_netload_distributions(np.zeros((1, 1, 2)), classmap, k=5)
 
 
 # ---------------------------------------------------------------- prices
@@ -538,11 +534,6 @@ def test_csv_roundtrip(tmp_path):
     assert arr.shape == (2, 2, 2)
     assert arr[0, 0, 0] == 1.5 and arr[0, 0, 1] == -2.0 and arr[1, 1, 0] == 3.0
     assert arr[1, 0, 1] == 101.0
-    ppath = tmp_path / "prices.csv"
-    ppath.write_text("scenario,day,price_usd_per_kwh\n0,0,0.3\n0,1,0.3\n1,0,0.3\n1,1,0.25\n")
-    prices = load_price_csv(ppath)
-    assert prices.shape == (2, 2)
-    assert prices[1, 1] == 0.25
     empty = tmp_path / "empty.csv"
     empty.write_text("scenario,day,slot,netload_kwh\n")
     with pytest.raises(ValueError):
@@ -569,10 +560,6 @@ def test_csv_non_finite_value_rejected(tmp_path, bad):
     path.write_text(NETLOAD_HEADER + netload_rows(1, 2, 2, skip={(0, 1, 0)}) + f"0,1,0,{bad}\n")
     with pytest.raises(ValueError, match=r"netload\.csv:5: netload_kwh .* is not finite"):
         load_netload_csv(path, n_slots=2)
-    ppath = tmp_path / "prices.csv"
-    ppath.write_text(f"scenario,day,price_usd_per_kwh\n0,0,0.3\n0,1,{bad}\n")
-    with pytest.raises(ValueError, match=r"prices\.csv:3: .* is not finite"):
-        load_price_csv(ppath)
 
 
 def test_csv_slot_out_of_range_rejected(tmp_path):

@@ -6,11 +6,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from twoscale import pipeline
 from twoscale.cli import main
+
+from conftest import rewrite_npz
 
 TINY = {
     "D": 5,
@@ -262,20 +265,14 @@ def test_non_finite_netload_csv_exit_code(runner, tmp_path, bad):
     assert not out.exists()
 
 
-def _price_csv(path: Path, scenarios: int, days: int) -> None:
-    rows = [f"{i},{d},{0.3 - 0.01 * d}" for i in range(scenarios) for d in range(days)]
-    path.write_text("scenario,day,price_usd_per_kwh\n" + "\n".join(rows) + "\n")
-
-
-def test_price_csv_of_another_shape_exit_code(runner, tmp_path):
-    # 2 scenarios of prices against the 3 scenarios of netload the fit draws
-    csv_path = tmp_path / "price.csv"
-    _price_csv(csv_path, 2, 2)
-    cfg = write_config(tmp_path, {**TINY, "D": 1, "price_csv": str(csv_path)})
+def test_netload_csv_shorter_than_the_horizon_exit_code(runner, tmp_path):
+    # the CSV holds days 0..5, the horizon D + 1 = 8 days
+    csv_path = tmp_path / "netload.csv"
+    cfg = write_config(tmp_path, {**TINY, "D": 7, "netload_csv": _netload_csv(csv_path)})
     out = tmp_path / "r"
     res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2, res.output
-    assert "scenario/day shapes of netload and price disagree" in res.output
+    assert f"{csv_path}: 6 days, not D+1 = 8" in res.output
     assert not out.exists()
 
 
@@ -289,36 +286,20 @@ def test_too_few_observations_per_class_and_slot_exit_code(runner, tmp_path):
     assert not out.exists()
 
 
-def test_price_csv_is_checked_and_leaves_the_laws_alone(runner, tmp_path):
-    # the battery-price laws come from the price model alone: a valid price
-    # CSV of 5 scenarios and 2 days changes no byte of either laws file
-    csv_path = tmp_path / "price.csv"
-    _price_csv(csv_path, 5, 2)
-    laws = {}
-    for name, extra in (("plain", {}), ("csv", {"price_csv": str(csv_path)})):
-        cfg = write_config(tmp_path, {**TINY, "D": 1, "fit_scenarios": 5, **extra})
-        out = tmp_path / name
-        res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        laws[name] = {n: (out / n).read_bytes() for n in ("noise_laws.json", "price_laws.json")}
-    assert laws["csv"] == laws["plain"]
-
-
 @pytest.mark.parametrize("field", ["support", "probs"])
-@pytest.mark.parametrize("name", ["noise_laws.json", "price_laws.json"])
-def test_fit_laws_holding_a_nan_exit_code(runner, tmp_path, name, field):
+# the ids name the JSON files these tables were stored in before laws.npz
+@pytest.mark.parametrize("law", ["netload", "price"], ids=["noise_laws.json", "price_laws.json"])
+def test_fit_laws_holding_a_nan_exit_code(runner, tmp_path, law, field):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "r"
     res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 0, res.output
-    laws = json.loads((out / name).read_text())
-    law = laws[0] if name == "price_laws.json" else laws["1"][0]
-    law[field][0] = float("nan")
-    (out / name).write_text(json.dumps(laws))
+    member = f"price_{field}" if law == "price" else f"netload_{field}_1"
+    rewrite_npz(out / "laws.npz", lambda arrays: np.put(arrays[member], 0, np.nan))
     before = _files(out)
     res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2, res.output
-    assert "finite" in res.output and "rerun fit" in res.output
+    assert f"{member} holds a NaN: rerun fit" in res.output
     assert _files(out) == before
 
 
@@ -602,3 +583,45 @@ def test_tiny_pipeline_end_to_end_and_deterministic(runner, tmp_path):
     assert set(a) == set(b)
     for name in a:
         assert a[name] == b[name], f"artifact differs: {name}"
+
+
+def test_run_directory_without_laws_npz_exit_code(runner, tmp_path):
+    # a run directory from before laws.npz holds the fit laws as JSON files
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    _run(runner, ("fit",), cfg, out)
+    (out / "laws.npz").rename(out / "noise_laws.json")
+    res = runner.invoke(main, ["intraday", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "laws.npz: run the fit stage" in res.output
+
+
+@pytest.mark.parametrize(
+    "name, change, why, stage",
+    [
+        ("bellman_P.npz", lambda a: np.put(a["values"], 3, np.nan), "values holds a NaN", "report"),
+        ("bellman_R.npz", lambda a: a.pop("values"), "missing member values", "report"),
+        ("intraday_P.npz", lambda a: np.put(a["fast_1"], 3, np.nan), "fast_1 holds a NaN",
+         "simulate"),
+    ],
+    ids=["nan-bellman_P", "no-values-bellman_R", "nan-intraday_P"],
+)
+def test_spoiled_npz_member_exit_code(runner, tmp_path, name, change, why, stage):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    _run(runner, ("fit", "intraday", "bellman"), cfg, out)
+    rewrite_npz(out / name, change)
+    res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{name}: {why}: rerun {name.split('_')[0]}" in res.output
+
+
+def test_truncated_npz_exit_code(runner, tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    _run(runner, ("fit", "intraday"), cfg, out)
+    path = out / "intraday_R.npz"
+    path.write_bytes(path.read_bytes()[:-100])
+    res = runner.invoke(main, ["bellman", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "intraday_R.npz: cannot be read" in res.output and "rerun intraday" in res.output

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import fnmatch
 import hashlib
 import inspect
 import json
@@ -22,7 +23,6 @@ from twoscale.pipeline import (
     HashMismatch,
     MissingArtifact,
     _dump_json,
-    _laws_jsonable,
     _load_fit,
     _load_tables,
     load_value_seq,
@@ -34,7 +34,7 @@ from twoscale.pipeline import (
 )
 from twoscale.slowscale import price_bellman_recursion, resource_bellman_recursion
 
-from conftest import CRITERION_10 as CFG
+from conftest import CRITERION_10 as CFG, rewrite_npz
 
 
 @pytest.fixture(scope="module")
@@ -168,46 +168,81 @@ def test_intraday_record_holds_cell_time_and_inf_share(tmp_path, threads):
 
 
 def test_fit_laws_in_one_file(bellman_run):
-    names = {p.name for p in bellman_run.iterdir() if p.name.endswith("laws.json")}
-    assert names == {"noise_laws.json", "price_laws.json"}
-    assert not list(bellman_run.glob("noise_class*"))
-    stored = json.loads((bellman_run / "noise_laws.json").read_text())
+    assert not list(bellman_run.glob("*laws.json")) and not list(bellman_run.glob("noise_class*"))
+    with np.load(bellman_run / "laws.npz") as npz:
+        stored = {name: npz[name] for name in npz.files}
+    assert sorted(stored) == [
+        "netload_probs_1", "netload_support_1", "price_probs", "price_support",
+    ]
     laws, _ = _load_fit(CFG, bellman_run)
-    assert sorted(stored) == [str(cls) for cls in sorted(laws)] == ["1"]
-    for cls, slot_laws in laws.items():
-        assert len(slot_laws) == CFG.n_slots
-        for law, rec in zip(slot_laws, stored[str(cls)]):
-            assert law.support.tolist() == rec["support"]
-            assert law.probs.tolist() == rec["probs"]
+    assert sorted(laws) == [1]
+    support, probs = stored["netload_support_1"], stored["netload_probs_1"]
+    assert support.shape == probs.shape == (CFG.n_slots, CFG.fit_k)
+    for law, xs, ps in zip(laws[1], support.tolist(), probs.tolist()):
+        # each row holds its slot's atoms, then its last atom again at probability 0
+        n = len(law)
+        assert law.support.tolist() == xs[:n] and law.probs.tolist() == ps[:n]
+        assert xs[n:] == [xs[n - 1]] * (CFG.fit_k - n) and ps[n:] == [0.0] * (CFG.fit_k - n)
+    assert len(laws[1]) == CFG.n_slots
+
+
+def test_netload_laws_load_bit_equal_to_the_fitted_ones(tmp_path):
+    # slot 0 is constant: its law has 2 of the 3 atoms, and the stored row
+    # pads it with its last atom at probability 0
+    netload = np.ones((2, 2, 2))
+    netload[..., 1] = np.arange(4.0).reshape(2, 2)
+    csv_path = tmp_path / "netload.csv"
+    rows = [f"{i},{d},{m},{netload[i, d, m]}" for i, d, m in np.ndindex(*netload.shape)]
+    csv_path.write_text("scenario,day,slot,netload_kwh\n" + "\n".join(rows) + "\n")
+    cfg = dataclasses.replace(CFG, D=1, n_slots=2, fit_k=3, netload_csv=str(csv_path))
+    out = tmp_path / "r"
+    stage_fit(cfg, out)
+    fitted, _ = pipeline.fit_netload_distributions(netload, cfg.classmap, cfg.fit_k)
+    assert [len(law) for law in fitted[1]] == [2, 3]
+    with np.load(out / "laws.npz") as npz:
+        support, probs = npz["netload_support_1"][0].tolist(), npz["netload_probs_1"][0].tolist()
+    assert support[2] == support[1] and probs[2] == 0.0
+    laws, _ = _load_fit(cfg, out)
+    for law, want in zip(laws[1], fitted[1], strict=True):
+        assert law.support.tobytes() == want.support.tobytes()
+        assert law.probs.tobytes() == want.probs.tobytes()
 
 
 def test_price_laws_load_as_one_table_of_the_stored_rows(tmp_path):
-    # a price low enough that the floor merges atoms from day 13 on: the file
-    # holds each day's own atoms, the table pads them with the last one
+    # a price low enough that the floor merges atoms from day 13 on: each day
+    # holds its own atoms, padded with its last one at probability 0
     cfg = dataclasses.replace(CFG, price_forecast=(0.032, 0.001), price_atoms=5)
     stage_fit(cfg, tmp_path)
-    stored = json.loads((tmp_path / "price_laws.json").read_text())
-    assert [len(law["probs"]) for law in stored] == [5] * 13 + [4] * (CFG.D + 1 - 13)
+    with np.load(tmp_path / "laws.npz") as npz:
+        support, probs = npz["price_support"], npz["price_probs"]
+    assert np.count_nonzero(probs > 0.0, axis=1).tolist() == [5] * 13 + [4] * (CFG.D + 1 - 13)
     _, table = _load_fit(cfg, tmp_path)
     assert table.support.shape == table.probs.shape == (CFG.D + 1, 5)
-    for law, support, probs in zip(stored, table.support.tolist(), table.probs.tolist()):
-        n = len(law["probs"])
-        assert support[:n] == law["support"] and probs[:n] == law["probs"]
-        assert support[n:] == [law["support"][-1]] * (5 - n) and probs[n:] == [0.0] * (5 - n)
-    assert _laws_jsonable(table) == stored
+    assert table.support.tobytes() == support.tobytes() and table.probs.tobytes() == probs.tobytes()
+    ref = pipeline.battery_price_laws(
+        cfg.price_forecast, cfg.price_sigma, cfg.D + 1, cfg.price_floor, cfg.price_atoms
+    )
+    assert table.support.tobytes() == ref.support.tobytes()
+    assert table.probs.tobytes() == ref.probs.tobytes()
+    for row_support, row_probs in zip(table.support.tolist()[13:], table.probs.tolist()[13:]):
+        assert row_support[4] == row_support[3] and row_probs[4] == 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("field", ["support", "probs"])
-@pytest.mark.parametrize("name", ["noise_laws.json", "price_laws.json"])
-def test_fit_laws_holding_a_non_finite_value_are_rejected(bellman_run, tmp_path, name, field, bad):
+# the ids name the JSON files these tables were stored in before laws.npz
+@pytest.mark.parametrize("law", ["netload", "price"], ids=["noise_laws.json", "price_laws.json"])
+def test_fit_laws_holding_a_non_finite_value_are_rejected(bellman_run, tmp_path, law, field, bad):
     out = tmp_path / "r"
     shutil.copytree(bellman_run, out)
-    laws = json.loads((out / name).read_text())
-    law = laws[3] if name == "price_laws.json" else laws["1"][2]
-    law[field][-1] = bad
-    (out / name).write_text(json.dumps(laws))
-    with pytest.raises(HashMismatch, match="finite.*rerun fit"):
+    member = f"price_{field}" if law == "price" else f"netload_{field}_1"
+
+    def spoil(arrays):
+        arrays[member][3 if law == "price" else 2, -1] = bad
+
+    rewrite_npz(out / "laws.npz", spoil)
+    match = f"{member} holds a NaN: rerun fit" if np.isnan(bad) else "finite.*rerun fit"
+    with pytest.raises(HashMismatch, match=match):
         _load_fit(CFG, out)
 
 
@@ -333,6 +368,39 @@ def test_value_file_of_another_config_is_rejected(bellman_run):
     ):
         with pytest.raises(HashMismatch, match="rerun bellman"):
             load_value_seq(other, bellman_run, "price-lower")
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [
+        (lambda a: a.update(h=2.0 * a["h"]), "h differs from the config's"),
+        (
+            lambda a: a.update(values=a["values"][1:]),
+            r"values has shape \(31, 9, 3\), not \(32, 9, 3\)",
+        ),
+        (lambda a: a.update(extra=np.zeros(1)), "unexpected member extra"),
+        (lambda a: a.pop("c"), "missing member c"),
+    ],
+    ids=["other-h", "short-values", "extra-member", "no-c"],
+)
+def test_value_file_off_the_config_names_the_member(bellman_run, tmp_path, change, why):
+    out = tmp_path / "r"
+    shutil.copytree(bellman_run, out)
+    rewrite_npz(out / "bellman_P.npz", change)
+    with pytest.raises(HashMismatch, match=f"bellman_P.npz: {why}: rerun bellman"):
+        load_value_seq(CFG, out, "price-lower")
+    load_value_seq(CFG, out, "resource-upper")
+
+
+@pytest.mark.parametrize("keep", [0, 10])
+def test_unreadable_npz_is_rejected(bellman_run, tmp_path, keep):
+    out = tmp_path / "r"
+    shutil.copytree(bellman_run, out)
+    path = out / "intraday_R.npz"
+    path.write_bytes(path.read_bytes()[:keep])
+    for with_fast in (False, True):
+        with pytest.raises(HashMismatch, match="intraday_R.npz: cannot be read .*: rerun intraday"):
+            _load_tables(CFG, out, RESOURCE, with_fast)
 
 
 def test_interrupted_write_keeps_the_previous_file(bellman_run, monkeypatch):
@@ -490,6 +558,19 @@ STAGE_FNS = {
     "simulate": stage_simulate,
     "report": stage_report,
 }
+
+
+def test_every_file_a_stage_adds_matches_its_outputs(tmp_path):
+    # _open_stage deletes a stage's stale artifacts by these globs
+    for stage, fn in STAGE_FNS.items():
+        before = {p.name for p in tmp_path.iterdir()}
+        fn(CFG, tmp_path)
+        added = {p.name for p in tmp_path.iterdir()} - before - {"manifest.json"}
+        globs = pipeline.OUTPUTS[stage]
+        for name in added:
+            assert any(fnmatch.fnmatchcase(name, g) for g in globs), (stage, name)
+        for g in globs:
+            assert fnmatch.filter(added, g), (stage, g)
 
 
 @pytest.mark.parametrize("stage", ["fit", "intraday", "bellman"])

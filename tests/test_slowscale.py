@@ -20,9 +20,7 @@ from twoscale.intraday import (
     compute_resource_intraday,
 )
 from twoscale.oracle import TinyProblem, flat_dp_solve
-from twoscale.pipeline import (
-    _dist_from_jsonable, _load_json, _load_tables, stage_fit, stage_intraday,
-)
+from twoscale.pipeline import _load_tables, stage_fit, stage_intraday
 from twoscale.slowscale import (
     DayObjective,
     SlowValueSeq,
@@ -322,10 +320,13 @@ def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_gr
 
 def _pipeline_world(cfg, out):
     """The intraday tables of a pipeline run and its recursion arguments
-    with the price laws as the fit wrote them, a list of DiscreteDist."""
+    with the price laws as the fit wrote them, a list of DiscreteDist: each
+    day's row of laws.npz without its probability-0 padding."""
     stage_fit(cfg, out)
     stage_intraday(cfg, out)
-    laws = [_dist_from_jsonable(o) for o in _load_json(out / "price_laws.json")]
+    with np.load(out / "laws.npz") as npz:
+        rows = zip(npz["price_support"], npz["price_probs"])
+        laws = [DiscreteDist(xs[ps > 0.0], ps[ps > 0.0]) for xs, ps in rows]
     tables = {dec: _load_tables(cfg, out, dec) for dec in (RESOURCE, PRICE)}
     args = (cfg.classmap, laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
     return tables, args
