@@ -6,14 +6,7 @@ long-term battery aging/renewal case study with brute-force validation
 oracles.
 """
 
-from .core import (
-    DiscreteDist,
-    Grid,
-    GridValueFn,
-    LawTable,
-    fenchel_conjugate,
-    low_add,
-)
+from .core import Grid, GridValueFn, LawTable, fenchel_conjugate
 from .battery import BatteryConfig, BatteryState, ScenarioSet
 from .intraday import (
     PRICE,
@@ -25,8 +18,6 @@ from .intraday import (
     PeriodicityClassMap,
     build_periodicity_classes,
     compute_intraday,
-    compute_price_intraday,
-    compute_resource_intraday,
     solve_fast_dp,
 )
 from .slowscale import (

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DiscreteDist, LawTable
+from .core import LawTable
 
 OFF_PEAK_RATE = 0.0255
 SHOULDER_RATE = 0.0644
@@ -177,8 +177,10 @@ class ScenarioSet:
         return self.netload.shape[2]
 
 
-def kmeans_1d(data: np.ndarray, k: int) -> DiscreteDist:
-    """Deterministic 1-D Lloyd clustering; atoms are centroids, probs are shares.
+def kmeans_1d(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic 1-D Lloyd clustering: the (support, probs) arrays of the
+    law whose atoms are the centroids of the nonempty clusters, in
+    increasing order, and whose probabilities are their shares.
 
     Centroids are seeded at evenly spaced quantiles.  An emptied cluster is
     re-seeded at the point farthest from its assigned centroid.
@@ -204,7 +206,7 @@ def kmeans_1d(data: np.ndarray, k: int) -> DiscreteDist:
     return _kmeans_1d(data, k)[0]
 
 
-def _kmeans_1d(data, k: int) -> tuple[DiscreteDist, int]:
+def _kmeans_1d(data, k: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """:func:`kmeans_1d` and the number of Lloyd steps it took."""
     data = np.asarray(data, dtype=float).ravel()
     if k < 1:
@@ -252,7 +254,7 @@ def _kmeans_1d(data, k: int) -> tuple[DiscreteDist, int]:
     counts = np.bincount(order.argsort()[assign], minlength=k)
     probs = counts / counts.sum()
     keep = probs > 0
-    return DiscreteDist(centers[keep], probs[keep] / probs[keep].sum()), steps
+    return (centers[keep], probs[keep] / probs[keep].sum()), steps
 
 
 def _dense_assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -283,27 +285,27 @@ def _interval_edges(xs: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def fit_netload_distributions(
     netload: np.ndarray, classmap, k: int
-) -> tuple[dict[int, list[DiscreteDist]], int]:
-    """Per (periodicity class, slot) k-means laws of a (scenarios, days, slots)
-    netload array, and the number of Lloyd steps they took in all."""
+) -> tuple[dict[int, LawTable], int]:
+    """Per periodicity class, the (slots, atoms) table of the k-means laws of
+    each slot of a (scenarios, days, slots) netload array, and the number of
+    Lloyd steps they took in all."""
     day_class = classmap.day_to_class[: netload.shape[1]]
-    laws: dict[int, list[DiscreteDist]] = {}
+    rows: dict[int, list] = {}
     missing, steps = [], 0
     for cls in sorted(classmap.representatives):
         days = np.flatnonzero(day_class == cls)
-        slot_laws = []
+        rows[cls] = []
         for m in range(netload.shape[2]):
             obs = netload[:, days, m].ravel()
             if len(obs) < k:
                 missing.append((cls, m))
                 continue
             law, law_steps = _kmeans_1d(obs, k)
-            slot_laws.append(law)
+            rows[cls].append(law)
             steps += law_steps
-        laws[cls] = slot_laws
     if missing:
         raise ValueError(f"insufficient data (< {k} observations) for (class, slot): {missing}")
-    return laws, steps
+    return {cls: LawTable.from_rows(*zip(*laws)) for cls, laws in rows.items()}, steps
 
 
 def interp_price_forecast(forecast: Sequence[float], n_days: int) -> np.ndarray:
@@ -415,35 +417,36 @@ def load_netload_csv(path, n_slots: int) -> np.ndarray:
 
 
 def white_noise_resample(
-    laws: dict[int, list[DiscreteDist]],
+    laws: dict[int, LawTable],
     price_laws: LawTable,
     classmap,
     n: int,
     seed: int,
     n_days: int,
 ) -> ScenarioSet:
-    """Scenarios drawn i.i.d. per (day, slot) from the day's class law, plus a
-    daily battery price from day d's row of ``price_laws``; per-scenario RNG
-    seeded by (seed, index).  Each scenario draws its netload uniforms, then
-    its price uniforms; the prices of a day are then looked up for all
-    scenarios at once."""
-    n_slots = len(next(iter(laws.values())))
+    """Scenarios drawn i.i.d. per (day, slot) from row m of the day's class
+    table, plus a daily battery price from day d's row of ``price_laws``;
+    per-scenario RNG seeded by (seed, index).  Each scenario draws its
+    netload uniforms, then its price uniforms; the prices of a day are then
+    looked up for all scenarios at once."""
+    n_slots = len(next(iter(laws.values())).probs)
     day_class = classmap.day_to_class[:n_days]
+    # per class with days in the horizon: its days and its rows' cumulative sums
+    draws = []
+    for cls, table in laws.items():
+        days = np.flatnonzero(day_class == cls)
+        if len(days):
+            draws.append((days, np.cumsum(table.probs, axis=1), table.support))
     netload = np.empty((n, n_days, n_slots))
     price = np.empty((n, n_days))
     up = np.empty((n, n_days))
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         u = rng.random((n_days, n_slots))
-        for cls, slot_laws in laws.items():
-            days = np.flatnonzero(day_class == cls)
-            if len(days) == 0:
-                continue
-            for m, law in enumerate(slot_laws):
-                cum = np.cumsum(law.probs)
-                pick = np.searchsorted(cum, u[days, m], side="right")
-                pick = np.minimum(pick, len(law.probs) - 1)
-                netload[i, days, m] = law.support[pick]
+        for days, cums, support in draws:
+            for m, cum in enumerate(cums):
+                pick = np.minimum(np.searchsorted(cum, u[days, m], side="right"), len(cum) - 1)
+                netload[i, days, m] = support[m, pick]
         up[i] = rng.random(n_days)
     if len(price_laws.probs) < n_days:
         raise ValueError(f"{len(price_laws.probs)} daily price laws for {n_days} days")

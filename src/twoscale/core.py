@@ -1,9 +1,10 @@
 """Numerical substrate: extended-real arithmetic, grid-tabulated functions,
-discrete distributions and discrete conjugation.
+finite laws and discrete conjugation.
 
-Extended reals are plain IEEE doubles with +-inf, but every addition goes
-through :func:`low_add` so that conflicting infinities collapse to -inf
-instead of NaN.  All containers are immutable after construction.
+Extended reals are plain IEEE doubles with +-inf, but a sum that may meet
+conflicting infinities goes through :func:`low_add_arrays`, so that they
+collapse to -inf instead of NaN.  All containers are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -12,18 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 INF = math.inf
-
-
-def low_add(a: float, b: float) -> float:
-    """Lower addition on extended reals: (+inf) + (-inf) = -inf."""
-    if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        return -INF
-    return a + b
 
 
 def low_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,60 +248,14 @@ class GridValueFn:
             return cls.from_jsonable(json.load(fh))
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
-    """Finite-support distribution; support rows are atoms (scalars or vectors)."""
-
-    support: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or len(probs) != len(support):
-            raise ValueError("support and probs must have matching lengths")
-        _check_law(support, probs)
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-        support.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def atoms(self):
-        """Yield (atom, prob) pairs, skipping zero-probability atoms."""
-        for s, p in zip(self.support, self.probs):
-            if p > 0.0:
-                yield s, float(p)
-
-    def expectation(self, f: Callable) -> float:
-        """E[f] under lower addition; zero-probability atoms never evaluated."""
-        total = 0.0
-        for s, p in self.atoms():
-            v = float(f(s))
-            term = INF if (math.isinf(v) and v > 0) else (-INF if math.isinf(v) else p * v)
-            total = low_add(total, term)
-        return total
-
-
-def _check_law(support: np.ndarray, probs: np.ndarray) -> None:
-    """Refuse a law with a non-finite value or a negative probability."""
-    if not (np.isfinite(support).all() and np.isfinite(probs).all()):
-        raise ValueError("support and probabilities must be finite")
-    if (probs < 0).any():
-        raise ValueError("probabilities must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class LawTable:
-    """One finite-support scalar law per day as a (days, atoms) table: day
-    d's law puts ``probs[d, k]`` on ``support[d, k]``.  A day with fewer
-    atoms than the widest repeats its last atom at probability 0
-    (:meth:`from_rows`), so that a draw rounded past its cumulative sum and a
-    nearest-atom lookup read the same price as on its own atoms."""
+    """One finite-support scalar law per row (a day or a fast stage) as a
+    (rows, atoms) table: row r's law puts ``probs[r, k]`` on
+    ``support[r, k]``.  A row with fewer atoms than the widest repeats its
+    last atom at probability 0 (:meth:`from_rows`), so that a draw rounded
+    past its cumulative sum and a nearest-atom lookup read the same value as
+    on its own atoms, and :meth:`atoms` skips the padding."""
 
     support: np.ndarray
     probs: np.ndarray
@@ -317,13 +265,16 @@ class LawTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[1] < 1 or support.shape != probs.shape:
             raise ValueError(
-                f"support {support.shape} and probs {probs.shape} are not one (days, atoms) shape"
+                f"support {support.shape} and probs {probs.shape} are not one (rows, atoms) shape"
             )
-        _check_law(support, probs)
+        if not (np.isfinite(support).all() and np.isfinite(probs).all()):
+            raise ValueError("support and probabilities must be finite")
+        if (probs < 0).any():
+            raise ValueError("probabilities must be nonnegative")
         off = np.abs(probs.sum(axis=1) - 1.0) > 1e-12
         if off.any():
-            d = int(np.argmax(off))
-            raise ValueError(f"the probabilities of day {d} sum to {probs[d].sum()}, not 1")
+            r = int(np.argmax(off))
+            raise ValueError(f"the probabilities of row {r} sum to {probs[r].sum()}, not 1")
         support.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "support", support)
@@ -331,21 +282,28 @@ class LawTable:
 
     @classmethod
     def from_rows(cls, supports: Sequence, probs: Sequence) -> "LawTable":
-        """The table of one (support, probs) pair of sequences per day, the
-        shorter days padded with their last atom at probability 0."""
+        """The table of one (support, probs) pair of sequences per row, the
+        shorter rows padded with their last atom at probability 0."""
         if len(supports) != len(probs):
-            raise ValueError(f"{len(supports)} supports for {len(probs)} days of probabilities")
+            raise ValueError(f"{len(supports)} supports for {len(probs)} rows of probabilities")
         sizes = np.array([len(p) for p in probs], dtype=np.intp)
         if not len(sizes) or any(len(s) != n or not n for s, n in zip(supports, sizes.tolist())):
-            raise ValueError("every day needs one probability per atom, and an atom")
+            raise ValueError("every row needs one probability per atom, and an atom")
         support, weights = (
             np.fromiter(chain.from_iterable(rows), float, int(sizes.sum()))
             for rows in (supports, probs)
         )
-        # each day's atoms, then its last atom again up to the widest day
+        # each row's atoms, then its last atom again up to the widest row
         cols = np.arange(sizes.max())
         at = (np.cumsum(sizes) - sizes)[:, None] + np.minimum(cols, sizes[:, None] - 1)
         return cls(support[at], np.where(cols >= sizes[:, None], 0.0, weights[at]))
+
+    def atoms(self, row: int):
+        """Yield the (atom, probability) pairs of row ``row`` in order,
+        skipping the atoms of probability 0."""
+        for s, p in zip(self.support[row], self.probs[row]):
+            if p > 0.0:
+                yield s, float(p)
 
 
 def fenchel_conjugate(f: GridValueFn, price_grid: Grid) -> GridValueFn:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INF, BlendPlan, DiscreteDist, Grid, GridValueFn, low_add_arrays
+from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, low_add_arrays
 from . import battery
 from .battery import BatteryConfig
 
@@ -63,8 +63,8 @@ def decomposition(name: str) -> Decomposition:
 
 @dataclass(frozen=True)
 class FastStage:
-    """One fast step: state grid, control points, noise law, handles and the
-    noise-free cost part.
+    """One fast step: state grid, control points, handles and the noise-free
+    cost part; its noise law is a row of :attr:`FastStageModel.noise`.
 
     The stage cost is ``fixed + cost(states, controls, w)`` under lower
     addition: ``fixed``, shape (len(controls), n) over the n grid states, is
@@ -82,7 +82,6 @@ class FastStage:
 
     state_grid: Grid
     controls: np.ndarray
-    noise: DiscreteDist
     cost: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     dynamics: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     fixed: np.ndarray
@@ -90,8 +89,17 @@ class FastStage:
 
 @dataclass(frozen=True)
 class FastStageModel:
+    """The fast steps of one day, the grid of its terminal values and the
+    noise laws of its steps as one (steps, atoms) table: row m is the law of
+    the noise w of step m, its atoms of probability 0 never evaluated."""
+
     stages: tuple
     terminal_grid: Grid
+    noise: LawTable
+
+    def __post_init__(self):
+        if len(self.noise.probs) != len(self.stages):
+            raise ValueError(f"{len(self.noise.probs)} noise laws for {len(self.stages)} stages")
 
 
 @dataclass
@@ -201,7 +209,8 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
     grid = states = None
     planned = planned_grid = plan = None
     buf = gbuf = None
-    for stage in reversed(model.stages):
+    for m in reversed(range(len(model.stages))):
+        stage = model.stages[m]
         if stage.state_grid is not grid:
             grid, states = stage.state_grid, stage.state_grid.points()
         shape = (len(stage.controls), len(states))
@@ -210,7 +219,7 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
             buf, gbuf = np.empty(shape), np.empty(shape)
         kernel = None
         total, pos, neg = _expect_start(len(states))
-        for w, p in stage.noise.atoms():
+        for w, p in model.noise.atoms(m):
             nxt = stage.dynamics(states, stage.controls, w)
             cost = stage.cost(states, stage.controls, w)
             _contract_shape(cost, (shape, (shape[0], 1)), "cost returned")
@@ -296,11 +305,18 @@ class IntradayTable:
         return self.table.grid.axes[1]
 
 
-def no_battery_bill(slot_laws: Sequence[DiscreteDist], rates: Sequence[float]) -> float:
-    """Expected daily bill with no battery: sum_m rates[m] * E[max(0, netload)]."""
+def no_battery_bill(slot_laws: LawTable, rates: Sequence[float]) -> float:
+    """Expected daily bill with no battery: sum_m rates[m] * E[max(0, w_m)],
+    w_m the netload of row m of ``slot_laws``; each expectation sums its
+    atoms in order from 0."""
+    if len(rates) != len(slot_laws.probs):
+        raise ValueError(f"{len(rates)} rates for {len(slot_laws.probs)} slot laws")
     total = 0.0
-    for rate, law in zip(rates, slot_laws, strict=True):
-        total += rate * law.expectation(lambda w: max(0.0, float(w)))
+    for m, rate in enumerate(rates):
+        expect = 0.0
+        for w, p in slot_laws.atoms(m):
+            expect += p * max(0.0, float(w))
+        total += rate * expect
     return total
 
 
@@ -350,15 +366,14 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
         FastStage(
             state_grid=grid,
             controls=controls,
-            noise=law,
             cost=partial(_slot_bill, rate),
             dynamics=lambda *_: nxt,
             fixed=fixed,
         )
-        for rate, law in zip(cfg.rates, slot_laws, strict=True)
+        for rate in cfg.rates
     )
     terminal = GridValueFn(grid, np.zeros(grid.shape))
-    return FastStageModel(stages=stages, terminal_grid=grid), terminal
+    return FastStageModel(stages=stages, terminal_grid=grid, noise=slot_laws), terminal
 
 
 def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool) -> np.ndarray:
@@ -376,14 +391,15 @@ def compute_intraday(
     dec: Decomposition,
     class_id: int,
     cfg: BatteryConfig,
-    slot_laws: Sequence[DiscreteDist],
+    slot_laws: LawTable,
     c_grid: np.ndarray,
     axis: np.ndarray,
     n_soc: int,
     n_controls: int,
     fast: np.ndarray | None = None,
 ) -> IntradayTable:
-    """Intraday table of one decomposition for one periodicity class.
+    """Intraday table of one decomposition for one periodicity class, on the
+    class's (slots, atoms) netload table ``slot_laws``.
 
     c_grid starts at 0.  The c = 0 row is the no-battery bill; so is the
     dh = 0 entry of any resource row (zero budget forces u = 0).  ``fast`` may
@@ -406,7 +422,3 @@ def compute_intraday(
     values[1:, :] = fast[:, 0, 0, :]
     table = GridValueFn(Grid([c_grid, axis]), values)
     return IntradayTable(class_id, dec, table, n_controls, fast)
-
-
-compute_resource_intraday = partial(compute_intraday, RESOURCE)
-compute_price_intraday = partial(compute_intraday, PRICE)

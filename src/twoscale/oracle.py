@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import INF, DiscreteDist, Grid
+from .core import INF, Grid, LawTable
 from .intraday import FastStage, FastStageModel
 
 
@@ -18,7 +18,8 @@ class TinyProblem:
     """A small two-scale problem with tabulated costs, solvable exactly.
 
     States and controls are shared by every step; noise laws are stagewise
-    independent.  ``inequality`` relaxes the day-boundary coupling: the next
+    independent, ``noise[d]`` the (M+1, atoms) table of day d with row m the
+    law of step m.  ``inequality`` relaxes the day-boundary coupling: the next
     day may start from any state dominated by the reached one.
     """
 
@@ -26,7 +27,7 @@ class TinyProblem:
     M: int
     states: np.ndarray
     controls: np.ndarray
-    noise: list  # noise[d][m] -> DiscreteDist
+    noise: list  # noise[d] -> LawTable, row m the law of step m
     cost: Callable[[int, int, float, float, float], float]  # (d, m, x, u, w)
     dynamics: Callable[[int, int, float, float, float], float]
     final_cost: np.ndarray
@@ -48,14 +49,13 @@ class TinyProblem:
             FastStage(
                 grid,
                 self.controls,
-                self.noise[d][m],
                 _StepCost(self.cost, d, m),
                 _StepDyn(self.dynamics, d, m),
                 fixed,
             )
             for m in range(self.M + 1)
         )
-        return FastStageModel(stages=stages, terminal_grid=grid)
+        return FastStageModel(stages=stages, terminal_grid=grid, noise=self.noise[d])
 
 
 class _StepCost:
@@ -88,11 +88,10 @@ def flat_dp_solve(p: TinyProblem) -> np.ndarray:
         if p.inequality:
             v = np.minimum.accumulate(v)  # start tomorrow at any dominated state
         for m in range(p.M, -1, -1):
-            law = p.noise[d][m]
             new_v = np.zeros(len(states))
             for i, x in enumerate(states):
                 total = 0.0
-                for w, prob in law.atoms():
+                for w, prob in p.noise[d].atoms(m):
                     best = INF
                     for u in p.controls:
                         c = p.cost(d, m, float(x), float(u), float(w))
@@ -112,7 +111,7 @@ def enumerate_tree(p: TinyProblem, x0: float, max_nodes: int = 10**6) -> float:
     branch = 1
     for d in range(p.D + 1):
         for m in range(p.M + 1):
-            branch *= max(1, len(p.noise[d][m])) * len(p.controls)
+            branch *= np.count_nonzero(p.noise[d].probs[m]) * len(p.controls)
         if p.inequality:
             branch *= len(p.states)
     if branch > max_nodes:
@@ -127,9 +126,8 @@ def enumerate_tree(p: TinyProblem, x0: float, max_nodes: int = 10**6) -> float:
             if p.inequality:
                 return min(value(d + 1, 0, float(s)) for s in states if s <= x + 1e-12)
             return value(d + 1, 0, x)
-        law = p.noise[d][m]
         total = 0.0
-        for w, prob in law.atoms():
+        for w, prob in p.noise[d].atoms(m):
             best = INF
             for u in p.controls:
                 c = p.cost(d, m, x, float(u), float(w))
@@ -175,19 +173,20 @@ def random_tiny_problem(seed: int, monotone: bool = False) -> TinyProblem:
     noise = []
     cost_tables = {}
     for d in range(D + 1):
-        day = []
+        supports, weights = [], []
         for m in range(M + 1):
             n_atoms = int(rng.integers(1, 3))
             atoms = np.array(sorted(rng.choice([-1.0, 0.0, 1.0], size=n_atoms, replace=False)))
             probs = rng.random(n_atoms) + 0.1
             probs = probs / probs.sum()
-            day.append(DiscreteDist(atoms, probs))
+            supports.append(atoms)
+            weights.append(probs)
             tab = rng.uniform(0.0, 2.0, size=(n_states, 3, 3))
             if monotone:
                 drop = np.cumsum(rng.uniform(0.0, 1.0, size=n_states))
                 tab = rng.uniform(0.0, 2.0, size=(1, 3, 3)) + (drop[-1] - drop)[:, None, None]
             cost_tables[(d, m)] = tab
-        noise.append(day)
+        noise.append(LawTable.from_rows(supports, weights))
     if monotone:
         drop = np.cumsum(rng.uniform(0.0, 1.0, size=n_states))
         final = (drop[-1] - drop) + rng.uniform(0.0, 1.0)
@@ -244,68 +243,60 @@ def complexity_estimate(D: int, M: int, I: int, dims: dict | None = None) -> dic
 
 
 def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Cross-checks behind the `verify` CLI stage; returns (name, ok, detail)."""
+    """Cross-checks behind the `verify` CLI stage; returns (name, ok, detail).
+
+    Each check runs on the seeded instances seed, seed + 1, ... in turn and
+    stops at the first one it fails, which its detail names."""
     from .slowscale import (
         block_bellman_solve,
         generic_price_recursion,
         generic_resource_recursion,
     )
 
-    results = []
+    def relaxed(p):
+        return TinyProblem(**{**_fields(p), "inequality": True})
 
-    ok, detail = True, ""
-    for i in range(n_instances):
-        p = random_tiny_problem(seed + i)
-        flat = flat_dp_solve(p)
-        tree = enumerate_tree(p, float(p.states[0]))
-        if abs(flat[0] - tree) > 1e-9:
-            ok, detail = False, f"seed {seed + i}: flat {flat[0]} vs tree {tree}"
-            break
-    results.append(("flat DP equals tree enumeration", ok, detail))
+    # each check returns why an instance fails it, or "" if it passes
+    def flat_vs_tree(p):
+        flat, tree = flat_dp_solve(p), enumerate_tree(p, float(p.states[0]))
+        return f"flat {flat[0]} vs tree {tree}" if abs(flat[0] - tree) > 1e-9 else ""
 
-    ok, detail = True, ""
-    for i in range(n_instances):
-        p = random_tiny_problem(seed + i)
-        flat = flat_dp_solve(p)
-        block = block_bellman_solve(p).values[0]
-        if np.max(np.abs(flat - block)) > 1e-9:
-            ok, detail = False, f"seed {seed + i}: max err {np.max(np.abs(flat - block))}"
-            break
-    results.append(("time-block decomposition equals flat DP", ok, detail))
+    def block_vs_flat(p):
+        err = np.max(np.abs(flat_dp_solve(p) - block_bellman_solve(p).values[0]))
+        return f"max err {err}" if err > 1e-9 else ""
 
-    ok, detail = True, ""
-    for i in range(n_instances):
-        p = random_tiny_problem(seed + i, monotone=True)
-        eq = flat_dp_solve(p)
-        iq = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
-        if np.max(np.abs(eq - iq)) > 1e-9:
-            ok, detail = False, f"seed {seed + i}: monotone equality vs inequality differ"
-            break
-    results.append(("monotone instances: relaxation is tight", ok, detail))
+    def tight(p):
+        eq, iq = flat_dp_solve(p), flat_dp_solve(relaxed(p))
+        return "monotone equality vs inequality differ" if np.max(np.abs(eq - iq)) > 1e-9 else ""
 
-    ok, detail = True, ""
-    for i in range(n_instances):
-        p = random_tiny_problem(seed + i)
-        eq = flat_dp_solve(p)
-        iq = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
-        if np.max(iq - eq) > 1e-9:
-            ok, detail = False, f"seed {seed + i}: relaxed value above exact"
-            break
-    results.append(("relaxed value never exceeds exact value", ok, detail))
+    def one_sided(p):
+        eq, iq = flat_dp_solve(p), flat_dp_solve(relaxed(p))
+        return "relaxed value above exact" if np.max(iq - eq) > 1e-9 else ""
 
-    ok, detail = True, ""
-    prices = np.array([-2.0, -1.0, -0.5, 0.0])
-    for i in range(n_instances // 2):
-        p = random_tiny_problem(seed + i, monotone=True)
-        p_rel = TinyProblem(**{**_fields(p), "inequality": True})
+    def sandwich(p):
+        p_rel = relaxed(p)
         exact = flat_dp_solve(p_rel)
         upper = generic_resource_recursion(p_rel).values[0]
-        lower = generic_price_recursion(p_rel, prices).values[0]
-        if np.max(lower - exact) > 1e-9 or np.max(exact - upper) > 1e-9:
-            ok, detail = False, f"seed {seed + i}: sandwich violated"
-            break
-    results.append(("price/resource bounds sandwich the exact value", ok, detail))
+        lower = generic_price_recursion(p_rel, np.array([-2.0, -1.0, -0.5, 0.0])).values[0]
+        bad = np.max(lower - exact) > 1e-9 or np.max(exact - upper) > 1e-9
+        return "sandwich violated" if bad else ""
 
+    checks = (
+        ("flat DP equals tree enumeration", n_instances, False, flat_vs_tree),
+        ("time-block decomposition equals flat DP", n_instances, False, block_vs_flat),
+        ("monotone instances: relaxation is tight", n_instances, True, tight),
+        ("relaxed value never exceeds exact value", n_instances, False, one_sided),
+        ("price/resource bounds sandwich the exact value", n_instances // 2, True, sandwich),
+    )
+    results = []
+    for name, count, monotone, failure in checks:
+        detail = ""
+        for i in range(count):
+            why = failure(random_tiny_problem(seed + i, monotone=monotone))
+            if why:
+                detail = f"seed {seed + i}: {why}"
+                break
+        results.append((name, not detail, detail))
     return results
 
 

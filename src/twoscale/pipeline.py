@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteDist, Grid, GridValueFn, LawTable
+from .core import Grid, GridValueFn, LawTable
 from .battery import (
     battery_price_laws,
     fit_netload_distributions,
@@ -90,10 +90,22 @@ def _dump_json(obj, path: Path, indent: int | None = None) -> None:
 
 
 def load_manifest(out: Path) -> dict:
+    """The manifest in ``out``, or an empty one if there is none.  A manifest
+    that is not JSON of a stage record and a timestamp table raises
+    HashMismatch."""
     path = out / "manifest.json"
     if not path.exists():
         return {"stages": {}, "metadata": {"timestamps": {}}}
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+        if not (isinstance(manifest["stages"], dict)
+                and isinstance(manifest["metadata"]["timestamps"], dict)):
+            raise ValueError("stages or timestamps are not a table")
+    except (ValueError, TypeError, KeyError) as exc:
+        raise HashMismatch(
+            f"{path} is not a readable manifest ({exc}): delete it and rerun every stage from fit"
+        ) from exc
+    return manifest
 
 
 def _save_npz(path: Path, **arrays) -> None:
@@ -211,8 +223,7 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
         cfg.price_forecast, cfg.price_sigma, n_days, cfg.price_floor, cfg.price_atoms
     )
     arrays = {"price_support": price_laws.support, "price_probs": price_laws.probs}
-    for cls, slot_laws in laws.items():
-        table = LawTable.from_rows([d.support for d in slot_laws], [d.probs for d in slot_laws])
+    for cls, table in laws.items():
         arrays |= {f"netload_support_{cls}": table.support, f"netload_probs_{cls}": table.probs}
     out.mkdir(parents=True, exist_ok=True)
     _save_npz(out / "laws.npz", **arrays)
@@ -221,10 +232,10 @@ def stage_fit(cfg: RunConfig, out: Path) -> dict:
 
 
 def _load_fit(cfg: RunConfig, out: Path):
-    """The fitted netload laws by class, each slot's law without the padding
-    of its table row, and the daily battery price laws as one (D+1, atoms)
-    :class:`~twoscale.core.LawTable`.  A table that does not hold valid laws
-    raises HashMismatch."""
+    """The fitted netload laws by class, each an (n_slots, atoms)
+    :class:`~twoscale.core.LawTable`, and the daily battery price laws as one
+    (D+1, atoms) table.  A table that does not hold valid laws raises
+    HashMismatch."""
     classes = sorted(cfg.classmap.representatives)
     want = {"price_support": (cfg.D + 1, None), "price_probs": (cfg.D + 1, None)}
     for cls in classes:
@@ -232,10 +243,10 @@ def _load_fit(cfg: RunConfig, out: Path):
     arrays = _load_npz(out / "laws.npz", "fit", want, want)
     try:
         prices = LawTable(arrays["price_support"], arrays["price_probs"])
-        laws = {}
-        for cls in classes:
-            t = LawTable(arrays[f"netload_support_{cls}"], arrays[f"netload_probs_{cls}"])
-            laws[cls] = [DiscreteDist(x[p > 0], p[p > 0]) for x, p in zip(t.support, t.probs)]
+        laws = {
+            cls: LawTable(arrays[f"netload_support_{cls}"], arrays[f"netload_probs_{cls}"])
+            for cls in classes
+        }
     except ValueError as exc:
         raise HashMismatch(f"the fit laws in {out} are not valid laws ({exc}): rerun fit") from exc
     return laws, prices

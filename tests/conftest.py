@@ -8,12 +8,8 @@ import pytest
 
 from twoscale.battery import BatteryConfig, ScenarioSet, tariff_for_slots
 from twoscale.config import RunConfig
-from twoscale.core import INF, DiscreteDist, LawTable
-from twoscale.intraday import (
-    build_periodicity_classes,
-    compute_price_intraday,
-    compute_resource_intraday,
-)
+from twoscale.core import INF, LawTable
+from twoscale.intraday import PRICE, RESOURCE, build_periodicity_classes, compute_intraday
 
 N_SLOTS = 4
 N_SOC = 5
@@ -45,18 +41,23 @@ def small_battery_config(**overrides) -> BatteryConfig:
 
 
 def law_table(laws) -> LawTable:
-    """The (days, atoms) table of a list of per-day DiscreteDist laws."""
-    return LawTable.from_rows([l.support.tolist() for l in laws], [l.probs.tolist() for l in laws])
+    """The (rows, atoms) table of a list of (support, probs) laws, one per row."""
+    return LawTable.from_rows([support for support, _ in laws], [probs for _, probs in laws])
+
+
+def point_laws(values) -> LawTable:
+    """One row per value, its law the one atom at that value."""
+    return LawTable.from_rows([[float(v)] for v in values], [[1.0]] * len(values))
 
 
 def point_table(value, days: int) -> LawTable:
     """``days`` days of a battery price law with the one atom ``value``."""
-    return law_table(point_laws([value] * days))
+    return point_laws([value] * days)
 
 
 # The slow recursions' day step as it was written before the lean one of
 # slowscale, kept as the reference that step must equal bit for bit: one
-# DiscreteDist per day, each atom's price times the renewal sizes per day,
+# (support, probs) law per day, each atom's price times the renewal sizes per day,
 # the atoms summed by ``sum`` over one 3-D array, and np.interp by column
 # gathers from a transposed view, its blend copied at every grid point.
 
@@ -66,8 +67,9 @@ def _ref_continuation(vnext, price_law, cfg, renewal):
     probability its probability and the cheapest fresh battery."""
     disc = cfg.gamma * vnext
     sizes, hi, ci = renewal
-    atoms = price_law.probs > 0.0
-    prices, probs = price_law.support[atoms], price_law.probs[atoms]
+    support, weights = (np.asarray(a, dtype=float) for a in price_law)
+    atoms = weights > 0.0
+    prices, probs = support[atoms], weights[atoms]
     buy = prices[:, None] * sizes[None, :] + disc[hi, ci][None, :]
     return disc, probs, buy.min(axis=1, initial=INF)
 
@@ -135,13 +137,16 @@ def _ref_price_objective(table, h, h_grid, ci, continuation):
 
 
 def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days):
-    """White-noise scenarios drawn one (scenario, day) price at a time: the
-    per-scenario loop that ``white_noise_resample`` must equal bit for bit."""
+    """White-noise scenarios drawn one (scenario, day) price and one
+    (scenario, slot) cumulative sum at a time from unpadded laws: the
+    per-scenario loop that ``white_noise_resample`` must equal bit for bit.
+    ``laws`` holds per class a list of per-slot (support, probs) pairs and
+    ``price_laws`` a list of per-day ones."""
     n_slots = len(next(iter(laws.values())))
     day_class = classmap.day_to_class[:n_days]
     netload = np.empty((n, n_days, n_slots))
     price = np.empty((n, n_days))
-    price_cums = [np.cumsum(pl.probs) for pl in price_laws]
+    price_cums = [np.cumsum(probs) for _, probs in price_laws]
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         u = rng.random((n_days, n_slots))
@@ -149,15 +154,15 @@ def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days)
             days = np.flatnonzero(day_class == cls)
             if len(days) == 0:
                 continue
-            for m, law in enumerate(slot_laws):
-                cum = np.cumsum(law.probs)
+            for m, (support, probs) in enumerate(slot_laws):
+                cum = np.cumsum(probs)
                 pick = np.searchsorted(cum, u[days, m], side="right")
-                pick = np.minimum(pick, len(law.probs) - 1)
-                netload[i, days, m] = law.support[pick]
+                pick = np.minimum(pick, len(probs) - 1)
+                netload[i, days, m] = support[pick]
         up = rng.random(n_days)
         for d in range(n_days):
             j = min(np.searchsorted(price_cums[d], up[d], side="right"), len(price_cums[d]) - 1)
-            price[i, d] = price_laws[d].support[j]
+            price[i, d] = price_laws[d][0][j]
     return ScenarioSet(netload, price)
 
 
@@ -171,10 +176,6 @@ def rewrite_npz(path, change) -> None:
         np.savez(fh, **arrays)
 
 
-def point_laws(values) -> list[DiscreteDist]:
-    return [DiscreteDist(np.array([float(v)]), np.array([1.0])) for v in values]
-
-
 @pytest.fixture(scope="session")
 def small_world():
     """Deterministic 4-slot world with one periodicity class and a 50 kWh
@@ -186,11 +187,11 @@ def small_world():
     pi_grid = np.array([0.0, 0.05, 0.10])
     h_grid = np.linspace(0.0, 200.0, 5)
     classmap = build_periodicity_classes(D_SMALL, 1)
-    rtab = compute_resource_intraday(
-        1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+    rtab = compute_intraday(
+        RESOURCE, 1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
-    ptab = compute_price_intraday(
-        1, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+    ptab = compute_intraday(
+        PRICE, 1, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
     return {
         "cfg": cfg,

@@ -18,7 +18,7 @@ import pytest
 
 from twoscale.battery import BatteryState, white_noise_resample
 from twoscale.config import RunConfig
-from twoscale.intraday import PRICE, RESOURCE, compute_price_intraday, compute_resource_intraday
+from twoscale.intraday import PRICE, RESOURCE, compute_intraday
 from twoscale.oracle import (
     TinyProblem,
     _fields,
@@ -124,10 +124,10 @@ def test_criterion_05_same_class_days_share_bitexact_tables():
             tab.table.to_jsonable(), sort_keys=True, separators=(",", ":")
         ).encode()
 
-    r_day0 = compute_resource_intraday(1, cfg, laws, c_grid, dh_grid, 5, 5)
-    r_day365 = compute_resource_intraday(1, cfg, laws, c_grid, dh_grid, 5, 5)
-    p_day0 = compute_price_intraday(1, cfg, laws, c_grid, pi_grid, 5, 5)
-    p_day365 = compute_price_intraday(1, cfg, laws, c_grid, pi_grid, 5, 5)
+    r_day0 = compute_intraday(RESOURCE, 1, cfg, laws, c_grid, dh_grid, 5, 5)
+    r_day365 = compute_intraday(RESOURCE, 1, cfg, laws, c_grid, dh_grid, 5, 5)
+    p_day0 = compute_intraday(PRICE, 1, cfg, laws, c_grid, pi_grid, 5, 5)
+    p_day365 = compute_intraday(PRICE, 1, cfg, laws, c_grid, pi_grid, 5, 5)
     assert blob(r_day0) == blob(r_day365)
     assert blob(p_day0) == blob(p_day365)
     assert r_day0.fast.tobytes() == r_day365.fast.tobytes()

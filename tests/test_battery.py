@@ -31,10 +31,15 @@ from twoscale.battery import (
     white_noise_resample,
 )
 from twoscale.config import RunConfig
-from twoscale.core import DiscreteDist
 from twoscale.intraday import build_periodicity_classes
 
-from conftest import _white_noise_resample_reference, law_table, small_battery_config
+from conftest import (
+    _white_noise_resample_reference,
+    law_table,
+    point_laws,
+    point_table,
+    small_battery_config,
+)
 
 # the battery of a default run: sizes 0..1500 kWh in steps of 100, 48 slots
 DEFAULT = RunConfig().battery_config()
@@ -219,24 +224,24 @@ def test_stage_cost_nonneg_nondecreasing_in_netload():
 
 
 def test_kmeans_two_cluster_example():
-    law = kmeans_1d(np.array([0.0, 0.0, 10.0, 10.0]), 2)
-    assert law.support.tolist() == [0.0, 10.0]
-    assert law.probs.tolist() == [0.5, 0.5]
+    support, probs = kmeans_1d(np.array([0.0, 0.0, 10.0, 10.0]), 2)
+    assert support.tolist() == [0.0, 10.0]
+    assert probs.tolist() == [0.5, 0.5]
 
 
 def test_kmeans_single_cluster_is_mean():
     data = np.array([1.0, 2.0, 6.0])
-    law = kmeans_1d(data, 1)
-    assert law.support.tolist() == [pytest.approx(3.0)]
-    assert law.probs.tolist() == [1.0]
+    support, probs = kmeans_1d(data, 1)
+    assert support.tolist() == [pytest.approx(3.0)]
+    assert probs.tolist() == [1.0]
 
 
 def test_kmeans_deterministic_and_validated():
     data = np.random.default_rng(11).standard_normal(200)
     a = kmeans_1d(data, 5)
     b = kmeans_1d(data, 5)
-    assert np.array_equal(a.support, b.support)
-    assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
     with pytest.raises(ValueError):
         kmeans_1d(np.array([1.0]), 3)
     with pytest.raises(ValueError):
@@ -271,7 +276,7 @@ def _dense_kmeans_reference(data, k, max_iter=200):
     counts = np.bincount(order.argsort()[assign], minlength=k)
     probs = counts / counts.sum()
     keep = probs > 0
-    return DiscreteDist(centers[keep], probs[keep] / probs[keep].sum()), steps
+    return (centers[keep], probs[keep] / probs[keep].sum()), steps
 
 
 @pytest.fixture()
@@ -289,10 +294,10 @@ def dense_calls(monkeypatch):
 
 
 def assert_matches_dense_reference(data, k):
-    law, steps = battery._kmeans_1d(data, k)
-    ref, ref_steps = _dense_kmeans_reference(data, k)
-    assert law.support.tobytes() == ref.support.tobytes()
-    assert law.probs.tobytes() == ref.probs.tobytes()
+    (support, probs), steps = battery._kmeans_1d(data, k)
+    (ref_support, ref_probs), ref_steps = _dense_kmeans_reference(data, k)
+    assert support.tobytes() == ref_support.tobytes()
+    assert probs.tobytes() == ref_probs.tobytes()
     assert steps == ref_steps
 
 
@@ -376,12 +381,12 @@ def test_fit_netload_distributions_shape_and_bounds():
     netload = synthetic_netload_scenarios(4, 10, 8, seed=3, base_kw=40.0)
     laws, _ = fit_netload_distributions(netload, classmap, k=3)
     assert sorted(laws) == [1]
-    assert len(laws[1]) == 8
-    for m, law in enumerate(laws[1]):
+    assert laws[1].probs.shape == (8, 3)
+    for m in range(8):
         obs = netload[:, :, m]
-        assert abs(law.probs.sum() - 1.0) < 1e-12
-        assert law.support.min() >= obs.min() - 1e-12
-        assert law.support.max() <= obs.max() + 1e-12
+        assert abs(laws[1].probs[m].sum() - 1.0) < 1e-12
+        assert laws[1].support[m].min() >= obs.min() - 1e-12
+        assert laws[1].support[m].max() <= obs.max() + 1e-12
 
 
 def test_fit_netload_insufficient_data():
@@ -450,8 +455,8 @@ def test_synthetic_netload_deterministic():
 
 def test_white_noise_resample_single_atom_is_constant():
     classmap = build_periodicity_classes(4, 1)
-    laws = {1: [DiscreteDist(np.array([2.0]), np.array([1.0])) for _ in range(3)]}
-    price_laws = law_table([DiscreteDist(np.array([5.0]), np.array([1.0])) for _ in range(5)])
+    laws = {1: point_laws([2.0] * 3)}
+    price_laws = point_table(5.0, 5)
     scen = white_noise_resample(laws, price_laws, classmap, n=3, seed=0, n_days=5)
     assert np.all(scen.netload == 2.0)
     assert np.all(scen.battery_price == 5.0)
@@ -459,12 +464,12 @@ def test_white_noise_resample_single_atom_is_constant():
 
 def test_white_noise_resample_matches_law_statistics():
     classmap = build_periodicity_classes(4999, 1)
-    law = DiscreteDist(np.array([-1.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.25]))
-    laws = {1: [law, law]}
-    price_laws = law_table([DiscreteDist(np.array([1.0]), np.array([1.0]))] * 5000)
+    support, probs = np.array([-1.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.25])
+    laws = {1: law_table([(support, probs)] * 2)}
+    price_laws = point_table(1.0, 5000)
     scen = white_noise_resample(laws, price_laws, classmap, n=2, seed=42, n_days=5000)
-    mean = float(np.dot(law.probs, law.support))
-    std = float(np.sqrt(np.dot(law.probs, (law.support - mean) ** 2)))
+    mean = float(np.dot(probs, support))
+    std = float(np.sqrt(np.dot(probs, (support - mean) ** 2)))
     for m in range(2):
         samples = scen.netload[:, :, m].ravel()
         stderr = std / np.sqrt(len(samples))
@@ -473,23 +478,26 @@ def test_white_noise_resample_matches_law_statistics():
 
 @pytest.mark.parametrize("n_classes", [1, 4])
 def test_white_noise_resample_equals_the_per_scenario_day_loop(n_classes):
-    # price laws of 1 to 5 atoms, some with a cumulative sum that ends below
-    # 1.0, draw every day's prices for all scenarios in one lookup
+    # price laws of 1 to 5 atoms and netload laws of 1 to 3 atoms, some with
+    # a cumulative sum that ends below 1.0, draw every day's prices for all
+    # scenarios in one lookup and each slot from its padded table row
     n_days, rng = 400, np.random.default_rng(3)
     classmap = build_periodicity_classes(n_days - 1, n_classes)
+
+    def random_law(k, shift):
+        probs = rng.random(k) + 0.1
+        return np.sort(rng.random(k)) + shift, probs / probs.sum()
+
     laws = {
-        cls: [DiscreteDist(np.sort(rng.normal(size=3)), np.array([0.2, 0.3, 0.5]))] * 6
+        cls: [random_law(1 + m % 3, -0.5) for m in range(6)]
         for cls in sorted(classmap.representatives)
     }
-    price_laws = []
-    for d in range(n_days):
-        k = 1 + d % 5
-        probs = rng.random(k) + 0.1
-        price_laws.append(DiscreteDist(np.sort(rng.random(k)) + d, probs / probs.sum()))
+    price_laws = [random_law(1 + d % 5, d) for d in range(n_days)]
+    tables = {cls: law_table(slot_laws) for cls, slot_laws in laws.items()}
     for n, seed in ((1, 0), (7, 11), (30, 1234)):
         args = (laws, price_laws, classmap, n, seed, n_days)
-        # the laws of fewer atoms than 5 padded in one (days, 5) table
-        got = white_noise_resample(laws, law_table(price_laws), *args[2:])
+        # the laws of fewer atoms than the widest padded in one table
+        got = white_noise_resample(tables, law_table(price_laws), *args[2:])
         want = _white_noise_resample_reference(*args)
         assert got.netload.tobytes() == want.netload.tobytes()
         assert got.battery_price.tobytes() == want.battery_price.tobytes()
@@ -497,9 +505,8 @@ def test_white_noise_resample_equals_the_per_scenario_day_loop(n_classes):
 
 def test_white_noise_resample_reproducible():
     classmap = build_periodicity_classes(9, 1)
-    law = DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-    laws = {1: [law] * 4}
-    price_laws = law_table([DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, 0.5]))] * 10)
+    laws = {1: law_table([([0.0, 1.0], [0.5, 0.5])] * 4)}
+    price_laws = law_table([([1.0, 2.0], [0.5, 0.5])] * 10)
     a = white_noise_resample(laws, price_laws, classmap, n=4, seed=7, n_days=10)
     b = white_noise_resample(laws, price_laws, classmap, n=4, seed=7, n_days=10)
     assert np.array_equal(a.netload, b.netload)

@@ -625,3 +625,23 @@ def test_truncated_npz_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["bellman", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "intraday_R.npz: cannot be read" in res.output and "rerun intraday" in res.output
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda text: text[:50], lambda text: "[]", lambda text: '{"stages": {}}'],
+    ids=["truncated", "not-a-table", "no-metadata"],
+)
+@pytest.mark.parametrize("stage", ["report", "fit"])
+def test_corrupt_manifest_exit_code(runner, tmp_path, spoil, stage):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    _run(runner, ("fit", "intraday", "bellman"), cfg, out)
+    path = out / "manifest.json"
+    path.write_text(spoil(path.read_text()))
+    before = _files(out)
+    res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "manifest.json is not a readable manifest" in res.output
+    assert "delete it and rerun every stage from fit" in res.output
+    assert _files(out) == before

@@ -1,5 +1,5 @@
-"""Core substrate: lower addition, grid functions, distributions and
-discrete conjugation."""
+"""Core substrate: lower addition, grid functions, finite laws and discrete
+conjugation."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ import pytest
 from twoscale.core import (
     INF,
     BlendPlan,
-    DiscreteDist,
     Grid,
     GridValueFn,
     LawTable,
     fenchel_conjugate,
-    low_add,
     low_add_arrays,
 )
 
@@ -26,6 +24,13 @@ from twoscale.core import (
 # ---------------------------------------------------------------- lower addition
 
 SIGN_CLASSES = [-INF, -1.5, 0.0, 2.0, INF]
+
+
+def low_add(a: float, b: float) -> float:
+    """Lower addition of two extended reals, as 1-element arrays."""
+    out = low_add_arrays(np.array([a]), np.array([b]))
+    assert out.shape == (1,)
+    return float(out[0])
 
 
 def test_low_add_examples():
@@ -51,6 +56,7 @@ def test_low_add_commutative_associative():
 
 
 def test_low_add_arrays_matches_scalar():
+    # the whole sign table at once equals it one 1-element pair at a time
     a = np.array(SIGN_CLASSES * len(SIGN_CLASSES))
     b = np.repeat(SIGN_CLASSES, len(SIGN_CLASSES))
     out = low_add_arrays(a, b)
@@ -240,58 +246,29 @@ def test_gridfn_json_roundtrip_with_infinities(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-# ---------------------------------------------------------------- distributions
+# ---------------------------------------------------------------- finite laws
 
 
-def test_expectation_examples():
-    d = DiscreteDist(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
-    assert d.expectation(lambda s: float(s)) == pytest.approx(2.0)
-    d1 = DiscreteDist(np.array([0.0]), np.array([1.0]))
-    assert d1.expectation(lambda s: INF) == INF
-    d2 = DiscreteDist(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    assert d2.expectation(lambda s: 4.0 if s == 0.0 else 0.0) == pytest.approx(1.0)
-
-
-def test_expectation_skips_zero_probability_atoms():
-    d = DiscreteDist(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-
-    def f(s):
-        if s == 1.0:
-            raise AssertionError("zero-probability atom evaluated")
-        return 2.0
-
-    assert d.expectation(f) == pytest.approx(2.0)
-
-
-def test_expectation_linearity():
-    rng = np.random.default_rng(0)
-    support = np.arange(4.0)
-    probs = rng.random(4) + 0.1
-    probs /= probs.sum()
-    d = DiscreteDist(support, probs)
-    fv = rng.standard_normal(4)
-    gv = rng.standard_normal(4)
-    a, b = 1.7, -0.3
-    lhs = d.expectation(lambda s: a * fv[int(s)] + b * gv[int(s)])
-    rhs = a * d.expectation(lambda s: fv[int(s)]) + b * d.expectation(lambda s: gv[int(s)])
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+def test_law_table_atoms_skip_zero_probability():
+    # row 0 is padded with its last atom; row 1 holds a probability-0 atom inside
+    table = LawTable.from_rows([[0.5, 2.0], [1.0, 3.0, 4.0]], [[0.25, 0.75], [0.5, 0.0, 0.5]])
+    assert table.probs[0, 2] == 0.0
+    assert list(table.atoms(0)) == [(0.5, 0.25), (2.0, 0.75)]
+    assert list(table.atoms(1)) == [(1.0, 0.5), (4.0, 0.5)]
+    assert all(type(p) is float for _, p in table.atoms(1))
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        DiscreteDist(np.array([1.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        DiscreteDist(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        DiscreteDist(np.array([1.0, 2.0]), np.array([0.5]))
+    with pytest.raises(ValueError, match="sum to"):
+        LawTable([[1.0]], [[0.5]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        LawTable([[1.0, 2.0]], [[1.5, -0.5]])
+    with pytest.raises(ValueError, match="not one"):
+        LawTable([[1.0, 2.0]], [[0.5]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_distribution_refuses_non_finite_values(bad):
-    with pytest.raises(ValueError, match="finite"):
-        DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, bad]))
-    with pytest.raises(ValueError, match="finite"):
-        DiscreteDist(np.array([1.0, bad]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="finite"):
         LawTable([[1.0, 2.0]], [[bad, 0.5]])
     with pytest.raises(ValueError, match="finite"):
@@ -308,19 +285,19 @@ def test_law_table_pads_short_days_with_their_last_atom():
 
 
 def test_law_table_validation():
-    with pytest.raises(ValueError, match="not one \\(days, atoms\\) shape"):
+    with pytest.raises(ValueError, match="not one \\(rows, atoms\\) shape"):
         LawTable([[1.0, 2.0]], [[1.0]])
-    with pytest.raises(ValueError, match="not one \\(days, atoms\\) shape"):
+    with pytest.raises(ValueError, match="not one \\(rows, atoms\\) shape"):
         LawTable([1.0], [1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         LawTable([[1.0, 2.0]], [[1.5, -0.5]])
-    with pytest.raises(ValueError, match="day 1 sum to"):
+    with pytest.raises(ValueError, match="row 1 sum to"):
         LawTable([[1.0, 2.0], [1.0, 2.0]], [[0.5, 0.5], [0.5, 0.4]])
     with pytest.raises(ValueError, match="one probability per atom"):
         LawTable.from_rows([[1.0, 2.0]], [[1.0]])
     with pytest.raises(ValueError, match="one probability per atom"):
         LawTable.from_rows([[]], [[]])
-    with pytest.raises(ValueError, match="2 supports for 1 days"):
+    with pytest.raises(ValueError, match="2 supports for 1 rows"):
         LawTable.from_rows([[1.0], [2.0]], [[1.0]])
 
 

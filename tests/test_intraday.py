@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from twoscale.core import INF, DiscreteDist, Grid, GridValueFn, low_add_arrays
+from twoscale.battery import white_noise_resample
+from twoscale.core import INF, Grid, GridValueFn, LawTable, low_add_arrays
 from twoscale.intraday import (
+    PRICE,
+    RESOURCE,
     FastStage,
     FastStageModel,
     PeriodicityClassMap,
@@ -18,26 +21,25 @@ from twoscale.intraday import (
     _expect_value,
     _fast_cell,
     build_periodicity_classes,
-    compute_price_intraday,
-    compute_resource_intraday,
+    compute_intraday,
     no_battery_bill,
     solve_fast_dp,
 )
 from twoscale.oracle import random_tiny_problem
 
-from conftest import N_CONTROLS, N_SOC, point_laws, small_battery_config
+from conftest import N_CONTROLS, N_SOC, law_table, point_laws, small_battery_config
 
 
 def point(v):
-    return DiscreteDist(np.array([float(v)]), np.array([1.0]))
+    """The law of the one atom v, as a (support, probs) pair."""
+    return [float(v)], [1.0]
 
 
-def make_stage(grid, controls, noise, cost, dyn, fixed=None):
+def make_stage(grid, controls, cost, dyn, fixed=None):
     controls = np.asarray(controls, dtype=float)
     return FastStage(
         state_grid=grid,
         controls=controls,
-        noise=noise,
         cost=cost,
         dynamics=dyn,
         fixed=np.zeros((len(controls), grid.size)) if fixed is None else fixed,
@@ -54,10 +56,8 @@ def stay(s, u, w):
 
 def test_fast_dp_free_control_example():
     grid = Grid([[0.0]])
-    stage = make_stage(
-        grid, [0.0, 1.0], point(0.0), lambda s, u, w: np.tile(u[:, None], len(s)), stay
-    )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    stage = make_stage(grid, [0.0, 1.0], lambda s, u, w: np.tile(u[:, None], len(s)), stay)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(1)))
     assert sol.values[0].values[0] == 0.0
 
@@ -73,10 +73,8 @@ def test_fast_dp_two_step_quadratic_example():
     def dyn(s, u, w):
         return s[None] + u[:, None, None]
 
-    stages = tuple(
-        make_stage(grid, controls, point(0.0), cost, dyn) for _ in range(2)
-    )
-    model = FastStageModel(stages=stages, terminal_grid=grid)
+    stages = tuple(make_stage(grid, controls, cost, dyn) for _ in range(2))
+    model = FastStageModel(stages=stages, terminal_grid=grid, noise=point_laws([0.0, 0.0]))
     terminal = GridValueFn(grid, -grid.axes[0])
     sol = solve_fast_dp(model, terminal)
     x0 = np.searchsorted(grid.axes[0], 0.0)
@@ -85,11 +83,9 @@ def test_fast_dp_two_step_quadratic_example():
 
 def test_fast_dp_expectation_passthrough():
     grid = Grid([[0.0]])
-    noise = DiscreteDist(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    stage = make_stage(
-        grid, [0.0], noise, lambda s, u, w: np.full((len(u), len(s)), float(w)), stay
-    )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    noise = law_table([([-1.0, 1.0], [0.5, 0.5])])
+    stage = make_stage(grid, [0.0], lambda s, u, w: np.full((len(u), len(s)), float(w)), stay)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=noise)
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(1)))
     assert sol.values[0].values[0] == pytest.approx(0.0)
 
@@ -99,11 +95,10 @@ def test_fast_dp_all_infeasible_gives_infinity():
     stage = make_stage(
         grid,
         [0.0, 1.0],
-        point(0.0),
         lambda s, u, w: np.tile(np.where(s[:, 0] > 0.5, INF, 1.0), (len(u), 1)),
         stay,
     )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
     assert sol.values[0].values[1] == INF
     assert sol.values[0].values[0] == 1.0
@@ -112,12 +107,17 @@ def test_fast_dp_all_infeasible_gives_infinity():
 def test_fast_dp_terminal_grid_mismatch():
     grid = Grid([[0.0, 1.0]])
     other = Grid([[0.0, 2.0]])
-    stage = make_stage(
-        grid, [0.0], point(0.0), lambda s, u, w: np.zeros((len(u), len(s))), stay
-    )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    stage = make_stage(grid, [0.0], lambda s, u, w: np.zeros((len(u), len(s))), stay)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     with pytest.raises(ValueError):
         solve_fast_dp(model, GridValueFn(other, np.zeros(2)))
+
+
+def test_fast_dp_model_needs_one_noise_law_per_stage():
+    grid = Grid([[0.0]])
+    stage = make_stage(grid, [0.0], lambda s, u, w: np.zeros((len(u), len(s))), stay)
+    with pytest.raises(ValueError, match="2 noise laws for 1 stages"):
+        FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -130,28 +130,28 @@ def test_fast_dp_terminal_grid_mismatch():
 )
 def test_fast_dp_rejects_a_handle_off_the_contract_shape(cost, dyn, handle):
     grid = Grid([[0.0, 1.0]])
-    stage = make_stage(grid, [0.0, 1.0], point(0.0), cost, dyn)
-    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    stage = make_stage(grid, [0.0, 1.0], cost, dyn)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     with pytest.raises(ValueError, match=f"{handle} returned shape"):
         solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
 
-def _tree_value(stages, terminal_axis, terminal_vals, m, x):
+def _tree_value(model, terminal_axis, terminal_vals, m, x):
     """Brute-force scenario recursion for integer-state shift instances."""
-    if m == len(stages):
+    if m == len(model.stages):
         i = int(np.argmin(np.abs(terminal_axis - x)))
         return float(terminal_vals[i])
-    stage = stages[m]
+    stage = model.stages[m]
     total = 0.0
     axis = stage.state_grid.axes[0]
-    for w, p in stage.noise.atoms():
+    for w, p in model.noise.atoms(m):
         best = INF
         for u in stage.controls:
             c = float(stage.cost(np.array([[x]]), np.array([u]), float(w))[0, 0])
             c += float(stage.fixed[list(stage.controls).index(u), list(axis).index(x)])
             nxt = float(stage.dynamics(np.array([[x]]), np.array([u]), float(w))[0, 0, 0])
             nxt = float(np.clip(nxt, axis[0], axis[-1]))
-            q = c + _tree_value(stages, terminal_axis, terminal_vals, m + 1, nxt)
+            q = c + _tree_value(model, terminal_axis, terminal_vals, m + 1, nxt)
             best = min(best, q)
         total += p * best
     return total
@@ -178,7 +178,7 @@ def _shift_instances(seed=123, n=10):
         grid = Grid([axis])
         n_steps = int(rng.integers(1, 4))
         controls = np.array(sorted(rng.choice([-1.0, 0.0, 1.0], 2, replace=False)))
-        stages = []
+        stages, noises = [], []
         for _ in range(n_steps):
             n_atoms = int(rng.integers(1, 3))
             atoms = np.array(sorted(rng.choice([-1.0, 0.0, 1.0], n_atoms, replace=False)))
@@ -188,17 +188,14 @@ def _shift_instances(seed=123, n=10):
             def dyn(s, u, w, lo=axis[0], hi=axis[-1]):
                 return np.clip(s[None] + u[:, None, None] + w, lo, hi)
 
+            noises.append((atoms, probs))
             stages.append(
                 make_stage(
-                    grid,
-                    controls,
-                    DiscreteDist(atoms, probs),
-                    _TabCost(rng.uniform(0.0, 2.0, size=(n_states, 3, 3))),
-                    dyn,
+                    grid, controls, _TabCost(rng.uniform(0.0, 2.0, size=(n_states, 3, 3))), dyn
                 )
             )
         terminal_vals = rng.uniform(0.0, 2.0, size=n_states)
-        model = FastStageModel(stages=tuple(stages), terminal_grid=grid)
+        model = FastStageModel(stages=tuple(stages), terminal_grid=grid, noise=law_table(noises))
         out.append((model, GridValueFn(grid, terminal_vals)))
     return out
 
@@ -208,7 +205,7 @@ def test_fast_dp_matches_exhaustive_enumeration():
         axis = terminal.grid.axes[0]
         sol = solve_fast_dp(model, terminal)
         for i, x in enumerate(axis):
-            brute = _tree_value(model.stages, axis, terminal.values, 0, float(x))
+            brute = _tree_value(model, axis, terminal.values, 0, float(x))
             assert sol.values[0].values[i] == pytest.approx(brute, abs=1e-9)
 
 
@@ -220,10 +217,11 @@ def _per_control_reference(model, terminal):
     sequential np.minimum."""
     values = [terminal]
     vnext = terminal
-    for stage in reversed(model.stages):
+    for m in reversed(range(len(model.stages))):
+        stage = model.stages[m]
         states = stage.state_grid.points()
         total, pos, neg = _expect_start(len(states))
-        for w, p in stage.noise.atoms():
+        for w, p in model.noise.atoms(m):
             cost = stage.cost(states, stage.controls, w)
             nxt = stage.dynamics(states, stage.controls, w)
             q_best = None
@@ -264,12 +262,12 @@ def test_broadcast_stages_match_per_control_reference(
     budget_axis, c, axis, n_soc, n_controls, some_inf
 ):
     cfg = small_battery_config()
-    laws = [
-        DiscreteDist(np.array([-9.0, 3.5, 11.0]), np.array([0.25, 0.5, 0.25])),
+    laws = law_table([
+        ([-9.0, 3.5, 11.0], [0.25, 0.5, 0.25]),
         point(-8.0),
-        DiscreteDist(np.array([2.0, 14.0]), np.array([0.4, 0.6])),
+        ([2.0, 14.0], [0.4, 0.6]),
         point(12.0),
-    ]
+    ])
     ref = _assert_matches_reference(
         *_cell_model(cfg, laws, c, axis, n_soc, n_controls, budget_axis)
     )
@@ -295,12 +293,12 @@ def _battery_cell(laws, **overrides):
 def test_split_matches_reference_where_a_control_zeroes_the_net_demand():
     # controls -25, -12.5, 0, 12.5, 25: at w = 12.5 the control -12.5 gives
     # w + u == 0 exactly, at w = 0 the control 0 does
-    laws = [
-        DiscreteDist(np.array([-3.0, 0.0, 12.5]), np.array([0.3, 0.3, 0.4])),
+    laws = law_table([
+        ([-3.0, 0.0, 12.5], [0.3, 0.3, 0.4]),
         point(12.5),
         point(-25.0),
-        DiscreteDist(np.array([0.0, 7.0]), np.array([0.5, 0.5])),
-    ]
+        ([0.0, 7.0], [0.5, 0.5]),
+    ])
     model, terminal = _battery_cell(laws)
     controls = model.stages[0].controls
     assert (controls + 12.5 == 0.0).any() and (controls == 0.0).any()
@@ -309,7 +307,7 @@ def test_split_matches_reference_where_a_control_zeroes_the_net_demand():
 
 def test_split_matches_reference_on_a_free_slot():
     # rate 0: every control row of slots 0 and 2 is bill-free
-    laws = [point(10.0), point(-8.0), point(6.0), point(12.0)]
+    laws = point_laws([10.0, -8.0, 6.0, 12.0])
     model, terminal = _battery_cell(laws, rates=(0.0, 0.2, 0.0, 0.3))
     cost = model.stages[0].cost(None, model.stages[0].controls, 10.0)
     assert not cost.any()
@@ -318,15 +316,10 @@ def test_split_matches_reference_on_a_free_slot():
 
 def test_split_matches_reference_where_every_control_pays():
     # w > u_max = 25: no control brings the net demand to 0
-    laws = [
-        DiscreteDist(np.array([26.0, 40.0]), np.array([0.5, 0.5])),
-        point(30.0),
-        point(25.5),
-        point(31.0),
-    ]
+    laws = law_table([([26.0, 40.0], [0.5, 0.5]), point(30.0), point(25.5), point(31.0)])
     model, terminal = _battery_cell(laws)
-    for stage in model.stages:
-        for w, _ in stage.noise.atoms():
+    for m, stage in enumerate(model.stages):
+        for w, _ in model.noise.atoms(m):
             assert stage.cost(None, stage.controls, w).all()
     _assert_matches_reference(model, terminal)
 
@@ -360,12 +353,12 @@ def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_neg_inf):
         return np.clip(s[None] + u[:, None, None], 0.0, 3.0)
 
     # the last step has atom 0 alone, so its bill-free rows decide alone
-    noises = [DiscreteDist(np.array([0.0, 0.5]), np.array([0.5, 0.5]))] * 2 + [point(0.0)]
+    noises = [([0.0, 0.5], [0.5, 0.5])] * 2 + [point(0.0)]
     stages = tuple(
-        make_stage(grid, controls, noise, _GappedCost(rng.uniform(0.1, 2.0, (5, 4))), dyn, fixed)
-        for noise in noises
+        make_stage(grid, controls, _GappedCost(rng.uniform(0.1, 2.0, (5, 4))), dyn, fixed)
+        for _ in noises
     )
-    model = FastStageModel(stages=stages, terminal_grid=grid)
+    model = FastStageModel(stages=stages, terminal_grid=grid, noise=law_table(noises))
     end = rng.uniform(0.0, 2.0, size=4)
     if terminal_neg_inf:
         end[2] = -INF  # meets +inf in fixed: lower addition gives -inf
@@ -378,10 +371,9 @@ def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_neg_inf):
 def test_fixed_off_the_contract_shape_is_rejected():
     grid = Grid([[0.0, 1.0]])
     stage = make_stage(
-        grid, [0.0, 1.0], point(0.0), lambda s, u, w: np.zeros((len(u), 1)), stay,
-        np.zeros((2, 1)),
+        grid, [0.0, 1.0], lambda s, u, w: np.zeros((len(u), 1)), stay, np.zeros((2, 1))
     )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid)
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     with pytest.raises(ValueError, match="fixed has shape"):
         solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
@@ -396,7 +388,7 @@ def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch)
 
     monkeypatch.setattr(Grid, "interp_plan", counted)
     cfg = small_battery_config()
-    laws = [DiscreteDist(np.array([-9.0, 11.0]), np.array([0.5, 0.5]))] * 4
+    laws = law_table([([-9.0, 11.0], [0.5, 0.5])] * 4)
     _fast_cell(cfg, laws, 50.0, np.linspace(0.0, 100.0, 7), 5, 5, True)
     assert plans == [5 * 5 * 7]
     # a transition that depends on w returns a new array at every atom
@@ -404,7 +396,7 @@ def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch)
     p = random_tiny_problem(7)
     model = p.day_model(0)
     solve_fast_dp(model, GridValueFn(model.terminal_grid, p.final_cost))
-    assert len(plans) == sum(len(list(st.noise.atoms())) for st in model.stages)
+    assert len(plans) == sum(len(list(model.noise.atoms(m))) for m in range(len(model.stages)))
 
 
 # ---------------------------------------------------------------- periodicity
@@ -476,8 +468,8 @@ def test_price_table_huge_surcharge_prices_battery_out():
     cfg = small_battery_config()
     laws = point_laws([10.0, -8.0, 6.0, 12.0])
     c_grid = np.array([0.0, 50.0])
-    tab = compute_price_intraday(
-        1, cfg, laws, c_grid, np.array([0.0, 1e6]), n_soc=N_SOC, n_controls=N_CONTROLS
+    tab = compute_intraday(
+        PRICE, 1, cfg, laws, c_grid, np.array([0.0, 1e6]), n_soc=N_SOC, n_controls=N_CONTROLS
     )
     base = no_battery_bill(laws, cfg.rates)
     assert tab.table.values[1, 1] == pytest.approx(base, abs=1e-9)
@@ -489,8 +481,9 @@ def test_resource_single_step_cannot_discharge_empty():
         charge_eff=1.0, discharge_eff=1.0, u_max=10.0, renewal_grid=(0.0, 10.0), rates=(1.0,),
     )
     laws = point_laws([1.0])
-    tab = compute_resource_intraday(
-        1, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 20.0]), n_soc=5, n_controls=5
+    tab = compute_intraday(
+        RESOURCE, 1, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 20.0]), n_soc=5,
+        n_controls=5,
     )
     assert tab.table.values[1, 1] == pytest.approx(1.0, abs=1e-9)
 
@@ -502,8 +495,8 @@ def test_price_two_step_arbitrage_is_free_at_zero_surcharge():
         charge_eff=1.0, discharge_eff=1.0, u_max=1.0, renewal_grid=(0.0, 10.0), rates=(1.0, 1.0),
     )
     laws = point_laws([-1.0, 1.0])
-    tab = compute_price_intraday(
-        1, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 0.5]), n_soc=9, n_controls=3
+    tab = compute_intraday(
+        PRICE, 1, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 0.5]), n_soc=9, n_controls=3
     )
     assert tab.table.values[1, 0] == pytest.approx(0.0, abs=1e-9)
     # the no-battery bill is 1; with surcharge 0.5 the exchange costs exactly 1
@@ -525,27 +518,52 @@ def test_intraday_weak_duality(world):
 def test_periodicity_bit_exact_tables(world):
     cfg, laws = world["cfg"], world["slot_laws"]
     kw = dict(n_soc=N_SOC, n_controls=N_CONTROLS)
-    a = compute_resource_intraday(1, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
-    b = compute_resource_intraday(1, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
+    a = compute_intraday(RESOURCE, 1, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
+    b = compute_intraday(RESOURCE, 1, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
     assert json.dumps(a.table.to_jsonable()) == json.dumps(b.table.to_jsonable())
-    pa = compute_price_intraday(1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
-    pb = compute_price_intraday(1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
+    pa = compute_intraday(PRICE, 1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
+    pb = compute_intraday(PRICE, 1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
     assert json.dumps(pa.table.to_jsonable()) == json.dumps(pb.table.to_jsonable())
-    assert a.fast.shape == (len(world["c_grid"]) - 1, len(laws) + 1, N_SOC, len(world["dh_grid"]))
+    n_slots = len(laws.probs)
+    assert a.fast.shape == (len(world["c_grid"]) - 1, n_slots + 1, N_SOC, len(world["dh_grid"]))
     assert np.array_equal(a.fast, b.fast)
 
 
 def test_negative_surcharge_rejected(world):
     with pytest.raises(ValueError):
-        compute_price_intraday(
-            1, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0]),
+        compute_intraday(
+            PRICE, 1, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0]),
             N_SOC, N_CONTROLS,
         )
 
 
 def test_capacity_grid_not_from_zero_rejected(world):
     with pytest.raises(ValueError, match="start at c = 0"):
-        compute_price_intraday(
-            1, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"],
+        compute_intraday(
+            PRICE, 1, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"],
             N_SOC, N_CONTROLS,
         )
+
+
+def test_padded_rows_give_the_results_of_the_unpadded_laws():
+    # each row's law unpadded, 2 atoms wide, and padded to 5 atoms by its last
+    # atom at probability 0; random probabilities, so that some cumulative
+    # sums end off 1.0
+    rng = np.random.default_rng(9)
+    support, probs = np.sort(rng.uniform(-20.0, 20.0, (4, 2)), axis=1), rng.random((4, 2)) + 0.1
+    tight = LawTable(support, probs / probs.sum(axis=1)[:, None])
+    padded = LawTable(
+        np.pad(tight.support, ((0, 0), (0, 3)), mode="edge"), np.pad(tight.probs, ((0, 0), (0, 3)))
+    )
+    cfg = small_battery_config()
+    assert no_battery_bill(padded, cfg.rates) == no_battery_bill(tight, cfg.rates)
+    for budget_axis, axis in ((True, np.linspace(0.0, 100.0, 5)), (False, np.array([0.0, 0.1]))):
+        want = _fast_cell(cfg, tight, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
+        got = _fast_cell(cfg, padded, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
+        assert got.tobytes() == want.tobytes()
+    classmap = build_periodicity_classes(199, 4)
+    prices = point_laws([1.0] * 200)
+    for seed in (0, 5):
+        want = white_noise_resample({c: tight for c in range(1, 5)}, prices, classmap, 6, seed, 200)
+        got = white_noise_resample({c: padded for c in range(1, 5)}, prices, classmap, 6, seed, 200)
+        assert got.netload.tobytes() == want.netload.tobytes()

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.core import DiscreteDist
+from twoscale import oracle
 from twoscale.oracle import (
     TinyProblem,
     _fields,
@@ -17,15 +17,13 @@ from twoscale.oracle import (
     run_verification,
 )
 
-
-def point(v):
-    return DiscreteDist(np.array([float(v)]), np.array([1.0]))
+from conftest import law_table, point_laws
 
 
 def test_flat_dp_single_step_quadratic():
     p = TinyProblem(
         D=0, M=0, states=np.array([0.0]), controls=np.array([-1.0, 0.0, 1.0]),
-        noise=[[point(0.0)]],
+        noise=[point_laws([0.0])],
         cost=lambda d, m, x, u, w: u * u,
         dynamics=lambda d, m, x, u, w: x,
         final_cost=np.zeros(1),
@@ -38,7 +36,7 @@ def test_tree_constant_cost_counts_steps():
     D, M, K = 1, 1, 0.7
     p = TinyProblem(
         D=D, M=M, states=np.array([0.0]), controls=np.array([0.0]),
-        noise=[[point(0.0)] * (M + 1) for _ in range(D + 1)],
+        noise=[point_laws([0.0] * (M + 1))] * (D + 1),
         cost=lambda d, m, x, u, w: 1.0,
         dynamics=lambda d, m, x, u, w: x,
         final_cost=np.array([K]),
@@ -52,7 +50,7 @@ def test_tree_deterministic_single_path():
     # one control, one atom: the tree is a single path, value is the sum of costs
     p = TinyProblem(
         D=0, M=2, states=np.array([0.0, 1.0, 2.0]), controls=np.array([1.0]),
-        noise=[[point(0.0)] * 3],
+        noise=[point_laws([0.0] * 3)],
         cost=lambda d, m, x, u, w: x,
         dynamics=lambda d, m, x, u, w: min(x + u, 2.0),
         final_cost=np.zeros(3),
@@ -61,10 +59,10 @@ def test_tree_deterministic_single_path():
 
 
 def test_tree_size_guard():
-    noise2 = DiscreteDist(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    noise2 = law_table([([-1.0, 1.0], [0.5, 0.5])] * 3)
     p = TinyProblem(
         D=2, M=2, states=np.array([0.0, 1.0]), controls=np.array([-1.0, 0.0, 1.0]),
-        noise=[[noise2] * 3 for _ in range(3)],
+        noise=[noise2] * 3,
         cost=lambda d, m, x, u, w: 0.0,
         dynamics=lambda d, m, x, u, w: x,
         final_cost=np.zeros(2),
@@ -77,7 +75,7 @@ def test_tiny_problem_step_budget():
     with pytest.raises(ValueError):
         TinyProblem(
             D=3, M=4, states=np.array([0.0]), controls=np.array([0.0]),
-            noise=[[point(0.0)] * 5 for _ in range(4)],
+            noise=[point_laws([0.0] * 5)] * 4,
             cost=lambda d, m, x, u, w: 0.0,
             dynamics=lambda d, m, x, u, w: x,
             final_cost=np.zeros(1),
@@ -115,7 +113,7 @@ def test_monotone_generator_produces_nonincreasing_costs():
         for u in p.controls:
             for d in range(p.D + 1):
                 for m in range(p.M + 1):
-                    for w in p.noise[d][m].support:
+                    for w in p.noise[d].support[m]:
                         c1 = p.cost(d, m, float(x1), float(u), float(w))
                         c2 = p.cost(d, m, float(x2), float(u), float(w))
                         assert c2 <= c1 + 1e-12
@@ -170,3 +168,12 @@ def test_run_verification_all_pass():
     assert len(results) == 5
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+def test_run_verification_names_the_first_failing_instance(monkeypatch):
+    monkeypatch.setattr(oracle, "enumerate_tree", lambda p, x0: -1.0)
+    results = run_verification(n_instances=3, seed=4)
+    name, ok, detail = results[0]
+    assert name == "flat DP equals tree enumeration" and not ok
+    assert detail.startswith("seed 4: flat ") and detail.endswith(" vs tree -1.0")
+    assert [ok for _, ok, _ in results[1:]] == [True] * 4

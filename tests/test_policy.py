@@ -11,14 +11,13 @@ import pytest
 from twoscale import battery
 from twoscale.battery import BatteryState, ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
-from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
+from twoscale.core import INF, Grid, GridValueFn
 from twoscale.intraday import (
     PRICE,
     RESOURCE,
     IntradayTable,
     build_periodicity_classes,
-    compute_price_intraday,
-    compute_resource_intraday,
+    compute_intraday,
     control_grid,
 )
 from twoscale.pipeline import (
@@ -72,11 +71,11 @@ def make_world(price, netload_atoms=ATOMS, D=D_SMALL):
     h_grid = np.linspace(0.0, 200.0, 5)
     classmap = build_periodicity_classes(D, 1)
     price_laws = point_table(price, D + 1)
-    rtab = compute_resource_intraday(
-        1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+    rtab = compute_intraday(
+        RESOURCE, 1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
-    ptab = compute_price_intraday(
-        1, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+    ptab = compute_intraday(
+        PRICE, 1, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
     upper = resource_bellman_recursion(
         {1: rtab}, classmap, price_laws, cfg, h_grid, c_grid, D
@@ -118,13 +117,14 @@ def two_sizes():
     c_grid = np.array([0.0, 50.0, 100.0])
     h_grid = np.linspace(0.0, 400.0, 9)
     classmap = build_periodicity_classes(D, 1)
-    law = DiscreteDist(np.array([0.001, 0.01]), np.array([0.5, 0.5]))
-    price_laws = law_table([law] * (D + 1))
-    rtab = compute_resource_intraday(
-        1, cfg, slot_laws, c_grid, np.linspace(0.0, 100.0, 5), n_soc=N_SOC, n_controls=N_CONTROLS
+    atoms = np.array([0.001, 0.01])
+    price_laws = law_table([(atoms, [0.5, 0.5])] * (D + 1))
+    rtab = compute_intraday(
+        RESOURCE, 1, cfg, slot_laws, c_grid, np.linspace(0.0, 100.0, 5), n_soc=N_SOC,
+        n_controls=N_CONTROLS,
     )
-    ptab = compute_price_intraday(
-        1, cfg, slot_laws, c_grid, np.array([0.0, 0.05, 0.10]), n_soc=N_SOC,
+    ptab = compute_intraday(
+        PRICE, 1, cfg, slot_laws, c_grid, np.array([0.0, 0.05, 0.10]), n_soc=N_SOC,
         n_controls=N_CONTROLS,
     )
     upper = resource_bellman_recursion({1: rtab}, classmap, price_laws, cfg, h_grid, c_grid, D)
@@ -132,7 +132,7 @@ def two_sizes():
     rng = np.random.default_rng(0)
     n = 8
     netload = np.array(ATOMS) + rng.normal(0.0, 3.0, size=(n, D + 1, len(ATOMS)))
-    scen = ScenarioSet(netload, rng.choice(law.support, size=(n, D + 1)))
+    scen = ScenarioSet(netload, rng.choice(atoms, size=(n, D + 1)))
     return {
         "cfg": cfg, "classmap": classmap, "price_laws": price_laws, "scen": scen, "D": D,
         "modes": (("price", ptab, lower), ("resource", rtab, upper)),
@@ -151,8 +151,8 @@ def test_select_price_no_battery_ties_to_zero(dear):
 
 def test_select_price_single_point_grid(dear):
     cfg = dear["cfg"]
-    ptab1 = compute_price_intraday(
-        1, cfg, point_laws(ATOMS), np.array([0.0, 50.0]), np.array([0.07]),
+    ptab1 = compute_intraday(
+        PRICE, 1, cfg, point_laws(ATOMS), np.array([0.0, 50.0]), np.array([0.07]),
         n_soc=N_SOC, n_controls=N_CONTROLS,
     )
     classmap = build_periodicity_classes(D_SMALL, 1)
@@ -205,7 +205,7 @@ def _dense_first_argmin(h, c, d, table, values, price_laws, cfg):
     resource objective over the whole day axis, and the health target it
     leaves."""
     h_grid, c_grid = values.grid.axes
-    law = DiscreteDist(price_laws.support[d], price_laws.probs[d])
+    law = (price_laws.support[d], price_laws.probs[d])
     cont = _ref_continuation(values.values[d + 1], law, cfg, renewal_states(h_grid, c_grid, cfg))
     dh = []
     for hv, cv in zip(h, c):

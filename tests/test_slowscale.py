@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from twoscale import slowscale
-from twoscale.core import INF, DiscreteDist, Grid, GridValueFn
+from twoscale.core import INF, Grid, GridValueFn
 from twoscale.intraday import (
     FEAS_TOL,
     PRICE,
     RESOURCE,
     IntradayTable,
     build_periodicity_classes,
-    compute_resource_intraday,
+    compute_intraday,
 )
 from twoscale.oracle import TinyProblem, flat_dp_solve
 from twoscale.pipeline import _load_tables, stage_fit, stage_intraday
@@ -45,13 +45,15 @@ from conftest import (
     _ref_expect,
     _ref_price_objective,
     law_table,
+    point_laws,
     point_table,
     small_battery_config,
 )
 
 
 def point(v):
-    return DiscreteDist(np.array([float(v)]), np.array([1.0]))
+    """The law of the one atom v, as a (support, probs) pair."""
+    return [float(v)], [1.0]
 
 
 def move_problem(D=0, M=0, cost=None, final=None, states=None):
@@ -69,7 +71,7 @@ def move_problem(D=0, M=0, cost=None, final=None, states=None):
         M=M,
         states=states,
         controls=np.array([-1.0, 0.0, 1.0]),
-        noise=[[point(0.0) for _ in range(M + 1)] for _ in range(D + 1)],
+        noise=[point_laws([0.0] * (M + 1))] * (D + 1),
         cost=cost or default_cost,
         dynamics=dyn,
         final_cost=np.array([0.0, 1.0]) if final is None else final,
@@ -121,7 +123,7 @@ def test_generic_price_linear_cost_example():
 
     p = TinyProblem(
         D=0, M=0, states=states, controls=np.array([0.0]),
-        noise=[[point(0.0)]], cost=cost, dynamics=dyn,
+        noise=[point_laws([0.0])], cost=cost, dynamics=dyn,
         final_cost=np.zeros(3),
     )
     seq = generic_price_recursion(p, np.array([-2.0, -1.0, 0.0]))
@@ -299,7 +301,7 @@ def test_expect_equals_the_loop_over_atoms_bit_for_bit(shape):
 
 def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_grid, D):
     """Reference battery recursion, the day step as it was before it was
-    made lean: one DiscreteDist of ``price_laws`` per day, one objective per
+    made lean: one (support, probs) law of ``price_laws`` per day, one objective per
     capacity index, the dense unpacked one for resource, reduced over the
     whole day axis."""
     renewal = renewal_states(h_grid, c_grid, cfg)
@@ -320,13 +322,13 @@ def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_gr
 
 def _pipeline_world(cfg, out):
     """The intraday tables of a pipeline run and its recursion arguments
-    with the price laws as the fit wrote them, a list of DiscreteDist: each
-    day's row of laws.npz without its probability-0 padding."""
+    with the price laws as the fit wrote them, a list of (support, probs)
+    pairs: each day's row of laws.npz without its probability-0 padding."""
     stage_fit(cfg, out)
     stage_intraday(cfg, out)
     with np.load(out / "laws.npz") as npz:
         rows = zip(npz["price_support"], npz["price_probs"])
-        laws = [DiscreteDist(xs[ps > 0.0], ps[ps > 0.0]) for xs, ps in rows]
+        laws = [(xs[ps > 0.0], ps[ps > 0.0]) for xs, ps in rows]
     tables = {dec: _load_tables(cfg, out, dec) for dec in (RESOURCE, PRICE)}
     args = (cfg.classmap, laws, cfg.battery_config(), cfg.h_grid(), cfg.c_grid(), cfg.D)
     return tables, args
@@ -343,7 +345,7 @@ def merged_atoms_world(tmp_path_factory):
     two of its five atoms from day 13 on: a ragged (days, atoms) table."""
     cfg = dataclasses.replace(CRITERION_10, price_forecast=(0.032, 0.001), price_atoms=5)
     tables, args = _pipeline_world(cfg, tmp_path_factory.mktemp("merged"))
-    sizes = [len(law) for law in args[1]]
+    sizes = [len(probs) for _, probs in args[1]]
     assert sizes[:13] == [5] * 13 and sizes[13:] == [4] * (len(sizes) - 13)
     return tables, args
 
@@ -372,8 +374,9 @@ def test_resource_recursion_retries_interpolation_on_infinite_values(small_world
     # dh = 0 entries of every battery are +inf, and so is the value at h = 0,
     # which tomorrow's health between h = 0 and the next grid point reads
     w = small_world
-    rtab = compute_resource_intraday(
-        1, w["cfg"], w["slot_laws"], w["c_grid"], w["dh_grid"], n_soc=N_SOC, n_controls=4
+    rtab = compute_intraday(
+        RESOURCE, 1, w["cfg"], w["slot_laws"], w["c_grid"], w["dh_grid"], n_soc=N_SOC,
+        n_controls=4,
     )
     assert np.isposinf(rtab.table.values[1:, 0]).all()
     retried = []
