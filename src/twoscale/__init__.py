@@ -7,7 +7,7 @@ oracles.
 """
 
 from .core import Grid, GridValueFn, LawTable, fenchel_conjugate
-from .battery import BatteryConfig, BatteryState, ScenarioSet
+from .battery import BatteryConfig, ScenarioSet
 from .intraday import (
     PRICE,
     RESOURCE,

@@ -47,23 +47,6 @@ def tariff_for_slots(n_slots: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class BatteryState:
-    soc: float
-    health: float
-    capacity: float
-
-    def check_bounds(self, cfg: "BatteryConfig", tol: float = 1e-9) -> None:
-        c, c_max = self.capacity, max(cfg.renewal_grid)
-        if not in_soc_box(self.soc, c, cfg, tol):
-            raise ValueError(f"soc {self.soc} outside [0, {soc_max(c, cfg)}]")
-        h_max = float(fresh_state(c, cfg)[1])
-        if not (-tol <= self.health <= h_max + tol):
-            raise ValueError(f"health {self.health} outside [0, {h_max}]")
-        if not (-tol <= c <= c_max + tol):
-            raise ValueError(f"capacity {c} outside [0, {c_max}]")
-
-
-@dataclass(frozen=True)
 class BatteryConfig:
     """The battery model's numbers, all required; a run builds them with
     ``RunConfig.battery_config()``.  Controls lie in [-u_max, u_max], a fresh
@@ -367,11 +350,12 @@ def synthetic_netload_scenarios(
     return out
 
 
-def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int | None]):
-    """Read rows of integer ``keys`` and a float ``value`` into a dense array
-    indexed by the keys.  ``sizes`` fixes an axis length, or None to take it
-    from the largest index.  Every index tuple must occur exactly once, and
-    every value must be finite."""
+def load_netload_csv(path, n_slots: int) -> np.ndarray:
+    """Read `scenario,day,slot,netload_kwh` rows into an (n, days, slots)
+    array: n and days are one more than the largest index read, every
+    (scenario, day, slot) must occur exactly once, and every netload must be
+    finite."""
+    keys, value = ("scenario", "day", "slot"), "netload_kwh"
     rows = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -386,7 +370,7 @@ def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int |
                 raise ValueError(f"{path}:{line}: unreadable row ({exc})") from exc
             if not math.isfinite(val):
                 raise ValueError(f"{path}:{line}: {value} {val} is not finite")
-            for k, i, size in zip(keys, key, sizes):
+            for k, i, size in zip(keys, key, (None, None, n_slots)):
                 if i < 0 or (size is not None and i >= size):
                     bound = f"[0, {size - 1}]" if size is not None else ">= 0"
                     raise ValueError(f"{path}:{line}: {k} {i} outside {bound}")
@@ -395,10 +379,7 @@ def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int |
             rows[key] = val
     if not rows:
         raise ValueError(f"no rows in {path}")
-    shape = tuple(
-        size if size is not None else max(key[j] for key in rows) + 1
-        for j, size in enumerate(sizes)
-    )
+    shape = (max(key[0] for key in rows) + 1, max(key[1] for key in rows) + 1, n_slots)
     if len(rows) != math.prod(shape):
         missing = next(idx for idx in np.ndindex(*shape) if idx not in rows)
         raise ValueError(
@@ -409,11 +390,6 @@ def _load_dense_csv(path, keys: Sequence[str], value: str, sizes: Sequence[int |
     for key, v in rows.items():
         out[key] = v
     return out
-
-
-def load_netload_csv(path, n_slots: int) -> np.ndarray:
-    """Read `scenario,day,slot,netload_kwh` rows into an (n, days, slots) array."""
-    return _load_dense_csv(path, ("scenario", "day", "slot"), "netload_kwh", (None, None, n_slots))
 
 
 def white_noise_resample(

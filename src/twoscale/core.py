@@ -1,10 +1,10 @@
-"""Numerical substrate: extended-real arithmetic, grid-tabulated functions,
-finite laws and discrete conjugation.
+"""Numerical substrate: grid-tabulated value functions, finite laws and
+discrete conjugation.
 
-Extended reals are plain IEEE doubles with +-inf, but a sum that may meet
-conflicting infinities goes through :func:`low_add_arrays`, so that they
-collapse to -inf instead of NaN.  All containers are immutable after
-construction.
+A value is a cost in the reals or +inf, which marks an infeasible state:
+plain IEEE doubles, summed with plain ``+``.  :class:`GridValueFn` refuses
+NaN and -inf, so no sum of two values meets (+inf) + (-inf).  All containers
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,17 +20,12 @@ import numpy as np
 INF = math.inf
 
 
-def low_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise lower addition; broadcasting as usual."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = a + b
-    nan = np.isnan(out)
-    if nan.any():
-        # a NaN sum of two infinities is a conflict (+inf) + (-inf)
-        out = np.where(nan & np.isinf(a) & np.isinf(b), -INF, out)
-    return out
+def value_fault(values: np.ndarray) -> str | None:
+    """What puts an array outside the value domain, the reals and +inf:
+    "a NaN" or "-inf", or None when every entry lies in it."""
+    if (values > -INF).all():
+        return None
+    return "a NaN" if np.isnan(values).any() else "-inf"
 
 
 def _as_axis(points: Iterable[float]) -> np.ndarray:
@@ -152,18 +147,17 @@ class BlendPlan:
         self._out, self._tmp = np.empty(base.shape), np.empty(base.shape)
 
     def blend(self, values: np.ndarray) -> np.ndarray:
-        """Multilinear blend of a table on the plan's grid, written into one
-        buffer that the next call overwrites.
+        """Multilinear blend of a table of values (reals or +inf) on the
+        plan's grid, written into one buffer that the next call overwrites.
 
-        A corner contributes only where its weight is strictly positive; an
-        infinite corner enters the sum as 0 and sets the result's sign of
-        infinity, -inf dominating +inf.
+        A corner contributes only where its weight is strictly positive; a
+        +inf corner enters the sum as 0 and makes the result +inf.
         """
         flat = np.asarray(values, dtype=float).ravel()
-        pos_tab, neg_tab = np.isposinf(flat), np.isneginf(flat)
-        has_pos, has_neg = bool(pos_tab.any()), bool(neg_tab.any())
-        if has_pos or has_neg:
-            flat = np.where(np.isfinite(flat), flat, 0.0)
+        inf_tab = np.isposinf(flat)
+        has_inf = bool(inf_tab.any())
+        if has_inf:
+            flat = np.where(inf_tab, 0.0, flat)
         out, tmp, base = self._out, self._tmp, self.base
         # the sum starts from +0, as np.zeros did, so an all-zero blend is +0
         out.fill(0.0)
@@ -172,22 +166,21 @@ class BlendPlan:
             np.take(flat[offset:], base, out=tmp, mode="clip")
             tmp *= w
             out += tmp
-        for has, tab, inf in ((has_pos, pos_tab, INF), (has_neg, neg_tab, -INF)):
-            if has:
-                hit = np.zeros(base.shape, dtype=bool)
-                for offset, w in self.corners:
-                    hit |= (w > 0.0) & tab[offset:].take(base)
-                out[hit] = inf
+        if has_inf:
+            hit = np.zeros(base.shape, dtype=bool)
+            for offset, w in self.corners:
+                hit |= (w > 0.0) & inf_tab[offset:].take(base)
+            out[hit] = INF
         return out
 
 
 class GridValueFn:
-    """Extended-real function tabulated on a Grid.
+    """A value function tabulated on a Grid: each value a real cost or +inf
+    (infeasible); construction refuses NaN and -inf.
 
     Interpolation is multilinear with infinity propagation: any cell corner
     carrying +inf with a strictly positive convex weight makes the blend +inf,
-    so infeasibility is never averaged away; -inf dominates +inf per lower
-    addition.  Values are never NaN: construction refuses one.
+    so infeasibility is never averaged away.
     """
 
     __slots__ = ("grid", "values")
@@ -196,8 +189,9 @@ class GridValueFn:
         values = np.asarray(values, dtype=float)
         if values.size != grid.size:
             raise ValueError("values size does not match grid size")
-        if np.isnan(values).any():
-            raise ValueError("values hold a NaN")
+        fault = value_fault(values)
+        if fault:
+            raise ValueError(f"values hold {fault}")
         values = values.reshape(grid.shape)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -216,9 +210,7 @@ class GridValueFn:
 
     def to_jsonable(self) -> dict:
         def enc(v: float):
-            if math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
+            return "inf" if v == INF else v
 
         return {
             "grid": [ax.tolist() for ax in self.grid.axes],
@@ -228,11 +220,7 @@ class GridValueFn:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GridValueFn":
         def dec(v):
-            if v == "inf":
-                return INF
-            if v == "-inf":
-                return -INF
-            return float(v)
+            return INF if v == "inf" else float(v)
 
         grid = Grid(obj["grid"])
         values = np.array([dec(v) for v in obj["values"]])
@@ -306,18 +294,19 @@ class LawTable:
                 yield s, float(p)
 
 
-def fenchel_conjugate(f: GridValueFn, price_grid: Grid) -> GridValueFn:
-    """Discrete Fenchel conjugate: f*(p) = max over grid x of <p, x> - f(x).
+def fenchel_conjugate(f: GridValueFn, price_grid: Grid) -> np.ndarray:
+    """Discrete Fenchel conjugate: f*(p) = max over grid x of <p, x> - f(x),
+    one entry per point of ``price_grid`` in row-major order.
 
-    The subtraction follows lower addition, so the conjugate of the function
-    identically +inf is -inf everywhere.
+    A conjugate lies in the reals or is -inf, so it is a plain array, not a
+    value function: the conjugate of the function identically +inf is -inf
+    everywhere.
     """
     if price_grid.ndim != f.grid.ndim:
         raise ValueError("price grid dimension must match the state grid")
     states = f.grid.points()
     vals = f.values.ravel()
-    neg = np.where(np.isposinf(vals), -INF, np.where(np.isneginf(vals), INF, -vals))
     out = np.empty(price_grid.size)
     for i, p in enumerate(price_grid.points()):
-        out[i] = np.max(low_add_arrays(states @ p, neg))
-    return GridValueFn(price_grid, out)
+        out[i] = np.max(states @ p - vals)
+    return out

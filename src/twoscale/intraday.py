@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, low_add_arrays
+from .core import INF, BlendPlan, Grid, GridValueFn, LawTable
 from . import battery
 from .battery import BatteryConfig
 
@@ -66,18 +66,19 @@ class FastStage:
     """One fast step: state grid, control points, handles and the noise-free
     cost part; its noise law is a row of :attr:`FastStageModel.noise`.
 
-    The stage cost is ``fixed + cost(states, controls, w)`` under lower
-    addition: ``fixed``, shape (len(controls), n) over the n grid states, is
-    the part that depends on no noise atom, +inf marking an infeasible
-    control; the ``cost`` handle returns the noise part, shape
-    (len(controls), n) or (len(controls), 1) for one value per control.
-    Both handles take the (n, ndim) state array, the whole control array and
-    one noise atom w; dynamics(states, controls, w) returns the next states,
-    shape (len(controls), n, ndim of the next grid).  The solver plans the
-    interpolation of a next-state array, checking its shape, and reuses the
-    plan while dynamics returns that same array object onto the same next
-    grid; so a transition that ignores w returns one read-only array at
-    every atom and stage.
+    The stage cost is ``cost(states, controls, w) + fixed``: ``fixed``,
+    shape (len(controls), n) over the n grid states, is the part that
+    depends on no noise atom, +inf marking an infeasible control; the
+    ``cost`` handle returns the noise part, shape (len(controls), n) or
+    (len(controls), 1) for one value per control.  Each part is a real cost
+    or +inf; a part of -inf or NaN makes :func:`solve_fast_dp` raise
+    ValueError.  Both handles take the (n, ndim) state array, the whole
+    control array and one noise atom w; dynamics(states, controls, w)
+    returns the next states, shape (len(controls), n, ndim of the next
+    grid).  The solver plans the interpolation of a next-state array,
+    checking its shape, and reuses the plan while dynamics returns that same
+    array object onto the same next grid; so a transition that ignores w
+    returns one read-only array at every atom and stage.
     """
 
     state_grid: Grid
@@ -111,25 +112,24 @@ class FastDpSolution:
 
 
 def _expect_start(n: int):
-    """Empty (finite total, +inf mask, -inf mask) over n states."""
-    return np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    """Empty (finite total, +inf mask) over n states."""
+    return np.zeros(n), np.zeros(n, dtype=bool)
 
 
-def _expect_accumulate(total, pos, neg, term: np.ndarray, p: float):
-    """Accumulate p * term into (finite total, +inf mask, -inf mask)."""
-    fin = np.isfinite(term)
-    if fin.all():
-        total += p * term
-        return total, pos, neg
-    pos |= np.isposinf(term)
-    neg |= np.isneginf(term)
-    total += np.where(fin, p * term, 0.0)
-    return total, pos, neg
+def _expect_accumulate(total, pos, term: np.ndarray, p: float):
+    """Accumulate p * term into (finite total, +inf mask): a +inf entry adds
+    0 to the total and sets the mask."""
+    inf = np.isposinf(term)
+    if inf.any():
+        pos |= inf
+        term = np.where(inf, 0.0, term)
+    total += p * term
+    return total, pos
 
 
-def _expect_value(total, pos, neg) -> np.ndarray:
-    """Expectation under lower addition: -inf dominates +inf."""
-    return np.where(neg, -INF, np.where(pos, INF, total))
+def _expect_value(total, pos) -> np.ndarray:
+    """The expectation: +inf where any term was, else the total."""
+    return np.where(pos, INF, total)
 
 
 def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
@@ -139,17 +139,10 @@ def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
 
 
 def _min_of_sum(a, b, c, out: np.ndarray) -> np.ndarray:
-    """min over axis 0 of (a + b) + c under lower addition, summed in ``out``.
-
-    The plain sum differs from the lower one only where it meets
-    (+inf) + (-inf) and reads NaN there, which the min carries on; only
-    then is the sum redone with :func:`~twoscale.core.low_add_arrays`."""
+    """min over axis 0 of (a + b) + c, summed in ``out``."""
     np.add(a, b, out=out)
     out += c
-    best = out.min(axis=0)
-    if np.isnan(best).any():
-        best = low_add_arrays(low_add_arrays(a, b), c).min(axis=0)
-    return best
+    return out.min(axis=0)
 
 
 def _rows(mask: np.ndarray):
@@ -159,9 +152,9 @@ def _rows(mask: np.ndarray):
 
 
 class _StageMin:
-    """min over the controls of (cost + fixed) + cont under lower addition,
-    for one stage's noise-free part ``fixed`` and continuation ``cont``, both
-    (controls, states), at the noise part ``cost`` of each atom.
+    """min over the controls of (cost + fixed) + cont, for one stage's
+    noise-free part ``fixed`` and continuation ``cont``, both (controls,
+    states), at the noise part ``cost`` of each atom.
 
     A control row whose noise part is exactly 0 equals G = fixed + cont bit
     for bit, because 0 + fixed == fixed; G's min over each distinct set of
@@ -181,10 +174,7 @@ class _StageMin:
             key = paid.tobytes()
             q = self.free_min.get(key)
             if q is None:
-                rows = _rows(~paid)
-                q = self.g[rows].min(axis=0)
-                if np.isnan(q).any():
-                    q = low_add_arrays(self.fixed[rows], self.cont[rows]).min(axis=0)
+                q = self.g[_rows(~paid)].min(axis=0)
                 self.free_min[key] = q
         if paid.any():
             rows = _rows(paid)
@@ -194,13 +184,12 @@ class _StageMin:
         return q
 
 
-# a plain sum meeting (+inf) + (-inf) is redone under lower addition
-@np.errstate(invalid="ignore")
 def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolution:
     """V_m(x) = E_w[ min_u (fixed(x,u) + cost(x,u,w)) + V_{m+1}(dynamics(x,u,w)) ].
 
     All controls infeasible at some (m, x, w) yields V_m(x) = +inf, not an
-    error.  Next states are clamped to the following stage's grid box.
+    error; a value of -inf or NaN is refused (ValueError).  Next states are
+    clamped to the following stage's grid box.
     """
     if terminal.grid != model.terminal_grid:
         raise ValueError("terminal function grid does not match the model terminal grid")
@@ -218,7 +207,7 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
         if buf is None or buf.shape != shape:
             buf, gbuf = np.empty(shape), np.empty(shape)
         kernel = None
-        total, pos, neg = _expect_start(len(states))
+        total, pos = _expect_start(len(states))
         for w, p in model.noise.atoms(m):
             nxt = stage.dynamics(states, stage.controls, w)
             cost = stage.cost(states, stage.controls, w)
@@ -230,8 +219,8 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
                 kernel = None
             if kernel is None:
                 kernel = _StageMin(stage.fixed, plan.blend(vnext.values), buf, gbuf)
-            total, pos, neg = _expect_accumulate(total, pos, neg, kernel(cost), p)
-        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos, neg))
+            total, pos = _expect_accumulate(total, pos, kernel(cost), p)
+        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos))
         values.append(vnext)
     values.reverse()
     return FastDpSolution(values)
@@ -294,7 +283,6 @@ class IntradayTable:
     the replay tables are not loaded.
     """
 
-    class_id: int
     decomposition: Decomposition
     table: GridValueFn  # over (c, axis)
     n_controls: int
@@ -389,7 +377,6 @@ def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool) ->
 
 def compute_intraday(
     dec: Decomposition,
-    class_id: int,
     cfg: BatteryConfig,
     slot_laws: LawTable,
     c_grid: np.ndarray,
@@ -421,4 +408,4 @@ def compute_intraday(
     values[0, :] = no_battery_bill(slot_laws, cfg.rates)
     values[1:, :] = fast[:, 0, 0, :]
     table = GridValueFn(Grid([c_grid, axis]), values)
-    return IntradayTable(class_id, dec, table, n_controls, fast)
+    return IntradayTable(dec, table, n_controls, fast)

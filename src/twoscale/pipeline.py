@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, GridValueFn, LawTable
+from .core import Grid, GridValueFn, LawTable, value_fault
 from .battery import (
     battery_price_laws,
     fit_netload_distributions,
@@ -129,7 +129,8 @@ def _load_npz(path: Path, stage: str, want: dict, load) -> dict:
     shape of the member's header, None matching any length, anything else the
     config's value, which the member must equal.  A missing file raises
     MissingArtifact; an unreadable file, another set of members, a member off
-    its shape or value, or a NaN in a member read raises HashMismatch."""
+    its shape or value, or a NaN or -inf in a member read raises
+    HashMismatch."""
     if not path.exists():
         raise MissingArtifact(f"missing artifact: {path}: run the {stage} stage")
 
@@ -152,8 +153,9 @@ def _load_npz(path: Path, stage: str, want: dict, load) -> dict:
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise stale(f"cannot be read ({exc})") from exc
     for name, a in arrays.items():
-        if np.isnan(a).any():
-            raise stale(f"{name} holds a NaN")
+        fault = value_fault(a)
+        if fault:
+            raise stale(f"{name} holds {fault}")
     return arrays
 
 
@@ -292,7 +294,7 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
         arrays = {"c": c_grid, "axis": axes[dec], "n_controls": cfg.n_controls}
         for cls in classes:
             tab = compute_intraday(
-                dec, cls, bat, laws[cls], c_grid, axes[dec], cfg.n_soc, cfg.n_controls,
+                dec, bat, laws[cls], c_grid, axes[dec], cfg.n_soc, cfg.n_controls,
                 fast=np.stack([cells.pop((dec, cls, c)) for c in c_grid[1:]]),
             )
             arrays[f"table_{cls}"], arrays[f"fast_{cls}"] = tab.table.values, tab.fast
@@ -317,7 +319,7 @@ def _load_tables(cfg: RunConfig, out: Path, dec, with_fast: bool = False) -> dic
     arrays = _load_npz(out / f"intraday_{dec.letter}.npz", "intraday", want, load)
     return {
         cls: IntradayTable(
-            cls, dec, GridValueFn(Grid([c_grid, axis]), arrays[f"table_{cls}"]), cfg.n_controls,
+            dec, GridValueFn(Grid([c_grid, axis]), arrays[f"table_{cls}"]), cfg.n_controls,
             arrays.get(f"fast_{cls}"),
         )
         for cls in classes

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, fenchel_conjugate, low_add_arrays
+from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, fenchel_conjugate, value_fault
 from .battery import BatteryConfig, fresh_state
 from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable, PeriodicityClassMap
 from .intraday import solve_fast_dp
@@ -43,7 +43,7 @@ SANDWICH_TOL = 1e-6
 class SlowValueSeq:
     """Per-day values on one grid: ``values[d]`` over ``grid`` for d in
     0..D+1, entry D+1 being the final cost; read-only, shape
-    (D+2,) + grid.shape, never NaN."""
+    (D+2,) + grid.shape, each value real or +inf, never NaN or -inf."""
 
     kind: str  # price-lower | resource-upper | exact-oracle
     grid: Grid
@@ -57,8 +57,9 @@ class SlowValueSeq:
             raise ValueError(
                 f"values of shape {values.shape} are not (D+2,) + {self.grid.shape}"
             )
-        if np.isnan(values).any():
-            raise ValueError(f"{self.kind} values hold a NaN")
+        fault = value_fault(values)
+        if fault:
+            raise ValueError(f"{self.kind} values hold {fault}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -333,7 +334,7 @@ def generic_resource_recursion(problem) -> SlowValueSeq:
         for ri, r in enumerate(states):
             terminal = GridValueFn(grid, np.where(states >= r - 1e-12, 0.0, INF))
             ell[:, ri] = solve_fast_dp(model, terminal).values[0].values
-        out[...] = low_add_arrays(ell, vnext[None, :]).min(axis=1)
+        out[...] = (ell + vnext[None, :]).min(axis=1)
 
     return _backward("resource-upper", grid, problem.final_cost, problem.D, day)
 
@@ -355,9 +356,8 @@ def generic_price_recursion(problem, price_points: np.ndarray) -> SlowValueSeq:
         cand = np.empty((len(price_grid.axes[0]), len(states)))
         for pi, p in enumerate(price_grid.axes[0]):
             ell_p = solve_fast_dp(model, GridValueFn(grid, p * states)).values[0].values
-            cv = conj.values[pi]
-            neg_conj = -INF if (np.isposinf(cv)) else (INF if np.isneginf(cv) else -cv)
-            cand[pi] = low_add_arrays(ell_p, np.full(len(states), neg_conj))
+            # a -inf conjugate (tomorrow infeasible everywhere) gives +inf
+            cand[pi] = ell_p - conj[pi]
         out[...] = cand.max(axis=0)
 
     return _backward("price-lower", grid, problem.final_cost, problem.D, day)
@@ -414,15 +414,13 @@ def _blend_days(values: np.ndarray, corners: list) -> np.ndarray:
     """Per day of ``values``, shaped (days,) + grid shape,
     :meth:`~twoscale.core.BlendPlan.blend` at one point given by the flat
     index and weight of each corner of its plan: the same corners, weights
-    and order, and the same infinities, +inf where a corner of positive
-    weight is +inf and -inf where one is -inf."""
+    and order, and +inf where a corner of positive weight is +inf."""
     flat = values.reshape(len(values), -1)
     raw = flat[:, [idx for idx, _ in corners]]
-    # blend zeroes the infinite entries (a SlowValueSeq holds no NaN)
-    at = np.where(np.isinf(raw), 0.0, raw)
+    # blend zeroes the +inf entries
+    at = np.where(np.isposinf(raw), 0.0, raw)
     total = np.zeros(len(values))
     for k, (_, w) in enumerate(corners):
         total += at[:, k] * w
     active = raw[:, [w > 0.0 for _, w in corners]]
-    out = np.where(np.isposinf(active).any(axis=1), INF, total)
-    return np.where(np.isneginf(active).any(axis=1), -INF, out)
+    return np.where(np.isposinf(active).any(axis=1), INF, total)

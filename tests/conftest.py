@@ -6,7 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twoscale.battery import BatteryConfig, ScenarioSet, tariff_for_slots
+from twoscale.battery import (
+    BatteryConfig, ScenarioSet, fresh_state, in_soc_box, soc_max, tariff_for_slots,
+)
 from twoscale.config import RunConfig
 from twoscale.core import INF, LawTable
 from twoscale.intraday import PRICE, RESOURCE, build_periodicity_classes, compute_intraday
@@ -38,6 +40,21 @@ def small_battery_config(**overrides) -> BatteryConfig:
     )
     kw.update(overrides)
     return BatteryConfig(**kw)
+
+
+def check_state_bounds(state, cfg: BatteryConfig, tol: float = 1e-9) -> None:
+    """Raise ValueError unless the (soc, health, capacity) state lies in its
+    box: soc in [0, soc_max(c)], health in [0, that of a fresh battery of
+    capacity c] and c in [0, the largest renewal size], each within tol."""
+    soc, health, c = (float(v) for v in state)
+    c_max = max(cfg.renewal_grid)
+    if not in_soc_box(soc, c, cfg, tol):
+        raise ValueError(f"soc {soc} outside [0, {soc_max(c, cfg)}]")
+    h_max = float(fresh_state(c, cfg)[1])
+    if not (-tol <= health <= h_max + tol):
+        raise ValueError(f"health {health} outside [0, {h_max}]")
+    if not (-tol <= c <= c_max + tol):
+        raise ValueError(f"capacity {c} outside [0, {c_max}]")
 
 
 def law_table(laws) -> LawTable:
@@ -188,10 +205,10 @@ def small_world():
     h_grid = np.linspace(0.0, 200.0, 5)
     classmap = build_periodicity_classes(D_SMALL, 1)
     rtab = compute_intraday(
-        RESOURCE, 1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+        RESOURCE, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
     ptab = compute_intraday(
-        PRICE, 1, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+        PRICE, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
     return {
         "cfg": cfg,

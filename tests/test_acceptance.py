@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoscale.battery import BatteryState, white_noise_resample
+from twoscale.battery import white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.intraday import PRICE, RESOURCE, compute_intraday
 from twoscale.oracle import (
@@ -44,7 +44,7 @@ from twoscale.slowscale import (
     generic_resource_recursion,
 )
 
-from conftest import point_laws, small_battery_config
+from conftest import check_state_bounds, point_laws, small_battery_config
 
 REPO = Path(__file__).resolve().parents[1]
 N_INSTANCES = 50
@@ -124,10 +124,10 @@ def test_criterion_05_same_class_days_share_bitexact_tables():
             tab.table.to_jsonable(), sort_keys=True, separators=(",", ":")
         ).encode()
 
-    r_day0 = compute_intraday(RESOURCE, 1, cfg, laws, c_grid, dh_grid, 5, 5)
-    r_day365 = compute_intraday(RESOURCE, 1, cfg, laws, c_grid, dh_grid, 5, 5)
-    p_day0 = compute_intraday(PRICE, 1, cfg, laws, c_grid, pi_grid, 5, 5)
-    p_day365 = compute_intraday(PRICE, 1, cfg, laws, c_grid, pi_grid, 5, 5)
+    r_day0 = compute_intraday(RESOURCE, cfg, laws, c_grid, dh_grid, 5, 5)
+    r_day365 = compute_intraday(RESOURCE, cfg, laws, c_grid, dh_grid, 5, 5)
+    p_day0 = compute_intraday(PRICE, cfg, laws, c_grid, pi_grid, 5, 5)
+    p_day365 = compute_intraday(PRICE, cfg, laws, c_grid, pi_grid, 5, 5)
     assert blob(r_day0) == blob(r_day365)
     assert blob(p_day0) == blob(p_day365)
     assert r_day0.fast.tobytes() == r_day365.fast.tobytes()
@@ -173,17 +173,17 @@ def test_criterion_08_simulation_consistency(desk_run):
         for rec in records:
             renewal_days = dict(rec.renewals)
             for state in rec.states:
-                BatteryState(*state).check_bounds(bat, tol=1e-6)
+                check_state_bounds(state, bat, tol=1e-6)
             for d in range(len(rec.states) - 1):
-                now, nxt = BatteryState(*rec.states[d]), BatteryState(*rec.states[d + 1])
+                (_, h_now, c_now), (soc_next, h_next, c_next) = rec.states[d], rec.states[d + 1]
                 if d in renewal_days:
                     r = renewal_days[d]
-                    assert nxt.soc == 0.0
-                    assert nxt.health == bat.cycle_multiple * r
-                    assert nxt.capacity == r
+                    assert soc_next == 0.0
+                    assert h_next == bat.cycle_multiple * r
+                    assert c_next == r
                 else:
-                    assert nxt.health <= now.health + 1e-9
-                    assert nxt.capacity == now.capacity
+                    assert h_next <= h_now + 1e-9
+                    assert c_next == c_now
 
 
 def test_criterion_09_complexity_reference_ratios():

@@ -15,7 +15,6 @@ from twoscale.battery import (
     PEAK_RATE,
     SHOULDER_RATE,
     BatteryConfig,
-    BatteryState,
     ScenarioSet,
     battery_price_laws,
     control_effect,
@@ -35,6 +34,7 @@ from twoscale.intraday import build_periodicity_classes
 
 from conftest import (
     _white_noise_resample_reference,
+    check_state_bounds,
     law_table,
     point_laws,
     point_table,
@@ -77,46 +77,47 @@ def test_run_config_fills_every_battery_field():
 # ---------------------------------------------------------------- dynamics
 
 
-def step(x: BatteryState, u: float, cfg) -> BatteryState:
-    """The array transition applied to one state and one control."""
-    soc, health = fast_dynamics(x.soc, x.health, control_effect(u, cfg))
-    return BatteryState(float(soc), float(health), x.capacity)
+def step(x: tuple, u: float, cfg) -> tuple:
+    """The array transition applied to one (soc, health, capacity) state and
+    one control."""
+    soc, health, capacity = x
+    soc, health = fast_dynamics(soc, health, control_effect(u, cfg))
+    return float(soc), float(health), capacity
 
 
-def renew(x: BatteryState, r: float, cfg) -> BatteryState:
-    """The array renewal applied to one state and one size."""
-    return BatteryState(*(float(v) for v in renewal_dynamics(x.soc, x.health, x.capacity, r, cfg)))
+def renew(x: tuple, r: float, cfg) -> tuple:
+    """The array renewal applied to one (soc, health, capacity) state and one
+    size."""
+    return tuple(float(v) for v in renewal_dynamics(*x, r, cfg))
 
 
 def test_fast_dynamics_examples():
     cfg = unit_cfg()
-    x = BatteryState(0.0, 10.0, 100.0)
-    y = step(x, 2.0, cfg)
-    assert (y.soc, y.health, y.capacity) == (2.0, 8.0, 100.0)
-    x = BatteryState(5.0, 10.0, 100.0)
-    y = step(x, -2.0, cfg)
-    assert (y.soc, y.health, y.capacity) == (3.0, 8.0, 100.0)
+    x = (0.0, 10.0, 100.0)
+    assert step(x, 2.0, cfg) == (2.0, 8.0, 100.0)
+    x = (5.0, 10.0, 100.0)
+    assert step(x, -2.0, cfg) == (3.0, 8.0, 100.0)
     assert step(x, 0.0, cfg) == x
 
 
 def test_fast_dynamics_efficiencies():
     cfg = small_battery_config()  # 0.95 / 0.95
-    y = step(BatteryState(10.0, 50.0, 50.0), 10.0, cfg)
-    assert y.soc == pytest.approx(10.0 + 0.95 * 10.0)
-    assert y.health == pytest.approx(40.0)
-    y = step(BatteryState(10.0, 50.0, 50.0), -10.0, cfg)
-    assert y.soc == pytest.approx(10.0 - 0.95 * 10.0)
-    assert y.health == pytest.approx(40.0)
+    soc, health, _ = step((10.0, 50.0, 50.0), 10.0, cfg)
+    assert soc == pytest.approx(10.0 + 0.95 * 10.0)
+    assert health == pytest.approx(40.0)
+    soc, health, _ = step((10.0, 50.0, 50.0), -10.0, cfg)
+    assert soc == pytest.approx(10.0 - 0.95 * 10.0)
+    assert health == pytest.approx(40.0)
 
 
 def test_health_strictly_decreases_iff_control_nonzero():
     cfg = unit_cfg()
-    x = BatteryState(5.0, 10.0, 100.0)
-    assert step(x, 0.0, cfg).health == x.health
+    x = (5.0, 10.0, 100.0)
+    assert step(x, 0.0, cfg)[1] == x[1]
     for u in (-3.0, -0.5, 0.5, 3.0):
-        y = step(x, u, cfg)
-        assert y.health < x.health
-        assert y.capacity == x.capacity
+        _, health, capacity = step(x, u, cfg)
+        assert health < x[1]
+        assert capacity == x[2]
 
 
 @pytest.mark.parametrize("effs", [(1.0, 1.0), (0.95, 0.95), (0.9, 0.8), (0.7, 0.93)])
@@ -147,12 +148,10 @@ def test_array_transition_equals_the_elementwise_definition(effs):
 
 def test_renewal_dynamics_examples():
     cfg = DEFAULT
-    y = renew(BatteryState(3.0, 8.0, 100.0), 100.0, cfg)
-    assert (y.soc, y.health, y.capacity) == (0.0, 400.0, 100.0)
-    x = BatteryState(3.0, 8.0, 100.0)
+    assert renew((3.0, 8.0, 100.0), 100.0, cfg) == (0.0, 400.0, 100.0)
+    x = (3.0, 8.0, 100.0)
     assert renew(x, 0.0, cfg) == x
-    y = renew(x, 1500.0, cfg)
-    assert (y.soc, y.health, y.capacity) == (0.0, 6000.0, 1500.0)
+    assert renew(x, 1500.0, cfg) == (0.0, 6000.0, 1500.0)
 
 
 def test_renewal_requires_grid_size():
@@ -163,19 +162,19 @@ def test_renewal_requires_grid_size():
 
 def test_renewal_idempotent_for_zero():
     cfg = DEFAULT
-    x = BatteryState(1.0, 2.0, 100.0)
+    x = (1.0, 2.0, 100.0)
     assert renew(renew(x, 0.0, cfg), 0.0, cfg) == x
 
 
 def test_state_bounds_check():
     cfg = DEFAULT
-    BatteryState(0.0, 400.0, 100.0).check_bounds(cfg)
+    check_state_bounds((0.0, 400.0, 100.0), cfg)
     with pytest.raises(ValueError):
-        BatteryState(90.0, 400.0, 100.0).check_bounds(cfg)  # soc > 0.8 * c
+        check_state_bounds((90.0, 400.0, 100.0), cfg)  # soc > 0.8 * c
     with pytest.raises(ValueError):
-        BatteryState(0.0, 500.0, 100.0).check_bounds(cfg)  # h > 4 * c
+        check_state_bounds((0.0, 500.0, 100.0), cfg)  # h > 4 * c
     with pytest.raises(ValueError):
-        BatteryState(0.0, 0.0, 2000.0).check_bounds(cfg)
+        check_state_bounds((0.0, 0.0, 2000.0), cfg)
 
 
 # ---------------------------------------------------------------- tariff and cost

@@ -616,6 +616,19 @@ def test_spoiled_npz_member_exit_code(runner, tmp_path, name, change, why, stage
     assert f"{name}: {why}: rerun {name.split('_')[0]}" in res.output
 
 
+def test_neg_inf_replay_table_makes_simulate_exit_code(runner, tmp_path):
+    # a value is a real cost or +inf: -inf in a replay table is refused at load
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    _run(runner, ("fit", "intraday", "bellman"), cfg, out)
+    rewrite_npz(out / "intraday_R.npz", lambda a: np.put(a["fast_1"], 3, -np.inf))
+    before = _files(out)
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "intraday_R.npz: fast_1 holds -inf: rerun intraday" in res.output
+    assert _files(out) == before
+
+
 def test_truncated_npz_exit_code(runner, tmp_path):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "r"

@@ -1,11 +1,7 @@
-"""Core substrate: lower addition, grid functions, finite laws and discrete
-conjugation."""
+"""Core substrate: the value domain, grid functions, finite laws and
+discrete conjugation."""
 
 from __future__ import annotations
-
-import itertools
-import json
-import math
 
 import numpy as np
 import pytest
@@ -17,51 +13,7 @@ from twoscale.core import (
     GridValueFn,
     LawTable,
     fenchel_conjugate,
-    low_add_arrays,
 )
-
-
-# ---------------------------------------------------------------- lower addition
-
-SIGN_CLASSES = [-INF, -1.5, 0.0, 2.0, INF]
-
-
-def low_add(a: float, b: float) -> float:
-    """Lower addition of two extended reals, as 1-element arrays."""
-    out = low_add_arrays(np.array([a]), np.array([b]))
-    assert out.shape == (1,)
-    return float(out[0])
-
-
-def test_low_add_examples():
-    assert low_add(INF, -INF) == -INF
-    assert low_add(-INF, INF) == -INF
-    assert low_add(3.5, 2.5) == 6.0
-    assert low_add(INF, 7.0) == INF
-
-
-def test_low_add_never_nan_and_matches_ieee_when_defined():
-    for a, b in itertools.product(SIGN_CLASSES, SIGN_CLASSES):
-        v = low_add(a, b)
-        assert not math.isnan(v)
-        if not (math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0)):
-            assert v == a + b
-
-
-def test_low_add_commutative_associative():
-    for a, b in itertools.product(SIGN_CLASSES, SIGN_CLASSES):
-        assert low_add(a, b) == low_add(b, a)
-    for a, b, c in itertools.product(SIGN_CLASSES, SIGN_CLASSES, SIGN_CLASSES):
-        assert low_add(low_add(a, b), c) == low_add(a, low_add(b, c))
-
-
-def test_low_add_arrays_matches_scalar():
-    # the whole sign table at once equals it one 1-element pair at a time
-    a = np.array(SIGN_CLASSES * len(SIGN_CLASSES))
-    b = np.repeat(SIGN_CLASSES, len(SIGN_CLASSES))
-    out = low_add_arrays(a, b)
-    for i in range(len(a)):
-        assert out[i] == low_add(a[i], b[i])
 
 
 # ---------------------------------------------------------------- grids
@@ -109,12 +61,6 @@ def test_multilinear_zero_weight_corner_ignores_infinity():
     assert f.eval_many([[0.0]])[0] == INF
 
 
-def test_multilinear_neg_inf_dominates():
-    g = Grid([[0.0, 1.0]])
-    f = GridValueFn(g, np.array([-INF, INF]))
-    assert f.eval_many([[0.5]])[0] == -INF
-
-
 def test_out_of_range_queries_clamp():
     g = Grid([[0.0, 1.0, 2.0]])
     f = GridValueFn(g, np.array([5.0, 1.0, 7.0]))
@@ -141,14 +87,14 @@ def _unfolded_blend(fn, base, frac):
     """Multilinear blend over all 2**ndim cell corners, none folded: the
     reference for BlendPlan.  Corners run in binary order, axis 0 in the
     lowest bit; a corner's weight is the product of its per-axis factors in
-    axis order, and an infinite corner counts as 0 and sets the result's
-    infinity where its weight is positive."""
+    axis order, and a +inf corner counts as 0 and makes the result +inf
+    where its weight is positive."""
     shape = fn.grid.shape
     strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
     raw = fn.values.ravel()
-    flat = np.where(np.isfinite(raw), raw, 0.0)
+    flat = np.where(np.isposinf(raw), 0.0, raw)
     total = np.zeros(base.shape)
-    pos, neg = np.zeros(base.shape, bool), np.zeros(base.shape, bool)
+    pos = np.zeros(base.shape, bool)
     for corner in range(1 << len(shape)):
         w, idx = None, base
         for j in range(len(shape)):
@@ -160,8 +106,7 @@ def _unfolded_blend(fn, base, frac):
             w = f if w is None else w * f
         total += flat[idx] * w
         pos |= (w > 0.0) & np.isposinf(raw[idx])
-        neg |= (w > 0.0) & np.isneginf(raw[idx])
-    return np.where(neg, -INF, np.where(pos, INF, total))
+    return np.where(pos, INF, total)
 
 
 def _folded_world():
@@ -228,9 +173,16 @@ def test_gridfn_refuses_nan(values):
         GridValueFn(Grid([[0.0, 1.0, 2.0]]), np.array(values))
 
 
+@pytest.mark.parametrize("values", [[-INF, 1.0, 2.0], [INF, -INF, 2.0]])
+def test_gridfn_refuses_neg_inf(values):
+    # a value is a real cost or +inf; -inf beside +inf would blend to either
+    with pytest.raises(ValueError, match="values hold -inf"):
+        GridValueFn(Grid([[0.0, 1.0, 2.0]]), np.array(values))
+
+
 def test_gridfn_json_roundtrip_with_infinities(tmp_path):
     g = Grid([[0.0, 1.0, 2.0], [0.0, 1.0]])
-    vals = np.array([[INF, 0.5], [-INF, 2.0], [1.0, 3.0]])
+    vals = np.array([[INF, 0.5], [-2.5, INF], [1.0, 3.0]])
     f = GridValueFn(g, vals)
     path = tmp_path / "fn.json"
     f.save_json(path)
@@ -239,11 +191,14 @@ def test_gridfn_json_roundtrip_with_infinities(tmp_path):
     assert np.array_equal(g2.values, f.values)
     # sentinel encoding of infinities in the JSON text
     text = path.read_text()
-    assert '"inf"' in text and '"-inf"' in text
+    assert text.count('"inf"') == 2
     # byte stability across saves
     path2 = tmp_path / "fn2.json"
     f.save_json(path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a -inf in the text is refused when the function is built
+    with pytest.raises(ValueError, match="-inf"):
+        GridValueFn.from_jsonable({"grid": [[0.0, 1.0]], "values": [1.0, "-inf"]})
 
 
 # ---------------------------------------------------------------- finite laws
@@ -308,15 +263,15 @@ def test_fenchel_examples():
     states = Grid([[0.0, 1.0, 2.0]])
     zero = GridValueFn(states, np.zeros(3))
     conj = fenchel_conjugate(zero, Grid([[-1.0, 0.0, 1.0]]))
-    assert conj.values.tolist() == [0.0, 0.0, 2.0]
+    assert conj.tolist() == [0.0, 0.0, 2.0]
 
     sq = GridValueFn(Grid([[-1.0, 0.0, 1.0]]), np.array([1.0, 0.0, 1.0]))
     conj2 = fenchel_conjugate(sq, Grid([[1.0]]))
-    assert conj2.values[0] == pytest.approx(0.0)
+    assert conj2[0] == pytest.approx(0.0)
 
     allinf = GridValueFn(states, np.full(3, INF))
     conj3 = fenchel_conjugate(allinf, Grid([[-2.0, 0.0, 3.0]]))
-    assert np.all(np.isneginf(conj3.values))
+    assert np.all(np.isneginf(conj3))
 
 
 def test_fenchel_young_exhaustive():
@@ -329,7 +284,7 @@ def test_fenchel_young_exhaustive():
     conj = fenchel_conjugate(f, Grid([ps]))
     for i, x in enumerate(xs):
         for j, p in enumerate(ps):
-            assert low_add(vals[i], conj.values[j]) >= p * x - 1e-12
+            assert vals[i] + conj[j] >= p * x - 1e-12
 
 
 def test_fenchel_monotone_in_f():
@@ -340,7 +295,7 @@ def test_fenchel_monotone_in_f():
     gv = fv + rng.random(3)  # g >= f pointwise
     cf = fenchel_conjugate(GridValueFn(Grid([xs]), fv), ps)
     cg = fenchel_conjugate(GridValueFn(Grid([xs]), gv), ps)
-    assert np.all(cf.values >= cg.values - 1e-12)
+    assert np.all(cf >= cg - 1e-12)
 
 
 def test_fenchel_midpoint_convexity():
@@ -354,7 +309,7 @@ def test_fenchel_midpoint_convexity():
             mid = (ps[i] + ps[j]) / 2.0
             k = np.searchsorted(ps, mid)
             if k < len(ps) and ps[k] == mid:
-                assert conj.values[k] <= (conj.values[i] + conj.values[j]) / 2.0 + 1e-12
+                assert conj[k] <= (conj[i] + conj[j]) / 2.0 + 1e-12
 
 
 def test_fenchel_dimension_check():

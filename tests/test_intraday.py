@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twoscale.battery import white_noise_resample
-from twoscale.core import INF, Grid, GridValueFn, LawTable, low_add_arrays
+from twoscale.core import INF, Grid, GridValueFn, LawTable
 from twoscale.intraday import (
     PRICE,
     RESOURCE,
@@ -102,6 +102,23 @@ def test_fast_dp_all_infeasible_gives_infinity():
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
     assert sol.values[0].values[1] == INF
     assert sol.values[0].values[0] == 1.0
+
+
+@pytest.mark.parametrize("fixed_inf", [False, True])
+def test_fast_dp_refuses_a_neg_inf_cost(fixed_inf):
+    # a cost is real or +inf: a -inf noise part is refused, alone or where it
+    # meets the +inf of an infeasible control
+    grid = Grid([[0.0, 1.0]])
+    fixed = np.zeros((2, 2))
+    fixed[1] = INF if fixed_inf else 0.0
+    stage = make_stage(
+        grid, [0.0, 1.0], lambda s, u, w: np.array([[0.0, 1.0], [-INF, -INF]]), stay, fixed
+    )
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
+    # (-inf) + (+inf) is NaN, with numpy's invalid-value warning
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="NaN" if fixed_inf else "-inf"):
+            solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
 
 def test_fast_dp_terminal_grid_mismatch():
@@ -220,17 +237,16 @@ def _per_control_reference(model, terminal):
     for m in reversed(range(len(model.stages))):
         stage = model.stages[m]
         states = stage.state_grid.points()
-        total, pos, neg = _expect_start(len(states))
+        total, pos = _expect_start(len(states))
         for w, p in model.noise.atoms(m):
             cost = stage.cost(states, stage.controls, w)
             nxt = stage.dynamics(states, stage.controls, w)
             q_best = None
             for k in range(len(stage.controls)):
-                step = low_add_arrays(cost[k], stage.fixed[k])
-                q = low_add_arrays(step, vnext.eval_many(nxt[k]))
+                q = (cost[k] + stage.fixed[k]) + vnext.eval_many(nxt[k])
                 q_best = q if q_best is None else np.minimum(q_best, q)
-            total, pos, neg = _expect_accumulate(total, pos, neg, q_best, p)
-        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos, neg))
+            total, pos = _expect_accumulate(total, pos, q_best, p)
+        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos))
         values.append(vnext)
     return [v.values for v in reversed(values)]
 
@@ -339,8 +355,8 @@ class _GappedCost:
         return out
 
 
-@pytest.mark.parametrize("terminal_neg_inf", [False, True])
-def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_neg_inf):
+@pytest.mark.parametrize("terminal_inf", [False, True])
+def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_inf):
     rng = np.random.default_rng(5)
     grid = Grid([np.arange(4.0)])
     controls = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -360,12 +376,13 @@ def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_neg_inf):
     )
     model = FastStageModel(stages=stages, terminal_grid=grid, noise=law_table(noises))
     end = rng.uniform(0.0, 2.0, size=4)
-    if terminal_neg_inf:
-        end[2] = -INF  # meets +inf in fixed: lower addition gives -inf
+    if terminal_inf:
+        # meets the +inf of fixed in row 1, and no best control reads it
+        end[2] = INF
     cost = stages[0].cost(None, controls, 0.0)
     assert list(np.flatnonzero(~cost.any(axis=1))) == [1, 3]
     ref = _assert_matches_reference(model, GridValueFn(grid, end))
-    assert np.isneginf(ref[0]).any() == terminal_neg_inf
+    assert all(np.isfinite(values).all() for values in ref[:-1])
 
 
 def test_fixed_off_the_contract_shape_is_rejected():
@@ -469,7 +486,7 @@ def test_price_table_huge_surcharge_prices_battery_out():
     laws = point_laws([10.0, -8.0, 6.0, 12.0])
     c_grid = np.array([0.0, 50.0])
     tab = compute_intraday(
-        PRICE, 1, cfg, laws, c_grid, np.array([0.0, 1e6]), n_soc=N_SOC, n_controls=N_CONTROLS
+        PRICE, cfg, laws, c_grid, np.array([0.0, 1e6]), n_soc=N_SOC, n_controls=N_CONTROLS
     )
     base = no_battery_bill(laws, cfg.rates)
     assert tab.table.values[1, 1] == pytest.approx(base, abs=1e-9)
@@ -482,7 +499,7 @@ def test_resource_single_step_cannot_discharge_empty():
     )
     laws = point_laws([1.0])
     tab = compute_intraday(
-        RESOURCE, 1, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 20.0]), n_soc=5,
+        RESOURCE, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 20.0]), n_soc=5,
         n_controls=5,
     )
     assert tab.table.values[1, 1] == pytest.approx(1.0, abs=1e-9)
@@ -496,7 +513,7 @@ def test_price_two_step_arbitrage_is_free_at_zero_surcharge():
     )
     laws = point_laws([-1.0, 1.0])
     tab = compute_intraday(
-        PRICE, 1, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 0.5]), n_soc=9, n_controls=3
+        PRICE, cfg, laws, np.array([0.0, 10.0]), np.array([0.0, 0.5]), n_soc=9, n_controls=3
     )
     assert tab.table.values[1, 0] == pytest.approx(0.0, abs=1e-9)
     # the no-battery bill is 1; with surcharge 0.5 the exchange costs exactly 1
@@ -518,11 +535,11 @@ def test_intraday_weak_duality(world):
 def test_periodicity_bit_exact_tables(world):
     cfg, laws = world["cfg"], world["slot_laws"]
     kw = dict(n_soc=N_SOC, n_controls=N_CONTROLS)
-    a = compute_intraday(RESOURCE, 1, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
-    b = compute_intraday(RESOURCE, 1, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
+    a = compute_intraday(RESOURCE, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
+    b = compute_intraday(RESOURCE, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
     assert json.dumps(a.table.to_jsonable()) == json.dumps(b.table.to_jsonable())
-    pa = compute_intraday(PRICE, 1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
-    pb = compute_intraday(PRICE, 1, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
+    pa = compute_intraday(PRICE, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
+    pb = compute_intraday(PRICE, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
     assert json.dumps(pa.table.to_jsonable()) == json.dumps(pb.table.to_jsonable())
     n_slots = len(laws.probs)
     assert a.fast.shape == (len(world["c_grid"]) - 1, n_slots + 1, N_SOC, len(world["dh_grid"]))
@@ -532,7 +549,7 @@ def test_periodicity_bit_exact_tables(world):
 def test_negative_surcharge_rejected(world):
     with pytest.raises(ValueError):
         compute_intraday(
-            PRICE, 1, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0]),
+            PRICE, world["cfg"], world["slot_laws"], world["c_grid"], np.array([-0.1, 0.0]),
             N_SOC, N_CONTROLS,
         )
 
@@ -540,7 +557,7 @@ def test_negative_surcharge_rejected(world):
 def test_capacity_grid_not_from_zero_rejected(world):
     with pytest.raises(ValueError, match="start at c = 0"):
         compute_intraday(
-            PRICE, 1, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"],
+            PRICE, world["cfg"], world["slot_laws"], np.array([25.0, 50.0]), world["pi_grid"],
             N_SOC, N_CONTROLS,
         )
 

@@ -293,7 +293,7 @@ def test_intraday_tables_round_trip_bit_equal(bellman_run):
     bat = CFG.battery_config()
     for dec, axis in ((PRICE, CFG.pi_grid()), (RESOURCE, CFG.dh_grid())):
         ref = compute_intraday(
-            dec, 1, bat, laws[1], CFG.c_grid(), axis, CFG.n_soc, CFG.n_controls
+            dec, bat, laws[1], CFG.c_grid(), axis, CFG.n_soc, CFG.n_controls
         )
         short = _load_tables(CFG, bellman_run, dec)
         full = _load_tables(CFG, bellman_run, dec, with_fast=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twoscale import battery
-from twoscale.battery import BatteryState, ScenarioSet, white_noise_resample
+from twoscale.battery import ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.core import INF, Grid, GridValueFn
 from twoscale.intraday import (
@@ -53,6 +53,7 @@ from conftest import (
     N_SOC,
     _dense_resource_objective,
     _ref_continuation,
+    check_state_bounds,
     law_table,
     point_laws,
     point_table,
@@ -72,10 +73,10 @@ def make_world(price, netload_atoms=ATOMS, D=D_SMALL):
     classmap = build_periodicity_classes(D, 1)
     price_laws = point_table(price, D + 1)
     rtab = compute_intraday(
-        RESOURCE, 1, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+        RESOURCE, cfg, slot_laws, c_grid, dh_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
     ptab = compute_intraday(
-        PRICE, 1, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
+        PRICE, cfg, slot_laws, c_grid, pi_grid, n_soc=N_SOC, n_controls=N_CONTROLS
     )
     upper = resource_bellman_recursion(
         {1: rtab}, classmap, price_laws, cfg, h_grid, c_grid, D
@@ -120,11 +121,11 @@ def two_sizes():
     atoms = np.array([0.001, 0.01])
     price_laws = law_table([(atoms, [0.5, 0.5])] * (D + 1))
     rtab = compute_intraday(
-        RESOURCE, 1, cfg, slot_laws, c_grid, np.linspace(0.0, 100.0, 5), n_soc=N_SOC,
+        RESOURCE, cfg, slot_laws, c_grid, np.linspace(0.0, 100.0, 5), n_soc=N_SOC,
         n_controls=N_CONTROLS,
     )
     ptab = compute_intraday(
-        PRICE, 1, cfg, slot_laws, c_grid, np.array([0.0, 0.05, 0.10]), n_soc=N_SOC,
+        PRICE, cfg, slot_laws, c_grid, np.array([0.0, 0.05, 0.10]), n_soc=N_SOC,
         n_controls=N_CONTROLS,
     )
     upper = resource_bellman_recursion({1: rtab}, classmap, price_laws, cfg, h_grid, c_grid, D)
@@ -152,7 +153,7 @@ def test_select_price_no_battery_ties_to_zero(dear):
 def test_select_price_single_point_grid(dear):
     cfg = dear["cfg"]
     ptab1 = compute_intraday(
-        PRICE, 1, cfg, point_laws(ATOMS), np.array([0.0, 50.0]), np.array([0.07]),
+        PRICE, cfg, point_laws(ATOMS), np.array([0.0, 50.0]), np.array([0.07]),
         n_soc=N_SOC, n_controls=N_CONTROLS,
     )
     classmap = build_periodicity_classes(D_SMALL, 1)
@@ -285,19 +286,19 @@ def test_trajectories_admissible_and_renewals_wellformed(cheap, mode):
     for rec in records:
         renewal_days = dict(rec.renewals)
         for state in rec.states:
-            BatteryState(*state).check_bounds(cfg, tol=1e-6)
+            check_state_bounds(state, cfg, tol=1e-6)
         for d in range(len(rec.states) - 1):
-            x0, x1 = BatteryState(*rec.states[d]), BatteryState(*rec.states[d + 1])
+            (_, h0, c0), (soc1, h1, c1) = rec.states[d], rec.states[d + 1]
             if d in renewal_days:
                 r = renewal_days[d]
                 saw_renewal = True
                 assert r in cfg.renewal_grid and r > 0
-                assert x1.soc == 0.0
-                assert x1.health == cfg.cycle_multiple * r
-                assert x1.capacity == r
+                assert soc1 == 0.0
+                assert h1 == cfg.cycle_multiple * r
+                assert c1 == r
             else:
-                assert x1.health <= x0.health + 1e-9
-                assert x1.capacity == x0.capacity
+                assert h1 <= h0 + 1e-9
+                assert c1 == c0
     # the cheap-battery world must actually trigger a purchase
     assert saw_renewal
     assert stats.mean > 0.0
@@ -471,7 +472,7 @@ def test_a_row_of_inf_falls_back_to_the_first_feasible_control():
     cfg = small_battery_config()
     c_grid, axis = np.array([0.0, 50.0]), np.array([0.0])
     fast = np.full((1, len(cfg.rates) + 1, N_SOC, 1), INF)
-    table = IntradayTable(1, PRICE, GridValueFn(Grid([c_grid, axis]), np.zeros((2, 1))), 5, fast)
+    table = IntradayTable(PRICE, GridValueFn(Grid([c_grid, axis]), np.zeros((2, 1))), 5, fast)
     steps = _soc_steps(table, cfg)
     controls = control_grid(cfg, 5)
     netload = np.array([[10.0, -8.0, 6.0, 12.0]])

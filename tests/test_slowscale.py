@@ -375,7 +375,7 @@ def test_resource_recursion_retries_interpolation_on_infinite_values(small_world
     # which tomorrow's health between h = 0 and the next grid point reads
     w = small_world
     rtab = compute_intraday(
-        RESOURCE, 1, w["cfg"], w["slot_laws"], w["c_grid"], w["dh_grid"], n_soc=N_SOC,
+        RESOURCE, w["cfg"], w["slot_laws"], w["c_grid"], w["dh_grid"], n_soc=N_SOC,
         n_controls=4,
     )
     assert np.isposinf(rtab.table.values[1:, 0]).all()
@@ -401,8 +401,7 @@ def _shifted_table(table, shift):
     that a budget h - dh >= -tol needs h >= shift."""
     grid = Grid([table.table.grid.axes[0], table.axis + shift])
     return IntradayTable(
-        table.class_id, table.decomposition, GridValueFn(grid, table.table.values),
-        table.n_controls,
+        table.decomposition, GridValueFn(grid, table.table.values), table.n_controls
     )
 
 
@@ -554,8 +553,8 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
     lo, up = lower.values.copy(), upper.values.copy()
     # the corners of x0 = (75, 20) are h indices 1, 2 and c indices 0, 1
     up[3, 2, 1] = INF  # last day of a block
-    lo[4, 1, 0] = INF  # first day of the next one, a violation there too
-    up[4, 2, 0] = -INF
+    lo[4, 1, 0] = INF  # first day of the next one
+    up[4, 2, 0] = lo[4, 2, 0] - 1.0  # a violation there too
     lo[7, 1, 1] = up[7, 1, 1] = INF  # both bounds +inf on one day
     lo[8, 2, 0] = INF
     lower = SlowValueSeq(lower.kind, lower.grid, lo)
@@ -569,7 +568,7 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
         assert got.tobytes() == want.tobytes()
     assert rep.violations == ref[4] > 0
     assert np.isposinf(rep.upper_at_x0[3]) and np.isposinf(rep.lower_at_x0[4])
-    assert np.isneginf(rep.upper_at_x0[4]) and np.isnan(rep.gap_at_x0[7])
+    assert np.isnan(rep.gap_at_x0[7])
 
 
 @pytest.mark.parametrize("day, corners", [(9, [(1, 0), (4, 1)]), (10, [(2, 1)])])
@@ -581,6 +580,15 @@ def test_slow_value_seq_refuses_nan(small_world, day, corners):
     for corner in corners[1:]:
         lo[(day,) + corner] = INF
     with pytest.raises(ValueError, match="NaN"):
+        SlowValueSeq(lower.kind, lower.grid, lo)
+
+
+def test_slow_value_seq_refuses_neg_inf(small_world):
+    # a value is a real cost or +inf
+    lower, _ = battery_seqs(small_world, D=10)
+    lo = lower.values.copy()
+    lo[9, 1, 0] = -INF
+    with pytest.raises(ValueError, match="price-lower values hold -inf"):
         SlowValueSeq(lower.kind, lower.grid, lo)
 
 
