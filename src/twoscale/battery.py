@@ -155,10 +155,6 @@ class ScenarioSet:
     def n_days(self) -> int:
         return self.netload.shape[1]
 
-    @property
-    def n_slots(self) -> int:
-        return self.netload.shape[2]
-
 
 def kmeans_1d(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic 1-D Lloyd clustering: the (support, probs) arrays of the

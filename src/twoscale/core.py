@@ -2,9 +2,10 @@
 discrete conjugation.
 
 A value is a cost in the reals or +inf, which marks an infeasible state:
-plain IEEE doubles, summed with plain ``+``.  :class:`GridValueFn` refuses
-NaN and -inf, so no sum of two values meets (+inf) + (-inf).  All containers
-are immutable after construction.
+plain IEEE doubles under IEEE arithmetic.  :class:`GridValueFn` refuses NaN
+and -inf, so +inf + x = +inf and p * (+inf) = +inf for a probability p > 0
+need no mask; the one mask left is on a blend's +inf corners of weight 0
+(0 * (+inf) is NaN).  All containers are immutable after construction.
 """
 
 from __future__ import annotations
@@ -105,9 +106,6 @@ class Grid:
             and all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(ax) for ax in self.axes))
-
 
 class BlendPlan:
     """The cell corners of an interpolation plan (see :meth:`Grid.interp_plan`),
@@ -154,9 +152,10 @@ class BlendPlan:
         +inf corner enters the sum as 0 and makes the result +inf.
         """
         flat = np.asarray(values, dtype=float).ravel()
-        inf_tab = np.isposinf(flat)
-        has_inf = bool(inf_tab.any())
+        # a value is never NaN, so the max is +inf exactly where one value is
+        has_inf = flat.max() == INF
         if has_inf:
+            inf_tab = np.isposinf(flat)
             flat = np.where(inf_tab, 0.0, flat)
         out, tmp, base = self._out, self._tmp, self.base
         # the sum starts from +0, as np.zeros did, so an all-zero blend is +0

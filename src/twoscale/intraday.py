@@ -111,27 +111,6 @@ class FastDpSolution:
     values: list[GridValueFn]
 
 
-def _expect_start(n: int):
-    """Empty (finite total, +inf mask) over n states."""
-    return np.zeros(n), np.zeros(n, dtype=bool)
-
-
-def _expect_accumulate(total, pos, term: np.ndarray, p: float):
-    """Accumulate p * term into (finite total, +inf mask): a +inf entry adds
-    0 to the total and sets the mask."""
-    inf = np.isposinf(term)
-    if inf.any():
-        pos |= inf
-        term = np.where(inf, 0.0, term)
-    total += p * term
-    return total, pos
-
-
-def _expect_value(total, pos) -> np.ndarray:
-    """The expectation: +inf where any term was, else the total."""
-    return np.where(pos, INF, total)
-
-
 def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
     if np.shape(arr) not in shapes:
         want = " or ".join(str(shape) for shape in shapes)
@@ -207,7 +186,7 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
         if buf is None or buf.shape != shape:
             buf, gbuf = np.empty(shape), np.empty(shape)
         kernel = None
-        total, pos = _expect_start(len(states))
+        total = np.zeros(len(states))
         for w, p in model.noise.atoms(m):
             nxt = stage.dynamics(states, stage.controls, w)
             cost = stage.cost(states, stage.controls, w)
@@ -219,8 +198,9 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
                 kernel = None
             if kernel is None:
                 kernel = _StageMin(stage.fixed, plan.blend(vnext.values), buf, gbuf)
-            total, pos = _expect_accumulate(total, pos, kernel(cost), p)
-        vnext = GridValueFn(stage.state_grid, _expect_value(total, pos))
+            # every atom has p > 0, so a +inf minimum makes the sum +inf
+            total += p * kernel(cost)
+        vnext = GridValueFn(stage.state_grid, total)
         values.append(vnext)
     values.reverse()
     return FastDpSolution(values)

@@ -20,7 +20,7 @@ from .core import INF, GridValueFn, LawTable
 from . import battery
 from .battery import BatteryConfig, ScenarioSet
 from .intraday import (
-    Decomposition, IntradayTable, PeriodicityClassMap, control_grid, decomposition, soc_grid_for,
+    Decomposition, IntradayTable, PeriodicityClassMap, control_grid, decomposition,
 )
 from .slowscale import DayObjective, SlowValueSeq, day_continuation, renewal_states
 
@@ -123,29 +123,20 @@ def _choose_renewal(
 
 @dataclass(frozen=True, eq=False)
 class _Mode:
-    """One policy's replay inputs, with the :func:`_soc_steps` of each
-    class's table, which its days share."""
+    """One policy's replay inputs."""
 
     dec: Decomposition
     tables: dict
     values: SlowValueSeq
-    soc_steps: dict
 
 
-def _mode(name: str, tables: dict, values: SlowValueSeq, cfg: BatteryConfig) -> _Mode:
+def _mode(name: str, tables: dict, values: SlowValueSeq) -> _Mode:
     dec = decomposition(name)
     if any(tab.decomposition != dec for tab in tables.values()):
         raise ValueError(f"mode {name!r} needs {dec.mode} intraday tables")
     if any(tab.fast is None for tab in tables.values()):
         raise ValueError("the replay needs the intraday tables' fast values")
-    steps = {cls: _soc_steps(tab, cfg) for cls, tab in tables.items()}
-    return _Mode(dec, tables, values, steps)
-
-
-def _soc_steps(table: IntradayTable, cfg: BatteryConfig) -> np.ndarray:
-    """The soc grid step of each capacity of the table."""
-    grids = (soc_grid_for(cv, cfg, table.fast.shape[2]) for cv in table.table.grid.axes[0])
-    return np.array([g[1] - g[0] for g in grids])
+    return _Mode(dec, tables, values)
 
 
 def simulate_policies(
@@ -175,7 +166,7 @@ def simulate_policies(
     (D+2, mode, scenario, 3) trajectory array and one (D+1, mode, scenario)
     bill array.
     """
-    modes = [_mode(name, tables, values, cfg) for name, (tables, values) in runs.items()]
+    modes = [_mode(name, tables, values) for name, (tables, values) in runs.items()]
     built = sorted({tab.n_controls for mode in modes for tab in mode.tables.values()})
     if len(built) != 1:
         raise ValueError(f"intraday tables were built on {built} controls, not one grid")
@@ -209,7 +200,7 @@ def simulate_policies(
                 table = mode.tables[cls]
                 rows = own[i]
                 decision = select(h[i, rows], c[i, rows], d, table, mode.values, price_laws, cfg)
-                blocks.append((table, decision, mode.soc_steps[cls]))
+                blocks.append((table, decision))
         if blocks:
             # rows in (mode, scenario) order, each mode's a block of its own
             bills[d, own], soc[own], h[own], clamps, stuck = _replay_day(
@@ -272,15 +263,14 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
     slot loop.
 
     netload is (rows, slots); soc, h and the capacity c > 0 are per row.
-    The rows come in consecutive blocks, one per entry (table, decision,
-    soc_steps) of ``blocks``: the intraday table the block replays, each
-    row's decision (a surcharge, or a health target on a budget axis) and
-    the soc grid step of each capacity of the table.  A row reads its
-    table's replay values ``table.fast``, shape (capacity after c = 0,
-    slots + 1, soc, axis), at the nearest soc and budget points.  A slot
-    where every feasible control reads +inf from the table takes the first
-    feasible control.  Returns the bills, the end-of-day soc and health, and
-    per row the number of clamped moves and of such slots.
+    The rows come in consecutive blocks, one per pair (table, decision) of
+    ``blocks``: the intraday table the block replays and each row's
+    decision (a surcharge, or a health target on a budget axis).  A row
+    reads its table's replay values ``table.fast``, shape (capacity after
+    c = 0, slots + 1, soc, axis), at the nearest soc and budget points.  A
+    slot where every feasible control reads +inf from the table takes the
+    first feasible control.  Returns the bills, the end-of-day soc and
+    health, and per row the number of clamped moves and of such slots.
 
     What does not depend on the soc is done once per day: the bill of every
     (slot, row, control) plus a surcharge row's aging cost, each row's table
@@ -301,13 +291,15 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
     budget, s_step, s_top, a_len, slot_len, base = np.empty((6, n, 1))
     # per budget-axis block: its rows, budget grid step and last budget index
     reads, budgets, start = [], [], 0
-    for table, decision, steps in blocks:
+    for table, decision in blocks:
         rows = slice(start, start + len(decision))
         start = rows.stop
         fast = table.fast
         _, n_step, n_soc, n_axis = fast.shape
         ci = np.searchsorted(table.table.grid.axes[0], c[rows])
-        s_step[rows, 0], s_top[rows], a_len[rows] = steps[ci], n_soc - 1, n_axis
+        # the soc grid step, bit for bit soc_grid_for's g[1] - g[0]
+        s_step[rows, 0] = battery.soc_max(c[rows], cfg) / (n_soc - 1)
+        s_top[rows], a_len[rows] = n_soc - 1, n_axis
         slot_len[rows] = n_soc * n_axis
         base[rows, 0] = (ci - 1) * (n_step * n_soc * n_axis)
         if table.decomposition.budget_axis:

@@ -20,7 +20,6 @@ desk-scale oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -91,7 +90,7 @@ class BoundReport:
     gap_at_x0: np.ndarray  # per day, at the designated initial state
     lower_at_x0: np.ndarray
     upper_at_x0: np.ndarray
-    violations: int  # grid points with lower > upper beyond tolerance
+    violations: int  # grid points with lower > upper beyond tolerance, or +inf over finite
 
 
 def renewal_states(
@@ -141,20 +140,21 @@ def _expect(keep: np.ndarray, atoms: list, out: np.ndarray, term: np.ndarray) ->
 
 class _Interp:
     """``np.interp(x, xp, f)`` at fixed points x, for the rows ``rows`` of
-    any C-contiguous (n, len(xp)) array f, shape (len(rows),) + x.shape, with
-    np.interp's float operations: f[j] at a grid point xp[j] and beyond the
-    ends, else the slope (f[j+1] - f[j]) / (xp[j+1] - xp[j]) times x - xp[j]
-    plus f[j], retried from xp[j+1] where that is NaN, which needs a
-    non-finite f or slope.  A call gathers by flat index into buffers that
-    the next call overwrites; it may compute NaN slopes, so run it under
-    ``np.errstate(invalid="ignore")``."""
+    any C-contiguous (n, len(xp)) array f of values (reals or +inf), shape
+    (len(rows),) + x.shape, with np.interp's float operations: f[j] at a
+    grid point xp[j] and beyond the ends, else the slope (f[j+1] - f[j]) /
+    (xp[j+1] - xp[j]) times x - xp[j] plus f[j].  That form is NaN only
+    where a corner of positive weight is +inf, and np.interp then gives
+    +inf, so a NaN entry reads +inf.  A call gathers by flat index into
+    buffers that the next call overwrites; it may compute NaN slopes, so
+    run it under ``np.errstate(invalid="ignore")``."""
 
     def __init__(self, x: np.ndarray, xp: np.ndarray, rows: np.ndarray, n: int):
-        self.xp, self.x = xp, np.clip(x, xp[0], xp[-1])
-        self.j = np.searchsorted(xp, self.x, side="right") - 1
-        xj = xp[self.j]
-        self.dx, self.at, self.step = self.x - xj, self.x == xj, np.diff(xp)
-        self.flat = np.reshape(rows, (-1,) + (1,) * self.x.ndim) * len(xp) + self.j
+        x = np.clip(x, xp[0], xp[-1])
+        j = np.searchsorted(xp, x, side="right") - 1
+        xj = xp[j]
+        self.dx, self.at, self.step = x - xj, x == xj, np.diff(xp)
+        self.flat = np.reshape(rows, (-1,) + (1,) * x.ndim) * len(xp) + j
         # slope[:, -1] pads the last point, where x == xp[j] and dx = 0
         self.slope = np.zeros((n, len(xp)))
         self.f0, self.out = np.empty(self.flat.shape), np.empty(self.flat.shape)
@@ -169,23 +169,8 @@ class _Interp:
         out *= self.dx
         out += f0
         np.copyto(out, f0, where=self.at)
-        # a NaN needs a non-finite slope (an infinite f makes one), and then
-        # the slopes' sum is not finite either
-        if not math.isfinite(slope.sum()):
-            _interp_retry(self, fp, out)
+        np.copyto(out, INF, where=np.isnan(out))
         return out
-
-
-def _interp_retry(interp: _Interp, fp: np.ndarray, out: np.ndarray) -> None:
-    """np.interp's second try where its first gave NaN: the slope times
-    x - xp[j+1] plus f[j+1], or f[j] where that is NaN too and f[j] == f[j+1]."""
-    nan = np.isnan(out)
-    if not nan.any():
-        return
-    k = np.minimum(interp.j + 1, len(interp.xp) - 1)
-    f0, f1 = interp.f0, np.take(fp, interp.flat + (k - interp.j))
-    back = np.take(interp.slope, interp.flat) * (interp.x - interp.xp[k]) + f1
-    np.copyto(out, np.where(np.isnan(back) & (f0 == f1), f0, back), where=nan)
 
 
 class DayObjective:
@@ -311,7 +296,7 @@ def _bellman_recursion(
         objective = objectives[day_class[d]]
         objective.reduce(objective(disc, atoms), out.T)
 
-    # a slope between infinite values is NaN, which the interpolation retries
+    # a slope between infinite values is NaN, which the interpolation reads as +inf
     with np.errstate(invalid="ignore"):
         return _backward(dec.kind, Grid([h_grid, c_grid]), 0.0, D, day)
 
@@ -377,11 +362,13 @@ def block_bellman_solve(problem) -> SlowValueSeq:
 
 
 def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
-    """Per-day gap report; flags grid points where lower exceeds upper.
+    """Per-day gap report (:func:`_rel_gap`); counts the grid points where
+    lower exceeds upper, or is +inf over a finite upper.
 
     Both sequences must lie on one grid, so x0 is located on it once.  The
     days are checked in blocks of about SANDWICH_BLOCK values per bound, so
-    the temporaries stay small however long the horizon."""
+    the temporaries stay small however long the horizon; day i of a block
+    blends x0's corners moved by i tables, one BlendPlan per block length."""
     if lower.horizon != upper.horizon:
         raise ValueError("sequences cover different horizons")
     if lower.grid != upper.grid:
@@ -390,37 +377,41 @@ def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
     grid = lower.grid
     max_rel, lo0, up0 = np.empty(n), np.empty(n), np.empty(n)
     violations = 0
-    plan = BlendPlan(grid, *grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1)))
-    corners = [(int(plan.base[0]) + offset, w[0]) for offset, w in plan.corners]
+    base, frac = grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1))
+    plans = {}
     step = max(1, SANDWICH_BLOCK // grid.size)
     for a in range(0, n, step):
         days = slice(a, min(a + step, n))
         lv, uv = lower.values[days], upper.values[days]
-        denom = np.abs(lv)
-        np.maximum(denom, 1e-9, out=denom)
-        rel = uv - lv
-        rel /= denom
+        rel, denom, alone = _rel_gap(lv, uv)
         max_rel[days] = rel.reshape(len(rel), -1).max(axis=1)
-        # denom becomes uv + SANDWICH_TOL * denom
+        # denom becomes uv + SANDWICH_TOL * denom, +inf where lv is
         denom *= SANDWICH_TOL
         denom += uv
-        violations += int(np.count_nonzero(lv > denom))
-        lo0[days], up0[days] = _blend_days(lv, corners), _blend_days(uv, corners)
-    gap0 = (up0 - lo0) / np.maximum(np.abs(lo0), 1e-9)
-    return BoundReport(max_rel, gap0, lo0, up0, violations)
+        violations += int(np.count_nonzero(lv > denom)) + alone
+        k = len(lv)
+        if k not in plans:
+            plans[k] = BlendPlan(grid, base + grid.size * np.arange(k), np.repeat(frac, k, axis=1))
+        # blend's buffer is overwritten by its next call
+        lo0[days] = plans[k].blend(lv)
+        up0[days] = plans[k].blend(uv)
+    return BoundReport(max_rel, _rel_gap(lo0, up0)[0], lo0, up0, violations)
 
 
-def _blend_days(values: np.ndarray, corners: list) -> np.ndarray:
-    """Per day of ``values``, shaped (days,) + grid shape,
-    :meth:`~twoscale.core.BlendPlan.blend` at one point given by the flat
-    index and weight of each corner of its plan: the same corners, weights
-    and order, and +inf where a corner of positive weight is +inf."""
-    flat = values.reshape(len(values), -1)
-    raw = flat[:, [idx for idx, _ in corners]]
-    # blend zeroes the +inf entries
-    at = np.where(np.isposinf(raw), 0.0, raw)
-    total = np.zeros(len(values))
-    for k, (_, w) in enumerate(corners):
-        total += at[:, k] * w
-    active = raw[:, [w > 0.0 for _, w in corners]]
-    return np.where(np.isposinf(active).any(axis=1), INF, total)
+def _rel_gap(lv: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The gap of an upper bound ``uv`` over a lower bound ``lv``, relative
+    and elementwise, its denominator max(|lv|, 1e-9) and the number of
+    points where lv alone is +inf: (uv - lv) / that where lv is finite;
+    where lv is +inf, 0 if uv is +inf too, else -inf."""
+    denom = np.abs(lv)
+    np.maximum(denom, 1e-9, out=denom)
+    # (+inf) - (+inf) and (-inf) / (+inf) are NaN, and only a +inf lv makes one
+    with np.errstate(invalid="ignore"):
+        gap = uv - lv
+        gap /= denom
+    if not np.isnan(gap.max()):
+        return gap, denom, 0
+    top = np.isposinf(lv)
+    alone = uv[top] < INF
+    gap[top] = np.where(alone, -INF, 0.0)
+    return gap, denom, int(np.count_nonzero(alone))

@@ -472,6 +472,23 @@ def test_gaps_csv_holds_plain_floats(bellman_run):
     assert float(rows[0][3]) == summary["lower_at_x0_day0"]
 
 
+def test_report_on_infinite_bounds_holds_no_nan(tmp_path):
+    # 4 controls leave out u = 0: both bounds are +inf at some points, where
+    # the gap is 0, and the upper one alone at others, where it is +inf
+    cfg = RunConfig(
+        D=40, n_slots=12, n_classes=1, c_max=300.0, n_controls=4, h_points=13,
+        price_forecast=(0.05, 0.05), scenarios=8,
+    )
+    for stage in (stage_fit, stage_intraday, stage_bellman):
+        stage(cfg, tmp_path)
+    lower = load_value_seq(cfg, tmp_path, "price-lower").values
+    upper = load_value_seq(cfg, tmp_path, "resource-upper").values
+    assert (np.isposinf(lower) & np.isposinf(upper)).any()
+    summary = stage_report(cfg, tmp_path)
+    assert "nan" not in (tmp_path / "gaps.csv").read_text()
+    assert summary["max_rel_gap"] == np.inf and summary["violations"] == 0
+
+
 def test_manifest_records_recursion_and_check_times(bellman_run):
     stage_bellman(CFG, bellman_run)
     info = stage_report(CFG, bellman_run)

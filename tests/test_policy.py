@@ -34,7 +34,6 @@ from twoscale.policy import (
     ADMISS_TOL,
     _best_on_axis,
     _replay_day,
-    _soc_steps,
     select_price,
     select_resource,
     simulate_policies,
@@ -473,12 +472,11 @@ def test_a_row_of_inf_falls_back_to_the_first_feasible_control():
     c_grid, axis = np.array([0.0, 50.0]), np.array([0.0])
     fast = np.full((1, len(cfg.rates) + 1, N_SOC, 1), INF)
     table = IntradayTable(PRICE, GridValueFn(Grid([c_grid, axis]), np.zeros((2, 1))), 5, fast)
-    steps = _soc_steps(table, cfg)
     controls = control_grid(cfg, 5)
     netload = np.array([[10.0, -8.0, 6.0, 12.0]])
     bill, soc, h, clamped, fallbacks = _replay_day(
         netload, np.zeros(1), np.full(1, 200.0), np.array([50.0]),
-        [(table, np.array([0.0]), steps)], controls, cfg,
+        [(table, np.array([0.0]))], controls, cfg,
     )
     plain = sum(battery.stage_cost(0.0, w, rate) for w, rate in zip(netload[0], cfg.rates))
     assert bill[0] == plain

@@ -264,7 +264,8 @@ def test_interp_matches_np_interp_bit_for_bit():
     for _ in range(300):
         xp = np.sort(rng.choice(np.linspace(0.0, 800.0, 41), rng.integers(1, 9), replace=False))
         fp = rng.normal(size=(3, len(xp))) * 10.0 ** rng.integers(-3, 6)
-        for v in (INF, -INF, 0.0, -0.0):
+        # the value domain: reals and +inf
+        for v in (INF, 0.0, -0.0):
             fp[rng.random(fp.shape) < 0.1] = v
         axis = np.concatenate([rng.choice(xp, 3), rng.uniform(-50.0, 900.0, 4)])
         x = np.maximum(xp[:, None] - axis[None, :], 0.0) + rng.choice([0.0, -10.0, 1000.0])
@@ -373,24 +374,26 @@ def test_resource_recursion_retries_interpolation_on_infinite_values(small_world
     # 4 controls leave out u = 0, so no control fits a zero aging budget: the
     # dh = 0 entries of every battery are +inf, and so is the value at h = 0,
     # which tomorrow's health between h = 0 and the next grid point reads
+    # through a slope that is not finite
     w = small_world
     rtab = compute_intraday(
         RESOURCE, w["cfg"], w["slot_laws"], w["c_grid"], w["dh_grid"], n_soc=N_SOC,
         n_controls=4,
     )
     assert np.isposinf(rtab.table.values[1:, 0]).all()
-    retried = []
-    retry = slowscale._interp_retry
+    infinite_slopes = []
+    call = _Interp.__call__
 
-    def counting_retry(interp, fp, out):
-        retried.append(int(np.isnan(out).sum()))
-        return retry(interp, fp, out)
+    def counting_call(interp, fp):
+        out = call(interp, fp)
+        infinite_slopes.append(int(np.count_nonzero(~np.isfinite(interp.slope))))
+        return out
 
-    monkeypatch.setattr(slowscale, "_interp_retry", counting_retry)
+    monkeypatch.setattr(_Interp, "__call__", counting_call)
     laws = [point(0.05)] * (w["D"] + 1)
     args = (w["classmap"], laws, w["cfg"], w["h_grid"], w["c_grid"], w["D"])
     seq = _bellman_recursion(RESOURCE, {1: rtab}, w["classmap"], law_table(laws), *args[2:])
-    assert sum(retried) > 0
+    assert sum(infinite_slopes) > 0
     assert np.isposinf(seq.values[:-1, 0, 1:]).all() and not np.isnan(seq.values).any()
     want = _per_capacity_recursion(RESOURCE, {1: rtab}, *args)
     assert seq.values.tobytes() == want.tobytes()
@@ -499,8 +502,18 @@ def _fields(p: TinyProblem) -> dict:
     return f(p)
 
 
+def _ref_gap(lv: float, uv: float) -> float:
+    """The relative gap of one upper value over one lower value: 0 where
+    both are +inf, -inf where only the lower one is."""
+    if lv == INF:
+        return 0.0 if uv == INF else -INF
+    return (uv - lv) / max(abs(lv), 1e-9)
+
+
 def _sandwich_by_eval_many(lower, upper, x0, tol=1e-6):
-    """Per-day reference report: each day located on its own grid by eval_many."""
+    """Per-day reference report: each day located on its own grid by
+    eval_many, each gap taken point by point; a +inf lower value over a
+    finite upper one is a violation."""
     n = len(lower.days)
     max_rel, gap0, lo0, up0 = (np.empty(n) for _ in range(4))
     violations = 0
@@ -508,10 +521,11 @@ def _sandwich_by_eval_many(lower, upper, x0, tol=1e-6):
     for d, (lo, up) in enumerate(zip(lower.days, upper.days)):
         lv, uv = lo.values, up.values
         denom = np.maximum(np.abs(lv), 1e-9)
-        max_rel[d] = float(((uv - lv) / denom).max())
+        max_rel[d] = np.array([_ref_gap(a, b) for a, b in zip(lv.flat, uv.flat)]).max()
         violations += int(np.sum(lv > uv + tol * denom))
+        violations += int(np.sum(np.isposinf(lv) & np.isfinite(uv)))
         lo0[d], up0[d] = float(lo.eval_many(x0)[0]), float(up.eval_many(x0)[0])
-        gap0[d] = (up0[d] - lo0[d]) / max(abs(lo0[d]), 1e-9)
+        gap0[d] = _ref_gap(lo0[d], up0[d])
     return max_rel, gap0, lo0, up0, violations
 
 
@@ -521,7 +535,6 @@ def _with_day(seq, d, values):
     return SlowValueSeq(seq.kind, seq.grid, every)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (75.0, 20.0), (200.0, 50.0)])
 def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
     lower, upper = battery_seqs(small_world)
@@ -544,7 +557,6 @@ def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
     assert np.isposinf(rep.max_rel_gap[1])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeypatch):
     # blocks of 4 days over 12 days: block edges between days 3 | 4 and 7 | 8
     lower, upper = battery_seqs(small_world, D=10)
@@ -553,8 +565,8 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
     lo, up = lower.values.copy(), upper.values.copy()
     # the corners of x0 = (75, 20) are h indices 1, 2 and c indices 0, 1
     up[3, 2, 1] = INF  # last day of a block
-    lo[4, 1, 0] = INF  # first day of the next one
-    up[4, 2, 0] = lo[4, 2, 0] - 1.0  # a violation there too
+    lo[4, 1, 0] = INF  # first day of the next one: a violation
+    up[4, 2, 0] = lo[4, 2, 0] - 1.0  # a finite violation there too
     lo[7, 1, 1] = up[7, 1, 1] = INF  # both bounds +inf on one day
     lo[8, 2, 0] = INF
     lower = SlowValueSeq(lower.kind, lower.grid, lo)
@@ -568,7 +580,24 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
         assert got.tobytes() == want.tobytes()
     assert rep.violations == ref[4] > 0
     assert np.isposinf(rep.upper_at_x0[3]) and np.isposinf(rep.lower_at_x0[4])
-    assert np.isnan(rep.gap_at_x0[7])
+    assert rep.gap_at_x0[7] == 0.0
+    assert rep.gap_at_x0[4] == rep.gap_at_x0[8] == -INF
+
+
+def test_check_sandwich_counts_an_infinite_lower_bound_over_a_finite_upper_one():
+    # a 2 x 2 grid over two days: lower 0 but +inf at (1, 1) of day 0, upper 1
+    g = Grid([[0.0, 1.0], [0.0, 1.0]])
+    lo = np.zeros((2, 2, 2))
+    lo[0, 1, 1] = INF
+    lower = SlowValueSeq("price-lower", g, lo)
+    upper = SlowValueSeq("resource-upper", g, np.ones((2, 2, 2)))
+    rep = check_sandwich(lower, upper, np.array([1.0, 1.0]))
+    assert rep.violations == 1
+    for got in (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0):
+        assert not np.isnan(got).any()
+    # the other three points of day 0 still have the gap 1 / 1e-9
+    assert rep.max_rel_gap.tolist() == [1.0 / 1e-9] * 2
+    assert rep.gap_at_x0.tolist() == [-INF, 1.0 / 1e-9]
 
 
 @pytest.mark.parametrize("day, corners", [(9, [(1, 0), (4, 1)]), (10, [(2, 1)])])
