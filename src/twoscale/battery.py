@@ -308,19 +308,33 @@ def battery_price_laws(
 ) -> LawTable:
     """Per-day discrete battery price law: midpoint-quantile discretization of
     the Gaussian noise around the interpolated forecast, floored; atoms the
-    floor merges are one atom."""
+    floor merges are one atom, whose probability sums theirs in atom order.
+    A day with fewer atoms is padded as :meth:`LawTable.from_rows` pads."""
     base = interp_price_forecast(forecast, n_days)
     nd = NormalDist()
     z = np.array([nd.inv_cdf((i + 0.5) / n_atoms) for i in range(n_atoms)])
-    probs = np.full(n_atoms, 1.0 / n_atoms)
-    supports, weights = [], []
-    for d in range(n_days):
-        atoms = np.maximum(base[d] + sigma * z, floor)
-        atoms, inv = np.unique(atoms, return_inverse=True)
-        p = np.bincount(inv, weights=probs)
-        supports.append(atoms)
-        weights.append(p / p.sum())
-    return LawTable.from_rows(supports, weights)
+    # each day's atoms are sorted, so the floor merges neighbours alone
+    atoms = np.maximum(base[:, None] + sigma * z, floor)
+    new = np.ones(atoms.shape, dtype=bool)
+    new[:, 1:] = atoms[:, 1:] != atoms[:, :-1]
+    group = np.cumsum(new, axis=1) - 1
+    sizes = group[:, -1:] + 1
+    days = np.arange(n_days)
+    probs = np.zeros(atoms.shape)
+    for k in range(n_atoms):
+        probs[days, group[:, k]] += 1.0 / n_atoms
+    # each day's sum over its own groups, as the sum of its 1-D array
+    total = np.empty((n_days, 1))
+    for n in np.unique(sizes):
+        rows = sizes[:, 0] == n
+        total[rows, 0] = probs[rows, :n].sum(axis=1)
+    # the first atom of each group, then that of the last group again, up to
+    # the widest day
+    starts = np.sort(np.where(new, np.arange(n_atoms), n_atoms), axis=1)
+    cols = np.arange(sizes.max())
+    first = np.take_along_axis(starts, np.minimum(cols, sizes - 1), axis=1)
+    support = np.take_along_axis(atoms, first, axis=1)
+    return LawTable(support, np.where(cols < sizes, probs[:, : len(cols)] / total, 0.0))
 
 
 def synthetic_netload_scenarios(

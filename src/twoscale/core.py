@@ -71,31 +71,29 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Clamp query points (n, ndim) to the bounding box."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        lo = np.array([ax[0] for ax in self.axes])
-        hi = np.array([ax[-1] for ax in self.axes])
-        return np.clip(x, lo, hi)
-
     def interp_plan(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Multilinear interpolation plan of query points (n, ndim), clamped to
         the bounding box: the flat (row-major) index of each query's lower cell
         corner, shape (n,), and its fractional offset per axis, shape (ndim, n).
         """
-        x = self.clamp(x)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
         base = np.zeros(n, dtype=np.intp)
         frac = np.zeros((self.ndim, n))
         stride = 1
         for j in reversed(range(self.ndim)):
             ax = self.axes[j]
+            # np.clip's operations (the sign of a clamped zero, which numpy's
+            # clip sets by memory layout, moves no blend)
+            xj = np.minimum(np.maximum(x[:, j], ax[0]), ax[-1])
             if ax.size > 1:
-                i = np.searchsorted(ax, x[:, j], side="right") - 1
-                i = np.clip(i, 0, ax.size - 2)
-                step = ax[i + 1] - ax[i]
-                frac[j] = (x[:, j] - ax[i]) / step
-                base += i * stride
+                i = np.searchsorted(ax, xj, side="right")
+                i -= 1
+                np.minimum(ax.size - 2, np.maximum(0, i, out=i), out=i)
+                np.subtract(xj, ax[i], out=frac[j])
+                frac[j] /= np.diff(ax)[i]
+                i *= stride
+                base += i
             stride *= ax.size
         return base, frac
 

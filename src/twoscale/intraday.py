@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import INF, BlendPlan, Grid, GridValueFn, LawTable
+from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, value_fault
 from . import battery
 from .battery import BatteryConfig
 
@@ -106,9 +106,11 @@ class FastStageModel:
 @dataclass
 class FastDpSolution:
     """Backward-induction output: one value function per fast step plus the
-    terminal, index m in 0..M+1."""
+    terminal, index m in 0..M+1, and the share of the stages' control rows
+    the solver evaluated."""
 
     values: list[GridValueFn]
+    live_controls: float
 
 
 def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
@@ -117,48 +119,84 @@ def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
         raise ValueError(f"{what} shape {np.shape(arr)}, expected {want}")
 
 
-def _min_of_sum(a, b, c, out: np.ndarray) -> np.ndarray:
-    """min over axis 0 of (a + b) + c, summed in ``out``."""
-    np.add(a, b, out=out)
-    out += c
-    return out.min(axis=0)
-
-
 def _rows(mask: np.ndarray):
     """The rows where mask holds, as a slice when they are contiguous."""
     rows = np.flatnonzero(mask)
     return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
 
 
+class _LiveControls:
+    """The control rows of one noise-free part ``fixed`` (controls, states)
+    that can attain a minimum: the rows not +inf at every state, or the first
+    row when every row is.  Dropping the others changes no value: such a row
+    is never below a kept row, and a state where every row is +inf still
+    reads +inf.
+
+    ``fixed`` holds the kept rows; ``one_add`` is set when each of their
+    finite entries is 0, as on a budget axis, so (cost + fixed) + cont equals
+    cost + (fixed + cont) bit for bit.  The free/paid row split of a noise
+    part is cached per distinct paid mask.
+    """
+
+    def __init__(self, fixed: np.ndarray):
+        dead = (fixed == INF).all(axis=1)
+        if dead.all():
+            dead[0] = False
+        self.rows = _rows(~dead)
+        self.dead = _rows(dead) if dead.any() else None
+        self.fixed = fixed[self.rows]
+        self.one_add = not self.fixed[self.fixed < INF].any()
+        self.splits = {}
+
+    def split(self, paid: np.ndarray) -> tuple:
+        """(key, free rows, paid rows, paid count) of a paid-row mask; a
+        rows entry is None where there is no such row."""
+        key = paid.tobytes()
+        got = self.splits.get(key)
+        if got is None:
+            n_paid = int(np.count_nonzero(paid))
+            free = None if n_paid == len(paid) else _rows(~paid)
+            got = self.splits[key] = (key, free, _rows(paid) if n_paid else None, n_paid)
+        return got
+
+
 class _StageMin:
-    """min over the controls of (cost + fixed) + cont, for one stage's
-    noise-free part ``fixed`` and continuation ``cont``, both (controls,
-    states), at the noise part ``cost`` of each atom.
+    """min over the live controls of (cost + fixed) + cont, for one stage's
+    live rows ``live`` (:class:`_LiveControls`) and continuation ``cont``,
+    both (live controls, states), at the noise part ``cost`` of each atom.
 
     A control row whose noise part is exactly 0 equals G = fixed + cont bit
     for bit, because 0 + fixed == fixed; G's min over each distinct set of
     such rows is taken once per stage.  Only the other rows are summed and
-    reduced, in the preallocated buffer ``buf``; G is summed in ``gbuf``.
+    reduced, in the preallocated buffer ``buf``, with one add on G where
+    ``live.one_add``; G is summed in ``gbuf``.  A dropped row's noise part
+    of -inf or NaN raises ValueError, as its sum with the row's +inf would.
     """
 
-    def __init__(self, fixed, cont, buf, gbuf):
-        self.fixed, self.cont, self.buf = fixed, cont, buf
-        self.g = np.add(fixed, cont, out=gbuf)
+    def __init__(self, live: _LiveControls, cont, buf, gbuf):
+        self.live, self.cont, self.buf = live, cont, buf
+        self.g = np.add(live.fixed, cont, out=gbuf)
         self.free_min = {}
 
     def __call__(self, cost: np.ndarray) -> np.ndarray:
-        paid = cost.any(axis=1)
+        live = self.live
+        if live.dead is not None and not (cost[live.dead] > -INF).all():
+            raise ValueError(f"values hold {value_fault(cost[live.dead] + INF)}")
+        cost = cost[live.rows]
+        key, free, paid, n_paid = live.split(cost.any(axis=1))
         q = None
-        if not paid.all():
-            key = paid.tobytes()
+        if free is not None:
             q = self.free_min.get(key)
             if q is None:
-                q = self.g[_rows(~paid)].min(axis=0)
-                self.free_min[key] = q
-        if paid.any():
-            rows = _rows(paid)
-            buf = self.buf[: np.count_nonzero(paid)]
-            paid_min = _min_of_sum(cost[rows], self.fixed[rows], self.cont[rows], buf)
+                q = self.free_min[key] = self.g[free].min(axis=0)
+        if paid is not None:
+            buf = self.buf[:n_paid]
+            if live.one_add:
+                np.add(cost[paid], self.g[paid], out=buf)
+            else:
+                np.add(cost[paid], live.fixed[paid], out=buf)
+                buf += self.cont[paid]
+            paid_min = buf.min(axis=0)
             q = paid_min if q is None else np.minimum(q, paid_min, out=paid_min)
         return q
 
@@ -168,7 +206,10 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
 
     All controls infeasible at some (m, x, w) yields V_m(x) = +inf, not an
     error; a value of -inf or NaN is refused (ValueError).  Next states are
-    clamped to the following stage's grid box.
+    clamped to the following stage's grid box.  The control rows of a
+    ``fixed`` that are +inf at every state are dropped once per ``fixed``
+    object (:class:`_LiveControls`); ``live_controls`` is the share of the
+    stages' control rows kept.
     """
     if terminal.grid != model.terminal_grid:
         raise ValueError("terminal function grid does not match the model terminal grid")
@@ -176,15 +217,20 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
     vnext = terminal
     grid = states = None
     planned = planned_grid = plan = None
-    buf = gbuf = None
+    fixed = live = buf = gbuf = None
+    kept = n_rows = 0
     for m in reversed(range(len(model.stages))):
         stage = model.stages[m]
         if stage.state_grid is not grid:
             grid, states = stage.state_grid, stage.state_grid.points()
         shape = (len(stage.controls), len(states))
         _contract_shape(stage.fixed, (shape,), "fixed has")
-        if buf is None or buf.shape != shape:
-            buf, gbuf = np.empty(shape), np.empty(shape)
+        if stage.fixed is not fixed:
+            fixed, live, planned = stage.fixed, _LiveControls(stage.fixed), None
+        n_live = len(live.fixed)
+        kept, n_rows = kept + n_live, n_rows + shape[0]
+        if buf is None or buf.shape != (n_live, shape[1]):
+            buf, gbuf = np.empty((n_live, shape[1])), np.empty((n_live, shape[1]))
         kernel = None
         total = np.zeros(len(states))
         for w, p in model.noise.atoms(m):
@@ -194,16 +240,16 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
             if nxt is not planned or vnext.grid is not planned_grid:
                 _contract_shape(nxt, (shape + (vnext.grid.ndim,),), "dynamics returned")
                 planned, planned_grid = nxt, vnext.grid
-                plan = BlendPlan(vnext.grid, *_interp_plan(nxt, vnext.grid))
+                plan = BlendPlan(vnext.grid, *_interp_plan(nxt[live.rows], vnext.grid))
                 kernel = None
             if kernel is None:
-                kernel = _StageMin(stage.fixed, plan.blend(vnext.values), buf, gbuf)
+                kernel = _StageMin(live, plan.blend(vnext.values), buf, gbuf)
             # every atom has p > 0, so a +inf minimum makes the sum +inf
             total += p * kernel(cost)
         vnext = GridValueFn(stage.state_grid, total)
         values.append(vnext)
     values.reverse()
-    return FastDpSolution(values)
+    return FastDpSolution(values, kept / n_rows if n_rows else 1.0)
 
 
 def _interp_plan(nxt: np.ndarray, next_grid: Grid):
@@ -344,15 +390,16 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     return FastStageModel(stages=stages, terminal_grid=grid, noise=slot_laws), terminal
 
 
-def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool) -> np.ndarray:
+def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     """Daily DP for one capacity over (soc, axis), starting from an empty
     battery; axis is the aging budget (resource cell) or the surcharge, a
     static state axis (price cell), so one sweep covers the whole axis.
-    Returns the per-step values, shape (n_slots + 1, n_soc, n_axis); entry
-    [0, 0] is the day-start row (soc = 0) over axis."""
+    Returns the per-step values, shape (n_slots + 1, n_soc, n_axis), whose
+    entry [0, 0] is the day-start row (soc = 0) over axis, and the share of
+    the controls the solver kept (:attr:`FastDpSolution.live_controls`)."""
     model, terminal = _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis)
     sol = solve_fast_dp(model, terminal)
-    return np.stack([v.values for v in sol.values])
+    return np.stack([v.values for v in sol.values]), sol.live_controls
 
 
 def compute_intraday(
@@ -381,7 +428,7 @@ def compute_intraday(
         raise ValueError("aging budgets and surcharges must be nonnegative")
     if fast is None:
         fast = np.stack([
-            _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, dec.budget_axis)
+            _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, dec.budget_axis)[0]
             for c in c_grid[1:]
         ])
     values = np.empty((len(c_grid), len(axis)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 import zipfile
@@ -64,6 +65,12 @@ OUTPUTS = {
     "fit": ("laws.npz",), "intraday": ("intraday_*.npz",), "bellman": ("bellman_*.npz",),
     "simulate": ("sim_*",), "report": ("report.json", "gaps.csv"),
 }
+# the files older versions of a stage wrote, which its rerun deletes too: the
+# JSON fit laws and the per-class intraday and per-day bellman JSON tables
+OLD_OUTPUTS = {
+    "fit": ("*_laws.json",), "intraday": ("intraday_*_class*.json",),
+    "bellman": ("bellman_*_d*.json",),
+}
 
 
 @contextmanager
@@ -79,12 +86,28 @@ def _atomic(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+def _strict(obj):
+    """``obj`` with each +inf or -inf float spelled "inf" or "-inf", as the
+    :class:`~twoscale.core.GridValueFn` codec spells it."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {key: _strict(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _dump_json(obj, path: Path, indent: int | None = None) -> None:
-    """Key-sorted JSON, compact unless ``indent`` is given: the bytes of
-    ``json.dump``, encoded by ``json.dumps``, whose C encoder runs when
-    ``indent`` is None (``json.dump`` always runs the Python one)."""
+    """Key-sorted strict JSON, compact unless ``indent`` is given: the bytes
+    of ``json.dump``, encoded by ``json.dumps``, whose C encoder runs when
+    ``indent`` is None (``json.dump`` always runs the Python one).  An
+    infinite float is written as a string (:func:`_strict`); a NaN raises
+    ValueError."""
     separators = (",", ":") if indent is None else None
-    text = json.dumps(obj, sort_keys=True, indent=indent, separators=separators)
+    text = json.dumps(
+        _strict(obj), sort_keys=True, indent=indent, separators=separators, allow_nan=False
+    )
     with _atomic(path) as tmp:
         tmp.write_text(text)
 
@@ -182,7 +205,8 @@ def _open_stage(out: Path, cfg: RunConfig, stage: str) -> dict:
         if stages.pop(stage, None) is not None:
             manifest["metadata"]["timestamps"].pop(stage, None)
             _dump_json(manifest, out / "manifest.json", indent=1)
-        for path in [p for pattern in OUTPUTS[stage] for p in out.glob(pattern)]:
+        patterns = OUTPUTS[stage] + OLD_OUTPUTS.get(stage, ())
+        for path in [p for pattern in patterns for p in out.glob(pattern)]:
             path.unlink()
     return inputs
 
@@ -255,10 +279,10 @@ def _load_fit(cfg: RunConfig, out: Path):
 
 
 def _cell_job(args):
-    """One intraday cell and its wall time."""
+    """One intraday cell, the share of its controls kept and its wall time."""
     t0 = time.perf_counter()
-    cell = _fast_cell(*args)
-    return cell, time.perf_counter() - t0
+    cell, live = _fast_cell(*args)
+    return cell, live, time.perf_counter() - t0
 
 
 def stage_intraday(cfg: RunConfig, out: Path) -> dict:
@@ -266,8 +290,9 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
     writes ``intraday_{R,P}.npz``, one per decomposition: the axes ``c`` and
     ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``.
     The record holds per decomposition letter the summed wall time of its
-    cells (``cell_s``) and the share of +inf entries in its day tables
-    (``inf_share``)."""
+    cells (``cell_s``), the share of +inf entries in its day tables
+    (``inf_share``) and the share of (cell, control) rows the fast DP kept
+    (``live_controls``)."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "intraday")
     laws, _ = _load_fit(cfg, out)
@@ -286,11 +311,16 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
             done = list(pool.map(_cell_job, jobs.values(), chunksize=1))
     else:
         done = [_cell_job(j) for j in jobs.values()]
-    cells = dict(zip(jobs, (cell for cell, _ in done)))
-    info = {"cells": len(jobs), "threads": cfg.threads, "cell_s": {}, "inf_share": {}}
+    cells = dict(zip(jobs, (cell for cell, _, _ in done)))
+    info = {
+        "cells": len(jobs), "threads": cfg.threads, "cell_s": {}, "inf_share": {},
+        "live_controls": {},
+    }
     for dec in DECOMPOSITIONS:
-        seconds = sum(dt for key, (_, dt) in zip(jobs, done) if key[0] == dec)
-        info["cell_s"][dec.letter] = round(seconds, 3)
+        mine = [(live, dt) for key, (_, live, dt) in zip(jobs, done) if key[0] == dec]
+        info["cell_s"][dec.letter] = round(sum(dt for _, dt in mine), 3)
+        # every cell has n_controls rows, so the mean share is the pooled one
+        info["live_controls"][dec.letter] = sum(live for live, _ in mine) / len(mine)
         arrays = {"c": c_grid, "axis": axes[dec], "n_controls": cfg.n_controls}
         for cls in classes:
             tab = compute_intraday(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from twoscale.battery import (
     white_noise_resample,
 )
 from twoscale.config import RunConfig
+from twoscale.core import LawTable
 from twoscale.intraday import build_periodicity_classes
 
 from conftest import (
@@ -429,6 +431,45 @@ def test_battery_price_laws_pad_merged_atoms_with_the_last_at_probability_0():
         assert probs[4] == 0.0 and support[4] == support[3]
         assert np.all(np.diff(support[:4]) > 0) and support[0] == 0.01
         assert probs[0] == pytest.approx(0.4, rel=1e-15)
+
+
+def _per_day_price_laws(forecast, sigma, n_days, floor, n_atoms):
+    """battery_price_laws as it was written, one day at a time: the reference
+    for the one over all days.  Each day's floored atoms go through
+    np.unique, np.bincount sums a merged atom's probabilities in atom order
+    and each row is normalized by its own sum."""
+    base = interp_price_forecast(forecast, n_days)
+    nd = NormalDist()
+    z = np.array([nd.inv_cdf((i + 0.5) / n_atoms) for i in range(n_atoms)])
+    probs = np.full(n_atoms, 1.0 / n_atoms)
+    supports, weights = [], []
+    for d in range(n_days):
+        atoms, inv = np.unique(np.maximum(base[d] + sigma * z, floor), return_inverse=True)
+        p = np.bincount(inv, weights=probs)
+        supports.append(atoms)
+        weights.append(p / p.sum())
+    return LawTable.from_rows(supports, weights)
+
+
+@pytest.mark.parametrize(
+    "n_days, sigma, floor, n_atoms",
+    [
+        (3284, 0.02, 0.01, 5),  # the decade workload's horizon at the defaults
+        (365, 0.02, 0.2, 5),  # a floor above most prices merges many atoms
+        (365, 0.0, 0.01, 5),  # sigma 0: one atom a day
+        # 9 to 40 atoms: a day's sum runs pairwise over its own groups
+        (400, 0.04, 0.05, 9),
+        (400, 0.04, 0.05, 17),
+        (400, 0.04, 0.1, 40),
+    ],
+)
+def test_battery_price_laws_match_the_per_day_loop(n_days, sigma, floor, n_atoms):
+    forecast = RunConfig().price_forecast
+    got = battery_price_laws(forecast, sigma, n_days, floor, n_atoms)
+    want = _per_day_price_laws(forecast, sigma, n_days, floor, n_atoms)
+    assert got.support.shape == want.support.shape
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
 
 
 # ---------------------------------------------------------------- scenarios

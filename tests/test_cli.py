@@ -596,6 +596,28 @@ def test_run_directory_without_laws_npz_exit_code(runner, tmp_path):
     assert "laws.npz: run the fit stage" in res.output
 
 
+# the files older versions of these stages wrote (fit before laws.npz,
+# intraday and bellman before their npz files), each of which a rerun deletes
+OLD_FILES = {
+    "fit": ("noise_laws.json", "price_laws.json"),
+    "intraday": ("intraday_R_class1.json", "intraday_P_class1.json"),
+    "bellman": ("bellman_R_d0.json", "bellman_P_d6.json"),
+}
+
+
+@pytest.mark.parametrize("stage", list(OLD_FILES))
+def test_rerun_stage_deletes_what_older_versions_wrote(runner, tmp_path, stage):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "r"
+    stages = ("fit", "intraday", "bellman")
+    out.mkdir()
+    _run(runner, stages[: stages.index(stage)], cfg, out)
+    for name in OLD_FILES[stage]:
+        (out / name).write_text("{}")
+    _run(runner, (stage,), cfg, out)
+    assert not [name for name in OLD_FILES[stage] if (out / name).exists()]
+
+
 @pytest.mark.parametrize(
     "name, change, why, stage",
     [

@@ -109,6 +109,51 @@ def _unfolded_blend(fn, base, frac):
     return np.where(pos, INF, total)
 
 
+def _clip_plan(grid, x):
+    """Grid.interp_plan as it was written with np.clip over the whole (n, ndim)
+    query array and a step of ax[i + 1] - ax[i]: the reference for the
+    per-axis plan."""
+    x = np.clip(x, [ax[0] for ax in grid.axes], [ax[-1] for ax in grid.axes])
+    base = np.zeros(len(x), dtype=np.intp)
+    frac = np.zeros((grid.ndim, len(x)))
+    stride = 1
+    for j in reversed(range(grid.ndim)):
+        ax = grid.axes[j]
+        if ax.size > 1:
+            i = np.clip(np.searchsorted(ax, x[:, j], side="right") - 1, 0, ax.size - 2)
+            frac[j] = (x[:, j] - ax[i]) / (ax[i + 1] - ax[i])
+            base += i * stride
+        stride *= ax.size
+    return base, frac
+
+
+@pytest.mark.parametrize("axes", [
+    [np.linspace(0.0, 3.0, 7), [2.0], [-1.0, -0.2, 0.0, 0.5, 1.0]],
+    [np.linspace(0.0, 150.0, 51), np.linspace(0.0, 300.0, 61)],
+    [[-1.0, 0.0, 2.0]],
+])
+def test_interp_plan_is_the_clip_formula(axes):
+    # random points inside and outside the box, on grid points, on its
+    # faces and at -0.0 on a face at 0.0
+    g = Grid(axes)
+    rng = np.random.default_rng(3)
+    lo, hi = np.array([ax[0] for ax in g.axes]), np.array([ax[-1] for ax in g.axes])
+    x = rng.uniform(lo - 1.0, hi + 1.0, (500, g.ndim))
+    x[:50] = g.points()[rng.integers(0, g.size, 50)]
+    x[50:60], x[60:70], x[70:80] = lo, hi, -0.0
+    base, frac = g.interp_plan(x)
+    want_base, want_frac = _clip_plan(g, x)
+    assert base.dtype == want_base.dtype and base.tobytes() == want_base.tobytes()
+    # numpy's clip sets the sign of a clamped zero by memory layout, so the
+    # fractions are compared as numbers, and the blends, which that sign
+    # moves nowhere, bit for bit
+    assert frac.shape == want_frac.shape and np.array_equal(frac, want_frac)
+    vals = rng.uniform(-5.0, 5.0, g.shape)
+    vals.ravel()[::7] = INF
+    got = BlendPlan(g, base, frac).blend(vals).copy()
+    assert got.tobytes() == BlendPlan(g, want_base, want_frac).blend(vals).tobytes()
+
+
 def _folded_world():
     """A 2-D table and queries whose axis-1 coordinates sit on grid points,
     the last one included: axis 1's fractions are exactly 0 or 1."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from twoscale.battery import white_noise_resample
+from twoscale.config import RunConfig
 from twoscale.core import INF, Grid, GridValueFn, LawTable
 from twoscale.intraday import (
     PRICE,
@@ -16,6 +17,7 @@ from twoscale.intraday import (
     FastStage,
     FastStageModel,
     PeriodicityClassMap,
+    _LiveControls,
     _cell_model,
     _fast_cell,
     build_periodicity_classes,
@@ -117,6 +119,35 @@ def test_fast_dp_refuses_a_neg_inf_cost(fixed_inf):
     warns = pytest.warns(RuntimeWarning, match="invalid value") if fixed_inf else nullcontext()
     with warns, pytest.raises(ValueError, match="NaN" if fixed_inf else "-inf"):
         solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
+
+
+def test_fast_dp_refuses_a_nan_cost_in_a_dropped_row():
+    # row 1 is +inf at every state, so the solver drops it; its NaN noise
+    # part is refused as the full sum refused it, with no warning (NaN + inf)
+    grid = Grid([[0.0, 1.0]])
+    fixed = np.array([[0.0, 0.0], [INF, INF]])
+    stage = make_stage(
+        grid, [0.0, 1.0], lambda s, u, w: np.array([[1.0], [np.nan]]), stay, fixed
+    )
+    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
+    with pytest.raises(ValueError, match="values hold a NaN"):
+        solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
+
+
+def test_fast_dp_where_every_control_row_is_infeasible():
+    # every row of fixed is +inf at every state: the first row stands for
+    # all of them and every value reads +inf, as in the reference
+    grid = Grid([np.arange(3.0)])
+    fixed = np.full((3, 3), INF)
+    stages = tuple(
+        make_stage(grid, [-1.0, 0.0, 1.0], _TabCost(np.ones((3, 3, 3))), stay, fixed)
+        for _ in range(2)
+    )
+    model = FastStageModel(stages=stages, terminal_grid=grid, noise=point_laws([0.0, 1.0]))
+    terminal = GridValueFn(grid, np.zeros(3))
+    ref = _assert_matches_reference(model, terminal)
+    assert all(np.isposinf(values).all() for values in ref[:-1])
+    assert solve_fast_dp(model, terminal).live_controls == 1 / 3
 
 
 def test_fast_dp_terminal_grid_mismatch():
@@ -299,6 +330,28 @@ def test_noise_dependent_stages_match_per_control_reference():
     p = random_tiny_problem(7)
     model = p.day_model(0)
     _assert_matches_reference(model, GridValueFn(model.terminal_grid, p.final_cost))
+
+
+@pytest.mark.parametrize("budget_axis", [True, False])
+def test_desk_cells_drop_the_controls_infeasible_at_every_state(budget_axis):
+    # the desk grids on 4 slots: at c = 100 the 5 lowest and the 5 highest
+    # of the 21 controls leave the soc box from every soc; at c = 200 none
+    # does.  A budget cell's fixed is 0 or +inf, so its paid rows take one
+    # add on fixed + cont; a price cell's surcharge keeps both adds
+    cfg = RunConfig(n_slots=4, pi_values=tuple(np.linspace(0.0, 0.2, 21)))
+    axis = cfg.dh_grid() if budget_axis else cfg.pi_grid()
+    laws = law_table([
+        ([-9.0, 3.5, 11.0], [0.25, 0.5, 0.25]), point(-8.0), ([2.0, 14.0], [0.4, 0.6]), point(12.0),
+    ])
+    for c, n_live in ((100.0, 11), (200.0, 21)):
+        model, terminal = _cell_model(
+            cfg.battery_config(), laws, c, axis, cfg.n_soc, cfg.n_controls, budget_axis
+        )
+        fixed = model.stages[0].fixed
+        assert np.count_nonzero(~(fixed == INF).all(axis=1)) == n_live
+        assert _LiveControls(fixed).one_add == budget_axis
+        _assert_matches_reference(model, terminal)
+        assert solve_fast_dp(model, terminal).live_controls == n_live / cfg.n_controls
 
 
 def _battery_cell(laws, **overrides):
@@ -576,8 +629,8 @@ def test_padded_rows_give_the_results_of_the_unpadded_laws():
     cfg = small_battery_config()
     assert no_battery_bill(padded, cfg.rates) == no_battery_bill(tight, cfg.rates)
     for budget_axis, axis in ((True, np.linspace(0.0, 100.0, 5)), (False, np.array([0.0, 0.1]))):
-        want = _fast_cell(cfg, tight, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
-        got = _fast_cell(cfg, padded, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
+        want, _ = _fast_cell(cfg, tight, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
+        got, _ = _fast_cell(cfg, padded, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
         assert got.tobytes() == want.tobytes()
     classmap = build_periodicity_classes(199, 4)
     prices = point_laws([1.0] * 200)

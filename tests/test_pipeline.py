@@ -18,7 +18,8 @@ import pytest
 from twoscale import pipeline
 from twoscale.battery import _kmeans_1d, synthetic_netload_scenarios
 from twoscale.config import STAGE_KEYS, ConfigError, RunConfig
-from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, compute_intraday
+from twoscale.core import INF
+from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, _cell_model, compute_intraday
 from twoscale.pipeline import (
     HashMismatch,
     MissingArtifact,
@@ -165,6 +166,30 @@ def test_intraday_record_holds_cell_time_and_inf_share(tmp_path, threads):
     n_c = len(cfg.c_grid())
     assert rec["inf_share"]["R"] == (n_c - 1) * 12 / (n_c * cfg.dh_points)
     assert rec["inf_share"]["P"] == 0.0
+    assert rec["live_controls"] == info["live_controls"] == {"P": 1.0, "R": 1.0}
+
+
+def test_intraday_record_holds_the_share_of_live_controls(tmp_path):
+    # u_max 100: controls +-100 move the soc by 95 kWh or more, which leaves
+    # the 80-kWh soc box of c = 100 from every soc and not the 160-kWh box
+    # of c = 200
+    cfg = dataclasses.replace(CFG, u_max=100.0, n_controls=7)
+    bat = cfg.battery_config()
+    stage_fit(cfg, tmp_path)
+    laws, _ = _load_fit(cfg, tmp_path)
+    info = stage_intraday(cfg, tmp_path)
+    rec = json.loads((tmp_path / "manifest.json").read_text())["stages"]["intraday"]
+    assert rec["live_controls"] == info["live_controls"]
+    for dec, axis in ((PRICE, cfg.pi_grid()), (RESOURCE, cfg.dh_grid())):
+        kept = [
+            np.count_nonzero(~(model.stages[0].fixed == INF).all(axis=1))
+            for model, _ in (
+                _cell_model(bat, laws[1], c, axis, cfg.n_soc, cfg.n_controls, dec.budget_axis)
+                for c in cfg.c_grid()[1:]
+            )
+        ]
+        assert kept == [5, 7]
+        assert rec["live_controls"][dec.letter] == pytest.approx(12 / 14, rel=1e-15)
 
 
 def test_fit_laws_in_one_file(bellman_run):
@@ -472,21 +497,57 @@ def test_gaps_csv_holds_plain_floats(bellman_run):
     assert float(rows[0][3]) == summary["lower_at_x0_day0"]
 
 
-def test_report_on_infinite_bounds_holds_no_nan(tmp_path):
-    # 4 controls leave out u = 0: both bounds are +inf at some points, where
-    # the gap is 0, and the upper one alone at others, where it is +inf
-    cfg = RunConfig(
-        D=40, n_slots=12, n_classes=1, c_max=300.0, n_controls=4, h_points=13,
-        price_forecast=(0.05, 0.05), scenarios=8,
-    )
+# 4 controls leave out u = 0: both bounds are +inf at some points, where the
+# gap is 0, and the upper one alone at others, where it is +inf
+FOUR_CONTROLS = RunConfig(
+    D=40, n_slots=12, n_classes=1, c_max=300.0, n_controls=4, h_points=13,
+    price_forecast=(0.05, 0.05), scenarios=8,
+)
+
+
+@pytest.fixture(scope="module")
+def four_control_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("four_controls")
     for stage in (stage_fit, stage_intraday, stage_bellman):
-        stage(cfg, tmp_path)
-    lower = load_value_seq(cfg, tmp_path, "price-lower").values
-    upper = load_value_seq(cfg, tmp_path, "resource-upper").values
+        stage(FOUR_CONTROLS, out)
+    return out
+
+
+def test_report_on_infinite_bounds_holds_no_nan(four_control_run):
+    cfg, out = FOUR_CONTROLS, four_control_run
+    lower = load_value_seq(cfg, out, "price-lower").values
+    upper = load_value_seq(cfg, out, "resource-upper").values
     assert (np.isposinf(lower) & np.isposinf(upper)).any()
-    summary = stage_report(cfg, tmp_path)
-    assert "nan" not in (tmp_path / "gaps.csv").read_text()
+    summary = stage_report(cfg, out)
+    assert "nan" not in (out / "gaps.csv").read_text()
     assert summary["max_rel_gap"] == np.inf and summary["violations"] == 0
+
+
+def test_infinite_summaries_are_written_as_strict_json(four_control_run):
+    summary = stage_report(FOUR_CONTROLS, four_control_run)
+    assert summary["max_rel_gap"] == np.inf
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report, manifest = (
+        json.loads((four_control_run / name).read_text(), parse_constant=refuse)
+        for name in ("report.json", "manifest.json")
+    )
+    # the spelling of the GridValueFn codec, in the file and in the record
+    assert report["max_rel_gap"] == manifest["stages"]["report"]["max_rel_gap"] == "inf"
+    finite = {k: v for k, v in summary.items() if k not in ("max_rel_gap", "check_sandwich_s")}
+    assert {k: v for k, v in report.items() if k != "max_rel_gap"} == finite
+
+
+def test_dump_json_spells_infinities_and_refuses_nan(tmp_path):
+    path = tmp_path / "obj.json"
+    obj = {"a": [np.inf, -np.inf, np.float64(np.inf), 1.5], "b": (np.inf, {"c": -np.inf})}
+    _dump_json(obj, path)
+    assert path.read_text() == '{"a":["inf","-inf","inf",1.5],"b":["inf",{"c":"-inf"}]}'
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _dump_json({"a": np.nan}, tmp_path / "nan.json")
+    assert not (tmp_path / "nan.json").exists()
 
 
 def test_manifest_records_recursion_and_check_times(bellman_run):
