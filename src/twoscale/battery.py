@@ -413,8 +413,11 @@ def white_noise_resample(
     """Scenarios drawn i.i.d. per (day, slot) from row m of the day's class
     table, plus a daily battery price from day d's row of ``price_laws``;
     per-scenario RNG seeded by (seed, index).  Each scenario draws its
-    netload uniforms, then its price uniforms; the prices of a day are then
-    looked up for all scenarios at once."""
+    netload uniforms, then its price uniforms.  A uniform x picks the atom
+    at ``searchsorted(cum, x, side="right")`` of its row's cumulative sums,
+    the last atom at most; on a sorted row that is the count of sums <= x,
+    which is taken for all of a class's (day, slot) draws of a scenario at
+    once, and for every price draw at once."""
     n_slots = len(next(iter(laws.values())).probs)
     day_class = classmap.day_to_class[:n_days]
     # per class with days in the horizon: its days and its rows' cumulative sums
@@ -423,21 +426,19 @@ def white_noise_resample(
         days = np.flatnonzero(day_class == cls)
         if len(days):
             draws.append((days, np.cumsum(table.probs, axis=1), table.support))
+    slots = np.arange(n_slots)
     netload = np.empty((n, n_days, n_slots))
-    price = np.empty((n, n_days))
     up = np.empty((n, n_days))
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         u = rng.random((n_days, n_slots))
         for days, cums, support in draws:
-            for m, cum in enumerate(cums):
-                pick = np.minimum(np.searchsorted(cum, u[days, m], side="right"), len(cum) - 1)
-                netload[i, days, m] = support[m, pick]
+            pick = np.count_nonzero(cums <= u[days, :, None], axis=2)
+            netload[i, days] = support[slots, np.minimum(pick, cums.shape[1] - 1)]
         up[i] = rng.random(n_days)
     if len(price_laws.probs) < n_days:
         raise ValueError(f"{len(price_laws.probs)} daily price laws for {n_days} days")
     cums = np.cumsum(price_laws.probs[:n_days], axis=1)
-    for d, cum in enumerate(cums):
-        j = np.minimum(np.searchsorted(cum, up[:, d], side="right"), len(cum) - 1)
-        price[:, d] = price_laws.support[d, j]
+    j = np.minimum(np.count_nonzero(cums <= up[:, :, None], axis=2), cums.shape[1] - 1)
+    price = price_laws.support[np.arange(n_days), j]
     return ScenarioSet(netload, price)

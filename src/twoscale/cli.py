@@ -48,7 +48,8 @@ def _run_stage(stage_fn, config_path, out, seed, threads, scenarios):
     except (pipeline.MissingArtifact, pipeline.HashMismatch) as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_MISSING if isinstance(exc, pipeline.MissingArtifact) else EXIT_CONFIG)
-    click.echo(json.dumps(info, sort_keys=True))
+    # strict JSON, an infinite float spelled as in the stage's files
+    click.echo(json.dumps(pipeline._strict(info), sort_keys=True, allow_nan=False))
 
 
 @click.group()

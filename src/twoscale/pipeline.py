@@ -403,9 +403,11 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
     (``replay_s``), and per mode the mean, stderr, scenario-days, clamps,
     renewals per scenario-year, the slots that fell back from an all-+inf
     table row (inf_fallbacks), the share of battery-days that start with
-    soc > 0 (soc_carry_share) and the mean's stderrs above the lower bound
-    at the origin, read off ``bellman_P.npz`` (z_lower).  Returns the
-    entries by mode."""
+    soc > 0 (soc_carry_share) and the mean's stderrs above the lower and
+    the upper bound at the origin, read off ``bellman_P.npz`` (z_lower) and
+    ``bellman_R.npz`` (z_upper); and the mean and stderr of the per-scenario
+    price minus resource total cost (paired).  Returns the entries by
+    mode."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "simulate")
     laws, price_laws = _load_fit(cfg, out)
@@ -418,6 +420,7 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
         for dec in DECOMPOSITIONS
     }
     lower = float(runs[PRICE.mode][1].values[0, 0, 0])
+    upper = float(runs[RESOURCE.mode][1].values[0, 0, 0])
     t_replay = time.perf_counter()
     results = simulate_policies(scen, runs, price_laws, cfg.classmap, bat)
     info["replay_s"] = round(time.perf_counter() - t_replay, 3)
@@ -449,6 +452,17 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
         )
         if stats.stderr > 0.0:
             info[m]["z_lower"] = (stats.mean - lower) / stats.stderr
+            info[m]["z_upper"] = (stats.mean - upper) / stats.stderr
+    # the price policy's cost minus the resource policy's, scenario by scenario
+    diff = np.array([
+        a.total_cost - b.total_cost
+        for a, b in zip(results[PRICE.mode][0], results[RESOURCE.mode][0])
+    ])
+    n = len(diff)
+    info["paired"] = {
+        "mean": float(diff.mean()),
+        "stderr": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+    }
     _close_stage(out, "simulate", inputs, info, t0)
     return {m: info[m] for m in results}
 

@@ -44,6 +44,68 @@ class SimulationStats:
     stderr: float
 
 
+class _Mode:
+    """One policy's replay inputs, with what no day changes set up once: the
+    renewal states (:func:`~twoscale.slowscale.renewal_states`), every day's
+    battery-price atoms times the renewal sizes, the atoms' probabilities,
+    and for a surcharge policy one day objective per class."""
+
+    def __init__(self, dec: Decomposition, tables: dict, values: SlowValueSeq,
+                 price_laws: LawTable, cfg: BatteryConfig):
+        self.dec, self.tables, self.values, self.gamma = dec, tables, values, cfg.gamma
+        h_grid, c_grid = values.grid.axes
+        self.renewal = renewal_states(h_grid, c_grid, cfg)
+        self.by_size = price_laws.support[:, :, None] * self.renewal[0]
+        self.probs = price_laws.probs.tolist()
+        self.disc = np.empty((len(c_grid), len(h_grid)))
+        self.objectives = {} if dec.budget_axis else {
+            cls: DayObjective(tab, h_grid, h_grid, ADMISS_TOL) for cls, tab in tables.items()
+        }
+
+    def best(self, h: np.ndarray, c, day: int, cls: int) -> np.ndarray:
+        """Per health value in h at its capacity in c (one per health value,
+        or one for all), the point of class ``cls``'s table axis at the first
+        argmax (price) or argmin (resource) of day ``day``'s objective."""
+        h_grid, c_grid = self.values.grid.axes
+        atoms = day_continuation(
+            self.values.values[day + 1], self.by_size[day], self.probs[day], self.gamma,
+            self.renewal, self.disc,
+        )
+        ci = np.broadcast_to(np.searchsorted(c_grid, c), h.shape)
+        table = self.tables[cls]
+        if self.dec.budget_axis:
+            # each health value's feasible budgets, at its own capacity alone
+            objective = DayObjective(table, h, h_grid, ADMISS_TOL, ci, own=True)
+            with np.errstate(invalid="ignore"):
+                obj = objective.unpack(objective(self.disc, atoms))
+            return table.axis[np.argmin(obj, axis=1)]
+        obj = self.objectives[cls].inner(self.disc, atoms)[ci] - table.axis * h[:, None]
+        return table.axis[np.argmax(obj, axis=1)]
+
+    def decide(self, h: np.ndarray, c, day: int, cls: int) -> np.ndarray:
+        """Per health value, :meth:`best`'s surcharge, or the health target
+        max(h - budget, 0) on a budget axis."""
+        best = self.best(h, c, day, cls)
+        return np.maximum(h - best, 0.0) if self.dec.budget_axis else best
+
+    def renew(self, h_end: np.ndarray, c: np.ndarray, day: int, p_hat: np.ndarray) -> np.ndarray:
+        """Per scenario, the renewal size minimizing the continuation at the
+        battery price ``p_hat``; ties keep the smaller size.  Keeping a
+        battery is valued by a blend of tomorrow's values, a fresh one at its
+        grid point."""
+        vnext = self.values.values[day + 1]
+        sizes, hi, ci = self.renewal
+        kept = np.column_stack([np.maximum(h_end, 0.0), c])
+        best_v = self.gamma * GridValueFn(self.values.grid, vnext).eval_many(kept)
+        best_r = np.zeros(len(c))
+        for r, v_fresh in zip(sizes.tolist(), vnext[hi, ci].tolist()):
+            v = p_hat * r + self.gamma * v_fresh
+            better = v < best_v - 1e-12
+            best_r = np.where(better, r, best_r)
+            best_v = np.where(better, v, best_v)
+        return best_r
+
+
 def _best_on_axis(
     h, c, day: int, table: IntradayTable, values: SlowValueSeq,
     price_laws: LawTable, cfg: BatteryConfig,
@@ -51,23 +113,8 @@ def _best_on_axis(
     """The point of the table's day axis at the first argmax (price) or argmin
     (resource) of the day objective, per health value in h at its capacity in
     c (one per health value, or one for all)."""
-    h_grid, c_grid = values.grid.axes
-    h1 = np.atleast_1d(np.asarray(h, dtype=float))
-    renewal = renewal_states(h_grid, c_grid, cfg)
-    by_size = price_laws.support[day][:, None] * renewal[0]
-    disc = np.empty((len(c_grid), len(h_grid)))
-    atoms = day_continuation(
-        values.values[day + 1], by_size, price_laws.probs[day].tolist(), cfg.gamma, renewal, disc
-    )
-    # the objective is elementwise per (capacity, h, axis): evaluate it on the
-    # capacities in use, then take each health value's own row
-    ci, at = np.unique(np.searchsorted(c_grid, c), return_inverse=True)
-    objective = DayObjective(table, h1, h_grid, ADMISS_TOL, ci)
-    with np.errstate(invalid="ignore"):
-        obj = objective.unpack(objective(disc, atoms))
-    obj = obj[np.broadcast_to(at, h1.shape), np.arange(len(h1))]
-    pick = np.argmin if table.decomposition.budget_axis else np.argmax
-    best = table.axis[pick(obj, axis=1)]
+    mode = _Mode(table.decomposition, {0: table}, values, price_laws, cfg)
+    best = mode.best(np.atleast_1d(np.asarray(h, dtype=float)), c, day, 0)
     return float(best[0]) if np.ndim(h) == 0 else best
 
 
@@ -94,49 +141,14 @@ def select_resource(
     return float(target) if np.ndim(h) == 0 else target
 
 
-def _choose_renewal(
-    h_end: np.ndarray, c: np.ndarray, day: int, values: SlowValueSeq,
-    price_real: np.ndarray, price_laws: LawTable, cfg: BatteryConfig,
-) -> np.ndarray:
-    """Per scenario, the renewal size minimizing the continuation, using the
-    atom of the day's price law nearest the realized battery price; ties keep
-    the smaller size."""
-    support = price_laws.support[day]
-    p_hat = support[np.argmin(np.abs(support[None, :] - price_real[:, None]), axis=1)]
-    gamma = cfg.gamma
-    sizes = [float(r) for r in cfg.renewal_grid if r > 0.0]
-    # tomorrow's values of keeping each battery, then of each fresh one, in
-    # one lookup: every point blends its own corners alone
-    kept = np.column_stack([np.maximum(h_end, 0.0), c])
-    fresh = np.column_stack(battery.fresh_state(sizes, cfg)[1:])
-    vnext = GridValueFn(values.grid, values.values[day + 1])
-    vnext = vnext.eval_many(np.concatenate([kept, fresh]))
-    best_r = np.zeros(len(c))
-    best_v = gamma * vnext[: len(c)]
-    for r, v_fresh in zip(sizes, vnext[len(c):]):
-        v = p_hat * r + gamma * v_fresh
-        better = v < best_v - 1e-12
-        best_r = np.where(better, r, best_r)
-        best_v = np.where(better, v, best_v)
-    return best_r
-
-
-@dataclass(frozen=True, eq=False)
-class _Mode:
-    """One policy's replay inputs."""
-
-    dec: Decomposition
-    tables: dict
-    values: SlowValueSeq
-
-
-def _mode(name: str, tables: dict, values: SlowValueSeq) -> _Mode:
+def _mode(name: str, tables: dict, values: SlowValueSeq, price_laws: LawTable,
+          cfg: BatteryConfig) -> _Mode:
     dec = decomposition(name)
     if any(tab.decomposition != dec for tab in tables.values()):
         raise ValueError(f"mode {name!r} needs {dec.mode} intraday tables")
     if any(tab.fast is None for tab in tables.values()):
         raise ValueError("the replay needs the intraday tables' fast values")
-    return _Mode(dec, tables, values)
+    return _Mode(dec, tables, values, price_laws, cfg)
 
 
 def simulate_policies(
@@ -166,7 +178,9 @@ def simulate_policies(
     (D+2, mode, scenario, 3) trajectory array and one (D+1, mode, scenario)
     bill array.
     """
-    modes = [_mode(name, tables, values) for name, (tables, values) in runs.items()]
+    modes = [
+        _mode(name, tables, values, price_laws, cfg) for name, (tables, values) in runs.items()
+    ]
     built = sorted({tab.n_controls for mode in modes for tab in mode.tables.values()})
     if len(built) != 1:
         raise ValueError(f"intraday tables were built on {built} controls, not one grid")
@@ -195,12 +209,9 @@ def simulate_policies(
             bills[d] = np.add.accumulate(battery.stage_cost(0.0, netload, rates), axis=1)[:, -1]
         blocks = []
         for i, mode in enumerate(modes):
-            if own[i].any():
-                select = select_resource if mode.dec.budget_axis else select_price
-                table = mode.tables[cls]
-                rows = own[i]
-                decision = select(h[i, rows], c[i, rows], d, table, mode.values, price_laws, cfg)
-                blocks.append((table, decision))
+            rows = own[i]
+            if rows.any():
+                blocks.append((mode.tables[cls], mode.decide(h[i, rows], c[i, rows], d, cls)))
         if blocks:
             # rows in (mode, scenario) order, each mode's a block of its own
             bills[d, own], soc[own], h[own], clamps, stuck = _replay_day(
@@ -214,10 +225,10 @@ def simulate_policies(
             i, s = np.argwhere(bad)[0]
             raise RuntimeError(f"inadmissible state (soc={soc[i, s]}, h={h[i, s]}, c={c[i, s]})")
         price_real = scenarios.battery_price[:, d]
-        r = np.stack([
-            _choose_renewal(h[i], c[i], d, mode.values, price_real, price_laws, cfg)
-            for i, mode in enumerate(modes)
-        ])
+        # the atom of the day's price law nearest the realized battery price
+        support = price_laws.support[d]
+        p_hat = support[np.argmin(np.abs(support[None, :] - price_real[:, None]), axis=1)]
+        r = np.stack([mode.renew(h[i], c[i], d, p_hat) for i, mode in enumerate(modes)])
         total += disc * (bills[d] + price_real * r)
         disc *= cfg.gamma
         new = r > 0.0
@@ -262,35 +273,39 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
     """One day of greedy table replay for rows with a battery, all in one
     slot loop.
 
-    netload is (rows, slots); soc, h and the capacity c > 0 are per row.
-    The rows come in consecutive blocks, one per pair (table, decision) of
-    ``blocks``: the intraday table the block replays and each row's
-    decision (a surcharge, or a health target on a budget axis).  A row
-    reads its table's replay values ``table.fast``, shape (capacity after
-    c = 0, slots + 1, soc, axis), at the nearest soc and budget points.  A
-    slot where every feasible control reads +inf from the table takes the
-    first feasible control.  Returns the bills, the end-of-day soc and
-    health, and per row the number of clamped moves and of such slots.
+    netload is (rows, slots); soc, the health h >= 0 and the capacity c > 0
+    are per row.  The rows come in consecutive blocks, one per pair (table,
+    decision) of ``blocks``: the intraday table the block replays and each
+    row's decision (a surcharge, or a health target on a budget axis).  A
+    row reads its table's replay values ``table.fast``, shape (capacity
+    after c = 0, slots + 1, soc, axis), at the nearest soc and budget
+    points.  A slot where every feasible control reads +inf from the table
+    takes the first feasible control.  Returns the bills, the end-of-day soc
+    and health, and per row the number of clamped moves and of such slots.
 
     What does not depend on the soc is done once per day: the bill of every
     (slot, row, control) plus a surcharge row's aging cost, each row's table
     offsets and steps.  A surcharge row has an infinite budget and a fixed
-    table column, so that min(h, budget) - |u| >= -tol tests the health
-    and the budget of every row at once: rounding is monotone, so it holds
-    exactly when both h - |u| and budget - |u| do.  Only the budget-axis
-    rows look up a budget index: a surcharge row's would clamp to 0.
+    table column, and a budget row's budget never exceeds its health, so a
+    row's room min(h, budget) is its health or its budget.  Rounding is
+    monotone, so room - |u| >= -tol holds exactly when both h - |u| and
+    budget - |u| do; over the row's budget step (+inf on a surcharge row)
+    it rounds to the budget index.  For the same reason, when the lowest
+    and the highest feasible soc and budget round onto the grid, so does
+    every feasible entry: the day then skips the clamps to the grid, and an
+    infeasible entry, whose value is never used, may read any entry of the
+    table ("clip" mode keeps its index in range).
     """
     d_soc, usage = effect = battery.control_effect(controls, cfg)
     n, n_slots = netload.shape
     # the bill of every (slot, row, control), and the same plus the aging cost
     bill = battery.stage_cost(controls, netload.T[:, :, None], np.asarray(cfg.rates)[:, None, None])
     aging = np.zeros((n, len(controls)))
-    # per row: the budget, its soc grid step and last soc index, the table's
-    # column count and soc stride and the flat index of its (capacity, slot
-    # 0, soc 0, column)
-    budget, s_step, s_top, a_len, slot_len, base = np.empty((6, n, 1))
-    # per budget-axis block: its rows, budget grid step and last budget index
-    reads, budgets, start = [], [], 0
+    # per row: its room, its soc and budget grid steps and last indices, the
+    # table's column count and soc stride and the flat index of its
+    # (capacity, slot 0, soc 0, column)
+    room, s_step, s_top, a_step, a_top, a_len, slot_len, base = np.empty((8, n, 1))
+    reads, start = [], 0
     for table, decision in blocks:
         rows = slice(start, start + len(decision))
         start = rows.stop
@@ -305,12 +320,13 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
         if table.decomposition.budget_axis:
             # the budget is today's gap to the health target; the table
             # column follows what is left of it
-            budget[rows, 0] = np.maximum(h[rows] - decision, 0.0)
-            budgets.append((rows, table.axis[1] - table.axis[0], n_axis - 1))
+            room[rows, 0] = np.minimum(h[rows], np.maximum(h[rows] - decision, 0.0))
+            a_step[rows], a_top[rows] = table.axis[1] - table.axis[0], n_axis - 1
         else:
             # no budget to spend, and the surcharge's column is part of the
             # row's base index
-            budget[rows] = INF
+            room[rows, 0] = h[rows]
+            a_step[rows], a_top[rows] = INF, 0
             base[rows, 0] += np.searchsorted(table.axis, decision)
             aging[rows] = decision[:, None] * usage
         # a flat view, never a copy, of the table's entries
@@ -320,27 +336,39 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
     soc_max = battery.soc_max(c, cfg)[:, None]
     # the upper edge of each row's soc box, as battery.in_soc_box draws it
     soc_top = soc_max + ADMISS_TOL
-    soc, h = soc[:, None], h[:, None]
-    clamped, fallbacks = np.zeros((n, 1), dtype=int), np.zeros((n, 1), dtype=int)
+    # whether the indices of the extreme feasible soc and budget leave the
+    # grid; a row's room only falls, to 0 at the lowest, so no budget
+    # exceeds max(room, 0)
+    clamp = not (
+        (np.rint(-ADMISS_TOL / s_step) >= 0.0).all() and (np.rint(soc_top / s_step) <= s_top).all()
+        and (np.rint(-ADMISS_TOL / a_step) >= 0.0).all()
+        and (np.rint(np.maximum(room, 0.0) / a_step) <= a_top).all()
+    )
+    h = h[:, None]
+    fallbacks = np.zeros((n, 1), dtype=int)
     picks, value = np.empty((n_slots, n, 1), dtype=np.intp), np.empty((n, len(controls)))
+    # each slot's soc and health before and after the clamp to the state box
+    socs, hs = np.empty((2, n_slots, n, 1)), np.empty((2, n_slots, n, 1))
+    row_start = np.arange(n)[:, None] * len(controls)
+    soc = soc[:, None]
     for m in range(n_slots):
-        soc_next, left = battery.fast_dynamics(soc, np.minimum(h, budget), effect)
+        soc_next, left = battery.fast_dynamics(soc, room, effect)
         feasible = soc_next >= -ADMISS_TOL
         feasible &= soc_next <= soc_top
         feasible &= left >= -ADMISS_TOL
         # each (row, control)'s table entry, at the nearest soc and budget
-        # points clamped to the grid (rint rounds half to even, as round)
+        # points (rint rounds half to even, as round)
         si = np.rint(soc_next / s_step)
-        np.minimum(np.maximum(si, 0.0, out=si), s_top, out=si)
-        si *= a_len
-        for rows, a_step, a_top in budgets:
-            ai = np.rint((budget[rows] - usage) / a_step)
+        ai = np.rint(left / a_step)
+        if clamp:
+            np.minimum(np.maximum(si, 0.0, out=si), s_top, out=si)
             np.minimum(np.maximum(ai, 0.0, out=ai), a_top, out=ai)
-            si[rows] += ai
+        si *= a_len
+        si += ai
         si += offsets[m]
         flat = si.astype(np.intp)
         for rows, entries in reads:
-            value[rows] = entries.take(flat[rows])
+            entries.take(flat[rows], out=value[rows], mode="clip")
         value += cost[m]
         q = np.where(feasible, value, INF)
         k = q.argmin(axis=1, keepdims=True)
@@ -352,12 +380,15 @@ def _replay_day(netload, soc, h, c, blocks, controls, cfg):
             k[stuck, 0] = np.argmax(feasible[stuck], axis=1)
             fallbacks[stuck] += 1
         picks[m] = k
-        used = usage[k]
-        soc_raw, h_raw = battery.fast_dynamics(soc, h, (d_soc[k], used))
-        soc = np.minimum(np.maximum(soc_raw, 0.0), soc_max)
-        h = np.maximum(h_raw, 0.0)
-        budget = np.maximum(budget - used, 0.0)
-        clamped += (soc != soc_raw) | (h != h_raw)
+        used = usage.take(k)
+        soc_raw, h_raw = socs[0, m], hs[0, m]
+        soc_next.take(k + row_start, out=soc_raw)
+        np.subtract(h, used, out=h_raw)
+        soc, h = socs[1, m], hs[1, m]
+        np.minimum(np.maximum(soc_raw, 0.0, out=soc), soc_max, out=soc)
+        np.maximum(h_raw, 0.0, out=h)
+        room = np.maximum(room - used, 0.0)
+    clamped = ((socs[0] != socs[1]) | (hs[0] != hs[1])).sum(axis=0)
     # the chosen controls' bills, summed over the slots in order
     day_bill = np.add.accumulate(np.take_along_axis(bill, picks, axis=2), axis=0)[-1]
     return day_bill[:, 0], soc[:, 0], h[:, 0], clamped[:, 0], fallbacks[:, 0]

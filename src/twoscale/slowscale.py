@@ -141,7 +141,8 @@ def _expect(keep: np.ndarray, atoms: list, out: np.ndarray, term: np.ndarray) ->
 class _Interp:
     """``np.interp(x, xp, f)`` at fixed points x, for the rows ``rows`` of
     any C-contiguous (n, len(xp)) array f of values (reals or +inf), shape
-    (len(rows),) + x.shape, with np.interp's float operations: f[j] at a
+    (len(rows),) + x.shape, or, with ``own``, one row per point (``rows`` of
+    x's shape) and shape x.shape; with np.interp's float operations: f[j] at a
     grid point xp[j] and beyond the ends, else the slope (f[j+1] - f[j]) /
     (xp[j+1] - xp[j]) times x - xp[j] plus f[j].  That form is NaN only
     where a corner of positive weight is +inf, and np.interp then gives
@@ -149,12 +150,13 @@ class _Interp:
     buffers that the next call overwrites; it may compute NaN slopes, so
     run it under ``np.errstate(invalid="ignore")``."""
 
-    def __init__(self, x: np.ndarray, xp: np.ndarray, rows: np.ndarray, n: int):
+    def __init__(self, x: np.ndarray, xp: np.ndarray, rows: np.ndarray, n: int, own=False):
         x = np.clip(x, xp[0], xp[-1])
         j = np.searchsorted(xp, x, side="right") - 1
         xj = xp[j]
         self.dx, self.at, self.step = x - xj, x == xj, np.diff(xp)
-        self.flat = np.reshape(rows, (-1,) + (1,) * x.ndim) * len(xp) + j
+        rows = np.asarray(rows) if own else np.reshape(rows, (-1,) + (1,) * x.ndim)
+        self.flat = rows * len(xp) + j
         # slope[:, -1] pads the last point, where x == xp[j] and dx = 0
         self.slope = np.zeros((n, len(xp)))
         self.f0, self.out = np.empty(self.flat.shape), np.empty(self.flat.shape)
@@ -190,12 +192,16 @@ class DayObjective:
     (len(ci), pairs)) plus the expected continuation at tomorrow's health
     max(h - dh, 0), interpolated on the health grid; :meth:`unpack` spreads
     it over (len(ci), len(h), len(axis)) with +inf at the infeasible budgets.
-    Price: shaped (len(ci), len(axis), len(h)), the intraday cost at
-    surcharge pi, plus the cheapest end-of-day health h' priced at pi, minus
-    pi * h.  A call may compute NaN slopes (see :class:`_Interp`).
+    With ``own``, ``ci`` holds one capacity index per health value and each
+    pair is evaluated at its own health value's capacity alone: ``ell`` and
+    the objective are (pairs,), unpacked over (len(h), len(axis)); such an
+    objective is not reduced.  Price: shaped (len(ci), len(axis), len(h)),
+    the h-free :meth:`inner` term minus pi * h.  A call may compute NaN
+    slopes (see :class:`_Interp`).
     """
 
-    def __init__(self, table: IntradayTable, h, h_grid: np.ndarray, tol: float, ci=None):
+    def __init__(self, table: IntradayTable, h, h_grid: np.ndarray, tol: float, ci=None,
+                 own=False):
         h, axis = np.asarray(h, dtype=float), table.axis
         costs = table.table.values
         self.ci = None if ci is None else np.asarray(ci)
@@ -206,8 +212,13 @@ class DayObjective:
             self.hi, self.ai = hi, ai = np.nonzero(h[:, None] - axis[None, :] >= -tol)
             self.starts = np.searchsorted(hi, np.arange(len(h)))
             self.filled = np.bincount(hi, minlength=len(h)) > 0
-            self.ell = costs[rows][:, ai]
-            self.interp = _Interp(np.maximum(h[hi] - axis[ai], 0.0), h_grid, rows, len(costs))
+            x = np.maximum(h[hi] - axis[ai], 0.0)
+            if own:
+                self.ell = costs[rows[hi], ai]
+                self.interp = _Interp(x, h_grid, rows[hi], len(costs), own=True)
+            else:
+                self.ell = costs[rows][:, ai]
+                self.interp = _Interp(x, h_grid, rows, len(costs))
             # the filled rows' runs of every capacity, in one flat array
             self.runs = (np.arange(len(rows))[:, None] * len(hi) + self.starts[self.filled]).ravel()
             self.cols = slice(None) if self.filled.all() else self.filled
@@ -215,7 +226,7 @@ class DayObjective:
         else:
             self.ell = costs[rows]
             self.pi_next, self.pi_h = axis[:, None] * h_grid, axis[:, None] * h
-            self.inner = np.empty((len(rows), len(axis), len(h_grid)))
+            self.inner_buf = np.empty((len(rows), len(axis), len(h_grid)))
             self.obj = np.empty((len(rows), len(axis), len(h)))
             shape = (len(rows), len(h_grid))
         self.expect, self.term = np.empty(shape), np.empty(shape)
@@ -227,11 +238,19 @@ class DayObjective:
             out = _expect(self.interp(disc), atoms, self.expect, self.term)
             out += self.ell
             return out
+        return np.subtract(self.inner(disc, atoms)[:, :, None], self.pi_h, out=self.obj)
+
+    def inner(self, disc: np.ndarray, atoms: list) -> np.ndarray:
+        """The price objective's term that does not depend on h, per
+        (capacity, surcharge pi): the intraday cost at pi plus the cheapest
+        end-of-day health h' priced at pi, pi * h' plus the expected
+        continuation at h'."""
         fp = disc if self.ci is None else disc[self.ci]
         expect = _expect(fp, atoms, self.expect, self.term)
-        inner = np.minimum.reduce(np.add(self.pi_next, expect[:, None, :], out=self.inner), axis=2)
+        pairs = np.add(self.pi_next, expect[:, None, :], out=self.inner_buf)
+        inner = np.minimum.reduce(pairs, axis=2)
         inner += self.ell
-        return np.subtract(inner[:, :, None], self.pi_h, out=self.obj)
+        return inner
 
     def reduce(self, obj: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The day's value per (capacity, h), written into ``out``: per h row
@@ -248,13 +267,13 @@ class DayObjective:
         return out
 
     def unpack(self, obj: np.ndarray) -> np.ndarray:
-        """The objective over (capacity, h, axis): a packed resource
-        objective spread out with +inf at the infeasible budgets, a price
-        objective transposed."""
+        """The objective over (capacity, h, axis), or (h, axis) with ``own``:
+        a packed resource objective spread out with +inf at the infeasible
+        budgets, a price objective transposed."""
         if not self.budget_axis:
             return obj.transpose(0, 2, 1)
-        out = np.full((len(obj),) + self.shape, INF)
-        out[:, self.hi, self.ai] = obj
+        out = np.full(obj.shape[:-1] + self.shape, INF)
+        out[..., self.hi, self.ai] = obj
         return out
 
 

@@ -680,3 +680,25 @@ def test_corrupt_manifest_exit_code(runner, tmp_path, spoil, stage):
     assert "manifest.json is not a readable manifest" in res.output
     assert "delete it and rerun every stage from fit" in res.output
     assert _files(out) == before
+
+
+# 4 controls leave out u = 0: the gap report's max_rel_gap is +inf
+FOUR_CONTROLS = {
+    "D": 40, "n_slots": 12, "n_classes": 1, "c_max": 300.0, "n_controls": 4, "h_points": 13,
+    "price_forecast": [0.05, 0.05], "scenarios": 8,
+}
+
+
+def test_every_stage_prints_strict_json(runner, tmp_path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    cfg, out = write_config(tmp_path, FOUR_CONTROLS), tmp_path / "r"
+    printed = {}
+    for stage in ("fit", "intraday", "bellman", "simulate", "report"):
+        res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, f"{stage}: {res.output}"
+        printed[stage] = json.loads(res.stdout, parse_constant=refuse)
+    # spelled as report.json spells it
+    report = json.loads((out / "report.json").read_text())
+    assert printed["report"]["max_rel_gap"] == report["max_rel_gap"] == "inf"

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from twoscale import battery
+from twoscale import battery, policy
 from twoscale.battery import ScenarioSet, white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.core import INF, Grid, GridValueFn
@@ -58,6 +58,7 @@ from conftest import (
     point_table,
     small_battery_config,
 )
+from replay_reference import reference_days
 
 ATOMS = (10.0, -8.0, 6.0, 12.0)
 
@@ -381,6 +382,27 @@ FEW_CONTROLS_REPLAY = {
 }
 
 
+def test_simulate_record_holds_z_upper_and_the_paired_difference(few_controls):
+    cfg, out = few_controls
+    stage_simulate(cfg, out)
+    rec = json.loads((out / "manifest.json").read_text())["stages"]["simulate"]
+    upper = load_value_seq(cfg, out, "resource-upper").values[0, 0, 0]
+    scen, runs, *rest = _pipeline_world(cfg, out)
+    results = simulate_policies(scen, runs, *rest)
+    for mode, (_, stats) in results.items():
+        assert stats.stderr > 0.0
+        assert rec[mode]["z_upper"] == (stats.mean - upper) / stats.stderr, mode
+        # sim_*_stats.json keeps its entries
+        assert "z_upper" not in json.loads((out / f"sim_{mode}_stats.json").read_text())
+    diff = [a.total_cost - b.total_cost for a, b in zip(results["price"][0], results["resource"][0])]
+    assert len(diff) == cfg.scenarios > 1
+    assert rec["paired"]["mean"] == pytest.approx(np.mean(diff), rel=1e-12)
+    assert rec["paired"]["stderr"] == pytest.approx(
+        np.std(diff, ddof=1) / np.sqrt(len(diff)), rel=1e-12
+    )
+    assert rec["paired"]["stderr"] > 0.0
+
+
 def test_few_controls_replay_is_pinned(few_controls):
     cfg, out = few_controls
     stage_simulate(cfg, out)
@@ -556,3 +578,112 @@ def test_simulate_policies_refuses_modes_of_two_horizons(few_controls, criterion
     mixed = {"price": runs["price"], "resource": other["resource"]}
     with pytest.raises(ValueError, match="horizons"):
         simulate_policies(scen, mixed, *rest)
+
+
+# ------------------------------------------------- the day step's reference
+
+
+@pytest.fixture(scope="module")
+def four_controls(tmp_path_factory):
+    """4 controls leave out u = 0, so a table row can be +inf at every
+    feasible control."""
+    cfg = RunConfig(
+        D=40, n_slots=12, n_classes=1, c_max=300.0, n_controls=4, h_points=13,
+        price_forecast=(0.05, 0.05), scenarios=8,
+    )
+    out = tmp_path_factory.mktemp("four_controls")
+    stage_fit(cfg, out)
+    stage_intraday(cfg, out)
+    stage_bellman(cfg, out)
+    return cfg, out
+
+
+@pytest.fixture(scope="module")
+def tiny_steps():
+    """A 1e-5 kWh battery whose soc and budget grid steps are 1e-6, below
+    2 * ADMISS_TOL: a feasible soc or budget may round to index -1, so the
+    replay must clamp its indices to the grid."""
+    D = D_SMALL
+    cfg = small_battery_config(u_max=4e-6, renewal_grid=(0.0, 1e-5))
+    slot_laws = point_laws(ATOMS)
+    c_grid = np.array([0.0, 1e-5])
+    h_grid = np.linspace(0.0, 4e-5, 5)
+    classmap = build_periodicity_classes(D, 1)
+    price_laws = law_table([(np.array([1e-4, 1e-3]), [0.5, 0.5])] * (D + 1))
+    rtab = compute_intraday(
+        RESOURCE, cfg, slot_laws, c_grid, np.linspace(0.0, 4e-6, 5), n_soc=9, n_controls=7
+    )
+    ptab = compute_intraday(
+        PRICE, cfg, slot_laws, c_grid, np.array([0.0, 0.05, 0.10]), n_soc=9, n_controls=7
+    )
+    upper = resource_bellman_recursion({1: rtab}, classmap, price_laws, cfg, h_grid, c_grid, D)
+    lower = price_bellman_recursion({1: ptab}, classmap, price_laws, cfg, h_grid, c_grid, D)
+    rng = np.random.default_rng(1)
+    n = 6
+    netload = np.array(ATOMS) + rng.normal(0.0, 3.0, size=(n, D + 1, len(ATOMS)))
+    scen = ScenarioSet(netload, rng.choice(price_laws.support[0], size=(n, D + 1)))
+    runs = {"price": ({1: ptab}, lower), "resource": ({1: rtab}, upper)}
+    return scen, runs, price_laws, classmap, cfg
+
+
+def _replay_log(monkeypatch, scen, runs, rest):
+    """simulate_policies' records, and per call of the day step its day,
+    its rows' decisions and what it returns, and per day every mode's
+    renewal sizes."""
+    n_modes, replays, renewals = len(runs), [], []
+    real_replay, real_renew = policy._replay_day, policy._Mode.renew
+
+    def replay(netload, soc, h, c, blocks, controls, cfg):
+        out = real_replay(netload, soc, h, c, blocks, controls, cfg)
+        replays.append((len(renewals) // n_modes, [dec for _, dec in blocks], out))
+        return out
+
+    def renew(self, *args):
+        r = real_renew(self, *args)
+        renewals.append(r)
+        return r
+
+    with monkeypatch.context() as patch:
+        patch.setattr(policy, "_replay_day", replay)
+        patch.setattr(policy._Mode, "renew", renew)
+        records = simulate_policies(scen, runs, *rest)
+    return records, replays, renewals
+
+
+@pytest.mark.parametrize(
+    "world", ["criterion_10", "few_controls", "two_sizes", "four_controls", "tiny_steps"]
+)
+def test_every_day_equals_the_reference_day_step(request, monkeypatch, world):
+    w = request.getfixturevalue(world)
+    if world == "two_sizes":
+        scen, runs = w["scen"], {mode: ({1: tab}, values) for mode, tab, values in w["modes"]}
+        rest = (w["price_laws"], w["classmap"], w["cfg"])
+    elif world == "tiny_steps":
+        scen, runs, *rest = w
+    else:
+        scen, runs, *rest = _pipeline_world(*w)
+    want = reference_days(scen, runs, *rest)
+    records, replays, renewals = _replay_log(monkeypatch, scen, runs, rest)
+    n_modes = len(runs)
+    assert len(renewals) == n_modes * len(want)
+    owned = 0
+    for d, day in enumerate(want):
+        for i, mode in enumerate(day):
+            assert renewals[d * n_modes + i].tobytes() == mode["renewal"].tobytes(), (world, d)
+        owners = [mode for mode in day if mode["decision"] is not None]
+        calls = [(decisions, out) for day_of, decisions, out in replays if day_of == d]
+        assert len(calls) == (1 if owners else 0), (world, d)
+        if not owners:
+            continue
+        owned += 1
+        decisions, out = calls[0]
+        assert [x.tobytes() for x in decisions] == [m["decision"].tobytes() for m in owners]
+        start = 0
+        # bills, soc, h, clamps and fallbacks of each mode's rows
+        for mode in owners:
+            stop = start + len(mode["decision"])
+            for got, ref in zip(out, mode["replay"]):
+                assert got[start:stop].tobytes() == ref.tobytes(), (world, d)
+            start = stop
+    assert owned > 0, world
+    assert list(records) == list(runs)
