@@ -361,8 +361,8 @@ def stage_bellman(cfg: RunConfig, out: Path) -> dict:
     decomposition, ``bellman_{R,P}.npz``: the health and capacity axes ``h``
     and ``c`` and the values of every day, shape (D+2, len(h), len(c)).  The
     record holds the days recursed, each recursion's wall time and, for the
-    resource recursion, the feasible (h, dh) pairs its objective evaluates
-    per day and their share of the h x dh grid."""
+    resource recursion, the (c, h, dh) triples its objective evaluates per
+    day, averaged over the days, and their share of the c x h x dh grid."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "bellman")
     _, price_laws = _load_fit(cfg, out)
@@ -376,11 +376,14 @@ def stage_bellman(cfg: RunConfig, out: Path) -> dict:
         seq = recursions[dec](tables, cfg.classmap, price_laws, bat, h_grid, c_grid, cfg.D)
         info[f"{dec.mode}_recursion_s"] = round(time.perf_counter() - t_rec, 3)
         if dec.budget_axis:
-            # every class's table has the same day axis, so one objective counts any day's pairs
-            objective = DayObjective(next(iter(tables.values())), h_grid, h_grid, FEAS_TOL)
-            n_h, n_axis = objective.shape
-            pairs = len(objective.ai)
-            info["resource_pairs"] = {"per_day": pairs, "share": round(pairs / (n_h * n_axis), 4)}
+            # a class's dominated budgets depend on its table: count per class
+            triples = {
+                cls: len(DayObjective(tab, h_grid, h_grid, FEAS_TOL).ai)
+                for cls, tab in tables.items()
+            }
+            per_day = sum(map(triples.get, cfg.classmap.day_to_class.tolist())) / (cfg.D + 1)
+            grid = len(c_grid) * len(h_grid) * len(cfg.dh_grid())
+            info["resource_pairs"] = {"per_day": round(per_day, 1), "share": round(per_day / grid, 4)}
         _save_npz(out / f"bellman_{dec.letter}.npz", h=h_grid, c=c_grid, values=seq.values)
         bound = "upper" if dec.budget_axis else "lower"
         info[f"{bound}_at_origin"] = float(seq.values[0, 0, 0])
@@ -406,8 +409,9 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
     soc > 0 (soc_carry_share) and the mean's stderrs above the lower and
     the upper bound at the origin, read off ``bellman_P.npz`` (z_lower) and
     ``bellman_R.npz`` (z_upper); and the mean and stderr of the per-scenario
-    price minus resource total cost (paired).  Returns the entries by
-    mode."""
+    price minus resource total cost (paired); and the cheaper mean's gap
+    over the lower bound at the origin, relative as the report's gaps are
+    (best_policy_gap).  Returns the entries by mode."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "simulate")
     laws, price_laws = _load_fit(cfg, out)
@@ -463,13 +467,18 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
         "mean": float(diff.mean()),
         "stderr": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
     }
+    # relative as the report's gaps are: over max(|lower|, 1e-9)
+    best = min(info[m]["mean"] for m in results)
+    info["best_policy_gap"] = (best - lower) / max(abs(lower), 1e-9)
     _close_stage(out, "simulate", inputs, info, t0)
     return {m: info[m] for m in results}
 
 
 def stage_report(cfg: RunConfig, out: Path) -> dict:
     """Bound-gap report between the price (lower) and resource (upper) values;
-    ``report.json`` holds the summary, the record also the check's wall time."""
+    ``report.json`` holds the summary, the record also the grid points left
+    out of max_rel_gap, where the upper bound alone is +inf
+    (``max_gap_excluded``), and the check's wall time."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "report")
     lower = load_value_seq(cfg, out, "price-lower")
@@ -491,4 +500,5 @@ def stage_report(cfg: RunConfig, out: Path) -> dict:
         "violations": rep.violations,
     }
     _dump_json(summary, out / "report.json")
-    return _close_stage(out, "report", inputs, {**summary, "check_sandwich_s": check_s}, t0)
+    info = {**summary, "max_gap_excluded": rep.max_gap_excluded, "check_sandwich_s": check_s}
+    return _close_stage(out, "report", inputs, info, t0)

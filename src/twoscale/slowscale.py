@@ -10,12 +10,12 @@ Two bounding sequences are computed backward over days:
 Every recursion fills one array of shape (D+2,) + grid.shape, a
 :class:`SlowValueSeq`, in one backward day loop.  The battery recursions work
 on an (health, capacity) grid: each day takes the min (resource, over the
-feasible aging budgets alone) or max (price), over the day axis of the
-intraday tables (orientation (c, axis)), of a :class:`DayObjective` at every
-capacity at once, which the online policies reuse.  The battery-price laws
-come as one (days, atoms) :class:`~twoscale.core.LawTable`.  The generic
-recursions accept any day-decomposed model and are exercised by the
-desk-scale oracles.
+feasible aging budgets that are not dominated) or max (price), over the
+day axis of the intraday tables (orientation (c, axis)), of a
+:class:`DayObjective` at every capacity at once, which the online policies
+reuse.  The battery-price laws come as one (days, atoms)
+:class:`~twoscale.core.LawTable`.  The generic recursions accept any
+day-decomposed model and are exercised by the desk-scale oracles.
 """
 
 from __future__ import annotations
@@ -86,11 +86,12 @@ def _backward(kind: str, grid: Grid, final, D: int, day) -> SlowValueSeq:
 class BoundReport:
     """Per-day gap summary between a lower and an upper value sequence."""
 
-    max_rel_gap: np.ndarray  # per day, over the whole grid
+    max_rel_gap: np.ndarray  # per day, over the grid points but max_gap_excluded's
     gap_at_x0: np.ndarray  # per day, at the designated initial state
     lower_at_x0: np.ndarray
     upper_at_x0: np.ndarray
     violations: int  # grid points with lower > upper beyond tolerance, or +inf over finite
+    max_gap_excluded: int  # grid points where the upper bound alone is +inf
 
 
 def renewal_states(
@@ -139,24 +140,24 @@ def _expect(keep: np.ndarray, atoms: list, out: np.ndarray, term: np.ndarray) ->
 
 
 class _Interp:
-    """``np.interp(x, xp, f)`` at fixed points x, for the rows ``rows`` of
-    any C-contiguous (n, len(xp)) array f of values (reals or +inf), shape
-    (len(rows),) + x.shape, or, with ``own``, one row per point (``rows`` of
-    x's shape) and shape x.shape; with np.interp's float operations: f[j] at a
-    grid point xp[j] and beyond the ends, else the slope (f[j+1] - f[j]) /
-    (xp[j+1] - xp[j]) times x - xp[j] plus f[j].  That form is NaN only
-    where a corner of positive weight is +inf, and np.interp then gives
-    +inf, so a NaN entry reads +inf.  A call gathers by flat index into
-    buffers that the next call overwrites; it may compute NaN slopes, so
-    run it under ``np.errstate(invalid="ignore")``."""
+    """``np.interp(x, xp, f[r])`` at fixed points x, each with its own row r
+    of any C-contiguous (n, len(xp)) array f of values (reals or +inf): the
+    rows ``rows`` and the result have x's shape; with np.interp's float
+    operations: f[r, j] at a grid point xp[j] and beyond the ends, else the
+    slope (f[r, j+1] - f[r, j]) / (xp[j+1] - xp[j]) times x - xp[j] plus
+    f[r, j].  Off the grid points that form is NaN only where a corner of
+    positive weight is +inf, and np.interp then gives +inf, so a NaN entry
+    reads +inf; without a +inf in f there is none to look for.  A call
+    gathers by flat index into buffers that the next call overwrites; it may
+    compute NaN slopes, so run it under ``np.errstate(invalid="ignore")``."""
 
-    def __init__(self, x: np.ndarray, xp: np.ndarray, rows: np.ndarray, n: int, own=False):
+    def __init__(self, x: np.ndarray, xp: np.ndarray, rows: np.ndarray, n: int):
         x = np.clip(x, xp[0], xp[-1])
         j = np.searchsorted(xp, x, side="right") - 1
         xj = xp[j]
-        self.dx, self.at, self.step = x - xj, x == xj, np.diff(xp)
-        rows = np.asarray(rows) if own else np.reshape(rows, (-1,) + (1,) * x.ndim)
-        self.flat = rows * len(xp) + j
+        # the points on a grid point, where f[r, j] is read as it is
+        self.dx, self.at, self.step = x - xj, np.nonzero(x == xj), np.diff(xp)
+        self.flat = np.asarray(rows) * len(xp) + j
         # slope[:, -1] pads the last point, where x == xp[j] and dx = 0
         self.slope = np.zeros((n, len(xp)))
         self.f0, self.out = np.empty(self.flat.shape), np.empty(self.flat.shape)
@@ -170,8 +171,9 @@ class _Interp:
         np.take(slope, self.flat, out=out, mode="clip")
         out *= self.dx
         out += f0
-        np.copyto(out, f0, where=self.at)
-        np.copyto(out, INF, where=np.isnan(out))
+        out[self.at] = f0[self.at]
+        if fp.max() == INF:
+            np.copyto(out, INF, where=np.isnan(out))
         return out
 
 
@@ -183,19 +185,24 @@ class DayObjective:
     call overwrites.  :meth:`reduce` turns the objective into the day's
     value, the min (resource) or max (price) over the table's day axis.
 
-    ``shape`` is (len(h), len(axis)).  Resource: the objective covers only
-    the feasible (h, dh) pairs, h - dh >= -tol, packed in h-major order: the
-    health row ``hi`` and day-axis index ``ai`` of each pair, the start of
-    each h row's run of pairs (``starts``) and whether the run holds any
-    (``filled``: a row with no feasible budget has an empty run).  Per
-    capacity and pair it is the intraday cost of budget dh (``ell``, shape
-    (len(ci), pairs)) plus the expected continuation at tomorrow's health
-    max(h - dh, 0), interpolated on the health grid; :meth:`unpack` spreads
-    it over (len(ci), len(h), len(axis)) with +inf at the infeasible budgets.
-    With ``own``, ``ci`` holds one capacity index per health value and each
-    pair is evaluated at its own health value's capacity alone: ``ell`` and
-    the objective are (pairs,), unpacked over (len(h), len(axis)); such an
-    objective is not reduced.  Price: shaped (len(ci), len(axis), len(h)),
+    ``shape`` is (len(h), len(axis)).  Resource: the objective is one flat
+    array over (cell, budget) pairs, packed cell by cell, where a cell is a
+    (capacity, h) pair, capacity-major; with ``own``, ``ci`` holds one
+    capacity index per health value and the cells are the health values,
+    each at its own capacity alone.  A cell holds the feasible budgets dh,
+    h - dh >= -tol, and, without ``own``, not the dominated ones: a budget
+    j >= 1 whose intraday cost at the cell's capacity equals budget j - 1's.
+    Such a budget reads tomorrow's values at less health for the same cost
+    today, so dropping it leaves the min, and its first argmin, unchanged
+    wherever tomorrow's interpolated values are nonincreasing in h.  ``cell``
+    and ``ai`` are each pair's cell and day-axis index, ``starts`` the start
+    of each nonempty cell's run of pairs and ``filled`` None when every cell
+    has a run, else whether it has one, over the cells' shape ((len(ci),
+    len(h)), or (len(h),) with ``own``).  Per pair the objective is the
+    intraday cost of budget dh (``ell``) plus the expected continuation at
+    tomorrow's health max(h - dh, 0), interpolated on the health grid;
+    :meth:`unpack` spreads it over the cells' shape + (len(axis),) with +inf
+    at the budgets left out.  Price: shaped (len(ci), len(axis), len(h)),
     the h-free :meth:`inner` term minus pi * h.  A call may compute NaN
     slopes (see :class:`_Interp`).
     """
@@ -209,19 +216,21 @@ class DayObjective:
         self.shape = (len(h), len(axis))
         self.budget_axis = table.decomposition.budget_axis
         if self.budget_axis:
-            self.hi, self.ai = hi, ai = np.nonzero(h[:, None] - axis[None, :] >= -tol)
-            self.starts = np.searchsorted(hi, np.arange(len(h)))
-            self.filled = np.bincount(hi, minlength=len(h)) > 0
-            x = np.maximum(h[hi] - axis[ai], 0.0)
             if own:
-                self.ell = costs[rows[hi], ai]
-                self.interp = _Interp(x, h_grid, rows[hi], len(costs), own=True)
+                self.cells, cell_row, cell_h = rows.shape, rows, h
             else:
-                self.ell = costs[rows][:, ai]
-                self.interp = _Interp(x, h_grid, rows, len(costs))
-            # the filled rows' runs of every capacity, in one flat array
-            self.runs = (np.arange(len(rows))[:, None] * len(hi) + self.starts[self.filled]).ravel()
-            self.cols = slice(None) if self.filled.all() else self.filled
+                self.cells = (len(rows), len(h))
+                cell_row, cell_h = np.repeat(rows, len(h)), np.tile(h, len(rows))
+            keep = cell_h[:, None] - axis[None, :] >= -tol
+            if not own:
+                keep[:, 1:] &= costs[cell_row, 1:] != costs[cell_row, :-1]
+            self.cell, self.ai = cell, ai = np.nonzero(keep)
+            filled = np.bincount(cell, minlength=len(keep)) > 0
+            self.starts = np.searchsorted(cell, np.flatnonzero(filled))
+            self.filled = None if filled.all() else filled.reshape(self.cells)
+            self.ell = costs[cell_row[cell], ai]
+            x = np.maximum(cell_h[cell] - axis[ai], 0.0)
+            self.interp = _Interp(x, h_grid, cell_row[cell], len(costs))
             shape = self.ell.shape
         else:
             self.ell = costs[rows]
@@ -253,27 +262,31 @@ class DayObjective:
         return inner
 
     def reduce(self, obj: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The day's value per (capacity, h), written into ``out``: per h row
-        the min over its feasible budgets, +inf on a row with none
-        (resource), or the max over the surcharges (price)."""
+        """The day's value per (capacity, h), written into ``out``: per cell
+        the min over its budgets, +inf on a cell with none (resource), or
+        the max over the surcharges (price)."""
         if not self.budget_axis:
             return np.maximum.reduce(obj, axis=1, out=out)
-        if self.cols is self.filled:
-            out[:, ~self.filled] = INF
-        if len(self.runs):
-            # reduceat gives an empty run the entry at its start, so only
-            # the filled rows' runs are reduced
-            out[:, self.cols] = np.minimum.reduceat(obj.ravel(), self.runs).reshape(len(out), -1)
+        if self.filled is not None:
+            out[...] = INF
+        if len(self.starts):
+            # only the nonempty cells' runs are reduced: reduceat gives an
+            # empty run the entry at its start
+            least = np.minimum.reduceat(obj, self.starts)
+            if self.filled is None:
+                out[...] = least.reshape(out.shape)
+            else:
+                out[self.filled] = least
         return out
 
     def unpack(self, obj: np.ndarray) -> np.ndarray:
-        """The objective over (capacity, h, axis), or (h, axis) with ``own``:
-        a packed resource objective spread out with +inf at the infeasible
-        budgets, a price objective transposed."""
+        """The objective over the cells' shape + (len(axis),): a packed
+        resource objective spread out with +inf at the budgets left out, a
+        price objective, over (capacity, h, axis), transposed."""
         if not self.budget_axis:
             return obj.transpose(0, 2, 1)
-        out = np.full(obj.shape[:-1] + self.shape, INF)
-        out[..., self.hi, self.ai] = obj
+        out = np.full(self.cells + self.shape[1:], INF)
+        out.reshape(-1, self.shape[1])[self.cell, self.ai] = obj
         return out
 
 
@@ -382,7 +395,10 @@ def block_bellman_solve(problem) -> SlowValueSeq:
 
 def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
     """Per-day gap report (:func:`_rel_gap`); counts the grid points where
-    lower exceeds upper, or is +inf over a finite upper.
+    lower exceeds upper, or is +inf over a finite upper.  A point where the
+    upper bound alone is +inf has a +inf gap that says nothing of the
+    others, so each day's max_rel_gap leaves such points out (and counts
+    them); a day of nothing but such points reads +inf.
 
     Both sequences must lie on one grid, so x0 is located on it once.  The
     days are checked in blocks of about SANDWICH_BLOCK values per bound, so
@@ -395,7 +411,7 @@ def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
     n = len(lower.values)
     grid = lower.grid
     max_rel, lo0, up0 = np.empty(n), np.empty(n), np.empty(n)
-    violations = 0
+    violations = excluded = 0
     base, frac = grid.interp_plan(np.asarray(x0, dtype=float).reshape(1, -1))
     plans = {}
     step = max(1, SANDWICH_BLOCK // grid.size)
@@ -403,7 +419,15 @@ def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
         days = slice(a, min(a + step, n))
         lv, uv = lower.values[days], upper.values[days]
         rel, denom, alone = _rel_gap(lv, uv)
-        max_rel[days] = rel.reshape(len(rel), -1).max(axis=1)
+        rel = rel.reshape(len(rel), -1)
+        top = rel.max(axis=1)
+        if top.max() == INF:
+            # masked only on a block whose gap reaches +inf
+            up_alone = (np.isposinf(uv) & (lv < INF)).reshape(rel.shape)
+            excluded += int(np.count_nonzero(up_alone))
+            top = np.max(rel, axis=1, where=~up_alone, initial=-INF)
+            top[up_alone.all(axis=1)] = INF
+        max_rel[days] = top
         # denom becomes uv + SANDWICH_TOL * denom, +inf where lv is
         denom *= SANDWICH_TOL
         denom += uv
@@ -414,7 +438,7 @@ def check_sandwich(lower: SlowValueSeq, upper: SlowValueSeq, x0) -> BoundReport:
         # blend's buffer is overwritten by its next call
         lo0[days] = plans[k].blend(lv)
         up0[days] = plans[k].blend(uv)
-    return BoundReport(max_rel, _rel_gap(lo0, up0)[0], lo0, up0, violations)
+    return BoundReport(max_rel, _rel_gap(lo0, up0)[0], lo0, up0, violations, excluded)
 
 
 def _rel_gap(lv: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -682,7 +682,7 @@ def test_corrupt_manifest_exit_code(runner, tmp_path, spoil, stage):
     assert _files(out) == before
 
 
-# 4 controls leave out u = 0: the gap report's max_rel_gap is +inf
+# 4 controls leave out u = 0: the upper bound alone is +inf at some points
 FOUR_CONTROLS = {
     "D": 40, "n_slots": 12, "n_classes": 1, "c_max": 300.0, "n_controls": 4, "h_points": 13,
     "price_forecast": [0.05, 0.05], "scenarios": 8,
@@ -696,9 +696,15 @@ def test_every_stage_prints_strict_json(runner, tmp_path):
     cfg, out = write_config(tmp_path, FOUR_CONTROLS), tmp_path / "r"
     printed = {}
     for stage in ("fit", "intraday", "bellman", "simulate", "report"):
+        if stage == "report":
+            # the upper bound at the origin spoiled to +inf on day 0
+            rewrite_npz(out / "bellman_R.npz", lambda a: np.put(a["values"], 0, np.inf))
         res = runner.invoke(main, [stage, "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, f"{stage}: {res.output}"
         printed[stage] = json.loads(res.stdout, parse_constant=refuse)
     # spelled as report.json spells it
     report = json.loads((out / "report.json").read_text())
-    assert printed["report"]["max_rel_gap"] == report["max_rel_gap"] == "inf"
+    assert printed["report"]["upper_at_x0_day0"] == report["upper_at_x0_day0"] == "inf"
+    # the points where the upper bound alone is +inf are left out of the max
+    assert printed["report"]["max_rel_gap"] == report["max_rel_gap"] < np.inf
+    assert printed["report"]["max_gap_excluded"] > 0

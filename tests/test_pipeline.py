@@ -498,7 +498,7 @@ def test_gaps_csv_holds_plain_floats(bellman_run):
 
 
 # 4 controls leave out u = 0: both bounds are +inf at some points, where the
-# gap is 0, and the upper one alone at others, where it is +inf
+# gap is 0, and the upper one alone at others, which max_rel_gap leaves out
 FOUR_CONTROLS = RunConfig(
     D=40, n_slots=12, n_classes=1, c_max=300.0, n_controls=4, h_points=13,
     price_forecast=(0.05, 0.05), scenarios=8,
@@ -518,26 +518,49 @@ def test_report_on_infinite_bounds_holds_no_nan(four_control_run):
     lower = load_value_seq(cfg, out, "price-lower").values
     upper = load_value_seq(cfg, out, "resource-upper").values
     assert (np.isposinf(lower) & np.isposinf(upper)).any()
+    up_alone = np.isposinf(upper) & (lower < np.inf)
+    assert up_alone[:-1].any(axis=(1, 2)).all()
     summary = stage_report(cfg, out)
     assert "nan" not in (out / "gaps.csv").read_text()
-    assert summary["max_rel_gap"] == np.inf and summary["violations"] == 0
+    assert summary["violations"] == 0
+    # every day's max is over the points but those where the upper bound
+    # alone is +inf, and the record counts them
+    with np.errstate(invalid="ignore"):
+        gap = (upper - lower) / np.maximum(np.abs(lower), 1e-9)
+    gap[np.isposinf(lower) & np.isposinf(upper)] = 0.0
+    want = np.where(up_alone, -np.inf, gap).max(axis=(1, 2))
+    assert np.isfinite(want).all()
+    assert summary["max_rel_gap"] == want.max()
+    assert summary["max_gap_excluded"] == np.count_nonzero(up_alone)
+    with open(out / "gaps.csv") as fh:
+        column = [float(row["max_rel_gap"]) for row in csv.DictReader(fh)]
+    assert column == want.tolist()
 
 
-def test_infinite_summaries_are_written_as_strict_json(four_control_run):
-    summary = stage_report(FOUR_CONTROLS, four_control_run)
-    assert summary["max_rel_gap"] == np.inf
+def test_infinite_summaries_are_written_as_strict_json(four_control_run, tmp_path):
+    # the upper bound at the origin spoiled to +inf on day 0: its gap is +inf
+    out = tmp_path / "run"
+    shutil.copytree(four_control_run, out)
+    rewrite_npz(out / "bellman_R.npz", lambda a: np.put(a["values"], 0, np.inf))
+    summary = stage_report(FOUR_CONTROLS, out)
+    assert summary["upper_at_x0_day0"] == summary["gap_at_x0_day0"] == np.inf
 
     def refuse(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
     report, manifest = (
-        json.loads((four_control_run / name).read_text(), parse_constant=refuse)
+        json.loads((out / name).read_text(), parse_constant=refuse)
         for name in ("report.json", "manifest.json")
     )
     # the spelling of the GridValueFn codec, in the file and in the record
-    assert report["max_rel_gap"] == manifest["stages"]["report"]["max_rel_gap"] == "inf"
-    finite = {k: v for k, v in summary.items() if k not in ("max_rel_gap", "check_sandwich_s")}
-    assert {k: v for k, v in report.items() if k != "max_rel_gap"} == finite
+    infinite = ("upper_at_x0_day0", "gap_at_x0_day0")
+    for key in infinite:
+        assert report[key] == manifest["stages"]["report"][key] == "inf"
+    finite = {
+        k: v for k, v in summary.items()
+        if k not in infinite + ("max_gap_excluded", "check_sandwich_s")
+    }
+    assert {k: v for k, v in report.items() if k not in infinite} == finite
 
 
 def test_dump_json_spells_infinities_and_refuses_nan(tmp_path):
@@ -562,8 +585,10 @@ def test_manifest_records_recursion_and_check_times(bellman_run):
     # the timing stays in the record: report.json holds the summary alone
     summary = json.loads((bellman_run / "report.json").read_text())
     assert "check_sandwich_s" not in summary
+    assert report["max_gap_excluded"] == 0
     assert summary == {
-        k: v for k, v in report.items() if k not in ("check_sandwich_s", "seconds", "inputs")
+        k: v for k, v in report.items()
+        if k not in ("max_gap_excluded", "check_sandwich_s", "seconds", "inputs")
     }
     assert info == {k: v for k, v in report.items() if k not in ("seconds", "inputs")}
     assert report["inputs"] == CFG.inputs("report")
@@ -571,12 +596,18 @@ def test_manifest_records_recursion_and_check_times(bellman_run):
 
 def test_bellman_record_counts_resource_pairs(bellman_run):
     bellman = json.loads((bellman_run / "manifest.json").read_text())["stages"]["bellman"]
-    h, dh = CFG.h_grid(), CFG.dh_grid()
-    feasible = np.count_nonzero(h[:, None] - dh[None, :] >= -FEAS_TOL)
+    h, dh, c = CFG.h_grid(), CFG.dh_grid(), CFG.c_grid()
+    feasible = h[:, None] - dh[None, :] >= -FEAS_TOL
+    # per capacity, the feasible budgets less those that cost what the next
+    # smaller one does
+    costs = _load_tables(CFG, bellman_run, RESOURCE)[1].table.values
+    dominated = np.zeros(costs.shape, dtype=bool)
+    dominated[:, 1:] = costs[:, 1:] == costs[:, :-1]
+    triples = sum(np.count_nonzero(feasible & ~flat[None, :]) for flat in dominated)
     assert bellman["resource_pairs"] == {
-        "per_day": feasible, "share": round(feasible / (len(h) * len(dh)), 4),
+        "per_day": triples, "share": round(triples / (len(c) * len(h) * len(dh)), 4),
     }
-    assert 0 < feasible < len(h) * len(dh)
+    assert len(c) < triples < len(c) * np.count_nonzero(feasible)
 
 
 @pytest.mark.parametrize("h_points", [13, 10])

@@ -403,6 +403,17 @@ def test_simulate_record_holds_z_upper_and_the_paired_difference(few_controls):
     assert rec["paired"]["stderr"] > 0.0
 
 
+def test_simulate_record_holds_the_best_policy_gap(few_controls):
+    cfg, out = few_controls
+    returned = stage_simulate(cfg, out)
+    rec = json.loads((out / "manifest.json").read_text())["stages"]["simulate"]
+    lower = load_value_seq(cfg, out, "price-lower").values[0, 0, 0]
+    best = min(rec["price"]["mean"], rec["resource"]["mean"])
+    assert lower > 0.0 and rec["best_policy_gap"] == (best - lower) / lower
+    # in the record alone: the stage returns the entries by mode
+    assert set(returned) == {"price", "resource"}
+
+
 def test_few_controls_replay_is_pinned(few_controls):
     cfg, out = few_controls
     stage_simulate(cfg, out)

@@ -269,14 +269,24 @@ def test_interp_matches_np_interp_bit_for_bit():
             fp[rng.random(fp.shape) < 0.1] = v
         axis = np.concatenate([rng.choice(xp, 3), rng.uniform(-50.0, 900.0, 4)])
         x = np.maximum(xp[:, None] - axis[None, :], 0.0) + rng.choice([0.0, -10.0, 1000.0])
-        # every row, and the last two rows read in reverse order
+        # one row per point: every row, and the last two rows in reverse
+        # order, each at every point of x
         for rows in (np.arange(3), np.array([2, 1])):
+            shape = (len(rows),) + x.shape
+            point_rows = np.broadcast_to(rows.reshape((-1,) + (1,) * x.ndim), shape)
             with np.errstate(invalid="ignore"):
-                got = _Interp(x, xp, rows, len(fp))(fp)
-            assert got.shape == (len(rows),) + x.shape
+                got = _Interp(np.broadcast_to(x, shape), xp, point_rows, len(fp))(fp)
+            assert got.shape == shape
             for f, g in zip(fp[rows], got):
                 with np.errstate(invalid="ignore"):
                     assert g.tobytes() == np.interp(x, xp, f).tobytes()
+        # and rows drawn point by point
+        point_rows = rng.integers(0, len(fp), x.shape)
+        with np.errstate(invalid="ignore"):
+            got = _Interp(x, xp, point_rows, len(fp))(fp)
+            want = [np.interp(v, xp, fp[r]) for v, r in zip(x.ravel(), point_rows.ravel())]
+        assert got.shape == x.shape
+        assert got.ravel().tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,), (3, 61), (61, 3), (3, 2000), (1, 7)])
@@ -351,8 +361,41 @@ def merged_atoms_world(tmp_path_factory):
     return tables, args
 
 
+# criterion 10 with batteries up to 400: the health grid reaches 1,600 and
+# the costs of c = 200, 300 and 400 flatten before the budget grid ends there
+LARGE_BATTERIES = dataclasses.replace(
+    CRITERION_10, c_max=400.0, dh_cap=1600.0, dh_points=9, h_points=9
+)
+
+
+@pytest.fixture(scope="module")
+def large_battery_world(tmp_path_factory):
+    return _pipeline_world(LARGE_BATTERIES, tmp_path_factory.mktemp("large_batteries"))
+
+
+def test_large_batteries_leave_dominated_budgets_out(large_battery_world):
+    tables, args = large_battery_world
+    table, h_grid = tables[RESOURCE][1], args[3]
+    costs = table.table.values
+    objective = DayObjective(table, h_grid, h_grid, FEAS_TOL)
+    kept = np.bincount(objective.cell // len(h_grid), minlength=len(costs))
+    # per capacity: the feasible budgets, less those that cost what the
+    # next smaller one does
+    feasible = h_grid[:, None] - table.axis[None, :] >= -FEAS_TOL
+    dominated = np.zeros(costs.shape, dtype=bool)
+    dominated[:, 1:] = costs[:, 1:] == costs[:, :-1]
+    assert kept.tolist() == [np.count_nonzero(feasible & ~flat) for flat in dominated]
+    # in reach at every capacity from 200 on
+    assert (kept[2:] < np.count_nonzero(feasible)).all()
+    # the policy's form keeps them
+    own = DayObjective(table, h_grid, h_grid, FEAS_TOL, np.full(len(h_grid), 4), own=True)
+    assert len(own.ai) == np.count_nonzero(feasible)
+
+
 @pytest.mark.parametrize("dec", [RESOURCE, PRICE], ids=lambda dec: dec.mode)
-@pytest.mark.parametrize("world", ["small_world", "criterion_10_world", "merged_atoms_world"])
+@pytest.mark.parametrize(
+    "world", ["small_world", "criterion_10_world", "merged_atoms_world", "large_battery_world"]
+)
 def test_recursion_equals_per_capacity_loop_bit_for_bit(request, world, dec):
     if world == "small_world":
         w = request.getfixturevalue(world)
@@ -428,7 +471,15 @@ def test_rows_without_a_feasible_budget_read_inf(small_world, h):
     obj = objective(disc, atoms)
     cont = _ref_continuation(vnext, point(0.05), w["cfg"], renewal)
     dense = _dense_resource_objective(table, h, w["h_grid"], FEAS_TOL, slice(None), cont)
-    assert obj.shape == (len(w["c_grid"]), np.count_nonzero(np.isfinite(dense[0])))
+    # a random continuation need not fall in h, so the objective is compared
+    # with the dense one masked at the budgets it leaves out: those whose
+    # cost equals the next smaller budget's at the same capacity
+    costs = table.table.values
+    dominated = np.zeros(costs.shape, dtype=bool)
+    dominated[:, 1:] = costs[:, 1:] == costs[:, :-1]
+    assert dominated[0, 1:].all() and dominated[1].any()
+    dense = np.where(dominated[:, None, :], INF, dense)
+    assert obj.shape == (np.count_nonzero(np.isfinite(dense)),)
     assert objective.unpack(obj).tobytes() == dense.tobytes()
     got = objective.reduce(obj, np.empty((len(w["c_grid"]), len(h))))
     want = np.minimum.reduce(dense, axis=2)
@@ -449,18 +500,34 @@ def test_resource_recursion_with_empty_budget_rows_equals_dense_reference(small_
 def test_day_plan_packs_the_feasible_pairs_row_by_row(small_world):
     w = small_world
     h = np.array([200.0, 0.0, 60.0, -1.0, 100.0 - 1e-12])
-    plan = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL)
-    # dh in (0, 25, 50, 75, 100); h = 100 - 1e-12 affords dh = 100 within the tolerance
+    costs = w["rtab"].table.values
+    # dh in (0, 25, 50, 75, 100); h = 100 - 1e-12 affords dh = 100 within the
+    # tolerance.  The policy's form, every health value at capacity index 1,
+    # keeps every feasible budget
+    plan = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1] * len(h), own=True)
     assert plan.shape == (5, 5)
-    assert plan.hi.tolist() == [0] * 5 + [1] + [2] * 3 + [4] * 5
+    assert plan.cell.tolist() == [0] * 5 + [1] + [2] * 3 + [4] * 5
     assert plan.ai.tolist() == [0, 1, 2, 3, 4, 0, 0, 1, 2, 0, 1, 2, 3, 4]
-    assert plan.starts.tolist() == [0, 5, 6, 9, 9]
+    assert plan.starts.tolist() == [0, 5, 6, 9]
     assert plan.filled.tolist() == [True, True, True, False, True]
-    assert plan.ell.tobytes() == w["rtab"].table.values[:, plan.ai].tobytes()
+    assert plan.ell.tobytes() == costs[1, plan.ai].tobytes()
+    # the recursion's form packs (capacity, h) cells capacity-major and
+    # leaves out the dominated budgets: every dh > 0 without a battery,
+    # whose cost is the bill alone, and dh = 100 at c = 50, which costs
+    # what dh = 75 does
+    assert (costs[0] == costs[0, 0]).all() and costs[1, 4] == costs[1, 3] != costs[1, 2]
+    plan = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL)
+    assert plan.cell.tolist() == [0, 1, 2, 4] + [5] * 4 + [6] + [7] * 3 + [9] * 4
+    assert plan.ai.tolist() == [0, 0, 0, 0, 0, 1, 2, 3, 0, 0, 1, 2, 0, 1, 2, 3]
+    assert plan.starts.tolist() == [0, 1, 2, 3, 4, 8, 9, 12]
+    assert plan.filled.tolist() == [[True, True, True, False, True]] * 2
+    assert plan.ell.tobytes() == costs[plan.cell // len(h), plan.ai].tobytes()
     # on a subset of the capacities, in the order given
-    assert DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1]).ell.tobytes() == (
-        w["rtab"].table.values[[1]][:, plan.ai].tobytes()
-    )
+    sub = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1])
+    assert sub.cell.tolist() == (plan.cell[plan.cell >= 5] - 5).tolist()
+    assert sub.ell.tobytes() == costs[1, sub.ai].tobytes()
+    # every cell filled: no mask
+    assert DayObjective(w["rtab"], w["h_grid"], w["h_grid"], FEAS_TOL).filled is None
 
 
 # ---------------------------------------------------------------- gap report
@@ -513,20 +580,24 @@ def _ref_gap(lv: float, uv: float) -> float:
 def _sandwich_by_eval_many(lower, upper, x0, tol=1e-6):
     """Per-day reference report: each day located on its own grid by
     eval_many, each gap taken point by point; a +inf lower value over a
-    finite upper one is a violation."""
+    finite upper one is a violation, and a +inf upper value over a finite
+    lower one is left out of the day's max gap, which is +inf if that
+    leaves nothing."""
     n = len(lower.days)
     max_rel, gap0, lo0, up0 = (np.empty(n) for _ in range(4))
-    violations = 0
+    violations = excluded = 0
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     for d, (lo, up) in enumerate(zip(lower.days, upper.days)):
         lv, uv = lo.values, up.values
         denom = np.maximum(np.abs(lv), 1e-9)
-        max_rel[d] = np.array([_ref_gap(a, b) for a, b in zip(lv.flat, uv.flat)]).max()
+        gaps = [_ref_gap(a, b) for a, b in zip(lv.flat, uv.flat) if not (b == INF > a)]
+        excluded += lv.size - len(gaps)
+        max_rel[d] = np.array(gaps).max() if gaps else INF
         violations += int(np.sum(lv > uv + tol * denom))
         violations += int(np.sum(np.isposinf(lv) & np.isfinite(uv)))
         lo0[d], up0[d] = float(lo.eval_many(x0)[0]), float(up.eval_many(x0)[0])
         gap0[d] = _ref_gap(lo0[d], up0[d])
-    return max_rel, gap0, lo0, up0, violations
+    return max_rel, gap0, lo0, up0, violations, excluded
 
 
 def _with_day(seq, d, values):
@@ -554,7 +625,10 @@ def test_check_sandwich_matches_per_day_eval_many(small_world, x0):
     ):
         assert got.tobytes() == want.tobytes()
     assert rep.violations == ref[4]
-    assert np.isposinf(rep.max_rel_gap[1])
+    # day 1's upper bound alone is +inf on two health rows: they are left
+    # out, and the day's max gap is that of the other points
+    assert rep.max_gap_excluded == ref[5] == np.count_nonzero(lower.values[1][1:3] < INF) > 0
+    assert np.isfinite(rep.max_rel_gap[1])
 
 
 def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeypatch):
@@ -579,6 +653,7 @@ def test_check_sandwich_block_edges_match_per_day_eval_many(small_world, monkeyp
     ):
         assert got.tobytes() == want.tobytes()
     assert rep.violations == ref[4] > 0
+    assert rep.max_gap_excluded == ref[5] == 1  # day 3's upper corner
     assert np.isposinf(rep.upper_at_x0[3]) and np.isposinf(rep.lower_at_x0[4])
     assert rep.gap_at_x0[7] == 0.0
     assert rep.gap_at_x0[4] == rep.gap_at_x0[8] == -INF
@@ -598,6 +673,23 @@ def test_check_sandwich_counts_an_infinite_lower_bound_over_a_finite_upper_one()
     # the other three points of day 0 still have the gap 1 / 1e-9
     assert rep.max_rel_gap.tolist() == [1.0 / 1e-9] * 2
     assert rep.gap_at_x0.tolist() == [-INF, 1.0 / 1e-9]
+
+
+def test_max_gap_leaves_out_points_where_the_upper_bound_alone_is_inf():
+    # a 2 x 2 grid over three days, lower 1 and upper 2: on day 0 the upper
+    # bound is +inf at one point, on day 1 at every point, and on day 2
+    # both bounds are +inf at one point
+    g = Grid([[0.0, 1.0], [0.0, 1.0]])
+    lo, up = np.ones((3, 2, 2)), np.full((3, 2, 2), 2.0)
+    up[0, 1, 1] = INF
+    up[0, 0, 0] = 4.0
+    up[1] = INF
+    lo[2, 1, 0] = up[2, 1, 0] = INF
+    rep = check_sandwich(
+        SlowValueSeq("price-lower", g, lo), SlowValueSeq("resource-upper", g, up), [0.0, 0.0]
+    )
+    assert rep.max_rel_gap.tolist() == [3.0, INF, 1.0]
+    assert rep.max_gap_excluded == 5 and rep.violations == 0
 
 
 @pytest.mark.parametrize("day, corners", [(9, [(1, 0), (4, 1)]), (10, [(2, 1)])])
