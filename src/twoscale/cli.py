@@ -57,39 +57,25 @@ def main():
     """Two-time-scale stochastic optimization pipeline."""
 
 
-@main.command()
-@_common
-def fit(**opts):
-    """Fit netload and battery-price distributions."""
-    _run_stage(pipeline.stage_fit, **opts)
+STAGE_HELP = {
+    "fit": "Fit netload and battery-price distributions.",
+    "intraday": "Compute per-class daily cost tables.",
+    "bellman": "Run the slow-scale bound recursions.",
+    "simulate": "Monte Carlo policy simulation on white-noise scenarios.",
+    "report": "Emit the bound-gap report.",
+}
 
 
-@main.command()
-@_common
-def intraday(**opts):
-    """Compute per-class daily cost tables."""
-    _run_stage(pipeline.stage_intraday, **opts)
+def _add_stage_command(name: str):
+    def command(**opts):
+        # looked up at call time, so a wrapper put on pipeline applies
+        _run_stage(getattr(pipeline, f"stage_{name}"), **opts)
+
+    main.command(name=name, help=STAGE_HELP[name])(_common(command))
 
 
-@main.command()
-@_common
-def bellman(**opts):
-    """Run the slow-scale bound recursions."""
-    _run_stage(pipeline.stage_bellman, **opts)
-
-
-@main.command()
-@_common
-def simulate(**opts):
-    """Monte Carlo policy simulation on white-noise scenarios."""
-    _run_stage(pipeline.stage_simulate, **opts)
-
-
-@main.command()
-@_common
-def report(**opts):
-    """Emit the bound-gap report."""
-    _run_stage(pipeline.stage_report, **opts)
+for _name in STAGE_HELP:
+    _add_stage_command(_name)
 
 
 @main.command()

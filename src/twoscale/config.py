@@ -99,6 +99,9 @@ class RunConfig:
             raise ConfigError("D, n_slots, scenarios and fit_scenarios must be positive")
         if self.c_step <= 0 or self.c_max <= 0 or self.dh_cap <= 0:
             raise ConfigError("grid extents must be positive")
+        if self.price_floor <= 0:
+            # every battery-price atom is floored here, and a price must be positive
+            raise ConfigError(f"price_floor must be positive, not {self.price_floor}")
         if self.fit_k < 1 or self.price_atoms < 1:
             raise ConfigError("support sizes must be >= 1")
         if min(self.n_soc, self.n_controls, self.dh_points) < 2:

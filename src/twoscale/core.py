@@ -72,20 +72,20 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def interp_plan(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Multilinear interpolation plan of query points (n, ndim), clamped to
-        the bounding box: the flat (row-major) index of each query's lower cell
-        corner, shape (n,), and its fractional offset per axis, shape (ndim, n).
+        """Multilinear interpolation plan of query points (..., ndim), clamped
+        to the bounding box: the flat (row-major) index of each query's lower
+        cell corner, shape (...), and its fractional offset per axis, shape
+        (ndim, ...).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        base = np.zeros(n, dtype=np.intp)
-        frac = np.zeros((self.ndim, n))
+        x = np.asarray(x, dtype=float)
+        base = np.zeros(x.shape[:-1], dtype=np.intp)
+        frac = np.zeros((self.ndim,) + base.shape)
         stride = 1
         for j in reversed(range(self.ndim)):
             ax = self.axes[j]
             # np.clip's operations (the sign of a clamped zero, which numpy's
             # clip sets by memory layout, moves no blend)
-            xj = np.minimum(np.maximum(x[:, j], ax[0]), ax[-1])
+            xj = np.minimum(np.maximum(x[..., j], ax[0]), ax[-1])
             if ax.size > 1:
                 i = np.searchsorted(ax, xj, side="right")
                 i -= 1
@@ -205,32 +205,21 @@ class GridValueFn:
             )
         return BlendPlan(self.grid, *self.grid.interp_plan(x)).blend(self.values)
 
-    def to_jsonable(self) -> dict:
-        def enc(v: float):
-            return "inf" if v == INF else v
-
-        return {
-            "grid": [ax.tolist() for ax in self.grid.axes],
-            "values": [enc(v) for v in self.values.ravel()],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "GridValueFn":
-        def dec(v):
-            return INF if v == "inf" else float(v)
-
-        grid = Grid(obj["grid"])
-        values = np.array([dec(v) for v in obj["values"]])
-        return cls(grid, values)
-
     def save_json(self, path) -> None:
+        """Write the grid and the values, row-major, to ``path`` as JSON, a
+        +inf value as the string "inf"."""
+        values = ["inf" if v == INF else v for v in self.values.ravel()]
+        obj = {"grid": [ax.tolist() for ax in self.grid.axes], "values": values}
         with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh, sort_keys=True, separators=(",", ":"))
+            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def load_json(cls, path) -> "GridValueFn":
+        """The function :meth:`save_json` wrote to ``path``."""
         with open(path) as fh:
-            return cls.from_jsonable(json.load(fh))
+            obj = json.load(fh)
+        values = [INF if v == "inf" else float(v) for v in obj["values"]]
+        return cls(Grid(obj["grid"]), np.array(values))
 
 
 @dataclass(frozen=True, eq=False)

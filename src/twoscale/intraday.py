@@ -240,7 +240,7 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
             if nxt is not planned or vnext.grid is not planned_grid:
                 _contract_shape(nxt, (shape + (vnext.grid.ndim,),), "dynamics returned")
                 planned, planned_grid = nxt, vnext.grid
-                plan = BlendPlan(vnext.grid, *_interp_plan(nxt[live.rows], vnext.grid))
+                plan = BlendPlan(vnext.grid, *vnext.grid.interp_plan(nxt[live.rows]))
                 kernel = None
             if kernel is None:
                 kernel = _StageMin(live, plan.blend(vnext.values), buf, gbuf)
@@ -250,14 +250,6 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
         values.append(vnext)
     values.reverse()
     return FastDpSolution(values, kept / n_rows if n_rows else 1.0)
-
-
-def _interp_plan(nxt: np.ndarray, next_grid: Grid):
-    """Interpolation plan on next_grid of next states shaped
-    (controls, states, ndim): base (controls, states), frac (ndim, controls,
-    states)."""
-    base, frac = next_grid.interp_plan(nxt.reshape(-1, next_grid.ndim))
-    return base.reshape(nxt.shape[:2]), frac.reshape((-1,) + nxt.shape[:2])
 
 
 @dataclass(frozen=True)

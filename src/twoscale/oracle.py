@@ -105,7 +105,11 @@ def flat_dp_solve(p: TinyProblem) -> np.ndarray:
     return v
 
 
-def enumerate_tree(p: TinyProblem, x0: float, max_nodes: int = 10**6) -> float:
+# the most leaves enumerate_tree will walk
+MAX_TREE_NODES = 10**6
+
+
+def enumerate_tree(p: TinyProblem, x0: float) -> float:
     """Optimal expected cost by pure recursion over the scenario tree, with no
     memoization: an oracle genuinely independent of the DP code path."""
     branch = 1
@@ -114,8 +118,8 @@ def enumerate_tree(p: TinyProblem, x0: float, max_nodes: int = 10**6) -> float:
             branch *= np.count_nonzero(p.noise[d].probs[m]) * len(p.controls)
         if p.inequality:
             branch *= len(p.states)
-    if branch > max_nodes:
-        raise ValueError(f"scenario tree too large: ~{branch} leaves > {max_nodes}")
+    if branch > MAX_TREE_NODES:
+        raise ValueError(f"scenario tree too large: ~{branch} leaves > {MAX_TREE_NODES}")
 
     states = p.states
 
@@ -205,38 +209,30 @@ def random_tiny_problem(seed: int, monotone: bool = False) -> TinyProblem:
     )
 
 
-def complexity_estimate(D: int, M: int, I: int, dims: dict | None = None) -> dict:
+def complexity_estimate(D: int, M: int, I: int) -> dict:
     """Operation counts for flat DP vs the decomposed algorithms.
 
-    Each one-dimensional variable is discretized in 10^exponent values; the
-    exponents (default 1) are the dimensions of: slow state (capacity), slow/
-    fast state (health), fast state (charge), slow control (renewal), fast
-    control (exchange), slow noise (battery price), fast noise (netload).
+    Each one-dimensional variable is discretized in 10 values: slow state
+    (capacity), slow/fast state (health), fast state (charge), slow control
+    (renewal), fast control (exchange), slow noise (battery price), fast
+    noise (netload); a count is 10 to the number of variables it runs over.
     Also returns the two relevance ratios I/D + 1/M and I/D + 10/M.
     """
     if min(D, M, I) < 1:
         raise ValueError("D, M, I must be positive")
-    dims = dims or {}
-    xs = dims.get("slow_state", 1)
-    xsf = dims.get("slowfast_state", 1)
-    xff = dims.get("fast_state", 1)
-    us = dims.get("slow_control", 1)
-    uf = dims.get("fast_control", 1)
-    ws = dims.get("slow_noise", 1)
-    wf = dims.get("fast_noise", 1)
-    flat_ops = (D + 1) * (
-        10 ** (xff + xsf + xs + us + ws) + (M + 1) * 10 ** (xff + xsf + xs + uf + wf)
-    )
-    resource_intraday = I * (M + 1) * 10**xs * 10 ** (xff + xsf + uf + wf)
-    resource_recursion = (D + 1) * 10 ** (xsf + xs + xsf + us + ws)
-    price_intraday = I * (M + 1) * 10 ** (xs + xsf) * 10 ** (xff + uf + wf)
-    price_recursion = (D + 1) * 10 ** (xsf + xs + xsf + xsf + us + ws)
+    n = 10  # values per variable
     return {
-        "flat_ops": flat_ops,
-        "resource_intraday_ops": resource_intraday,
-        "resource_recursion_ops": resource_recursion,
-        "price_intraday_ops": price_intraday,
-        "price_recursion_ops": price_recursion,
+        # a day: the slow step over (charge, health, capacity, renewal, battery
+        # price), M + 1 fast steps over (charge, health, capacity, exchange, netload)
+        "flat_ops": (D + 1) * (n**5 + (M + 1) * n**5),
+        # per class and capacity, M + 1 steps over (charge, budget, exchange, netload)
+        "resource_intraday_ops": I * (M + 1) * n * n**4,
+        # a day over (health, capacity, health target, renewal, battery price)
+        "resource_recursion_ops": (D + 1) * n**5,
+        # per class, capacity and surcharge, M + 1 steps over (charge, exchange, netload)
+        "price_intraday_ops": I * (M + 1) * n**2 * n**3,
+        # a day over (health, capacity, surcharge, end health, renewal, battery price)
+        "price_recursion_ops": (D + 1) * n**6,
         "ratio_R": I / D + 1.0 / M,
         "ratio_P": I / D + 10.0 / M,
     }

@@ -11,6 +11,7 @@ artifacts are byte-reproducible for a given config and seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .intraday import (
     decomposition,
 )
 # perfbench's tracer wraps simulate_policy under this name
-from .policy import simulate_policies, simulate_policy  # noqa: F401
+from .policy import SimulationStats, simulate_policies, simulate_policy  # noqa: F401
 from .slowscale import (
     DayObjective,
     SlowValueSeq,
@@ -462,11 +463,7 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
         a.total_cost - b.total_cost
         for a, b in zip(results[PRICE.mode][0], results[RESOURCE.mode][0])
     ])
-    n = len(diff)
-    info["paired"] = {
-        "mean": float(diff.mean()),
-        "stderr": float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-    }
+    info["paired"] = dataclasses.asdict(SimulationStats.of(diff))
     # relative as the report's gaps are: over max(|lower|, 1e-9)
     best = min(info[m]["mean"] for m in results)
     info["best_policy_gap"] = (best - lower) / max(abs(lower), 1e-9)

@@ -43,6 +43,13 @@ class SimulationStats:
     mean: float
     stderr: float
 
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "SimulationStats":
+        """The mean of ``samples`` and its standard error, 0 for one sample."""
+        n = len(samples)
+        stderr = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return cls(mean=float(samples.mean()), stderr=stderr)
+
 
 class _Mode:
     """One policy's replay inputs, with what no day changes set up once: the
@@ -75,7 +82,7 @@ class _Mode:
         table = self.tables[cls]
         if self.dec.budget_axis:
             # each health value's feasible budgets, at its own capacity alone
-            objective = DayObjective(table, h, h_grid, ADMISS_TOL, ci, own=True)
+            objective = DayObjective(table, h, h_grid, ADMISS_TOL, ci)
             with np.errstate(invalid="ignore"):
                 obj = objective.unpack(objective(self.disc, atoms))
             return table.axis[np.argmin(obj, axis=1)]
@@ -141,16 +148,6 @@ def select_resource(
     return float(target) if np.ndim(h) == 0 else target
 
 
-def _mode(name: str, tables: dict, values: SlowValueSeq, price_laws: LawTable,
-          cfg: BatteryConfig) -> _Mode:
-    dec = decomposition(name)
-    if any(tab.decomposition != dec for tab in tables.values()):
-        raise ValueError(f"mode {name!r} needs {dec.mode} intraday tables")
-    if any(tab.fast is None for tab in tables.values()):
-        raise ValueError("the replay needs the intraday tables' fast values")
-    return _Mode(dec, tables, values, price_laws, cfg)
-
-
 def simulate_policies(
     scenarios: ScenarioSet,
     runs: dict,
@@ -178,9 +175,14 @@ def simulate_policies(
     (D+2, mode, scenario, 3) trajectory array and one (D+1, mode, scenario)
     bill array.
     """
-    modes = [
-        _mode(name, tables, values, price_laws, cfg) for name, (tables, values) in runs.items()
-    ]
+    modes = []
+    for name, (tables, values) in runs.items():
+        dec = decomposition(name)
+        if any(tab.decomposition != dec for tab in tables.values()):
+            raise ValueError(f"mode {name!r} needs {dec.mode} intraday tables")
+        if any(tab.fast is None for tab in tables.values()):
+            raise ValueError("the replay needs the intraday tables' fast values")
+        modes.append(_Mode(dec, tables, values, price_laws, cfg))
     built = sorted({tab.n_controls for mode in modes for tab in mode.tables.values()})
     if len(built) != 1:
         raise ValueError(f"intraday tables were built on {built} controls, not one grid")
@@ -247,9 +249,7 @@ def simulate_policies(
             )
             for s, rs in enumerate(renewals[i])
         ]
-        n = shape[1]
-        stderr = float(total[i].std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        out[mode.dec.mode] = (records, SimulationStats(mean=float(total[i].mean()), stderr=stderr))
+        out[mode.dec.mode] = (records, SimulationStats.of(total[i]))
     return out
 
 

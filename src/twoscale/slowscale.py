@@ -178,51 +178,49 @@ class _Interp:
 
 
 class DayObjective:
-    """A day's objective of one intraday table at health values h and the
-    capacity indices ``ci`` (every capacity when None), for any day's
-    :func:`day_continuation`: what depends on neither the day nor tomorrow's
-    values is built once, and each call writes into buffers that the next
-    call overwrites.  :meth:`reduce` turns the objective into the day's
-    value, the min (resource) or max (price) over the table's day axis.
+    """A day's objective of one intraday table at health values h, for any
+    day's :func:`day_continuation`: what depends on neither the day nor
+    tomorrow's values is built once, and each call writes into buffers that
+    the next call overwrites.  :meth:`reduce` turns the objective into the
+    day's value, the min (resource) or max (price) over the table's day axis.
 
     ``shape`` is (len(h), len(axis)).  Resource: the objective is one flat
-    array over (cell, budget) pairs, packed cell by cell, where a cell is a
-    (capacity, h) pair, capacity-major; with ``own``, ``ci`` holds one
-    capacity index per health value and the cells are the health values,
-    each at its own capacity alone.  A cell holds the feasible budgets dh,
-    h - dh >= -tol, and, without ``own``, not the dominated ones: a budget
-    j >= 1 whose intraday cost at the cell's capacity equals budget j - 1's.
-    Such a budget reads tomorrow's values at less health for the same cost
-    today, so dropping it leaves the min, and its first argmin, unchanged
-    wherever tomorrow's interpolated values are nonincreasing in h.  ``cell``
-    and ``ai`` are each pair's cell and day-axis index, ``starts`` the start
-    of each nonempty cell's run of pairs and ``filled`` None when every cell
-    has a run, else whether it has one, over the cells' shape ((len(ci),
-    len(h)), or (len(h),) with ``own``).  Per pair the objective is the
-    intraday cost of budget dh (``ell``) plus the expected continuation at
-    tomorrow's health max(h - dh, 0), interpolated on the health grid;
-    :meth:`unpack` spreads it over the cells' shape + (len(axis),) with +inf
-    at the budgets left out.  Price: shaped (len(ci), len(axis), len(h)),
+    array over (cell, budget) pairs, packed cell by cell.  Without ``ci`` a
+    cell is a (capacity, h) pair, capacity-major, over every capacity; given
+    ``ci``, one capacity index per health value, the cells are the health
+    values, each at its own capacity alone.  A cell holds the feasible
+    budgets dh, h - dh >= -tol, and, without ``ci``, not the dominated ones:
+    a budget j >= 1 whose intraday cost at the cell's capacity equals budget
+    j - 1's.  Such a budget reads tomorrow's values at less health for the
+    same cost today, so dropping it leaves the min, and its first argmin,
+    unchanged wherever tomorrow's interpolated values are nonincreasing in
+    h.  ``cell`` and ``ai`` are each pair's cell and day-axis index,
+    ``starts`` the start of each nonempty cell's run of pairs and ``filled``
+    None when every cell has a run, else whether it has one, over the cells'
+    shape ((capacities, len(h)), or (len(h),) given ``ci``).  Per pair the
+    objective is the intraday cost of budget dh (``ell``) plus the expected
+    continuation at tomorrow's health max(h - dh, 0), interpolated on the
+    health grid; :meth:`unpack` spreads it over the cells' shape +
+    (len(axis),) with +inf at the budgets left out.  Price, at every
+    capacity (``ci`` is not read): shaped (capacities, len(axis), len(h)),
     the h-free :meth:`inner` term minus pi * h.  A call may compute NaN
     slopes (see :class:`_Interp`).
     """
 
-    def __init__(self, table: IntradayTable, h, h_grid: np.ndarray, tol: float, ci=None,
-                 own=False):
+    def __init__(self, table: IntradayTable, h, h_grid: np.ndarray, tol: float, ci=None):
         h, axis = np.asarray(h, dtype=float), table.axis
         costs = table.table.values
-        self.ci = None if ci is None else np.asarray(ci)
-        rows = np.arange(len(costs)) if ci is None else self.ci
         self.shape = (len(h), len(axis))
         self.budget_axis = table.decomposition.budget_axis
         if self.budget_axis:
-            if own:
-                self.cells, cell_row, cell_h = rows.shape, rows, h
+            if ci is None:
+                self.cells = (len(costs), len(h))
+                cell_row, cell_h = np.repeat(np.arange(len(costs)), len(h)), np.tile(h, len(costs))
             else:
-                self.cells = (len(rows), len(h))
-                cell_row, cell_h = np.repeat(rows, len(h)), np.tile(h, len(rows))
+                cell_row, cell_h = np.asarray(ci), h
+                self.cells = cell_row.shape
             keep = cell_h[:, None] - axis[None, :] >= -tol
-            if not own:
+            if ci is None:
                 keep[:, 1:] &= costs[cell_row, 1:] != costs[cell_row, :-1]
             self.cell, self.ai = cell, ai = np.nonzero(keep)
             filled = np.bincount(cell, minlength=len(keep)) > 0
@@ -233,11 +231,11 @@ class DayObjective:
             self.interp = _Interp(x, h_grid, cell_row[cell], len(costs))
             shape = self.ell.shape
         else:
-            self.ell = costs[rows]
+            self.ell = costs
             self.pi_next, self.pi_h = axis[:, None] * h_grid, axis[:, None] * h
-            self.inner_buf = np.empty((len(rows), len(axis), len(h_grid)))
-            self.obj = np.empty((len(rows), len(axis), len(h)))
-            shape = (len(rows), len(h_grid))
+            self.inner_buf = np.empty((len(costs), len(axis), len(h_grid)))
+            self.obj = np.empty((len(costs), len(axis), len(h)))
+            shape = (len(costs), len(h_grid))
         self.expect, self.term = np.empty(shape), np.empty(shape)
 
     def __call__(self, disc: np.ndarray, atoms: list) -> np.ndarray:
@@ -254,8 +252,7 @@ class DayObjective:
         (capacity, surcharge pi): the intraday cost at pi plus the cheapest
         end-of-day health h' priced at pi, pi * h' plus the expected
         continuation at h'."""
-        fp = disc if self.ci is None else disc[self.ci]
-        expect = _expect(fp, atoms, self.expect, self.term)
+        expect = _expect(disc, atoms, self.expect, self.term)
         pairs = np.add(self.pi_next, expect[:, None, :], out=self.inner_buf)
         inner = np.minimum.reduce(pairs, axis=2)
         inner += self.ell

@@ -1,8 +1,7 @@
 """The replay's day step as it was written before the decisions were set up
 once per run and the slot loop was trimmed, kept as the reference the
 replay must equal bit for bit: ``_best_on_axis`` builds a day objective at
-every capacity in use on every call and unpacks it over (capacity, row,
-axis); ``_choose_renewal`` blends the fresh batteries with the kept ones;
+every capacity on every call and unpacks it over (capacity, row, axis); ``_choose_renewal`` blends the fresh batteries with the kept ones;
 ``_replay_day`` clamps every soc and budget index and counts the clamps
 slot by slot.  :func:`reference_days` runs the day loop of
 ``simulate_policies`` on them and logs every day."""
@@ -27,11 +26,11 @@ def _best_on_axis(h, c, day, table, values, price_laws, cfg):
     atoms = day_continuation(
         values.values[day + 1], by_size, price_laws.probs[day].tolist(), cfg.gamma, renewal, disc
     )
-    ci, at = np.unique(np.searchsorted(c_grid, c), return_inverse=True)
-    objective = DayObjective(table, h1, h_grid, ADMISS_TOL, ci)
+    ci = np.broadcast_to(np.searchsorted(c_grid, c), h1.shape)
+    objective = DayObjective(table, h1, h_grid, ADMISS_TOL)
     with np.errstate(invalid="ignore"):
         obj = objective.unpack(objective(disc, atoms))
-    obj = obj[np.broadcast_to(at, h1.shape), np.arange(len(h1))]
+    obj = obj[ci, np.arange(len(h1))]
     pick = np.argmin if table.decomposition.budget_axis else np.argmax
     best = table.axis[pick(obj, axis=1)]
     return float(best[0]) if np.ndim(h) == 0 else best

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from twoscale import pipeline
 from twoscale.cli import main
+from twoscale.config import STAGE_KEYS, UPSTREAM
 
 from conftest import rewrite_npz
 
@@ -104,6 +105,9 @@ def test_off_grid_renewal_states_rejected_at_load(runner, tmp_path):
         {"n_controls": 1},
         {"dh_points": 0},
         {"dh_points": 1},
+        # a wide noise floors atoms, and simulate refuses a price <= 0
+        {"price_floor": 0.0, "price_sigma": 1.0},
+        {"price_floor": -0.5, "price_sigma": 1.0},
     ],
 )
 def test_bad_config_rejected_at_load(runner, tmp_path, bad):
@@ -531,12 +535,41 @@ def test_verify_command(runner):
 def test_complexity_command(runner):
     res = runner.invoke(main, ["complexity", "-D", "7300", "-M", "48", "-I", "4"])
     assert res.exit_code == 0
+    assert res.output == (
+        "flat_ops = 3.6505e+10\n"
+        "resource_intraday_ops = 1.96e+07\n"
+        "resource_recursion_ops = 7.301e+08\n"
+        "price_intraday_ops = 1.96e+07\n"
+        "price_recursion_ops = 7.301e+09\n"
+        "ratio_R = 0.0213813\n"
+        "ratio_P = 0.208881\n"
+    )
     values = {}
     for line in res.output.splitlines():
         key, _, val = line.partition(" = ")
         values[key] = float(val)
     assert values["ratio_R"] == pytest.approx(4 / 7300 + 1 / 48, rel=1e-5)
     assert values["ratio_P"] == pytest.approx(4 / 7300 + 10 / 48, rel=1e-5)
+
+
+STAGE_HELP = {
+    "fit": "Fit netload and battery-price distributions.",
+    "intraday": "Compute per-class daily cost tables.",
+    "bellman": "Run the slow-scale bound recursions.",
+    "simulate": "Monte Carlo policy simulation on white-noise scenarios.",
+    "report": "Emit the bound-gap report.",
+}
+
+
+def test_stage_commands_are_the_pipeline_stages(runner):
+    stages = set(main.commands) - {"verify", "complexity"}
+    assert stages == set(STAGE_KEYS) == set(UPSTREAM) == set(STAGE_HELP)
+    for name, line in STAGE_HELP.items():
+        res = runner.invoke(main, [name, "--help"])
+        assert res.exit_code == 0, res.output
+        assert line in res.output
+        for opt in ("--config", "--out", "--seed", "--threads", "--scenarios"):
+            assert opt in res.output, (name, opt)
 
 
 def test_complexity_rejects_bad_dims(runner):

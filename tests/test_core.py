@@ -242,8 +242,9 @@ def test_gridfn_json_roundtrip_with_infinities(tmp_path):
     f.save_json(path2)
     assert path.read_bytes() == path2.read_bytes()
     # a -inf in the text is refused when the function is built
+    path.write_text('{"grid":[[0.0,1.0]],"values":[1.0,"-inf"]}')
     with pytest.raises(ValueError, match="-inf"):
-        GridValueFn.from_jsonable({"grid": [[0.0, 1.0]], "values": [1.0, "-inf"]})
+        GridValueFn.load_json(path)
 
 
 # ---------------------------------------------------------------- finite laws

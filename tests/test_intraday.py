@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 
 import numpy as np
@@ -454,7 +453,8 @@ def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch)
     interp_plan = Grid.interp_plan
 
     def counted(grid, x):
-        plans.append(len(x))
+        # the points planned: every axis of x but the last
+        plans.append(int(np.prod(np.shape(x)[:-1])))
         return interp_plan(grid, x)
 
     monkeypatch.setattr(Grid, "interp_plan", counted)
@@ -591,10 +591,10 @@ def test_periodicity_bit_exact_tables(world):
     kw = dict(n_soc=N_SOC, n_controls=N_CONTROLS)
     a = compute_intraday(RESOURCE, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
     b = compute_intraday(RESOURCE, cfg, laws, world["c_grid"], world["dh_grid"], **kw)
-    assert json.dumps(a.table.to_jsonable()) == json.dumps(b.table.to_jsonable())
+    assert a.table.values.tobytes() == b.table.values.tobytes()
     pa = compute_intraday(PRICE, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
     pb = compute_intraday(PRICE, cfg, laws, world["c_grid"], world["pi_grid"], **kw)
-    assert json.dumps(pa.table.to_jsonable()) == json.dumps(pb.table.to_jsonable())
+    assert pa.table.values.tobytes() == pb.table.values.tobytes()
     n_slots = len(laws.probs)
     assert a.fast.shape == (len(world["c_grid"]) - 1, n_slots + 1, N_SOC, len(world["dh_grid"]))
     assert np.array_equal(a.fast, b.fast)

@@ -388,7 +388,7 @@ def test_large_batteries_leave_dominated_budgets_out(large_battery_world):
     # in reach at every capacity from 200 on
     assert (kept[2:] < np.count_nonzero(feasible)).all()
     # the policy's form keeps them
-    own = DayObjective(table, h_grid, h_grid, FEAS_TOL, np.full(len(h_grid), 4), own=True)
+    own = DayObjective(table, h_grid, h_grid, FEAS_TOL, np.full(len(h_grid), 4))
     assert len(own.ai) == np.count_nonzero(feasible)
 
 
@@ -504,7 +504,7 @@ def test_day_plan_packs_the_feasible_pairs_row_by_row(small_world):
     # dh in (0, 25, 50, 75, 100); h = 100 - 1e-12 affords dh = 100 within the
     # tolerance.  The policy's form, every health value at capacity index 1,
     # keeps every feasible budget
-    plan = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1] * len(h), own=True)
+    plan = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1] * len(h))
     assert plan.shape == (5, 5)
     assert plan.cell.tolist() == [0] * 5 + [1] + [2] * 3 + [4] * 5
     assert plan.ai.tolist() == [0, 1, 2, 3, 4, 0, 0, 1, 2, 0, 1, 2, 3, 4]
@@ -522,10 +522,6 @@ def test_day_plan_packs_the_feasible_pairs_row_by_row(small_world):
     assert plan.starts.tolist() == [0, 1, 2, 3, 4, 8, 9, 12]
     assert plan.filled.tolist() == [[True, True, True, False, True]] * 2
     assert plan.ell.tobytes() == costs[plan.cell // len(h), plan.ai].tobytes()
-    # on a subset of the capacities, in the order given
-    sub = DayObjective(w["rtab"], h, w["h_grid"], FEAS_TOL, [1])
-    assert sub.cell.tolist() == (plan.cell[plan.cell >= 5] - 5).tolist()
-    assert sub.ell.tobytes() == costs[1, sub.ai].tobytes()
     # every cell filled: no mask
     assert DayObjective(w["rtab"], w["h_grid"], w["h_grid"], FEAS_TOL).filled is None
 
