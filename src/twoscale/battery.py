@@ -156,10 +156,11 @@ class ScenarioSet:
         return self.netload.shape[1]
 
 
-def kmeans_1d(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic 1-D Lloyd clustering: the (support, probs) arrays of the
-    law whose atoms are the centroids of the nonempty clusters, in
-    increasing order, and whose probabilities are their shares.
+def kmeans_1d(data, k: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """Deterministic 1-D Lloyd clustering: ((support, probs), steps), the
+    arrays of the law whose atoms are the centroids of the nonempty clusters,
+    in increasing order, and whose probabilities are their shares, and the
+    number of Lloyd steps it took.
 
     Centroids are seeded at evenly spaced quantiles.  An emptied cluster is
     re-seeded at the point farthest from its assigned centroid.
@@ -182,11 +183,6 @@ def kmeans_1d(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The laws are therefore those of the dense Lloyd loop, bit for bit.
     """
-    return _kmeans_1d(data, k)[0]
-
-
-def _kmeans_1d(data, k: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-    """:func:`kmeans_1d` and the number of Lloyd steps it took."""
     data = np.asarray(data, dtype=float).ravel()
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -279,7 +275,7 @@ def fit_netload_distributions(
             if len(obs) < k:
                 missing.append((cls, m))
                 continue
-            law, law_steps = _kmeans_1d(obs, k)
+            law, law_steps = kmeans_1d(obs, k)
             rows[cls].append(law)
             steps += law_steps
     if missing:

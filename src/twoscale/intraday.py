@@ -63,42 +63,45 @@ def decomposition(name: str) -> Decomposition:
 
 @dataclass(frozen=True)
 class FastStage:
-    """One fast step: state grid, control points, handles and the noise-free
-    cost part; its noise law is a row of :attr:`FastStageModel.noise`.
+    """The handles of one fast step; its noise law is a row of
+    :attr:`FastStageModel.noise`, its grid, controls and noise-free cost
+    part those of the model."""
 
-    The stage cost is ``cost(states, controls, w) + fixed``: ``fixed``,
+    cost: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    dynamics: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+
+
+@dataclass(frozen=True)
+class FastStageModel:
+    """The fast steps of one day on one state grid, ``terminal_grid``, which
+    also holds the terminal values, with one control array and one noise-free
+    cost part; the noise laws of its steps are one (steps, atoms) table: row
+    m is the law of the noise w of step m, its atoms of probability 0 never
+    evaluated.
+
+    The cost of a step is ``cost(states, controls, w) + fixed``: ``fixed``,
     shape (len(controls), n) over the n grid states, is the part that
-    depends on no noise atom, +inf marking an infeasible control; the
+    depends on no noise atom, +inf marking an infeasible control; a stage's
     ``cost`` handle returns the noise part, shape (len(controls), n) or
     (len(controls), 1) for one value per control.  Each part is a real cost
     or +inf; a part of -inf or NaN makes :func:`solve_fast_dp` raise
     ValueError.  Both handles take the (n, ndim) state array, the whole
     control array and one noise atom w; dynamics(states, controls, w)
-    returns the next states, shape (len(controls), n, ndim of the next
-    grid).  The solver plans the interpolation of a next-state array,
-    checking its shape, and reuses the plan while dynamics returns that same
-    array object onto the same next grid; so a transition that ignores w
-    returns one read-only array at every atom and stage.
+    returns the next states, shape (len(controls), n, ndim).  The solver
+    plans the interpolation of a next-state array, checking its shape, and
+    reuses the plan while dynamics returns that same array object; so a
+    transition that ignores w returns one read-only array at every atom and
+    stage.
     """
 
-    state_grid: Grid
-    controls: np.ndarray
-    cost: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    dynamics: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    fixed: np.ndarray
-
-
-@dataclass(frozen=True)
-class FastStageModel:
-    """The fast steps of one day, the grid of its terminal values and the
-    noise laws of its steps as one (steps, atoms) table: row m is the law of
-    the noise w of step m, its atoms of probability 0 never evaluated."""
-
-    stages: tuple
     terminal_grid: Grid
+    controls: np.ndarray
+    fixed: np.ndarray
+    stages: tuple
     noise: LawTable
 
     def __post_init__(self):
+        _contract_shape(self.fixed, ((len(self.controls), self.terminal_grid.size),), "fixed has")
         if len(self.noise.probs) != len(self.stages):
             raise ValueError(f"{len(self.noise.probs)} noise laws for {len(self.stages)} stages")
 
@@ -106,7 +109,7 @@ class FastStageModel:
 @dataclass
 class FastDpSolution:
     """Backward-induction output: one value function per fast step plus the
-    terminal, index m in 0..M+1, and the share of the stages' control rows
+    terminal, index m in 0..M+1, and the share of the model's control rows
     the solver evaluated."""
 
     values: list[GridValueFn]
@@ -206,50 +209,38 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
 
     All controls infeasible at some (m, x, w) yields V_m(x) = +inf, not an
     error; a value of -inf or NaN is refused (ValueError).  Next states are
-    clamped to the following stage's grid box.  The control rows of a
-    ``fixed`` that are +inf at every state are dropped once per ``fixed``
-    object (:class:`_LiveControls`); ``live_controls`` is the share of the
-    stages' control rows kept.
+    clamped to the grid box.  The control rows of ``fixed`` that are +inf at
+    every state are dropped once per model (:class:`_LiveControls`);
+    ``live_controls`` is the share of the control rows kept.
     """
-    if terminal.grid != model.terminal_grid:
+    grid = model.terminal_grid
+    if terminal.grid != grid:
         raise ValueError("terminal function grid does not match the model terminal grid")
+    states, controls = grid.points(), model.controls
+    shape = model.fixed.shape
+    live = _LiveControls(model.fixed)
+    buf, gbuf = np.empty(live.fixed.shape), np.empty(live.fixed.shape)
     values: list[GridValueFn] = [terminal]
-    vnext = terminal
-    grid = states = None
-    planned = planned_grid = plan = None
-    fixed = live = buf = gbuf = None
-    kept = n_rows = 0
+    planned = plan = None
     for m in reversed(range(len(model.stages))):
         stage = model.stages[m]
-        if stage.state_grid is not grid:
-            grid, states = stage.state_grid, stage.state_grid.points()
-        shape = (len(stage.controls), len(states))
-        _contract_shape(stage.fixed, (shape,), "fixed has")
-        if stage.fixed is not fixed:
-            fixed, live, planned = stage.fixed, _LiveControls(stage.fixed), None
-        n_live = len(live.fixed)
-        kept, n_rows = kept + n_live, n_rows + shape[0]
-        if buf is None or buf.shape != (n_live, shape[1]):
-            buf, gbuf = np.empty((n_live, shape[1])), np.empty((n_live, shape[1]))
         kernel = None
         total = np.zeros(len(states))
         for w, p in model.noise.atoms(m):
-            nxt = stage.dynamics(states, stage.controls, w)
-            cost = stage.cost(states, stage.controls, w)
+            nxt = stage.dynamics(states, controls, w)
+            cost = stage.cost(states, controls, w)
             _contract_shape(cost, (shape, (shape[0], 1)), "cost returned")
-            if nxt is not planned or vnext.grid is not planned_grid:
-                _contract_shape(nxt, (shape + (vnext.grid.ndim,),), "dynamics returned")
-                planned, planned_grid = nxt, vnext.grid
-                plan = BlendPlan(vnext.grid, *vnext.grid.interp_plan(nxt[live.rows]))
+            if nxt is not planned:
+                _contract_shape(nxt, (shape + (grid.ndim,),), "dynamics returned")
+                planned, plan = nxt, BlendPlan(grid, *grid.interp_plan(nxt[live.rows]))
                 kernel = None
             if kernel is None:
-                kernel = _StageMin(live, plan.blend(vnext.values), buf, gbuf)
+                kernel = _StageMin(live, plan.blend(values[-1].values), buf, gbuf)
             # every atom has p > 0, so a +inf minimum makes the sum +inf
             total += p * kernel(cost)
-        vnext = GridValueFn(stage.state_grid, total)
-        values.append(vnext)
+        values.append(GridValueFn(grid, total))
     values.reverse()
-    return FastDpSolution(values, kept / n_rows if n_rows else 1.0)
+    return FastDpSolution(values, len(live.fixed) / len(controls))
 
 
 @dataclass(frozen=True)
@@ -368,18 +359,9 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
         extra = states[:, 1] * effect[1]
     fixed = np.where(bad, INF, extra)
     fixed.setflags(write=False)
-    stages = tuple(
-        FastStage(
-            state_grid=grid,
-            controls=controls,
-            cost=partial(_slot_bill, rate),
-            dynamics=lambda *_: nxt,
-            fixed=fixed,
-        )
-        for rate in cfg.rates
-    )
+    stages = tuple(FastStage(partial(_slot_bill, rate), lambda *_: nxt) for rate in cfg.rates)
     terminal = GridValueFn(grid, np.zeros(grid.shape))
-    return FastStageModel(stages=stages, terminal_grid=grid, noise=slot_laws), terminal
+    return FastStageModel(grid, controls, fixed, stages, slot_laws), terminal
 
 
 def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):

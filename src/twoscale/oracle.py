@@ -4,7 +4,7 @@ operation-count calculator for the decomposed pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -46,16 +46,10 @@ class TinyProblem:
         # the tabulated cost is all noise part
         fixed = np.zeros((len(self.controls), len(self.states)))
         stages = tuple(
-            FastStage(
-                grid,
-                self.controls,
-                _StepCost(self.cost, d, m),
-                _StepDyn(self.dynamics, d, m),
-                fixed,
-            )
+            FastStage(_StepCost(self.cost, d, m), _StepDyn(self.dynamics, d, m))
             for m in range(self.M + 1)
         )
-        return FastStageModel(stages=stages, terminal_grid=grid, noise=self.noise[d])
+        return FastStageModel(grid, self.controls, fixed, stages, self.noise[d])
 
 
 class _StepCost:
@@ -249,9 +243,6 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
         generic_resource_recursion,
     )
 
-    def relaxed(p):
-        return TinyProblem(**{**_fields(p), "inequality": True})
-
     # each check returns why an instance fails it, or "" if it passes
     def flat_vs_tree(p):
         flat, tree = flat_dp_solve(p), enumerate_tree(p, float(p.states[0]))
@@ -262,15 +253,15 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
         return f"max err {err}" if err > 1e-9 else ""
 
     def tight(p):
-        eq, iq = flat_dp_solve(p), flat_dp_solve(relaxed(p))
+        eq, iq = flat_dp_solve(p), flat_dp_solve(replace(p, inequality=True))
         return "monotone equality vs inequality differ" if np.max(np.abs(eq - iq)) > 1e-9 else ""
 
     def one_sided(p):
-        eq, iq = flat_dp_solve(p), flat_dp_solve(relaxed(p))
+        eq, iq = flat_dp_solve(p), flat_dp_solve(replace(p, inequality=True))
         return "relaxed value above exact" if np.max(iq - eq) > 1e-9 else ""
 
     def sandwich(p):
-        p_rel = relaxed(p)
+        p_rel = replace(p, inequality=True)
         exact = flat_dp_solve(p_rel)
         upper = generic_resource_recursion(p_rel).values[0]
         lower = generic_price_recursion(p_rel, np.array([-2.0, -1.0, -0.5, 0.0])).values[0]
@@ -294,7 +285,3 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
                 break
         results.append((name, not detail, detail))
     return results
-
-
-def _fields(p: TinyProblem) -> dict:
-    return {f.name: getattr(p, f.name) for f in fields(p)}

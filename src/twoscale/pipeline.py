@@ -308,7 +308,8 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
         for dec in DECOMPOSITIONS
     }
     if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
             done = list(pool.map(_cell_job, jobs.values(), chunksize=1))
     else:
         done = [_cell_job(j) for j in jobs.values()]

@@ -8,6 +8,7 @@ the complexity calculator, artifact determinism and the performance budget.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -20,8 +21,6 @@ from twoscale.battery import white_noise_resample
 from twoscale.config import RunConfig
 from twoscale.intraday import PRICE, RESOURCE, compute_intraday
 from twoscale.oracle import (
-    TinyProblem,
-    _fields,
     complexity_estimate,
     enumerate_tree,
     flat_dp_solve,
@@ -89,12 +88,12 @@ def test_criterion_03_dynamic_monotonicity():
     for seed in range(N_INSTANCES):
         p = random_tiny_problem(seed, monotone=True)
         eq = flat_dp_solve(p)
-        iq = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
+        iq = flat_dp_solve(dataclasses.replace(p, inequality=True))
         assert np.max(np.abs(eq - iq)) <= 1e-9, f"seed {seed}: relaxation not tight"
     for seed in range(N_INSTANCES):
         p = random_tiny_problem(seed)
         eq = flat_dp_solve(p)
-        iq = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
+        iq = flat_dp_solve(dataclasses.replace(p, inequality=True))
         assert np.max(iq - eq) <= 1e-9, f"seed {seed}: relaxed value above exact"
 
 
@@ -102,7 +101,7 @@ def test_criterion_04_price_resource_sandwich_on_tiny_instances():
     prices = np.array([-2.0, -1.0, -0.5, 0.0])
     for seed in range(N_INSTANCES):
         p = random_tiny_problem(seed, monotone=True)
-        p_rel = TinyProblem(**{**_fields(p), "inequality": True})
+        p_rel = dataclasses.replace(p, inequality=True)
         exact = flat_dp_solve(p_rel)
         upper = generic_resource_recursion(p_rel).values[0]
         lower = generic_price_recursion(p_rel, prices).values[0]

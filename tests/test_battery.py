@@ -225,22 +225,22 @@ def test_stage_cost_nonneg_nondecreasing_in_netload():
 
 
 def test_kmeans_two_cluster_example():
-    support, probs = kmeans_1d(np.array([0.0, 0.0, 10.0, 10.0]), 2)
+    (support, probs), _ = kmeans_1d(np.array([0.0, 0.0, 10.0, 10.0]), 2)
     assert support.tolist() == [0.0, 10.0]
     assert probs.tolist() == [0.5, 0.5]
 
 
 def test_kmeans_single_cluster_is_mean():
     data = np.array([1.0, 2.0, 6.0])
-    support, probs = kmeans_1d(data, 1)
+    (support, probs), _ = kmeans_1d(data, 1)
     assert support.tolist() == [pytest.approx(3.0)]
     assert probs.tolist() == [1.0]
 
 
 def test_kmeans_deterministic_and_validated():
     data = np.random.default_rng(11).standard_normal(200)
-    a = kmeans_1d(data, 5)
-    b = kmeans_1d(data, 5)
+    a = kmeans_1d(data, 5)[0]
+    b = kmeans_1d(data, 5)[0]
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     with pytest.raises(ValueError):
@@ -295,7 +295,7 @@ def dense_calls(monkeypatch):
 
 
 def assert_matches_dense_reference(data, k):
-    (support, probs), steps = battery._kmeans_1d(data, k)
+    (support, probs), steps = kmeans_1d(data, k)
     (ref_support, ref_probs), ref_steps = _dense_kmeans_reference(data, k)
     assert support.tobytes() == ref_support.tobytes()
     assert probs.tobytes() == ref_probs.tobytes()

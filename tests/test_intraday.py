@@ -34,15 +34,14 @@ def point(v):
     return [float(v)], [1.0]
 
 
-def make_stage(grid, controls, cost, dyn, fixed=None):
+def make_model(grid, controls, noise, handles, fixed=None):
+    """The fast DP on grid and controls whose step m has the (cost,
+    dynamics) pair handles[m]; the noise-free part is 0 unless given."""
     controls = np.asarray(controls, dtype=float)
-    return FastStage(
-        state_grid=grid,
-        controls=controls,
-        cost=cost,
-        dynamics=dyn,
-        fixed=np.zeros((len(controls), grid.size)) if fixed is None else fixed,
-    )
+    if fixed is None:
+        fixed = np.zeros((len(controls), grid.size))
+    stages = tuple(FastStage(cost, dyn) for cost, dyn in handles)
+    return FastStageModel(grid, controls, fixed, stages, noise)
 
 
 def stay(s, u, w):
@@ -55,8 +54,9 @@ def stay(s, u, w):
 
 def test_fast_dp_free_control_example():
     grid = Grid([[0.0]])
-    stage = make_stage(grid, [0.0, 1.0], lambda s, u, w: np.tile(u[:, None], len(s)), stay)
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
+    model = make_model(
+        grid, [0.0, 1.0], point_laws([0.0]), [(lambda s, u, w: np.tile(u[:, None], len(s)), stay)]
+    )
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(1)))
     assert sol.values[0].values[0] == 0.0
 
@@ -72,8 +72,7 @@ def test_fast_dp_two_step_quadratic_example():
     def dyn(s, u, w):
         return s[None] + u[:, None, None]
 
-    stages = tuple(make_stage(grid, controls, cost, dyn) for _ in range(2))
-    model = FastStageModel(stages=stages, terminal_grid=grid, noise=point_laws([0.0, 0.0]))
+    model = make_model(grid, controls, point_laws([0.0, 0.0]), [(cost, dyn)] * 2)
     terminal = GridValueFn(grid, -grid.axes[0])
     sol = solve_fast_dp(model, terminal)
     x0 = np.searchsorted(grid.axes[0], 0.0)
@@ -83,21 +82,21 @@ def test_fast_dp_two_step_quadratic_example():
 def test_fast_dp_expectation_passthrough():
     grid = Grid([[0.0]])
     noise = law_table([([-1.0, 1.0], [0.5, 0.5])])
-    stage = make_stage(grid, [0.0], lambda s, u, w: np.full((len(u), len(s)), float(w)), stay)
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=noise)
+    model = make_model(
+        grid, [0.0], noise, [(lambda s, u, w: np.full((len(u), len(s)), float(w)), stay)]
+    )
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(1)))
     assert sol.values[0].values[0] == pytest.approx(0.0)
 
 
 def test_fast_dp_all_infeasible_gives_infinity():
     grid = Grid([[0.0, 1.0]])
-    stage = make_stage(
+    model = make_model(
         grid,
         [0.0, 1.0],
-        lambda s, u, w: np.tile(np.where(s[:, 0] > 0.5, INF, 1.0), (len(u), 1)),
-        stay,
+        point_laws([0.0]),
+        [(lambda s, u, w: np.tile(np.where(s[:, 0] > 0.5, INF, 1.0), (len(u), 1)), stay)],
     )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     sol = solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
     assert sol.values[0].values[1] == INF
     assert sol.values[0].values[0] == 1.0
@@ -110,10 +109,10 @@ def test_fast_dp_refuses_a_neg_inf_cost(fixed_inf):
     grid = Grid([[0.0, 1.0]])
     fixed = np.zeros((2, 2))
     fixed[1] = INF if fixed_inf else 0.0
-    stage = make_stage(
-        grid, [0.0, 1.0], lambda s, u, w: np.array([[0.0, 1.0], [-INF, -INF]]), stay, fixed
+    cost = [[0.0, 1.0], [-INF, -INF]]
+    model = make_model(
+        grid, [0.0, 1.0], point_laws([0.0]), [(lambda s, u, w: np.array(cost), stay)], fixed
     )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     # (-inf) + (+inf) is NaN, with numpy's invalid-value warning
     warns = pytest.warns(RuntimeWarning, match="invalid value") if fixed_inf else nullcontext()
     with warns, pytest.raises(ValueError, match="NaN" if fixed_inf else "-inf"):
@@ -125,10 +124,10 @@ def test_fast_dp_refuses_a_nan_cost_in_a_dropped_row():
     # part is refused as the full sum refused it, with no warning (NaN + inf)
     grid = Grid([[0.0, 1.0]])
     fixed = np.array([[0.0, 0.0], [INF, INF]])
-    stage = make_stage(
-        grid, [0.0, 1.0], lambda s, u, w: np.array([[1.0], [np.nan]]), stay, fixed
+    model = make_model(
+        grid, [0.0, 1.0], point_laws([0.0]), [(lambda s, u, w: np.array([[1.0], [np.nan]]), stay)],
+        fixed,
     )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     with pytest.raises(ValueError, match="values hold a NaN"):
         solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
@@ -138,11 +137,8 @@ def test_fast_dp_where_every_control_row_is_infeasible():
     # all of them and every value reads +inf, as in the reference
     grid = Grid([np.arange(3.0)])
     fixed = np.full((3, 3), INF)
-    stages = tuple(
-        make_stage(grid, [-1.0, 0.0, 1.0], _TabCost(np.ones((3, 3, 3))), stay, fixed)
-        for _ in range(2)
-    )
-    model = FastStageModel(stages=stages, terminal_grid=grid, noise=point_laws([0.0, 1.0]))
+    handles = [(_TabCost(np.ones((3, 3, 3))), stay) for _ in range(2)]
+    model = make_model(grid, [-1.0, 0.0, 1.0], point_laws([0.0, 1.0]), handles, fixed)
     terminal = GridValueFn(grid, np.zeros(3))
     ref = _assert_matches_reference(model, terminal)
     assert all(np.isposinf(values).all() for values in ref[:-1])
@@ -152,17 +148,18 @@ def test_fast_dp_where_every_control_row_is_infeasible():
 def test_fast_dp_terminal_grid_mismatch():
     grid = Grid([[0.0, 1.0]])
     other = Grid([[0.0, 2.0]])
-    stage = make_stage(grid, [0.0], lambda s, u, w: np.zeros((len(u), len(s))), stay)
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
+    model = make_model(
+        grid, [0.0], point_laws([0.0]), [(lambda s, u, w: np.zeros((len(u), len(s))), stay)]
+    )
     with pytest.raises(ValueError):
         solve_fast_dp(model, GridValueFn(other, np.zeros(2)))
 
 
 def test_fast_dp_model_needs_one_noise_law_per_stage():
     grid = Grid([[0.0]])
-    stage = make_stage(grid, [0.0], lambda s, u, w: np.zeros((len(u), len(s))), stay)
+    handles = [(lambda s, u, w: np.zeros((len(u), len(s))), stay)]
     with pytest.raises(ValueError, match="2 noise laws for 1 stages"):
-        FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0, 1.0]))
+        make_model(grid, [0.0], point_laws([0.0, 1.0]), handles)
 
 
 @pytest.mark.parametrize(
@@ -175,8 +172,7 @@ def test_fast_dp_model_needs_one_noise_law_per_stage():
 )
 def test_fast_dp_rejects_a_handle_off_the_contract_shape(cost, dyn, handle):
     grid = Grid([[0.0, 1.0]])
-    stage = make_stage(grid, [0.0, 1.0], cost, dyn)
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
+    model = make_model(grid, [0.0, 1.0], point_laws([0.0]), [(cost, dyn)])
     with pytest.raises(ValueError, match=f"{handle} returned shape"):
         solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
 
@@ -188,12 +184,12 @@ def _tree_value(model, terminal_axis, terminal_vals, m, x):
         return float(terminal_vals[i])
     stage = model.stages[m]
     total = 0.0
-    axis = stage.state_grid.axes[0]
+    axis = model.terminal_grid.axes[0]
     for w, p in model.noise.atoms(m):
         best = INF
-        for u in stage.controls:
+        for u in model.controls:
             c = float(stage.cost(np.array([[x]]), np.array([u]), float(w))[0, 0])
-            c += float(stage.fixed[list(stage.controls).index(u), list(axis).index(x)])
+            c += float(model.fixed[list(model.controls).index(u), list(axis).index(x)])
             nxt = float(stage.dynamics(np.array([[x]]), np.array([u]), float(w))[0, 0, 0])
             nxt = float(np.clip(nxt, axis[0], axis[-1]))
             q = c + _tree_value(model, terminal_axis, terminal_vals, m + 1, nxt)
@@ -223,7 +219,7 @@ def _shift_instances(seed=123, n=10):
         grid = Grid([axis])
         n_steps = int(rng.integers(1, 4))
         controls = np.array(sorted(rng.choice([-1.0, 0.0, 1.0], 2, replace=False)))
-        stages, noises = [], []
+        handles, noises = [], []
         for _ in range(n_steps):
             n_atoms = int(rng.integers(1, 3))
             atoms = np.array(sorted(rng.choice([-1.0, 0.0, 1.0], n_atoms, replace=False)))
@@ -234,13 +230,9 @@ def _shift_instances(seed=123, n=10):
                 return np.clip(s[None] + u[:, None, None] + w, lo, hi)
 
             noises.append((atoms, probs))
-            stages.append(
-                make_stage(
-                    grid, controls, _TabCost(rng.uniform(0.0, 2.0, size=(n_states, 3, 3))), dyn
-                )
-            )
+            handles.append((_TabCost(rng.uniform(0.0, 2.0, size=(n_states, 3, 3))), dyn))
         terminal_vals = rng.uniform(0.0, 2.0, size=n_states)
-        model = FastStageModel(stages=tuple(stages), terminal_grid=grid, noise=law_table(noises))
+        model = make_model(grid, controls, law_table(noises), handles)
         out.append((model, GridValueFn(grid, terminal_vals)))
     return out
 
@@ -263,21 +255,22 @@ def _per_control_reference(model, terminal):
     minimum adds 0 to the finite total and makes the entry +inf."""
     values = [terminal]
     vnext = terminal
+    grid, controls = model.terminal_grid, model.controls
+    states = grid.points()
     for m in reversed(range(len(model.stages))):
         stage = model.stages[m]
-        states = stage.state_grid.points()
         total, pos = np.zeros(len(states)), np.zeros(len(states), dtype=bool)
         for w, p in model.noise.atoms(m):
-            cost = stage.cost(states, stage.controls, w)
-            nxt = stage.dynamics(states, stage.controls, w)
+            cost = stage.cost(states, controls, w)
+            nxt = stage.dynamics(states, controls, w)
             q_best = None
-            for k in range(len(stage.controls)):
-                q = (cost[k] + stage.fixed[k]) + vnext.eval_many(nxt[k])
+            for k in range(len(controls)):
+                q = (cost[k] + model.fixed[k]) + vnext.eval_many(nxt[k])
                 q_best = q if q_best is None else np.minimum(q_best, q)
             inf = np.isposinf(q_best)
             pos |= inf
             total += p * np.where(inf, 0.0, q_best)
-        vnext = GridValueFn(stage.state_grid, np.where(pos, INF, total))
+        vnext = GridValueFn(grid, np.where(pos, INF, total))
         values.append(vnext)
     return [v.values for v in reversed(values)]
 
@@ -346,7 +339,7 @@ def test_desk_cells_drop_the_controls_infeasible_at_every_state(budget_axis):
         model, terminal = _cell_model(
             cfg.battery_config(), laws, c, axis, cfg.n_soc, cfg.n_controls, budget_axis
         )
-        fixed = model.stages[0].fixed
+        fixed = model.fixed
         assert np.count_nonzero(~(fixed == INF).all(axis=1)) == n_live
         assert _LiveControls(fixed).one_add == budget_axis
         _assert_matches_reference(model, terminal)
@@ -369,7 +362,7 @@ def test_split_matches_reference_where_a_control_zeroes_the_net_demand():
         ([0.0, 7.0], [0.5, 0.5]),
     ])
     model, terminal = _battery_cell(laws)
-    controls = model.stages[0].controls
+    controls = model.controls
     assert (controls + 12.5 == 0.0).any() and (controls == 0.0).any()
     _assert_matches_reference(model, terminal)
 
@@ -378,7 +371,7 @@ def test_split_matches_reference_on_a_free_slot():
     # rate 0: every control row of slots 0 and 2 is bill-free
     laws = point_laws([10.0, -8.0, 6.0, 12.0])
     model, terminal = _battery_cell(laws, rates=(0.0, 0.2, 0.0, 0.3))
-    cost = model.stages[0].cost(None, model.stages[0].controls, 10.0)
+    cost = model.stages[0].cost(None, model.controls, 10.0)
     assert not cost.any()
     _assert_matches_reference(model, terminal)
 
@@ -389,7 +382,7 @@ def test_split_matches_reference_where_every_control_pays():
     model, terminal = _battery_cell(laws)
     for m, stage in enumerate(model.stages):
         for w, _ in model.noise.atoms(m):
-            assert stage.cost(None, stage.controls, w).all()
+            assert stage.cost(None, model.controls, w).all()
     _assert_matches_reference(model, terminal)
 
 
@@ -423,16 +416,13 @@ def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_inf):
 
     # the last step has atom 0 alone, so its bill-free rows decide alone
     noises = [([0.0, 0.5], [0.5, 0.5])] * 2 + [point(0.0)]
-    stages = tuple(
-        make_stage(grid, controls, _GappedCost(rng.uniform(0.1, 2.0, (5, 4))), dyn, fixed)
-        for _ in noises
-    )
-    model = FastStageModel(stages=stages, terminal_grid=grid, noise=law_table(noises))
+    handles = [(_GappedCost(rng.uniform(0.1, 2.0, (5, 4))), dyn) for _ in noises]
+    model = make_model(grid, controls, law_table(noises), handles, fixed)
     end = rng.uniform(0.0, 2.0, size=4)
     if terminal_inf:
         # meets the +inf of fixed in row 1, and no best control reads it
         end[2] = INF
-    cost = stages[0].cost(None, controls, 0.0)
+    cost = model.stages[0].cost(None, controls, 0.0)
     assert list(np.flatnonzero(~cost.any(axis=1))) == [1, 3]
     ref = _assert_matches_reference(model, GridValueFn(grid, end))
     assert all(np.isfinite(values).all() for values in ref[:-1])
@@ -440,12 +430,11 @@ def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_inf):
 
 def test_fixed_off_the_contract_shape_is_rejected():
     grid = Grid([[0.0, 1.0]])
-    stage = make_stage(
-        grid, [0.0, 1.0], lambda s, u, w: np.zeros((len(u), 1)), stay, np.zeros((2, 1))
-    )
-    model = FastStageModel(stages=(stage,), terminal_grid=grid, noise=point_laws([0.0]))
     with pytest.raises(ValueError, match="fixed has shape"):
-        solve_fast_dp(model, GridValueFn(grid, np.zeros(2)))
+        make_model(
+            grid, [0.0, 1.0], point_laws([0.0]), [(lambda s, u, w: np.zeros((len(u), 1)), stay)],
+            np.zeros((2, 1)),
+        )
 
 
 def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch):

@@ -3,13 +3,14 @@ operation-count calculator."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twoscale import oracle
 from twoscale.oracle import (
     TinyProblem,
-    _fields,
     complexity_estimate,
     enumerate_tree,
     flat_dp_solve,
@@ -94,7 +95,7 @@ def test_inequality_relaxation_one_sided():
     for seed in range(25):
         p = random_tiny_problem(seed)
         eq = flat_dp_solve(p)
-        iq = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
+        iq = flat_dp_solve(dataclasses.replace(p, inequality=True))
         assert np.all(iq <= eq + 1e-9), f"seed {seed}"
 
 
@@ -102,7 +103,7 @@ def test_monotone_instances_relaxation_tight():
     for seed in range(25):
         p = random_tiny_problem(seed, monotone=True)
         eq = flat_dp_solve(p)
-        iq = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
+        iq = flat_dp_solve(dataclasses.replace(p, inequality=True))
         assert np.max(np.abs(eq - iq)) < 1e-9, f"seed {seed}"
 
 
@@ -122,7 +123,7 @@ def test_monotone_generator_produces_nonincreasing_costs():
 def test_inequality_tree_matches_inequality_dp():
     for seed in range(10):
         p = random_tiny_problem(seed)
-        p_rel = TinyProblem(**{**_fields(p), "inequality": True})
+        p_rel = dataclasses.replace(p, inequality=True)
         flat = flat_dp_solve(p_rel)
         tree = enumerate_tree(p_rel, float(p_rel.states[0]))
         assert flat[0] == pytest.approx(tree, abs=1e-9), f"seed {seed}"

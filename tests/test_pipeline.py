@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from twoscale import pipeline
-from twoscale.battery import _kmeans_1d, synthetic_netload_scenarios
+from twoscale.battery import kmeans_1d, synthetic_netload_scenarios
 from twoscale.config import STAGE_KEYS, ConfigError, RunConfig
 from twoscale.core import INF
 from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, _cell_model, compute_intraday
@@ -169,6 +169,35 @@ def test_intraday_record_holds_cell_time_and_inf_share(tmp_path, threads):
     assert rec["live_controls"] == info["live_controls"] == {"P": 1.0, "R": 1.0}
 
 
+def test_intraday_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch):
+    # a fork pool starts every worker at its first submit, so threads 64 on
+    # 4 cells would fork 64 processes; the recorder runs the cells in process
+    built = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+    cfg = RunConfig(
+        D=5, n_slots=4, n_classes=1, c_max=200.0, h_points=13, n_soc=5, dh_points=5,
+        n_controls=5, scenarios=2, threads=64,
+    )
+    stage_fit(cfg, tmp_path)
+    info = stage_intraday(cfg, tmp_path)
+    assert info["cells"] == 4
+    assert built == [4]
+
+
 def test_intraday_record_holds_the_share_of_live_controls(tmp_path):
     # u_max 100: controls +-100 move the soc by 95 kWh or more, which leaves
     # the 80-kWh soc box of c = 100 from every soc and not the 160-kWh box
@@ -182,7 +211,7 @@ def test_intraday_record_holds_the_share_of_live_controls(tmp_path):
     assert rec["live_controls"] == info["live_controls"]
     for dec, axis in ((PRICE, cfg.pi_grid()), (RESOURCE, cfg.dh_grid())):
         kept = [
-            np.count_nonzero(~(model.stages[0].fixed == INF).all(axis=1))
+            np.count_nonzero(~(model.fixed == INF).all(axis=1))
             for model, _ in (
                 _cell_model(bat, laws[1], c, axis, cfg.n_soc, cfg.n_controls, dec.budget_axis)
                 for c in cfg.c_grid()[1:]
@@ -290,7 +319,7 @@ def test_fit_record_holds_law_time_and_lloyd_steps(bellman_run):
     )
     # one class: each slot's law pools every scenario-day
     assert fit["lloyd_iterations"] == sum(
-        _kmeans_1d(netload[:, :, m], CFG.fit_k)[1] for m in range(CFG.n_slots)
+        kmeans_1d(netload[:, :, m], CFG.fit_k)[1] for m in range(CFG.n_slots)
     )
 
 

@@ -98,7 +98,7 @@ def test_generic_resource_infeasible_everywhere():
 
 def test_generic_resource_upper_bounds_exact():
     p = move_problem(D=1)
-    exact = flat_dp_solve(TinyProblem(**{**_fields(p), "inequality": True}))
+    exact = flat_dp_solve(dataclasses.replace(p, inequality=True))
     upper = generic_resource_recursion(p).days[0].values
     assert np.all(upper >= exact - 1e-9)
 
@@ -557,12 +557,6 @@ def test_check_sandwich_grid_mismatch():
     longer = SlowValueSeq("resource-upper", lo.grid, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="different horizons"):
         check_sandwich(lo, longer, np.array([0.0]))
-
-
-def _fields(p: TinyProblem) -> dict:
-    from twoscale.oracle import _fields as f
-
-    return f(p)
 
 
 def _ref_gap(lv: float, uv: float) -> float:
