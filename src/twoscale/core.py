@@ -113,15 +113,19 @@ class BlendPlan:
     its weight-0 corners are dropped; each corner left keeps its flat offset
     from the base and its weight, the product of its per-axis factors in axis
     order.  Corners run in binary order, the lowest axis left in the lowest
-    bit.  ``base`` may have any shape and ``frac`` is ``(ndim,) + base.shape``.
+    bit.  ``base`` may have any shape and ``frac`` holds one fraction array
+    per axis, each of ``base``'s shape or broadcastable to it.  Each array
+    the plan holds, of ``base``'s shape, comes from ``empty(shape, dtype)``.
     """
 
     __slots__ = ("base", "corners", "_out", "_tmp")
 
-    def __init__(self, grid: Grid, base: np.ndarray, frac: np.ndarray):
+    def __init__(self, grid: Grid, base: np.ndarray, frac: np.ndarray, empty=np.empty):
         shape = grid.shape
         strides = [int(np.prod(shape[j + 1:])) for j in range(len(shape))]
-        base = np.array(base, dtype=np.intp)
+        held = empty(np.shape(base), np.intp)
+        held[...] = base
+        base = held
         kept = []
         for j, f in enumerate(frac):
             if ((f == 0.0) | (f == 1.0)).all():
@@ -130,17 +134,19 @@ class BlendPlan:
                 kept.append(j)
         self.corners = []
         for corner in range(1 << len(kept)):
-            w, offset = None, 0
+            # the product from 1.0 is bit for bit that from the first factor
+            w, offset = empty(base.shape, float), 0
+            w.fill(1.0)
             for bit, j in enumerate(kept):
                 if (corner >> bit) & 1:
                     f = frac[j]
                     offset += strides[j]
                 else:
                     f = 1.0 - frac[j]
-                w = np.array(f) if w is None else w * f
-            self.corners.append((offset, np.ones(base.shape) if w is None else w))
+                w *= f
+            self.corners.append((offset, w))
         self.base = base
-        self._out, self._tmp = np.empty(base.shape), np.empty(base.shape)
+        self._out, self._tmp = empty(base.shape, float), empty(base.shape, float)
 
     def blend(self, values: np.ndarray) -> np.ndarray:
         """Multilinear blend of a table of values (reals or +inf) on the

@@ -109,11 +109,13 @@ class FastStageModel:
 @dataclass
 class FastDpSolution:
     """Backward-induction output: one value function per fast step plus the
-    terminal, index m in 0..M+1, and the share of the model's control rows
-    the solver evaluated."""
+    terminal, index m in 0..M+1, the share of the model's control rows the
+    solver evaluated and the share of the (step, column of the grid's last
+    axis) values it computed rather than copied (:class:`_ColumnPlan`)."""
 
     values: list[GridValueFn]
     live_controls: float
+    columns: float
 
 
 def _contract_shape(arr: np.ndarray, shapes: tuple, what: str) -> None:
@@ -126,6 +128,109 @@ def _rows(mask: np.ndarray):
     """The rows where mask holds, as a slice when they are contiguous."""
     rows = np.flatnonzero(mask)
     return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
+
+
+def _equal_from(same: np.ndarray) -> int:
+    """The first index of the run of True that ends ``same``, or its length
+    when its last entry is False."""
+    return 0 if same.all() else len(same) - int(np.argmin(same[::-1]))
+
+
+def _axis_plan(ax: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Grid.interp_plan` of the points x (any shape) on the one axis
+    ax: the lower indices and the fractions, both of x's shape."""
+    base, frac = Grid([ax]).interp_plan(x[..., None])
+    return base, frac[0]
+
+
+class _ColumnPlan:
+    """The interpolation plan of one next-state array ``nxt`` (live
+    controls, states, ndim), built on the leading columns of the grid's
+    last axis, with the noise-free part ``fixed`` (live controls, states) on
+    the same columns.
+
+    On a 2-D grid whose next states are separable, the first coordinate the
+    same in every column and the second in every row, the plan is the
+    product of one plan per axis, and :meth:`needed` may stop short of the
+    last column.  That holds when, from column ``start`` on, each control
+    row's plan on the last axis reads a fixed number of columns back, at
+    most ``shift``, at a fixed fraction (a read of the top point at weight
+    1 counting as a read of that point), and ``fixed`` does not change along
+    a row.  Then, for a noise part of one value per control, a step's
+    values are equal from column max(``start``, J + ``shift``) on wherever
+    the next step's are equal from column J on, bit for bit: each of those
+    columns blends the same values at the same weights.  Any other array
+    is planned on every column.
+    """
+
+    def __init__(self, grid: Grid, nxt: np.ndarray, fixed: np.ndarray):
+        self.grid, self.width, self.start = grid, 0, None
+        self.cols = cols = grid.shape[-1]
+        if grid.ndim == 2:
+            shape = (len(nxt),) + grid.shape
+            first, second = (nxt[..., k].reshape(shape) for k in range(2))
+            if (first == first[..., :1]).all() and (second == second[:, :1]).all():
+                self.axis_plans = (
+                    _axis_plan(grid.axes[0], first[..., 0]), _axis_plan(grid.axes[1], second[:, 0])
+                )
+                self.fixed_rows = fixed.reshape(shape)
+                lo, frac = self.axis_plans[1]
+                # a read of the top point at weight 1 reads that point at weight 0
+                top = frac == 1.0
+                back = np.arange(cols) - (lo + top)
+                frac = np.where(top, 0.0, frac)
+                same = (back == back[:, -1:]).all(axis=0) & (frac == frac[:, -1:]).all(axis=0)
+                same &= (self.fixed_rows == self.fixed_rows[..., -1:]).all(axis=(0, 1))
+                start, self.shift = _equal_from(same), int(back[:, -1].max())
+                # a start at the last column saves no column
+                self.start = start if start < cols - 1 else None
+                self.buffers = []
+                return
+        self.plan, self.width, self.fixed = BlendPlan(grid, *grid.interp_plan(nxt)), cols, fixed
+
+    def needed(self, values: np.ndarray) -> int:
+        """The columns a step computes before the next step's ``values``, a
+        table on the grid."""
+        if self.start is None:
+            return self.cols
+        bits = values.reshape(-1, self.cols).view(np.int64)
+        equal_from = _equal_from((bits == bits[:, -1:]).all(axis=0))
+        return min(self.cols, max(self.start, equal_from + self.shift) + 1)
+
+    def cover(self, width: int) -> int:
+        """Plan at least the first ``width`` columns; returns the columns
+        planned.  The plan is rebuilt only for more columns than it covers,
+        and then with ``shift`` columns to spare, as much as one step can
+        add to the next step's width."""
+        if width > self.width:
+            width = min(self.cols, width + self.shift)
+            (row_lo, row_frac), (col_lo, col_frac) = self.axis_plans
+            shape, self.used = self.fixed_rows.shape[:2] + (width,), 0
+            base = np.add(
+                row_lo[..., None] * self.cols, col_lo[:, None, :width],
+                out=self._empty(shape, np.intp),
+            )
+            frac = (row_frac[..., None], col_frac[:, None, :width])
+            self.plan, self.width = BlendPlan(self.grid, base, frac, self._empty), width
+            fixed = self._empty(shape, float)
+            fixed[...] = self.fixed_rows[..., :width]
+            self.fixed = fixed.reshape(shape[0], -1)
+        return self.width
+
+    def _empty(self, shape, dtype) -> np.ndarray:
+        """An array on the leading entries of the next of the plan's buffers,
+        one of the whole grid's size per array: a plan rebuilt on more
+        columns takes the memory of the last one, as one plan of the whole
+        grid would, however often it grows."""
+        if self.used == len(self.buffers):
+            self.buffers.append(np.empty(self.fixed_rows.size))
+        self.used += 1
+        return self.buffers[self.used - 1][:int(np.prod(shape))].view(dtype).reshape(shape)
+
+    def blend(self, values: np.ndarray) -> np.ndarray:
+        """The blend of a table of values on the grid, (live controls, the
+        states of the columns covered)."""
+        return self.plan.blend(values).reshape(len(self.fixed), -1)
 
 
 class _LiveControls:
@@ -165,20 +270,23 @@ class _LiveControls:
 
 class _StageMin:
     """min over the live controls of (cost + fixed) + cont, for one stage's
-    live rows ``live`` (:class:`_LiveControls`) and continuation ``cont``,
-    both (live controls, states), at the noise part ``cost`` of each atom.
+    live rows ``live`` (:class:`_LiveControls`), their noise-free part
+    ``fixed`` and continuation ``cont``, both (live controls, states) on
+    some of the states, at the noise part ``cost`` of each atom.
 
     A control row whose noise part is exactly 0 equals G = fixed + cont bit
     for bit, because 0 + fixed == fixed; G's min over each distinct set of
     such rows is taken once per stage.  Only the other rows are summed and
     reduced, in the preallocated buffer ``buf``, with one add on G where
-    ``live.one_add``; G is summed in ``gbuf``.  A dropped row's noise part
-    of -inf or NaN raises ValueError, as its sum with the row's +inf would.
+    ``live.one_add``; G is summed in ``gbuf``.  Both buffers are at least
+    as large as ``cont``.  A dropped row's noise part of -inf or NaN raises
+    ValueError, as its sum with the row's +inf would.
     """
 
-    def __init__(self, live: _LiveControls, cont, buf, gbuf):
-        self.live, self.cont, self.buf = live, cont, buf
-        self.g = np.add(live.fixed, cont, out=gbuf)
+    def __init__(self, live: _LiveControls, fixed, cont, buf, gbuf):
+        self.live, self.fixed, self.cont = live, fixed, cont
+        self.buf = buf.reshape(-1)[:cont.size].reshape(cont.shape)
+        self.g = np.add(fixed, cont, out=gbuf.reshape(-1)[:cont.size].reshape(cont.shape))
         self.free_min = {}
 
     def __call__(self, cost: np.ndarray) -> np.ndarray:
@@ -197,7 +305,7 @@ class _StageMin:
             if live.one_add:
                 np.add(cost[paid], self.g[paid], out=buf)
             else:
-                np.add(cost[paid], live.fixed[paid], out=buf)
+                np.add(cost[paid], self.fixed[paid], out=buf)
                 buf += self.cont[paid]
             paid_min = buf.min(axis=0)
             q = paid_min if q is None else np.minimum(q, paid_min, out=paid_min)
@@ -211,36 +319,50 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
     error; a value of -inf or NaN is refused (ValueError).  Next states are
     clamped to the grid box.  The control rows of ``fixed`` that are +inf at
     every state are dropped once per model (:class:`_LiveControls`);
-    ``live_controls`` is the share of the control rows kept.
+    ``live_controls`` is the share of the control rows kept.  A step
+    computes the columns of the grid's last axis up to the first from which
+    its values are known to be equal (:class:`_ColumnPlan`), and copies the
+    last one computed into the others; ``columns`` is the share of the
+    (step, column) values computed.
     """
     grid = model.terminal_grid
     if terminal.grid != grid:
         raise ValueError("terminal function grid does not match the model terminal grid")
     states, controls = grid.points(), model.controls
-    shape = model.fixed.shape
+    shape, cols = model.fixed.shape, grid.shape[-1]
     live = _LiveControls(model.fixed)
     buf, gbuf = np.empty(live.fixed.shape), np.empty(live.fixed.shape)
     values: list[GridValueFn] = [terminal]
     planned = plan = None
+    rows, computed = grid.size // cols, 0
     for m in reversed(range(len(model.stages))):
         stage = model.stages[m]
-        kernel = None
-        total = np.zeros(len(states))
+        kernel, width, total = None, 0, np.zeros((rows, cols))
         for w, p in model.noise.atoms(m):
             nxt = stage.dynamics(states, controls, w)
             cost = stage.cost(states, controls, w)
             _contract_shape(cost, (shape, (shape[0], 1)), "cost returned")
             if nxt is not planned:
                 _contract_shape(nxt, (shape + (grid.ndim,),), "dynamics returned")
-                planned, plan = nxt, BlendPlan(grid, *grid.interp_plan(nxt[live.rows]))
+                # the old plan is freed before the new one is built
+                planned, plan = nxt, None
+                plan = _ColumnPlan(grid, nxt[live.rows], live.fixed)
                 kernel = None
-            if kernel is None:
-                kernel = _StageMin(live, plan.blend(values[-1].values), buf, gbuf)
+            # a noise part that depends on the state may differ in any column
+            if kernel is None or (cost.shape[1] > 1 and width < cols):
+                need = plan.needed(values[-1].values) if cost.shape[1] == 1 else cols
+                old, width = width, plan.cover(max(need, width))
+                # the columns gained held the last one's sum so far
+                total[:, old:width] = total[:, old - 1:old] if old else 0.0
+                kernel = _StageMin(live, plan.fixed, plan.blend(values[-1].values), buf, gbuf)
             # every atom has p > 0, so a +inf minimum makes the sum +inf
-            total += p * kernel(cost)
+            total[:, :width] += (p * kernel(cost)).reshape(rows, width)
+        computed += width
+        total[:, width:] = total[:, width - 1:width]
         values.append(GridValueFn(grid, total))
     values.reverse()
-    return FastDpSolution(values, len(live.fixed) / len(controls))
+    share = computed / (len(model.stages) * cols) if model.stages else 1.0
+    return FastDpSolution(values, len(live.fixed) / len(controls), share)
 
 
 @dataclass(frozen=True)
@@ -369,11 +491,12 @@ def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     battery; axis is the aging budget (resource cell) or the surcharge, a
     static state axis (price cell), so one sweep covers the whole axis.
     Returns the per-step values, shape (n_slots + 1, n_soc, n_axis), whose
-    entry [0, 0] is the day-start row (soc = 0) over axis, and the share of
-    the controls the solver kept (:attr:`FastDpSolution.live_controls`)."""
+    entry [0, 0] is the day-start row (soc = 0) over axis, the share of the
+    controls the solver kept and the share of the (step, axis point) values
+    it computed (:class:`FastDpSolution`)."""
     model, terminal = _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis)
     sol = solve_fast_dp(model, terminal)
-    return np.stack([v.values for v in sol.values]), sol.live_controls
+    return np.stack([v.values for v in sol.values]), sol.live_controls, sol.columns
 
 
 def compute_intraday(

@@ -280,10 +280,11 @@ def _load_fit(cfg: RunConfig, out: Path):
 
 
 def _cell_job(args):
-    """One intraday cell, the share of its controls kept and its wall time."""
+    """One intraday cell, the shares of its controls kept and of its values
+    computed, and its wall time."""
     t0 = time.perf_counter()
-    cell, live = _fast_cell(*args)
-    return cell, live, time.perf_counter() - t0
+    cell, live, columns = _fast_cell(*args)
+    return cell, live, columns, time.perf_counter() - t0
 
 
 def stage_intraday(cfg: RunConfig, out: Path) -> dict:
@@ -292,8 +293,10 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
     ``axis``, ``n_controls``, and per class ``table_<cls>`` and ``fast_<cls>``.
     The record holds per decomposition letter the summed wall time of its
     cells (``cell_s``), the share of +inf entries in its day tables
-    (``inf_share``) and the share of (cell, control) rows the fast DP kept
-    (``live_controls``)."""
+    (``inf_share``), the share of (cell, control) rows the fast DP kept
+    (``live_controls``) and the share of (cell, slot, axis point) values it
+    computed rather than copied from a saturated axis point
+    (``budget_columns``)."""
     t0 = time.perf_counter()
     inputs = _open_stage(out, cfg, "intraday")
     laws, _ = _load_fit(cfg, out)
@@ -313,16 +316,19 @@ def stage_intraday(cfg: RunConfig, out: Path) -> dict:
             done = list(pool.map(_cell_job, jobs.values(), chunksize=1))
     else:
         done = [_cell_job(j) for j in jobs.values()]
-    cells = dict(zip(jobs, (cell for cell, _, _ in done)))
+    cells = dict(zip(jobs, (cell for cell, *_ in done)))
     info = {
         "cells": len(jobs), "threads": cfg.threads, "cell_s": {}, "inf_share": {},
-        "live_controls": {},
+        "live_controls": {}, "budget_columns": {},
     }
     for dec in DECOMPOSITIONS:
-        mine = [(live, dt) for key, (_, live, dt) in zip(jobs, done) if key[0] == dec]
-        info["cell_s"][dec.letter] = round(sum(dt for _, dt in mine), 3)
-        # every cell has n_controls rows, so the mean share is the pooled one
-        info["live_controls"][dec.letter] = sum(live for live, _ in mine) / len(mine)
+        mine = [rest for key, (_, *rest) in zip(jobs, done) if key[0] == dec]
+        live, columns, dt = zip(*mine)
+        info["cell_s"][dec.letter] = round(sum(dt), 3)
+        # every cell has n_controls rows and n_slots x n_axis values, so the
+        # mean shares are the pooled ones
+        info["live_controls"][dec.letter] = sum(live) / len(mine)
+        info["budget_columns"][dec.letter] = sum(columns) / len(mine)
         arrays = {"c": c_grid, "axis": axes[dec], "n_controls": cfg.n_controls}
         for cls in classes:
             tab = compute_intraday(
@@ -407,7 +413,8 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
     the wall times of the scenario draw (``resample_s``) and of the replay
     (``replay_s``), and per mode the mean, stderr, scenario-days, clamps,
     renewals per scenario-year, the slots that fell back from an all-+inf
-    table row (inf_fallbacks), the share of battery-days that start with
+    table row (inf_fallbacks), the scenario-days whose renewal read +inf for
+    keeping the battery (inf_keeps), the share of battery-days that start with
     soc > 0 (soc_carry_share) and the mean's stderrs above the lower and
     the upper bound at the origin, read off ``bellman_P.npz`` (z_lower) and
     ``bellman_R.npz`` (z_upper); and the mean and stderr of the per-scenario
@@ -454,6 +461,7 @@ def stage_simulate(cfg: RunConfig, out: Path) -> dict:
             scenario_days=scen_days, clamps=sum(clamps),
             renewals_per_scenario_year=renewals / (scen_days / 365.0),
             inf_fallbacks=sum(rec.inf_fallbacks for rec in records),
+            inf_keeps=sum(rec.inf_keeps for rec in records),
             soc_carry_share=carried / max(int(np.count_nonzero(owned)), 1),
         )
         if stats.stderr > 0.0:
@@ -485,11 +493,14 @@ def stage_report(cfg: RunConfig, out: Path) -> dict:
     t_check = time.perf_counter()
     rep = check_sandwich(lower, upper, x0)
     check_s = round(time.perf_counter() - t_check, 3)
-    cols = (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0)
-    with _atomic(out / "gaps.csv") as tmp, open(tmp, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["day", "max_rel_gap", "gap_at_x0", "lower_at_x0", "upper_at_x0"])
-        wr.writerows([d, *(repr(float(col[d])) for col in cols)] for d in range(len(cols[0])))
+    rows = np.column_stack(
+        (rep.max_rel_gap, rep.gap_at_x0, rep.lower_at_x0, rep.upper_at_x0)
+    ).tolist()
+    # csv.writer's bytes: no field needs quoting, and each line ends in \r\n
+    lines = ["day,max_rel_gap,gap_at_x0,lower_at_x0,upper_at_x0"]
+    lines += [",".join([str(d), *map(repr, row)]) for d, row in enumerate(rows)]
+    with _atomic(out / "gaps.csv") as tmp:
+        tmp.write_text("\r\n".join(lines) + "\r\n", newline="")
     summary = {
         "lower_at_x0_day0": rep.lower_at_x0[0],
         "upper_at_x0_day0": rep.upper_at_x0[0],

@@ -36,6 +36,7 @@ class SimulationRecord:
     daily_bills: np.ndarray  # (D+1,): undiscounted energy bills per day
     clamp_count: int  # table lookups that clamped a drifted state
     inf_fallbacks: int  # slots where every feasible control read +inf
+    inf_keeps: int  # days whose renewal read +inf for keeping the battery
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,23 @@ class _Mode:
         best = self.best(h, c, day, cls)
         return np.maximum(h - best, 0.0) if self.dec.budget_axis else best
 
-    def renew(self, h_end: np.ndarray, c: np.ndarray, day: int, p_hat: np.ndarray) -> np.ndarray:
+    def renew(self, h_end: np.ndarray, c: np.ndarray, day: int, p_hat: np.ndarray):
         """Per scenario, the renewal size minimizing the continuation at the
-        battery price ``p_hat``; ties keep the smaller size.  Keeping a
-        battery is valued by a blend of tomorrow's values, a fresh one at its
-        grid point."""
+        battery price ``p_hat`` (ties keep the smaller size), and whether
+        keeping the battery read +inf.  Keeping a battery is valued by a
+        blend of tomorrow's values, a fresh one at its grid point."""
         vnext = self.values.values[day + 1]
         sizes, hi, ci = self.renewal
         kept = np.column_stack([np.maximum(h_end, 0.0), c])
         best_v = self.gamma * GridValueFn(self.values.grid, vnext).eval_many(kept)
+        keep_inf = best_v == INF
         best_r = np.zeros(len(c))
         for r, v_fresh in zip(sizes.tolist(), vnext[hi, ci].tolist()):
             v = p_hat * r + self.gamma * v_fresh
             better = v < best_v - 1e-12
             best_r = np.where(better, r, best_r)
             best_v = np.where(better, v, best_v)
-        return best_r
+        return best_r, keep_inf
 
 
 def _best_on_axis(
@@ -197,7 +199,7 @@ def simulate_policies(
     shape = (len(modes), scenarios.n_scenarios)
     soc, h, c = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     total = np.zeros(shape)
-    clamped, fallbacks = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+    clamped, fallbacks, inf_keeps = np.zeros((3,) + shape, dtype=int)
     traj, bills = np.zeros((D + 2,) + shape + (3,)), np.empty((D + 1,) + shape)
     renewals = [[[] for _ in range(shape[1])] for _ in modes]
     disc = 1.0
@@ -230,7 +232,10 @@ def simulate_policies(
         # the atom of the day's price law nearest the realized battery price
         support = price_laws.support[d]
         p_hat = support[np.argmin(np.abs(support[None, :] - price_real[:, None]), axis=1)]
-        r = np.stack([mode.renew(h[i], c[i], d, p_hat) for i, mode in enumerate(modes)])
+        r, keep_inf = map(np.stack, zip(*(
+            mode.renew(h[i], c[i], d, p_hat) for i, mode in enumerate(modes)
+        )))
+        inf_keeps += keep_inf
         total += disc * (bills[d] + price_real * r)
         disc *= cfg.gamma
         new = r > 0.0
@@ -245,7 +250,7 @@ def simulate_policies(
         records = [
             SimulationRecord(
                 s, traj[:, i, s], tuple(rs), float(total[i, s]), bills[:, i, s],
-                int(clamped[i, s]), int(fallbacks[i, s]),
+                int(clamped[i, s]), int(fallbacks[i, s]), int(inf_keeps[i, s]),
             )
             for s, rs in enumerate(renewals[i])
         ]

@@ -10,8 +10,11 @@ from twoscale.battery import (
     BatteryConfig, ScenarioSet, fresh_state, in_soc_box, soc_max, tariff_for_slots,
 )
 from twoscale.config import RunConfig
-from twoscale.core import INF, LawTable
-from twoscale.intraday import PRICE, RESOURCE, build_periodicity_classes, compute_intraday
+from twoscale.core import INF, BlendPlan, GridValueFn, LawTable
+from twoscale.intraday import (
+    PRICE, RESOURCE, _cell_model, _LiveControls, _StageMin, build_periodicity_classes,
+    compute_intraday,
+)
 
 N_SLOTS = 4
 N_SOC = 5
@@ -151,6 +154,44 @@ def _ref_price_objective(table, h, h_grid, ci, continuation):
     inner = (pi_next[None, :, :] + expect[:, None, :]).min(axis=2)
     out = table.table.values[ci][:, :, None] + inner[:, :, None] - pi_h
     return out.transpose(0, 2, 1)
+
+
+# The fast DP's stage loop as it was written before it stopped at a saturated
+# column, kept as the reference it must equal bit for bit: every step on every
+# column, one interpolation plan of the whole grid per next-state array.
+
+
+def _ref_solve_fast_dp(model, terminal):
+    """The per-step value tables of the fast DP, terminal last, each step
+    computed on every grid point."""
+    grid = model.terminal_grid
+    states, controls = grid.points(), model.controls
+    live = _LiveControls(model.fixed)
+    buf, gbuf = np.empty(live.fixed.shape), np.empty(live.fixed.shape)
+    values = [terminal]
+    planned = plan = None
+    for m in reversed(range(len(model.stages))):
+        stage = model.stages[m]
+        kernel = None
+        total = np.zeros(len(states))
+        for w, p in model.noise.atoms(m):
+            nxt = stage.dynamics(states, controls, w)
+            cost = stage.cost(states, controls, w)
+            if nxt is not planned:
+                planned, plan = nxt, BlendPlan(grid, *grid.interp_plan(nxt[live.rows]))
+                kernel = None
+            if kernel is None:
+                kernel = _StageMin(live, live.fixed, plan.blend(values[-1].values), buf, gbuf)
+            total += p * kernel(cost)
+        values.append(GridValueFn(grid, total))
+    return [v.values for v in reversed(values)]
+
+
+def ref_fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis):
+    """:func:`~twoscale.intraday._fast_cell`'s per-step values by the
+    reference stage loop."""
+    model, terminal = _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis)
+    return np.stack(_ref_solve_fast_dp(model, terminal))
 
 
 def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from twoscale.battery import white_noise_resample
+from twoscale.battery import (
+    fit_netload_distributions, synthetic_netload_scenarios, white_noise_resample,
+)
 from twoscale.config import RunConfig
-from twoscale.core import INF, Grid, GridValueFn, LawTable
+from twoscale.core import INF, BlendPlan, Grid, GridValueFn, LawTable
 from twoscale.intraday import (
     PRICE,
     RESOURCE,
@@ -26,7 +29,9 @@ from twoscale.intraday import (
 )
 from twoscale.oracle import random_tiny_problem
 
-from conftest import N_CONTROLS, N_SOC, law_table, point_laws, small_battery_config
+from conftest import (
+    CRITERION_10, N_CONTROLS, N_SOC, law_table, point_laws, ref_fast_cell, small_battery_config,
+)
 
 
 def point(v):
@@ -437,26 +442,101 @@ def test_fixed_off_the_contract_shape_is_rejected():
         )
 
 
-def test_plan_built_once_per_cell_and_once_per_noise_dependent_atom(monkeypatch):
-    plans = []
-    interp_plan = Grid.interp_plan
+def test_plans_built_per_axis_rebuilt_only_for_more_columns_and_once_per_noise_dependent_atom(
+    monkeypatch,
+):
+    plans, widths, bases = [], [], []
+    interp_plan, blend_plan = Grid.interp_plan, BlendPlan.__init__
 
     def counted(grid, x):
-        # the points planned: every axis of x but the last
-        plans.append(int(np.prod(np.shape(x)[:-1])))
+        # the grid's axes and the points planned: every axis of x but the last
+        plans.append((grid.ndim, int(np.prod(np.shape(x)[:-1]))))
         return interp_plan(grid, x)
 
+    def built(plan, grid, base, *rest):
+        # the columns of the budget axis the plan covers
+        widths.append(np.shape(base)[-1])
+        blend_plan(plan, grid, base, *rest)
+        bases.append(plan.base)
+
     monkeypatch.setattr(Grid, "interp_plan", counted)
+    monkeypatch.setattr(BlendPlan, "__init__", built)
     cfg = small_battery_config()
     laws = law_table([([-9.0, 11.0], [0.5, 0.5])] * 4)
-    _fast_cell(cfg, laws, 50.0, np.linspace(0.0, 100.0, 7), 5, 5, True)
-    assert plans == [5 * 5 * 7]
+    # |u| in {0, 12.5, 25} moves a budget by whole 12.5-kWh steps: one plan
+    # per axis of the 5 controls, on 5 soc and 9 budget points, and one
+    # more plan each time a step needs more columns than the last covered
+    _, _, columns = _fast_cell(cfg, laws, 50.0, np.linspace(0.0, 100.0, 9), 5, 5, True)
+    assert plans == [(1, 5 * 5), (1, 5 * 9)]
+    assert len(widths) > 1 and all(a < b for a, b in zip(widths, widths[1:]))
+    assert widths[-1] < 9 and columns < 1.0
+    # a plan rebuilt on more columns takes the memory of the last one
+    assert all(np.shares_memory(bases[0], b) for b in bases[1:])
+    # 12.5 and 25 kWh between budget points 16.7 kWh apart: no constant
+    # shift, so one plan on every column
+    plans.clear()
+    widths.clear()
+    _, _, columns = _fast_cell(cfg, laws, 50.0, np.linspace(0.0, 100.0, 7), 5, 5, True)
+    assert plans == [(1, 5 * 5), (1, 5 * 7)] and widths == [7] and columns == 1.0
     # a transition that depends on w returns a new array at every atom
     plans.clear()
     p = random_tiny_problem(7)
     model = p.day_model(0)
     solve_fast_dp(model, GridValueFn(model.terminal_grid, p.final_cost))
     assert len(plans) == sum(len(list(model.noise.atoms(m))) for m in range(len(model.stages)))
+
+
+def _fitted_laws(cfg: RunConfig):
+    """The fit stage's netload laws of the config's first class."""
+    netload = synthetic_netload_scenarios(
+        cfg.fit_scenarios, cfg.D + 1, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
+    )
+    return fit_netload_distributions(netload, cfg.classmap, cfg.fit_k)[0][1]
+
+
+def _assert_cells_match_reference(cfg: RunConfig, capacities, budget_axis=True, saturate=None):
+    """Each cell of the config equals the reference stage loop's byte for
+    byte; the share of values computed is below 1 where ``saturate`` holds
+    and 1 where it is False."""
+    laws, bat = _fitted_laws(cfg), cfg.battery_config()
+    axis = cfg.dh_grid() if budget_axis else cfg.pi_grid()
+    for c in capacities:
+        args = (bat, laws, c, axis, cfg.n_soc, cfg.n_controls, budget_axis)
+        got, _, columns = _fast_cell(*args)
+        assert got.tobytes() == ref_fast_cell(*args).tobytes(), c
+        if saturate is not None:
+            assert (columns < 1.0) == saturate, (c, columns)
+
+
+DESK = RunConfig(D=59, n_classes=1, pi_values=tuple(np.linspace(0.0, 0.2, 21)))
+
+
+@pytest.mark.parametrize("dh_points", [61, 151])
+def test_desk_resource_cells_stop_at_the_saturated_budget_bit_for_bit(dh_points):
+    cfg = dataclasses.replace(DESK, dh_points=dh_points)
+    _assert_cells_match_reference(cfg, (100.0, 200.0, 1500.0), saturate=True)
+
+
+def test_small_config_cells_match_the_reference_loop():
+    few_controls = RunConfig(
+        D=10, n_slots=12, n_classes=1, c_max=200.0, n_controls=5, price_forecast=(0.02, 0.02),
+    )
+    for cfg in (CRITERION_10, few_controls):
+        for budget_axis in (True, False):
+            _assert_cells_match_reference(cfg, cfg.c_grid()[1:], budget_axis)
+
+
+@pytest.mark.parametrize("overrides, budget_axis", [
+    # a surcharge axis: the noise-free part grows along the row
+    ({}, False),
+    # budget points 166.7 kWh apart: the fractions differ in the last bits
+    ({"dh_cap": 1000.0, "dh_points": 7}, True),
+    # a control step of 300/19 kWh: the same
+    ({"n_controls": 20}, True),
+], ids=["surcharge", "budget_step_1000_over_6", "20_controls"])
+def test_cells_off_the_budget_lattice_compute_every_column(overrides, budget_axis):
+    cfg = dataclasses.replace(DESK, **overrides)
+    _assert_cells_match_reference(cfg, (200.0,), budget_axis, saturate=False)
 
 
 # ---------------------------------------------------------------- periodicity
@@ -618,8 +698,8 @@ def test_padded_rows_give_the_results_of_the_unpadded_laws():
     cfg = small_battery_config()
     assert no_battery_bill(padded, cfg.rates) == no_battery_bill(tight, cfg.rates)
     for budget_axis, axis in ((True, np.linspace(0.0, 100.0, 5)), (False, np.array([0.0, 0.1]))):
-        want, _ = _fast_cell(cfg, tight, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
-        got, _ = _fast_cell(cfg, padded, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)
+        want = _fast_cell(cfg, tight, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)[0]
+        got = _fast_cell(cfg, padded, 50.0, axis, N_SOC, N_CONTROLS, budget_axis)[0]
         assert got.tobytes() == want.tobytes()
     classmap = build_periodicity_classes(199, 4)
     prices = point_laws([1.0] * 200)

@@ -19,7 +19,9 @@ from twoscale import pipeline
 from twoscale.battery import kmeans_1d, synthetic_netload_scenarios
 from twoscale.config import STAGE_KEYS, ConfigError, RunConfig
 from twoscale.core import INF
-from twoscale.intraday import FEAS_TOL, PRICE, RESOURCE, _cell_model, compute_intraday
+from twoscale.intraday import (
+    FEAS_TOL, PRICE, RESOURCE, _cell_model, _fast_cell, compute_intraday,
+)
 from twoscale.pipeline import (
     HashMismatch,
     MissingArtifact,
@@ -143,6 +145,12 @@ def test_simulate_record_counts_inf_fallbacks(simulate_run):
     assert [stages["simulate"][m]["inf_fallbacks"] for m in ("price", "resource")] == [0, 0]
 
 
+def test_simulate_record_counts_inf_keeps(simulate_run):
+    # no battery the criterion-10 run keeps reads +inf tomorrow
+    stages = json.loads((simulate_run / "manifest.json").read_text())["stages"]
+    assert [stages["simulate"][m]["inf_keeps"] for m in ("price", "resource")] == [0, 0]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_intraday_record_holds_cell_time_and_inf_share(tmp_path, threads):
     # controls -30, -10, 10, 30: every one of the 12 slots uses at least 10
@@ -219,6 +227,25 @@ def test_intraday_record_holds_the_share_of_live_controls(tmp_path):
         ]
         assert kept == [5, 7]
         assert rec["live_controls"][dec.letter] == pytest.approx(12 / 14, rel=1e-15)
+
+
+def test_intraday_record_holds_the_share_of_budget_columns_computed(tmp_path):
+    # controls move a budget by 0, 75 or 150 kWh on 100-kWh budget steps:
+    # the resource cells stop at a saturated budget, the surcharge cells
+    # compute every point
+    bat = CFG.battery_config()
+    stage_fit(CFG, tmp_path)
+    laws, _ = _load_fit(CFG, tmp_path)
+    info = stage_intraday(CFG, tmp_path)
+    rec = json.loads((tmp_path / "manifest.json").read_text())["stages"]["intraday"]
+    assert rec["budget_columns"] == info["budget_columns"]
+    for dec, axis in ((PRICE, CFG.pi_grid()), (RESOURCE, CFG.dh_grid())):
+        shares = [
+            _fast_cell(bat, laws[1], c, axis, CFG.n_soc, CFG.n_controls, dec.budget_axis)[2]
+            for c in CFG.c_grid()[1:]
+        ]
+        assert rec["budget_columns"][dec.letter] == sum(shares) / len(shares)
+    assert rec["budget_columns"]["P"] == 1.0 and rec["budget_columns"]["R"] < 1.0
 
 
 def test_fit_laws_in_one_file(bellman_run):

@@ -497,6 +497,19 @@ def test_days_holding_two_sizes_replay_as_each_scenario_alone(two_sizes):
         assert any({50.0, 100.0} <= held for held in sizes), "no day holds both sizes"
 
 
+def test_renewal_counts_an_infinite_kept_battery(cheap):
+    # tomorrow's value of a 50-kWh battery at h = 0 spoiled to +inf: keeping
+    # it reads +inf and a fresh one is bought; at h = 100 keeping reads a
+    # blend of finite values
+    values = cheap["lower"].values.copy()
+    values[1, 0, 1] = INF
+    seq = type(cheap["lower"])(cheap["lower"].kind, cheap["lower"].grid, values)
+    mode = policy._Mode(PRICE, {1: cheap["ptab"]}, seq, cheap["price_laws"], cheap["cfg"])
+    sizes, keep_inf = mode.renew(np.array([0.0, 100.0]), np.array([50.0, 50.0]), 0, np.full(2, 0.05))
+    assert keep_inf.tolist() == [True, False]
+    assert sizes[0] == 50.0
+
+
 def test_a_row_of_inf_falls_back_to_the_first_feasible_control():
     # every replay entry is +inf, so every feasible control reads +inf; from
     # an empty battery the discharging controls 0 and 1 are infeasible, and
@@ -552,6 +565,7 @@ def _assert_same_records(got, want, what):
         assert rec.daily_bills.tobytes() == other.daily_bills.tobytes(), (what, rec.scenario_id)
         assert rec.clamp_count == other.clamp_count, (what, rec.scenario_id)
         assert rec.inf_fallbacks == other.inf_fallbacks, (what, rec.scenario_id)
+        assert rec.inf_keeps == other.inf_keeps, (what, rec.scenario_id)
 
 
 def _owners_per_day(records, D):
@@ -651,7 +665,7 @@ def _replay_log(monkeypatch, scen, runs, rest):
 
     def renew(self, *args):
         r = real_renew(self, *args)
-        renewals.append(r)
+        renewals.append(r[0])
         return r
 
     with monkeypatch.context() as patch:
