@@ -12,10 +12,8 @@ from .intraday import (
     PRICE,
     RESOURCE,
     Decomposition,
-    FastStage,
     FastStageModel,
     IntradayTable,
-    PeriodicityClassMap,
     build_periodicity_classes,
     compute_intraday,
     solve_fast_dp,

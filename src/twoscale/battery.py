@@ -264,10 +264,10 @@ def fit_netload_distributions(
     """Per periodicity class, the (slots, atoms) table of the k-means laws of
     each slot of a (scenarios, days, slots) netload array, and the number of
     Lloyd steps they took in all."""
-    day_class = classmap.day_to_class[: netload.shape[1]]
+    day_class = classmap[: netload.shape[1]]
     rows: dict[int, list] = {}
     missing, steps = [], 0
-    for cls in sorted(classmap.representatives):
+    for cls in np.unique(classmap).tolist():
         days = np.flatnonzero(day_class == cls)
         rows[cls] = []
         for m in range(netload.shape[2]):
@@ -415,7 +415,7 @@ def white_noise_resample(
     which is taken for all of a class's (day, slot) draws of a scenario at
     once, and for every price draw at once."""
     n_slots = len(next(iter(laws.values())).probs)
-    day_class = classmap.day_to_class[:n_days]
+    day_class = classmap[:n_days]
     # per class with days in the horizon: its days and its rows' cumulative sums
     draws = []
     for cls, table in laws.items():

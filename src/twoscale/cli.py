@@ -79,7 +79,7 @@ for _name in STAGE_HELP:
 
 
 @main.command()
-@click.option("--instances", type=int, default=50)
+@click.option("--instances", type=click.IntRange(min=1), default=50)
 @click.option("--seed", type=int, default=0)
 def verify(instances, seed):
     """Cross-check the solvers against brute-force oracles."""

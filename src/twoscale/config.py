@@ -56,7 +56,7 @@ FIELD_TYPES = {
 @dataclass(frozen=True)
 class RunConfig:
     """Every key of a run, checked at construction; ``classmap`` (not a key)
-    maps days 0..D to the ``n_classes`` trimester periodicity classes."""
+    is the array of the periodicity class of each day 0..D (``n_classes``)."""
 
     D: int = 365
     n_slots: int = 48
@@ -109,6 +109,8 @@ class RunConfig:
             raise ConfigError("n_soc, n_controls and dh_points must be >= 2")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, not {self.seed}")
         pi = self.pi_grid()
         if pi.size == 0 or (pi < 0).any() or (np.diff(pi) <= 0).any():
             raise ConfigError("pi_values must be nonnegative and strictly increasing")

@@ -62,48 +62,37 @@ def decomposition(name: str) -> Decomposition:
 
 
 @dataclass(frozen=True)
-class FastStage:
-    """The handles of one fast step; its noise law is a row of
-    :attr:`FastStageModel.noise`, its grid, controls and noise-free cost
-    part those of the model."""
-
-    cost: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    dynamics: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-
-
-@dataclass(frozen=True)
 class FastStageModel:
     """The fast steps of one day on one state grid, ``terminal_grid``, which
     also holds the terminal values, with one control array and one noise-free
-    cost part; the noise laws of its steps are one (steps, atoms) table: row
-    m is the law of the noise w of step m, its atoms of probability 0 never
-    evaluated.
+    cost part; the noise laws of its steps are one (steps, atoms) table, one
+    step per row: row m is the law of the noise w of step m, its atoms of
+    probability 0 never evaluated.
 
-    The cost of a step is ``cost(states, controls, w) + fixed``: ``fixed``,
-    shape (len(controls), n) over the n grid states, is the part that
-    depends on no noise atom, +inf marking an infeasible control; a stage's
+    The cost of step m is ``cost(m, states, controls, w) + fixed``:
+    ``fixed``, shape (len(controls), n) over the n grid states, is the part
+    that depends on no noise atom, +inf marking an infeasible control; the
     ``cost`` handle returns the noise part, shape (len(controls), n) or
     (len(controls), 1) for one value per control.  Each part is a real cost
     or +inf; a part of -inf or NaN makes :func:`solve_fast_dp` raise
-    ValueError.  Both handles take the (n, ndim) state array, the whole
-    control array and one noise atom w; dynamics(states, controls, w)
-    returns the next states, shape (len(controls), n, ndim).  The solver
-    plans the interpolation of a next-state array, checking its shape, and
-    reuses the plan while dynamics returns that same array object; so a
-    transition that ignores w returns one read-only array at every atom and
-    stage.
+    ValueError.  Both handles take the step index m, the (n, ndim) state
+    array, the whole control array and one noise atom w;
+    dynamics(m, states, controls, w) returns the next states, shape
+    (len(controls), n, ndim).  The solver plans the interpolation of a
+    next-state array, checking its shape, and reuses the plan while dynamics
+    returns that same array object; so a transition that ignores w returns
+    one read-only array at every atom and step.
     """
 
     terminal_grid: Grid
     controls: np.ndarray
     fixed: np.ndarray
-    stages: tuple
+    cost: Callable[[int, np.ndarray, np.ndarray, float], np.ndarray]
+    dynamics: Callable[[int, np.ndarray, np.ndarray, float], np.ndarray]
     noise: LawTable
 
     def __post_init__(self):
         _contract_shape(self.fixed, ((len(self.controls), self.terminal_grid.size),), "fixed has")
-        if len(self.noise.probs) != len(self.stages):
-            raise ValueError(f"{len(self.noise.probs)} noise laws for {len(self.stages)} stages")
 
 
 @dataclass
@@ -334,13 +323,12 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
     buf, gbuf = np.empty(live.fixed.shape), np.empty(live.fixed.shape)
     values: list[GridValueFn] = [terminal]
     planned = plan = None
-    rows, computed = grid.size // cols, 0
-    for m in reversed(range(len(model.stages))):
-        stage = model.stages[m]
+    rows, computed, steps = grid.size // cols, 0, len(model.noise.probs)
+    for m in reversed(range(steps)):
         kernel, width, total = None, 0, np.zeros((rows, cols))
         for w, p in model.noise.atoms(m):
-            nxt = stage.dynamics(states, controls, w)
-            cost = stage.cost(states, controls, w)
+            nxt = model.dynamics(m, states, controls, w)
+            cost = model.cost(m, states, controls, w)
             _contract_shape(cost, (shape, (shape[0], 1)), "cost returned")
             if nxt is not planned:
                 _contract_shape(nxt, (shape + (grid.ndim,),), "dynamics returned")
@@ -361,32 +349,17 @@ def solve_fast_dp(model: FastStageModel, terminal: GridValueFn) -> FastDpSolutio
         total[:, width:] = total[:, width - 1:width]
         values.append(GridValueFn(grid, total))
     values.reverse()
-    share = computed / (len(model.stages) * cols) if model.stages else 1.0
+    share = computed / (steps * cols) if steps else 1.0
     return FastDpSolution(values, len(live.fixed) / len(controls), share)
-
-
-@dataclass(frozen=True)
-class PeriodicityClassMap:
-    """day -> class id, plus one representative day per class."""
-
-    day_to_class: np.ndarray
-    representatives: dict[int, int]
-
-    def __post_init__(self):
-        d2c = np.asarray(self.day_to_class, dtype=np.intp)
-        d2c.setflags(write=False)
-        object.__setattr__(self, "day_to_class", d2c)
-        for cls, rep in self.representatives.items():
-            if d2c[rep] != cls:
-                raise ValueError(f"representative {rep} is not in class {cls}")
 
 
 TRIMESTER_EDGES = (0, 90, 181, 273, 365)
 
 
-def build_periodicity_classes(D: int, I: int) -> PeriodicityClassMap:
-    """Map days 0..D to periodicity classes: one class, or four day-of-year
-    ranges (trimesters) repeated cyclically over years."""
+def build_periodicity_classes(D: int, I: int) -> np.ndarray:
+    """The periodicity class of each day 0..D, a read-only intp array: one
+    class, or four day-of-year ranges (trimesters) repeated cyclically over
+    years.  The classes of a run are its ``np.unique``."""
     if I < 1:
         raise ValueError("need at least one class")
     if I == 1:
@@ -396,10 +369,8 @@ def build_periodicity_classes(D: int, I: int) -> PeriodicityClassMap:
             raise ValueError("trimester scheme defines exactly 4 classes")
         doy = np.arange(D + 1) % 365
         day_to_class = np.searchsorted(np.array(TRIMESTER_EDGES[1:-1]), doy, side="right") + 1
-    reps = {}
-    for cls in np.unique(day_to_class):
-        reps[int(cls)] = int(np.flatnonzero(day_to_class == cls)[0])
-    return PeriodicityClassMap(day_to_class, reps)
+    day_to_class.setflags(write=False)
+    return day_to_class
 
 
 @dataclass(frozen=True)
@@ -439,11 +410,11 @@ def no_battery_bill(slot_laws: LawTable, rates: Sequence[float]) -> float:
     return total
 
 
-def _slot_bill(rate, states, controls, w):
-    """The noise part of a battery cell's slot cost: the bill
-    (:func:`~twoscale.battery.stage_cost`), one per control, shape
-    (controls, 1)."""
-    return battery.stage_cost(controls[:, None], w, rate)
+def _slot_bill(rates, m, states, controls, w):
+    """The noise part of a battery cell's cost in slot m: the bill
+    (:func:`~twoscale.battery.stage_cost`) at ``rates[m]``, one per control,
+    shape (controls, 1)."""
+    return battery.stage_cost(controls[:, None], w, rates[m])
 
 
 def soc_grid_for(c: float, cfg: BatteryConfig, n_soc: int) -> np.ndarray:
@@ -463,8 +434,11 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
     next states and the noise-free cost part (+inf where a control drives
     the soc out of its box or the budget below 0, else the surcharge
     pi * |u| on a surcharge axis and 0 on a budget axis) depend on neither
-    the slot nor the noise, so they are computed once per cell.
+    the slot nor the noise, so they are computed once per cell.  A tariff
+    ``cfg.rates`` of another length than ``slot_laws`` raises ValueError.
     """
+    if len(cfg.rates) != len(slot_laws.probs):
+        raise ValueError(f"{len(cfg.rates)} rates for {len(slot_laws.probs)} slot laws")
     grid = Grid([soc_grid_for(c, cfg, n_soc), axis])
     controls = control_grid(cfg, n_controls)
     states = grid.points()
@@ -481,9 +455,8 @@ def _cell_model(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):
         extra = states[:, 1] * effect[1]
     fixed = np.where(bad, INF, extra)
     fixed.setflags(write=False)
-    stages = tuple(FastStage(partial(_slot_bill, rate), lambda *_: nxt) for rate in cfg.rates)
-    terminal = GridValueFn(grid, np.zeros(grid.shape))
-    return FastStageModel(grid, controls, fixed, stages, slot_laws), terminal
+    terminal, bill = GridValueFn(grid, np.zeros(grid.shape)), partial(_slot_bill, cfg.rates)
+    return FastStageModel(grid, controls, fixed, bill, lambda *_: nxt, slot_laws), terminal
 
 
 def _fast_cell(cfg, slot_laws, c, axis, n_soc, n_controls, budget_axis: bool):

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .core import INF, Grid, LawTable
-from .intraday import FastStage, FastStageModel
+from .intraday import FastStageModel
 
 
 @dataclass(frozen=True)
@@ -45,22 +45,19 @@ class TinyProblem:
         grid = Grid([self.states])
         # the tabulated cost is all noise part
         fixed = np.zeros((len(self.controls), len(self.states)))
-        stages = tuple(
-            FastStage(_StepCost(self.cost, d, m), _StepDyn(self.dynamics, d, m))
-            for m in range(self.M + 1)
-        )
-        return FastStageModel(grid, self.controls, fixed, stages, self.noise[d])
+        cost, dynamics = _StepCost(self.cost, d), _StepDyn(self.dynamics, d)
+        return FastStageModel(grid, self.controls, fixed, cost, dynamics, self.noise[d])
 
 
 class _StepCost:
-    """One step's cost (or, as :class:`_StepDyn`, next state) over
+    """Day d's cost (or, as :class:`_StepDyn`, next state) of step m over
     (controls, states)."""
 
-    def __init__(self, f, d, m):
-        self.f, self.d, self.m = f, d, m
+    def __init__(self, f, d):
+        self.f, self.d = f, d
 
-    def __call__(self, states, controls, w):
-        f, d, m = self.f, self.d, self.m
+    def __call__(self, m, states, controls, w):
+        f, d = self.f, self.d
         return np.array(
             [[f(d, m, float(x), float(u), float(w)) for x in states[:, 0]] for u in controls]
         )
@@ -69,8 +66,8 @@ class _StepCost:
 class _StepDyn(_StepCost):
     """One step's next states over (controls, states, 1)."""
 
-    def __call__(self, states, controls, w):
-        return super().__call__(states, controls, w)[..., None]
+    def __call__(self, m, states, controls, w):
+        return super().__call__(m, states, controls, w)[..., None]
 
 
 def flat_dp_solve(p: TinyProblem) -> np.ndarray:
@@ -236,7 +233,10 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
     """Cross-checks behind the `verify` CLI stage; returns (name, ok, detail).
 
     Each check runs on the seeded instances seed, seed + 1, ... in turn and
-    stops at the first one it fails, which its detail names."""
+    stops at the first one it fails, which its detail names: n_instances >= 1
+    of them (else ValueError), the sandwich check half as many, rounded up."""
+    if n_instances < 1:
+        raise ValueError(f"need at least one instance, not {n_instances}")
     from .slowscale import (
         block_bellman_solve,
         generic_price_recursion,
@@ -273,7 +273,7 @@ def run_verification(n_instances: int = 50, seed: int = 0) -> list[tuple[str, bo
         ("time-block decomposition equals flat DP", n_instances, False, block_vs_flat),
         ("monotone instances: relaxation is tight", n_instances, True, tight),
         ("relaxed value never exceeds exact value", n_instances, False, one_sided),
-        ("price/resource bounds sandwich the exact value", n_instances // 2, True, sandwich),
+        ("price/resource bounds sandwich the exact value", (n_instances + 1) // 2, True, sandwich),
     )
     results = []
     for name, count, monotone, failure in checks:

@@ -263,7 +263,7 @@ def _load_fit(cfg: RunConfig, out: Path):
     :class:`~twoscale.core.LawTable`, and the daily battery price laws as one
     (D+1, atoms) table.  A table that does not hold valid laws raises
     HashMismatch."""
-    classes = sorted(cfg.classmap.representatives)
+    classes = np.unique(cfg.classmap).tolist()
     want = {"price_support": (cfg.D + 1, None), "price_probs": (cfg.D + 1, None)}
     for cls in classes:
         want[f"netload_support_{cls}"] = want[f"netload_probs_{cls}"] = (cfg.n_slots, None)
@@ -347,7 +347,7 @@ def _load_tables(cfg: RunConfig, out: Path, dec, with_fast: bool = False) -> dic
     """One decomposition's intraday tables by class, with the control count
     they were built on; the replay tables only ``with_fast``."""
     c_grid, axis = cfg.c_grid(), cfg.dh_grid() if dec.budget_axis else cfg.pi_grid()
-    classes = sorted(cfg.classmap.representatives)
+    classes = np.unique(cfg.classmap).tolist()
     want = {"c": c_grid, "axis": axis, "n_controls": cfg.n_controls}
     for cls in classes:
         want[f"table_{cls}"] = (len(c_grid), len(axis))
@@ -389,7 +389,7 @@ def stage_bellman(cfg: RunConfig, out: Path) -> dict:
                 cls: len(DayObjective(tab, h_grid, h_grid, FEAS_TOL).ai)
                 for cls, tab in tables.items()
             }
-            per_day = sum(map(triples.get, cfg.classmap.day_to_class.tolist())) / (cfg.D + 1)
+            per_day = sum(map(triples.get, cfg.classmap.tolist())) / (cfg.D + 1)
             grid = len(c_grid) * len(h_grid) * len(cfg.dh_grid())
             info["resource_pairs"] = {"per_day": round(per_day, 1), "share": round(per_day / grid, 4)}
         _save_npz(out / f"bellman_{dec.letter}.npz", h=h_grid, c=c_grid, values=seq.values)

@@ -19,9 +19,7 @@ import numpy as np
 from .core import INF, GridValueFn, LawTable
 from . import battery
 from .battery import BatteryConfig, ScenarioSet
-from .intraday import (
-    Decomposition, IntradayTable, PeriodicityClassMap, control_grid, decomposition,
-)
+from .intraday import Decomposition, IntradayTable, control_grid, decomposition
 from .slowscale import DayObjective, SlowValueSeq, day_continuation, renewal_states
 
 ADMISS_TOL = 1e-6
@@ -154,7 +152,7 @@ def simulate_policies(
     scenarios: ScenarioSet,
     runs: dict,
     price_laws: LawTable,
-    classmap: PeriodicityClassMap,
+    classmap: np.ndarray,
     cfg: BatteryConfig,
 ) -> dict:
     """Replay the policy of each mode in ``runs`` on every scenario.
@@ -204,7 +202,7 @@ def simulate_policies(
     renewals = [[[] for _ in range(shape[1])] for _ in modes]
     disc = 1.0
     for d in range(D + 1):
-        cls = int(classmap.day_to_class[d])
+        cls = int(classmap[d])
         netload = scenarios.netload[:, d]
         own = c > 0.0
         if not own.all():
@@ -264,7 +262,7 @@ def simulate_policy(
     tables: dict,
     values: SlowValueSeq,
     price_laws: LawTable,
-    classmap: PeriodicityClassMap,
+    classmap: np.ndarray,
     cfg: BatteryConfig,
 ) -> tuple[list[SimulationRecord], SimulationStats]:
     """Replay one mode's policy, "price" or "resource", on every scenario:

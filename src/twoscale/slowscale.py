@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import INF, BlendPlan, Grid, GridValueFn, LawTable, fenchel_conjugate, value_fault
 from .battery import BatteryConfig, fresh_state
-from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable, PeriodicityClassMap
+from .intraday import FEAS_TOL, PRICE, RESOURCE, Decomposition, IntradayTable
 from .intraday import solve_fast_dp
 
 # values per bound in one block of days of check_sandwich: 256 KB per
@@ -290,7 +290,7 @@ class DayObjective:
 def _bellman_recursion(
     dec: Decomposition,
     tables: dict[int, IntradayTable],
-    classmap: PeriodicityClassMap,
+    classmap: np.ndarray,
     price_laws: LawTable,
     cfg: BatteryConfig,
     h_grid: np.ndarray,
@@ -314,7 +314,7 @@ def _bellman_recursion(
     c_grid = np.asarray(c_grid, dtype=float)
     renewal = renewal_states(h_grid, c_grid, cfg)
     objectives = {cls: DayObjective(tab, h_grid, h_grid, FEAS_TOL) for cls, tab in tables.items()}
-    day_class = classmap.day_to_class.tolist()
+    day_class = classmap.tolist()
     # every day's atom prices times every renewal size, in one broadcast
     by_size = price_laws.support[:, :, None] * renewal[0]
     probs = price_laws.probs.tolist()

@@ -170,13 +170,12 @@ def _ref_solve_fast_dp(model, terminal):
     buf, gbuf = np.empty(live.fixed.shape), np.empty(live.fixed.shape)
     values = [terminal]
     planned = plan = None
-    for m in reversed(range(len(model.stages))):
-        stage = model.stages[m]
+    for m in reversed(range(len(model.noise.probs))):
         kernel = None
         total = np.zeros(len(states))
         for w, p in model.noise.atoms(m):
-            nxt = stage.dynamics(states, controls, w)
-            cost = stage.cost(states, controls, w)
+            nxt = model.dynamics(m, states, controls, w)
+            cost = model.cost(m, states, controls, w)
             if nxt is not planned:
                 planned, plan = nxt, BlendPlan(grid, *grid.interp_plan(nxt[live.rows]))
                 kernel = None
@@ -201,7 +200,7 @@ def _white_noise_resample_reference(laws, price_laws, classmap, n, seed, n_days)
     ``laws`` holds per class a list of per-slot (support, probs) pairs and
     ``price_laws`` a list of per-day ones."""
     n_slots = len(next(iter(laws.values())))
-    day_class = classmap.day_to_class[:n_days]
+    day_class = classmap[:n_days]
     netload = np.empty((n, n_days, n_slots))
     price = np.empty((n, n_days))
     price_cums = [np.cumsum(probs) for _, probs in price_laws]

@@ -138,7 +138,7 @@ def reference_days(scenarios, runs, price_laws, classmap, cfg) -> list:
     soc, h, c = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     log = []
     for d in range(D + 1):
-        cls = int(classmap.day_to_class[d])
+        cls = int(classmap[d])
         netload = scenarios.netload[:, d]
         own = c > 0.0
         day = [{"decision": None, "replay": None} for _ in modes]

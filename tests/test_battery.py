@@ -329,7 +329,7 @@ def test_kmeans_on_desk_columns_equals_the_dense_loop(dense_calls):
     netload = synthetic_netload_scenarios(
         cfg.fit_scenarios, cfg.D + 1, cfg.n_slots, cfg.seed, base_kw=cfg.netload_base_kw
     )
-    days = np.flatnonzero(cfg.classmap.day_to_class[: cfg.D + 1] == 1)
+    days = np.flatnonzero(cfg.classmap[: cfg.D + 1] == 1)
     assert len(days) == cfg.D + 1
     for m in range(cfg.n_slots):
         assert_matches_dense_reference(netload[:, days, m].ravel(), cfg.fit_k)
@@ -530,7 +530,7 @@ def test_white_noise_resample_equals_the_per_scenario_day_loop(n_classes):
 
     laws = {
         cls: [random_law(1 + m % 3, -0.5) for m in range(6)]
-        for cls in sorted(classmap.representatives)
+        for cls in np.unique(classmap).tolist()
     }
     price_laws = [random_law(1 + d % 5, d) for d in range(n_days)]
     tables = {cls: law_table(slot_laws) for cls, slot_laws in laws.items()}

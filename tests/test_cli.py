@@ -280,6 +280,17 @@ def test_netload_csv_shorter_than_the_horizon_exit_code(runner, tmp_path):
     assert not out.exists()
 
 
+def test_negative_seed_with_a_netload_csv_rejected_at_load(runner, tmp_path):
+    # the CSV leaves the seed to simulate's resample alone, which would crash
+    csv_path = tmp_path / "netload.csv"
+    cfg = write_config(tmp_path, {**TINY, "seed": -1, "netload_csv": _netload_csv(csv_path)})
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["fit", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "seed must be >= 0, not -1" in res.output
+    assert not out.exists()
+
+
 def test_too_few_observations_per_class_and_slot_exit_code(runner, tmp_path):
     # 2 scenarios of 2 days give each (class, slot) 4 observations for 5 atoms
     cfg = write_config(tmp_path, {**TINY, "D": 1, "fit_scenarios": 2, "fit_k": 5})
@@ -530,6 +541,13 @@ def test_verify_command(runner):
     lines = [l for l in res.output.splitlines() if l.startswith("[")]
     assert len(lines) == 5
     assert all(l.startswith("[PASS]") for l in lines)
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_instance(runner, n):
+    res = runner.invoke(main, ["verify", "--instances", n])
+    assert res.exit_code == 2, res.output
+    assert "[PASS]" not in res.output
 
 
 def test_complexity_command(runner):

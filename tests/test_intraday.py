@@ -16,9 +16,7 @@ from twoscale.core import INF, BlendPlan, Grid, GridValueFn, LawTable
 from twoscale.intraday import (
     PRICE,
     RESOURCE,
-    FastStage,
     FastStageModel,
-    PeriodicityClassMap,
     _LiveControls,
     _cell_model,
     _fast_cell,
@@ -40,13 +38,16 @@ def point(v):
 
 
 def make_model(grid, controls, noise, handles, fixed=None):
-    """The fast DP on grid and controls whose step m has the (cost,
+    """The fast DP on grid and controls whose step m calls the (cost,
     dynamics) pair handles[m]; the noise-free part is 0 unless given."""
     controls = np.asarray(controls, dtype=float)
     if fixed is None:
         fixed = np.zeros((len(controls), grid.size))
-    stages = tuple(FastStage(cost, dyn) for cost, dyn in handles)
-    return FastStageModel(grid, controls, fixed, stages, noise)
+    return FastStageModel(
+        grid, controls, fixed,
+        lambda m, s, u, w: handles[m][0](s, u, w), lambda m, s, u, w: handles[m][1](s, u, w),
+        noise,
+    )
 
 
 def stay(s, u, w):
@@ -160,13 +161,6 @@ def test_fast_dp_terminal_grid_mismatch():
         solve_fast_dp(model, GridValueFn(other, np.zeros(2)))
 
 
-def test_fast_dp_model_needs_one_noise_law_per_stage():
-    grid = Grid([[0.0]])
-    handles = [(lambda s, u, w: np.zeros((len(u), len(s))), stay)]
-    with pytest.raises(ValueError, match="2 noise laws for 1 stages"):
-        make_model(grid, [0.0], point_laws([0.0, 1.0]), handles)
-
-
 @pytest.mark.parametrize(
     "cost, dyn, handle",
     [
@@ -184,18 +178,17 @@ def test_fast_dp_rejects_a_handle_off_the_contract_shape(cost, dyn, handle):
 
 def _tree_value(model, terminal_axis, terminal_vals, m, x):
     """Brute-force scenario recursion for integer-state shift instances."""
-    if m == len(model.stages):
+    if m == len(model.noise.probs):
         i = int(np.argmin(np.abs(terminal_axis - x)))
         return float(terminal_vals[i])
-    stage = model.stages[m]
     total = 0.0
     axis = model.terminal_grid.axes[0]
     for w, p in model.noise.atoms(m):
         best = INF
         for u in model.controls:
-            c = float(stage.cost(np.array([[x]]), np.array([u]), float(w))[0, 0])
+            c = float(model.cost(m, np.array([[x]]), np.array([u]), float(w))[0, 0])
             c += float(model.fixed[list(model.controls).index(u), list(axis).index(x)])
-            nxt = float(stage.dynamics(np.array([[x]]), np.array([u]), float(w))[0, 0, 0])
+            nxt = float(model.dynamics(m, np.array([[x]]), np.array([u]), float(w))[0, 0, 0])
             nxt = float(np.clip(nxt, axis[0], axis[-1]))
             q = c + _tree_value(model, terminal_axis, terminal_vals, m + 1, nxt)
             best = min(best, q)
@@ -262,12 +255,11 @@ def _per_control_reference(model, terminal):
     vnext = terminal
     grid, controls = model.terminal_grid, model.controls
     states = grid.points()
-    for m in reversed(range(len(model.stages))):
-        stage = model.stages[m]
+    for m in reversed(range(len(model.noise.probs))):
         total, pos = np.zeros(len(states)), np.zeros(len(states), dtype=bool)
         for w, p in model.noise.atoms(m):
-            cost = stage.cost(states, controls, w)
-            nxt = stage.dynamics(states, controls, w)
+            cost = model.cost(m, states, controls, w)
+            nxt = model.dynamics(m, states, controls, w)
             q_best = None
             for k in range(len(controls)):
                 q = (cost[k] + model.fixed[k]) + vnext.eval_many(nxt[k])
@@ -283,7 +275,7 @@ def _per_control_reference(model, terminal):
 def _assert_matches_reference(model, terminal):
     fast = [v.values for v in solve_fast_dp(model, terminal).values]
     ref = _per_control_reference(model, terminal)
-    assert len(fast) == len(ref) == len(model.stages) + 1
+    assert len(fast) == len(ref) == len(model.noise.probs) + 1
     for a, b in zip(fast, ref):
         assert np.array_equal(np.isposinf(a), np.isposinf(b))
         assert np.array_equal(a, b)
@@ -376,7 +368,7 @@ def test_split_matches_reference_on_a_free_slot():
     # rate 0: every control row of slots 0 and 2 is bill-free
     laws = point_laws([10.0, -8.0, 6.0, 12.0])
     model, terminal = _battery_cell(laws, rates=(0.0, 0.2, 0.0, 0.3))
-    cost = model.stages[0].cost(None, model.controls, 10.0)
+    cost = model.cost(0, None, model.controls, 10.0)
     assert not cost.any()
     _assert_matches_reference(model, terminal)
 
@@ -385,9 +377,9 @@ def test_split_matches_reference_where_every_control_pays():
     # w > u_max = 25: no control brings the net demand to 0
     laws = law_table([([26.0, 40.0], [0.5, 0.5]), point(30.0), point(25.5), point(31.0)])
     model, terminal = _battery_cell(laws)
-    for m, stage in enumerate(model.stages):
+    for m in range(len(model.noise.probs)):
         for w, _ in model.noise.atoms(m):
-            assert stage.cost(None, model.controls, w).all()
+            assert model.cost(m, None, model.controls, w).all()
     _assert_matches_reference(model, terminal)
 
 
@@ -427,7 +419,7 @@ def test_split_matches_reference_with_zero_rows_in_the_middle(terminal_inf):
     if terminal_inf:
         # meets the +inf of fixed in row 1, and no best control reads it
         end[2] = INF
-    cost = model.stages[0].cost(None, controls, 0.0)
+    cost = model.cost(0, None, controls, 0.0)
     assert list(np.flatnonzero(~cost.any(axis=1))) == [1, 3]
     ref = _assert_matches_reference(model, GridValueFn(grid, end))
     assert all(np.isfinite(values).all() for values in ref[:-1])
@@ -439,6 +431,21 @@ def test_fixed_off_the_contract_shape_is_rejected():
         make_model(
             grid, [0.0, 1.0], point_laws([0.0]), [(lambda s, u, w: np.zeros((len(u), 1)), stay)],
             np.zeros((2, 1)),
+        )
+
+
+@pytest.mark.parametrize("n_rates", [3, 5])
+def test_cell_whose_rates_and_slot_laws_differ_in_count_is_refused(n_rates):
+    # a model has one step per slot law: a short tariff would fail mid-solve
+    # and a long one be cut
+    laws = point_laws([10.0, -8.0, 6.0, 12.0])
+    rates = tuple(0.1 * (k + 1) for k in range(n_rates))
+    with pytest.raises(ValueError, match=f"{n_rates} rates for 4 slot laws"):
+        _battery_cell(laws, rates=rates)
+    with pytest.raises(ValueError, match=f"{n_rates} rates for 4 slot laws"):
+        compute_intraday(
+            RESOURCE, small_battery_config(rates=rates), laws, [0.0, 50.0],
+            np.linspace(0.0, 100.0, 5), 5, 5,
         )
 
 
@@ -483,7 +490,7 @@ def test_plans_built_per_axis_rebuilt_only_for_more_columns_and_once_per_noise_d
     p = random_tiny_problem(7)
     model = p.day_model(0)
     solve_fast_dp(model, GridValueFn(model.terminal_grid, p.final_cost))
-    assert len(plans) == sum(len(list(model.noise.atoms(m))) for m in range(len(model.stages)))
+    assert len(plans) == sum(len(list(model.noise.atoms(m))) for m in range(len(model.noise.probs)))
 
 
 def _fitted_laws(cfg: RunConfig):
@@ -544,18 +551,28 @@ def test_cells_off_the_budget_lattice_compute_every_column(overrides, budget_axi
 
 def test_periodicity_trimester_two_years():
     cm = build_periodicity_classes(729, 4)
-    assert cm.day_to_class[0] == 1 and cm.day_to_class[365] == 1
-    assert cm.day_to_class[89] == 1 and cm.day_to_class[90] == 2
-    assert cm.day_to_class[180] == 2 and cm.day_to_class[181] == 3
-    assert cm.day_to_class[272] == 3 and cm.day_to_class[273] == 4
-    assert cm.day_to_class[364] == 4
-    assert cm.representatives == {1: 0, 2: 90, 3: 181, 4: 273}
+    assert cm[0] == 1 and cm[365] == 1
+    assert cm[89] == 1 and cm[90] == 2
+    assert cm[180] == 2 and cm[181] == 3
+    assert cm[272] == 3 and cm[273] == 4
+    assert cm[364] == 4
+    classes, first = np.unique(cm, return_index=True)
+    assert classes.tolist() == [1, 2, 3, 4] and first.tolist() == [0, 90, 181, 273]
 
 
 def test_periodicity_single_class():
     cm = build_periodicity_classes(9, 1)
-    assert set(cm.day_to_class.tolist()) == {1}
-    assert cm.representatives == {1: 0}
+    assert cm.tolist() == [1] * 10 and np.unique(cm).tolist() == [1]
+
+
+@pytest.mark.parametrize("D, I", [(9, 1), (729, 4)])
+def test_periodicity_classes_are_a_read_only_intp_array(D, I):
+    cm = build_periodicity_classes(D, I)
+    assert cm.dtype == np.intp and cm.shape == (D + 1,)
+    assert not cm.flags.writeable
+    with pytest.raises(ValueError):
+        cm[0] = 2
+    assert np.array_equal(RunConfig(D=D, n_classes=I, c_max=100.0).classmap, cm)
 
 
 def test_periodicity_errors():
@@ -563,8 +580,6 @@ def test_periodicity_errors():
         build_periodicity_classes(9, 3)
     with pytest.raises(ValueError):
         build_periodicity_classes(9, 0)
-    with pytest.raises(ValueError):
-        PeriodicityClassMap(np.array([1, 2]), {1: 1})
 
 
 # ---------------------------------------------------------------- daily tables

@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twoscale import oracle
+from twoscale import oracle, slowscale
 from twoscale.oracle import (
     TinyProblem,
     complexity_estimate,
@@ -169,6 +169,19 @@ def test_run_verification_all_pass():
     assert len(results) == 5
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+def test_run_verification_runs_every_check_on_one_instance(monkeypatch):
+    # the sandwich check runs on half the instances, rounded up
+    calls = []
+    recursion = slowscale.generic_resource_recursion
+    monkeypatch.setattr(
+        slowscale, "generic_resource_recursion", lambda p: calls.append(p) or recursion(p)
+    )
+    results = run_verification(n_instances=1, seed=2)
+    assert len(calls) == 1 and all(ok for _, ok, _ in results)
+    with pytest.raises(ValueError, match="at least one instance, not 0"):
+        run_verification(n_instances=0)
 
 
 def test_run_verification_names_the_first_failing_instance(monkeypatch):

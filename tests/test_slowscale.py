@@ -319,7 +319,7 @@ def _per_capacity_recursion(dec, tables, classmap, price_laws, cfg, h_grid, c_gr
     values = np.empty((D + 2, len(h_grid), len(c_grid)))
     values[D + 1] = 0.0
     for d in range(D, -1, -1):
-        table = tables[int(classmap.day_to_class[d])]
+        table = tables[int(classmap[d])]
         cont = _ref_continuation(values[d + 1], price_laws[d], cfg, renewal)
         for ci in range(len(c_grid)):
             if dec.budget_axis:
